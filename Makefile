@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench bench-json bench-compare bench-smoke trace-smoke fault-smoke fault-perm-smoke batch-smoke telemetry-smoke snapshot-smoke fuzz-smoke contract-check
+.PHONY: check build vet lint test race bench bench-json bench-compare bench-smoke bench-repo-smoke trace-smoke fault-smoke fault-perm-smoke batch-smoke telemetry-smoke snapshot-smoke fuzz-smoke contract-check
 
 ## check: the CI gate — build, vet, static analysis, the full test suite
 ## under the race detector (the parallel experiment engine makes this
 ## mandatory), the event-horizon contract tests, the tracing,
 ## fault-injection (transient and permanent), batched-execution, live
 ## telemetry, and checkpoint/restore smoke tests, a short fuzz pass over
-## the user-facing decoders, and a soft benchmark-regression check against
-## the newest committed snapshot.
-check: build vet lint race contract-check trace-smoke fault-smoke fault-perm-smoke batch-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-compare
+## the user-facing decoders and the arrival skip-ahead, the repo
+## benchmark's own tests, and a soft benchmark-regression check against the
+## newest committed snapshot.
+check: build vet lint race contract-check trace-smoke fault-smoke fault-perm-smoke batch-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-repo-smoke bench-compare
 
 build:
 	$(GO) build ./...
@@ -213,11 +214,19 @@ snapshot-smoke:
 
 ## fuzz-smoke: a short native-fuzz pass over the user-facing decoders
 ## (noxtrace -validate, noxbench snapshot JSON, the binary snapshot image
-## decoder, the JSON fault-campaign spec). The committed seed corpora
-## always run under plain `go test`; this adds a little coverage-guided
-## mutation on top without turning CI into a fuzz farm.
+## decoder, the JSON fault-campaign spec) and the traffic sources'
+## skip-ahead Next against its Tick-loop specification. The committed seed
+## corpora always run under plain `go test`; this adds a little
+## coverage-guided mutation on top without turning CI into a fuzz farm.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateTrace$$' -fuzztime 10s ./cmd/noxtrace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 10s ./cmd/noxbench
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/fault
+	$(GO) test -run '^$$' -fuzz '^FuzzNextMatchesTick$$' -fuzztime 10s ./internal/traffic
+
+## bench-repo-smoke: the repo benchmark (BENCHMARK.json, benchmark/) is a
+## nested module, so `go test ./...` from the root never reaches its tests;
+## run them here (tiny-scale workloads against the golden digests, ~4 s).
+bench-repo-smoke:
+	$(GO) -C benchmark test ./...

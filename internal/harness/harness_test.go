@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -112,6 +113,50 @@ func TestRunSyntheticValidation(t *testing.T) {
 	cfg = fastCfg("not-a-pattern", 500)
 	if _, err := RunSynthetic(cfg); err == nil {
 		t.Error("unknown pattern accepted")
+	}
+}
+
+// TestRunSyntheticRateValidation pins the typed failure for rates no run
+// can mean (they used to panic in traffic.NewSelfSimilar or print NaN
+// latencies with a nil error) and keeps the zero-rate Bernoulli run — the
+// idle-network configuration — legal.
+func TestRunSyntheticRateValidation(t *testing.T) {
+	cases := []struct {
+		name       string
+		pattern    string
+		rate, warm float64
+		want       error // nil = the run must succeed
+	}{
+		{"negative", "uniform", -5, 0, ErrRateInvalid},
+		{"NaN", "uniform", math.NaN(), 0, ErrRateInvalid},
+		{"+Inf", "uniform", math.Inf(1), 0, ErrRateInvalid},
+		{"-Inf", "uniform", math.Inf(-1), 0, ErrRateInvalid},
+		{"negative warm-up", "uniform", 500, -1, ErrRateInvalid},
+		{"NaN warm-up", "uniform", 500, math.NaN(), ErrRateInvalid},
+		{"infinite warm-up", "selfsimilar", 500, math.Inf(1), ErrRateInvalid},
+		{"selfsimilar zero", "selfsimilar", 0, 0, ErrRateInvalid},
+		{"selfsimilar zero after warm-up", "selfsimilar", 0, 500, ErrRateInvalid},
+		{"selfsimilar negative", "selfsimilar", -5, 0, ErrRateInvalid},
+		{"too fast stays infeasible", "uniform", 1e9, 0, ErrRateInfeasible},
+		{"bernoulli zero is the idle network", "uniform", 0, 0, nil},
+		{"selfsimilar positive", "selfsimilar", 500, 0, nil},
+	}
+	for _, tc := range cases {
+		cfg := fastCfg(tc.pattern, tc.rate)
+		cfg.Arch = router.NoX
+		cfg.WarmRateMBps = tc.warm
+		cfg.WarmupCycles, cfg.MeasureCycles = 200, 600
+		res, err := RunSynthetic(cfg)
+		if !errors.Is(err, tc.want) || (tc.want == nil && err != nil) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if tc.want == nil && tc.rate == 0 && res.DeliveredPackets != 0 {
+			t.Errorf("%s: idle network delivered %d packets", tc.name, res.DeliveredPackets)
+		}
+	}
+	// A bad rung is a caller mistake, not the end of a series: sweeps fail.
+	if _, err := SweepSynthetic(fastCfg("uniform", 0), []float64{300, -1}, nil); !errors.Is(err, ErrRateInvalid) {
+		t.Errorf("sweep with a negative rung: err = %v, want ErrRateInvalid", err)
 	}
 }
 

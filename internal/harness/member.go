@@ -43,10 +43,11 @@ type synthMember struct {
 	deadline      int64 // drain deadline, valid after enterDrain
 
 	// Sparse-regime lookahead (event-horizon harness). When lookahead is
-	// armed, each traffic process is advanced eagerly — its Tick stream is
-	// private per-node state, so consuming future cycles early is
-	// stream-exact — and arr[id] holds the node's next injection cycle (or
-	// the current wall when none is known yet). arrMin caches the minimum, so
+	// armed, each traffic process is advanced eagerly with one skip-ahead
+	// Next call per arrival — its stream is private per-node state, so
+	// consuming future cycles early is stream-exact — and arr[id] holds the
+	// node's next injection cycle (or the current wall when none is known
+	// yet). arrMin caches the minimum, so
 	// injection-free cycles cost one comparison, and the main loop may jump a
 	// fully idle network straight to arrMin. Advancing clamps at the warmup
 	// boundary (Ticks past it must see the retargeted rate) and at total.
@@ -71,6 +72,19 @@ type synthMember struct {
 func prepareSynthetic(cfg SyntheticConfig) (*synthMember, error) {
 	cfg.fill()
 	m := &synthMember{cfg: cfg}
+	for _, r := range []struct {
+		name string
+		mbps float64
+	}{{"offered", cfg.RateMBps}, {"warm-up", cfg.WarmRateMBps}} {
+		if r.mbps < 0 || math.IsNaN(r.mbps) || math.IsInf(r.mbps, 0) {
+			return nil, fmt.Errorf("harness: %s rate %v MB/s/node is not a finite non-negative bandwidth: %w", r.name, r.mbps, ErrRateInvalid)
+		}
+	}
+	// A zero-rate Bernoulli run is the legal idle-network configuration; the
+	// Pareto ON/OFF source has no zero-rate solution for T_off.
+	if cfg.Pattern == "selfsimilar" && cfg.RateMBps == 0 {
+		return nil, fmt.Errorf("harness: selfsimilar traffic needs an offered rate above zero: %w", ErrRateInvalid)
+	}
 	m.periodNs = physical.ClockPeriodNs(cfg.Arch)
 	flitRate := FlitsPerNodeCycle(cfg.RateMBps, m.periodNs)
 	m.pktRate = flitRate / float64(cfg.PacketFlits)
@@ -186,22 +200,19 @@ func (m *synthMember) attach(net *network.Network) {
 	}
 }
 
-// advanceArr consumes node id's Tick stream from cycle `from` until the next
-// injection hit or the wall, recording the result in arr[id]. arr[id] ==
-// wall means the stream is consumed up to the wall with no hit pending; the
-// wall cycle's own Tick has NOT been consumed. The wall is the warmup
-// boundary until the boundary's retarget has run (even for an advance that
-// starts exactly at the boundary — the callers pass wallAt of the *current*
-// cycle, so a hit on the boundary's eve parks at the wall rather than
-// reading pre-retarget Ticks for post-boundary cycles), then end-of-window.
-func (m *synthMember) advanceArr(id int, from, wall int64) {
-	for c := from; c < wall; c++ {
-		if m.procs[id].Tick() {
-			m.arr[id] = c
-			return
-		}
-	}
-	m.arr[id] = wall
+// advanceArr consumes node id's arrival stream from cycle `from` until the
+// next injection hit or the wall — one skip-ahead Next call, whatever the
+// gap — recording the result in arr[id] and returning it. arr[id] == wall
+// means the stream is consumed up to the wall with no hit pending; the wall
+// cycle's own Tick has NOT been consumed. The wall is the warmup boundary
+// until the boundary's retarget has run (even for an advance that starts
+// exactly at the boundary — the callers pass wallAt of the *current* cycle,
+// so a hit on the boundary's eve parks at the wall rather than reading
+// pre-retarget Ticks for post-boundary cycles), then end-of-window.
+func (m *synthMember) advanceArr(id int, from, wall int64) int64 {
+	gap, _ := m.procs[id].Next(wall - from)
+	m.arr[id] = from + gap
+	return m.arr[id]
 }
 
 // wallAt returns the Tick-consumption wall in force at main-loop cycle cyc.
@@ -212,7 +223,9 @@ func (m *synthMember) wallAt(cyc int64) int64 {
 	return m.total
 }
 
-// recomputeArrMin refreshes the cached earliest pending arrival.
+// recomputeArrMin refreshes the cached earliest pending arrival after a
+// re-prime of the whole cache (attach, warmup boundary, restore); the
+// per-cycle injection pass tracks the minimum itself.
 func (m *synthMember) recomputeArrMin() {
 	m.arrMin = m.total
 	for _, at := range m.arr {
@@ -277,20 +290,23 @@ func (m *synthMember) injectCycle(cyc int64) {
 		}
 		injected := 0
 		wall := m.wallAt(cyc)
-		for id := range m.arr {
-			if m.arr[id] != cyc {
-				continue
+		arrMin := m.total
+		for id, at := range m.arr {
+			if at == cyc {
+				src := noc.NodeID(id)
+				dst := m.pattern.Dest(src, m.dests[id])
+				if dst != src { // permutation fixed points do not inject
+					p := m.net.Inject(src, dst, m.cfg.PacketFlits, 0)
+					m.col.OnCreate(p, cyc)
+					injected++
+				}
+				at = m.advanceArr(id, cyc+1, wall)
 			}
-			src := noc.NodeID(id)
-			dst := m.pattern.Dest(src, m.dests[id])
-			if dst != src { // permutation fixed points do not inject
-				p := m.net.Inject(src, dst, m.cfg.PacketFlits, 0)
-				m.col.OnCreate(p, cyc)
-				injected++
+			if at < arrMin {
+				arrMin = at
 			}
-			m.advanceArr(id, cyc+1, wall)
 		}
-		m.recomputeArrMin()
+		m.arrMin = arrMin
 		if injected > 0 {
 			m.cfg.Progress.CountInject(int64(injected), int64(injected*m.cfg.PacketFlits))
 		}

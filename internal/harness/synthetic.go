@@ -149,6 +149,12 @@ func (c *SyntheticConfig) fill() {
 // failure and is propagated.
 var ErrRateInfeasible = errors.New("offered rate exceeds injection capacity")
 
+// ErrRateInvalid marks an offered or warm-up rate no run can mean: negative,
+// NaN or infinite, or zero for the self-similar source (whose OFF period
+// has no zero-rate solution). Unlike ErrRateInfeasible it is a caller
+// mistake, so sweeps propagate it instead of ending the series quietly.
+var ErrRateInvalid = errors.New("invalid injection rate")
+
 // RunSynthetic executes one (architecture, pattern, rate) point and
 // returns its latency, throughput, and energy results.
 //

@@ -205,3 +205,30 @@ func TestSpecWastesUnderContention(t *testing.T) {
 		t.Errorf("NoX drove invalid values %d times on single-flit traffic", got)
 	}
 }
+
+// TestLowLoadSourceQueueRewinds pins the sparse regime's injection cost: a
+// source queue that drains rewinds in place, so a lightly loaded interface
+// reuses its first slot forever instead of growing (and periodically
+// copying) the slice one packet at a time, and a packet injected into a
+// drained network costs exactly its own allocation.
+func TestLowLoadSourceQueueRewinds(t *testing.T) {
+	n := New(Config{Topo: noc.Topology{Width: 4, Height: 4}, Arch: router.NoX})
+	send := func() {
+		n.Inject(0, 15, 1, 0)
+		if !n.Drain(200) {
+			t.Fatalf("packet not delivered: outstanding=%d", n.Outstanding())
+		}
+	}
+	for i := 0; i < 8; i++ { // grow the queue, arena and wheel once
+		send()
+	}
+	ni := n.nis[0]
+	before := cap(ni.queue)
+	if avg := testing.AllocsPerRun(2000, send); avg != 1 {
+		t.Errorf("inject+drain of one packet = %v allocs, want 1 (the packet)", avg)
+	}
+	if ni.queueHead != 0 || len(ni.queue) != 0 || cap(ni.queue) != before {
+		t.Errorf("drained source queue: head=%d len=%d cap=%d, want 0/0/%d",
+			ni.queueHead, len(ni.queue), cap(ni.queue), before)
+	}
+}

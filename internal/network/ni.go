@@ -129,6 +129,11 @@ func (ni *NI) Compute(cycle int64) {
 		ni.cur = ni.queue[ni.queueHead]
 		ni.queue[ni.queueHead] = nil
 		ni.queueHead++
+		if ni.queueHead == len(ni.queue) {
+			// Drained: rewind so a lightly loaded source reuses the same few
+			// slots instead of growing the slice one packet at a time.
+			ni.queue, ni.queueHead = ni.queue[:0], 0
+		}
 		ni.curSeq = 0
 	}
 	if ni.cur != nil && ni.injectLink.Ready(cycle) {

@@ -38,10 +38,6 @@ type Packet struct {
 	// Table 1's control packets, the bulk of every workload — so building
 	// one costs a single allocation.
 	payloadBuf [1]uint64
-	// flits holds the packet's wire flits, built lazily on first injection
-	// and reused on retransmission; flitBuf inlines the single-flit case.
-	flits   []Flit
-	flitBuf [1]Flit
 }
 
 // FlitBytes is the link width in bytes (64-bit flits and links, Table 1).
@@ -90,24 +86,6 @@ func NewPacket(id uint64, src, dst NodeID, length int, class int, createCycle in
 		p.Payloads[i] = PayloadWord(id, src, dst, i)
 	}
 	return p
-}
-
-// Flit returns the packet's flit at sequence position seq. The packet owns
-// its flits: they are built once on first use and the same instances are
-// reused if an abort forces retransmission, so steady-state injection of
-// single-flit packets allocates nothing beyond the packet itself.
-func (p *Packet) Flit(seq int) *Flit {
-	if p.flits == nil {
-		if p.Length == 1 {
-			p.flits = p.flitBuf[:1]
-		} else {
-			p.flits = make([]Flit, p.Length)
-		}
-		for i := range p.flits {
-			p.flits[i] = Flit{Packet: p, Seq: i, Raw: p.Payloads[i]}
-		}
-	}
-	return &p.flits[seq]
 }
 
 // PayloadWord is the canonical payload of flit seq of packet id. Delivery

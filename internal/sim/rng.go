@@ -27,7 +27,7 @@ func NewRNG(seed uint64) *RNG {
 func (r *RNG) Fork(id uint64) *RNG {
 	// Mix the id through one SplitMix64 round so that consecutive ids do not
 	// produce correlated seeds.
-	return NewRNG(r.Uint64() ^ mix64(id+0x9e3779b97f4a7c15))
+	return NewRNG(r.Uint64() ^ mix64(id+gamma))
 }
 
 // State returns the generator's internal state word, for checkpointing.
@@ -37,6 +37,10 @@ func (r *RNG) State() uint64 { return r.state }
 // stream captured with State to the exact same position.
 func (r *RNG) SetState(s uint64) { r.state = s }
 
+// gamma is SplitMix64's Weyl increment: the state is a plain counter stepped
+// by gamma, and every output is the stateless mix64 of that counter.
+const gamma = 0x9e3779b97f4a7c15
+
 func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -45,7 +49,7 @@ func mix64(z uint64) uint64 {
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	return mix64(r.state)
 }
 
@@ -83,6 +87,54 @@ func (r *RNG) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// NextHit consumes draws exactly as limit successive Bernoulli(p) calls
+// would, stopping after the first hit. It returns the number of misses
+// before the hit and leaves the generator on the hit draw; with no hit in
+// limit draws it returns (limit, false) with all of them consumed. Like
+// Bernoulli, p <= 0 and p >= 1 consume nothing, and a NaN p never hits but
+// consumes every draw.
+//
+// The scan is exact, not approximate: Float64 is float64(v)/2^53 for the
+// 53-bit integer v = Uint64()>>11, and both that quotient and p*2^53 are
+// exact in float64, so Float64() < p holds exactly when v < ceil(p*2^53).
+// The hit test is therefore one integer compare against a threshold
+// computed once per call. Because the state is a counter, the four draws
+// of a block have no data dependence and their multiplies pipeline.
+func (r *RNG) NextHit(p float64, limit int64) (gap int64, hit bool) {
+	switch {
+	case limit <= 0:
+		return 0, false
+	case p <= 0:
+		return limit, false
+	case p >= 1:
+		return 0, true
+	case math.IsNaN(p):
+		r.state += gamma * uint64(limit)
+		return limit, false
+	}
+	t := uint64(math.Ceil(p * (1 << 53)))
+	s, left := r.state, limit
+	for ; left >= 4; left -= 4 {
+		s1 := s + gamma
+		s2 := s1 + gamma
+		s3 := s2 + gamma
+		s4 := s3 + gamma
+		if mix64(s1)>>11 < t || mix64(s2)>>11 < t || mix64(s3)>>11 < t || mix64(s4)>>11 < t {
+			break // the tail re-walks this block to locate the hit
+		}
+		s = s4
+	}
+	for ; left > 0; left-- {
+		s += gamma
+		if mix64(s)>>11 < t {
+			r.state = s
+			return limit - left, true
+		}
+	}
+	r.state = s
+	return limit, false
 }
 
 // Pareto draws from a Pareto distribution with shape alpha and minimum b

@@ -40,6 +40,9 @@ const (
 	maxPacketFlits = 1 << 16
 	maxParts       = 1 << 8
 	maxSliceLen    = 1 << 26
+	// maxPorts is the router radix ceiling (router.Config.Ports <= 32): a
+	// flit's lookahead output port outside [0, maxPorts) indexes no router.
+	maxPorts = 32
 )
 
 // Flit/packet wire tags.
@@ -303,8 +306,8 @@ func (d *Decoder) byte() byte {
 }
 
 // Packet reads a packet reference. First encounters are rebuilt through
-// noc.NewPacket so canonical payloads, inline buffers, and lazily built flit
-// storage all come out exactly as live construction produces them.
+// noc.NewPacket so canonical payloads and inline buffers come out exactly as
+// live construction produces them.
 func (d *Decoder) Packet() *noc.Packet {
 	switch tag := d.byte(); tag {
 	case tagNil:
@@ -391,6 +394,10 @@ func (d *Decoder) Flit() *noc.Flit {
 			d.failf(ErrCorrupt, "flit seq %d of packet length %d", seq, p.Length)
 			return nil
 		}
+		if port < 0 || port >= maxPorts {
+			d.failf(ErrCorrupt, "flit output port %d", port)
+			return nil
+		}
 		f := d.arena.NewFlit(p, seq)
 		// Raw is patched rather than recomputed: fault injection can leave a
 		// flit's wire image diverged from its payload word.
@@ -422,6 +429,10 @@ func (d *Decoder) Flit() *noc.Flit {
 		raw := d.U64()
 		port := noc.Port(d.Int())
 		if d.err != nil {
+			return nil
+		}
+		if port < 0 || port >= maxPorts {
+			d.failf(ErrCorrupt, "flit output port %d", port)
 			return nil
 		}
 		f := d.arena.Encode(parts)

@@ -8,6 +8,12 @@ import "repro/internal/sim"
 type Process interface {
 	// Tick reports whether the node generates a packet this cycle.
 	Tick() bool
+	// Next advances the process exactly as limit successive Tick calls
+	// would, stopping after the first that reports a packet: it returns the
+	// number of packet-free cycles before it (hit true), or (limit, false)
+	// with all limit cycles consumed. It costs what the traffic costs, not
+	// one call per idle cycle. A non-positive limit consumes nothing.
+	Next(limit int64) (gap int64, hit bool)
 	// Rate returns the long-run packets-per-cycle rate the process targets.
 	Rate() float64
 }
@@ -21,6 +27,9 @@ type Bernoulli struct {
 
 // Tick implements Process.
 func (b *Bernoulli) Tick() bool { return b.RNG.Bernoulli(b.P) }
+
+// Next implements Process.
+func (b *Bernoulli) Next(limit int64) (gap int64, hit bool) { return b.RNG.NextHit(b.P, limit) }
 
 // Rate implements Process.
 func (b *Bernoulli) Rate() float64 { return b.P }
@@ -66,6 +75,31 @@ func (s *SelfSimilar) Tick() bool {
 		s.offLeft--
 		return false
 	}
+	s.emit()
+	return true
+}
+
+// Next implements Process: the rest of an OFF period is skipped in one
+// subtraction, then the burst emits its next packet.
+func (s *SelfSimilar) Next(limit int64) (gap int64, hit bool) {
+	if limit <= 0 {
+		return 0, false
+	}
+	if s.offLeft > 0 {
+		if int64(s.offLeft) >= limit {
+			s.offLeft -= int(limit)
+			return limit, false
+		}
+		gap = int64(s.offLeft)
+		s.offLeft = 0
+	}
+	s.emit()
+	return gap, true
+}
+
+// emit accounts one ON-cycle packet: it opens a new burst when none is in
+// progress and draws the following OFF period when the burst ends.
+func (s *SelfSimilar) emit() {
 	if s.burstLeft == 0 {
 		s.burstLeft = int(s.RNG.Pareto(s.AlphaOn, s.BOn) + 0.5)
 		if s.burstLeft < 1 {
@@ -76,7 +110,6 @@ func (s *SelfSimilar) Tick() bool {
 	if s.burstLeft == 0 {
 		s.offLeft = int(s.RNG.Pareto(s.AlphaOff, s.TOff) + 0.5)
 	}
-	return true
 }
 
 // Rate implements Process.

@@ -182,6 +182,10 @@ func NewPool(workers int) *Pool { return exp.NewPool(workers) }
 // the natural end of that architecture's curve, not a failure.
 var ErrRateInfeasible = harness.ErrRateInfeasible
 
+// ErrRateInvalid marks a negative or non-finite rate, or a zero rate with
+// the self-similar source; unlike ErrRateInfeasible it is always a failure.
+var ErrRateInvalid = harness.ErrRateInvalid
+
 // RunSynthetic executes one (architecture, pattern, rate) point.
 func RunSynthetic(cfg SyntheticConfig) (RunResult, error) { return harness.RunSynthetic(cfg) }
 
