@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench bench-json bench-compare bench-smoke bench-repo-smoke trace-smoke fault-smoke fault-perm-smoke batch-smoke telemetry-smoke snapshot-smoke fuzz-smoke contract-check
+.PHONY: check build vet lint test race shard-race bench bench-json bench-compare bench-smoke bench-repo-smoke trace-smoke fault-smoke fault-perm-smoke batch-smoke telemetry-smoke snapshot-smoke fuzz-smoke contract-check
 
 ## check: the CI gate — build, vet, static analysis, the full test suite
 ## under the race detector (the parallel experiment engine makes this
-## mandatory), the event-horizon contract tests, the tracing,
+## mandatory), the sharded executor's barrier at three GOMAXPROCS
+## settings, the event-horizon contract tests, the tracing,
 ## fault-injection (transient and permanent), batched-execution, live
 ## telemetry, and checkpoint/restore smoke tests, a short fuzz pass over
 ## the user-facing decoders and the arrival skip-ahead, the repo
 ## benchmark's own tests, and a soft benchmark-regression check against the
 ## newest committed snapshot.
-check: build vet lint race contract-check trace-smoke fault-smoke fault-perm-smoke batch-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-repo-smoke bench-compare
+check: build vet lint race shard-race contract-check trace-smoke fault-smoke fault-perm-smoke batch-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-repo-smoke bench-compare
 
 build:
 	$(GO) build ./...
@@ -37,6 +38,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## shard-race: the sharded executor's tests under the race detector at
+## GOMAXPROCS 1, 2 and 4. The phase barrier spins only while shards <=
+## GOMAXPROCS, so one setting alone leaves regimes unrun: at 1 every waiter
+## parks at once, at 2 and 4 the 2- and 3-shard cases spin, and the 7-, 8-
+## and 16-shard cases mix both on every host.
+shard-race:
+	$(GO) test -race -cpu 1,2,4 -run 'Shard|Barrier' ./internal/sim ./internal/network
 
 ## contract-check: the event-horizon kernel's contract tests (build tag:
 ## contract) — the next-wake/quiescence API's oracle catches components that

@@ -234,13 +234,19 @@ func BenchmarkNetworkCycleSteady(b *testing.B) {
 
 // BenchmarkNetworkCycleLarge measures one loaded cycle on big meshes —
 // the scaling case the sharded executor exists for — at several worker
-// counts. shards=1 is the serial kernel; on a multicore host wall-clock
-// drops as shards rise (on one CPU all counts run within noise, since the
-// pool never dispatches in parallel). Results are bit-identical across the
-// row; only the wall clock moves.
+// counts. shards=1 is the serial kernel; shards=0 is the library default
+// (network.AutoShards), so the row shows directly whether the default earns
+// its place at that size. Construction, the first-touch fill of the memoized
+// route table and the cold network are kept out of the timing by a warm-up
+// of injected cycles before ResetTimer, so the rows order the same way as
+// the repo benchmark's network.shard_speedup.mesh32 at any -benchtime. On
+// one CPU all counts run within noise (the pool never dispatches in
+// parallel); with more shards than CPUs the barrier parks instead of
+// spinning and sharding loses. Results are bit-identical across the row;
+// only the wall clock moves.
 func BenchmarkNetworkCycleLarge(b *testing.B) {
-	for _, side := range []int{16, 32} {
-		for _, shards := range []int{1, 2, 4, 8} {
+	for _, side := range []int{16, 24, 32} {
+		for _, shards := range []int{1, 0, 2, 4, 8} {
 			b.Run(fmt.Sprintf("NoX-%dx%d/shards=%d", side, side, shards), func(b *testing.B) {
 				net := network.New(network.Config{
 					Topo:   noc.Topology{Width: side, Height: side},
@@ -252,8 +258,7 @@ func BenchmarkNetworkCycleLarge(b *testing.B) {
 				cores := net.Cores()
 				// Load proportional to mesh size so per-cycle work scales.
 				perCycle := cores / 16
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
+				cycle := func() {
 					for j := 0; j < perCycle; j++ {
 						src := noc.NodeID(rng.Intn(cores))
 						dst := noc.NodeID(rng.Intn(cores))
@@ -262,6 +267,14 @@ func BenchmarkNetworkCycleLarge(b *testing.B) {
 						}
 					}
 					net.Step()
+				}
+				for i := 0; i < 300; i++ {
+					cycle()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cycle()
 				}
 			})
 		}

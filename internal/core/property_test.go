@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -195,6 +196,47 @@ func TestInputPortBubbleMidChain(t *testing.T) {
 	if !ok || !dec || f.Packet.ID != 1 {
 		t.Fatalf("decode after bubble failed: %v %v %v", f, dec, ok)
 	}
+}
+
+// TestUnownedConstituentPoisonsLenientPort: a register whose constituent
+// lost its owning packet (scrubbed after an upstream drop) is a decode
+// protocol violation like any other — a lenient port stages poison,
+// discards the register at the next commit and reports the error; a strict
+// port keeps its panic. It used to be a nil dereference inside noc.Decode.
+func TestUnownedConstituentPoisonsLenientPort(t *testing.T) {
+	latchScrubbed := func(lenient bool) *InputPort {
+		ip := NewInputPort(8, func(noc.NodeID) noc.Port { return noc.Local })
+		ip.SetLenient(lenient)
+		a, b := mkSingle(1, noc.East), mkSingle(2, noc.East)
+		ip.Receive(noc.Encode([]*noc.Flit{a, b}))
+		ip.Commit() // latch
+		a.Packet = nil
+		ip.Receive(b)
+		return ip
+	}
+
+	ip := latchScrubbed(true)
+	if _, _, ok := ip.Offer(); ok {
+		t.Fatal("lenient port presented a decode of an unowned constituent")
+	}
+	ev := ip.Commit()
+	if ev.DecodeErr == nil {
+		t.Fatal("commit did not report the decode violation")
+	}
+	if ip.RegisterBusy() {
+		t.Error("condemned register survived the commit")
+	}
+	if f, dec, ok := ip.Offer(); !ok || dec || f.Packet.ID != 2 {
+		t.Errorf("buffered head not presented raw after the discard: %v %v %v", f, dec, ok)
+	}
+
+	strict := latchScrubbed(false)
+	defer func() {
+		if msg, _ := recover().(string); !strings.HasPrefix(msg, "core: decode protocol violated") {
+			t.Errorf("strict port: recovered %q, want the decode protocol panic", msg)
+		}
+	}()
+	strict.Offer()
 }
 
 // TestOfferStability verifies an unserviced offer is identical across

@@ -47,11 +47,11 @@ type Config struct {
 	// Results are bit-identical at every shard count; call Close on the
 	// network when done so the workers are released.
 	Shards int
-	// DisableLanes turns off typed-lane dispatch on the serial path, driving
+	// DisableLanes turns off typed-lane dispatch, driving
 	// every component through the generic interface walk instead — the
 	// reference mode the lane-equivalence tests compare against. Behavior is
-	// identical either way; only dispatch mechanics differ. No effect when
-	// sharded (lanes are serial-only).
+	// identical either way; only dispatch mechanics differ. Applies to the
+	// sharded step's per-shard lanes as well.
 	DisableLanes bool
 	// Check, when non-nil, arms the runtime invariant layer on this network:
 	// the delivery oracle validates every packet at its interface, protocol
@@ -138,23 +138,39 @@ func (c *Config) fill() {
 }
 
 // AutoShards picks the worker-shard count for a mesh with the given router
-// count: the crossover heuristic behind Config.Shards == 0. Small meshes
-// (fewer than 256 routers) and single-CPU hosts stay serial — per-cycle
-// work there is too small to amortize three barriers — larger meshes get
-// roughly one shard per 64 routers, capped at GOMAXPROCS.
+// count: the crossover heuristic behind Config.Shards == 0. Meshes below
+// 24x24 (576 routers) and single-CPU hosts stay serial; larger meshes get
+// roughly one shard per 64 routers, capped at GOMAXPROCS — beyond that the
+// phase barrier cannot spin and sharding loses to serial at every size.
+//
+// The crossover is where the default measurably pays for the CPUs it takes
+// (BenchmarkNetworkCycleLarge, 2 CPUs, loaded NoX cycle, serial vs two
+// shards): 16x16 44 vs 37-68 us — a tie within run-to-run noise, for twice
+// the CPU, which a parallel sweep would rather spend on another cell; 24x24
+// 150 vs 105 us; 32x32 400 vs 229 us.
 func AutoShards(routers int) int {
 	procs := runtime.GOMAXPROCS(0)
-	if routers < 256 || procs == 1 {
+	if routers < 576 || procs == 1 {
 		return 1
 	}
-	s := routers / 64
-	if s < 2 {
-		s = 2
-	}
-	if s > procs {
-		s = procs
-	}
-	return s
+	return min(routers/64, procs)
+}
+
+// shardLocal is the state one shard's worker writes while stepping: its
+// share of the power accounting (folded on Counters calls), the arena
+// pooling every flit it materializes — all allocation and recycling is
+// worker-local; flits migrate between arenas, so only the summed Outstanding
+// is meaningful (see ArenaOutstanding) — and the deliveries it staged for the
+// epilogue. The trailing pad keeps two shards' blocks off each other's cache
+// lines and off the neighbouring line the hardware prefetcher pairs with
+// them: back to back, shard 1's BufWrite/BufRead/Xbar share a line with
+// shard 0's Collisions..OutputActive, and bouncing it on every flit hop
+// costs a fifth of a 32x32 cycle.
+type shardLocal struct {
+	counters power.Counters
+	arena    noc.Arena
+	mailbox  []delivery
+	_        [128]byte
 }
 
 // delivery is one completed packet staged by a shard worker for the step
@@ -182,21 +198,15 @@ type Network struct {
 	// spatial shards; every component is assigned to the shard of the node
 	// that RECEIVES from it (routers and NIs to their own node, each link
 	// to its sink's node), which keeps every commit-phase write except Wake
-	// inside one shard. shardCounters splits the power accounting per shard
-	// (folded on Counters calls); mailboxes stage completed deliveries per
-	// shard until the epilogue merges them. All nil/zero on the serial path.
-	shards        int
-	shardOfNode   []int32
-	shardCounters []power.Counters
-	aggCounters   power.Counters
-	mailboxes     [][]delivery
-	mailHeads     []int
-
-	// arenas pool every flit the simulation materializes, one per shard so
-	// all allocation and recycling is worker-local (serial runs use a single
-	// arena). Flits migrate between arenas — only the summed Outstanding is
-	// meaningful; see ArenaOutstanding.
-	arenas []noc.Arena
+	// inside one shard. shardOfNode is nil on the serial path. local holds
+	// what each shard's worker writes while stepping (one entry on the
+	// serial path, where counters points into it); mailHeads is the
+	// epilogue's merge scratch.
+	shards      int
+	shardOfNode []int32
+	local       []shardLocal
+	aggCounters power.Counters
+	mailHeads   []int
 
 	ejectLinks []*noc.Link
 	// links is every channel in site order (the fault-injection site
@@ -307,7 +317,7 @@ func New(cfg Config) *Network {
 	// co-located with the given router node. Serial: one shared counter
 	// block and the probe itself. Sharded: the node's shard gets its own
 	// counter block and probe child, so workers never write shared state.
-	n.arenas = make([]noc.Arena, shards)
+	n.local = make([]shardLocal, shards)
 	var countersFor func(node int) *power.Counters
 	var probeFor func(node int) *probe.Probe
 	var probeChildren []*probe.Probe
@@ -318,10 +328,8 @@ func New(cfg Config) *Network {
 			// balanced sizes at any shard count.
 			n.shardOfNode[id] = int32(id * shards / routers)
 		}
-		n.shardCounters = make([]power.Counters, shards)
-		n.mailboxes = make([][]delivery, shards)
 		n.mailHeads = make([]int, shards)
-		countersFor = func(node int) *power.Counters { return &n.shardCounters[n.shardOfNode[node]] }
+		countersFor = func(node int) *power.Counters { return &n.local[n.shardOfNode[node]].counters }
 		if n.probe != nil {
 			probeChildren = n.probe.ShardChildren(shards)
 			probeFor = func(node int) *probe.Probe { return probeChildren[n.shardOfNode[node]] }
@@ -329,15 +337,9 @@ func New(cfg Config) *Network {
 			probeFor = func(int) *probe.Probe { return nil }
 		}
 	} else {
-		n.counters = &power.Counters{}
+		n.counters = &n.local[0].counters
 		countersFor = func(int) *power.Counters { return n.counters }
 		probeFor = func(int) *probe.Probe { return n.probe }
-	}
-	arenaFor := func(node int) *noc.Arena {
-		if sharded {
-			return &n.arenas[n.shardOfNode[node]]
-		}
-		return &n.arenas[0]
 	}
 
 	n.routers = make([]router.Router, routers)
@@ -352,7 +354,7 @@ func New(cfg Config) *Network {
 		slabs = router.NewSlabs()
 	}
 	if cfg.FlitBlocks != nil && !sharded {
-		n.arenas[0].SetBlocks(cfg.FlitBlocks)
+		n.local[0].arena.SetBlocks(cfg.FlitBlocks)
 	}
 	for id := 0; id < routers; id++ {
 		n.routers[id] = router.New(router.Config{
@@ -364,7 +366,7 @@ func New(cfg Config) *Network {
 			Ports:       sys.Ports(),
 			NewArbiter:  cfg.NewArbiter,
 			Probe:       probeFor(id),
-			Arena:       arenaFor(id),
+			Arena:       n.arenaOf(id),
 			Slabs:       slabs,
 			Check:       cfg.Check,
 		})
@@ -382,7 +384,7 @@ func New(cfg Config) *Network {
 	for c := 0; c < cores; c++ {
 		home := int(sys.RouterOf(noc.NodeID(c)))
 		ni := &niSlab[c]
-		ni.init(noc.NodeID(c), n, cfg.SinkDepth, sinkSlots[c*sinkSl:(c+1)*sinkSl:(c+1)*sinkSl], localRow, arenaFor(home))
+		ni.init(noc.NodeID(c), n, cfg.SinkDepth, sinkSlots[c*sinkSl:(c+1)*sinkSl:(c+1)*sinkSl], localRow, n.arenaOf(home))
 		ni.counters = countersFor(home)
 		ni.probe = probeFor(home)
 		if cfg.Check != nil {
@@ -464,7 +466,7 @@ func New(cfg Config) *Network {
 			links = append(links, l)
 			sinkOwner = append(sinkOwner, routerHandle[nb])
 			srcOwner = append(srcOwner, routerHandle[id])
-			linkArena = append(linkArena, arenaFor(int(nb)))
+			linkArena = append(linkArena, n.arenaOf(int(nb)))
 		}
 		// Local ports: one injection and one ejection link per core.
 		for k := 0; k < sys.Concentration; k++ {
@@ -479,7 +481,7 @@ func New(cfg Config) *Network {
 			links = append(links, inj)
 			sinkOwner = append(sinkOwner, routerHandle[id])
 			srcOwner = append(srcOwner, n.niHandle[coreID])
-			linkArena = append(linkArena, arenaFor(id))
+			linkArena = append(linkArena, n.arenaOf(id))
 			ej := newLink(n.nis[coreID].SinkReceiver(), cfg.SinkDepth)
 			r.SetOutputLink(port, ej)
 			if n.probe != nil {
@@ -489,7 +491,7 @@ func New(cfg Config) *Network {
 			links = append(links, ej)
 			sinkOwner = append(sinkOwner, n.niHandle[coreID])
 			srcOwner = append(srcOwner, routerHandle[id])
-			linkArena = append(linkArena, arenaFor(id))
+			linkArena = append(linkArena, n.arenaOf(id))
 		}
 	}
 	n.links = links
@@ -529,6 +531,9 @@ func New(cfg Config) *Network {
 	}
 	if sharded {
 		n.kernel.SetSharding(shards, shardOf)
+		if !cfg.DisableLanes {
+			n.bindShardLanes(links, shardOf)
+		}
 		n.kernel.SetEpilogue(n.drainShardMail)
 		if n.probe != nil {
 			n.kernel.SetEvalHook(func(shard, phase, comp int) {
@@ -552,6 +557,54 @@ func New(cfg Config) *Network {
 		n.kernel.AddObserver(cfg.Observer)
 	}
 	return n
+}
+
+// bindShardLanes gives every shard typed lanes over its own components, the
+// sharded counterpart of the three serial lanes above. A shard's routers and
+// interfaces are contiguous handle ranges (shardOfNode is monotone and cores
+// are numbered by home router), so they reuse the serial lane types over a
+// sub-slice; its links are the ascending-handle subset it owns.
+func (n *Network) bindShardLanes(links []*noc.Link, shardOf []int) {
+	routers, cores := len(n.routers), len(n.nis)
+	// span returns the end of the run of shard s starting at from within
+	// [from, limit) of shardOf.
+	span := func(from, limit, s int) int {
+		for from < limit && shardOf[from] == s {
+			from++
+		}
+		return from
+	}
+	// One exact-size backing array each for the shards' link and flag-index
+	// slices, dealt out by a counting pass.
+	base := routers + cores
+	owned := make([]int, n.shards)
+	for _, s := range shardOf[base:] {
+		owned[s]++
+	}
+	linkBuf, atBuf := make([]*noc.Link, len(links)), make([]int32, len(links))
+	lanes := make([]noc.ShardLinkLane, n.shards)
+	at := 0
+	for s, k := range owned {
+		lanes[s] = noc.ShardLinkLane{Links: linkBuf[at : at : at+k], At: atBuf[at : at : at+k]}
+		at += k
+	}
+	for i, l := range links {
+		lane := &lanes[shardOf[base+i]]
+		lane.Links = append(lane.Links, l)
+		lane.At = append(lane.At, int32(base+i))
+	}
+	r, c := 0, routers
+	for s := 0; s < n.shards; s++ {
+		if end := span(r, routers, s); end > r {
+			n.kernel.BindShardLane(s, sim.Handle(r), router.NewLane(n.routers[r:end]))
+			r = end
+		}
+		if end := span(c, base, s); end > c {
+			n.kernel.BindShardLane(s, sim.Handle(c), niLane(n.nis[c-routers:end-routers]))
+			c = end
+		}
+		n.kernel.BindShardLaneAt(s, lanes[s].At, &lanes[s])
+	}
 }
 
 // oracleHash serializes one component's committed state and folds it to a
@@ -593,9 +646,9 @@ func (n *Network) oracleHash(h sim.Handle) uint64 {
 // last barrier.
 func (n *Network) drainShardMail(cycle int64) {
 	total := 0
-	for s := range n.mailboxes {
+	for s := range n.local {
 		n.mailHeads[s] = 0
-		total += len(n.mailboxes[s])
+		total += len(n.local[s].mailbox)
 	}
 	if total > 0 {
 		// Each shard's mailbox is already in ascending interface order (its
@@ -604,21 +657,21 @@ func (n *Network) drainShardMail(cycle int64) {
 		for ; total > 0; total-- {
 			best := -1
 			var bestNI int32
-			for s := range n.mailboxes {
+			for s := range n.local {
 				h := n.mailHeads[s]
-				if h >= len(n.mailboxes[s]) {
+				if h >= len(n.local[s].mailbox) {
 					continue
 				}
-				if ni := n.mailboxes[s][h].ni; best < 0 || ni < bestNI {
+				if ni := n.local[s].mailbox[h].ni; best < 0 || ni < bestNI {
 					best, bestNI = s, ni
 				}
 			}
-			d := n.mailboxes[best][n.mailHeads[best]]
+			d := n.local[best].mailbox[n.mailHeads[best]]
 			n.mailHeads[best]++
 			n.deliver(d.p, cycle)
 		}
-		for s := range n.mailboxes {
-			n.mailboxes[s] = n.mailboxes[s][:0]
+		for s := range n.local {
+			n.local[s].mailbox = n.local[s].mailbox[:0]
 		}
 	}
 	if n.probe != nil {
@@ -647,12 +700,12 @@ func (n *Network) Arch() router.Arch { return n.cfg.Arch }
 // immediately to window counters, so both behave identically). Only call
 // between steps.
 func (n *Network) Counters() *power.Counters {
-	if n.shardCounters == nil {
+	if n.counters != nil {
 		return n.counters
 	}
 	n.aggCounters = power.Counters{}
-	for i := range n.shardCounters {
-		n.aggCounters.Add(n.shardCounters[i])
+	for i := range n.local {
+		n.aggCounters.Add(n.local[i].counters)
 	}
 	return &n.aggCounters
 }
@@ -754,8 +807,8 @@ func (n *Network) Outstanding() int64 { return n.injected - n.delivered - n.unde
 // datapath materializes is recycled exactly once. Only call between steps.
 func (n *Network) ArenaOutstanding() int {
 	total := 0
-	for i := range n.arenas {
-		total += n.arenas[i].Outstanding()
+	for i := range n.local {
+		total += n.local[i].arena.Outstanding()
 	}
 	return total
 }

@@ -311,12 +311,13 @@ func (ni *NI) deliver(f *noc.Flit, cycle int64) {
 		if pr := ni.probe; pr != nil {
 			pr.Deliver(cycle, int(ni.node), p.ID, cycle-p.CreateCycle)
 		}
-		if n := ni.net; n.mailboxes != nil {
+		if n := ni.net; n.shardOfNode != nil {
 			// Sharded: stage the completed packet for the step epilogue,
 			// which replays deliveries in interface order on the stepping
 			// goroutine — the network's delivered count and OnDeliver
 			// observers are shared state a worker must not touch.
-			n.mailboxes[ni.shard] = append(n.mailboxes[ni.shard], delivery{p: p, ni: int32(ni.node)})
+			box := &n.local[ni.shard].mailbox
+			*box = append(*box, delivery{p: p, ni: int32(ni.node)})
 		} else {
 			n.deliver(p, cycle)
 		}

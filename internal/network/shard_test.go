@@ -3,9 +3,11 @@ package network
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/noc"
+	"repro/internal/power"
 	"repro/internal/probe"
 	"repro/internal/router"
 	"repro/internal/sim"
@@ -75,6 +77,49 @@ func TestShardedEquivalenceConcentrated(t *testing.T) {
 		if gotC != wantC {
 			t.Errorf("shards=%d: counters diverged", shards)
 		}
+	}
+}
+
+// TestShardedLaneEquivalence pins the sharded step's typed per-shard lanes to
+// its index-list walk (Config.DisableLanes), the sharded counterpart of
+// TestLaneEquivalence: same deliveries at the same cycles, same event
+// counters, and the same active-component count after every cycle — the
+// lanes do the quiescence bookkeeping themselves — on every architecture,
+// at an even and an uneven shard count, and on a concentrated mesh, where a
+// shard's interfaces are a wider handle range than its routers.
+func TestShardedLaneEquivalence(t *testing.T) {
+	drive := func(cfg Config) (string, power.Counters, []int) {
+		var active []int
+		cfg.Observer = func(cycle int64, n int) { active = append(active, n) }
+		fp, c := driveBursty(t, cfg, 0x1A9E)
+		return fp, c, active
+	}
+	topo := noc.Topology{Width: 4, Height: 4}
+	cfgs := []Config{{Topo: topo, Arch: router.NoX, Concentration: 4, Shards: 3}}
+	for _, arch := range router.Archs {
+		cfgs = append(cfgs, Config{Topo: topo, Arch: arch, Shards: 2}, Config{Topo: topo, Arch: arch, Shards: 7})
+	}
+	for _, cfg := range cfgs {
+		t.Run(fmt.Sprintf("%v/c%d/shards=%d", cfg.Arch, max(cfg.Concentration, 1), cfg.Shards), func(t *testing.T) {
+			ref := cfg
+			ref.DisableLanes = true
+			lanesFP, lanesC, lanesActive := drive(cfg)
+			refFP, refC, refActive := drive(ref)
+			if lanesFP != refFP {
+				t.Errorf("lane walk diverged from the index-list walk:\nlanes: %.200s\nref:   %.200s", lanesFP, refFP)
+			}
+			if lanesC != refC {
+				t.Errorf("counters diverged:\nlanes: %+v\nref:   %+v", lanesC, refC)
+			}
+			if len(lanesActive) != len(refActive) {
+				t.Fatalf("lane walk ran %d cycles, index-list walk %d", len(lanesActive), len(refActive))
+			}
+			for cyc := range refActive {
+				if lanesActive[cyc] != refActive[cyc] {
+					t.Fatalf("cycle %d: %d components active under lanes, %d under the index-list walk", cyc, lanesActive[cyc], refActive[cyc])
+				}
+			}
+		})
 	}
 }
 
@@ -213,21 +258,29 @@ func TestShardedStepAllocs(t *testing.T) {
 	}
 }
 
-// TestAutoShards pins the crossover heuristic's fixed points: small meshes
-// and single-CPU hosts must stay serial.
+// TestAutoShards pins the crossover heuristic's fixed points: meshes below
+// 24x24 and single-CPU hosts stay serial (16x16 only ties serial on two
+// shards), and from the crossover up the count is at least two and never
+// more than GOMAXPROCS — a shard count the barrier could not spin for.
 func TestAutoShards(t *testing.T) {
-	if got := AutoShards(64); got != 1 {
-		t.Errorf("AutoShards(64) = %d, want 1 (below crossover)", got)
+	for _, routers := range []int{64, 256, 575} {
+		if got := AutoShards(routers); got != 1 {
+			t.Errorf("AutoShards(%d) = %d, want 1 (below crossover)", routers, got)
+		}
 	}
-	if got := AutoShards(255); got != 1 {
-		t.Errorf("AutoShards(255) = %d, want 1 (below crossover)", got)
-	}
-	// At or above the crossover the answer depends on GOMAXPROCS; it must
-	// never exceed it and never be zero.
-	for _, routers := range []int{256, 1024} {
+	procs := runtime.GOMAXPROCS(0)
+	for _, routers := range []int{576, 1024, 4096} {
 		got := AutoShards(routers)
-		if got < 1 {
-			t.Errorf("AutoShards(%d) = %d", routers, got)
+		switch {
+		case procs == 1 && got != 1:
+			t.Errorf("AutoShards(%d) = %d on one CPU, want 1", routers, got)
+		case procs > 1 && (got < 2 || got > procs):
+			t.Errorf("AutoShards(%d) = %d on %d CPUs, want 2..%d", routers, got, procs, procs)
+		}
+	}
+	if procs == 2 {
+		if got := AutoShards(1024); got != 2 {
+			t.Errorf("AutoShards(1024) = %d on 2 CPUs, want 2", got)
 		}
 	}
 }

@@ -68,9 +68,9 @@ func (n *Network) SaveState(e *codec.Encoder) error {
 // accounting stays worker-local after restore).
 func (n *Network) arenaOf(node int) *noc.Arena {
 	if n.shardOfNode != nil {
-		return &n.arenas[n.shardOfNode[node]]
+		return &n.local[n.shardOfNode[node]].arena
 	}
-	return &n.arenas[0]
+	return &n.local[0].arena
 }
 
 // RestoreState loads state saved by SaveState into this freshly constructed
@@ -171,14 +171,10 @@ func (n *Network) RestoreState(d *codec.Decoder) error {
 	}
 	// Counters were saved folded; the fold is all any reader observes, so
 	// the whole block lands on shard 0.
-	if n.shardCounters == nil {
-		*n.counters = ctr
-	} else {
-		for i := range n.shardCounters {
-			n.shardCounters[i] = power.Counters{}
-		}
-		n.shardCounters[0] = ctr
+	for i := range n.local {
+		n.local[i].counters = power.Counters{}
 	}
+	n.local[0].counters = ctr
 	n.nextPacketID = nextID
 	n.injected = injected
 	n.delivered = delivered

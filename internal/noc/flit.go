@@ -53,9 +53,14 @@ func (f *Flit) String() string {
 	if f.Encoded {
 		ids := make([]uint64, len(f.Parts))
 		for i, p := range f.Parts {
-			ids[i] = p.Packet.ID
+			if p.Packet != nil { // an unowned part (see Decode) prints as 0
+				ids[i] = p.Packet.ID
+			}
 		}
 		return fmt.Sprintf("enc%v raw=%#x", ids, f.Raw)
+	}
+	if f.Packet == nil {
+		return fmt.Sprintf("unowned raw=%#x", f.Raw)
 	}
 	kind := "b"
 	if f.Seq == 0 {

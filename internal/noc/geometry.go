@@ -15,8 +15,10 @@ type Coord struct {
 
 // Port identifies one of a router's five ports. The four cardinal ports
 // connect to neighboring routers; Local connects to the tile's network
-// interface.
-type Port int
+// interface. One byte wide because the route table holds a Port per (router,
+// destination) pair and every lookahead route is a load from it: 1 MB at
+// 32x32 where int made it 8 MB and a sure L2 miss. Radix tops out at 32.
+type Port int8
 
 // Router ports in fixed order. The order is load-bearing: bitmask positions
 // in the NoX masking logic and round-robin arbiter priorities index by it.

@@ -67,6 +67,16 @@ func containsID(set []*Flit, id uint64) bool {
 	return false
 }
 
+// allOwned reports whether every flit of set has an owning packet.
+func allOwned(set []*Flit) bool {
+	for _, f := range set {
+		if f.Packet == nil {
+			return false
+		}
+	}
+	return true
+}
+
 // Decode XORs two contiguously received wire flits and returns the original
 // flit their difference encodes (paper property: (A^B^C) ^ (B^C) = A). The
 // constituent sets must differ by exactly one flit, and the XOR of the raw
@@ -74,10 +84,18 @@ func containsID(set []*Flit, id uint64) bool {
 // protocol bug and is returned as an error. The sets are tiny (bounded by
 // the router radix), so the symmetric difference is two membership scans —
 // no map, no allocation.
+//
+// A constituent without an owning packet is a violation too, checked first
+// because the scans key on packet ID: after an upstream drop a register can
+// hold a part that was released and scrubbed, or recycled as an encoded
+// flit, while the superposition was still in flight.
 func Decode(reg, next *Flit) (*Flit, error) {
 	var rbuf, nbuf [1]*Flit
 	rp := partsOf(reg, &rbuf)
 	np := partsOf(next, &nbuf)
+	if !allOwned(rp) || !allOwned(np) {
+		return nil, fmt.Errorf("noc: decode constituent without an owning packet: reg=%v next=%v", reg, next)
+	}
 	var orig *Flit
 	diff := 0
 	for _, f := range rp {

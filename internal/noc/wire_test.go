@@ -130,6 +130,31 @@ func TestDecodeDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnownedConstituent pins the typed failure for a register
+// whose constituent lost its packet — released and scrubbed, or recycled as
+// an encoded flit, after an upstream drop. Decode keys on packet IDs, so
+// this used to be a nil dereference.
+func TestDecodeRejectsUnownedConstituent(t *testing.T) {
+	a, b := singleFlit(1), singleFlit(2)
+	scrubbed := Encode([]*Flit{a, b})
+	a.Packet = nil
+	if _, err := Decode(scrubbed, b); err == nil {
+		t.Error("register with a scrubbed constituent decoded")
+	}
+	if _, err := Decode(b, scrubbed); err == nil {
+		t.Error("head with a scrubbed constituent decoded")
+	}
+	c, d := singleFlit(3), singleFlit(4)
+	recycled := Encode([]*Flit{c, d})
+	*c = Flit{Encoded: true, Parts: []*Flit{d}}
+	if _, err := Decode(recycled, d); err == nil {
+		t.Error("register with a constituent recycled as an encoded flit decoded")
+	}
+	if got := recycled.String(); got == "" {
+		t.Error("String of a flit with an unowned part is empty")
+	}
+}
+
 // TestEncodeRejectsMultiFlit verifies the §2.7 invariant that multi-flit
 // packets are never superimposed.
 func TestEncodeRejectsMultiFlit(t *testing.T) {

@@ -77,8 +77,8 @@ func (r *nonspecRouter) receive(p noc.Port, f *noc.Flit, cycle int64) {
 // BufferedFlits returns the number of flits held in input FIFOs.
 func (r *nonspecRouter) BufferedFlits() int {
 	n := 0
-	for _, q := range r.in {
-		n += q.Len()
+	for i := range r.in {
+		n += r.in[i].Len()
 	}
 	return n
 }
@@ -103,8 +103,8 @@ func (r *nonspecRouter) PortStates(buf []PortState) []PortState {
 // mutated, by empty cycles; the arrival that ends the bubble re-activates
 // the router through its input link's wake.
 func (r *nonspecRouter) Quiet() bool {
-	for _, q := range r.in {
-		if q.Len() != 0 {
+	for i := range r.in {
+		if r.in[i].Len() != 0 {
 			return false
 		}
 	}

@@ -95,7 +95,8 @@ func (r *noxRouter) receive(p noc.Port, f *noc.Flit, cycle int64) {
 // BufferedFlits returns the flits held in input FIFOs and decode registers.
 func (r *noxRouter) BufferedFlits() int {
 	n := 0
-	for _, ip := range r.in {
+	for i := range r.in {
+		ip := &r.in[i]
 		n += ip.Buffered()
 		if ip.RegisterBusy() {
 			n++
@@ -130,13 +131,13 @@ func (r *noxRouter) PortStates(buf []PortState) []PortState {
 // that re-arm cycle before sleeping, or a post-idle arrival would face
 // stale masks.
 func (r *noxRouter) Quiet() bool {
-	for _, ip := range r.in {
-		if ip.Buffered() != 0 || ip.RegisterBusy() {
+	for i := range r.in {
+		if ip := &r.in[i]; ip.Buffered() != 0 || ip.RegisterBusy() {
 			return false
 		}
 	}
-	for o, ctl := range r.ctl {
-		if r.outLink[o] != nil && !ctl.Idle() {
+	for o := range r.ctl {
+		if r.outLink[o] != nil && !r.ctl[o].Idle() {
 			return false
 		}
 	}

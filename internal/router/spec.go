@@ -126,8 +126,8 @@ func (r *specRouter) receive(p noc.Port, f *noc.Flit, cycle int64) {
 // BufferedFlits returns the number of flits held in input FIFOs.
 func (r *specRouter) BufferedFlits() int {
 	n := 0
-	for _, q := range r.in {
-		n += q.Len()
+	for i := range r.in {
+		n += r.in[i].Len()
 	}
 	return n
 }
@@ -159,8 +159,8 @@ func (r *specRouter) PortStates(buf []PortState) []PortState {
 // (held verbatim by empty cycles), and newlyExposed entries compare
 // against absolute cycle numbers, so skipped cycles cannot alias them.
 func (r *specRouter) Quiet() bool {
-	for _, q := range r.in {
-		if q.Len() != 0 {
+	for i := range r.in {
+		if r.in[i].Len() != 0 {
 			return false
 		}
 	}

@@ -77,8 +77,9 @@ type Kernel struct {
 	// for the same cycle's commit phase if the target's registration index
 	// has not been passed yet (late components are registered last for
 	// exactly this reason), otherwise next cycle. Plain loads/stores on the
-	// serial path; atomic on the sharded path, where any worker may wake any
-	// component.
+	// serial path; on the sharded path wakes are atomic — any worker may wake
+	// any component — except where the lane walk makes a flag single-writer
+	// (see sharding.wake).
 	active []uint32
 	// actWords is a per-64-component summary bitmap over active, maintained
 	// on the serial path only (nil once sharded). The invariant is one-sided:
@@ -100,8 +101,8 @@ type Kernel struct {
 	oracle  func(Handle) uint64
 	oracleH []uint64
 	// idle counts inactive components on the serial path; when it equals
-	// len(components) a step is pure clock advance. The sharded path tracks
-	// idleness per shard instead (see sharding.idle).
+	// len(components) a step is pure clock advance. The sharded path keeps a
+	// per-shard summary instead (see sharding.live).
 	idle int
 	// alwaysActive disables quiescence skipping (reference mode used by
 	// equivalence tests and benchmarks).
@@ -222,7 +223,7 @@ func (k *Kernel) SetAlwaysActive(on bool) {
 		k.setAllBits()
 		k.idle = 0
 		if k.sh != nil {
-			k.sh.resetIdle()
+			k.sh.raiseAll()
 		}
 		k.resetWheels()
 	}
@@ -331,9 +332,16 @@ func (k *Kernel) SetEpilogue(fn func(cycle int64)) {
 }
 
 // ActiveComponents returns how many components will be evaluated next step.
+// Only between steps (or from an observer hook).
 func (k *Kernel) ActiveComponents() int {
 	if k.sh != nil {
-		return len(k.components) - k.sh.totalIdle()
+		// The sharded path keeps no count (see shardLive): sum the flags.
+		// O(components), paid only when an observer or a caller asks.
+		n := 0
+		for _, f := range k.active {
+			n += int(f)
+		}
+		return n
 	}
 	return len(k.components) - k.idle
 }
@@ -342,14 +350,22 @@ func (k *Kernel) ActiveComponents() int {
 // pending: a Step would be pure clock advance for any number of cycles.
 // Always false in always-active reference mode.
 func (k *Kernel) FullyIdle() bool {
-	return k.ActiveComponents() == 0 && len(k.components) > 0 && k.pendingWakes() == 0
+	return k.Idle() && k.pendingWakes() == 0
 }
 
 // Idle reports that no component is scheduled for evaluation next cycle.
 // Unlike FullyIdle it ignores the timing wheel: an Idle kernel may still
 // hold future wakes, so the clock can only be skipped up to NextWake (see
 // SkipIdle).
-func (k *Kernel) Idle() bool { return k.ActiveComponents() == 0 && len(k.components) > 0 }
+func (k *Kernel) Idle() bool {
+	if len(k.components) == 0 {
+		return false
+	}
+	if k.sh != nil {
+		return !k.sh.anyLive()
+	}
+	return k.idle == len(k.components)
+}
 
 // pendingWakes counts scheduled timed wake-ups across all wheels.
 func (k *Kernel) pendingWakes() int {
@@ -424,7 +440,7 @@ func (k *Kernel) WakeAll() {
 	k.setAllBits()
 	k.idle = 0
 	if k.sh != nil {
-		k.sh.resetIdle()
+		k.sh.raiseAll()
 	}
 	k.resetWheels()
 }

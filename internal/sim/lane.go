@@ -1,6 +1,7 @@
 package sim
 
-// Typed dense lanes: devirtualized component iteration for the serial step.
+// Typed dense lanes: devirtualized component iteration for the serial step
+// and, per shard, for the sharded one.
 //
 // The generic step drives every component through the Clocked interface — an
 // itab load and indirect call per phase per component per cycle, on objects
@@ -17,9 +18,17 @@ package sim
 // interleaves lane segments with generic ranges in registration order, so
 // commit-order guarantees and quiescence behavior are bit-identical to the
 // all-generic walk (asserted by the lane-equivalence tests in
-// internal/network). The sharded executor does not use lanes: its walk
-// lists are shard-local index permutations, and the barrier costs dominate
-// dispatch there.
+// internal/network).
+//
+// The sharded executor binds the same lanes per shard (BindShardLane, in
+// shard.go). Its barrier is a spin on an atomic word, so dispatch is what
+// is left to save there too: the index-list walk's per-component interface
+// calls, atomic flag loads and a call to the no-op Link.Compute for every
+// active link measured a fifth of the sharded step. A shard's components
+// are lane-shaped: its routers and interfaces are contiguous handle ranges,
+// and its links an ascending handle subset (a lane handed the whole flag
+// array plus its own index slice). The index-list walk is the path for
+// kernels with an eval hook installed or no lanes bound.
 
 // Lane is a typed view over the components registered at a contiguous run of
 // kernel handles. Implementations hold the same objects the kernel holds,
@@ -27,7 +36,8 @@ package sim
 // calls.
 //
 // The active slice passed to the Active variants is the kernel's activity
-// flags for exactly this lane's components (index i flags element i).
+// flags for exactly this lane's components (index i flags element i; a lane
+// bound with BindShardLaneAt gets the whole array instead).
 // ComputeActive evaluates elements whose flag is nonzero, reading each flag
 // at visit time — a wake earlier in the same phase must be honored, exactly
 // like the generic walk. CommitActive additionally performs the kernel's
@@ -71,15 +81,15 @@ type laneSeg struct {
 // [start, start+lane.Len()). The lane must hold those same components in the
 // same order; the kernel cannot verify object identity, so a mismatched
 // binding silently diverges — bind only slices captured at registration
-// time. Lanes may not overlap, must be bound before the first Step, and are
-// a serial-path optimization: binding on a sharded kernel panics (shard walk
-// lists are index permutations a contiguous lane cannot serve).
+// time. Lanes may not overlap and must be bound before the first Step. This
+// is the serial binding; a sharded kernel panics here and takes its lanes
+// per shard through BindShardLane.
 func (k *Kernel) BindLane(start Handle, lane Lane) {
 	if k.stepping {
 		panic("sim: BindLane called during Step")
 	}
 	if k.sh != nil {
-		panic("sim: BindLane on a sharded kernel")
+		panic("sim: BindLane on a sharded kernel (use BindShardLane)")
 	}
 	n := lane.Len()
 	if n == 0 {
