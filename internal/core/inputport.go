@@ -27,7 +27,8 @@ import (
 // The port follows the simulator's two-phase discipline: Offer and Service
 // are compute-phase (Offer is a pure function of committed state, Service
 // stages the consumption), Commit applies staged actions and performs the
-// latch, and Receive is called by the upstream link's commit.
+// latch, and Receive is called by the port's owner as it takes in the flit
+// staged on the upstream link, after Commit.
 //
 // When an arena is attached the port also owns two ends of the pooled-flit
 // lifetime: decode-path presentation copies it creates, and the encoded
@@ -125,8 +126,9 @@ func (p *InputPort) Buffered() int { return p.fifo.Len() }
 func (p *InputPort) RegisterBusy() bool { return p.reg != nil }
 
 // Receive buffers a flit delivered by the upstream link. For unencoded
-// flits the lookahead output port is computed here, on arrival. Called
-// during link commit; the flit is visible to Offer from the next cycle.
+// flits the lookahead output port is computed here, on arrival. Called at
+// the end of the owner's commit; the flit is visible to Offer from the next
+// cycle.
 func (p *InputPort) Receive(f *noc.Flit) {
 	if !f.Encoded {
 		f.OutPort = p.route(f.Packet.Dst)
@@ -242,10 +244,10 @@ func (p *InputPort) Commit() Events {
 		}
 
 	case serviced:
-		head := p.fifo.Pop()
-		if head.Encoded {
-			panic("core: raw service consumed an encoded flit")
-		}
+		// The head went out raw (Offer presents an encoded head only through
+		// the register). It was sent at Compute and belongs to the downstream
+		// port by now: pop the slot without looking at the flit.
+		p.fifo.Pop()
 		ev.Reads++
 		ev.FreedSlots++
 

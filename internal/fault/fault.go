@@ -384,8 +384,8 @@ func (inj *Injector) LinkStalled(site int32, cycle int64) bool {
 }
 
 // CreditDelta returns the net credit change faults applied at a site; the
-// conservation check expects Credits()+PendingReturns() == Capacity()+delta
-// after a full drain.
+// conservation check expects Credits() == Capacity()+delta after a full
+// drain.
 func (inj *Injector) CreditDelta(site int) int {
 	if inj.creditDelta == nil {
 		return 0

@@ -257,7 +257,7 @@ func (n *Network) checkConservation() {
 		if n.fault != nil {
 			want += n.fault.CreditDelta(site)
 		}
-		if got := l.Credits() + l.PendingReturns(); got != want {
+		if got := l.Credits(); got != want {
 			n.check.Credit(cycle, site, got, want)
 		}
 	}

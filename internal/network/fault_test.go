@@ -18,6 +18,7 @@ import (
 // policy so the delivery oracle's lost-packet scan can be steered.
 type testTamper struct {
 	flit     func(site int32, cycle int64, f *noc.Flit) bool
+	credits  func(site int32, cycle int64, n int) int
 	stalled  func(site int32, cycle int64) bool
 	impacted bool
 	leaky    bool
@@ -29,7 +30,12 @@ func (tt *testTamper) TamperFlit(site int32, cycle int64, f *noc.Flit) bool {
 	}
 	return tt.flit(site, cycle, f)
 }
-func (tt *testTamper) TamperCredits(site int32, cycle int64, n int) int { return n }
+func (tt *testTamper) TamperCredits(site int32, cycle int64, n int) int {
+	if tt.credits == nil {
+		return n
+	}
+	return tt.credits(site, cycle, n)
+}
 func (tt *testTamper) LinkStalled(site int32, cycle int64) bool {
 	if tt.stalled == nil {
 		return false

@@ -1,9 +1,15 @@
 package network
 
-// niLane is the typed dispatch lane over the network's interfaces for the
-// kernel's serial step (see internal/sim.Lane and internal/router.NewLane for
-// the pattern). The NIs must be in kernel registration order — which they
-// are: n.nis is registered element by element.
+import (
+	"sync/atomic"
+
+	"repro/internal/sim"
+)
+
+// niLane is the typed dispatch lane over the network's interfaces, or one
+// shard's (see internal/sim.Lane and internal/router.NewLane for the
+// pattern). The NIs must be in kernel registration order — which they are:
+// n.nis is registered element by element.
 type niLane []*NI
 
 // Len returns the number of interfaces the lane covers.
@@ -23,29 +29,34 @@ func (l niLane) CommitAll(cycle int64) {
 	}
 }
 
-// ComputeActive computes interfaces with a nonzero activity flag.
+// ComputeActive computes the awake interfaces.
 func (l niLane) ComputeActive(cycle int64, active []uint32) {
 	for i, ni := range l {
-		if active[i] != 0 {
+		if atomic.LoadUint32(&active[i]) == sim.Awake {
 			ni.Compute(cycle)
 		}
 	}
 }
 
-// CommitActive commits active interfaces, clears the flags of those that
-// went quiet or parked on their horizon, and returns how many it put to
-// sleep. NI horizons are binary (Never or next cycle — see NI.Horizon), so
-// the lane never needs the kernel's timing wheel and stays within the
-// sim.Lane parking contract.
+// CommitActive commits awake interfaces and latches arrived ones, clears the
+// flags of those that went quiet or parked on their horizon, and returns how
+// many it put to sleep. NI horizons are binary (Never or next cycle — see
+// NI.Horizon), so the lane never needs the kernel's timing wheel and stays
+// within the sim.Lane parking contract.
 func (l niLane) CommitActive(cycle int64, active []uint32) int {
 	quiets := 0
 	for i, ni := range l {
-		if active[i] == 0 {
+		switch active[i] {
+		case sim.Parked:
 			continue
+		case sim.Arrived:
+			active[i] = sim.Awake
+			ni.Latch(cycle)
+		default:
+			ni.Commit(cycle)
 		}
-		ni.Commit(cycle)
 		if ni.Quiet() || ni.Horizon(cycle) > cycle+1 {
-			active[i] = 0
+			active[i] = sim.Parked
 			quiets++
 		}
 	}

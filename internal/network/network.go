@@ -144,10 +144,10 @@ func (c *Config) fill() {
 // phase barrier cannot spin and sharding loses to serial at every size.
 //
 // The crossover is where the default measurably pays for the CPUs it takes
-// (BenchmarkNetworkCycleLarge, 2 CPUs, loaded NoX cycle, serial vs two
-// shards): 16x16 44 vs 37-68 us — a tie within run-to-run noise, for twice
-// the CPU, which a parallel sweep would rather spend on another cell; 24x24
-// 150 vs 105 us; 32x32 400 vs 229 us.
+// (BenchmarkNetworkCycleLarge -benchtime 2000x, 2 CPUs, loaded NoX cycle,
+// serial vs two shards): 16x16 34-37 vs 28-62 us — 1.1x at best and a loss
+// at worst, for twice the CPU, which a parallel sweep would rather spend on
+// another cell; 24x24 110 vs 80 us; 32x32 328-336 vs 176-183 us.
 func AutoShards(routers int) int {
 	procs := runtime.GOMAXPROCS(0)
 	if routers < 576 || procs == 1 {
@@ -181,8 +181,9 @@ type delivery struct {
 	ni int32
 }
 
-// Network is a complete mesh NoC: routers, inter-router links, and network
-// interfaces, advanced in lockstep cycles.
+// Network is a complete mesh NoC: routers, network interfaces, and the
+// links between them, advanced in lockstep cycles. The kernel steps routers
+// and interfaces; a link is state of the component at its sink end.
 type Network struct {
 	cfg      Config
 	sys      noc.System
@@ -195,9 +196,8 @@ type Network struct {
 	probe    *probe.Probe
 
 	// Sharded-mode state. shardOfNode maps router nodes to contiguous
-	// spatial shards; every component is assigned to the shard of the node
-	// that RECEIVES from it (routers and NIs to their own node, each link
-	// to its sink's node), which keeps every commit-phase write except Wake
+	// spatial shards; routers and NIs belong to their own node's shard, and
+	// a channel is latched by its sink, which keeps every commit-phase write
 	// inside one shard. shardOfNode is nil on the serial path. local holds
 	// what each shard's worker writes while stepping (one entry on the
 	// serial path, where counters points into it); mailHeads is the
@@ -208,7 +208,6 @@ type Network struct {
 	aggCounters power.Counters
 	mailHeads   []int
 
-	ejectLinks []*noc.Link
 	// links is every channel in site order (the fault-injection site
 	// numbering and the credit conservation walk).
 	links []*noc.Link
@@ -344,7 +343,6 @@ func New(cfg Config) *Network {
 
 	n.routers = make([]router.Router, routers)
 	n.nis = make([]*NI, cores)
-	n.ejectLinks = make([]*noc.Link, cores)
 
 	// One batch allocator for every router: their ports, FIFOs, scratch
 	// vectors, and arbiters are carved from shared chunks (one allocator per
@@ -398,29 +396,13 @@ func New(cfg Config) *Network {
 		n.nis[c] = ni
 	}
 
-	// Components compute/commit in registration order: routers and NIs
-	// first, links last, so credits returned during a commit become visible
-	// to senders exactly one cycle later. The order also serves the
-	// quiescence machinery: a compute-phase Send or a commit-phase
-	// ReturnCredit always wakes a link whose commit slot is still ahead in
-	// the same cycle. The sharded executor preserves exactly this ordering
-	// through the kernel's early/late commit classes (links register via
-	// AddLate), and shardOf co-locates every component with the node it
-	// delivers into, so all commit-phase writes except Wake stay
+	// Components compute/commit in registration order: routers, then NIs. The
+	// one commit-order dependence is a router handing credits back to the
+	// interface of its own tile (see noc.Link.ReturnCredits), and the router
+	// comes first in every walk; the sharded executor keeps a tile's router
+	// and interfaces in one shard, so all commit-phase writes stay
 	// shard-local.
-	// Every channel of the mesh comes from one value slab: 2 directed links
-	// per grid adjacency plus an injection and an ejection channel per core.
-	linkCount := 2*(cfg.Topo.Width*(cfg.Topo.Height-1)+cfg.Topo.Height*(cfg.Topo.Width-1)) + 2*cores
-	linkSlab := make([]noc.Link, linkCount)
-	linksUsed := 0
-	newLink := func(sink noc.Receiver, credits int) *noc.Link {
-		l := &linkSlab[linksUsed]
-		linksUsed++
-		l.Init(sink, credits)
-		return l
-	}
-	n.kernel.Reserve(routers + cores + linkCount)
-
+	n.kernel.Reserve(routers + cores)
 	var shardOf []int
 	routerHandle := make([]sim.Handle, routers)
 	for id := 0; id < routers; id++ {
@@ -437,102 +419,123 @@ func New(cfg Config) *Network {
 		}
 	}
 
-	// Each link is registered together with the handle of the component its
-	// sink belongs to, so a delivery re-activates the consumer, and the
-	// handle of its sender, so a credit count lifting off zero re-activates
-	// a producer parked on backpressure; the link also inherits the sink
-	// owner's shard (receiver-side assignment).
+	// Channels are not kernel components: each is a record its sink latches
+	// at the end of its own commit. All of them come from one value slab — 2
+	// directed links per grid adjacency plus an injection and an ejection
+	// channel per core — carved by sink: a tile's block holds the channels
+	// entering its router in input-port order, then the ejection channel of
+	// each of its interfaces, so a router's latch walks one short run of
+	// memory. n.links keeps them in site order, which is by driver.
+	dirs := [...]noc.Port{noc.North, noc.East, noc.South, noc.West}
+	// wiredBelow counts node's direction ports below p that have a neighbour.
+	wiredBelow := func(node int, p noc.Port) int {
+		k := 0
+		for _, q := range dirs {
+			if _, ok := cfg.Topo.Neighbor(noc.NodeID(node), q); ok && q < p {
+				k++
+			}
+		}
+		return k
+	}
+	tileBase := make([]int, routers+1)
+	for id := 0; id < routers; id++ {
+		tileBase[id+1] = tileBase[id] + wiredBelow(id, noc.Local) + 2*sys.Concentration
+	}
+	linkCount := tileBase[routers]
+	linkSlab := make([]noc.Link, linkCount)
+	// inSlot is the slab slot of the channel entering router node at port p.
+	inSlot := func(node int, p noc.Port) int {
+		if p < noc.Local {
+			return tileBase[node] + wiredBelow(node, p)
+		}
+		return tileBase[node] + wiredBelow(node, noc.Local) + int(p-noc.Local)
+	}
+	// Each link learns the handle of the component owning its sink, so a Send
+	// tells the kernel a parked consumer has input, and — injection channels
+	// only — the handle of the interface driving it, so a credit count
+	// lifting off zero re-activates a producer parked on backpressure.
 	links := make([]*noc.Link, 0, linkCount)
-	sinkOwner := make([]sim.Handle, 0, linkCount)
-	srcOwner := make([]sim.Handle, 0, linkCount)
-	// linkArena tracks each channel's sink-side arena (needed by fault
-	// injection: a flit dropped at commit is released on the sink's shard).
-	linkArena := make([]*noc.Arena, 0, linkCount)
+	newLink := func(slot int, sink noc.Receiver, credits int, sinkH, srcH sim.Handle, arena *noc.Arena) *noc.Link {
+		l := &linkSlab[slot]
+		l.Init(sink, credits)
+		l.SetWake(n.kernel, int(sinkH), int(srcH))
+		if n.fault != nil {
+			// A flit dropped at the latch is released on the sink's shard.
+			l.SetTamper(n.fault, len(links), arena)
+		}
+		links = append(links, l)
+		return l
+	}
 	for id := 0; id < routers; id++ {
 		r := n.routers[id]
 		// Inter-router channels.
-		for _, p := range []noc.Port{noc.North, noc.East, noc.South, noc.West} {
+		for _, p := range dirs {
 			nb, ok := cfg.Topo.Neighbor(noc.NodeID(id), p)
 			if !ok {
 				continue
 			}
-			dst := n.routers[nb]
-			l := newLink(dst.InputReceiver(p.Opposite()), cfg.BufferDepth)
+			dst, in := n.routers[nb], p.Opposite()
+			l := newLink(inSlot(int(nb), in), dst.InputReceiver(in), cfg.BufferDepth, routerHandle[nb], -1, n.arenaOf(int(nb)))
 			r.SetOutputLink(p, l)
-			dst.SetInputLink(p.Opposite(), l)
+			dst.SetInputLink(in, l)
 			if n.probe != nil {
 				l.SetProbe(probeFor(int(nb)), id, int(p))
 			}
-			links = append(links, l)
-			sinkOwner = append(sinkOwner, routerHandle[nb])
-			srcOwner = append(srcOwner, routerHandle[id])
-			linkArena = append(linkArena, n.arenaOf(int(nb)))
 		}
 		// Local ports: one injection and one ejection link per core.
 		for k := 0; k < sys.Concentration; k++ {
 			coreID := sys.CoreID(noc.NodeID(id), k)
 			port := sys.LocalPort(coreID)
-			inj := newLink(r.InputReceiver(port), cfg.BufferDepth)
-			n.nis[coreID].injectLink = inj
+			ni := n.nis[coreID]
+			inj := newLink(inSlot(id, port), r.InputReceiver(port), cfg.BufferDepth, routerHandle[id], n.niHandle[coreID], n.arenaOf(id))
+			ni.injectLink = inj
 			r.SetInputLink(port, inj)
 			if n.probe != nil {
 				inj.SetProbe(probeFor(id), int(coreID), -1)
 			}
-			links = append(links, inj)
-			sinkOwner = append(sinkOwner, routerHandle[id])
-			srcOwner = append(srcOwner, n.niHandle[coreID])
-			linkArena = append(linkArena, n.arenaOf(id))
-			ej := newLink(n.nis[coreID].SinkReceiver(), cfg.SinkDepth)
+			ej := newLink(inSlot(id, port)+sys.Concentration, ni, cfg.SinkDepth, n.niHandle[coreID], -1, n.arenaOf(id))
 			r.SetOutputLink(port, ej)
+			ni.ejectLink = ej
 			if n.probe != nil {
 				ej.SetProbe(probeFor(id), id, int(port))
 			}
-			n.ejectLinks[coreID] = ej
-			links = append(links, ej)
-			sinkOwner = append(sinkOwner, n.niHandle[coreID])
-			srcOwner = append(srcOwner, routerHandle[id])
-			linkArena = append(linkArena, n.arenaOf(id))
 		}
 	}
 	n.links = links
-	if n.fault != nil {
-		for i, l := range links {
-			l.SetTamper(n.fault, i, linkArena[i])
-		}
-	}
-	if linksUsed != linkCount {
-		panic(fmt.Sprintf("network: wired %d links, slab sized for %d", linksUsed, linkCount))
+	if len(links) != linkCount {
+		panic(fmt.Sprintf("network: wired %d links, slab sized for %d", len(links), linkCount))
 	}
 	if len(n.sites) != len(links) {
 		panic(fmt.Sprintf("network: site table built %d sites for %d links", len(n.sites), len(links)))
 	}
-	for i, l := range links {
-		lh := n.kernel.AddLate(l)
-		l.SetWake(n.kernel, int(lh), int(sinkOwner[i]), int(srcOwner[i]))
-		if sharded {
-			shardOf = append(shardOf, shardOf[sinkOwner[i]])
-		}
-	}
 	if !sharded && !cfg.DisableLanes {
-		// Typed dense lanes devirtualize the serial step's dispatch. The
-		// three component classes occupy contiguous handle ranges by
-		// construction: routers at [0, R), interfaces at [R, R+C), channels
-		// after that.
+		// Typed dense lanes devirtualize the serial step's dispatch. The two
+		// component classes occupy contiguous handle ranges by construction:
+		// routers at [0, R), interfaces at [R, R+C).
 		n.kernel.BindLane(0, router.NewLane(n.routers))
 		n.kernel.BindLane(sim.Handle(routers), niLane(n.nis))
-		n.kernel.BindLane(sim.Handle(routers+cores), noc.LinkLane(links))
 	}
 	n.kernel.SetAlwaysActive(cfg.AlwaysActive)
 	if cfg.Oracle {
 		if sharded {
 			panic("network: Config.Oracle requires serial execution (Shards <= 1)")
 		}
-		n.kernel.SetOracle(n.oracleHash)
+		n.kernel.SetOracle(func(h sim.Handle) uint64 {
+			// The channels a component owns are a run of the slab: a
+			// router's inputs lead its tile's block, and each interface's
+			// ejection channel follows them.
+			if i := int(h); i < routers {
+				return n.oracleHash(h, linkSlab[tileBase[i]:tileBase[i+1]-sys.Concentration])
+			}
+			core := noc.NodeID(int(h) - routers)
+			ej := inSlot(int(sys.RouterOf(core)), sys.LocalPort(core)) + sys.Concentration
+			return n.oracleHash(h, linkSlab[ej:ej+1])
+		})
 	}
 	if sharded {
 		n.kernel.SetSharding(shards, shardOf)
 		if !cfg.DisableLanes {
-			n.bindShardLanes(links, shardOf)
+			n.bindShardLanes(shardOf)
 		}
 		n.kernel.SetEpilogue(n.drainShardMail)
 		if n.probe != nil {
@@ -560,12 +563,12 @@ func New(cfg Config) *Network {
 }
 
 // bindShardLanes gives every shard typed lanes over its own components, the
-// sharded counterpart of the three serial lanes above. A shard's routers and
+// sharded counterpart of the two serial lanes above. A shard's routers and
 // interfaces are contiguous handle ranges (shardOfNode is monotone and cores
 // are numbered by home router), so they reuse the serial lane types over a
-// sub-slice; its links are the ascending-handle subset it owns.
-func (n *Network) bindShardLanes(links []*noc.Link, shardOf []int) {
-	routers, cores := len(n.routers), len(n.nis)
+// sub-slice.
+func (n *Network) bindShardLanes(shardOf []int) {
+	routers, comps := len(n.routers), len(n.routers)+len(n.nis)
 	// span returns the end of the run of shard s starting at from within
 	// [from, limit) of shardOf.
 	span := func(from, limit, s int) int {
@@ -574,61 +577,36 @@ func (n *Network) bindShardLanes(links []*noc.Link, shardOf []int) {
 		}
 		return from
 	}
-	// One exact-size backing array each for the shards' link and flag-index
-	// slices, dealt out by a counting pass.
-	base := routers + cores
-	owned := make([]int, n.shards)
-	for _, s := range shardOf[base:] {
-		owned[s]++
-	}
-	linkBuf, atBuf := make([]*noc.Link, len(links)), make([]int32, len(links))
-	lanes := make([]noc.ShardLinkLane, n.shards)
-	at := 0
-	for s, k := range owned {
-		lanes[s] = noc.ShardLinkLane{Links: linkBuf[at : at : at+k], At: atBuf[at : at : at+k]}
-		at += k
-	}
-	for i, l := range links {
-		lane := &lanes[shardOf[base+i]]
-		lane.Links = append(lane.Links, l)
-		lane.At = append(lane.At, int32(base+i))
-	}
 	r, c := 0, routers
 	for s := 0; s < n.shards; s++ {
 		if end := span(r, routers, s); end > r {
 			n.kernel.BindShardLane(s, sim.Handle(r), router.NewLane(n.routers[r:end]))
 			r = end
 		}
-		if end := span(c, base, s); end > c {
+		if end := span(c, comps, s); end > c {
 			n.kernel.BindShardLane(s, sim.Handle(c), niLane(n.nis[c-routers:end-routers]))
 			c = end
 		}
-		n.kernel.BindShardLaneAt(s, lanes[s].At, &lanes[s])
 	}
 }
 
-// oracleHash serializes one component's committed state and folds it to a
-// 64-bit FNV-1a digest — the state fingerprint the kernel's debug oracle
+// oracleHash serializes one component's committed state — its own, and the
+// credit counts of the channels it owns as their sink — and folds it to a
+// 64-bit FNV-1a digest: the state fingerprint the kernel's debug oracle
 // compares around the evaluation of notionally parked components. Handles
-// map to components by construction order: routers, then interfaces, then
-// channels (the same ranges the typed lanes bind).
-func (n *Network) oracleHash(h sim.Handle) uint64 {
+// map to components by construction order: routers, then interfaces (the
+// same ranges the typed lanes bind).
+func (n *Network) oracleHash(h sim.Handle, owned []noc.Link) uint64 {
 	e := codec.NewEncoder()
-	i, r, c := int(h), len(n.routers), len(n.nis)
-	switch {
-	case i < r:
+	if i, r := int(h), len(n.routers); i < r {
 		if err := n.routers[i].SaveState(e); err != nil {
 			panic(fmt.Sprintf("network: oracle hash of router %d: %v", i, err))
 		}
-	case i < r+c:
+	} else {
 		n.nis[i-r].SaveState(e)
-	default:
-		// Links have no SaveState (their only between-step state is the
-		// credit count); staged returns are included for completeness even
-		// though a parked link always holds zero.
-		l := n.links[i-r-c]
-		e.Int(l.Credits())
-		e.Int(l.PendingReturns())
+	}
+	for i := range owned {
+		e.Int(owned[i].Credits())
 	}
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	hash := uint64(offset64)

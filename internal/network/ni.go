@@ -34,7 +34,11 @@ type NI struct {
 	probe    *probe.Probe
 	shard    int32
 
+	// injectLink is the channel into the home router's local input, which
+	// this interface drives; ejectLink the channel out of the router's local
+	// output, which it owns: Commit ends by taking the flit staged there.
 	injectLink *noc.Link
+	ejectLink  *noc.Link
 	queue      []*noc.Packet
 	queueHead  int
 	cur        *noc.Packet
@@ -91,14 +95,9 @@ func (ni *NI) enqueue(p *noc.Packet) {
 	ni.queue = append(ni.queue, p)
 }
 
-// SinkReceiver returns the receiver wired to the router's local output.
-func (ni *NI) SinkReceiver() noc.Receiver { return niReceiver{ni} }
-
-type niReceiver struct{ ni *NI }
-
-// Receive buffers a flit arriving from the router's local output port.
-func (r niReceiver) Receive(f *noc.Flit, cycle int64) {
-	ni := r.ni
+// Receive buffers a flit arriving from the router's local output port. It
+// also makes the interface the noc.Receiver its ejection link is built with.
+func (ni *NI) Receive(f *noc.Flit, cycle int64) {
 	if ni.sink.Free() == 0 && ni.net.check != nil {
 		// Only an injected credit-duplication fault can overrun the sink
 		// (the credit protocol otherwise forbids it): report and swallow.
@@ -110,13 +109,13 @@ func (r niReceiver) Receive(f *noc.Flit, cycle int64) {
 		ni.arena.Release(f)
 		return
 	}
-	r.ni.sink.Receive(f)
-	r.ni.counters.BufWrite++
-	if pr := r.ni.probe; pr != nil {
+	ni.sink.Receive(f)
+	ni.counters.BufWrite++
+	if pr := ni.probe; pr != nil {
 		if f.Encoded {
-			pr.NIBufWrite(cycle, int(r.ni.node), f.Raw, -1)
+			pr.NIBufWrite(cycle, int(ni.node), f.Raw, -1)
 		} else {
-			pr.NIBufWrite(cycle, int(r.ni.node), f.Packet.ID, f.Seq)
+			pr.NIBufWrite(cycle, int(ni.node), f.Packet.ID, f.Seq)
 		}
 	}
 }
@@ -166,8 +165,8 @@ func (ni *NI) Compute(cycle int64) {
 // source side and nothing buffered (FIFO or decode register) on the sink
 // side. A partially reassembled packet with an empty sink is quiet — its
 // remaining flits wake the interface on arrival. Re-activation paths:
-// Network.InjectPacket wakes the interface directly, and the ejection
-// link's delivery wake covers the sink side.
+// Network.InjectPacket wakes the interface directly, and the router's Send
+// on the ejection link covers the sink side.
 func (ni *NI) Quiet() bool {
 	return ni.cur == nil && ni.queueHead >= len(ni.queue) &&
 		ni.sink.Buffered() == 0 && !ni.sink.RegisterBusy()
@@ -177,8 +176,8 @@ func (ni *NI) Quiet() bool {
 // work is a mid-transmission packet stalled on a creditless injection channel
 // is in a state evaluation cannot change — Compute finds Ready false and an
 // empty sink, Commit has nothing staged — so it parks until an external wake
-// (the injection link's src wake when returned credits lift the count off
-// zero, or Network.InjectPacket). Every other non-quiet state must be
+// (the injection link's src wake when the home router's returned credits lift
+// the count off zero, or Network.InjectPacket). Every other non-quiet state must be
 // evaluated next cycle: a queued packet still needs its pop into cur (a state
 // change), a positive credit count may be gated by a time-varying stall
 // fault, and pending sink work drains one flit per cycle. The binary
@@ -192,7 +191,16 @@ func (ni *NI) Horizon(now int64) int64 {
 	return now + 1
 }
 
-// Commit applies the sink port's staged actions and returns its credits.
+// Latch implements sim.Latcher: the flit the router staged on the ejection
+// link this cycle enters the sink port.
+func (ni *NI) Latch(cycle int64) {
+	if f := ni.ejectLink.Take(cycle); f != nil {
+		ni.Receive(f, cycle)
+	}
+}
+
+// Commit applies the sink port's staged actions, returns its credits, and
+// takes in this cycle's arrival.
 func (ni *NI) Commit(cycle int64) {
 	ev := ni.sink.Commit()
 	c := ni.counters
@@ -213,9 +221,8 @@ func (ni *NI) Commit(cycle int64) {
 	if pr := ni.probe; pr != nil && ev.Reads > 0 {
 		pr.NIBufRead(cycle, int(ni.node), ev.Reads)
 	}
-	eject := ni.net.ejectLinks[ni.node]
-	for i := 0; i < ev.FreedSlots; i++ {
-		eject.ReturnCredit()
+	if ev.FreedSlots > 0 {
+		ni.ejectLink.ReturnCredits(cycle, ev.FreedSlots)
 	}
 	if f := ni.released; f != nil {
 		// The flit delivered this cycle is now unreachable: the sink commit
@@ -225,6 +232,7 @@ func (ni *NI) Commit(cycle int64) {
 		ni.released = nil
 		ni.arena.Release(f)
 	}
+	ni.Latch(cycle)
 }
 
 // deliver consumes one decoded flit, verifies it bit-exactly, reassembles

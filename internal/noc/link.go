@@ -6,15 +6,19 @@ import (
 	"repro/internal/probe"
 )
 
-// Waker re-activates simulation components identified by their integer
-// kernel handle. *sim.Kernel implements it (WakeInt); the indirection keeps
-// noc free of a kernel dependency.
+// Waker is how a channel tells the simulation kernel that a neighbour handed
+// a component input in the middle of a step, by that component's integer
+// kernel handle. *sim.Kernel implements it; the indirection keeps noc free
+// of a kernel dependency.
 type Waker interface {
-	WakeInt(h int)
+	// Arrive marks component h as having received input this cycle: if it
+	// was parked it latches at this cycle's commit and is evaluated in full
+	// from the next cycle on (see sim.Kernel.Arrive).
+	Arrive(h int)
 }
 
-// Receiver consumes flits delivered by a link: a router input port or a
-// network-interface sink.
+// Receiver consumes flits delivered by a hand-driven link's Commit: a router
+// input port or a network-interface sink.
 type Receiver interface {
 	// Receive is called during the commit phase of the cycle in which the
 	// flit traversed the link; the flit becomes usable next cycle.
@@ -25,7 +29,7 @@ type Receiver interface {
 // one, identified by a small dense site index assigned at construction.
 // Decisions must be pure functions of (site, cycle) plus the tamperer's own
 // seed — never of call order — so that fault firings are bit-identical
-// across shard counts (the sharded kernel evaluates links on different
+// across shard counts (the sharded kernel latches channels on different
 // goroutines but at identical cycles). internal/fault implements it.
 type Tamperer interface {
 	// TamperFlit is consulted at commit for every flit crossing the site.
@@ -33,9 +37,9 @@ type Tamperer interface {
 	// flit entirely: the sink never sees it and the sender's credit is
 	// permanently lost at this site.
 	TamperFlit(site int32, cycle int64, f *Flit) (drop bool)
-	// TamperCredits is consulted at commit with the n staged credit returns
-	// and returns how many the sender actually receives (loss and
-	// duplication faults).
+	// TamperCredits is consulted at commit with the n credits the sink
+	// returned this cycle and returns how many the sender actually receives
+	// (loss and duplication faults).
 	TamperCredits(site int32, cycle int64, n int) int
 	// LinkStalled reports whether the channel refuses new traffic this
 	// cycle. Senders observe it through Ready; an in-flight flit still
@@ -48,48 +52,60 @@ type Tamperer interface {
 // folds the 98 ps link delay into every router's clock period), so a flit
 // sent during cycle t is usable by the receiver at cycle t+1.
 //
+// A link is a passive record, not a simulation component: a register at the
+// sink's input plus the sender's credit counter. The sender stages a flit
+// with Send during its compute phase; the sink — the component that owns the
+// link — ends its own commit by taking whatever was staged (Take) and by
+// handing back the buffer slots it freed (ReturnCredits). Sending transfers
+// ownership: the sink may drop, swallow or recycle the flit in the same
+// commit phase, so a sender must not dereference a flit after Send.
+//
 // Credits are owned by the sender side: Credits reports downstream buffer
-// slots known free. The receiver stages ReturnCredit when it frees a slot;
-// returns staged during cycle t become visible to the sender at t+1 (links
-// commit after routers), giving the 2-3 cycle round-trip credit loop that
-// Table 1's 4-deep buffers are sized to cover.
+// slots known free. Returns made during cycle t are visible to the sender at
+// t+1 (nothing reads the count during a commit phase), giving the 2-3 cycle
+// round-trip credit loop that Table 1's 4-deep buffers are sized to cover.
+//
+// Commit and ReturnCredit are the hand-driven form for a link with no owning
+// component (tests, the benchmark rigs): Commit delivers through the
+// Receiver the link was built with.
 type Link struct {
-	sink    Receiver
-	credits int
-
+	// staged and credits lead: they are all a sink's latch and a sender's
+	// Ready touch on a cycle the channel is idle, and a network carves each
+	// sink's input channels contiguously (see network.New).
 	staged  *Flit
-	returns int
-
-	// waker re-activates kernel components by handle: selfH when a neighbor
-	// writes to this link (Send, ReturnCredit), sinkH when a flit is
-	// delivered to the component owning sink, and srcH when the sender-side
-	// credit count goes from zero to positive (a sender parked on credit
-	// exhaustion must re-evaluate — the event-horizon kernel's invalidation
-	// edge for backpressure release). Optional: an unwired link is simply
-	// evaluated every cycle. One shared waker value per network replaces the
-	// per-link closures this used to cost.
-	waker Waker
-	selfH int32
+	credits int32
+	// sinkH is the kernel handle of the component owning the sink side,
+	// told of every Send; srcH that of an NI driving the channel, told when
+	// returned credits lift the count off zero (NI.Horizon parks on an
+	// exhausted injection channel), -1 when the driver is a router — a
+	// router holding flits is never quiet, so it needs no such edge.
+	// Optional: an unwired link wakes nobody.
 	sinkH int32
 	srcH  int32
+	waker Waker
+
+	// tamper, when non-nil, is the fault injector for this channel; site is
+	// the network-assigned channel index and tamperArena the sink-side arena
+	// that dropped flits are released to (the sink takes the flit, so the
+	// release stays intra-shard). capacity remembers the initial credit
+	// count for post-drain conservation checks.
+	tamper      Tamperer
+	site        int32
+	capacity    int32
+	tamperArena *Arena
 
 	// probe, when non-nil, receives an EvLink event per delivered flit.
 	// probeNode/probePort identify the channel by its driver: (router, port)
 	// for inter-router and ejection channels, (core, -1) for injection
-	// channels. int32 to keep the per-channel struct small.
+	// channels.
 	probe     *probe.Probe
 	probeNode int32
 	probePort int32
 
-	// tamper, when non-nil, is the fault injector for this channel; site is
-	// the network-assigned channel index and tamperArena the sink-side arena
-	// that dropped flits are released to (the link commits on the sink's
-	// shard, so the release stays intra-shard). capacity remembers the
-	// initial credit count for post-drain conservation checks.
-	tamper      Tamperer
-	tamperArena *Arena
-	site        int32
-	capacity    int32
+	// returns counts credit returns staged through ReturnCredit and sink is
+	// where Commit delivers: the hand-driven form only.
+	returns int32
+	sink    Receiver
 }
 
 // NewLink returns a link feeding sink whose receiver advertises credits
@@ -109,16 +125,15 @@ func (l *Link) Init(sink Receiver, credits int) {
 	if credits <= 0 {
 		panic("noc: link requires positive credits")
 	}
-	*l = Link{sink: sink, credits: credits, capacity: int32(credits)}
+	*l = Link{sink: sink, credits: int32(credits), capacity: int32(credits), sinkH: -1, srcH: -1}
 }
 
-// SetWake installs the quiescence wake hooks: self is this link's kernel
-// handle (re-activated on any neighbor write), sink the handle of the
-// receiver's owning component (re-activated when a flit is delivered), and
-// src the handle of the sender-side component (re-activated when staged
-// credit returns lift the credit count off zero).
-func (l *Link) SetWake(w Waker, self, sink, src int) {
-	l.waker, l.selfH, l.sinkH, l.srcH = w, int32(self), int32(sink), int32(src)
+// SetWake installs the kernel hooks: sink is the handle of the component
+// owning the receiving side (told of every Send, so a parked sink latches
+// the flit), and src the handle of the sender-side component to tell when
+// returned credits lift the count off zero, -1 for none.
+func (l *Link) SetWake(w Waker, sink, src int) {
+	l.waker, l.sinkH, l.srcH = w, int32(sink), int32(src)
 }
 
 // SetProbe attaches the observability probe to this link, identified by the
@@ -135,29 +150,25 @@ func (l *Link) SetTamper(t Tamperer, site int, arena *Arena) {
 }
 
 // Credits returns the sender's current credit count.
-func (l *Link) Credits() int { return l.credits }
+func (l *Link) Credits() int { return int(l.credits) }
 
 // Capacity returns the credit count the link was initialized with — the
 // downstream buffer depth. After a full drain of a fault-free network,
-// Credits()+PendingReturns() must equal Capacity().
+// Credits() must equal Capacity().
 func (l *Link) Capacity() int { return int(l.capacity) }
 
 // RestoreCredits overwrites the sender-side credit count — checkpoint
 // restore only, between steps (credits are the link's only between-step
-// state; staged flits and staged returns are always consumed within their
-// cycle). Counts above Capacity are legal under credit-duplication faults,
-// so only gross corruption is rejected.
+// state; a staged flit is always taken within its cycle). Counts above
+// Capacity are legal under credit-duplication faults, so only gross
+// corruption is rejected.
 func (l *Link) RestoreCredits(c int) error {
 	if c < 0 || c > 1<<20 {
 		return fmt.Errorf("noc: restored credit count %d out of range", c)
 	}
-	l.credits = c
+	l.credits = int32(c)
 	return nil
 }
-
-// PendingReturns returns the credit returns staged by the receiver but not
-// yet committed back to the sender.
-func (l *Link) PendingReturns() int { return l.returns }
 
 // Ready reports whether the sender may drive the link this cycle: it holds
 // a credit and no stall fault is active on the channel. Senders must gate
@@ -170,9 +181,10 @@ func (l *Link) Ready(cycle int64) bool {
 	return l.tamper == nil || !l.tamper.LinkStalled(l.site, cycle)
 }
 
-// Send stages a flit for delivery at this cycle's commit, consuming one
-// credit. Called by the sender during its compute phase; sending without a
-// credit or sending twice in one cycle panics (simulator bug).
+// Send stages a flit for the sink to take at this cycle's commit, consuming
+// one credit, and tells the kernel the sink has input. Called by the sender
+// during its compute phase; sending without a credit or sending twice in one
+// cycle panics (simulator bug). The flit belongs to the sink from here on.
 func (l *Link) Send(f *Flit) {
 	if l.staged != nil {
 		panic("noc: link driven twice in one cycle")
@@ -186,73 +198,80 @@ func (l *Link) Send(f *Flit) {
 	l.credits--
 	l.staged = f
 	if l.waker != nil {
-		l.waker.WakeInt(int(l.selfH))
+		l.waker.Arrive(int(l.sinkH))
 	}
 }
 
-// ReturnCredit stages one credit return from the receiver side. Staged
-// returns are applied at this link's commit, hence visible to the sender
-// next cycle.
-func (l *Link) ReturnCredit() {
-	l.returns++
-	if l.waker != nil {
-		l.waker.WakeInt(int(l.selfH))
+// Take is the sink's latch: it removes and returns the flit staged this
+// cycle, nil when the channel was idle or a fault dropped the flit on the
+// wire. The owning component calls it at the end of its commit and buffers
+// the result.
+func (l *Link) Take(cycle int64) *Flit {
+	if l.staged == nil {
+		return nil
+	}
+	return l.take(cycle)
+}
+
+// take is Take with a flit staged, kept apart so that the idle-channel test
+// inlines into the sink's latch loop.
+func (l *Link) take(cycle int64) *Flit {
+	f := l.staged
+	l.staged = nil
+	if l.tamper != nil && l.tamper.TamperFlit(l.site, cycle, f) {
+		// Dropped on the wire: the sink never learns about the flit, so the
+		// sender's consumed credit is never returned. Only the flit object
+		// itself is recycled — constituents of an encoded flit may still be
+		// referenced upstream and are left to leak (accounted for by the
+		// injector's Leaky flag).
+		if l.tamperArena != nil {
+			l.tamperArena.Release(f)
+		}
+		return nil
+	}
+	if l.probe != nil {
+		if f.Encoded {
+			l.probe.Link(cycle, int(l.probeNode), int(l.probePort), f.Raw, -1)
+		} else {
+			l.probe.Link(cycle, int(l.probeNode), int(l.probePort), f.Packet.ID, f.Seq)
+		}
+	}
+	return f
+}
+
+// ReturnCredits hands n freed buffer slots back to the sender — the sink
+// calls it from its commit, at most once per channel per cycle (the fault
+// injector is consulted per call). The count is applied in place: nothing
+// reads it before the next compute phase.
+func (l *Link) ReturnCredits(cycle int64, n int) {
+	was := l.credits
+	if l.tamper != nil {
+		n = l.tamper.TamperCredits(l.site, cycle, n)
+	}
+	l.credits += int32(n)
+	// Credit exhaustion lifted: an interface parked on a full injection
+	// channel must re-evaluate. Its home router — this channel's sink —
+	// shares its shard and commits before it, so the wake stays shard-local
+	// and lands ahead of the interface's own commit slot.
+	if was == 0 && l.credits > 0 && l.srcH >= 0 && l.waker != nil {
+		l.waker.Arrive(int(l.srcH))
 	}
 }
 
-// Compute implements sim.Clocked; links have no combinational work.
-func (l *Link) Compute(cycle int64) {}
+// ReturnCredit stages one credit return on a hand-driven link; Commit
+// applies it.
+func (l *Link) ReturnCredit() { l.returns++ }
 
-// Commit delivers the staged flit and applies staged credit returns. Links
-// must be committed after the routers of the same cycle.
+// Commit is the hand-driven latch of a link no component owns: it delivers
+// the staged flit to the Receiver and applies the returns staged through
+// ReturnCredit, including any the Receiver staged while receiving.
 func (l *Link) Commit(cycle int64) {
-	if l.staged != nil && l.tamper != nil {
-		if l.tamper.TamperFlit(l.site, cycle, l.staged) {
-			// Dropped on the wire: the sink never learns about the flit, so
-			// the sender's consumed credit is never returned. Only the flit
-			// object itself is recycled — constituents of an encoded flit
-			// may still be referenced upstream and are left to leak
-			// (accounted for by the injector's Leaky flag).
-			if l.tamperArena != nil {
-				l.tamperArena.Release(l.staged)
-			}
-			l.staged = nil
-		}
-	}
-	if l.staged != nil {
-		if l.probe != nil {
-			f := l.staged
-			if f.Encoded {
-				l.probe.Link(cycle, int(l.probeNode), int(l.probePort), f.Raw, -1)
-			} else {
-				l.probe.Link(cycle, int(l.probeNode), int(l.probePort), f.Packet.ID, f.Seq)
-			}
-		}
-		l.sink.Receive(l.staged, cycle)
-		l.staged = nil
-		if l.waker != nil {
-			l.waker.WakeInt(int(l.sinkH))
-		}
+	if f := l.Take(cycle); f != nil {
+		l.sink.Receive(f, cycle)
 	}
 	if l.returns > 0 {
-		was := l.credits
-		if l.tamper != nil {
-			l.credits += l.tamper.TamperCredits(l.site, cycle, l.returns)
-		} else {
-			l.credits += l.returns
-		}
+		n := int(l.returns)
 		l.returns = 0
-		// Credit exhaustion lifted: the sender may have parked on a full
-		// channel (NI horizon, router quiescence) and must re-evaluate. Links
-		// commit last in the cycle, so this wake lands before the next
-		// compute phase in every execution mode.
-		if was == 0 && l.credits > 0 && l.waker != nil {
-			l.waker.WakeInt(int(l.srcH))
-		}
+		l.ReturnCredits(cycle, n)
 	}
 }
-
-// Quiet implements sim.Quiescable: a link with no staged flit and no staged
-// credit returns does nothing when stepped. Credits held downstream do not
-// keep a link busy — the eventual ReturnCredit wakes it.
-func (l *Link) Quiet() bool { return l.staged == nil && l.returns == 0 }

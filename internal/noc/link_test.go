@@ -99,3 +99,51 @@ func TestLinkPipelined(t *testing.T) {
 		}
 	}
 }
+
+// arrivals records the handles a link told the kernel about.
+type arrivals []int
+
+func (a *arrivals) Arrive(h int) { *a = append(*a, h) }
+
+// TestLinkSinkLatch covers the form a network uses: the sink takes the
+// staged flit itself and returns credits in place, and the kernel hears of
+// every Send and — on a channel that names its driver — of a credit count
+// lifting off zero, only then.
+func TestLinkSinkLatch(t *testing.T) {
+	var woke arrivals
+	l := NewLink(&recorder{}, 2)
+	l.SetWake(&woke, 7, 3)
+	f, g := NewFlit(NewPacket(1, 0, 1, 1, 0, 0), 0), NewFlit(NewPacket(2, 0, 1, 1, 0, 0), 0)
+
+	if l.Take(0) != nil {
+		t.Fatal("idle link handed the sink a flit")
+	}
+	l.Send(f)
+	if got := l.Take(0); got != f {
+		t.Fatalf("Take = %v, want the staged flit", got)
+	}
+	if l.Take(0) != nil {
+		t.Fatal("flit taken twice")
+	}
+	l.Send(g)
+	l.Take(1)
+	if l.Credits() != 0 || len(woke) != 2 || woke[0] != 7 || woke[1] != 7 {
+		t.Fatalf("after two sends: %d credits, arrivals %v", l.Credits(), woke)
+	}
+	l.ReturnCredits(1, 1) // 0 -> 1: the parked driver hears of it
+	l.ReturnCredits(2, 1) // 1 -> 2: nobody can be parked on a positive count
+	if l.Credits() != 2 || len(woke) != 3 || woke[2] != 3 {
+		t.Fatalf("after returns: %d credits, arrivals %v", l.Credits(), woke)
+	}
+
+	// A router-driven channel names no driver and wakes none.
+	woke = nil
+	r := NewLink(&recorder{}, 1)
+	r.SetWake(&woke, 7, -1)
+	r.Send(f)
+	r.Take(0)
+	r.ReturnCredits(0, 1)
+	if len(woke) != 1 {
+		t.Fatalf("router-driven channel: arrivals %v, want the one Send", woke)
+	}
+}

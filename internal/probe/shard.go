@@ -18,18 +18,18 @@ package probe
 //
 //	key = phase << 60 | component << 20 | seq
 //
-// Compute events (phase 0) precede all commit events; commit events order
-// by component registration index (the kernel registers early components
-// before late ones, so the phase-1/phase-2 split never reorders them); seq
+// Compute events (phase 0) precede all commit events (phase 1); commit
+// events order by component registration index — a channel's Link event is
+// emitted from inside its sink's commit, so it carries the sink's index; seq
 // preserves emission order within one component evaluation. Each component
 // lives in exactly one shard, so keys never tie across children, and each
 // child's buffer is naturally key-sorted (its worker walks components in
 // ascending order, phase by phase) — the merge is a linear k-way pick.
 //
-// Per-router metrics need none of this: with receiver-side shard
-// assignment every metrics write for router n (buffer accounting from its
-// incoming links, switch activity from its own evaluation) is performed by
-// shard(n), so children write the parent's routers slice directly —
+// Per-router metrics need none of this: every metrics write for router n
+// (buffer accounting as it latches its incoming links, switch activity from
+// its own evaluation) is performed by shard(n), so children write the
+// parent's routers slice directly —
 // distinct elements, no races, nothing to fold.
 
 // taggedEvent is one buffered child event plus its merge key.

@@ -1,9 +1,14 @@
 package router
 
-import "repro/internal/sim"
+import (
+	"sync/atomic"
+
+	"repro/internal/sim"
+)
 
 // NewLane groups routers into a typed dispatch lane for the kernel's serial
-// step (sim.BindLane): a concrete-typed slice whose walk loops make direct,
+// step (sim.BindLane) or one shard of its sharded step (sim.BindShardLane): a
+// concrete-typed slice whose walk loops make direct,
 // devirtualizable calls instead of per-component interface dispatch. The
 // routers must all be one concrete architecture (a network's always are —
 // SpecFast and SpecAccurate share one implementation) and must be passed in
@@ -58,7 +63,7 @@ func (l noxLane) CommitAll(cycle int64) {
 
 func (l noxLane) ComputeActive(cycle int64, active []uint32) {
 	for i, r := range l {
-		if active[i] != 0 {
+		if atomic.LoadUint32(&active[i]) == sim.Awake {
 			r.Compute(cycle)
 		}
 	}
@@ -67,12 +72,17 @@ func (l noxLane) ComputeActive(cycle int64, active []uint32) {
 func (l noxLane) CommitActive(cycle int64, active []uint32) int {
 	quiets := 0
 	for i, r := range l {
-		if active[i] == 0 {
+		switch active[i] {
+		case sim.Parked:
 			continue
+		case sim.Arrived:
+			active[i] = sim.Awake
+			r.Latch(cycle)
+		default:
+			r.Commit(cycle)
 		}
-		r.Commit(cycle)
 		if r.Quiet() {
-			active[i] = 0
+			active[i] = sim.Parked
 			quiets++
 		}
 	}
@@ -97,7 +107,7 @@ func (l specLane) CommitAll(cycle int64) {
 
 func (l specLane) ComputeActive(cycle int64, active []uint32) {
 	for i, r := range l {
-		if active[i] != 0 {
+		if atomic.LoadUint32(&active[i]) == sim.Awake {
 			r.Compute(cycle)
 		}
 	}
@@ -106,12 +116,17 @@ func (l specLane) ComputeActive(cycle int64, active []uint32) {
 func (l specLane) CommitActive(cycle int64, active []uint32) int {
 	quiets := 0
 	for i, r := range l {
-		if active[i] == 0 {
+		switch active[i] {
+		case sim.Parked:
 			continue
+		case sim.Arrived:
+			active[i] = sim.Awake
+			r.Latch(cycle)
+		default:
+			r.Commit(cycle)
 		}
-		r.Commit(cycle)
 		if r.Quiet() {
-			active[i] = 0
+			active[i] = sim.Parked
 			quiets++
 		}
 	}
@@ -136,7 +151,7 @@ func (l nonspecLane) CommitAll(cycle int64) {
 
 func (l nonspecLane) ComputeActive(cycle int64, active []uint32) {
 	for i, r := range l {
-		if active[i] != 0 {
+		if atomic.LoadUint32(&active[i]) == sim.Awake {
 			r.Compute(cycle)
 		}
 	}
@@ -145,12 +160,17 @@ func (l nonspecLane) ComputeActive(cycle int64, active []uint32) {
 func (l nonspecLane) CommitActive(cycle int64, active []uint32) int {
 	quiets := 0
 	for i, r := range l {
-		if active[i] == 0 {
+		switch active[i] {
+		case sim.Parked:
 			continue
+		case sim.Arrived:
+			active[i] = sim.Awake
+			r.Latch(cycle)
+		default:
+			r.Commit(cycle)
 		}
-		r.Commit(cycle)
 		if r.Quiet() {
-			active[i] = 0
+			active[i] = sim.Parked
 			quiets++
 		}
 	}

@@ -197,7 +197,21 @@ func (r *nonspecRouter) Compute(cycle int64) {
 	}
 }
 
-// Commit pops the traversed flits and returns their credits upstream.
+// Latch implements sim.Latcher: the flits staged on the input channels this
+// cycle enter their ports' FIFOs.
+func (r *nonspecRouter) Latch(cycle int64) {
+	for p, l := range r.inLink {
+		if l == nil {
+			continue
+		}
+		if f := l.Take(cycle); f != nil {
+			r.receive(noc.Port(p), f, cycle)
+		}
+	}
+}
+
+// Commit pops the traversed flits, returns their credits upstream, and takes
+// in this cycle's arrivals.
 func (r *nonspecRouter) Commit(cycle int64) {
 	c := r.counters()
 	pr := r.probe()
@@ -209,7 +223,7 @@ func (r *nonspecRouter) Commit(cycle int64) {
 			if pr != nil {
 				pr.BufRead(cycle, r.node(), i, 1)
 			}
-			r.returnCredits(noc.Port(i), 1)
+			r.returnCredits(noc.Port(i), 1, cycle)
 		}
 	}
 	for m := r.touched; m != 0; m &= m - 1 {
@@ -219,4 +233,5 @@ func (r *nonspecRouter) Commit(cycle int64) {
 	if pr != nil {
 		pr.Occupancy(r.node(), r.BufferedFlits())
 	}
+	r.Latch(cycle)
 }

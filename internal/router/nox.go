@@ -267,9 +267,27 @@ func (r *noxRouter) Compute(cycle int64) {
 	}
 }
 
-// Commit latches decode registers, applies pops and mask updates, and
-// returns freed credits upstream.
+// Latch implements sim.Latcher: the flits staged on the input channels this
+// cycle enter their ports' FIFOs.
+func (r *noxRouter) Latch(cycle int64) {
+	for p, l := range r.inLink {
+		if l == nil {
+			continue
+		}
+		if f := l.Take(cycle); f != nil {
+			r.receive(noc.Port(p), f, cycle)
+		}
+	}
+}
+
+// Commit latches decode registers, applies pops and mask updates, returns
+// freed credits upstream, and takes in this cycle's arrivals.
 func (r *noxRouter) Commit(cycle int64) {
+	r.commit(cycle)
+	r.Latch(cycle)
+}
+
+func (r *noxRouter) commit(cycle int64) {
 	c := r.counters()
 	pr := r.probe()
 	for m := r.inBusy; m != 0; m &= m - 1 {
@@ -293,7 +311,7 @@ func (r *noxRouter) Commit(cycle int64) {
 			ck.Decode(cycle, r.node(), i, ev.DecodeErr)
 			ck.MarkLeaky()
 		}
-		r.returnCredits(noc.Port(i), ev.FreedSlots)
+		r.returnCredits(noc.Port(i), ev.FreedSlots, cycle)
 		if r.in[i].Buffered() == 0 && !r.in[i].RegisterBusy() {
 			r.inBusy &^= 1 << uint(i)
 		}

@@ -189,15 +189,22 @@ func (s PortState) String() string {
 
 // Router is one mesh router participating in the two-phase simulation.
 // Every architecture implements sim.Quiescable so drained routers drop out
-// of the kernel's active set.
+// of the kernel's active set, and sim.Latcher: a router owns the channels
+// feeding its input ports, and its Commit ends by taking in what its
+// neighbours staged on them this cycle (Latch alone when the router was
+// parked and has nothing of its own to commit).
 type Router interface {
 	sim.Quiescable
+	sim.Latcher
 	// Node returns the tile this router serves.
 	Node() noc.NodeID
-	// InputReceiver returns the sink to wire an incoming link to port p.
+	// InputReceiver returns port p as a noc.Receiver, for a hand-driven
+	// link's Commit to deliver into (the router's own Latch does not go
+	// through it).
 	InputReceiver(p noc.Port) noc.Receiver
-	// SetInputLink registers the link feeding port p, used to return
-	// credits when buffer slots free.
+	// SetInputLink registers the link feeding port p: the router latches
+	// the flits staged on it and returns credits to it when buffer slots
+	// free.
 	SetInputLink(p noc.Port, l *noc.Link)
 	// SetOutputLink registers the link driven by output port p.
 	SetOutputLink(p noc.Port, l *noc.Link)
@@ -302,8 +309,9 @@ func (b *base) SetInputLink(p noc.Port, l *noc.Link) { b.inLink[p] = l }
 // SetOutputLink registers the link driven by port p.
 func (b *base) SetOutputLink(p noc.Port, l *noc.Link) { b.outLink[p] = l }
 
-// returnCredits stages n credit returns on the link feeding port p.
-func (b *base) returnCredits(p noc.Port, n int) {
+// returnCredits hands the n slots port p freed this cycle back to the link
+// feeding it.
+func (b *base) returnCredits(p noc.Port, n int, cycle int64) {
 	if n == 0 {
 		return
 	}
@@ -311,9 +319,7 @@ func (b *base) returnCredits(p noc.Port, n int) {
 	if l == nil {
 		panic("router: credit return on unwired input")
 	}
-	for i := 0; i < n; i++ {
-		l.ReturnCredit()
-	}
+	l.ReturnCredits(cycle, n)
 }
 
 // route computes the lookahead output port at this router for dst.

@@ -58,8 +58,11 @@ type specRouter struct {
 	// reservation is unusable by any other packet (Spec-Fast).
 	resPkt []*noc.Packet
 
-	// staged actions
+	// staged actions. popTail marks the inputs whose staged pop removes a
+	// tail: recorded at traversal, because the flit belongs to the
+	// downstream router once sent (see noc.Link).
 	pops       []bool
+	popTail    uint32
 	lockNext   []int
 	resNext    []int
 	resPktNext []*noc.Packet
@@ -183,6 +186,7 @@ func (r *specRouter) Flush(drop func(*noc.Flit)) {
 		r.newlyExposed[p] = -1
 		r.pops[p] = false
 	}
+	r.popTail = 0
 	r.touched = 0
 }
 
@@ -348,13 +352,17 @@ func (r *specRouter) computeLocked(o noc.Port, owner int, req uint32, head []*no
 // output o.
 func (r *specRouter) traverse(o noc.Port, i int, f *noc.Flit, cycle int64) {
 	c := r.counters()
+	tail := f.Tail()
 	if f.MultiFlit() {
 		if f.Seq == 0 {
 			r.lockNext[o] = i
 		}
-		if f.Tail() {
+		if tail {
 			r.lockNext[o] = -1
 		}
+	}
+	if tail {
+		r.popTail |= 1 << uint(i)
 	}
 	r.outLink[o].Send(f)
 	r.pops[i] = true
@@ -383,27 +391,41 @@ func (r *specRouter) allocate(o noc.Port, allocReq uint32, head []*noc.Flit) {
 	r.resPktNext[o] = head[g].Packet
 }
 
+// Latch implements sim.Latcher: the flits staged on the input channels this
+// cycle enter their ports' FIFOs.
+func (r *specRouter) Latch(cycle int64) {
+	for p, l := range r.inLink {
+		if l == nil {
+			continue
+		}
+		if f := l.Take(cycle); f != nil {
+			r.receive(noc.Port(p), f, cycle)
+		}
+	}
+}
+
 // Commit pops traversed flits, returns credits, applies reservations and
-// locks, and tracks newly exposed packets.
+// locks, tracks newly exposed packets, and takes in this cycle's arrivals.
 func (r *specRouter) Commit(cycle int64) {
 	c := r.counters()
 	pr := r.probe()
 	for i := range r.in {
 		if r.pops[i] {
 			r.pops[i] = false
-			f := r.in[i].Pop()
+			r.in[i].Pop()
 			c.BufRead++
 			if pr != nil {
 				pr.BufRead(cycle, r.node(), i, 1)
 			}
-			r.returnCredits(noc.Port(i), 1)
-			if f.Tail() && !r.in[i].Empty() {
+			r.returnCredits(noc.Port(i), 1, cycle)
+			if r.popTail&(1<<uint(i)) != 0 && !r.in[i].Empty() {
 				// The next packet was exposed by this departure; it may
 				// not arbitrate during its first head cycle (Spec-Fast).
 				r.newlyExposed[i] = cycle + 1
 			}
 		}
 	}
+	r.popTail = 0
 	for m := r.touched; m != 0; m &= m - 1 {
 		o := bits.TrailingZeros32(m)
 		r.lock[o] = r.lockNext[o]
@@ -413,4 +435,5 @@ func (r *specRouter) Commit(cycle int64) {
 	if pr != nil {
 		pr.Occupancy(r.node(), r.BufferedFlits())
 	}
+	r.Latch(cycle)
 }

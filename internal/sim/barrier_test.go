@@ -7,18 +7,24 @@ import (
 	"time"
 )
 
-// ticker is an always-evaluated early component that checks the barrier
-// from the inside: at its commit every component of every shard must have
-// finished this cycle's compute, so its peer (registered in the next shard)
-// has computed exactly as often as it has. The peer read is a plain load —
-// under -race this is also the happens-before proof of the barrier.
+// ticker is an always-evaluated component that checks both barriers from the
+// inside: at its commit every component of every shard must have finished
+// this cycle's compute, so its peer (registered in the next shard) has
+// computed exactly as often as it has, and at its compute every commit of
+// the cycle before is done. The peer reads are plain loads — under -race
+// this is also the happens-before proof of the barrier.
 type ticker struct {
 	computes, commits int
 	peer              *ticker
 	bad               int
 }
 
-func (c *ticker) Compute(cycle int64) { c.computes++ }
+func (c *ticker) Compute(cycle int64) {
+	if c.peer.commits != c.commits {
+		c.bad++
+	}
+	c.computes++
+}
 func (c *ticker) Commit(cycle int64) {
 	if c.peer.computes != c.computes {
 		c.bad++
@@ -26,30 +32,13 @@ func (c *ticker) Commit(cycle int64) {
 	c.commits++
 }
 
-// tocker is the late counterpart: at its commit every early commit of the
-// cycle is done.
-type tocker struct {
-	commits int
-	early   *ticker
-	bad     int
-}
-
-func (c *tocker) Compute(cycle int64) {}
-func (c *tocker) Commit(cycle int64) {
-	c.commits++
-	if c.early.commits != c.commits {
-		c.bad++
-	}
-}
-
-// barrierRig is shards x (one ticker, one pulse quiescer, one tocker), each
-// triple on its own shard, peers chained around the ring of shards.
+// barrierRig is shards x (one ticker, one pulse quiescer), each pair on its
+// own shard, peers chained around the ring of shards.
 type barrierRig struct {
 	k       *Kernel
 	tickers []*ticker
 	pulses  []*quiescer
 	pulseH  []Handle
-	tockers []*tocker
 }
 
 func newBarrierRig(shards int, sharded bool) *barrierRig {
@@ -64,9 +53,6 @@ func newBarrierRig(shards int, sharded bool) *barrierRig {
 	}
 	for s := 0; s < shards; s++ {
 		r.tickers[s].peer = r.tickers[(s+1)%shards]
-		r.tockers = append(r.tockers, &tocker{early: r.tickers[(s+1)%shards]})
-		r.k.AddLate(r.tockers[s])
-		shardOf = append(shardOf, s)
 	}
 	if sharded {
 		r.k.SetSharding(shards, shardOf)
@@ -108,14 +94,14 @@ func TestBarrierStress(t *testing.T) {
 		}
 		r.k.Close()
 		for s := range r.tickers {
-			tk, tc2, p, pref := r.tickers[s], r.tockers[s], r.pulses[s], ref.pulses[s]
-			if tk.computes != steps || tk.commits != steps || tc2.commits != steps {
-				t.Errorf("shards=%d shard %d: ticker %d/%d tocker %d evaluations, want %d each",
-					tc.shards, s, tk.computes, tk.commits, tc2.commits, steps)
+			tk, p, pref := r.tickers[s], r.pulses[s], ref.pulses[s]
+			if tk.computes != steps || tk.commits != steps {
+				t.Errorf("shards=%d shard %d: ticker %d/%d evaluations, want %d each",
+					tc.shards, s, tk.computes, tk.commits, steps)
 			}
-			if tk.bad != 0 || tc2.bad != 0 {
-				t.Errorf("shards=%d shard %d: %d early and %d late commits ran before the previous phase finished",
-					tc.shards, s, tk.bad, tc2.bad)
+			if tk.bad != 0 {
+				t.Errorf("shards=%d shard %d: %d phases ran before the previous one finished",
+					tc.shards, s, tk.bad)
 			}
 			if p.computes != pref.computes || p.commits != pref.commits {
 				t.Errorf("shards=%d shard %d: pulse evaluated %d/%d times, serial %d/%d",
@@ -194,60 +180,51 @@ func TestBarrierNeverSpinsOversubscribed(t *testing.T) {
 	}
 }
 
-// quiescerLane is a typed lane over quiescers, the stand-in for a router or
-// link lane: a contiguous one reads flags[i], a scattered one flags[at[i]].
-// Unlike a production late lane it reads its flags in the compute walk, to
-// match the index-list walk count for count; the rigs that use it wake
-// nothing during a phase, so nothing races that read.
-type quiescerLane struct {
-	qs []*quiescer
-	at []int32
-}
+// quiescerLane is a typed lane over quiescers, the stand-in for a router
+// lane.
+type quiescerLane []*quiescer
 
-func (l *quiescerLane) flag(flags []uint32, i int) *uint32 {
-	if l.at != nil {
-		return &flags[l.at[i]]
-	}
-	return &flags[i]
-}
-
-func (l *quiescerLane) Len() int { return len(l.qs) }
-func (l *quiescerLane) ComputeAll(cycle int64) {
-	for _, q := range l.qs {
+func (l quiescerLane) Len() int { return len(l) }
+func (l quiescerLane) ComputeAll(cycle int64) {
+	for _, q := range l {
 		q.Compute(cycle)
 	}
 }
-func (l *quiescerLane) CommitAll(cycle int64) {
-	for _, q := range l.qs {
+func (l quiescerLane) CommitAll(cycle int64) {
+	for _, q := range l {
 		q.Commit(cycle)
 	}
 }
-func (l *quiescerLane) ComputeActive(cycle int64, flags []uint32) {
-	for i, q := range l.qs {
-		if *l.flag(flags, i) != 0 {
+func (l quiescerLane) ComputeActive(cycle int64, flags []uint32) {
+	for i, q := range l {
+		if atomic.LoadUint32(&flags[i]) == Awake {
 			q.Compute(cycle)
 		}
 	}
 }
-func (l *quiescerLane) CommitActive(cycle int64, flags []uint32) int {
+func (l quiescerLane) CommitActive(cycle int64, flags []uint32) int {
 	quiets := 0
-	for i, q := range l.qs {
-		if f := l.flag(flags, i); *f != 0 {
+	for i, q := range l {
+		switch flags[i] {
+		case Parked:
+			continue
+		case Arrived:
+			flags[i] = Awake // a quiescer has no input to latch
+		default:
 			q.Commit(cycle)
-			if q.Quiet() {
-				*f = 0
-				quiets++
-			}
+		}
+		if q.Quiet() {
+			flags[i] = Parked
+			quiets++
 		}
 	}
 	return quiets
 }
 
-// laneRig registers 3 shards x 4 early quiescers in contiguous runs, then
-// 12 late ones dealt round-robin (so each shard's late set is scattered),
-// and optionally binds a lane over every run.
+// laneRig registers 3 shards x 8 quiescers in contiguous runs and optionally
+// binds two lanes over every run.
 func laneRig(lanes bool) (*Kernel, []*quiescer) {
-	const shards, per = 3, 4
+	const shards, per = 3, 8
 	k := NewKernel()
 	var qs []*quiescer
 	var shardOf []int
@@ -256,23 +233,11 @@ func laneRig(lanes bool) (*Kernel, []*quiescer) {
 		k.Add(qs[i])
 		shardOf = append(shardOf, i/per)
 	}
-	for i := 0; i < shards*per; i++ {
-		qs = append(qs, &quiescer{pending: 2 + i%3})
-		k.AddLate(qs[shards*per+i])
-		shardOf = append(shardOf, i%shards)
-	}
 	k.SetSharding(shards, shardOf)
 	if lanes {
 		for s := 0; s < shards; s++ {
-			k.BindShardLane(s, Handle(s*per), &quiescerLane{qs: qs[s*per : (s+1)*per]})
-			late := &quiescerLane{}
-			for h := shards * per; h < len(qs); h++ {
-				if shardOf[h] == s {
-					late.qs = append(late.qs, qs[h])
-					late.at = append(late.at, int32(h))
-				}
-			}
-			k.BindShardLaneAt(s, late.at, late)
+			k.BindShardLane(s, Handle(s*per), quiescerLane(qs[s*per:s*per+3]))
+			k.BindShardLane(s, Handle(s*per+3), quiescerLane(qs[s*per+3:(s+1)*per]))
 		}
 	}
 	return k, qs
@@ -328,17 +293,16 @@ func TestShardLaneWalk(t *testing.T) {
 }
 
 // TestBindShardLaneValidation pins the binding checks: a lane may cover only
-// its own shard's components, of one commit class, in ascending order.
+// its own shard's components, in ascending order.
 func TestBindShardLaneValidation(t *testing.T) {
-	lane := func(n int) Lane { return &quiescerLane{qs: make([]*quiescer, n)} }
+	lane := func(n int) Lane { return make(quiescerLane, n) }
 	k, _ := laneRig(false)
 	defer k.Close()
-	mustPanic(t, "foreign component", func() { k.BindShardLane(0, 2, lane(4)) })
-	mustPanic(t, "early and late in one lane", func() { k.BindShardLane(2, 8, lane(5)) })
-	mustPanic(t, "handle count mismatch", func() { k.BindShardLaneAt(0, []int32{12, 15}, lane(3)) })
-	mustPanic(t, "descending handles", func() { k.BindShardLaneAt(0, []int32{15, 12}, lane(2)) })
-	k.BindShardLane(1, 6, lane(2))
-	mustPanic(t, "out of order", func() { k.BindShardLane(1, 4, lane(2)) })
+	mustPanic(t, "foreign component", func() { k.BindShardLane(0, 6, lane(4)) })
+	mustPanic(t, "past the last component", func() { k.BindShardLane(2, 20, lane(5)) })
+	k.BindShardLane(1, 12, lane(2))
+	mustPanic(t, "out of order", func() { k.BindShardLane(1, 10, lane(2)) })
+	mustPanic(t, "overlap", func() { k.BindShardLane(1, 13, lane(2)) })
 	serial := NewKernel()
 	serial.Add(&quiescer{})
 	mustPanic(t, "serial kernel", func() { serial.BindShardLane(0, 0, lane(1)) })

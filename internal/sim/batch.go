@@ -29,8 +29,8 @@ import "math/bits"
 // suites in internal/batch pin byte-identical results against independent
 // serial runs.
 //
-// Adopted kernels hand their stepping to the group: Kernel.Step, Add,
-// AddLate, and BindLane panic until Release. Wake keeps working — it is
+// Adopted kernels hand their stepping to the group: Kernel.Step, Add and
+// BindLane panic until Release. Wake and Arrive keep working — they are
 // redirected into the group's activity words — so injection paths and link
 // wake wiring are untouched. FastForward and the read-only accessors
 // (Cycle, FullyIdle, ActiveComponents) also keep working; the group's Park
@@ -49,8 +49,11 @@ type LockstepGroup struct {
 	hcols []Horizoned
 
 	// active[c*words+w] packs the activity flags of components[c] across
-	// members 64*w .. 64*w+63. Bit set = evaluated next step.
-	active []uint64
+	// members 64*w .. 64*w+63. Bit set = raised (awake or arrived); arrived
+	// is the second bit plane telling the two apart, set only on top of an
+	// active bit.
+	active  []uint64
+	arrived []uint64
 
 	// parked[w] marks members released from lockstep (finished runs). Their
 	// activity bits are preserved but masked out of every walk, their hooks
@@ -112,6 +115,7 @@ func NewLockstepGroup(kernels []*Kernel) *LockstepGroup {
 	g.qcols = make([]Quiescable, g.comps*g.width)
 	g.hcols = make([]Horizoned, g.comps*g.width)
 	g.active = make([]uint64, g.comps*g.words)
+	g.arrived = make([]uint64, g.comps*g.words)
 	g.parked = make([]uint64, g.words)
 	for s, k := range kernels {
 		for c := 0; c < g.comps; c++ {
@@ -129,15 +133,15 @@ func NewLockstepGroup(kernels []*Kernel) *LockstepGroup {
 	return g
 }
 
-// wake is the adopted-kernel Wake path: flip the member's activity flag in
-// whichever representation is current and keep that member's idle counter
-// balanced, so Kernel.FullyIdle and ActiveComponents stay truthful while
-// adopted.
-func (g *LockstepGroup) wake(slot int, h Handle) {
+// raise is the adopted-kernel Wake/Arrive path: move the member's parked
+// component to the given raised state in whichever representation is current
+// and keep that member's idle counter balanced, so Kernel.FullyIdle and
+// ActiveComponents stay truthful while adopted.
+func (g *LockstepGroup) raise(slot int, h Handle, to uint32) {
 	k := g.kernels[slot]
 	if !g.sliced {
-		if k.active[h] == 0 {
-			k.active[h] = 1
+		if k.active[h] == Parked {
+			k.active[h] = to
 			k.actWords[h>>6] |= 1 << (h & 63)
 			k.idle--
 		}
@@ -147,6 +151,9 @@ func (g *LockstepGroup) wake(slot int, h Handle) {
 	bit := uint64(1) << (slot & 63)
 	if g.active[idx]&bit == 0 {
 		g.active[idx] |= bit
+		if to == Arrived {
+			g.arrived[idx] |= bit
+		}
 		k.idle--
 	}
 }
@@ -157,21 +164,15 @@ func (g *LockstepGroup) wake(slot int, h Handle) {
 // adopted cohort member.
 func (g *LockstepGroup) wakeAll(k *Kernel) {
 	if !g.sliced {
-		for i := range k.active {
-			k.active[i] = 1
+		k.wakeAllFlags()
+	} else {
+		w, bit := k.slot>>6, uint64(1)<<(k.slot&63)
+		for c := 0; c < g.comps; c++ {
+			g.active[c*g.words+w] |= bit
+			g.arrived[c*g.words+w] &^= bit
 		}
-		k.setAllBits()
 		k.idle = 0
-		if k.wheel != nil {
-			k.wheel.reset(k.cycle)
-		}
-		return
 	}
-	w, bit := k.slot>>6, uint64(1)<<(k.slot&63)
-	for c := 0; c < g.comps; c++ {
-		g.active[c*g.words+w] |= bit
-	}
-	k.idle = 0
 	if k.wheel != nil {
 		k.wheel.reset(k.cycle)
 	}
@@ -188,12 +189,16 @@ func (g *LockstepGroup) ensureFlags() {
 	for s, k := range g.kernels {
 		w, bit := s>>6, uint64(1)<<(s&63)
 		for c := 0; c < g.comps; c++ {
-			if g.active[c*words+w]&bit != 0 {
-				k.active[c] = 1
-				k.actWords[c>>6] |= 1 << (c & 63)
-			} else {
-				k.active[c] = 0
+			switch {
+			case g.active[c*words+w]&bit == 0:
+				k.active[c] = Parked
+				continue
+			case g.arrived[c*words+w]&bit != 0:
+				k.active[c] = Arrived
+			default:
+				k.active[c] = Awake
 			}
+			k.actWords[c>>6] |= 1 << (c & 63)
 		}
 	}
 	g.sliced = false
@@ -211,10 +216,13 @@ func (g *LockstepGroup) ensureBits() {
 		w, bit := s>>6, uint64(1)<<(s&63)
 		for c := 0; c < g.comps; c++ {
 			idx := c*words + w
-			if k.active[c] != 0 {
+			g.active[idx] &^= bit
+			g.arrived[idx] &^= bit
+			if k.active[c] != Parked {
 				g.active[idx] |= bit
-			} else {
-				g.active[idx] &^= bit
+			}
+			if k.active[c] == Arrived {
+				g.arrived[idx] |= bit
 			}
 		}
 	}
@@ -384,19 +392,21 @@ func (g *LockstepGroup) stepSliced(cycle int64) {
 	width, words := g.width, g.words
 	// Compute phase: column-major, bit-sliced. The activity word is read at
 	// visit time, so a wake staged by an earlier column this phase is
-	// honored — exactly the serial walk's flag-at-visit semantics.
+	// honored — exactly the serial walk's flag-at-visit semantics — and
+	// arrived components are left out, as there.
 	for c := 0; c < g.comps; c++ {
 		row := g.cols[c*width : (c+1)*width]
 		for w := 0; w < words; w++ {
-			word := g.active[c*words+w] &^ g.parked[w]
+			word := g.active[c*words+w] &^ g.arrived[c*words+w] &^ g.parked[w]
 			for ; word != 0; word &= word - 1 {
 				row[w<<6+bits.TrailingZeros64(word)].Compute(cycle)
 			}
 		}
 	}
-	// Commit phase: same walk plus quiescence bookkeeping — a committed
-	// component that reports quiet drops its bit and its member's idle
-	// counter rises, identical to the serial commitOne.
+	// Commit phase: the walk over raised bits plus quiescence bookkeeping — an
+	// arrived component latches, any other commits, and one that then reports
+	// quiet drops its bit and its member's idle counter rises, identical to
+	// the serial commitOne.
 	if g.alwaysActive {
 		for c := 0; c < g.comps; c++ {
 			row := g.cols[c*width : (c+1)*width]
@@ -416,7 +426,14 @@ func (g *LockstepGroup) stepSliced(cycle int64) {
 				word := g.active[c*words+w] &^ g.parked[w]
 				for ; word != 0; word &= word - 1 {
 					s := w<<6 + bits.TrailingZeros64(word)
-					row[s].Commit(cycle)
+					if bit := uint64(1) << (s & 63); g.arrived[c*words+w]&bit != 0 {
+						g.arrived[c*words+w] &^= bit
+						if l := g.kernels[s].latch[c]; l != nil {
+							l.Latch(cycle)
+						}
+					} else {
+						row[s].Commit(cycle)
+					}
 					if q := qrow[s]; q != nil && q.Quiet() {
 						g.active[c*words+w] &^= uint64(1) << (s & 63)
 						g.kernels[s].idle++

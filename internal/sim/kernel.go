@@ -32,8 +32,21 @@ type Clocked interface {
 	// Compute stages the component's actions for the given cycle based on
 	// the committed state from the previous cycle.
 	Compute(cycle int64)
-	// Commit applies the actions staged by Compute.
+	// Commit applies the actions staged by Compute and then, for a Latcher,
+	// does what Latch does.
 	Commit(cycle int64)
+}
+
+// Latcher is implemented by components that own input registers their
+// neighbours stage into during the compute phase (a router's or interface's
+// input channels). Latch takes in whatever was staged this cycle; it is the
+// tail of Commit, callable on its own. The kernel calls it instead of Commit
+// on a component that was parked when the input arrived (see Arrive): such a
+// component's Compute did not run this cycle, so there is nothing staged of
+// its own to apply, only input to take in.
+type Latcher interface {
+	Clocked
+	Latch(cycle int64)
 }
 
 // Quiescable is implemented by components that can tell the kernel they are
@@ -44,10 +57,11 @@ type Clocked interface {
 // A component reporting Quiet is dropped from the kernel's active set —
 // its Compute and Commit stop being called — so the contract has a second
 // half: whatever path a neighbor uses to hand the component new work must
-// call the kernel's Wake for it (the owner that wires components together
-// installs those hooks; see internal/network). A component that goes quiet
-// with latent staged state, or that is written without a wake, silently
-// diverges from the always-evaluate reference — keep Quiet conservative.
+// call the kernel's Arrive for it, or Wake when the work is handed over
+// between steps (the owner that wires components together installs those
+// hooks; see internal/network). A component that goes quiet with latent
+// staged state, or that is written without a wake, silently diverges from
+// the always-evaluate reference — keep Quiet conservative.
 type Quiescable interface {
 	Clocked
 	// Quiet reports that the component holds no pending work.
@@ -56,6 +70,20 @@ type Quiescable interface {
 
 // Handle identifies a registered component for Wake calls.
 type Handle int
+
+// Activity flag values (the elements of the slices a Lane's Active walks are
+// handed). A component is parked (skipped), awake (computed and committed),
+// or arrived: parked until a neighbour handed it input in the middle of this
+// step. An arrived component is not computed — whether its compute slot had
+// passed when the input came depends on registration order and, across
+// shards, on timing, neither of which may show — and at its commit slot it
+// only latches; the quiescence bookkeeping that follows either parks it again
+// or leaves it awake for the next cycle.
+const (
+	Parked  = 0
+	Awake   = 1
+	Arrived = 2
+)
 
 // Kernel drives a set of Clocked components through lockstep cycles,
 // skipping components that have declared themselves quiescent. It runs
@@ -72,14 +100,14 @@ type Kernel struct {
 	// parked like a quiet one and re-woken by the timing wheel (finite
 	// horizon) or an external Wake (Never).
 	hzn []Horizoned
-	// active[i] marks components evaluated this cycle (1 = active). Wake may
-	// flip an entry mid-step: a wake during the compute phase takes effect
-	// for the same cycle's commit phase if the target's registration index
-	// has not been passed yet (late components are registered last for
-	// exactly this reason), otherwise next cycle. Plain loads/stores on the
-	// serial path; on the sharded path wakes are atomic — any worker may wake
-	// any component — except where the lane walk makes a flag single-writer
-	// (see sharding.wake).
+	// latch[i] is components[i]'s Latcher interface, nil if it does not opt
+	// in (an arrived component without one just becomes awake).
+	latch []Latcher
+	// active[i] is components[i]'s activity flag (Parked, Awake or Arrived).
+	// Wake and Arrive may raise an entry mid-step; the walks read each flag
+	// at visit time. Plain loads/stores on the serial path; on the sharded
+	// path raising a flag is atomic — any worker may raise any component's
+	// during the compute phase (see sharding.raise).
 	active []uint32
 	// actWords is a per-64-component summary bitmap over active, maintained
 	// on the serial path only (nil once sharded). The invariant is one-sided:
@@ -109,17 +137,10 @@ type Kernel struct {
 	alwaysActive bool
 	cycle        int64
 
-	// lateMark is the registration index of the first late component (see
-	// AddLate); len(components) while none are registered. Early components
-	// commit before every late component, matching the serial registration
-	// order, so the sharded commit phases preserve cross-component write
-	// semantics (links commit after the routers that stage credit returns).
-	lateMark int
-
 	// stepping guards against reentrant stepping and mid-step registration:
-	// observer/epilogue hooks and component methods must not call Step, Add,
-	// or AddLate. The guard is always on — it costs two byte writes per
-	// step — so contract violations fail loudly in every build.
+	// observer/epilogue hooks and component methods must not call Step or
+	// Add. The guard is always on — it costs two byte writes per step — so
+	// contract violations fail loudly in every build.
 	stepping bool
 
 	// observers are called in order at the end of every Step with the
@@ -149,45 +170,20 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel at cycle 0.
 func NewKernel() *Kernel {
-	return &Kernel{lateMark: -1}
+	return &Kernel{}
 }
 
 // Add registers a component and returns its wake handle. Components are
 // evaluated in registration order; compute order is not observable (two-
 // phase protocol), but commit order is load-bearing for cross-component
-// writes performed during commits (e.g. links must commit after the
-// routers that stage credit returns on them), so registration order is
-// preserved even when quiescent components are skipped.
-//
-// Add panics once a late component has been registered: the sharded
-// executor relies on every early component preceding every late one.
+// writes performed during commits (a router hands credits back to the
+// interface it shares a tile with, and must commit before it), so
+// registration order is preserved even when quiescent components are
+// skipped — within a shard, on the sharded path.
 func (k *Kernel) Add(c Clocked) Handle {
 	if k.stepping {
 		panic("sim: Add called during Step (hooks must not register components)")
 	}
-	if k.lateMark >= 0 {
-		panic("sim: Add after AddLate (late components must be registered last)")
-	}
-	return k.add(c)
-}
-
-// AddLate registers a component that commits in the late phase: after every
-// early component, in registration order — the slot the network wires links
-// into, so credits and flits staged during early commits are applied the
-// same cycle. On the serial path AddLate is identical to Add (late
-// components are last in registration order anyway); the sharded executor
-// uses the early/late split as its commit barrier.
-func (k *Kernel) AddLate(c Clocked) Handle {
-	if k.stepping {
-		panic("sim: AddLate called during Step (hooks must not register components)")
-	}
-	if k.lateMark < 0 {
-		k.lateMark = len(k.components)
-	}
-	return k.add(c)
-}
-
-func (k *Kernel) add(c Clocked) Handle {
 	if k.sh != nil {
 		panic("sim: Add after SetSharding")
 	}
@@ -203,7 +199,9 @@ func (k *Kernel) add(c Clocked) Handle {
 	if hz != nil && k.wheel == nil {
 		k.wheel = newTimingWheel(k.cycle)
 	}
-	k.active = append(k.active, 1)
+	l, _ := c.(Latcher)
+	k.latch = append(k.latch, l)
+	k.active = append(k.active, Awake)
 	if int(h)>>6 >= len(k.actWords) {
 		k.actWords = append(k.actWords, 0)
 	}
@@ -217,11 +215,7 @@ func (k *Kernel) add(c Clocked) Handle {
 func (k *Kernel) SetAlwaysActive(on bool) {
 	k.alwaysActive = on
 	if on {
-		for i := range k.active {
-			k.active[i] = 1
-		}
-		k.setAllBits()
-		k.idle = 0
+		k.wakeAllFlags()
 		if k.sh != nil {
 			k.sh.raiseAll()
 		}
@@ -255,29 +249,45 @@ func (k *Kernel) resetWheels() {
 	}
 }
 
-// Wake re-activates a component so it is evaluated again; waking an
-// already-active component is a no-op.
+// Wake re-activates a component so it is evaluated again, in full, from its
+// next walk slot on; waking a component that is not parked is a no-op. It is
+// the between-steps wake — injection, snapshot restore, the timing wheel, the
+// end-of-step hooks. A component that hands a neighbour input in the middle
+// of a step calls Arrive instead.
 //
 // Concurrency contract: on the serial path Wake must be called from the
-// stepping goroutine only (component Compute/Commit methods, or between
-// steps). On the sharded path Wake is atomic and may be called from any
-// worker — that is what lets NI injection and cross-shard neighbors wake
-// components they do not own — with one restriction the network wiring
-// upholds: during the early commit phase wakes may target only late
-// components, and during the late phase only early ones, so a wake never
-// races the owner shard's own quiescence bookkeeping for the same
-// component.
-func (k *Kernel) Wake(h Handle) {
+// stepping goroutine only. On the sharded path raising a flag is atomic, so
+// Wake is legal from any goroutine while no step is in flight (the NI
+// injection path).
+func (k *Kernel) Wake(h Handle) { k.raise(h, Awake) }
+
+// Arrive tells the kernel that component h was handed input in the middle of
+// this step — a flit staged on one of its input channels, a credit count it
+// parked on lifted off zero. A parked h becomes arrived: it is not computed
+// this cycle, its Latch (not its Commit) runs at its commit slot, and it is
+// awake from the next cycle on — in every walk, whatever the handle order of
+// the two components and whichever shards they are on. On a component that
+// is not parked Arrive is a no-op: its Commit latches anyway.
+//
+// During the compute phase any component may be the target, from any shard
+// (the flag store is atomic and the compute walks skip parked and arrived
+// alike). During the commit phase the target must be in the caller's shard
+// with its commit slot still ahead: the one such edge is a router returning
+// credits to its own tile's interface.
+func (k *Kernel) Arrive(h int) { k.raise(Handle(h), Arrived) }
+
+// raise moves a parked component to the given raised state.
+func (k *Kernel) raise(h Handle, to uint32) {
 	if g := k.group; g != nil {
-		g.wake(k.slot, h)
+		g.raise(k.slot, h, to)
 		return
 	}
 	if sh := k.sh; sh != nil {
-		sh.wake(k, h)
+		sh.raise(k, h, to)
 		return
 	}
-	if k.active[h] == 0 {
-		k.active[h] = 1
+	if k.active[h] == Parked {
+		k.active[h] = to
 		k.actWords[h>>6] |= 1 << (h & 63)
 		k.idle--
 	}
@@ -297,16 +307,11 @@ func (k *Kernel) Waker(h Handle) func() {
 	return func() { k.Wake(h) }
 }
 
-// WakeInt is Wake with an untyped handle — the noc.Waker form. It lets
-// hot-path wiring (links) hold the kernel through one shared interface value
-// instead of a pair of per-component closures.
-func (k *Kernel) WakeInt(h int) { k.Wake(Handle(h)) }
-
 // SetObserver installs a hook called at the end of every Step with the
 // completed cycle number and the active-component count, replacing any
 // hooks installed so far. A nil fn removes them all. Hooks run on the
 // stepping goroutine with all shard workers quiescent; they must not call
-// Step, Add, or AddLate — the kernel's reentrancy guard panics if they do.
+// Step or Add — the kernel's reentrancy guard panics if they do.
 func (k *Kernel) SetObserver(fn func(cycle int64, active int)) {
 	k.observers = k.observers[:0]
 	k.AddObserver(fn)
@@ -339,7 +344,9 @@ func (k *Kernel) ActiveComponents() int {
 		// O(components), paid only when an observer or a caller asks.
 		n := 0
 		for _, f := range k.active {
-			n += int(f)
+			if f != Parked {
+				n++
+			}
 		}
 		return n
 	}
@@ -434,15 +441,20 @@ func (k *Kernel) WakeAll() {
 		g.wakeAll(k)
 		return
 	}
-	for i := range k.active {
-		k.active[i] = 1
-	}
-	k.setAllBits()
-	k.idle = 0
+	k.wakeAllFlags()
 	if k.sh != nil {
 		k.sh.raiseAll()
 	}
 	k.resetWheels()
+}
+
+// wakeAllFlags makes every component awake on the kernel's own flag array.
+func (k *Kernel) wakeAllFlags() {
+	for i := range k.active {
+		k.active[i] = Awake
+	}
+	k.setAllBits()
+	k.idle = 0
 }
 
 // Step advances the simulation by one cycle.
@@ -502,7 +514,7 @@ func (k *Kernel) stepSerial() {
 		if k.alwaysActive {
 			k.walkCommitAll()
 		} else {
-			k.walkCommitQuiesce(true)
+			k.walkCommitQuiesce()
 		}
 	case k.idle == n:
 		// Fully quiescent network: the cycle is pure clock advance. Wakes
@@ -513,14 +525,14 @@ func (k *Kernel) stepSerial() {
 		k.walkSparse()
 	default:
 		k.walkCompute(false)
-		k.walkCommitQuiesce(false)
+		k.walkCommitQuiesce()
 	}
 }
 
 // walkSparse is the event-horizon regime's walk: both phases iterate the
 // summary bitmap instead of scanning every flag. Bits are a superset of the
 // raised flags (see actWords); a bit whose flag turns out clear is pruned in
-// passing. Wakes raised mid-phase land in the words being walked: a wake for
+// passing. Flags raised mid-phase land in the words being walked: one for
 // a not-yet-visited position is picked up this phase (bits above the visit
 // cursor), one for an already-passed position waits for the next cycle —
 // exactly the flag-at-visit-time semantics of the dense walks. Lane segments
@@ -539,9 +551,10 @@ func (k *Kernel) walkSparse() {
 			bit := uint64(1) << b
 			visited |= bit
 			i := w<<6 + b
-			if k.active[i] != 0 {
+			switch k.active[i] {
+			case Awake:
 				k.components[i].Compute(cycle)
-			} else {
+			case Parked:
 				k.actWords[w] &^= bit
 			}
 		}
@@ -557,12 +570,8 @@ func (k *Kernel) walkSparse() {
 			bit := uint64(1) << b
 			visited |= bit
 			i := w<<6 + b
-			if k.active[i] == 0 {
-				k.actWords[w] &^= bit
-				continue
-			}
-			k.commitOne(i, cycle, true)
-			if k.active[i] == 0 {
+			k.commitOne(i, cycle)
+			if k.active[i] == Parked {
 				k.actWords[w] &^= bit
 			}
 		}
@@ -703,16 +712,19 @@ func (k *Kernel) stepOracle() {
 	// each component's own commit visit, below), so a component whose flag
 	// is still clear at its commit visit was hashed here.
 	for i := range k.components {
-		if k.active[i] == 0 {
+		if k.active[i] == Parked {
 			k.oracleH[i] = k.oracle(Handle(i))
 		}
 	}
+	// Eager: parked and arrived components are computed too. By the very
+	// contract under test that stages nothing, so an arrived one still only
+	// has input to latch at its commit slot.
 	for _, c := range k.components {
 		c.Compute(cycle)
 	}
 	for i, c := range k.components {
-		if k.active[i] != 0 {
-			k.commitOne(i, cycle, true)
+		if k.active[i] != Parked {
+			k.commitOne(i, cycle)
 			continue
 		}
 		c.Commit(cycle)

@@ -7,7 +7,7 @@ package sim
 // itab load and indirect call per phase per component per cycle, on objects
 // scattered across the heap. A Lane replaces one contiguous run of
 // registered components with a concrete-typed slice owned by the package
-// that knows the element type (router, link, network interface); its walk
+// that knows the element type (router, network interface); its walk
 // methods are tight loops over that slice making direct calls, which the
 // compiler can devirtualize and the CPU can predict. Hand-written per-type
 // lanes are deliberate: a generics-based lane would still dispatch through a
@@ -22,13 +22,10 @@ package sim
 //
 // The sharded executor binds the same lanes per shard (BindShardLane, in
 // shard.go). Its barrier is a spin on an atomic word, so dispatch is what
-// is left to save there too: the index-list walk's per-component interface
-// calls, atomic flag loads and a call to the no-op Link.Compute for every
-// active link measured a fifth of the sharded step. A shard's components
-// are lane-shaped: its routers and interfaces are contiguous handle ranges,
-// and its links an ascending handle subset (a lane handed the whole flag
-// array plus its own index slice). The index-list walk is the path for
-// kernels with an eval hook installed or no lanes bound.
+// is left to save there too, and a shard's components are lane-shaped: its
+// routers and its interfaces are each a contiguous handle range. The
+// index-list walk is the path for kernels with an eval hook installed or no
+// lanes bound.
 
 // Lane is a typed view over the components registered at a contiguous run of
 // kernel handles. Implementations hold the same objects the kernel holds,
@@ -36,25 +33,27 @@ package sim
 // calls.
 //
 // The active slice passed to the Active variants is the kernel's activity
-// flags for exactly this lane's components (index i flags element i; a lane
-// bound with BindShardLaneAt gets the whole array instead).
-// ComputeActive evaluates elements whose flag is nonzero, reading each flag
-// at visit time — a wake earlier in the same phase must be honored, exactly
-// like the generic walk. CommitActive additionally performs the kernel's
-// quiescence bookkeeping inline: after committing an active element that now
-// reports quiet, it clears the element's flag and counts it, returning the
-// number of elements put to sleep (the kernel adjusts its idle counter; a
-// same-phase wake from a later component then re-raises the flag and the
-// accounting stays balanced). Elements whose concrete type does not
-// implement Quiescable must never be counted quiet.
+// flags for exactly this lane's components (index i flags element i).
+// ComputeActive evaluates elements whose flag is 1 (awake) and no others,
+// loading each flag atomically at visit time: on the sharded path other
+// shards raise parked flags to Arrived while the walk runs, and neither a
+// parked nor an arrived element is computed. CommitActive visits elements
+// with a nonzero flag, with plain loads and stores (in a commit phase only
+// the owner touches its flags): an Arrived element gets Latch and a flag of
+// 1, any other Commit. It then performs the kernel's quiescence bookkeeping
+// inline: an element that now reports quiet has its flag cleared and is
+// counted, and the count of elements put to sleep is returned (the kernel
+// adjusts its idle counter; a same-phase Arrive from a later component then
+// re-raises the flag and the accounting stays balanced). Elements whose
+// concrete type does not implement Quiescable must never be counted quiet.
 //
 // Horizoned elements extend the bookkeeping: a committed element that is
 // not quiet but reports a horizon beyond the next cycle is parked exactly
 // like a quiet one (flag cleared, counted in the sleep count). Lanes cannot
 // reach the kernel's timing wheel, so lane-covered elements may only report
-// Never or next-cycle horizons — true of every production lane (routers and
-// links are not Horizoned; NIs report only Never). An element needing a
-// finite timed wake must stay on the generic walk.
+// Never or next-cycle horizons — true of every production lane (routers are
+// not Horizoned; NIs report only Never). An element needing a finite timed
+// wake must stay on the generic walk.
 type Lane interface {
 	// Len returns the number of components the lane covers.
 	Len() int
@@ -64,10 +63,11 @@ type Lane interface {
 	// CommitAll commits every element with no quiescence bookkeeping
 	// (reference mode).
 	CommitAll(cycle int64)
-	// ComputeActive computes elements with a nonzero activity flag.
+	// ComputeActive computes the awake elements.
 	ComputeActive(cycle int64, active []uint32)
-	// CommitActive commits active elements, clears the flags of those that
-	// went quiet, and returns how many it put to sleep.
+	// CommitActive commits awake elements and latches arrived ones, clears
+	// the flags of those that went quiet, and returns how many it put to
+	// sleep.
 	CommitActive(cycle int64, active []uint32) int
 }
 
@@ -128,6 +128,9 @@ func (k *Kernel) Reserve(n int) {
 		hzn := make([]Horizoned, len(k.hzn), need)
 		copy(hzn, k.hzn)
 		k.hzn = hzn
+		latch := make([]Latcher, len(k.latch), need)
+		copy(latch, k.latch)
+		k.latch = latch
 		active := make([]uint32, len(k.active), need)
 		copy(active, k.active)
 		k.active = active
@@ -151,7 +154,7 @@ func (k *Kernel) walkCompute(all bool) {
 			seg.lane.ComputeAll(cycle)
 		} else {
 			for ; i < seg.start; i++ {
-				if k.active[i] != 0 {
+				if k.active[i] == Awake {
 					k.components[i].Compute(cycle)
 				}
 			}
@@ -165,7 +168,7 @@ func (k *Kernel) walkCompute(all bool) {
 		}
 	} else {
 		for ; i < len(k.components); i++ {
-			if k.active[i] != 0 {
+			if k.active[i] == Awake {
 				k.components[i].Compute(cycle)
 			}
 		}
@@ -189,42 +192,49 @@ func (k *Kernel) walkCommitAll() {
 	}
 }
 
-// walkCommitQuiesce runs the commit phase with quiescence bookkeeping. all
-// skips the flag checks (everything is known active); quiet components drop
-// out of the active set either way.
-func (k *Kernel) walkCommitQuiesce(all bool) {
+// walkCommitQuiesce runs the commit phase with quiescence bookkeeping: quiet
+// components drop out of the active set.
+func (k *Kernel) walkCommitQuiesce() {
 	cycle := k.cycle
 	i := 0
 	for _, seg := range k.lanes {
 		for ; i < seg.start; i++ {
-			k.commitOne(i, cycle, all)
+			k.commitOne(i, cycle)
 		}
 		k.idle += seg.lane.CommitActive(cycle, k.active[seg.start:seg.end])
 		i = seg.end
 	}
 	for ; i < len(k.components); i++ {
-		k.commitOne(i, cycle, all)
+		k.commitOne(i, cycle)
 	}
 }
 
-// commitOne is the generic-path commit of component i with quiet tracking
-// and horizon parking: a non-quiet component whose reported horizon lies
-// beyond the next cycle is dropped from the active set like a quiet one,
-// with a timed wake filed for finite horizons (Never parks on the external
-// Wake edge alone).
-func (k *Kernel) commitOne(i int, cycle int64, all bool) {
-	if !all && k.active[i] == 0 {
+// commitOne is the generic-path commit slot of component i: nothing for a
+// parked component, Latch for an arrived one, Commit otherwise, then quiet
+// tracking and horizon parking — a non-quiet component whose reported
+// horizon lies beyond the next cycle is dropped from the active set like a
+// quiet one, with a timed wake filed for finite horizons (Never parks on the
+// external Wake edge alone).
+func (k *Kernel) commitOne(i int, cycle int64) {
+	switch k.active[i] {
+	case Parked:
 		return
+	case Arrived:
+		k.active[i] = Awake
+		if l := k.latch[i]; l != nil {
+			l.Latch(cycle)
+		}
+	default:
+		k.components[i].Commit(cycle)
 	}
-	k.components[i].Commit(cycle)
 	if q := k.quiesc[i]; q != nil && q.Quiet() {
-		k.active[i] = 0
+		k.active[i] = Parked
 		k.idle++
 		return
 	}
 	if hz := k.hzn[i]; hz != nil {
 		if at := hz.Horizon(cycle); at > cycle+1 {
-			k.active[i] = 0
+			k.active[i] = Parked
 			k.idle++
 			if at != Never {
 				k.wheel.schedule(at, Handle(i))

@@ -11,37 +11,39 @@ import (
 // Sharded execution: the kernel's two-phase cycle split across a persistent
 // worker pool, bit-exact with the serial path.
 //
-// The cycle becomes three barrier-separated phases:
+// The cycle is two barrier-separated phases, the serial step's own:
 //
-//	phase 0  Compute  — every shard evaluates all of its active components.
-//	phase 1  Commit-early — shards commit their active early components
-//	         (routers, NIs) in registration order within the shard.
-//	phase 2  Commit-late  — shards commit their active late components
-//	         (links) in registration order within the shard.
+//	phase 0  Compute — every shard computes its awake components.
+//	phase 1  Commit  — every shard visits its awake and arrived components
+//	         in registration order: Commit for the first, Latch for the
+//	         second, then the quiescence bookkeeping.
 //
 // Why this is equivalent to the serial registration-order walk:
 //
 //   - Compute, by the kernel's contract, reads only committed state and
-//     stages into sender-owned storage, so compute order is unobservable.
-//   - Commits perform cross-component writes in exactly one direction:
-//     early components stage onto late ones (credit returns, staged flits
-//     already placed by compute), and late components deliver into early
-//     ones. Within a class, no commit writes to another component of the
-//     same class, so intra-class order is unobservable and classes can run
-//     in parallel; the barrier between phases 1 and 2 preserves the only
-//     order that matters (early-before-late), which is the same order the
-//     serial walk gets from links being registered last.
-//   - Wakes are phase-disjoint: compute-phase wakes target late components
-//     (whose Compute is a no-op, so missing them mid-phase is
-//     unobservable), phase-1 wakes target late components, and phase-2
-//     wakes target early components. A component's active flag is
-//     therefore never woken concurrently with its owner shard clearing it,
-//     and every wake lands before the phase that next evaluates the
-//     target.
+//     stages into storage the component owns or is the sole driver of (the
+//     staging register of a channel it sends on), so compute order is
+//     unobservable.
+//   - A commit writes only what its component owns: its own state, and the
+//     channels it is the sink of — it takes the flit staged there and hands
+//     credits back in place, and nothing reads a credit count before the
+//     next compute phase. The one cross-component commit write is a router
+//     waking the interface of its own tile (below), and the owner assigns
+//     both to one shard with the router first. So commit order across
+//     shards is unobservable and within a shard it is registration order.
+//   - Who wakes whom: a compute-phase Send calls Arrive for the channel's
+//     sink, on any shard. The store is atomic and moves a parked flag to
+//     arrived, which the compute walks skip exactly like parked — so whether
+//     the sink's compute slot had passed is not observable — and after the
+//     barrier the sink's shard finds the flag at the sink's commit slot. A
+//     commit-phase Arrive stays inside the shard and ahead of the walk: a
+//     router whose returned credits lift an injection channel off zero
+//     wakes the interface driving it. Wake, the between-steps form, is legal
+//     from any goroutine while no phase is running.
 //
 // The barrier. A phase of a 32x32 mesh is about a hundred microseconds of
 // work per shard, and a barrier that blocks (channel send + WaitGroup) costs
-// two futex round-trips, six a cycle: more than the parallelism buys — that
+// two futex round-trips per phase: more than the parallelism buys — that
 // design measured 0.6-0.8x serial on two CPUs. Dispatch is therefore a pair
 // of atomic words per waiter (see gate): the stepping goroutine stores the
 // phase into each working shard's gate, runs the first working shard
@@ -69,14 +71,13 @@ import (
 // emission order.
 const (
 	PhaseCompute = 0
-	PhaseEarly   = 1
-	PhaseLate    = 2
+	PhaseCommit  = 1
 )
 
 // Gate words: a posted phase is phase+1 so that zero means "nothing posted".
 const (
-	gateClose = PhaseLate + 2 // worker exits
-	gateDone  = 1             // posted to the stepping goroutine's gate
+	gateClose = PhaseCommit + 2 // worker exits
+	gateDone  = 1               // posted to the stepping goroutine's gate
 )
 
 // Spin budget bounds (see the barrier paragraph above). spinCap covers a
@@ -100,16 +101,16 @@ const (
 	spinCheck = 64
 )
 
-// shardLive says whether a shard may have active components, per commit
-// class; one cache line per shard. A word is raised by every wake edge into
-// the class and rewritten by the owner after the class's commit walk — the
-// one stretch in which no wake targets that class — so outside that walk a
-// raised word means a raised flag, exactly. A summary word and not a count:
-// a count would cost every wake edge a locked add on a line all workers
-// share, and only ActiveComponents needs one.
+// shardLive says whether a shard may have raised components; one cache line
+// per shard. The word is raised by every wake edge into the shard and
+// rewritten by the owner after its commit walk — the one stretch in which no
+// other shard raises its flags — so outside that walk a raised word means a
+// raised flag, exactly. A summary word and not a count: a count would cost
+// every wake edge a locked add on a line all workers share, and only
+// ActiveComponents needs one.
 type shardLive struct {
-	early, late atomic.Uint32
-	_           [56]byte
+	word atomic.Uint32
+	_    [60]byte
 }
 
 // gate is one waiter's half of the phase barrier: a command word its poster
@@ -197,25 +198,19 @@ type sharding struct {
 	shards  int
 	shardOf []int32 // component index -> shard
 
-	// Per-shard ascending component-index lists: the generic walk, taken
-	// when an eval hook is installed or the owner bound no lanes. all is the
-	// compute-phase walk; early/late are the commit-phase walks.
-	all   [][]int32
-	early [][]int32
-	late  [][]int32
+	// comps[s] lists shard s's components in ascending order: the generic
+	// walk, taken when an eval hook is installed or the owner bound no lanes.
+	comps [][]int32
 
 	// Per-shard typed walks (see BindShardLane); laneCover counts the
 	// components they cover, and the lane walk is taken once that is all of
 	// them.
-	earlyLanes [][]shardSeg
-	lateLanes  [][]shardSeg
-	laneCover  int
-	laned      bool // the lane walk is the one in use
+	lanes     [][]shardSeg
+	laneCover int
+	laned     bool // the lane walk is the one in use
 
-	// live[s] is shard s's activity summary (see shardLive); lateMark is the
-	// first late handle, the class boundary wake needs.
-	live     []shardLive
-	lateMark int
+	// live[s] is shard s's activity summary (see shardLive).
+	live []shardLive
 
 	// evalHook, when set, runs immediately before every component
 	// evaluation on the worker that performs it. The probe layer uses it to
@@ -254,12 +249,12 @@ type sharding struct {
 // one persistent worker goroutine per shard after the first (shard 0 always
 // runs on the stepping goroutine). shardOf[i] assigns component (Handle) i;
 // the caller chooses the partition — the network co-locates each node's
-// router, NIs, and incoming links so every commit-phase write except Wake
-// stays inside one shard.
+// router and NIs, and every channel belongs to its sink, so every
+// commit-phase write stays inside one shard.
 //
 // Must be called after all components are registered and before the first
-// Step; the kernel rejects further Add/AddLate calls. Call Close when the
-// simulation is done to release the workers.
+// Step; the kernel rejects further Add calls. Call Close when the simulation
+// is done to release the workers.
 func (k *Kernel) SetSharding(shards int, shardOf []int) {
 	if k.sh != nil {
 		panic("sim: SetSharding called twice")
@@ -277,36 +272,23 @@ func (k *Kernel) SetSharding(shards int, shardOf []int) {
 		panic(fmt.Sprintf("sim: SetSharding got %d assignments for %d components", len(shardOf), len(k.components)))
 	}
 	sh := &sharding{
-		shards:     shards,
-		shardOf:    make([]int32, len(shardOf)),
-		all:        make([][]int32, shards),
-		early:      make([][]int32, shards),
-		late:       make([][]int32, shards),
-		earlyLanes: make([][]shardSeg, shards),
-		lateLanes:  make([][]shardSeg, shards),
-		live:       make([]shardLive, shards),
-		gates:      make([]gate, shards),
-		spin:       shards <= runtime.GOMAXPROCS(0),
+		shards:  shards,
+		shardOf: make([]int32, len(shardOf)),
+		comps:   make([][]int32, shards),
+		lanes:   make([][]shardSeg, shards),
+		live:    make([]shardLive, shards),
+		gates:   make([]gate, shards),
+		spin:    shards <= runtime.GOMAXPROCS(0),
 
 		dispatchMask: make([]bool, shards),
-	}
-	lateMark := k.lateMark
-	if lateMark < 0 {
-		lateMark = len(k.components)
 	}
 	for i, s := range shardOf {
 		if s < 0 || s >= shards {
 			panic(fmt.Sprintf("sim: component %d assigned to shard %d of %d", i, s, shards))
 		}
 		sh.shardOf[i] = int32(s)
-		sh.all[s] = append(sh.all[s], int32(i))
-		if i < lateMark {
-			sh.early[s] = append(sh.early[s], int32(i))
-		} else {
-			sh.late[s] = append(sh.late[s], int32(i))
-		}
+		sh.comps[s] = append(sh.comps[s], int32(i))
 	}
-	sh.lateMark = lateMark
 	k.idle = 0 // the flags and sh.live take over
 	if k.wheel != nil {
 		// Per-shard wheels take over from the serial wheel, which is empty
@@ -322,8 +304,7 @@ func (k *Kernel) SetSharding(shards int, shardOf []int) {
 	}
 	k.sh = sh
 	for s := range sh.live {
-		sh.settle(k, s, PhaseEarly)
-		sh.settle(k, s, PhaseLate)
+		sh.settle(k, s)
 	}
 	sh.done.wake = make(chan struct{}, 1)
 	for s := 1; s < shards; s++ {
@@ -364,8 +345,8 @@ func (k *Kernel) Shards() int {
 
 // SetEvalHook installs a callback invoked immediately before every
 // component evaluation on the sharded path, on the worker goroutine that
-// performs it, with the shard, phase (PhaseCompute/PhaseEarly/PhaseLate),
-// and component index. Nil removes it. The serial path never calls it.
+// performs it, with the shard, phase (PhaseCompute/PhaseCommit), and
+// component index. Nil removes it. The serial path never calls it.
 func (k *Kernel) SetEvalHook(fn func(shard, phase, comp int)) {
 	if sh := k.sh; sh != nil {
 		sh.evalHook = fn
@@ -391,80 +372,50 @@ func (k *Kernel) Close() {
 	sh.workers.Wait()
 }
 
-// anyLive reports whether any shard may have an active component.
+// anyLive reports whether any shard may have a raised component.
 func (sh *sharding) anyLive() bool {
 	for s := range sh.live {
-		if sh.live[s].early.Load()|sh.live[s].late.Load() != 0 {
+		if sh.live[s].word.Load() != 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// raiseAll marks every shard live in both classes (every flag was raised).
+// raiseAll marks every shard live (every flag was raised).
 func (sh *sharding) raiseAll() {
 	for s := range sh.live {
-		sh.live[s].early.Store(1)
-		sh.live[s].late.Store(1)
+		sh.live[s].word.Store(1)
 	}
 }
 
-// settle recomputes one class's live word of shard s from the flags, with
-// an early exit at the first raised one. The owner calls it after a commit
-// walk that put something to sleep; a walk that did not cannot have changed
-// the answer.
-func (sh *sharding) settle(k *Kernel, s, phase int) {
-	list, word := sh.early[s], &sh.live[s].early
-	if phase == PhaseLate {
-		list, word = sh.late[s], &sh.live[s].late
-	}
+// settle recomputes shard s's live word from the flags, with an early exit
+// at the first raised one. The owner calls it after a commit walk that put
+// something to sleep; a walk that did not cannot have changed the answer.
+func (sh *sharding) settle(k *Kernel, s int) {
 	live := uint32(0)
-	for _, i := range list {
-		if atomic.LoadUint32(&k.active[i]) != 0 {
+	for _, i := range sh.comps[s] {
+		if k.active[i] != Parked {
 			live = 1
 			break
 		}
 	}
-	word.Store(live)
+	sh.live[s].word.Store(live)
 }
 
-// wake is the sharded Wake: safe from any worker goroutine. The load keeps
-// the common already-active case to one read; raising a flag is idempotent,
-// so concurrent wakers of one component need no arbitration, and the
-// shard's live word is stored only on its own 0→1 edge.
-//
-// Under the lane walk a late component's flag needs no atomics at all, and
-// that is most wakes (a link is woken by every flit sent onto it and every
-// credit returned to it): outside the late phase nothing reads the flag —
-// the late lanes' compute walks must not, see BindShardLane — and the only
-// writer is the component's one waker of the phase, its sole driver during
-// compute and its sink during the early commits. The atomic store is a full
-// fence, which on a mesh whose stores mostly miss the cache cost a sixth of
-// the sharded step.
-func (sh *sharding) wake(k *Kernel, h Handle) {
-	late := int(h) >= sh.lateMark
-	if late && sh.laned {
-		if k.active[h] != 0 {
-			return
-		}
-		k.active[h] = 1
-	} else {
-		if atomic.LoadUint32(&k.active[h]) != 0 {
-			return
-		}
-		atomic.StoreUint32(&k.active[h], 1)
+// raise is the sharded Wake/Arrive: safe from any worker goroutine during
+// the compute phase. The load keeps the common not-parked case to one read;
+// raising is idempotent per state and every raiser of a phase stores the
+// same state (Arrive inside a step, Wake outside one), so concurrent raisers
+// of one component need no arbitration. The flag and the shard's live word
+// are stored only on their own 0→raised edges: many workers load them, few
+// ever have to write.
+func (sh *sharding) raise(k *Kernel, h Handle, to uint32) {
+	if atomic.LoadUint32(&k.active[h]) != Parked {
+		return
 	}
-	word := &sh.live[sh.shardOf[h]].early
-	if late {
-		word = &sh.live[sh.shardOf[h]].late
-	}
-	raise(word)
-}
-
-// raise sets a live word, storing only when it is not already set: many
-// workers load it, few ever have to write it.
-func raise(word *atomic.Uint32) {
-	if word.Load() == 0 {
+	atomic.StoreUint32(&k.active[h], to)
+	if word := &sh.live[sh.shardOf[h]].word; word.Load() == 0 {
 		word.Store(1)
 	}
 }
@@ -490,20 +441,19 @@ func (k *Kernel) stepSharded() {
 		return
 	}
 	sh.dispatch(k, PhaseCompute)
-	sh.dispatch(k, PhaseEarly)
-	sh.dispatch(k, PhaseLate)
+	sh.dispatch(k, PhaseCommit)
 }
 
 // dispatch fans one phase out to every shard that has work, running the
 // first working shard inline on the stepping goroutine, and waits for the
-// barrier. Idleness is re-read per phase: commit-phase wakes can hand work
-// to a shard that was fully idle when the cycle started.
+// barrier. Idleness is re-read per phase: a compute-phase Arrive can hand
+// work to a shard that was fully idle when the cycle started.
 func (sh *sharding) dispatch(k *Kernel, phase int) {
 	inline := -1
 	n := 0
 	mask := sh.dispatchMask
 	for s := 0; s < sh.shards; s++ {
-		w := sh.shardWorks(k, s, phase)
+		w := len(sh.comps[s]) != 0 && (k.alwaysActive || sh.live[s].word.Load() != 0)
 		mask[s] = w
 		if !w {
 			continue
@@ -531,81 +481,24 @@ func (sh *sharding) dispatch(k *Kernel, phase int) {
 	}
 }
 
-// shardWorks reports whether shard s has anything to do in the phase. A
-// false positive (dispatched shard finds all its components asleep) only
-// costs a scan; a false negative would drop work, so the test is
-// conservative: any active component in the shard dispatches it for every
-// phase that has a non-empty walk list.
-func (sh *sharding) shardWorks(k *Kernel, s, phase int) bool {
-	var list []int32
-	switch phase {
-	case PhaseCompute:
-		list = sh.all[s]
-	case PhaseEarly:
-		list = sh.early[s]
-	default:
-		list = sh.late[s]
-	}
-	if len(list) == 0 {
-		return false
-	}
-	return k.alwaysActive || sh.live[s].early.Load()|sh.live[s].late.Load() != 0
-}
-
 // shardSeg is one typed segment of a shard's walk: a lane over components
-// the shard owns, and the window of the activity flags the lane is handed.
+// the shard owns, handles [start, end).
 type shardSeg struct {
-	lane Lane
-	// A contiguous segment covers handles [start, end) and sees
-	// active[start:end]; a scattered one sees the whole array and indexes it
-	// by the handles it was built with (end is then its last handle + 1).
+	lane       Lane
 	start, end int
-	scattered  bool
-}
-
-func (g shardSeg) flags(k *Kernel) []uint32 {
-	if g.scattered {
-		return k.active
-	}
-	return k.active[g.start:g.end]
 }
 
 // BindShardLane installs a typed lane over the components at handles
-// [start, start+lane.Len()), all of which must belong to the given shard and
-// to one commit class. It is BindLane for the sharded step: the same Lane
-// implementations serve both, because a shard's routers and interfaces are
-// contiguous handle ranges. Bind a shard's lanes in ascending handle order,
-// after SetSharding and before the first Step.
+// [start, start+lane.Len()), all of which must belong to the given shard. It
+// is BindLane for the sharded step: the same Lane implementations serve
+// both, because a shard's routers and interfaces are contiguous handle
+// ranges. Bind a shard's lanes in ascending handle order, after SetSharding
+// and before the first Step.
 //
-// The shard walks its lanes instead of its index lists once every component
+// The shard walks its lanes instead of its index list once every component
 // of the kernel is covered by some shard's lanes and no eval hook is
-// installed. Lanes read and write the activity flags with plain loads and
-// stores, which is sound for the reason wakes are phase-disjoint (see the
-// header): while a shard walks a class's flags, no wake targets that class.
-// The one exception is the compute phase, whose wakes target late
-// components — so a lane over late components must not read its flags in
-// ComputeActive (the production one, the link lane, computes nothing).
+// installed.
 func (k *Kernel) BindShardLane(shard int, start Handle, lane Lane) {
-	if n := lane.Len(); n != 0 {
-		k.bindShardSeg(shard, shardSeg{lane: lane, start: int(start), end: int(start) + n}, nil)
-	}
-}
-
-// BindShardLaneAt is BindShardLane for components that are not contiguous:
-// handles lists them in ascending order, one per lane element. The lane is
-// handed the kernel's whole flag array and must index it by those same
-// handles (see noc.ShardLinkLane, which keeps this very slice).
-func (k *Kernel) BindShardLaneAt(shard int, handles []int32, lane Lane) {
-	if len(handles) != lane.Len() {
-		panic(fmt.Sprintf("sim: BindShardLaneAt got %d handles for a lane of %d", len(handles), lane.Len()))
-	}
-	if len(handles) != 0 {
-		first, last := int(handles[0]), int(handles[len(handles)-1])
-		k.bindShardSeg(shard, shardSeg{lane: lane, start: first, end: last + 1, scattered: true}, handles)
-	}
-}
-
-func (k *Kernel) bindShardSeg(shard int, seg shardSeg, handles []int32) {
 	sh := k.sh
 	if sh == nil {
 		panic("sim: BindShardLane on a kernel that is not sharded")
@@ -613,36 +506,25 @@ func (k *Kernel) bindShardSeg(shard int, seg shardSeg, handles []int32) {
 	if k.stepping {
 		panic("sim: BindShardLane called during Step")
 	}
+	n := lane.Len()
+	if n == 0 {
+		return
+	}
+	seg := shardSeg{lane: lane, start: int(start), end: int(start) + n}
 	if shard < 0 || shard >= sh.shards || seg.start < 0 || seg.end > len(k.components) {
 		panic("sim: BindShardLane shard or range outside the kernel")
 	}
-	list := &sh.earlyLanes[shard]
-	if seg.start >= sh.lateMark {
-		list = &sh.lateLanes[shard]
-	} else if seg.end > sh.lateMark {
-		panic("sim: BindShardLane range spans early and late components")
-	}
+	list := &sh.lanes[shard]
 	if n := len(*list); n > 0 && (*list)[n-1].end > seg.start {
 		panic("sim: BindShardLane ranges overlap or are out of order")
 	}
-	owned := func(h int) {
+	for h := seg.start; h < seg.end; h++ {
 		if int(sh.shardOf[h]) != shard {
 			panic(fmt.Sprintf("sim: BindShardLane covers component %d of shard %d, not %d", h, sh.shardOf[h], shard))
 		}
 	}
-	if handles == nil {
-		for h := seg.start; h < seg.end; h++ {
-			owned(h)
-		}
-	}
-	for i, h := range handles {
-		if i > 0 && h <= handles[i-1] {
-			panic("sim: BindShardLaneAt handles not ascending")
-		}
-		owned(int(h))
-	}
 	*list = append(*list, seg)
-	sh.laneCover += seg.lane.Len()
+	sh.laneCover += n
 	sh.relane(k)
 }
 
@@ -663,61 +545,42 @@ func (k *Kernel) runShard(s, phase int) {
 	k.runShardGeneric(s, phase)
 }
 
-// runShardLanes is the typed walk: the shard's lanes in handle order, early
-// class before late, with the kernel's quiescence bookkeeping done inline by
-// the lanes and folded into the shard's live word once per phase.
+// runShardLanes is the typed walk: the shard's lanes in handle order, with
+// the kernel's quiescence bookkeeping done inline by the lanes and folded
+// into the shard's live word once per cycle.
 func (k *Kernel) runShardLanes(s, phase int) {
 	sh := k.sh
 	cycle := k.cycle
-	if phase == PhaseCompute {
-		for _, segs := range [2][]shardSeg{sh.earlyLanes[s], sh.lateLanes[s]} {
-			for _, g := range segs {
-				if k.alwaysActive {
-					g.lane.ComputeAll(cycle)
-				} else {
-					g.lane.ComputeActive(cycle, g.flags(k))
-				}
-			}
-		}
-		return
-	}
-	segs := sh.earlyLanes[s]
-	if phase == PhaseLate {
-		segs = sh.lateLanes[s]
-	}
 	quiets := 0
-	for _, g := range segs {
-		if k.alwaysActive {
+	for _, g := range sh.lanes[s] {
+		flags := k.active[g.start:g.end]
+		switch {
+		case phase == PhaseCompute && k.alwaysActive:
+			g.lane.ComputeAll(cycle)
+		case phase == PhaseCompute:
+			g.lane.ComputeActive(cycle, flags)
+		case k.alwaysActive:
 			g.lane.CommitAll(cycle)
-		} else {
-			quiets += g.lane.CommitActive(cycle, g.flags(k))
+		default:
+			quiets += g.lane.CommitActive(cycle, flags)
 		}
 	}
 	if quiets != 0 {
-		sh.settle(k, s, phase)
+		sh.settle(k, s)
 	}
 }
 
 // runShardGeneric is the index-list walk through the Clocked interface, with
-// the eval hook: the path probed runs and lane-less kernels take. Its flag
-// accesses are atomic because its compute walk also visits late components,
-// which compute-phase wakes target concurrently.
+// the eval hook: the path probed runs and lane-less kernels take. Like the
+// lanes it loads flags atomically in the compute phase, which other shards'
+// Arrives run alongside, and plainly in the commit phase, which they do not.
 func (k *Kernel) runShardGeneric(s, phase int) {
 	sh := k.sh
 	hook := sh.evalHook
 	cycle := k.cycle
 	if phase == PhaseCompute {
-		if k.alwaysActive {
-			for _, i := range sh.all[s] {
-				if hook != nil {
-					hook(s, PhaseCompute, int(i))
-				}
-				k.components[i].Compute(cycle)
-			}
-			return
-		}
-		for _, i := range sh.all[s] {
-			if atomic.LoadUint32(&k.active[i]) != 0 {
+		for _, i := range sh.comps[s] {
+			if k.alwaysActive || atomic.LoadUint32(&k.active[i]) == Awake {
 				if hook != nil {
 					hook(s, PhaseCompute, int(i))
 				}
@@ -726,30 +589,36 @@ func (k *Kernel) runShardGeneric(s, phase int) {
 		}
 		return
 	}
-	list := sh.early[s]
-	if phase == PhaseLate {
-		list = sh.late[s]
-	}
 	if k.alwaysActive {
-		for _, i := range list {
+		for _, i := range sh.comps[s] {
 			if hook != nil {
-				hook(s, phase, int(i))
+				hook(s, PhaseCommit, int(i))
 			}
 			k.components[i].Commit(cycle)
 		}
 		return
 	}
-	quiets := int32(0)
-	for _, i := range list {
-		if atomic.LoadUint32(&k.active[i]) == 0 {
+	quiets := 0
+	for _, i := range sh.comps[s] {
+		switch k.active[i] {
+		case Parked:
 			continue
+		case Arrived:
+			k.active[i] = Awake
+			if l := k.latch[i]; l != nil {
+				if hook != nil {
+					hook(s, PhaseCommit, int(i))
+				}
+				l.Latch(cycle)
+			}
+		default:
+			if hook != nil {
+				hook(s, PhaseCommit, int(i))
+			}
+			k.components[i].Commit(cycle)
 		}
-		if hook != nil {
-			hook(s, phase, int(i))
-		}
-		k.components[i].Commit(cycle)
 		if q := k.quiesc[i]; q != nil && q.Quiet() {
-			atomic.StoreUint32(&k.active[i], 0)
+			k.active[i] = Parked
 			quiets++
 			continue
 		}
@@ -758,7 +627,7 @@ func (k *Kernel) runShardGeneric(s, phase int) {
 		// by the stepping goroutine between cycles.
 		if hz := k.hzn[i]; hz != nil {
 			if at := hz.Horizon(cycle); at > cycle+1 {
-				atomic.StoreUint32(&k.active[i], 0)
+				k.active[i] = Parked
 				quiets++
 				if at != Never {
 					sh.wheels[s].schedule(at, Handle(i))
@@ -767,6 +636,6 @@ func (k *Kernel) runShardGeneric(s, phase int) {
 		}
 	}
 	if quiets != 0 {
-		sh.settle(k, s, phase)
+		sh.settle(k, s)
 	}
 }

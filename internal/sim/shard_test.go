@@ -29,8 +29,7 @@ func (h *hostile) Compute(cycle int64) {
 func (h *hostile) Commit(cycle int64) {}
 
 // TestReentrancyGuard pins the hook contract: observers and component
-// methods must not step the kernel or register components mid-step, and
-// registration order (early before late) is enforced at Add time.
+// methods must not step the kernel or register components mid-step.
 func TestReentrancyGuard(t *testing.T) {
 	t.Run("StepFromObserver", func(t *testing.T) {
 		k := NewKernel()
@@ -48,12 +47,6 @@ func TestReentrancyGuard(t *testing.T) {
 		k := NewKernel()
 		k.Add(&hostile{onCompute: func() { k.Add(&hostile{}) }})
 		mustPanic(t, "Add during Step", k.Step)
-	})
-	t.Run("AddAfterAddLate", func(t *testing.T) {
-		k := NewKernel()
-		k.Add(&hostile{})
-		k.AddLate(&hostile{})
-		mustPanic(t, "Add after AddLate", func() { k.Add(&hostile{}) })
 	})
 	t.Run("AddAfterSetSharding", func(t *testing.T) {
 		k := NewKernel()
@@ -136,107 +129,112 @@ func TestFastForward(t *testing.T) {
 	}
 }
 
-// pinger is an early component holding tokens: each active cycle it burns
-// one and pokes its late partner with a unit of work plus a wake — the
-// early-commit-writes-late pattern (credit returns) the phase barrier
-// makes safe.
-type pinger struct {
-	tokens   int
-	computes int
-	commits  int
-	partner  *ponger
-	wake     func()
+// relay is the channel pattern in miniature. It owns an input register its
+// one upstream stages into during the compute phase (with an Arrive, as
+// Link.Send does) and latches it at the end of its commit; while it holds
+// work and fuel it forwards a unit downstream each cycle, and without fuel
+// it burns one. When its work runs out it tells the bell registered right
+// after it, from its commit — the router-returns-credits-to-its-interface
+// edge, the one commit-phase Arrive there is.
+type relay struct {
+	k          *Kernel
+	down       *relay
+	downH      int
+	bellH      int
+	staged     int // input register: written by upstream's Compute, taken by Latch
+	work, fuel int
+	sent       bool
+
+	computes, commits, latches int
 }
 
-func (p *pinger) Compute(cycle int64) { p.computes++ }
-func (p *pinger) Commit(cycle int64) {
-	p.commits++
-	if p.tokens > 0 {
-		p.tokens--
-		p.partner.pending++
-		p.wake()
+func (r *relay) Compute(cycle int64) {
+	r.computes++
+	if r.work > 0 && r.fuel > 0 {
+		r.down.staged++
+		r.k.Arrive(r.downH)
+		r.sent = true
 	}
 }
-func (p *pinger) Quiet() bool { return p.tokens == 0 }
 
-// ponger is a late component: it works off the pending units its pinger
-// staged, and each time it finishes a batch it refuels the pinger — the
-// late-commit-writes-early pattern (link delivery) plus a cross-phase wake.
-type ponger struct {
-	pending  int
-	refills  int
-	computes int
-	commits  int
-	partner  *pinger
-	wake     func()
-}
-
-func (p *ponger) Compute(cycle int64) { p.computes++ }
-func (p *ponger) Commit(cycle int64) {
-	p.commits++
-	if p.pending > 0 {
-		p.pending--
-		if p.pending == 0 && p.refills > 0 {
-			p.refills--
-			p.partner.tokens += 2
-			p.wake()
+func (r *relay) Commit(cycle int64) {
+	r.commits++
+	if r.work > 0 {
+		r.work--
+		if r.sent {
+			r.fuel--
+		}
+		if r.work == 0 {
+			r.k.Arrive(r.bellH)
 		}
 	}
+	r.sent = false
+	r.Latch(cycle)
 }
-func (p *ponger) Quiet() bool { return p.pending == 0 }
 
-// buildPingPong wires nPairs pinger/ponger pairs into a kernel, optionally
-// sharded with each pair's components co-assigned round-robin. Returns the
-// kernel plus the components for inspection.
-func buildPingPong(nPairs, shards int) (*Kernel, []*pinger, []*ponger) {
+func (r *relay) Latch(cycle int64) {
+	r.latches++
+	r.work += r.staged
+	r.staged = 0
+}
+
+func (r *relay) Quiet() bool { return r.work == 0 }
+
+// bell is always quiet: every evaluation it ever gets after the first cycle
+// is the Latch of an Arrive.
+type bell struct{ computes, commits, latches int }
+
+func (b *bell) Compute(cycle int64) { b.computes++ }
+func (b *bell) Commit(cycle int64)  { b.commits++ }
+func (b *bell) Latch(cycle int64)   { b.latches++ }
+func (b *bell) Quiet() bool         { return true }
+
+// buildRelays wires n relay+bell pairs into a kernel: relay i feeds relay
+// (i*5+3)%n, so upstream handles lie both below and above their sinks', and
+// with shards > 0 pair i lives on shard i%shards, so most edges cross a
+// boundary. Returns the kernel plus the components for inspection.
+func buildRelays(n, shards int) (*Kernel, []*relay, []*bell) {
 	k := NewKernel()
-	pingers := make([]*pinger, nPairs)
-	pongers := make([]*ponger, nPairs)
-	for i := range pingers {
-		pingers[i] = &pinger{tokens: 3 + i%4}
-		pongers[i] = &ponger{refills: 2}
-		pingers[i].partner = pongers[i]
-		pongers[i].partner = pingers[i]
-	}
+	relays := make([]*relay, n)
+	bells := make([]*bell, n)
 	var shardOf []int
-	for i, p := range pingers {
-		h := k.Add(p)
-		pongers[i].wake = k.Waker(h)
-		shardOf = append(shardOf, i%max(shards, 1))
+	for i := range relays {
+		relays[i] = &relay{k: k, work: i % 3, fuel: 2 + i%4}
+		bells[i] = &bell{}
+		k.Add(relays[i])
+		relays[i].bellH = int(k.Add(bells[i]))
+		shardOf = append(shardOf, i%max(shards, 1), i%max(shards, 1))
 	}
-	for i, p := range pongers {
-		h := k.AddLate(p)
-		pingers[i].wake = k.Waker(h)
-		// Deliberately co-locate some pairs and split others across shards,
-		// so both intra- and cross-shard wakes are exercised.
-		shardOf = append(shardOf, (i+i%2)%max(shards, 1))
+	for i, r := range relays {
+		j := (i*5 + 3) % n
+		r.down, r.downH = relays[j], 2*j
 	}
 	if shards > 0 {
 		k.SetSharding(shards, shardOf)
 	}
-	return k, pingers, pongers
+	return k, relays, bells
 }
 
-// TestShardedToyEquivalence runs the ping-pong workload — cross-phase,
-// cross-shard wakes and writes in both directions — serial and at several
-// shard counts, and requires identical per-component evaluation counts and
-// identical final state. Run under -race this also proves the wake path and
-// phase barriers are data-race free.
+// TestShardedToyEquivalence runs the relay workload — compute-phase Arrives
+// across shards in both handle directions, commit-phase Arrives inside one —
+// serial and at several shard counts, and requires identical per-component
+// evaluation counts and identical final state. Run under -race this also
+// proves the Arrive path and the phase barrier are data-race free.
 func TestShardedToyEquivalence(t *testing.T) {
-	const nPairs = 13
+	const n = 13
 	type snapshot struct {
-		computes, commits []int
-		active            int
-		cycle             int64
+		counts []int
+		active int
+		cycle  int64
 	}
 	run := func(shards int) snapshot {
-		k, pingers, pongers := buildPingPong(nPairs, shards)
+		k, relays, bells := buildRelays(n, shards)
 		defer k.Close()
 		k.Run(60)
 		var s snapshot
-		for i := range pingers {
-			s.computes = append(s.computes, pingers[i].computes, pongers[i].computes)
-			s.commits = append(s.commits, pingers[i].commits, pongers[i].commits)
+		for i := range relays {
+			r, b := relays[i], bells[i]
+			s.counts = append(s.counts, r.computes, r.commits, r.latches, r.work, r.fuel, b.computes, b.commits, b.latches)
 		}
 		s.active = k.ActiveComponents()
 		s.cycle = k.Cycle()
@@ -246,15 +244,21 @@ func TestShardedToyEquivalence(t *testing.T) {
 	if want.active != 0 {
 		t.Fatalf("reference run did not quiesce: %d active", want.active)
 	}
+	arrivals := 0
+	for i := 0; i < n; i++ {
+		arrivals += want.counts[8*i+7] - want.counts[8*i+6]
+	}
+	if arrivals == 0 {
+		t.Fatal("reference run never latched a bell: the commit-phase Arrive is not exercised")
+	}
 	for _, shards := range []int{1, 2, 3, 5, 13} {
 		got := run(shards)
 		if got.cycle != want.cycle || got.active != want.active {
 			t.Errorf("shards=%d: cycle/active = %d/%d, want %d/%d", shards, got.cycle, got.active, want.cycle, want.active)
 		}
-		for i := range want.computes {
-			if got.computes[i] != want.computes[i] || got.commits[i] != want.commits[i] {
-				t.Fatalf("shards=%d: component %d evaluated %d/%d times, want %d/%d",
-					shards, i, got.computes[i], got.commits[i], want.computes[i], want.commits[i])
+		for i := range want.counts {
+			if got.counts[i] != want.counts[i] {
+				t.Fatalf("shards=%d: pair %d count %d is %d, serial %d", shards, i/8, i%8, got.counts[i], want.counts[i])
 			}
 		}
 	}
