@@ -78,13 +78,15 @@ bench-json:
 ## Soft gate: a regression prints a loud warning but does not fail
 ## `make check` — timings from different machines are not comparable, and
 ## the committed snapshots are the authoritative record. Investigate any
-## warning with a longer -benchtime run before trusting it.
+## warning with a longer -benchtime run before trusting it. The snapshot it
+## writes is thrown away with the temp dir, so it is taken with -allow-dirty
+## (as bench-smoke does): check runs on working trees.
 bench-compare:
 	@base=$$(ls BENCH_*.json 2>/dev/null | sort | tail -n 1); \
 	if [ -z "$$base" ]; then echo "bench-compare: no committed BENCH_*.json baseline, skipping"; exit 0; fi; \
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) test -run '^$$' -bench . -benchtime 1x . > "$$tmp/bench.txt" && \
-	$(GO) run ./cmd/noxbench -in "$$tmp/bench.txt" -out "$$tmp/new.json" && \
+	$(GO) run ./cmd/noxbench -in "$$tmp/bench.txt" -out "$$tmp/new.json" -allow-dirty && \
 	{ $(GO) run ./cmd/noxbench -compare -threshold 0.50 "$$base" "$$tmp/new.json" || \
 	  { [ $$? -eq 1 ] && echo "bench-compare: WARNING: regression vs $$base (soft gate, check not failed)"; }; }
 

@@ -27,8 +27,10 @@ type Arbiter interface {
 // "Packets decoded by this means are received in the order which they won
 // arbitration, maintaining any fairness or prioritization mechanisms").
 type RoundRobin struct {
-	n    int
-	next int
+	// Both fit a byte (width is at most 32): routers embed one arbiter per
+	// output by value, so the pair costs two bytes of the port's record.
+	n    uint8
+	next uint8
 }
 
 // NewRoundRobin returns an arbiter over n request lines with initial
@@ -46,11 +48,11 @@ func (a *RoundRobin) Init(n int) {
 	if n <= 0 || n > 32 {
 		panic("arbiter: width must be in [1,32]")
 	}
-	*a = RoundRobin{n: n}
+	*a = RoundRobin{n: uint8(n)}
 }
 
 // Width returns the number of request lines.
-func (a *RoundRobin) Width() int { return a.n }
+func (a *RoundRobin) Width() int { return int(a.n) }
 
 // Peek returns the requester that would win without rotating the priority:
 // the lowest set bit at or above the priority pointer, wrapping to the
@@ -60,8 +62,8 @@ func (a *RoundRobin) Peek(requests uint32) (int, bool) {
 	if requests == 0 {
 		return 0, false
 	}
-	if hi := requests >> uint(a.next); hi != 0 {
-		return a.next + bits.TrailingZeros32(hi), true
+	if hi := requests >> a.next; hi != 0 {
+		return int(a.next) + bits.TrailingZeros32(hi), true
 	}
 	return bits.TrailingZeros32(requests), true
 }
@@ -70,7 +72,7 @@ func (a *RoundRobin) Peek(requests uint32) (int, bool) {
 func (a *RoundRobin) Grant(requests uint32) (int, bool) {
 	w, ok := a.Peek(requests)
 	if ok {
-		a.next = w + 1
+		a.next = uint8(w + 1)
 		if a.next == a.n {
 			a.next = 0
 		}

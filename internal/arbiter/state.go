@@ -43,7 +43,7 @@ func Restore(a Arbiter, state []uint64) error {
 		if len(state) != 1 || state[0] >= uint64(a.n) {
 			return fmt.Errorf("arbiter: bad round-robin state %v for width %d", state, a.n)
 		}
-		a.next = int(state[0])
+		a.next = uint8(state[0])
 		return nil
 	case *Matrix:
 		if len(state) != (a.n*a.n+63)/64 {

@@ -25,4 +25,15 @@
 //
 // Decoded packets emerge in the order they won arbitration, preserving the
 // arbiter's fairness properties.
+//
+// # Layout
+//
+// InputPort and OutputControl are values: the NoX router embeds one of each
+// in every per-port record (and a network interface embeds an InputPort as
+// its sink), so both keep the state a cycle touches first and narrow — the
+// FIFO header, register and staged flags; four 32-bit masks, byte-wide mode,
+// lock and width, the round-robin arbiter by value — and what Init wires once
+// (route row, arena, a custom arbiter) behind it. Neither owns scratch: a
+// collision's constituents are gathered on the stack of the goroutine that
+// decides it, so outputs cost no per-output storage and shards share none.
 package core

@@ -34,8 +34,28 @@ import (
 // lifetime: decode-path presentation copies it creates, and the encoded
 // register value (with the constituents it absorbs) it retires. See Commit.
 type InputPort struct {
+	// The port is embedded by value in the NoX router's per-port record (and
+	// in every network interface), so the state a cycle touches leads — the
+	// queue, the register, the cached presentation, the staged flags — and
+	// what Init wires once follows.
 	fifo buffer.FIFO
 	reg  *noc.Flit
+
+	// offerCache memoizes the decoded presentation within a cycle so the
+	// same *Flit object is offered, sent, and serviced; nil when no decode
+	// has been presented this cycle.
+	offerCache *noc.Flit
+
+	serviceStaged bool
+	// absorbed marks that this cycle's offer was superimposed into an
+	// encoded output flit, which then owns it (see OfferAbsorbed).
+	absorbed bool
+	// lenient converts decode protocol violations from panics into staged
+	// poison consumed at the next commit (see Offer/Commit). Armed by
+	// fault-injection runs, where a corrupted chain is an expected outcome
+	// and a panic on a sharded worker goroutine would kill the process.
+	lenient bool
+	poison  error
 
 	// row is this router's precomputed route-table row indexed by packet
 	// destination (lookahead route computation in one load); routeFn is the
@@ -46,27 +66,6 @@ type InputPort struct {
 	// arena recycles decode copies and dead register superpositions; nil
 	// falls back to heap allocation with no recycling.
 	arena *noc.Arena
-
-	// offerCache memoizes the decoded presentation within a cycle so the
-	// same *Flit object is offered, sent, and serviced.
-	offerCache      *noc.Flit
-	offerCacheValid bool
-
-	serviceStaged bool
-	// absorbed marks that this cycle's offer was superimposed into an
-	// encoded output flit, which then owns it (see OfferAbsorbed).
-	absorbed bool
-
-	// lastSuccessor is retireRegister scratch for the single-element
-	// successor set of a chain's final raw member.
-	lastSuccessor [1]*noc.Flit
-
-	// lenient converts decode protocol violations from panics into staged
-	// poison consumed at the next commit (see Offer/Commit). Armed by
-	// fault-injection runs, where a corrupted chain is an expected outcome
-	// and a panic on a sharded worker goroutine would kill the process.
-	lenient bool
-	poison  error
 }
 
 // Events reports what an InputPort did at a clock edge, for energy and
@@ -151,7 +150,7 @@ func (p *InputPort) Offer() (f *noc.Flit, decoded bool, ok bool) {
 			// Mid-chain bubble: the next chain flit has not arrived yet.
 			return nil, false, false
 		}
-		if !p.offerCacheValid {
+		if p.offerCache == nil {
 			orig, err := noc.Decode(p.reg, head)
 			if err != nil {
 				if p.lenient {
@@ -166,7 +165,6 @@ func (p *InputPort) Offer() (f *noc.Flit, decoded bool, ok bool) {
 			cp := p.arena.Clone(orig)
 			cp.OutPort = p.route(cp.Packet.Dst)
 			p.offerCache = cp
-			p.offerCacheValid = true
 		}
 		return p.offerCache, true, true
 	}
@@ -239,8 +237,8 @@ func (p *InputPort) Commit() Events {
 			// on cycle 3 and transmitted itself on cycle 4).
 			ev.Reads++
 			p.reg = nil
-			p.lastSuccessor[0] = head
-			p.retireRegister(old, p.lastSuccessor[:])
+			last := [1]*noc.Flit{head}
+			p.retireRegister(old, last[:])
 		}
 
 	case serviced:
@@ -284,7 +282,6 @@ func (p *InputPort) Commit() Events {
 	}
 
 	p.offerCache = nil
-	p.offerCacheValid = false
 	p.absorbed = false
 	return ev
 }
@@ -325,7 +322,6 @@ func (p *InputPort) Flush(release func(*noc.Flit)) {
 		p.arena.Release(p.offerCache)
 	}
 	p.offerCache = nil
-	p.offerCacheValid = false
 	p.serviceStaged = false
 	p.absorbed = false
 	p.poison = nil

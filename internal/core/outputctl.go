@@ -10,7 +10,7 @@ import (
 
 // Mode is the operating mode of an output's arbitration and masking logic
 // (§2.6).
-type Mode int
+type Mode uint8
 
 const (
 	// Recovery is the reactive mode: switch and arbitration masks are
@@ -64,34 +64,42 @@ type Decision struct {
 	Stalled bool
 }
 
+// MaxInputs is the widest switch an OutputControl can decide for: its masks
+// are 32-bit words.
+const MaxInputs = 32
+
 // OutputControl is the per-output arbitration and masking logic of §2.6
 // plus the wormhole output lock that keeps multi-flit packets contiguous.
 // Decide is compute-phase (it stages the next masks); Commit applies them.
 type OutputControl struct {
-	n   int
-	all uint32
-	arb arbiter.Arbiter
-
-	mode       Mode
+	// The control block is embedded by value in the NoX router's per-port
+	// record; its fields are as narrow as the radix bound (32 inputs) allows,
+	// the masks first because every Decide reads them.
 	switchMask uint32
 	arbMask    uint32
-	lockOwner  int // input holding the output through a multi-flit packet; -1 if none
-
 	// staged next state
-	nextMode       Mode
 	nextSwitchMask uint32
 	nextArbMask    uint32
-	nextLockOwner  int
+	all            uint32
 
-	// arena pools the encoded superpositions this output creates; colliders
-	// is the reusable gather scratch for their constituent sets.
-	arena     *noc.Arena
-	colliders []*noc.Flit
+	mode          Mode
+	nextMode      Mode
+	lockOwner     int8 // input holding the output through a multi-flit packet; -1 if none
+	nextLockOwner int8
 
 	// lenient tolerates an orphan multi-flit body (its earlier flits were
 	// lost to an injected fault) by traversing it and engaging the lock
 	// instead of panicking; armed by fault-injection runs.
 	lenient bool
+	n       uint8
+
+	// rr is the default round-robin arbiter, held by value; arb is the
+	// arbiter in use and points at rr unless Init was handed another.
+	rr  arbiter.RoundRobin
+	arb arbiter.Arbiter
+
+	// arena pools the encoded superpositions this output creates.
+	arena *noc.Arena
 }
 
 // NewOutputControl returns control logic for one output fed by n inputs,
@@ -103,29 +111,29 @@ func NewOutputControl(n int, arb arbiter.Arbiter) *OutputControl {
 }
 
 // Init initializes a zero OutputControl in place — the slab-construction
-// form. A nil arb installs a round-robin arbiter; a nil arena falls back to
-// heap-allocated superpositions. colliders, when non-nil, becomes the gather
-// scratch (must be empty with capacity >= n), letting a router carve every
-// output's scratch from one slab.
+// form. A nil arb selects the round-robin arbiter the control block carries
+// by value; a nil arena falls back to heap-allocated superpositions.
+// colliders is accepted for the callers written against the earlier form and
+// is not used: the constituents of a collision are gathered on the stack (see
+// superimpose).
 func (o *OutputControl) Init(n int, arb arbiter.Arbiter, arena *noc.Arena, colliders []*noc.Flit) {
+	if n <= 0 || n > MaxInputs {
+		panic("core: output control width must be in [1,32]")
+	}
+	all := uint32(uint64(1)<<uint(n) - 1)
+	*o = OutputControl{
+		n: uint8(n), all: all,
+		mode: Recovery, switchMask: all, arbMask: all, lockOwner: -1,
+		arena: arena,
+	}
 	if arb == nil {
-		arb = arbiter.NewRoundRobin(n)
+		o.rr.Init(n)
+		arb = &o.rr
 	}
 	if arb.Width() != n {
 		panic("core: arbiter width mismatch")
 	}
-	if colliders == nil {
-		colliders = make([]*noc.Flit, 0, n)
-	} else if len(colliders) != 0 || cap(colliders) < n {
-		panic("core: Init colliders must be empty with capacity >= n")
-	}
-	all := uint32(1<<n) - 1
-	*o = OutputControl{
-		n: n, all: all, arb: arb,
-		mode: Recovery, switchMask: all, arbMask: all, lockOwner: -1,
-		arena:     arena,
-		colliders: colliders,
-	}
+	o.arb = arb
 }
 
 // Mode returns the current operating mode.
@@ -138,7 +146,7 @@ func (o *OutputControl) Masks() (switchMask, arbMask uint32) {
 
 // Locked returns the input transmitting a multi-flit packet through this
 // output, or -1.
-func (o *OutputControl) Locked() int { return o.lockOwner }
+func (o *OutputControl) Locked() int { return int(o.lockOwner) }
 
 // StagedMode returns the mode staged by this cycle's Decide (applied at the
 // coming Commit). The router's protocol checker uses it to assert that a
@@ -177,7 +185,7 @@ func (o *OutputControl) hold() {
 
 // stage records the next-cycle state.
 func (o *OutputControl) stage(m Mode, sw, ar uint32, lock int) {
-	o.nextMode, o.nextSwitchMask, o.nextArbMask, o.nextLockOwner = m, sw, ar, lock
+	o.nextMode, o.nextSwitchMask, o.nextArbMask, o.nextLockOwner = m, sw, ar, int8(lock)
 }
 
 // Commit applies the staged state. Decide must have run this cycle.
@@ -188,7 +196,7 @@ func (o *OutputControl) Commit() {
 
 // Decide evaluates one cycle for this output. offers[i] is the flit input i
 // presents to this output (nil if input i is idle or requesting another
-// output); creditOK reports downstream buffer availability. The returned
+// output), one entry per input of the switch; creditOK reports downstream buffer availability. The returned
 // decision tells the router what to drive and which input to service.
 //
 // The rules implemented here are the paper's §2.6/§2.7 behavior:
@@ -214,17 +222,25 @@ func (o *OutputControl) Commit() {
 //   - Exhausted credits stall the output with all state held, preserving
 //     chain integrity.
 func (o *OutputControl) Decide(offers []*noc.Flit, creditOK bool) Decision {
-	if len(offers) != o.n {
-		panic("core: offers slice width mismatch")
-	}
-	d := Decision{Serviced: -1, Granted: -1}
-
 	var reqMask uint32
 	for i, f := range offers {
 		if f != nil {
 			reqMask |= 1 << i
 		}
 	}
+	return o.DecideFor(offers, reqMask, creditOK)
+}
+
+// DecideFor is Decide for a switch that keeps one vector of presentations
+// for all of its outputs: offers[i] is whatever input i presents this cycle,
+// to any output, and reqMask has a bit per input whose presentation is routed
+// to this one. Entries outside reqMask are not looked at, so the router
+// builds no per-output row.
+func (o *OutputControl) DecideFor(offers []*noc.Flit, reqMask uint32, creditOK bool) Decision {
+	if len(offers) < int(o.n) || reqMask&^o.all != 0 {
+		panic("core: offers narrower than the switch, or a request from beyond it")
+	}
+	d := Decision{Serviced: -1, Granted: -1}
 
 	if reqMask == 0 {
 		// Idle: with no requests and no lock, re-arm Recovery mode with all
@@ -253,14 +269,14 @@ func (o *OutputControl) Decide(offers []*noc.Flit, creditOK bool) Decision {
 	// "significantly less frequent than in purely speculative
 	// architectures".
 	if o.lockOwner >= 0 {
-		f := offers[o.lockOwner]
-		if f == nil {
+		if reqMask&(1<<uint(o.lockOwner)) == 0 {
 			// Upstream bubble inside the packet.
 			o.hold()
 			return d
 		}
+		f := offers[o.lockOwner]
 		d.Out = f
-		d.Serviced = o.lockOwner
+		d.Serviced = int(o.lockOwner)
 		if f.Tail() {
 			a := reqMask & o.arbMask &^ (1 << o.lockOwner)
 			o.grantAndScheduleNext(a, &d)
@@ -361,11 +377,7 @@ func (o *OutputControl) Decide(offers []*noc.Flit, creditOK bool) Decision {
 
 		// Productive collision: superimpose the colliders, service the
 		// winner, and narrow the masks to the losers.
-		colliders := o.colliders[:0]
-		for m := s; m != 0; m &= m - 1 {
-			colliders = append(colliders, offers[bits.TrailingZeros32(m)])
-		}
-		d.Out = o.arena.Encode(colliders)
+		d.Out = o.superimpose(offers, s)
 		d.Serviced = g
 		d.ColliderMask = s
 
@@ -380,6 +392,23 @@ func (o *OutputControl) Decide(offers []*noc.Flit, creditOK bool) Decision {
 		}
 		return d
 	}
+}
+
+// superimpose encodes the offers of the input set s into one wire flit. The
+// gather scratch is on this goroutine's stack (Encode copies the set into the
+// pooled constituent slice), so it costs no per-output storage and two shards
+// never share it; the function is kept out of line so that only a collision
+// pays for clearing that scratch, not every Decide.
+//
+//go:noinline
+func (o *OutputControl) superimpose(offers []*noc.Flit, s uint32) *noc.Flit {
+	var gather [MaxInputs]*noc.Flit
+	k := 0
+	for m := s; m != 0; m &= m - 1 {
+		gather[k] = offers[bits.TrailingZeros32(m)]
+		k++
+	}
+	return o.arena.Encode(gather[:k])
 }
 
 // grantAndScheduleNext runs Scheduled-mode arbitration: a grant becomes the

@@ -143,11 +143,16 @@ func (c *Config) fill() {
 // roughly one shard per 64 routers, capped at GOMAXPROCS — beyond that the
 // phase barrier cannot spin and sharding loses to serial at every size.
 //
-// The crossover is where the default measurably pays for the CPUs it takes
-// (BenchmarkNetworkCycleLarge -benchtime 2000x, 2 CPUs, loaded NoX cycle,
-// serial vs two shards): 16x16 34-37 vs 28-62 us — 1.1x at best and a loss
-// at worst, for twice the CPU, which a parallel sweep would rather spend on
-// another cell; 24x24 110 vs 80 us; 32x32 328-336 vs 176-183 us.
+// The crossover is where the default measurably paid for the CPUs it takes
+// when it was set (BenchmarkNetworkCycleLarge -benchtime 2000x, 2 CPUs,
+// loaded NoX cycle, serial vs two shards): 16x16 34-37 vs 28-62 us — 1.1x at
+// best and a loss at worst, for twice the CPU, which a parallel sweep would
+// rather spend on another cell; 24x24 110 vs 80 us; 32x32 328-336 vs 176-183
+// us. The per-port router records since made the serial step ~30 % cheaper
+// and the sharded one ~10 %: 24x24 now reads 82-85 vs 78 us (a tie) and
+// 32x32 229-241 vs 154-164 us (1.45x), so the crossover is due a re-measure
+// upward; it is left where it was because moving it is a policy change of
+// its own.
 func AutoShards(routers int) int {
 	procs := runtime.GOMAXPROCS(0)
 	if routers < 576 || procs == 1 {
@@ -169,9 +174,19 @@ func AutoShards(routers int) int {
 type shardLocal struct {
 	counters power.Counters
 	arena    noc.Arena
-	mailbox  []delivery
-	_        [128]byte
+	// links is what every channel latched by this shard shares (see
+	// noc.LinkEnv): the kernel, the fault injector, this shard's arena and
+	// its probe child.
+	links   noc.LinkEnv
+	mailbox []delivery
+	_       [128]byte
 }
+
+// owned is the Receiver of a channel a router latches itself (Link.Take): the
+// hand-driven Commit that would deliver through it is never called.
+type owned struct{}
+
+func (owned) Receive(*noc.Flit, int64) { panic("network: hand-driven Commit of a router-owned link") }
 
 // delivery is one completed packet staged by a shard worker for the step
 // epilogue, which replays deliveries in interface order — the order the
@@ -453,16 +468,32 @@ func New(cfg Config) *Network {
 	// Each link learns the handle of the component owning its sink, so a Send
 	// tells the kernel a parked consumer has input, and — injection channels
 	// only — the handle of the interface driving it, so a credit count
-	// lifting off zero re-activates a producer parked on backpressure.
+	// lifting off zero re-activates a producer parked on backpressure. What
+	// the channels of one sink shard have in common — kernel, injector, the
+	// arena a flit dropped at the latch is released to, the probe child —
+	// they share through that shard's LinkEnv.
+	for i := range n.local {
+		env := &n.local[i].links
+		env.Waker, env.Arena, env.Probe = n.kernel, &n.local[i].arena, n.probe
+		if n.fault != nil { // a nil FaultInjector must stay a nil Tamperer
+			env.Tamper = n.fault
+		}
+		if probeChildren != nil {
+			env.Probe = probeChildren[i]
+		}
+	}
 	links := make([]*noc.Link, 0, linkCount)
-	newLink := func(slot int, sink noc.Receiver, credits int, sinkH, srcH sim.Handle, arena *noc.Arena) *noc.Link {
+	// newLink builds the channel in slab slot `slot` that sinkNode's shard
+	// latches; probeNode/probePort name its driver in probe events.
+	newLink := func(slot int, sink noc.Receiver, credits int, sinkH, srcH sim.Handle, sinkNode, probeNode, probePort int) *noc.Link {
 		l := &linkSlab[slot]
 		l.Init(sink, credits)
-		l.SetWake(n.kernel, int(sinkH), int(srcH))
-		if n.fault != nil {
-			// A flit dropped at the latch is released on the sink's shard.
-			l.SetTamper(n.fault, len(links), arena)
+		shard := 0
+		if sharded {
+			shard = int(n.shardOfNode[sinkNode])
 		}
+		l.Bind(&n.local[shard].links, len(links), int(sinkH), int(srcH))
+		l.SetProbeID(probeNode, probePort)
 		links = append(links, l)
 		return l
 	}
@@ -475,30 +506,21 @@ func New(cfg Config) *Network {
 				continue
 			}
 			dst, in := n.routers[nb], p.Opposite()
-			l := newLink(inSlot(int(nb), in), dst.InputReceiver(in), cfg.BufferDepth, routerHandle[nb], -1, n.arenaOf(int(nb)))
+			l := newLink(inSlot(int(nb), in), owned{}, cfg.BufferDepth, routerHandle[nb], -1, int(nb), id, int(p))
 			r.SetOutputLink(p, l)
 			dst.SetInputLink(in, l)
-			if n.probe != nil {
-				l.SetProbe(probeFor(int(nb)), id, int(p))
-			}
 		}
 		// Local ports: one injection and one ejection link per core.
 		for k := 0; k < sys.Concentration; k++ {
 			coreID := sys.CoreID(noc.NodeID(id), k)
 			port := sys.LocalPort(coreID)
 			ni := n.nis[coreID]
-			inj := newLink(inSlot(id, port), r.InputReceiver(port), cfg.BufferDepth, routerHandle[id], n.niHandle[coreID], n.arenaOf(id))
+			inj := newLink(inSlot(id, port), owned{}, cfg.BufferDepth, routerHandle[id], n.niHandle[coreID], id, int(coreID), -1)
 			ni.injectLink = inj
 			r.SetInputLink(port, inj)
-			if n.probe != nil {
-				inj.SetProbe(probeFor(id), int(coreID), -1)
-			}
-			ej := newLink(inSlot(id, port)+sys.Concentration, ni, cfg.SinkDepth, n.niHandle[coreID], -1, n.arenaOf(id))
+			ej := newLink(inSlot(id, port)+sys.Concentration, ni, cfg.SinkDepth, n.niHandle[coreID], -1, id, id, int(port))
 			r.SetOutputLink(port, ej)
 			ni.ejectLink = ej
-			if n.probe != nil {
-				ej.SetProbe(probeFor(id), id, int(port))
-			}
 		}
 	}
 	n.links = links

@@ -234,27 +234,32 @@ func TestShardedQuiescence(t *testing.T) {
 
 // TestShardedStepAllocs pins the 0 allocs/op contract: once mailboxes and
 // event buffers have reached steady-state capacity, stepping a sharded
-// network with traffic in flight (probe disabled) must not allocate.
+// network of any architecture with traffic in flight (probe disabled) must
+// not allocate.
 func TestShardedStepAllocs(t *testing.T) {
-	net := New(Config{Topo: noc.Topology{Width: 8, Height: 8}, Arch: router.NoX, Shards: 4})
-	defer net.Close()
-	rng := sim.NewRNG(7)
-	cores := net.Cores()
-	warm := func() {
-		for inj := 0; inj < 3; inj++ {
-			src := noc.NodeID(rng.Intn(cores))
-			dst := noc.NodeID(rng.Intn(cores))
-			if src != dst {
-				net.Inject(src, dst, 2, 0)
+	for _, arch := range router.Archs {
+		t.Run(arch.String(), func(t *testing.T) {
+			net := New(Config{Topo: noc.Topology{Width: 8, Height: 8}, Arch: arch, Shards: 4})
+			defer net.Close()
+			rng := sim.NewRNG(7)
+			cores := net.Cores()
+			warm := func() {
+				for inj := 0; inj < 3; inj++ {
+					src := noc.NodeID(rng.Intn(cores))
+					dst := noc.NodeID(rng.Intn(cores))
+					if src != dst {
+						net.Inject(src, dst, 2, 0)
+					}
+				}
+				net.Step()
 			}
-		}
-		net.Step()
-	}
-	for cyc := 0; cyc < 200; cyc++ {
-		warm()
-	}
-	if avg := testing.AllocsPerRun(100, func() { net.Step() }); avg != 0 {
-		t.Errorf("sharded Step allocates %v allocs/op in steady state", avg)
+			for cyc := 0; cyc < 200; cyc++ {
+				warm()
+			}
+			if avg := testing.AllocsPerRun(100, func() { net.Step() }); avg != 0 {
+				t.Errorf("sharded Step allocates %v allocs/op in steady state", avg)
+			}
+		})
 	}
 }
 

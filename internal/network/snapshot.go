@@ -93,6 +93,7 @@ func (n *Network) RestoreState(d *codec.Decoder) error {
 		return fmt.Errorf("%w: packet accounting %d injected / %d delivered at cycle %d",
 			codec.ErrCorrupt, injected, delivered, cycle)
 	}
+	d.SetCores(n.Cores())
 	for id, r := range n.routers {
 		d.SetArena(n.arenaOf(id))
 		if err := r.RestoreState(d); err != nil {
@@ -263,7 +264,8 @@ func (ni *NI) RestoreState(d *codec.Decoder) error {
 	}
 	ni.cur, ni.curSeq = cur, curSeq
 	ni.assembling, ni.expectSeq = assembling, expectSeq
-	return ni.sink.RestoreState(d)
+	// Every flit that reached a sink ejects: no output port to hold it to.
+	return ni.sink.RestoreState(d, ^uint32(0))
 }
 
 // saveLedger writes the invariant checker's state. The in-flight oracle map

@@ -47,6 +47,32 @@ type Tamperer interface {
 	LinkStalled(site int32, cycle int64) bool
 }
 
+// LinkEnv is what the channels latched by one shard of one network share:
+// the kernel they wake, the fault injector they consult, the flit pool a
+// dropped flit returns to and the probe that hears of deliveries. A link
+// holds one pointer to it instead of a copy of each, which is most of what
+// keeps the per-channel record to a cache line. Every field is optional; the
+// zero LinkEnv is a channel with no kernel, no faults and no probe.
+type LinkEnv struct {
+	// Waker is told of every Send (by the sink's handle) and of a credit
+	// count lifting off zero (by the driver's).
+	Waker Waker
+	// Tamper, when non-nil, is the fault injector of these channels; each
+	// identifies itself by its site index.
+	Tamper Tamperer
+	// Arena is the sink-side flit pool a flit dropped on the wire is
+	// released to (the sink takes the flit, so the release stays
+	// intra-shard). Nil leaks dropped flit objects; the injector accounts
+	// for them.
+	Arena *Arena
+	// Probe, when non-nil, receives an EvLink event per delivered flit.
+	Probe *probe.Probe
+}
+
+// noEnv is the environment of a link nobody bound: hand-driven channels in
+// tests and rigs.
+var noEnv LinkEnv
+
 // Link is a unidirectional 64-bit channel with credit-based flow control.
 // One simulated cycle covers switch traversal plus the 2 mm channel (§6.1
 // folds the 98 ps link delay into every router's clock period), so a flit
@@ -71,7 +97,8 @@ type Tamperer interface {
 type Link struct {
 	// staged and credits lead: they are all a sink's latch and a sender's
 	// Ready touch on a cycle the channel is idle, and a network carves each
-	// sink's input channels contiguously (see network.New).
+	// sink's input channels contiguously (see network.New). The whole record
+	// is one 64-byte line.
 	staged  *Flit
 	credits int32
 	// sinkH is the kernel handle of the component owning the sink side,
@@ -79,28 +106,22 @@ type Link struct {
 	// returned credits lift the count off zero (NI.Horizon parks on an
 	// exhausted injection channel), -1 when the driver is a router — a
 	// router holding flits is never quiet, so it needs no such edge.
-	// Optional: an unwired link wakes nobody.
 	sinkH int32
-	srcH  int32
-	waker Waker
+	// env is what the channel shares with its neighbours (never nil).
+	env  *LinkEnv
+	srcH int32
 
-	// tamper, when non-nil, is the fault injector for this channel; site is
-	// the network-assigned channel index and tamperArena the sink-side arena
-	// that dropped flits are released to (the sink takes the flit, so the
-	// release stays intra-shard). capacity remembers the initial credit
-	// count for post-drain conservation checks.
-	tamper      Tamperer
-	site        int32
-	capacity    int32
-	tamperArena *Arena
+	// site is the network-assigned channel index the fault injector keys
+	// on. capacity remembers the initial credit count for post-drain
+	// conservation checks.
+	site     int32
+	capacity int32
 
-	// probe, when non-nil, receives an EvLink event per delivered flit.
-	// probeNode/probePort identify the channel by its driver: (router, port)
-	// for inter-router and ejection channels, (core, -1) for injection
-	// channels.
-	probe     *probe.Probe
+	// probeNode/probePort identify the channel to the probe by its driver:
+	// (router, port) for inter-router and ejection channels, (core, -1) for
+	// injection channels.
 	probeNode int32
-	probePort int32
+	probePort int8
 
 	// returns counts credit returns staged through ReturnCredit and sink is
 	// where Commit delivers: the hand-driven form only.
@@ -125,28 +146,22 @@ func (l *Link) Init(sink Receiver, credits int) {
 	if credits <= 0 {
 		panic("noc: link requires positive credits")
 	}
-	*l = Link{sink: sink, credits: int32(credits), capacity: int32(credits), sinkH: -1, srcH: -1}
+	*l = Link{sink: sink, credits: int32(credits), capacity: int32(credits), sinkH: -1, srcH: -1, env: &noEnv}
 }
 
-// SetWake installs the kernel hooks: sink is the handle of the component
-// owning the receiving side (told of every Send, so a parked sink latches
-// the flit), and src the handle of the sender-side component to tell when
-// returned credits lift the count off zero, -1 for none.
-func (l *Link) SetWake(w Waker, sink, src int) {
-	l.waker, l.sinkH, l.srcH = w, int32(sink), int32(src)
+// Bind places the link in a network: env is the environment it shares with
+// the other channels its sink's shard latches, site its channel index, sink the kernel handle of the component owning the
+// receiving side (told of every Send, so a parked sink latches the flit) and
+// src the handle of the sender-side component to tell when returned credits
+// lift the count off zero, -1 for none.
+func (l *Link) Bind(env *LinkEnv, site, sink, src int) {
+	l.env, l.site, l.sinkH, l.srcH = env, int32(site), int32(sink), int32(src)
 }
 
-// SetProbe attaches the observability probe to this link, identified by the
+// SetProbeID names the channel in the probe events of its environment by the
 // driving (node, port); injection channels pass the core ID with port -1.
-func (l *Link) SetProbe(p *probe.Probe, node, port int) {
-	l.probe, l.probeNode, l.probePort = p, int32(node), int32(port)
-}
-
-// SetTamper installs a fault injector on this channel. arena is the
-// sink-side flit arena dropped flits are released to; it may be nil, in
-// which case dropped flit objects leak (the injector accounts for them).
-func (l *Link) SetTamper(t Tamperer, site int, arena *Arena) {
-	l.tamper, l.site, l.tamperArena = t, int32(site), arena
+func (l *Link) SetProbeID(node, port int) {
+	l.probeNode, l.probePort = int32(node), int8(port)
 }
 
 // Credits returns the sender's current credit count.
@@ -175,10 +190,7 @@ func (l *Link) RestoreCredits(c int) error {
 // on Ready rather than Credits() > 0 so that injected stalls behave exactly
 // like real backpressure.
 func (l *Link) Ready(cycle int64) bool {
-	if l.credits == 0 {
-		return false
-	}
-	return l.tamper == nil || !l.tamper.LinkStalled(l.site, cycle)
+	return l.credits != 0 && (l.env.Tamper == nil || !l.env.Tamper.LinkStalled(l.site, cycle))
 }
 
 // Send stages a flit for the sink to take at this cycle's commit, consuming
@@ -197,8 +209,8 @@ func (l *Link) Send(f *Flit) {
 	}
 	l.credits--
 	l.staged = f
-	if l.waker != nil {
-		l.waker.Arrive(int(l.sinkH))
+	if w := l.env.Waker; w != nil {
+		w.Arrive(int(l.sinkH))
 	}
 }
 
@@ -218,22 +230,21 @@ func (l *Link) Take(cycle int64) *Flit {
 func (l *Link) take(cycle int64) *Flit {
 	f := l.staged
 	l.staged = nil
-	if l.tamper != nil && l.tamper.TamperFlit(l.site, cycle, f) {
+	env := l.env
+	if env.Tamper != nil && env.Tamper.TamperFlit(l.site, cycle, f) {
 		// Dropped on the wire: the sink never learns about the flit, so the
 		// sender's consumed credit is never returned. Only the flit object
 		// itself is recycled — constituents of an encoded flit may still be
 		// referenced upstream and are left to leak (accounted for by the
 		// injector's Leaky flag).
-		if l.tamperArena != nil {
-			l.tamperArena.Release(f)
-		}
+		env.Arena.Release(f)
 		return nil
 	}
-	if l.probe != nil {
+	if pr := env.Probe; pr != nil {
 		if f.Encoded {
-			l.probe.Link(cycle, int(l.probeNode), int(l.probePort), f.Raw, -1)
+			pr.Link(cycle, int(l.probeNode), int(l.probePort), f.Raw, -1)
 		} else {
-			l.probe.Link(cycle, int(l.probeNode), int(l.probePort), f.Packet.ID, f.Seq)
+			pr.Link(cycle, int(l.probeNode), int(l.probePort), f.Packet.ID, f.Seq)
 		}
 	}
 	return f
@@ -245,16 +256,16 @@ func (l *Link) take(cycle int64) *Flit {
 // reads it before the next compute phase.
 func (l *Link) ReturnCredits(cycle int64, n int) {
 	was := l.credits
-	if l.tamper != nil {
-		n = l.tamper.TamperCredits(l.site, cycle, n)
+	if t := l.env.Tamper; t != nil {
+		n = t.TamperCredits(l.site, cycle, n)
 	}
 	l.credits += int32(n)
 	// Credit exhaustion lifted: an interface parked on a full injection
 	// channel must re-evaluate. Its home router — this channel's sink —
 	// shares its shard and commits before it, so the wake stays shard-local
 	// and lands ahead of the interface's own commit slot.
-	if was == 0 && l.credits > 0 && l.srcH >= 0 && l.waker != nil {
-		l.waker.Arrive(int(l.srcH))
+	if was == 0 && l.credits > 0 && l.srcH >= 0 && l.env.Waker != nil {
+		l.env.Waker.Arrive(int(l.srcH))
 	}
 }
 

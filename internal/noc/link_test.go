@@ -112,7 +112,7 @@ func (a *arrivals) Arrive(h int) { *a = append(*a, h) }
 func TestLinkSinkLatch(t *testing.T) {
 	var woke arrivals
 	l := NewLink(&recorder{}, 2)
-	l.SetWake(&woke, 7, 3)
+	l.Bind(&LinkEnv{Waker: &woke}, 0, 7, 3)
 	f, g := NewFlit(NewPacket(1, 0, 1, 1, 0, 0), 0), NewFlit(NewPacket(2, 0, 1, 1, 0, 0), 0)
 
 	if l.Take(0) != nil {
@@ -139,7 +139,7 @@ func TestLinkSinkLatch(t *testing.T) {
 	// A router-driven channel names no driver and wakes none.
 	woke = nil
 	r := NewLink(&recorder{}, 1)
-	r.SetWake(&woke, 7, -1)
+	r.Bind(&LinkEnv{Waker: &woke}, 0, 7, -1)
 	r.Send(f)
 	r.Take(0)
 	r.ReturnCredits(0, 1)

@@ -8,70 +8,67 @@ import (
 
 // NewLane groups routers into a typed dispatch lane for the kernel's serial
 // step (sim.BindLane) or one shard of its sharded step (sim.BindShardLane): a
-// concrete-typed slice whose walk loops make direct,
-// devirtualizable calls instead of per-component interface dispatch. The
-// routers must all be one concrete architecture (a network's always are —
-// SpecFast and SpecAccurate share one implementation) and must be passed in
-// their kernel registration order.
+// concrete-typed slice whose walk loops make direct, devirtualizable calls
+// instead of per-component interface dispatch. The routers must all be one
+// concrete architecture (a network's always are — SpecFast and SpecAccurate
+// share one implementation) and be passed in kernel registration order.
 func NewLane(rs []Router) sim.Lane {
 	if len(rs) == 0 {
 		panic("router: NewLane of no routers")
 	}
 	switch rs[0].(type) {
 	case *noxRouter:
-		l := make(noxLane, len(rs))
-		for i, r := range rs {
-			l[i] = r.(*noxRouter)
-		}
-		return l
+		return &noxLane{rs: typed[*noxRouter](rs)}
 	case *specRouter:
-		l := make(specLane, len(rs))
-		for i, r := range rs {
-			l[i] = r.(*specRouter)
-		}
-		return l
+		return specLane(typed[*specRouter](rs))
 	case *nonspecRouter:
-		l := make(nonspecLane, len(rs))
-		for i, r := range rs {
-			l[i] = r.(*nonspecRouter)
-		}
-		return l
+		return nonspecLane(typed[*nonspecRouter](rs))
 	default:
 		panic("router: NewLane of unknown router type")
 	}
 }
 
-// The three lanes are hand-written rather than generic on purpose: a
-// generics-based lane dispatches through a dictionary for pointer type
-// parameters and devirtualizes nothing.
-
-type noxLane []*noxRouter
-
-func (l noxLane) Len() int { return len(l) }
-
-func (l noxLane) ComputeAll(cycle int64) {
-	for _, r := range l {
-		r.Compute(cycle)
+// typed asserts every router to the lane's concrete type.
+func typed[T Router](rs []Router) []T {
+	out := make([]T, len(rs))
+	for i, r := range rs {
+		out[i] = r.(T)
 	}
+	return out
 }
 
-func (l noxLane) CommitAll(cycle int64) {
-	for _, r := range l {
+// The three lanes are hand-written rather than generic on purpose: a
+// generics-based lane dispatches through a dictionary for pointer type
+// parameters and devirtualizes nothing. ComputeAll is ComputeActive with no
+// flags to consult.
+
+// noxLane also owns the Compute scratch of its routers (see noxScratch).
+type noxLane struct {
+	rs []*noxRouter
+	s  noxScratch
+}
+
+func (l *noxLane) Len() int { return len(l.rs) }
+
+func (l *noxLane) ComputeAll(cycle int64) { l.ComputeActive(cycle, nil) }
+
+func (l *noxLane) CommitAll(cycle int64) {
+	for _, r := range l.rs {
 		r.Commit(cycle)
 	}
 }
 
-func (l noxLane) ComputeActive(cycle int64, active []uint32) {
-	for i, r := range l {
-		if atomic.LoadUint32(&active[i]) == sim.Awake {
-			r.Compute(cycle)
+func (l *noxLane) ComputeActive(cycle int64, active []uint32) {
+	for i, r := range l.rs {
+		if active == nil || atomic.LoadUint32(&active[i]) == sim.Awake {
+			r.compute(cycle, &l.s)
 		}
 	}
 }
 
-func (l noxLane) CommitActive(cycle int64, active []uint32) int {
+func (l *noxLane) CommitActive(cycle int64, active []uint32) int {
 	quiets := 0
-	for i, r := range l {
+	for i, r := range l.rs {
 		switch active[i] {
 		case sim.Parked:
 			continue
@@ -93,11 +90,7 @@ type specLane []*specRouter
 
 func (l specLane) Len() int { return len(l) }
 
-func (l specLane) ComputeAll(cycle int64) {
-	for _, r := range l {
-		r.Compute(cycle)
-	}
-}
+func (l specLane) ComputeAll(cycle int64) { l.ComputeActive(cycle, nil) }
 
 func (l specLane) CommitAll(cycle int64) {
 	for _, r := range l {
@@ -107,7 +100,7 @@ func (l specLane) CommitAll(cycle int64) {
 
 func (l specLane) ComputeActive(cycle int64, active []uint32) {
 	for i, r := range l {
-		if atomic.LoadUint32(&active[i]) == sim.Awake {
+		if active == nil || atomic.LoadUint32(&active[i]) == sim.Awake {
 			r.Compute(cycle)
 		}
 	}
@@ -137,11 +130,7 @@ type nonspecLane []*nonspecRouter
 
 func (l nonspecLane) Len() int { return len(l) }
 
-func (l nonspecLane) ComputeAll(cycle int64) {
-	for _, r := range l {
-		r.Compute(cycle)
-	}
-}
+func (l nonspecLane) ComputeAll(cycle int64) { l.ComputeActive(cycle, nil) }
 
 func (l nonspecLane) CommitAll(cycle int64) {
 	for _, r := range l {
@@ -151,7 +140,7 @@ func (l nonspecLane) CommitAll(cycle int64) {
 
 func (l nonspecLane) ComputeActive(cycle int64, active []uint32) {
 	for i, r := range l {
-		if atomic.LoadUint32(&active[i]) == sim.Awake {
+		if active == nil || atomic.LoadUint32(&active[i]) == sim.Awake {
 			r.Compute(cycle)
 		}
 	}

@@ -4,9 +4,22 @@ import (
 	"math/bits"
 
 	"repro/internal/arbiter"
-	"repro/internal/buffer"
 	"repro/internal/noc"
 )
+
+// nsPort is the non-speculative router's own half of port p: output p's
+// channel, arbiter and wormhole lock.
+type nsPort struct {
+	out *noc.Link
+	// arb is output p's arbiter; it points at rr unless Config.NewArbiter
+	// supplied another.
+	arb arbiter.Arbiter
+	rr  arbiter.RoundRobin
+	// lock is the input holding output p through a multi-flit packet, -1 if
+	// none; lockNext is its staged successor, valid for touched outputs.
+	lock     int8
+	lockNext int8
+}
 
 // nonspecRouter is the canonical sequential baseline of §3.1.1: switch
 // arbitration and switch traversal execute back-to-back within one long
@@ -14,19 +27,8 @@ import (
 // overlapped. Outputs are productive every cycle regardless of internal
 // contention — the architecture trades clock period for efficiency.
 type nonspecRouter struct {
-	base
-	// in is a value slab; its FIFO rings are carved from one shared slot slab.
-	in   []buffer.FIFO
-	arb  []arbiter.Arbiter
-	lock []int
-
-	// staged actions
-	pops     []bool
-	lockNext []int
-
-	// per-cycle scratch
-	req  []uint32
-	head []*noc.Flit
+	baseline
+	port []nsPort
 	// touched is the dirty-output mask of the current cycle: outputs with at
 	// least one requester, i.e. the only ones whose lockNext Compute wrote.
 	// Commit applies exactly these — a requestless output's lock is held by
@@ -34,65 +36,26 @@ type nonspecRouter struct {
 	touched uint32
 }
 
-func newNonSpec(cfg Config) *nonspecRouter {
+func newNonSpec(cfg *Config) *nonspecRouter {
 	s := cfg.Slabs
 	r := &s.nonspecs.take(1, s.chunk)[0]
-	r.init(cfg)
-	n := r.ports
-	r.in = s.fifos.take(n, s.chunk)
-	r.arb = s.arbIfs.take(n, s.chunk)
-	ints := s.ints.take(2*n, s.chunk)
-	r.lock = ints[:n:n]
-	r.lockNext = ints[n:]
-	r.pops = s.bools.take(n, s.chunk)
-	r.req = s.uint32s.take(n, s.chunk)
-	r.head = s.flits.take(n, s.chunk)
-	sl := buffer.SlotsFor(cfg.BufferDepth)
-	slots := s.flits.take(n*sl, s.chunk)
-	arb := arbMaker(&cfg, n)
-	for p := range r.in {
-		r.in[p].Init(cfg.BufferDepth, slots[p*sl:(p+1)*sl:(p+1)*sl])
-		r.arb[p] = arb(p)
-		r.lock[p] = -1
+	r.init(cfg, r)
+	r.port = s.nsPorts.take(cfg.Ports, s.chunk)
+	for i := range r.port {
+		p := &r.port[i]
+		p.arb = arbiterFor(cfg, &p.rr)
+		p.lock = -1
 	}
-	r.initReceivers(r)
 	return r
 }
 
-func (r *nonspecRouter) receive(p noc.Port, f *noc.Flit, cycle int64) {
-	if f.Encoded {
-		panic("router: non-speculative router received an encoded flit")
-	}
-	if r.overflow(p, f, cycle, r.in[p].Free()) {
-		return
-	}
-	f.OutPort = r.route(f.Packet.Dst)
-	r.in[p].Push(f)
-	r.counters().BufWrite++
-	if pr := r.probe(); pr != nil {
-		pr.BufWrite(cycle, r.node(), int(p), f.Packet.ID, f.Seq)
-	}
-}
+// SetOutputLink registers the link driven by port p.
+func (r *nonspecRouter) SetOutputLink(p noc.Port, l *noc.Link) { r.wire(&r.port[p].out, p, l) }
 
-// BufferedFlits returns the number of flits held in input FIFOs.
-func (r *nonspecRouter) BufferedFlits() int {
-	n := 0
-	for i := range r.in {
-		n += r.in[i].Len()
-	}
-	return n
-}
-
-// PortStates implements Router: input FIFO occupancy plus the matching
-// output's wormhole lock and link credits.
+// PortStates implements Router.
 func (r *nonspecRouter) PortStates(buf []PortState) []PortState {
-	for p := 0; p < r.ports; p++ {
-		ps := PortState{Buffered: r.in[p].Len(), OutMode: -1, OutLock: -1, OutCredits: -1}
-		if r.outLink[p] != nil {
-			ps.OutLock = r.lock[p]
-			ps.OutCredits = r.outLink[p].Credits()
-		}
-		buf = append(buf, ps)
+	for i := range r.port {
+		buf = append(buf, r.portState(i, r.port[i].out, r.port[i].lock))
 	}
 	return buf
 }
@@ -102,136 +65,70 @@ func (r *nonspecRouter) PortStates(buf []PortState) []PortState {
 // buffers (upstream bubble inside a wormhole packet) but are held, not
 // mutated, by empty cycles; the arrival that ends the bubble re-activates
 // the router through its input link's wake.
-func (r *nonspecRouter) Quiet() bool {
-	for i := range r.in {
-		if r.in[i].Len() != 0 {
-			return false
-		}
+func (r *nonspecRouter) Quiet() bool { return r.busy == 0 }
+
+// Audit implements Router.
+func (r *nonspecRouter) Audit() error {
+	busy, err := r.auditInputs()
+	if err != nil {
+		return err
 	}
-	return true
+	return r.auditMasks("busy/pops", [4]uint32{r.busy, r.pops}, [4]uint32{busy})
 }
 
 // Flush implements Router: drains every input FIFO through drop and clears
 // all wormhole locks and staged actions.
 func (r *nonspecRouter) Flush(drop func(*noc.Flit)) {
-	for p := range r.in {
-		r.dropAll(&r.in[p], drop)
-		r.lock[p] = -1
-		r.pops[p] = false
+	r.flushInputs(drop)
+	for i := range r.port {
+		r.port[i].lock = -1
 	}
 	r.touched = 0
 }
 
 // Compute arbitrates each output and traverses the winner in the same cycle.
 func (r *nonspecRouter) Compute(cycle int64) {
-	c := r.counters()
-	pr := r.probe()
-
-	// Gather requests per output from the input FIFO heads.
-	req, head := r.req, r.head
-	for i := range req {
-		req[i] = 0
-		head[i] = nil
-	}
-	for i := range r.in {
-		f := r.in[i].Head()
-		if f == nil {
-			continue
-		}
-		head[i] = f
-		if r.outLink[f.OutPort] == nil {
-			panic("router: flit routed to unwired output")
-		}
-		req[f.OutPort] |= 1 << i
-	}
-
-	r.touched = 0
-	for o := noc.Port(0); o < noc.Port(r.ports); o++ {
-		link := r.outLink[o]
-		if link == nil || req[o] == 0 {
-			continue
-		}
-		r.touched |= 1 << uint(o)
-		r.lockNext[o] = r.lock[o]
-		if !link.Ready(cycle) {
-			if pr != nil {
-				pr.CreditStall(cycle, r.node(), int(o))
+	var req [maxPorts]uint32
+	r.touched = r.gather(&req)
+	for m := r.touched; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros32(m)
+		p := &r.port[o]
+		p.lockNext = p.lock
+		if !p.out.Ready(cycle) {
+			if pr := r.probe; pr != nil {
+				pr.CreditStall(cycle, int(r.node), o)
 			}
 			continue // backpressure (or injected stall): output stalls, lock holds
 		}
 
-		var winner int
-		if owner := r.lock[o]; owner >= 0 {
+		winner := int(p.lock)
+		if winner >= 0 {
 			// Wormhole continuation: the output belongs to a multi-flit
 			// packet until its tail passes.
-			if req[o]&(1<<owner) == 0 {
+			if req[o]&(1<<uint(winner)) == 0 {
 				continue // upstream bubble inside the packet
 			}
-			winner = owner
 		} else {
-			w, ok := r.arb[o].Grant(req[o])
-			if !ok {
-				continue
-			}
-			c.Arb++
-			winner = w
+			winner, _ = p.arb.Grant(req[o]) // req[o] != 0: o is touched
+			r.counters.Arb++
 		}
-
-		f := head[winner]
-		if f.MultiFlit() {
-			if f.Seq == 0 {
-				r.lockNext[o] = winner
-			}
-			if f.Tail() {
-				r.lockNext[o] = -1
-			}
-		}
-		link.Send(f)
-		r.pops[winner] = true
-		c.Xbar++
-		c.LinkFlit++
-		c.OutputActive++
-		if pr != nil {
-			pr.Traverse(cycle, r.node(), int(o), f.Packet.ID, f.Seq)
-		}
-	}
-}
-
-// Latch implements sim.Latcher: the flits staged on the input channels this
-// cycle enter their ports' FIFOs.
-func (r *nonspecRouter) Latch(cycle int64) {
-	for p, l := range r.inLink {
-		if l == nil {
-			continue
-		}
-		if f := l.Take(cycle); f != nil {
-			r.receive(noc.Port(p), f, cycle)
-		}
+		p.lockNext = r.send(winner, o, p.out, p.lock, cycle)
 	}
 }
 
 // Commit pops the traversed flits, returns their credits upstream, and takes
 // in this cycle's arrivals.
 func (r *nonspecRouter) Commit(cycle int64) {
-	c := r.counters()
-	pr := r.probe()
-	for i := range r.in {
-		if r.pops[i] {
-			r.pops[i] = false
-			r.in[i].Pop()
-			c.BufRead++
-			if pr != nil {
-				pr.BufRead(cycle, r.node(), i, 1)
-			}
-			r.returnCredits(noc.Port(i), 1, cycle)
-		}
+	for m := r.pops; m != 0; m &= m - 1 {
+		r.pop(bits.TrailingZeros32(m), cycle)
 	}
+	r.pops = 0
 	for m := r.touched; m != 0; m &= m - 1 {
-		o := bits.TrailingZeros32(m)
-		r.lock[o] = r.lockNext[o]
+		p := &r.port[bits.TrailingZeros32(m)]
+		p.lock = p.lockNext
 	}
-	if pr != nil {
-		pr.Occupancy(r.node(), r.BufferedFlits())
+	if pr := r.probe; pr != nil {
+		pr.Occupancy(int(r.node), r.BufferedFlits())
 	}
 	r.Latch(cycle)
 }

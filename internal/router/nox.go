@@ -3,11 +3,23 @@ package router
 import (
 	"math/bits"
 
+	"repro/internal/arbiter"
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/noc"
 	"repro/internal/routing"
 )
+
+// noxPort is everything the NoX router keeps for port p, in one record:
+// input p's §2.4 port (FIFO, decode register, XOR decode) with the channel
+// feeding it, and output p's §2.6 control logic (masks, mode, arbiter by
+// value) with the channel it drives.
+type noxPort struct {
+	in     core.InputPort
+	inLink *noc.Link
+	ctl    core.OutputControl
+	out    *noc.Link
+}
 
 // noxRouter composes internal/core's input ports and output controls into
 // the full NoX router of §2: an XOR-based switch with precomputed input
@@ -18,87 +30,77 @@ import (
 // contiguously received flits.
 type noxRouter struct {
 	base
-	// in and ctl are value slabs: one allocation each for the router's whole
-	// port complement, with FIFO rings carved from a shared slot slab.
-	in  []core.InputPort
-	ctl []core.OutputControl
+	port []noxPort
 
-	// offers is per-cycle scratch, flattened [output*ports + input]. Rows are
-	// zeroed by the output loop right after use, so only rows actually
-	// written this cycle are ever touched (part of the dirty-port walk).
-	offers []*noc.Flit
-	// decoded is per-cycle scratch: decoded[i] reports input i's current
-	// offer came through the decode path (probe instrumentation; written
-	// only when a probe is attached).
-	decoded []bool
-
-	// Port-granular dirty masks (event-horizon kernel). inBusy has a bit per
-	// input holding undrained work (set on receive, cleared at Commit once
-	// FIFO and decode register are empty); outBusy a bit per wired output
-	// whose control logic is away from its rest state (recomputed at Commit
-	// from ctl.Idle). Compute offers only dirty inputs and decides only
-	// outputs that are offered to or busy — OutputControl.Idle documents that
-	// skipping an idle output's evaluation is unobservable. decided records
-	// the outputs Decide ran for this cycle, so Commit commits exactly those
-	// (OutputControl.Commit requires a same-cycle Decide). Masks start and
-	// restore conservatively full; the first evaluation trims them.
+	// Dirty masks. inBusy has a bit per input holding undrained work (set on
+	// receive, cleared at Commit once FIFO and decode register are empty);
+	// outBusy a bit per wired output whose control logic is away from its
+	// rest state (recomputed at Commit from ctl.Idle); skipping an idle
+	// output is unobservable (OutputControl.Idle). decided records the
+	// outputs Decide ran for, the only ones Commit may commit. All exact
+	// between steps (construction, Flush, RestoreState): Quiet reads them.
 	inBusy  uint32
 	outBusy uint32
 	decided uint32
 }
 
-// allPorts returns the n-bit all-ones dirty mask.
-func allPorts(n int) uint32 { return uint32(uint64(1)<<uint(n) - 1) }
-
-func newNoX(cfg Config) *noxRouter {
+func newNoX(cfg *Config) *noxRouter {
 	s := cfg.Slabs
 	r := &s.noxes.take(1, s.chunk)[0]
-	r.init(cfg)
-	n := r.ports
-	r.in = s.inPorts.take(n, s.chunk)
-	r.ctl = s.ctls.take(n, s.chunk)
-	r.offers = s.flits.take(n*n, s.chunk)
-	r.decoded = s.bools.take(n, s.chunk)
+	r.init(cfg, r)
+	n := cfg.Ports
+	r.port = s.noxPorts.take(n, s.chunk)
 	sl := buffer.SlotsFor(cfg.BufferDepth)
-	slots := s.flits.take(n*sl, s.chunk)
-	arb := arbMaker(&cfg, n)
-	colliders := s.flits.take(n*n, s.chunk)
-	for p := 0; p < n; p++ {
-		r.in[p].Init(cfg.BufferDepth, slots[p*sl:(p+1)*sl:(p+1)*sl], r.row, cfg.Arena)
-		r.ctl[p].Init(n, arb(p), cfg.Arena, colliders[p*n:p*n:(p+1)*n])
+	rings := s.rings.take(n*sl, s.chunk)
+	for i := range r.port {
+		p := &r.port[i]
+		p.in.Init(cfg.BufferDepth, rings[i*sl:(i+1)*sl:(i+1)*sl], r.row, cfg.Arena)
+		var arb arbiter.Arbiter
+		if cfg.NewArbiter != nil {
+			arb = cfg.NewArbiter(n)
+		}
+		p.ctl.Init(n, arb, cfg.Arena, nil)
 		if cfg.Check != nil {
 			// Armed: decode corruption and orphan bodies become reported
 			// violations instead of panics (injected faults make both
 			// legitimately reachable).
-			r.in[p].SetLenient(true)
-			r.ctl[p].SetLenient(true)
+			p.in.SetLenient(true)
+			p.ctl.SetLenient(true)
 		}
 	}
-	r.inBusy, r.outBusy = allPorts(n), allPorts(n)
-	r.initReceivers(r)
 	return r
 }
 
+// SetInputLink registers the link feeding port p.
+func (r *noxRouter) SetInputLink(p noc.Port, l *noc.Link) { r.port[p].inLink = l }
+
+// SetOutputLink registers the link driven by port p.
+func (r *noxRouter) SetOutputLink(p noc.Port, l *noc.Link) { r.wire(&r.port[p].out, p, l) }
+
 func (r *noxRouter) receive(p noc.Port, f *noc.Flit, cycle int64) {
-	if r.overflow(p, f, cycle, r.in[p].Free()) {
+	in := &r.port[p].in
+	if r.overflow(p, f, cycle, in.Free()) {
 		return
 	}
 	r.inBusy |= 1 << uint(p)
-	r.in[p].Receive(f)
-	r.counters().BufWrite++
-	if pr := r.probe(); pr != nil {
+	in.Receive(f)
+	if !f.Encoded {
+		r.checkWired(f.OutPort) // the port computed the lookahead just now
+	}
+	r.counters.BufWrite++
+	if pr := r.probe; pr != nil {
 		arg, seq := flitTraceID(f)
-		pr.BufWrite(cycle, r.node(), int(p), arg, seq)
+		pr.BufWrite(cycle, int(r.node), int(p), arg, seq)
 	}
 }
 
 // BufferedFlits returns the flits held in input FIFOs and decode registers.
 func (r *noxRouter) BufferedFlits() int {
 	n := 0
-	for i := range r.in {
-		ip := &r.in[i]
-		n += ip.Buffered()
-		if ip.RegisterBusy() {
+	for m := r.inBusy; m != 0; m &= m - 1 {
+		in := &r.port[bits.TrailingZeros32(m)].in
+		n += in.Buffered()
+		if in.RegisterBusy() {
 			n++
 		}
 	}
@@ -108,16 +110,11 @@ func (r *noxRouter) BufferedFlits() int {
 // PortStates implements Router: input FIFO/register occupancy plus the
 // matching output's mode, wormhole lock, and link credits.
 func (r *noxRouter) PortStates(buf []PortState) []PortState {
-	for p := 0; p < r.ports; p++ {
-		ps := PortState{
-			Buffered: r.in[p].Buffered(),
-			Register: r.in[p].RegisterBusy(),
-			OutMode:  -1, OutLock: -1, OutCredits: -1,
-		}
-		if r.outLink[p] != nil {
-			ps.OutMode = int(r.ctl[p].Mode())
-			ps.OutLock = r.ctl[p].Locked()
-			ps.OutCredits = r.outLink[p].Credits()
+	for i := range r.port {
+		p := &r.port[i]
+		ps := PortState{Buffered: p.in.Buffered(), Register: p.in.RegisterBusy(), OutMode: -1, OutLock: -1, OutCredits: -1}
+		if p.out != nil {
+			ps.OutMode, ps.OutLock, ps.OutCredits = int(p.ctl.Mode()), p.ctl.Locked(), p.out.Credits()
 		}
 		buf = append(buf, ps)
 	}
@@ -130,18 +127,27 @@ func (r *noxRouter) PortStates(buf []PortState) []PortState {
 // re-arms narrowed masks and Scheduled-mode state; the router must perform
 // that re-arm cycle before sleeping, or a post-idle arrival would face
 // stale masks.
-func (r *noxRouter) Quiet() bool {
-	for i := range r.in {
-		if ip := &r.in[i]; ip.Buffered() != 0 || ip.RegisterBusy() {
-			return false
+func (r *noxRouter) Quiet() bool { return r.inBusy|r.outBusy == 0 }
+
+// scanMasks computes the dirty masks from the port records: inputs holding
+// a flit or a decode register, wired outputs away from rest.
+func (r *noxRouter) scanMasks() (inBusy, outBusy uint32) {
+	for i := range r.port {
+		p := &r.port[i]
+		if p.in.Buffered() != 0 || p.in.RegisterBusy() {
+			inBusy |= 1 << uint(i)
+		}
+		if p.out != nil && !p.ctl.Idle() {
+			outBusy |= 1 << uint(i)
 		}
 	}
-	for o := range r.ctl {
-		if r.outLink[o] != nil && !r.ctl[o].Idle() {
-			return false
-		}
-	}
-	return true
+	return inBusy, outBusy
+}
+
+// Audit implements Router.
+func (r *noxRouter) Audit() error {
+	inBusy, outBusy := r.scanMasks()
+	return r.auditMasks("inBusy/outBusy", [4]uint32{r.inBusy, r.outBusy}, [4]uint32{inBusy, outBusy})
 }
 
 // Flush implements Router: tears down every input port (FIFO, decode
@@ -149,73 +155,81 @@ func (r *noxRouter) Quiet() bool {
 // back to its rest state. Constituents of encoded flits leak by design
 // (see core.InputPort.Flush); the caller marks the run leaky.
 func (r *noxRouter) Flush(drop func(*noc.Flit)) {
-	n := r.ports
-	for p := 0; p < n; p++ {
-		r.in[p].Flush(drop)
-		r.ctl[p].Reset()
+	for i := range r.port {
+		r.port[i].in.Flush(drop)
+		r.port[i].ctl.Reset()
 	}
-	r.inBusy, r.outBusy = allPorts(n), allPorts(n)
-	r.decided = 0
+	r.inBusy, r.outBusy, r.decided = 0, 0, 0
 }
 
 // Reroute overrides base.Reroute: the NoX input ports hold their own
 // reference to the route-table row, repointed alongside the base's.
 func (r *noxRouter) Reroute(routes *routing.Table) {
 	r.base.Reroute(routes)
-	for p := range r.in {
-		r.in[p].SetRow(r.row)
+	for i := range r.port {
+		r.port[i].in.SetRow(r.row)
 	}
 }
 
-// Compute presents each input port's offer to the XOR switch and lets every
-// output's arbitration-and-masking logic decide.
+// noxScratch is the working set of one NoX Compute: what each input presents
+// and the request vector per output. Compute clears exactly the entries it
+// wrote, so one all-zero scratch serves every router of a lane (one goroutine
+// walks a lane: shards never share one) instead of each router keeping
+// radix-squared pointers of its own.
+type noxScratch struct {
+	offer [maxPorts]*noc.Flit
+	req   [maxPorts]uint32
+}
+
+// Compute is compute for a router stepped outside a lane, on a fresh scratch.
 func (r *noxRouter) Compute(cycle int64) {
-	c := r.counters()
-	pr := r.probe()
+	var s noxScratch
+	r.compute(cycle, &s)
+}
+
+// compute presents each input port's offer to the XOR switch and lets every
+// output's arbitration-and-masking logic decide.
+func (r *noxRouter) compute(cycle int64, s *noxScratch) {
+	c := r.counters
+	pr := r.probe
+	port := r.port
 
 	// Each input presents at most one flit; group presentations by their
 	// lookahead output port. Only dirty inputs can hold one (a clean input's
 	// Offer is a guaranteed miss).
-	n := r.ports
-	offers := r.offers
-	var offered uint32
+	offer, req := &s.offer, &s.req
+	var offered, decoded uint32
 	for m := r.inBusy; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m)
-		f, decoded, ok := r.in[i].Offer()
+		f, dec, ok := port[i].in.Offer()
 		if !ok {
 			continue
 		}
-		if pr != nil {
-			r.decoded[i] = decoded
+		if dec {
+			// A decode copy's lookahead is computed inside Offer.
+			r.checkWired(f.OutPort)
+			decoded |= 1 << uint(i)
 		}
-		if r.outLink[f.OutPort] == nil {
-			panic("router: flit routed to unwired output")
-		}
-		offers[int(f.OutPort)*n+i] = f
+		offer[i] = f
+		req[f.OutPort] |= 1 << uint(i)
 		offered |= 1 << uint(f.OutPort)
 	}
 
-	r.decided = 0
-	visit := offered | r.outBusy
-	for o := noc.Port(0); o < noc.Port(r.ports); o++ {
-		link := r.outLink[o]
-		if link == nil || visit&(1<<uint(o)) == 0 {
-			continue
-		}
-		r.decided |= 1 << uint(o)
-		row := offers[int(o)*n : int(o)*n+n]
-		d := r.ctl[o].Decide(row, link.Ready(cycle))
+	r.decided = offered | r.outBusy
+	for v := r.decided; v != 0; v &= v - 1 {
+		o := bits.TrailingZeros32(v)
+		p := &port[o]
+		d := p.ctl.DecideFor(offer[:], req[o], p.out.Ready(cycle))
 		if d.Out != nil {
-			link.Send(d.Out)
+			if pr != nil {
+				arg, seq := flitTraceID(d.Out)
+				pr.Traverse(cycle, int(r.node), o, arg, seq)
+			}
 			c.Xbar++
 			c.LinkFlit++
 			c.OutputActive++
 			if d.Out.Encoded {
 				c.EncodedFlits++
-			}
-			if pr != nil {
-				arg, seq := flitTraceID(d.Out)
-				pr.Traverse(cycle, r.node(), int(o), arg, seq)
 			}
 		}
 		if d.Invalid {
@@ -225,12 +239,12 @@ func (r *noxRouter) Compute(cycle int64) {
 			c.WastedCycles++
 			c.Aborts++
 			if pr != nil {
-				pr.Abort(cycle, r.node(), int(o), d.Granted)
+				pr.Abort(cycle, int(r.node), o, d.Granted)
 			}
-			if ck := r.cfg.Check; ck != nil && r.ctl[o].StagedMode() != core.Scheduled {
+			if ck := r.check; ck != nil && p.ctl.StagedMode() != core.Scheduled {
 				// §2.7: an abort must force Scheduled mode until the
 				// aborted packet's tail passes.
-				ck.Mode(cycle, r.node(), int(o), "multi-flit abort did not stage Scheduled mode")
+				ck.Mode(cycle, int(r.node), o, "multi-flit abort did not stage Scheduled mode")
 			}
 		}
 		if d.Collided && !d.Invalid {
@@ -239,43 +253,45 @@ func (r *noxRouter) Compute(cycle int64) {
 			// their objects now belong to the superposition's constituent
 			// set (arena lifetime tracking in core.InputPort).
 			for m := d.ColliderMask; m != 0; m &= m - 1 {
-				r.in[bits.TrailingZeros32(m)].OfferAbsorbed()
+				port[bits.TrailingZeros32(m)].in.OfferAbsorbed()
 			}
 			if pr != nil {
-				pr.Collision(cycle, r.node(), int(o), int(d.Colliders), d.Out.Raw)
+				pr.Collision(cycle, int(r.node), o, int(d.Colliders), d.Out.Raw)
 			}
 		}
 		if d.Arbitrated {
 			c.Arb++
 		}
 		if d.Stalled && pr != nil {
-			pr.CreditStall(cycle, r.node(), int(o))
+			pr.CreditStall(cycle, int(r.node), o)
 		}
 		if d.Serviced >= 0 {
-			r.in[d.Serviced].Service()
-			if pr != nil && r.decoded[d.Serviced] {
+			port[d.Serviced].in.Service()
+			if pr != nil && decoded&(1<<uint(d.Serviced)) != 0 {
 				// The serviced presentation came out of the decode path: a
 				// Recovery decode recovered this flit from register XOR head.
-				pr.Decode(cycle, r.node(), d.Serviced, row[d.Serviced].Packet.ID)
+				pr.Decode(cycle, int(r.node), d.Serviced, offer[d.Serviced].Packet.ID)
 			}
 		}
-		// Zero the consumed row in place of the old whole-array clear, so
-		// cost scales with rows touched, not radix squared.
-		for i := range row {
-			row[i] = nil
+		if d.Out != nil {
+			// Last: the flit belongs to the downstream port once sent.
+			p.out.Send(d.Out)
 		}
+		for m := req[o]; m != 0; m &= m - 1 {
+			offer[bits.TrailingZeros32(m)] = nil
+		}
+		req[o] = 0
 	}
 }
 
 // Latch implements sim.Latcher: the flits staged on the input channels this
 // cycle enter their ports' FIFOs.
 func (r *noxRouter) Latch(cycle int64) {
-	for p, l := range r.inLink {
-		if l == nil {
-			continue
-		}
-		if f := l.Take(cycle); f != nil {
-			r.receive(noc.Port(p), f, cycle)
+	for i := range r.port {
+		if l := r.port[i].inLink; l != nil {
+			if f := l.Take(cycle); f != nil {
+				r.receive(noc.Port(i), f, cycle)
+			}
 		}
 	}
 }
@@ -288,11 +304,13 @@ func (r *noxRouter) Commit(cycle int64) {
 }
 
 func (r *noxRouter) commit(cycle int64) {
-	c := r.counters()
-	pr := r.probe()
+	c := r.counters
+	pr := r.probe
+	port := r.port
 	for m := r.inBusy; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m)
-		ev := r.in[i].Commit()
+		p := &port[i]
+		ev := p.in.Commit()
 		c.BufRead += int64(ev.Reads)
 		if ev.Latched {
 			c.RegWrite++
@@ -301,53 +319,51 @@ func (r *noxRouter) commit(cycle int64) {
 			c.Decode++
 		}
 		if pr != nil && ev.Reads > 0 {
-			pr.BufRead(cycle, r.node(), i, ev.Reads)
+			pr.BufRead(cycle, int(r.node), i, ev.Reads)
 		}
 		if ev.DecodeErr != nil {
 			// A lenient input port discarded a corrupt decode register; its
 			// constituents may have leaked (they can still be live
 			// upstream), so arena exactness no longer holds.
-			ck := r.cfg.Check
-			ck.Decode(cycle, r.node(), i, ev.DecodeErr)
-			ck.MarkLeaky()
+			r.check.Decode(cycle, int(r.node), i, ev.DecodeErr)
+			r.check.MarkLeaky()
 		}
-		r.returnCredits(noc.Port(i), ev.FreedSlots, cycle)
-		if r.in[i].Buffered() == 0 && !r.in[i].RegisterBusy() {
+		if ev.FreedSlots != 0 {
+			returnCredits(p.inLink, ev.FreedSlots, cycle)
+		}
+		if p.in.Buffered() == 0 && !p.in.RegisterBusy() {
 			r.inBusy &^= 1 << uint(i)
 		}
 	}
+	// Commit the outputs Decide ran for. A probe hears of every wired
+	// output: one the dirty walk skipped sat untouched in its rest state,
+	// which operates (and counts) as Recovery.
 	r.outBusy = 0
-	if pr == nil {
-		for m := r.decided; m != 0; m &= m - 1 {
-			o := bits.TrailingZeros32(m)
-			r.ctl[o].Commit()
-			if !r.ctl[o].Idle() {
-				r.outBusy |= 1 << uint(o)
-			}
-		}
-		return
+	walk := r.decided
+	if pr != nil {
+		walk = r.wired
 	}
-	for o := noc.Port(0); o < noc.Port(r.ports); o++ {
-		if r.outLink[o] == nil {
-			continue
-		}
-		ctl := &r.ctl[o]
+	for w := walk; w != 0; w &= w - 1 {
+		o := bits.TrailingZeros32(w)
+		ctl := &port[o].ctl
 		if r.decided&(1<<uint(o)) == 0 {
-			// Skipped by the dirty walk: the control logic sat untouched in
-			// its rest state, which operates (and counts) as Recovery.
-			pr.ModeCycle(r.node(), false)
+			pr.ModeCycle(int(r.node), false)
 			continue
 		}
 		before := ctl.Mode()
-		// Count the cycle against the mode the output operated in.
-		pr.ModeCycle(r.node(), before == core.Scheduled)
 		ctl.Commit()
-		if after := ctl.Mode(); after != before {
-			pr.ModeChange(cycle, r.node(), int(o), int(before), int(after))
+		if pr != nil {
+			// Count the cycle against the mode the output operated in.
+			pr.ModeCycle(int(r.node), before == core.Scheduled)
+			if after := ctl.Mode(); after != before {
+				pr.ModeChange(cycle, int(r.node), o, int(before), int(after))
+			}
 		}
 		if !ctl.Idle() {
 			r.outBusy |= 1 << uint(o)
 		}
 	}
-	pr.Occupancy(r.node(), r.BufferedFlits())
+	if pr != nil {
+		pr.Occupancy(int(r.node), r.BufferedFlits())
+	}
 }

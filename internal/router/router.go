@@ -8,6 +8,15 @@
 // they differ only in clock period (modeled by internal/physical) and in
 // how they behave under output contention — which is exactly the design
 // space the paper examines.
+//
+// A router is a small struct plus per-port records (noxPort; inPort with
+// nsPort or specPort), one slab per record type (Slabs). Every walk over
+// ports follows a mask of dirty ports: receive and the draining pop keep the
+// busy-input mask, Compute marks the outputs it evaluated and the pops it
+// staged, Commit applies exactly those and keeps the held-output masks, and
+// Quiet is a compare; Audit proves the masks equal a port scan. Per-cycle
+// scratch is the walking goroutine's: stack vectors, or for NoX one
+// noxScratch per lane (DESIGN.md §2 has the table).
 package router
 
 import (
@@ -15,7 +24,6 @@ import (
 	"strings"
 
 	"repro/internal/arbiter"
-	"repro/internal/buffer"
 	"repro/internal/check"
 	"repro/internal/noc"
 	"repro/internal/power"
@@ -92,8 +100,8 @@ type Config struct {
 	// attached core (default 5, the paper's mesh router; 8 for the
 	// 4-concentrated CMesh of the future-work study).
 	Ports int
-	// NewArbiter builds the per-output arbiter; nil selects round-robin
-	// (slab-allocated inside the router).
+	// NewArbiter builds the per-output arbiter; nil selects the round-robin
+	// arbiter every port record carries by value.
 	NewArbiter func(n int) arbiter.Arbiter
 	// Probe, when non-nil, receives flit-level trace events and per-router
 	// metrics. A nil probe disables all instrumentation at zero cost.
@@ -102,8 +110,8 @@ type Config struct {
 	// (NoX superpositions and decode copies). Nil falls back to the heap.
 	Arena *noc.Arena
 	// Slabs, when non-nil, batches the backing storage of many routers into
-	// shared chunks (one allocation per element type per ~kilobyte of
-	// routers) — the network construction path. Nil allocates per router.
+	// shared chunks (one allocation per record type per ~16 KB of routers) —
+	// the network construction path. Nil allocates per router.
 	Slabs *Slabs
 	// Check, when non-nil, arms the runtime invariant layer: protocol
 	// violations that an injected fault can legitimately produce (corrupt
@@ -136,18 +144,9 @@ func (c *Config) fill() {
 	}
 }
 
-// arbMaker returns a function yielding output o's arbiter: cfg.NewArbiter
-// when set, otherwise pointers into one slab of round-robin arbiters.
-func arbMaker(cfg *Config, n int) func(o int) arbiter.Arbiter {
-	if cfg.NewArbiter != nil {
-		return func(int) arbiter.Arbiter { return cfg.NewArbiter(n) }
-	}
-	slab := cfg.Slabs.arbs.take(n, cfg.Slabs.chunk)
-	return func(o int) arbiter.Arbiter {
-		slab[o].Init(n)
-		return &slab[o]
-	}
-}
+// maxPorts is the radix bound Config.fill enforces: port masks are uint32
+// and per-cycle scratch vectors [maxPorts] arrays.
+const maxPorts = 32
 
 // PortState is one port's live diagnostic state, snapshot by the deadlock
 // watchdog's dump: input-side occupancy and the state of the same-numbered
@@ -230,6 +229,12 @@ type Router interface {
 	// Reroute swaps the router's routing table. Buffered flits keep their
 	// stale lookahead OutPort, so epochs Flush before the swap matters.
 	Reroute(routes *routing.Table)
+	// Audit recomputes from a full scan of the port records what the router
+	// caches between steps — busy inputs, held outputs, FIFO heads — and
+	// returns an error naming the first disagreement. The masks drive every
+	// walk and Quiet, so a stale bit is a skipped port; tests call Audit
+	// after every commit.
+	Audit() error
 }
 
 // New builds a router of the configured architecture.
@@ -237,65 +242,63 @@ func New(cfg Config) Router {
 	cfg.fill()
 	switch cfg.Arch {
 	case NonSpec:
-		return newNonSpec(cfg)
+		return newNonSpec(&cfg)
 	case SpecFast, SpecAccurate:
-		return newSpec(cfg)
+		return newSpec(&cfg)
 	case NoX:
-		return newNoX(cfg)
+		return newNoX(&cfg)
 	default:
 		panic(fmt.Sprintf("router: unknown architecture %d", int(cfg.Arch)))
 	}
 }
 
-// base carries the wiring and accounting shared by every architecture.
+// base carries what every architecture shares beside its port records: the
+// route row, the instrumentation sinks and the flit pool, taken out of the
+// Config once at construction (the Config itself is not kept).
 type base struct {
-	cfg     Config
-	ports   int
-	inLink  []*noc.Link
-	outLink []*noc.Link
 	// row is this router's precomputed route-table row, indexed by
 	// destination core — lookahead route computation in one load.
-	row []noc.Port
-	// recvs is the per-port receiver slab InputReceiver hands out pointers
-	// into, so wiring allocates no per-port closures or interface boxes.
-	recvs []portReceiver
+	row      []noc.Port
+	counters *power.Counters
+	// probe receives flit-level trace events, nil when disabled.
+	probe *probe.Probe
+	// check, when armed, turns fault-reachable protocol violations into
+	// reports (see Config.Check).
+	check *check.Checker
+	arena *noc.Arena
+	// sink is the architecture's receive method, for InputReceiver.
+	sink flitSink
+	node noc.NodeID
+	// wired has a bit per output with a link. A lookahead port is checked
+	// against it once, where it is computed (route) or loaded (RestoreState).
+	wired uint32
 }
 
-func (b *base) init(cfg Config) {
-	b.cfg = cfg
-	b.ports = cfg.Ports
-	links := cfg.Slabs.links.take(2*b.ports, cfg.Slabs.chunk)
-	b.inLink = links[:b.ports:b.ports]
-	b.outLink = links[b.ports:]
+func (b *base) init(cfg *Config, sink flitSink) {
 	b.row = cfg.Routes.Row(cfg.Node)
+	b.counters, b.probe, b.check, b.arena = cfg.Counters, cfg.Probe, cfg.Check, cfg.Arena
+	b.node, b.sink = cfg.Node, sink
 }
 
-// initReceivers builds the receiver slab pointing back at the architecture's
-// receive method (held as an interface — no closure allocation).
-func (b *base) initReceivers(sink flitSink) {
-	b.recvs = b.cfg.Slabs.recvs.take(b.ports, b.cfg.Slabs.chunk)
-	for p := range b.recvs {
-		b.recvs[p] = portReceiver{r: sink, port: noc.Port(p)}
+// arbiterFor returns the arbiter of one output: cfg.NewArbiter's when set,
+// otherwise the round-robin arbiter rr the port record carries by value.
+func arbiterFor(cfg *Config, rr *arbiter.RoundRobin) arbiter.Arbiter {
+	if cfg.NewArbiter != nil {
+		return cfg.NewArbiter(cfg.Ports)
 	}
+	rr.Init(cfg.Ports)
+	return rr
 }
 
-// InputReceiver returns the link sink for port p.
-func (b *base) InputReceiver(p noc.Port) noc.Receiver { return &b.recvs[p] }
+// InputReceiver returns the link sink for port p, allocated on demand: only
+// hand-driven links deliver through one (a network's are latched by Latch).
+func (b *base) InputReceiver(p noc.Port) noc.Receiver { return &portReceiver{r: b.sink, port: p} }
 
 // Node returns the tile this router serves.
-func (b *base) Node() noc.NodeID { return b.cfg.Node }
+func (b *base) Node() noc.NodeID { return b.node }
 
-func (b *base) counters() *power.Counters { return b.cfg.Counters }
-
-// probe returns the attached observability probe, nil when disabled.
-func (b *base) probe() *probe.Probe { return b.cfg.Probe }
-
-// node returns the router's grid position as a plain int for probe emits.
-func (b *base) node() int { return int(b.cfg.Node) }
-
-// flitTraceID returns a flit's trace identity: its packet ID and sequence,
-// or the raw wire image with seq -1 for encoded superpositions (which have
-// no single owning packet).
+// flitTraceID returns a flit's trace identity: its packet ID and sequence, or
+// the raw wire image with seq -1 for an encoded superposition (no one owner).
 func flitTraceID(f *noc.Flit) (arg uint64, seq int) {
 	if f.Encoded {
 		return f.Raw, -1
@@ -303,49 +306,42 @@ func flitTraceID(f *noc.Flit) (arg uint64, seq int) {
 	return f.Packet.ID, f.Seq
 }
 
-// SetInputLink registers the link feeding port p.
-func (b *base) SetInputLink(p noc.Port, l *noc.Link) { b.inLink[p] = l }
-
-// SetOutputLink registers the link driven by port p.
-func (b *base) SetOutputLink(p noc.Port, l *noc.Link) { b.outLink[p] = l }
-
-// returnCredits hands the n slots port p freed this cycle back to the link
-// feeding it.
-func (b *base) returnCredits(p noc.Port, n int, cycle int64) {
-	if n == 0 {
-		return
+// wire registers l as the link driven by output p, whose record field is out.
+func (b *base) wire(out **noc.Link, p noc.Port, l *noc.Link) {
+	*out = l
+	b.wired &^= 1 << uint(p)
+	if l != nil {
+		b.wired |= 1 << uint(p)
 	}
-	l := b.inLink[p]
+}
+
+// returnCredits hands the n slots an input port freed this cycle back to the
+// link feeding it.
+func returnCredits(l *noc.Link, n int, cycle int64) {
 	if l == nil {
 		panic("router: credit return on unwired input")
 	}
 	l.ReturnCredits(cycle, n)
 }
 
+// checkWired panics on a lookahead port this router cannot drive: a route
+// table or restore bug, caught once where the port enters the router.
+func (b *base) checkWired(o noc.Port) {
+	if b.wired>>uint(o)&1 == 0 {
+		panic("router: flit routed to unwired output")
+	}
+}
+
 // route computes the lookahead output port at this router for dst.
 func (b *base) route(dst noc.NodeID) noc.Port {
-	return b.row[dst]
+	o := b.row[dst]
+	b.checkWired(o)
+	return o
 }
 
 // Reroute swaps the routing table: a slice-header repoint at this router's
 // new row. The NoX router overrides it to also repoint its input ports.
-func (b *base) Reroute(routes *routing.Table) {
-	b.cfg.Routes = routes
-	b.row = routes.Row(b.cfg.Node)
-}
-
-// dropAll empties a FIFO through drop, releasing each flit to the arena.
-func (b *base) dropAll(q *buffer.FIFO, drop func(*noc.Flit)) {
-	for !q.Empty() {
-		f := q.Pop()
-		if drop != nil {
-			drop(f)
-		}
-		if b.cfg.Arena != nil {
-			b.cfg.Arena.Release(f)
-		}
-	}
-}
+func (b *base) Reroute(routes *routing.Table) { b.row = routes.Row(b.node) }
 
 // overflow guards a receive against a full input buffer, which only an
 // injected credit-duplication fault can produce (the credit protocol
@@ -353,18 +349,25 @@ func (b *base) dropAll(q *buffer.FIFO, drop func(*noc.Flit)) {
 // swallowed (returns true); unarmed, the FIFO's own push panic fires, as a
 // full buffer then really is a simulator bug.
 func (b *base) overflow(p noc.Port, f *noc.Flit, cycle int64, free int) bool {
-	if free > 0 || b.cfg.Check == nil {
+	if free > 0 || b.check == nil {
 		return false
 	}
 	var pkt uint64
 	if !f.Encoded && f.Packet != nil {
 		pkt = f.Packet.ID
 	}
-	b.cfg.Check.Overflow(cycle, b.node(), int(p), pkt)
-	if b.cfg.Arena != nil {
-		b.cfg.Arena.Release(f)
-	}
+	b.check.Overflow(cycle, int(b.node), int(p), pkt)
+	b.arena.Release(f)
 	return true
+}
+
+// auditMasks is the tail of every Audit: the masks a router caches against
+// the same masks recomputed from a port scan.
+func (b *base) auditMasks(names string, cached, scanned [4]uint32) error {
+	if cached != scanned {
+		return fmt.Errorf("router %d: masks %s are %#b, a port scan says %#b", b.node, names, cached, scanned)
+	}
+	return nil
 }
 
 // flitSink is the ingress side every architecture implements: deliver a flit

@@ -3,9 +3,6 @@ package router
 import (
 	"unsafe"
 
-	"repro/internal/arbiter"
-	"repro/internal/buffer"
-	"repro/internal/core"
 	"repro/internal/noc"
 )
 
@@ -39,28 +36,21 @@ func (p *pool[T]) take(n, chunkBytes int) []T {
 
 // Slabs batches the backing storage for many routers of one network. A
 // network builds one Slabs and threads it through every router.New call via
-// Config.Slabs; each constructor then carves its ports, FIFOs, scratch
-// vectors, and arbiters from shared chunks. Single-goroutine use only
-// (construction time). A nil Slabs in Config makes each router allocate
-// exactly what it needs — same layout, more allocations.
+// Config.Slabs. A router is its own struct, its per-port records — noxPort
+// for NoX; for a baseline the shared input half inPort plus nsPort or
+// specPort — and the FIFO rings behind them: a walk over ports is a walk
+// over one run of memory. Single-goroutine use only (construction time). A
+// nil Slabs in Config allocates each carving exactly — same layout.
 type Slabs struct {
 	chunk    int
 	noxes    pool[noxRouter]
 	specs    pool[specRouter]
 	nonspecs pool[nonspecRouter]
-	inPorts  pool[core.InputPort]
-	ctls     pool[core.OutputControl]
-	fifos    pool[buffer.FIFO]
-	arbs     pool[arbiter.RoundRobin]
-	arbIfs   pool[arbiter.Arbiter]
-	recvs    pool[portReceiver]
-	links    pool[*noc.Link]
-	flits    pool[*noc.Flit]
-	pkts     pool[*noc.Packet]
-	bools    pool[bool]
-	ints     pool[int]
-	int64s   pool[int64]
-	uint32s  pool[uint32]
+	noxPorts pool[noxPort]
+	ins      pool[inPort]
+	spPorts  pool[specPort]
+	nsPorts  pool[nsPort]
+	rings    pool[*noc.Flit]
 }
 
 // NewSlabs returns a batch allocator for the construction of many routers.

@@ -3,8 +3,6 @@ package router
 import (
 	"fmt"
 
-	"repro/internal/arbiter"
-	"repro/internal/buffer"
 	"repro/internal/snapshot/codec"
 )
 
@@ -15,99 +13,35 @@ import (
 // staged actions are dead whenever a step is complete. Restore targets a
 // freshly constructed router of the identical configuration.
 
-func saveFIFO(e *codec.Encoder, q *buffer.FIFO) {
-	e.Int(q.Len())
-	for i := 0; i < q.Len(); i++ {
-		e.Flit(q.At(i))
-	}
-}
-
-func restoreFIFO(d *codec.Decoder, q *buffer.FIFO) error {
-	n := d.Len(q.Cap())
-	if err := d.Err(); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		f := d.Flit()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if f == nil {
-			return fmt.Errorf("%w: nil flit in router FIFO", codec.ErrCorrupt)
-		}
-		q.Push(f)
-	}
-	return nil
-}
-
-func saveArbiter(e *codec.Encoder, a arbiter.Arbiter) error {
-	st, err := arbiter.State(a)
-	if err != nil {
-		return fmt.Errorf("%w: %v", codec.ErrUnsupported, err)
-	}
-	e.Int(len(st))
-	for _, w := range st {
-		e.U64(w)
-	}
-	return nil
-}
-
-func restoreArbiter(d *codec.Decoder, a arbiter.Arbiter) error {
-	n := d.Len(64)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	words := make([]uint64, n)
-	for i := range words {
-		words[i] = d.U64()
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if err := arbiter.Restore(a, words); err != nil {
-		return fmt.Errorf("%w: %v", codec.ErrCorrupt, err)
-	}
-	return nil
-}
-
-// checkPortIndex validates a deserialized port index that may be -1 (none).
-func checkPortIndex(v, n int, what string) error {
-	if v < -1 || v >= n {
-		return fmt.Errorf("%w: %s %d of %d ports", codec.ErrCorrupt, what, v, n)
-	}
-	return nil
-}
-
 // SaveState implements Router for the NoX architecture: every input port
 // (queue + decode register) and every output's FSM, masks, and arbiter.
 func (r *noxRouter) SaveState(e *codec.Encoder) error {
-	for p := range r.in {
-		r.in[p].SaveState(e)
+	for i := range r.port {
+		r.port[i].in.SaveState(e)
 	}
-	for p := range r.ctl {
-		if err := r.ctl[p].SaveState(e); err != nil {
+	for i := range r.port {
+		if err := r.port[i].ctl.SaveState(e); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// RestoreState implements Router for the NoX architecture.
+// RestoreState implements Router for the NoX architecture. The dirty masks
+// are derived state and are not serialized: they are recomputed from the
+// restored ports.
 func (r *noxRouter) RestoreState(d *codec.Decoder) error {
-	for p := range r.in {
-		if err := r.in[p].RestoreState(d); err != nil {
+	for i := range r.port {
+		if err := r.port[i].in.RestoreState(d, r.wired); err != nil {
 			return err
 		}
 	}
-	for p := range r.ctl {
-		if err := r.ctl[p].RestoreState(d); err != nil {
+	for i := range r.port {
+		if err := r.port[i].ctl.RestoreState(d); err != nil {
 			return err
 		}
 	}
-	// The dirty masks are derivable state and are not serialized: restore
-	// them conservatively full (every port presumed dirty); the first
-	// evaluated cycle trims them back to the true busy set.
-	r.inBusy, r.outBusy = allPorts(r.ports), allPorts(r.ports)
+	r.inBusy, r.outBusy = r.scanMasks()
 	return nil
 }
 
@@ -115,15 +49,14 @@ func (r *noxRouter) RestoreState(d *codec.Decoder) error {
 // queues, wormhole locks, live reservations with their owning packets, the
 // Spec-Fast newly-exposed fairness timestamps, and the allocator arbiters.
 func (r *specRouter) SaveState(e *codec.Encoder) error {
-	for p := range r.in {
-		saveFIFO(e, &r.in[p])
-	}
-	for p := 0; p < r.ports; p++ {
-		e.I64(r.newlyExposed[p])
-		e.Int(r.lock[p])
-		e.Int(r.res[p])
-		e.Packet(r.resPkt[p])
-		if err := saveArbiter(e, r.arb[p]); err != nil {
+	r.saveInputs(e)
+	for i := range r.port {
+		p := &r.port[i]
+		e.I64(p.newlyExposed)
+		e.Int(int(p.lock))
+		e.Int(int(p.res))
+		e.Packet(p.resPkt)
+		if err := e.Arbiter(p.arb); err != nil {
 			return err
 		}
 	}
@@ -132,45 +65,41 @@ func (r *specRouter) SaveState(e *codec.Encoder) error {
 
 // RestoreState implements Router for the speculative architectures.
 func (r *specRouter) RestoreState(d *codec.Decoder) error {
-	for p := range r.in {
-		if err := restoreFIFO(d, &r.in[p]); err != nil {
-			return err
-		}
+	n := len(r.port)
+	if err := r.restoreInputs(d); err != nil {
+		return err
 	}
-	for p := 0; p < r.ports; p++ {
+	for i := range r.port {
+		p := &r.port[i]
 		ne := d.I64()
-		lock := d.Int()
-		res := d.Int()
+		lock := d.PortIndex(n)
+		res := d.PortIndex(n)
 		pkt := d.Packet()
 		if err := d.Err(); err != nil {
-			return err
-		}
-		if err := checkPortIndex(lock, r.ports, "lock owner"); err != nil {
-			return err
-		}
-		if err := checkPortIndex(res, r.ports, "reservation"); err != nil {
 			return err
 		}
 		if (res >= 0) != (pkt != nil) {
 			return fmt.Errorf("%w: reservation %d with packet %v", codec.ErrCorrupt, res, pkt != nil)
 		}
-		r.newlyExposed[p], r.lock[p], r.res[p], r.resPkt[p] = ne, lock, res, pkt
-		if err := restoreArbiter(d, r.arb[p]); err != nil {
+		if (lock >= 0 || res >= 0) && p.out == nil {
+			return fmt.Errorf("%w: lock %d / reservation %d on unwired output %d", codec.ErrCorrupt, lock, res, i)
+		}
+		p.newlyExposed, p.lock, p.res, p.resPkt = ne, int8(lock), int8(res), pkt
+		if err := d.Arbiter(p.arb); err != nil {
 			return err
 		}
 	}
+	r.locked, r.reserved = r.heldMasks()
 	return nil
 }
 
 // SaveState implements Router for the non-speculative baseline: input
 // queues, wormhole locks, and arbiters.
 func (r *nonspecRouter) SaveState(e *codec.Encoder) error {
-	for p := range r.in {
-		saveFIFO(e, &r.in[p])
-	}
-	for p := 0; p < r.ports; p++ {
-		e.Int(r.lock[p])
-		if err := saveArbiter(e, r.arb[p]); err != nil {
+	r.saveInputs(e)
+	for i := range r.port {
+		e.Int(int(r.port[i].lock))
+		if err := e.Arbiter(r.port[i].arb); err != nil {
 			return err
 		}
 	}
@@ -179,21 +108,16 @@ func (r *nonspecRouter) SaveState(e *codec.Encoder) error {
 
 // RestoreState implements Router for the non-speculative baseline.
 func (r *nonspecRouter) RestoreState(d *codec.Decoder) error {
-	for p := range r.in {
-		if err := restoreFIFO(d, &r.in[p]); err != nil {
-			return err
-		}
+	if err := r.restoreInputs(d); err != nil {
+		return err
 	}
-	for p := 0; p < r.ports; p++ {
-		lock := d.Int()
+	for i := range r.port {
+		lock := d.PortIndex(len(r.port))
 		if err := d.Err(); err != nil {
 			return err
 		}
-		if err := checkPortIndex(lock, r.ports, "lock owner"); err != nil {
-			return err
-		}
-		r.lock[p] = lock
-		if err := restoreArbiter(d, r.arb[p]); err != nil {
+		r.port[i].lock = int8(lock)
+		if err := d.Arbiter(r.port[i].arb); err != nil {
 			return err
 		}
 	}

@@ -4,9 +4,33 @@ import (
 	"math/bits"
 
 	"repro/internal/arbiter"
-	"repro/internal/buffer"
 	"repro/internal/noc"
 )
+
+// specPort is the speculative routers' own half of port p: output p's
+// channel, allocator arbiter, wormhole lock and reservation with their
+// staged successors, and input p's Spec-Fast exposure stamp.
+type specPort struct {
+	out *noc.Link
+	// arb is output p's arbiter; it points at rr unless Config.NewArbiter
+	// supplied another.
+	arb arbiter.Arbiter
+	rr  arbiter.RoundRobin
+	// lock is the input holding output p through a multi-flit packet and res
+	// the input holding next cycle's reservation, -1 if none; the Next
+	// fields are their staged successors, valid for touched outputs.
+	lock     int8
+	res      int8
+	lockNext int8
+	resNext  int8
+	// resPkt is the packet whose request earned the reservation; a
+	// reservation is unusable by any other packet (Spec-Fast).
+	resPkt     *noc.Packet
+	resPktNext *noc.Packet
+	// newlyExposed is the cycle during which input p's head packet is barred
+	// from arbitration (Spec-Fast fairness rule).
+	newlyExposed int64
+}
 
 // specRouter implements both speculative single-cycle designs of §3.1.2
 // (adapted from Mullins et al. to wormhole operation). Requests traverse
@@ -43,33 +67,20 @@ import (
 // channel is driven with an indeterminate, invalid value — the misspeculation
 // energy overhead central to the paper's comparison (§3.2).
 type specRouter struct {
-	base
+	baseline
+	port     []specPort
 	accurate bool
 
-	// in is a value slab; its FIFO rings are carved from one shared slot slab.
-	in []buffer.FIFO
-	// newlyExposed[i] is the cycle during which input i's head packet is
-	// barred from arbitration (Spec-Fast fairness rule).
-	newlyExposed []int64
-	arb          []arbiter.Arbiter
-	lock         []int
-	res          []int
-	// resPkt[o] is the packet whose request earned the reservation; a
-	// reservation is unusable by any other packet (Spec-Fast).
-	resPkt []*noc.Packet
-
-	// staged actions. popTail marks the inputs whose staged pop removes a
-	// tail: recorded at traversal, because the flit belongs to the
-	// downstream router once sent (see noc.Link).
-	pops       []bool
-	popTail    uint32
-	lockNext   []int
-	resNext    []int
-	resPktNext []*noc.Packet
-
-	// per-cycle scratch
-	req  []uint32
-	head []*noc.Flit
+	// locked and reserved have a bit per output holding a wormhole lock or a
+	// live reservation, kept by Commit as it applies the staged state (and
+	// rebuilt by RestoreState). Compute visits requested or held outputs
+	// only; Quiet is busy == 0 && reserved == 0.
+	locked   uint32
+	reserved uint32
+	// popTail marks the staged pops that remove a tail: recorded at
+	// traversal, because the flit belongs to the downstream router once sent
+	// (see noc.Link).
+	popTail uint32
 	// touched is the dirty-output mask of the current cycle: outputs whose
 	// staged Next entries were written by Compute (requests present, or a
 	// live reservation/lock to hold or lapse). Commit applies exactly these —
@@ -77,78 +88,33 @@ type specRouter struct {
 	touched uint32
 }
 
-func newSpec(cfg Config) *specRouter {
+func newSpec(cfg *Config) *specRouter {
 	s := cfg.Slabs
 	r := &s.specs.take(1, s.chunk)[0]
 	r.accurate = cfg.Arch == SpecAccurate
-	r.init(cfg)
-	n := r.ports
-	r.in = s.fifos.take(n, s.chunk)
-	r.newlyExposed = s.int64s.take(n, s.chunk)
-	r.arb = s.arbIfs.take(n, s.chunk)
-	ints := s.ints.take(4*n, s.chunk)
-	r.lock = ints[0*n : 1*n : 1*n]
-	r.res = ints[1*n : 2*n : 2*n]
-	r.lockNext = ints[2*n : 3*n : 3*n]
-	r.resNext = ints[3*n:]
-	pkts := s.pkts.take(2*n, s.chunk)
-	r.resPkt = pkts[:n:n]
-	r.resPktNext = pkts[n:]
-	r.pops = s.bools.take(n, s.chunk)
-	r.req = s.uint32s.take(n, s.chunk)
-	r.head = s.flits.take(n, s.chunk)
-	sl := buffer.SlotsFor(cfg.BufferDepth)
-	slots := s.flits.take(n*sl, s.chunk)
-	arb := arbMaker(&cfg, n)
-	for p := range r.in {
-		r.in[p].Init(cfg.BufferDepth, slots[p*sl:(p+1)*sl:(p+1)*sl])
-		r.arb[p] = arb(p)
-		r.lock[p] = -1
-		r.res[p] = -1
-		r.newlyExposed[p] = -1
+	r.init(cfg, r)
+	r.port = s.spPorts.take(cfg.Ports, s.chunk)
+	for i := range r.port {
+		p := &r.port[i]
+		p.arb = arbiterFor(cfg, &p.rr)
+		p.lock, p.res, p.newlyExposed = -1, -1, -1
 	}
-	r.initReceivers(r)
 	return r
 }
 
-func (r *specRouter) receive(p noc.Port, f *noc.Flit, cycle int64) {
-	if f.Encoded {
-		panic("router: speculative router received an encoded flit")
-	}
-	if r.overflow(p, f, cycle, r.in[p].Free()) {
-		return
-	}
-	f.OutPort = r.route(f.Packet.Dst)
-	r.in[p].Push(f)
-	r.counters().BufWrite++
-	if pr := r.probe(); pr != nil {
-		pr.BufWrite(cycle, r.node(), int(p), f.Packet.ID, f.Seq)
-	}
-}
+// SetOutputLink registers the link driven by port p.
+func (r *specRouter) SetOutputLink(p noc.Port, l *noc.Link) { r.wire(&r.port[p].out, p, l) }
 
-// BufferedFlits returns the number of flits held in input FIFOs.
-func (r *specRouter) BufferedFlits() int {
-	n := 0
-	for i := range r.in {
-		n += r.in[i].Len()
-	}
-	return n
-}
-
-// PortStates implements Router: input FIFO occupancy plus the matching
-// output's lock/reservation and link credits. A live reservation shows as
-// the lock owner (both wedge the output on one input).
+// PortStates implements Router. A live reservation shows as the lock owner
+// (both wedge the output on one input).
 func (r *specRouter) PortStates(buf []PortState) []PortState {
-	for p := 0; p < r.ports; p++ {
-		ps := PortState{Buffered: r.in[p].Len(), OutMode: -1, OutLock: -1, OutCredits: -1}
-		if r.outLink[p] != nil {
-			ps.OutLock = r.lock[p]
-			if ps.OutLock < 0 {
-				ps.OutLock = r.res[p]
-			}
-			ps.OutCredits = r.outLink[p].Credits()
+	for i := range r.port {
+		p := &r.port[i]
+		held := p.lock
+		if held < 0 {
+			held = p.res
 		}
-		buf = append(buf, ps)
+		buf = append(buf, r.portState(i, p.out, held))
 	}
 	return buf
 }
@@ -161,108 +127,109 @@ func (r *specRouter) PortStates(buf []PortState) []PortState {
 // have lapsed. Locks held through upstream bubbles are safe to sleep on
 // (held verbatim by empty cycles), and newlyExposed entries compare
 // against absolute cycle numbers, so skipped cycles cannot alias them.
-func (r *specRouter) Quiet() bool {
-	for i := range r.in {
-		if r.in[i].Len() != 0 {
-			return false
+func (r *specRouter) Quiet() bool { return r.busy|r.reserved == 0 }
+
+// heldMasks scans the port records for the outputs holding a lock and those
+// holding a reservation.
+func (r *specRouter) heldMasks() (locked, reserved uint32) {
+	for o := range r.port {
+		if r.port[o].lock >= 0 {
+			locked |= 1 << uint(o)
+		}
+		if r.port[o].res >= 0 {
+			reserved |= 1 << uint(o)
 		}
 	}
-	for _, res := range r.res {
-		if res >= 0 {
-			return false
-		}
+	return locked, reserved
+}
+
+// Audit implements Router.
+func (r *specRouter) Audit() error {
+	busy, err := r.auditInputs()
+	if err != nil {
+		return err
 	}
-	return true
+	locked, reserved := r.heldMasks()
+	return r.auditMasks("busy/locked/reserved/pops", [4]uint32{r.busy, r.locked, r.reserved, r.pops | r.popTail},
+		[4]uint32{busy, locked, reserved})
 }
 
 // Flush implements Router: drains every input FIFO through drop and clears
 // all locks, reservations, exposure markers, and staged actions.
 func (r *specRouter) Flush(drop func(*noc.Flit)) {
-	for p := range r.in {
-		r.dropAll(&r.in[p], drop)
-		r.lock[p] = -1
-		r.res[p] = -1
-		r.resPkt[p] = nil
-		r.newlyExposed[p] = -1
-		r.pops[p] = false
+	r.flushInputs(drop)
+	for i := range r.port {
+		p := &r.port[i]
+		p.lock, p.res, p.resPkt, p.newlyExposed = -1, -1, nil, -1
 	}
-	r.popTail = 0
-	r.touched = 0
+	r.locked, r.reserved, r.popTail, r.touched = 0, 0, 0, 0
 }
 
-// allocatable reports whether input i's request may reach the allocator at
-// the given cycle (Spec-Fast's newly-exposed restriction; always true for
-// Spec-Accurate).
-func (r *specRouter) allocatable(i int, cycle int64) bool {
-	return r.accurate || r.newlyExposed[i] != cycle
+// switchNext is the Switch-Next logic: which of the requests Switch-Fast saw
+// reach the allocator. Spec-Accurate removes the request that traversed this
+// cycle (success, -1 if none); Spec-Fast passes it through and bars only
+// newly exposed heads.
+func (r *specRouter) switchNext(reqs uint32, success int, cycle int64) uint32 {
+	if r.accurate {
+		if success >= 0 {
+			reqs &^= 1 << uint(success)
+		}
+		return reqs
+	}
+	for a := reqs; a != 0; a &= a - 1 {
+		if i := bits.TrailingZeros32(a); r.port[i].newlyExposed == cycle {
+			reqs &^= 1 << uint(i)
+		}
+	}
+	return reqs
 }
 
 // Compute performs speculative switch traversal and parallel allocation.
 func (r *specRouter) Compute(cycle int64) {
-	c := r.counters()
+	c := r.counters
+	port := r.port
 
-	req, head := r.req, r.head
-	for i := range req {
-		req[i] = 0
-		head[i] = nil
-	}
-	for i := range r.in {
-		f := r.in[i].Head()
-		if f == nil {
-			continue
-		}
-		head[i] = f
-		if r.outLink[f.OutPort] == nil {
-			panic("router: flit routed to unwired output")
-		}
-		req[f.OutPort] |= 1 << i
-	}
-
-	r.touched = 0
-	for o := noc.Port(0); o < noc.Port(r.ports); o++ {
-		link := r.outLink[o]
-		if link == nil {
-			continue
-		}
-		if req[o] == 0 && r.lock[o] < 0 && r.res[o] < 0 {
-			// Nothing requesting and no held state: evaluating this output
-			// would stage an exact hold, so the dirty walk skips it (and
-			// Commit must not copy its stale Next entries).
-			continue
-		}
-		r.touched |= 1 << uint(o)
-		r.lockNext[o] = r.lock[o]
-		r.resNext[o] = -1
-		r.resPktNext[o] = nil
-		if req[o] == 0 && r.lock[o] < 0 {
+	// An output with nothing requesting and no held state would stage an
+	// exact hold, so the walk skips it (and Commit must not copy its stale
+	// Next entries).
+	var req [maxPorts]uint32
+	r.touched = r.gather(&req) | r.locked | r.reserved
+	for m := r.touched; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros32(m)
+		p := &port[o]
+		reqs := req[o]
+		p.lockNext = p.lock
+		p.resNext = -1
+		p.resPktNext = nil
+		if reqs == 0 && p.lock < 0 {
 			// Nothing requesting; the pending reservation simply lapses
 			// unused (it would be wasted only if requests it masked
 			// existed, which they do not).
 			continue
 		}
-		if !link.Ready(cycle) {
+		if !p.out.Ready(cycle) {
 			// Backpressure (or injected stall): everything holds.
-			r.resNext[o] = r.res[o]
-			r.resPktNext[o] = r.resPkt[o]
-			if pr := r.probe(); pr != nil {
-				pr.CreditStall(cycle, r.node(), int(o))
+			p.resNext = p.res
+			p.resPktNext = p.resPkt
+			if pr := r.probe; pr != nil {
+				pr.CreditStall(cycle, int(r.node), o)
 			}
 			continue
 		}
 
-		if owner := r.lock[o]; owner >= 0 {
-			r.computeLocked(o, owner, req[o], head, cycle)
+		if owner := int(p.lock); owner >= 0 {
+			r.computeLocked(o, owner, reqs, cycle)
 			continue
 		}
 
 		success := -1
-		if res := r.res[o]; res >= 0 {
+		if res := int(p.res); res >= 0 {
 			// Reserved cycle: only the reservation holder may traverse, and
 			// only if the packet that requested the reservation is still
 			// there — a freshly exposed successor never requested it.
-			if req[o]&(1<<res) != 0 && head[res].Packet == r.resPkt[o] {
+			if reqs&(1<<uint(res)) != 0 && r.in[res].head.pkt == p.resPkt {
 				success = res
-				r.traverse(o, res, head[res], cycle)
+				r.traverse(o, res, cycle)
 			} else {
 				// The reservation was unnecessary — its requester already
 				// departed or has nothing to send — and every other input
@@ -276,57 +243,32 @@ func (r *specRouter) Compute(cycle int64) {
 			// reservation); Spec-Accurate removes the success, leaving
 			// nothing to allocate, so the cycle after a reserved cycle is
 			// speculative again.
-			allocReq := req[o] & (1 << res)
-			if r.accurate {
-				if success >= 0 {
-					allocReq &^= 1 << success
-				}
-			} else if !r.allocatable(res, cycle) {
-				allocReq = 0
-			}
-			r.allocate(o, allocReq, head)
+			r.allocate(o, r.switchNext(reqs&(1<<uint(res)), success, cycle))
 			continue
 		}
 
 		// Unreserved: every requester traverses speculatively.
-		switch bits.OnesCount32(req[o]) {
-		case 1:
-			i := bits.TrailingZeros32(req[o])
-			success = i
-			r.traverse(o, i, head[i], cycle)
-		default:
+		if reqs&(reqs-1) == 0 {
+			success = bits.TrailingZeros32(reqs)
+			r.traverse(o, success, cycle)
+		} else {
 			// Misspeculation: contention drives an indeterminate value on
 			// the channel; the cycle and the channel energy are wasted.
 			c.LinkInvalid++
 			c.WastedCycles++
 			c.Collisions++
-			if pr := r.probe(); pr != nil {
-				pr.Collision(cycle, r.node(), int(o), bits.OnesCount32(req[o]), 0)
+			if pr := r.probe; pr != nil {
+				pr.Collision(cycle, int(r.node), o, bits.OnesCount32(reqs), 0)
 			}
 		}
-		var allocReq uint32
-		if r.accurate {
-			allocReq = req[o]
-			if success >= 0 {
-				allocReq &^= 1 << success
-			}
-		} else {
-			allocReq = req[o]
-			for i := 0; i < r.ports; i++ {
-				if allocReq&(1<<i) != 0 && !r.allocatable(i, cycle) {
-					allocReq &^= 1 << i
-				}
-			}
-		}
-		r.allocate(o, allocReq, head)
+		r.allocate(o, r.switchNext(reqs, success, cycle))
 	}
 }
 
 // computeLocked advances a multi-flit packet holding output o.
-func (r *specRouter) computeLocked(o noc.Port, owner int, req uint32, head []*noc.Flit, cycle int64) {
-	c := r.counters()
-	if req&(1<<owner) != 0 {
-		r.traverse(o, owner, head[owner], cycle)
+func (r *specRouter) computeLocked(o, owner int, req uint32, cycle int64) {
+	if req&(1<<uint(owner)) != 0 {
+		r.traverse(o, owner, cycle)
 	}
 	if r.accurate {
 		// Spec-Accurate overrides arbitration while a multi-flit packet is
@@ -336,104 +278,69 @@ func (r *specRouter) computeLocked(o noc.Port, owner int, req uint32, head []*no
 	// Spec-Fast: only the owner's own (non-newly-exposed) request reaches
 	// the allocator; at the tail cycle this manufactures the trailing
 	// unnecessary reservation.
-	allocReq := req & (1 << owner)
-	if !r.allocatable(owner, cycle) {
-		allocReq = 0
-	}
-	if allocReq != 0 {
-		g, _ := r.arb[o].Grant(allocReq)
-		c.Arb++
-		r.resNext[o] = g
-		r.resPktNext[o] = head[g].Packet
+	if a := r.switchNext(req&(1<<uint(owner)), -1, cycle); a != 0 {
+		r.grant(o, a)
 	}
 }
 
-// traverse stages a successful switch traversal of head f from input i to
+// traverse stages a successful switch traversal of input i's head to
 // output o.
-func (r *specRouter) traverse(o noc.Port, i int, f *noc.Flit, cycle int64) {
-	c := r.counters()
-	tail := f.Tail()
-	if f.MultiFlit() {
-		if f.Seq == 0 {
-			r.lockNext[o] = i
-		}
-		if tail {
-			r.lockNext[o] = -1
-		}
-	}
-	if tail {
+func (r *specRouter) traverse(o, i int, cycle int64) {
+	if r.in[i].head.kind&headTail != 0 {
 		r.popTail |= 1 << uint(i)
 	}
-	r.outLink[o].Send(f)
-	r.pops[i] = true
-	c.Xbar++
-	c.LinkFlit++
-	c.OutputActive++
-	if pr := r.probe(); pr != nil {
-		pr.Traverse(cycle, r.node(), int(o), f.Packet.ID, f.Seq)
-	}
+	p := &r.port[o]
+	p.lockNext = r.send(i, o, p.out, p.lockNext, cycle)
 }
 
 // allocate runs the parallel allocator over allocReq and stages next
-// cycle's reservation. A reservation is suppressed when it would collide
-// with a multi-flit lock engaging next cycle.
-func (r *specRouter) allocate(o noc.Port, allocReq uint32, head []*noc.Flit) {
-	if allocReq == 0 {
-		return
+// cycle's reservation — unless a multi-flit head traversed this cycle: the
+// lock it engages owns the output.
+func (r *specRouter) allocate(o int, allocReq uint32) {
+	if allocReq != 0 && r.port[o].lockNext < 0 {
+		r.grant(o, allocReq)
 	}
-	if r.lockNext[o] >= 0 {
-		// A multi-flit head traversed this cycle; the lock owns the output.
-		return
-	}
-	g, _ := r.arb[o].Grant(allocReq)
-	r.counters().Arb++
-	r.resNext[o] = g
-	r.resPktNext[o] = head[g].Packet
 }
 
-// Latch implements sim.Latcher: the flits staged on the input channels this
-// cycle enter their ports' FIFOs.
-func (r *specRouter) Latch(cycle int64) {
-	for p, l := range r.inLink {
-		if l == nil {
-			continue
-		}
-		if f := l.Take(cycle); f != nil {
-			r.receive(noc.Port(p), f, cycle)
-		}
-	}
+// grant lets output o's allocator pick among allocReq (non-empty) and stages
+// the reservation for the winner's head packet.
+func (r *specRouter) grant(o int, allocReq uint32) {
+	p := &r.port[o]
+	g, _ := p.arb.Grant(allocReq)
+	r.counters.Arb++
+	p.resNext = int8(g)
+	p.resPktNext = r.in[g].head.pkt
 }
 
 // Commit pops traversed flits, returns credits, applies reservations and
 // locks, tracks newly exposed packets, and takes in this cycle's arrivals.
 func (r *specRouter) Commit(cycle int64) {
-	c := r.counters()
-	pr := r.probe()
-	for i := range r.in {
-		if r.pops[i] {
-			r.pops[i] = false
-			r.in[i].Pop()
-			c.BufRead++
-			if pr != nil {
-				pr.BufRead(cycle, r.node(), i, 1)
-			}
-			r.returnCredits(noc.Port(i), 1, cycle)
-			if r.popTail&(1<<uint(i)) != 0 && !r.in[i].Empty() {
-				// The next packet was exposed by this departure; it may
-				// not arbitrate during its first head cycle (Spec-Fast).
-				r.newlyExposed[i] = cycle + 1
-			}
+	port := r.port
+	for m := r.pops; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		if r.pop(i, cycle) && r.popTail&(1<<uint(i)) != 0 {
+			// The next packet was exposed by this departure; it may
+			// not arbitrate during its first head cycle (Spec-Fast).
+			port[i].newlyExposed = cycle + 1
 		}
 	}
-	r.popTail = 0
+	r.pops, r.popTail = 0, 0
 	for m := r.touched; m != 0; m &= m - 1 {
 		o := bits.TrailingZeros32(m)
-		r.lock[o] = r.lockNext[o]
-		r.res[o] = r.resNext[o]
-		r.resPkt[o] = r.resPktNext[o]
+		p := &port[o]
+		p.lock, p.res, p.resPkt = p.lockNext, p.resNext, p.resPktNext
+		bit := uint32(1) << uint(o)
+		r.locked &^= bit
+		r.reserved &^= bit
+		if p.lock >= 0 {
+			r.locked |= bit
+		}
+		if p.res >= 0 {
+			r.reserved |= bit
+		}
 	}
-	if pr != nil {
-		pr.Occupancy(r.node(), r.BufferedFlits())
+	if pr := r.probe; pr != nil {
+		pr.Occupancy(int(r.node), r.BufferedFlits())
 	}
 	r.Latch(cycle)
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/arbiter"
 	"repro/internal/noc"
 )
 
@@ -183,6 +184,9 @@ type Decoder struct {
 	packets []*noc.Packet
 	flits   []*noc.Flit
 	arena   *noc.Arena
+	cores   int
+	// queued marks the flits QueuedFlit has handed out.
+	queued map[*noc.Flit]bool
 }
 
 // NewDecoder reads from data. The decoder aliases the slice.
@@ -192,6 +196,12 @@ func NewDecoder(data []byte) *Decoder { return &Decoder{buf: data} }
 // nil arena falls back to the heap. The restoring network switches arenas as
 // it walks shards so per-shard accounting stays plausible.
 func (d *Decoder) SetArena(a *noc.Arena) { d.arena = a }
+
+// SetCores tells the decoder how many cores the restoring network has:
+// from here on a packet whose source or destination is not one of them is
+// corrupt (routers index their route row by destination). Zero, the
+// default, accepts any.
+func (d *Decoder) SetCores(n int) { d.cores = n }
 
 // Err returns the first error encountered, or nil.
 func (d *Decoder) Err() error { return d.err }
@@ -340,6 +350,10 @@ func (d *Decoder) Packet() *noc.Packet {
 			d.failf(ErrCorrupt, "packet length %d", length)
 			return nil
 		}
+		if d.cores > 0 && (src < 0 || int(src) >= d.cores || dst < 0 || int(dst) >= d.cores) {
+			d.failf(ErrCorrupt, "packet %d -> %d on %d cores", src, dst, d.cores)
+			return nil
+		}
 		p := noc.NewPacket(id, src, dst, length, class, create)
 		p.InjectCycle, p.DeliverCycle, p.Measured = inject, deliver, measured
 		if !canonical {
@@ -356,6 +370,27 @@ func (d *Decoder) Packet() *noc.Packet {
 		d.failf(ErrCorrupt, "bad packet tag %#x", tag)
 		return nil
 	}
+}
+
+// QueuedFlit reads the flit occupying a buffer slot or a decode register, nil
+// for an empty one. No two slots of one image may hold the same object: a
+// flit is in one place at a time, and its buffer recycles it when it leaves —
+// under any second holder. (A buffered flit may also be a constituent of a
+// superposition in flight; those references go through Flit.)
+func (d *Decoder) QueuedFlit() *noc.Flit {
+	f := d.Flit()
+	if d.err != nil || f == nil {
+		return nil
+	}
+	if d.queued[f] {
+		d.failf(ErrCorrupt, "one flit in two buffer slots")
+		return nil
+	}
+	if d.queued == nil {
+		d.queued = make(map[*noc.Flit]bool)
+	}
+	d.queued[f] = true
+	return f
 }
 
 // Flit reads a flit reference. Unencoded flits are re-materialized from the
@@ -443,4 +478,44 @@ func (d *Decoder) Flit() *noc.Flit {
 		d.failf(ErrCorrupt, "bad flit tag %#x", tag)
 		return nil
 	}
+}
+
+// Arbiter writes an arbiter's priority state (see arbiter.State). A custom
+// arbiter implementation fails with ErrUnsupported.
+func (e *Encoder) Arbiter(a arbiter.Arbiter) error {
+	st, err := arbiter.State(a)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrUnsupported, err)
+	}
+	e.Int(len(st))
+	for _, w := range st {
+		e.U64(w)
+	}
+	return nil
+}
+
+// PortIndex reads a router port index that may be -1 (none); anything outside
+// [-1, ports) is corrupt.
+func (d *Decoder) PortIndex(ports int) int {
+	v := d.Int()
+	if d.err == nil && (v < -1 || v >= ports) {
+		d.failf(ErrCorrupt, "port index %d of %d ports", v, ports)
+	}
+	return v
+}
+
+// Arbiter reads priority state written by Encoder.Arbiter into a, an arbiter
+// of the same type and width.
+func (d *Decoder) Arbiter(a arbiter.Arbiter) error {
+	words := make([]uint64, d.Len(64))
+	for i := range words {
+		words[i] = d.U64()
+	}
+	if d.err != nil {
+		return d.err
+	}
+	if err := arbiter.Restore(a, words); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return nil
 }

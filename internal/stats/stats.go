@@ -8,7 +8,7 @@ package stats
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/noc"
 )
@@ -114,7 +114,7 @@ func (c *Collector) PercentileLatencyCycles(q float64) float64 {
 		return math.NaN()
 	}
 	if !c.sorted {
-		sort.Slice(c.latencies, func(i, j int) bool { return c.latencies[i] < c.latencies[j] })
+		slices.Sort(c.latencies)
 		c.sorted = true
 	}
 	idx := int(math.Ceil(q*float64(len(c.latencies)))) - 1
