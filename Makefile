@@ -1,8 +1,10 @@
 GO ?= go
 
-.PHONY: check build vet lint test race shard-race bench bench-json bench-compare bench-smoke bench-repo-smoke trace-smoke fault-smoke fault-perm-smoke batch-smoke telemetry-smoke snapshot-smoke fuzz-smoke contract-check
+.PHONY: check build vet lint test alloc-guard race shard-race bench bench-json bench-compare bench-smoke bench-repo-smoke trace-smoke fault-smoke fault-perm-smoke batch-smoke telemetry-smoke snapshot-smoke fuzz-smoke contract-check
 
-## check: the CI gate — build, vet, static analysis, the full test suite
+## check: the CI gate — build, vet, static analysis, the allocation guards
+## (seconds: an allocation back in the inject/step/deliver loop fails before
+## the long suites start), the full test suite
 ## under the race detector (the parallel experiment engine makes this
 ## mandatory), the sharded executor's barrier at three GOMAXPROCS
 ## settings, the event-horizon contract tests, the tracing,
@@ -11,7 +13,7 @@ GO ?= go
 ## the user-facing decoders and the arrival skip-ahead, the repo
 ## benchmark's own tests, and a soft benchmark-regression check against the
 ## newest committed snapshot.
-check: build vet lint race shard-race contract-check trace-smoke fault-smoke fault-perm-smoke batch-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-repo-smoke bench-compare
+check: build vet lint alloc-guard race shard-race contract-check trace-smoke fault-smoke fault-perm-smoke batch-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-repo-smoke bench-compare
 
 build:
 	$(GO) build ./...
@@ -35,6 +37,14 @@ lint:
 
 test:
 	$(GO) test ./...
+
+## alloc-guard: the zero-allocation contracts of the simulation loop — the
+## kernel walk, the sharded step, packets turning around on their slab, and
+## the whole loaded inject -> step -> deliver loop on all four architectures.
+## AllocsPerRun counts are exact only without the race detector, so this runs
+## plain, and first.
+alloc-guard:
+	$(GO) test -run 'Allocs' -count=1 ./internal/network ./internal/sim ./internal/noc
 
 race:
 	$(GO) test -race ./...
@@ -204,10 +214,13 @@ telemetry-smoke:
 ## and require the resumed run's report to be byte-identical to the
 ## uninterrupted run's. Then do the warm-start equivalent with noxsweep: a
 ## -warmstart sweep that persists its warm images must render the same CSV
-## as a second sweep that -restores them from the cache.
+## as a second sweep that -restores them from the cache. First, the format
+## itself: the committed images an earlier commit wrote must restore, re-encode
+## to the same bytes and drain as they did there (TestParentImagesRestore).
 snapshot-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	set -e; \
+	$(GO) test -race -count=1 -run 'TestParentImagesRestore' ./internal/snapshot && \
 	$(GO) run -race ./cmd/noxsim -arch nox -pattern uniform -rate 1400 \
 		-warmup 1000 -measure 3000 > "$$tmp/straight.txt" && \
 	$(GO) run -race ./cmd/noxsim -arch nox -pattern uniform -rate 1400 \

@@ -13,12 +13,19 @@ import (
 
 // fire injects one single-flit packet from each source toward dst on the
 // same cycle, forcing a collision at dst's router.
-func fire(net *noxnet.Network, sources []noxnet.NodeID, dst noxnet.NodeID) []*noxnet.Packet {
-	var pkts []*noxnet.Packet
+func fire(net *noxnet.Network, sources []noxnet.NodeID, dst noxnet.NodeID) {
 	for _, s := range sources {
-		pkts = append(pkts, net.Inject(s, dst, 1, 0))
+		net.Inject(s, dst, 1, 0)
 	}
-	return pkts
+}
+
+// arrival is what the walkthrough keeps of a delivered packet. The packet
+// itself is valid only until its OnDeliver returns (the network recycles it).
+type arrival struct {
+	id      uint64
+	src     noxnet.NodeID
+	cycle   int64
+	latency int64
 }
 
 func run(arch noxnet.Arch) {
@@ -30,16 +37,20 @@ func run(arch noxnet.Arch) {
 	// Nodes 1, 4, and 9 all converge on node 10's router. With XY routing
 	// their flits meet at different input ports of intermediate routers,
 	// colliding on the way.
-	pkts := fire(net, []noxnet.NodeID{1, 4, 9}, 10)
+	var arrivals []arrival
+	net.OnDeliver = func(p *noxnet.Packet, cycle int64) {
+		arrivals = append(arrivals, arrival{p.ID, p.Src, cycle, p.Latency()})
+	}
+	fire(net, []noxnet.NodeID{1, 4, 9}, 10)
 	if !net.Drain(1_000) {
 		panic("collision traffic did not drain")
 	}
 
 	c := net.Counters()
 	fmt.Printf("%-16s deliveries in arbitration order:\n", arch)
-	for _, p := range pkts {
+	for _, a := range arrivals {
 		fmt.Printf("  packet %d from node %-2d delivered at cycle %d (%.2f ns)\n",
-			p.ID, p.Src, p.DeliverCycle, float64(p.Latency())*noxnet.ClockPeriodNs(arch))
+			a.id, a.src, a.cycle, float64(a.latency)*noxnet.ClockPeriodNs(arch))
 	}
 	fmt.Printf("  productive collisions: %d   encoded flits on wires: %d   decode ops: %d\n",
 		c.Collisions, c.EncodedFlits, c.Decode)

@@ -124,6 +124,21 @@ func (p *InputPort) Buffered() int { return p.fifo.Len() }
 // RegisterBusy reports whether the decode register holds an encoded flit.
 func (p *InputPort) RegisterBusy() bool { return p.reg != nil }
 
+// Dangling returns a buffered flit or register superposition that points,
+// itself or through a constituent, at a recycled packet slot; nil when the
+// port holds none (see noc.PacketSlab). Between steps only.
+func (p *InputPort) Dangling() *noc.Flit {
+	for i := 0; i < p.fifo.Len(); i++ {
+		if f := p.fifo.At(i); f.Dangling() {
+			return f
+		}
+	}
+	if p.reg != nil && p.reg.Dangling() {
+		return p.reg
+	}
+	return nil
+}
+
 // Receive buffers a flit delivered by the upstream link. For unencoded
 // flits the lookahead output port is computed here, on arrival. Called at
 // the end of the owner's commit; the flit is visible to Offer from the next

@@ -208,9 +208,11 @@ func RunApp(cfg AppConfig) AppResult {
 			e := events[idx]
 			idx++
 			pktID++
-			p := noc.NewPacket(pktID, e.Src, e.Dst, e.Flits, e.Class, cycle)
+			p, err := multi.InjectAs(pktID, e.Src, e.Dst, e.Flits, e.Class)
+			if err != nil {
+				panic(fmt.Sprintf("harness: trace event %d: %v", idx-1, err))
+			}
 			col.OnCreate(p, cycle)
-			multi.InjectPacket(p)
 			cfg.Progress.CountInject(1, int64(e.Flits))
 		}
 		multi.Step()
@@ -306,8 +308,8 @@ func RunAppAllArchs(tr *trace.Trace, bufferDepth int, pool *exp.Pool, shards int
 			arch := router.Archs[i]
 			ckptPath, restorePath := ckpt.paths(tr.Workload.Name, arch)
 			return RunApp(AppConfig{Arch: arch, Trace: tr, BufferDepth: bufferDepth, Shards: shards,
-				Progress: tel.Progress,
-				Recorder: tel.recorder(fmt.Sprintf("app-%s-%s", tr.Workload.Name, arch)),
+				Progress:       tel.Progress,
+				Recorder:       tel.recorder(fmt.Sprintf("app-%s-%s", tr.Workload.Name, arch)),
 				CheckpointPath: ckptPath, CheckpointEvery: ckpt.Every, RestorePath: restorePath}), nil
 		})
 	out := map[router.Arch]AppResult{}

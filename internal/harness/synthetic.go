@@ -38,7 +38,9 @@ type SyntheticConfig struct {
 	Seed          uint64
 	// Model is the energy model (DefaultModel when zero-valued).
 	Model *power.Model
-	// Observe, when set, sees every delivered packet (tracing/debugging).
+	// Observe, when set, sees every delivered packet (tracing/debugging). The
+	// packet is valid until Observe returns — the network recycles it then —
+	// so copy the fields to keep, not the pointer.
 	Observe func(p *noc.Packet, cycle int64)
 	// Probe, when set, records flit-level events and per-router metrics for
 	// the run (see internal/probe). Nil disables instrumentation.

@@ -15,7 +15,9 @@ import (
 // tools test for it with errors.Is.
 var ErrBadConfig = errors.New("network: invalid configuration")
 
-// ErrBadPacket is wrapped by InjectChecked's rejection of malformed packets.
+// ErrBadPacket is wrapped by every injection path's rejection of a malformed
+// packet (InjectChecked and InjectAs return it, Inject and InjectPacket panic
+// with its text).
 var ErrBadPacket = errors.New("network: invalid packet")
 
 // ErrNoProgress is wrapped by DrainChecked when the network wedges —
@@ -87,20 +89,43 @@ func Build(cfg Config) (*Network, error) {
 // user input: it rejects malformed packets with ErrBadPacket instead of
 // panicking.
 func (n *Network) InjectChecked(src, dst noc.NodeID, length int, class int) (*noc.Packet, error) {
+	p, err := n.InjectAs(n.nextPacketID+1, src, dst, length, class)
+	if err == nil {
+		n.nextPacketID++
+	}
+	return p, err
+}
+
+// InjectAs is InjectChecked for a caller that numbers packets itself: trace
+// replay draws one ID sequence across the class networks of a Multi, whose
+// shared checker keys on it.
+func (n *Network) InjectAs(id uint64, src, dst noc.NodeID, length int, class int) (*noc.Packet, error) {
+	if err := n.checkPacket(src, dst, length, length); err != nil {
+		return nil, err
+	}
+	p := n.packets.Get(id, src, dst, length, class, n.Cycle())
+	n.enqueue(p)
+	return p, nil
+}
+
+// checkPacket is the one validation every injection path runs: endpoints are
+// cores of this network and differ, and the packet has one payload word per
+// flit of a positive length.
+func (n *Network) checkPacket(src, dst noc.NodeID, length, payloads int) error {
 	cores := noc.NodeID(len(n.nis))
 	if src < 0 || src >= cores || dst < 0 || dst >= cores {
-		return nil, fmt.Errorf("%w: endpoints %d->%d outside %d-core system", ErrBadPacket, src, dst, cores)
+		return fmt.Errorf("%w: endpoints %d->%d outside %d-core system", ErrBadPacket, src, dst, cores)
 	}
 	if src == dst {
-		return nil, fmt.Errorf("%w: self-addressed packet at node %d", ErrBadPacket, src)
+		return fmt.Errorf("%w: self-addressed packet at node %d", ErrBadPacket, src)
 	}
 	if length <= 0 {
-		return nil, fmt.Errorf("%w: length %d", ErrBadPacket, length)
+		return fmt.Errorf("%w: length %d", ErrBadPacket, length)
 	}
-	n.nextPacketID++
-	p := noc.NewPacket(n.nextPacketID, src, dst, length, class, n.Cycle())
-	n.InjectPacket(p)
-	return p, nil
+	if payloads != length {
+		return fmt.Errorf("%w: %d payload words for %d flits", ErrBadPacket, payloads, length)
+	}
+	return nil
 }
 
 // DrainChecked runs the network without new traffic until every outstanding
@@ -224,6 +249,44 @@ func (n *Network) WriteDiagnostic(w io.Writer) {
 	if n.probe != nil {
 		fmt.Fprintf(w, "  probe: %d events captured\n", n.probe.EventCount())
 	}
+}
+
+// Audit proves, between steps, what recycling packets rests on: nothing the
+// network retains points at a slot on the free list. Packets are held and
+// compared by pointer, so such a reference would come to name the slot's
+// next tenant. Every router's Audit covers its buffered flits, register
+// constituents, cached heads and reservations (and its dirty masks); this
+// adds each interface's source queue, packet mid-injection, reassembly and
+// sink port, and the sharded delivery mailboxes, which the epilogue must have
+// emptied. Tests run it after every commit.
+func (n *Network) Audit() error {
+	for _, r := range n.routers {
+		if err := r.Audit(); err != nil {
+			return err
+		}
+	}
+	for _, ni := range n.nis {
+		if ni.cur.Recycled() || ni.assembling.Recycled() {
+			return fmt.Errorf("interface %d: the packet mid-injection or in reassembly is a recycled slot", ni.node)
+		}
+		for i := 0; i < ni.queueLen; i++ {
+			if ni.queued(i).Recycled() {
+				return fmt.Errorf("interface %d: source queue entry %d points at a recycled packet", ni.node, i)
+			}
+		}
+		if f := ni.sink.Dangling(); f != nil {
+			return fmt.Errorf("interface %d: sink flit %v points at a recycled packet", ni.node, f)
+		}
+		if ni.released != nil {
+			return fmt.Errorf("interface %d: delivered flit not released", ni.node)
+		}
+	}
+	for s := range n.local {
+		if len(n.local[s].mailbox) != 0 {
+			return fmt.Errorf("shard %d: %d deliveries left in the mailbox", s, len(n.local[s].mailbox))
+		}
+	}
+	return nil
 }
 
 // CheckInvariants runs the post-drain invariant sweep on the armed checker:

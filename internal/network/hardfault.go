@@ -238,20 +238,13 @@ func (ni *NI) reconfigure(tbl *routing.Table, acct func(*noc.Flit), note func(*n
 		n.markUndeliverable(p, n.Cycle())
 		ni.cur = nil
 	}
-	old := ni.queue
-	kept := ni.queue[:0]
-	for _, p := range old[ni.queueHead:] {
-		if !tbl.Reachable(ni.node, p.Dst) {
+	for pending := ni.queueLen; pending > 0; pending-- {
+		if p := ni.dequeue(); tbl.Reachable(ni.node, p.Dst) {
+			ni.enqueue(p) // one turn of the ring keeps the survivors in order
+		} else {
 			n.markUndeliverable(p, n.Cycle())
-			continue
 		}
-		kept = append(kept, p)
 	}
-	for i := len(kept); i < len(old); i++ {
-		old[i] = nil // drop stale references past the compacted tail
-	}
-	ni.queue = kept
-	ni.queueHead = 0
 }
 
 // markUndeliverable retires a packet the network has proven can never be

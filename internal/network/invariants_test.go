@@ -185,9 +185,10 @@ func TestConcentratedMesh(t *testing.T) {
 				t.Fatalf("cmesh shape wrong: cores=%d ports=%d", n.Cores(), n.System().Ports())
 			}
 			// Same-router exchange (through the router, not a shortcut).
-			p0 := n.Inject(0, 3, 1, 0)
+			lats := recordLatencies(n)
+			p0 := n.Inject(0, 3, 1, 0).ID
 			// Corner-to-corner data packet.
-			p1 := n.Inject(0, 63, 9, 0)
+			p1 := n.Inject(0, 63, 9, 0).ID
 			rng := sim.NewRNG(uint64(arch) + 31)
 			for round := 0; round < 400; round++ {
 				for c := 0; c < 16; c++ {
@@ -204,11 +205,11 @@ func TestConcentratedMesh(t *testing.T) {
 			if !n.Drain(20000) {
 				t.Fatalf("cmesh not drained: %d outstanding", n.Outstanding())
 			}
-			if p0.Latency() <= 0 || p1.Latency() <= 0 {
+			if lats[p0] <= 0 || lats[p1] <= 0 {
 				t.Error("latencies not recorded")
 			}
-			if p0.Latency() >= p1.Latency() {
-				t.Errorf("same-router latency %d should beat corner-to-corner %d", p0.Latency(), p1.Latency())
+			if lats[p0] >= lats[p1] {
+				t.Errorf("same-router latency %d should beat corner-to-corner %d", lats[p0], lats[p1])
 			}
 			if n.Injected() != n.Delivered() {
 				t.Error("conservation violated on cmesh")

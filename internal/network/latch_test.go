@@ -119,16 +119,17 @@ func TestShardComputePhaseWakeRace(t *testing.T) {
 	pingPong := func(shards int) (deliveries int, sum int64) {
 		n := New(Config{Topo: noc.Topology{Width: 2, Height: 1}, Arch: router.NoX, Shards: shards})
 		defer n.Close()
-		var inFlight *noc.Packet
+		// The hook notes where and when the packet in flight landed; the
+		// next one leaves from there before the following step.
+		at, landed := noc.NodeID(0), int64(-1)
+		n.OnDeliver = func(p *noc.Packet, cycle int64) { at, landed = p.Dst, cycle }
+		n.Inject(at, 1-at, 1, 0)
 		for cyc := 0; cyc < cycles; cyc++ {
-			if inFlight == nil || inFlight.DeliverCycle >= 0 {
-				src := noc.NodeID(deliveries % 2)
-				if inFlight != nil {
-					deliveries++
-					sum = sum*31 + inFlight.DeliverCycle
-					src = inFlight.Dst
-				}
-				inFlight = n.Inject(src, 1-src, 1+deliveries%3, 0)
+			if landed >= 0 {
+				deliveries++
+				sum = sum*31 + landed
+				landed = -1
+				n.Inject(at, 1-at, 1+deliveries%3, 0)
 			}
 			n.Step()
 		}

@@ -54,9 +54,32 @@ func (m *Multi) Classes() int { return len(m.nets) }
 // Net returns the class's network (for wiring delivery hooks).
 func (m *Multi) Net(class int) *Network { return m.nets[class] }
 
-// InjectPacket queues a packet on the physical network its Class selects.
+// classNet returns the physical network a packet class selects.
+func (m *Multi) classNet(class int) (*Network, error) {
+	if class < 0 || class >= len(m.nets) {
+		return nil, fmt.Errorf("%w: class %d of %d", ErrBadPacket, class, len(m.nets))
+	}
+	return m.nets[class], nil
+}
+
+// InjectPacket queues a hand-built packet on the physical network its Class
+// selects (see Network.InjectPacket).
 func (m *Multi) InjectPacket(p *noc.Packet) {
-	m.nets[p.Class].InjectPacket(p)
+	n, err := m.classNet(p.Class)
+	if err != nil {
+		panic(err.Error())
+	}
+	n.InjectPacket(p)
+}
+
+// InjectAs creates packet id on the physical network its class selects, from
+// that network's slab (see Network.InjectAs).
+func (m *Multi) InjectAs(id uint64, src, dst noc.NodeID, length int, class int) (*noc.Packet, error) {
+	n, err := m.classNet(class)
+	if err != nil {
+		return nil, err
+	}
+	return n.InjectAs(id, src, dst, length, class)
 }
 
 // Step advances every network one cycle.

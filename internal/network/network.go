@@ -17,6 +17,12 @@ import (
 )
 
 // Config parameterizes one physical network.
+//
+// Packets: a network built with neither Fault nor Retransmit recycles every
+// packet at its delivery (see noc.PacketSlab), so the *noc.Packet that Inject
+// returns and OnDeliver receives is valid until that packet's OnDeliver
+// returns. With either set nothing is recycled and packets live as long as
+// something reaches them.
 type Config struct {
 	// Topo is the router-grid shape; the paper evaluates 8x8 (Table 1).
 	Topo noc.Topology
@@ -249,6 +255,15 @@ type Network struct {
 	// reliability.go).
 	rel *relState
 
+	// packets is the store every packet this network carries is drawn from
+	// and, at its delivery, returned to. It is nil — Get allocates singly and
+	// Put does nothing — on a network configured with Fault or Retransmit:
+	// only without them does a packet's last reference provably die at its
+	// delivery (a dropped flit orphans superposition constituents that outlive
+	// their packet; duplicate suppression reads the DeliverCycle of a packet
+	// long delivered; an undeliverable packet is a tombstone).
+	packets *noc.PacketSlab
+
 	nextPacketID uint64
 	injected     int64
 	delivered    int64
@@ -256,7 +271,9 @@ type Network struct {
 	// OnDeliver, when set, observes every completed packet at its delivery
 	// cycle (after DeliverCycle is stamped). Sharded runs invoke it from
 	// the step epilogue on the stepping goroutine, in the same
-	// interface-order sequence as serial runs.
+	// interface-order sequence as serial runs. p is valid until OnDeliver
+	// returns: the network then recycles its slot (see noc.PacketSlab), so
+	// copy what outlives the call instead of keeping the pointer.
 	OnDeliver func(p *noc.Packet, cycle int64)
 	// OnReconfigure, when set, observes every reconfiguration epoch with
 	// the cycle it ran at and the permanent-fault set it rerouted around.
@@ -321,6 +338,9 @@ func New(cfg Config) *Network {
 	}
 	if cfg.Retransmit != nil {
 		n.rel = newRelState(*cfg.Retransmit)
+	}
+	if cfg.Fault == nil && cfg.Retransmit == nil {
+		n.packets = &noc.PacketSlab{}
 	}
 
 	if n.probe != nil {
@@ -751,9 +771,11 @@ func (n *Network) Kernel() *sim.Kernel { return n.kernel }
 func (n *Network) Step() { n.kernel.Step() }
 
 // Inject creates a packet from src to dst with the given flit count and
-// queues it at src's interface in the current cycle. It returns the packet
-// for the caller's bookkeeping. Invalid packets panic; InjectChecked is the
-// error-returning form for endpoints from user input.
+// queues it at src's interface in the current cycle. The returned packet is
+// for bookkeeping at creation (a collector's OnCreate) and is valid until its
+// OnDeliver returns — read latencies there, not from a kept pointer. Invalid
+// packets panic; InjectChecked is the error-returning form for endpoints from
+// user input.
 func (n *Network) Inject(src, dst noc.NodeID, length int, class int) *noc.Packet {
 	p, err := n.InjectChecked(src, dst, length, class)
 	if err != nil {
@@ -762,15 +784,23 @@ func (n *Network) Inject(src, dst noc.NodeID, length int, class int) *noc.Packet
 	return p
 }
 
-// InjectPacket queues a pre-built packet (trace replay) at its source.
-// The packet's CreateCycle must be the current cycle or earlier. A packet
-// whose destination is currently partitioned away by permanent faults is
-// refused at the source — counted injected and undeliverable, so
-// offered-traffic accounting stays comparable across fault sets.
+// InjectPacket queues a pre-built packet at its source, for rigs and tests
+// that construct packets by hand (trace replay goes through InjectAs, so its
+// packets come from the network's slab). The packet's CreateCycle must be the
+// current cycle or earlier, and it becomes the network's: delivery recycles
+// it like any other. A malformed packet panics with ErrBadPacket's text.
 func (n *Network) InjectPacket(p *noc.Packet) {
-	if int(p.Src) >= len(n.nis) || int(p.Dst) >= len(n.nis) {
-		panic(fmt.Sprintf("network: packet endpoints %d->%d outside topology", p.Src, p.Dst))
+	if err := n.checkPacket(p.Src, p.Dst, p.Length, len(p.Payloads)); err != nil {
+		panic(err.Error())
 	}
+	n.enqueue(p)
+}
+
+// enqueue hands a validated packet to its source interface. A packet whose
+// destination is currently partitioned away by permanent faults is refused at
+// the source — counted injected and undeliverable, so offered-traffic
+// accounting stays comparable across fault sets.
+func (n *Network) enqueue(p *noc.Packet) {
 	n.injected++
 	n.check.OnInject(n.Cycle(), p.ID)
 	if n.hard != nil && !n.routes.Reachable(p.Src, p.Dst) {
@@ -785,6 +815,11 @@ func (n *Network) InjectPacket(p *noc.Packet) {
 	n.kernel.Wake(n.niHandle[p.Src])
 }
 
+// deliver completes a packet: accounting, the checker's oracle, the
+// retransmission ack, the caller's observer — and then, nothing in the
+// simulation referring to it any more, its slot goes back to the slab. The
+// one place a packet dies; on the stepping goroutine in both the serial walk
+// and the sharded epilogue.
 func (n *Network) deliver(p *noc.Packet, cycle int64) {
 	n.delivered++
 	n.check.OnDeliver(cycle, p.ID)
@@ -794,6 +829,7 @@ func (n *Network) deliver(p *noc.Packet, cycle int64) {
 	if n.OnDeliver != nil {
 		n.OnDeliver(p, cycle)
 	}
+	n.packets.Put(p)
 }
 
 // Outstanding returns the number of injected packets neither delivered nor

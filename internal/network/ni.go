@@ -39,10 +39,14 @@ type NI struct {
 	// output, which it owns: Commit ends by taking the flit staged there.
 	injectLink *noc.Link
 	ejectLink  *noc.Link
-	queue      []*noc.Packet
-	queueHead  int
-	cur        *noc.Packet
-	curSeq     int
+	// queue is the source queue, a power-of-two ring: queueLen packets from
+	// slot queueHead on, doubling when full. A popped slot is cleared, so the
+	// ring never holds a packet past its turn.
+	queue     []*noc.Packet
+	queueHead int
+	queueLen  int
+	cur       *noc.Packet
+	curSeq    int
 
 	// arena pools the flits this interface materializes on injection; the
 	// flit of every delivered presentation returns to the home arena in
@@ -78,21 +82,37 @@ func (ni *NI) Node() noc.NodeID { return ni.node }
 // QueueLen returns the number of packets waiting in the source queue
 // (including the one mid-injection).
 func (ni *NI) QueueLen() int {
-	n := len(ni.queue) - ni.queueHead
+	n := ni.queueLen
 	if ni.cur != nil {
 		n++
 	}
 	return n
 }
 
+// queued returns the i-th waiting packet, oldest first.
+func (ni *NI) queued(i int) *noc.Packet { return ni.queue[(ni.queueHead+i)&(len(ni.queue)-1)] }
+
 // enqueue appends a packet to the source queue.
 func (ni *NI) enqueue(p *noc.Packet) {
-	// Compact the slice-backed queue occasionally so long runs do not leak.
-	if ni.queueHead > 1024 && ni.queueHead*2 > len(ni.queue) {
-		ni.queue = append([]*noc.Packet(nil), ni.queue[ni.queueHead:]...)
-		ni.queueHead = 0
+	if ni.queueLen == len(ni.queue) {
+		grown := make([]*noc.Packet, max(8, 2*len(ni.queue)))
+		for i := 0; i < ni.queueLen; i++ {
+			grown[i] = ni.queued(i)
+		}
+		ni.queue, ni.queueHead = grown, 0
 	}
-	ni.queue = append(ni.queue, p)
+	ni.queue[(ni.queueHead+ni.queueLen)&(len(ni.queue)-1)] = p
+	ni.queueLen++
+}
+
+// dequeue removes and returns the oldest waiting packet; the queue must not
+// be empty.
+func (ni *NI) dequeue() *noc.Packet {
+	p := ni.queue[ni.queueHead]
+	ni.queue[ni.queueHead] = nil
+	ni.queueHead = (ni.queueHead + 1) & (len(ni.queue) - 1)
+	ni.queueLen--
+	return p
 }
 
 // Receive buffers a flit arriving from the router's local output port. It
@@ -124,16 +144,8 @@ func (ni *NI) Receive(f *noc.Flit, cycle int64) {
 // (decoding if necessary) one delivered flit.
 func (ni *NI) Compute(cycle int64) {
 	// Injection side.
-	if ni.cur == nil && ni.queueHead < len(ni.queue) {
-		ni.cur = ni.queue[ni.queueHead]
-		ni.queue[ni.queueHead] = nil
-		ni.queueHead++
-		if ni.queueHead == len(ni.queue) {
-			// Drained: rewind so a lightly loaded source reuses the same few
-			// slots instead of growing the slice one packet at a time.
-			ni.queue, ni.queueHead = ni.queue[:0], 0
-		}
-		ni.curSeq = 0
+	if ni.cur == nil && ni.queueLen > 0 {
+		ni.cur, ni.curSeq = ni.dequeue(), 0
 	}
 	if ni.cur != nil && ni.injectLink.Ready(cycle) {
 		if ni.curSeq == 0 {
@@ -168,7 +180,7 @@ func (ni *NI) Compute(cycle int64) {
 // Network.InjectPacket wakes the interface directly, and the router's Send
 // on the ejection link covers the sink side.
 func (ni *NI) Quiet() bool {
-	return ni.cur == nil && ni.queueHead >= len(ni.queue) &&
+	return ni.cur == nil && ni.queueLen == 0 &&
 		ni.sink.Buffered() == 0 && !ni.sink.RegisterBusy()
 }
 
@@ -253,6 +265,18 @@ func (ni *NI) deliver(f *noc.Flit, cycle int64) {
 		// the network retired: suppressed by sequence identity, the
 		// receiver-side half of end-to-end retransmission.
 		ni.dupes++
+		ni.released = f
+		return
+	}
+	if p.Recycled() {
+		// A flit of a packet already delivered and returned to the slab. The
+		// simulator never produces one (see Network.Audit); a restored image
+		// can hold a second copy of a flit that validation cannot tell from
+		// the first.
+		if ck == nil {
+			panic(fmt.Sprintf("network: flit seq %d at node %d outlived its packet", f.Seq, ni.node))
+		}
+		ck.Sequence(cycle, int(ni.node), p.ID, fmt.Sprintf("flit seq=%d of a packet already delivered", f.Seq))
 		ni.released = f
 		return
 	}

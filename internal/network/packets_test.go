@@ -1,0 +1,368 @@
+package network
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/check"
+	"repro/internal/fault"
+	"repro/internal/noc"
+	"repro/internal/power"
+	"repro/internal/router"
+	"repro/internal/sim"
+	"repro/internal/snapshot/codec"
+)
+
+// Every packet a network carries comes from its noc.PacketSlab and goes back
+// at its delivery. These tests pin what that rests on and what it buys: no
+// retained reference outlives a packet (Audit, after every commit), recycling
+// changes no simulated byte, a network that cannot prove a packet dead at its
+// delivery never recycles, a pointer held too long reads scrubbed, and the
+// loaded inject -> step -> deliver loop allocates nothing.
+
+// auditNetwork fails the test on any reference to a recycled packet (and on
+// any stale router mask: Network.Audit runs every router's Audit).
+func auditNetwork(t *testing.T, net *Network, when string) {
+	t.Helper()
+	if err := net.Audit(); err != nil {
+		t.Fatalf("cycle %d, %s: %v", net.Cycle(), when, err)
+	}
+}
+
+// hotspotStep adds to a cycle of bursty traffic what recycling is most exposed
+// to: a knot of nodes firing single-flit packets at one destination in the
+// same cycle (NoX: deep XOR chains, decode copies, absorbed stale copies;
+// Spec-Fast: unnecessary reservations naming departed packets), and 9-flit
+// packets into the same knot (wormhole locks, §2.7 aborts).
+func hotspotStep(net *Network, rng *sim.RNG, cyc int) {
+	cores := net.Cores()
+	hot := noc.NodeID((cyc / 64) % cores)
+	for id := 0; id < cores; id++ {
+		if src := noc.NodeID(id); src != hot && rng.Float64() < 0.5 {
+			net.Inject(src, hot, []int{1, 1, 1, 9}[rng.Intn(4)], 0)
+		}
+	}
+	burstyStep(net, rng, cyc)
+}
+
+// TestNoReferenceToFreePacket: saturated single-flit collisions, 9-flit
+// wormholes with aborts, a two-slot sink back-pressuring into the mesh, and a
+// save -> restore mid-run, on every architecture, serial and sharded, with
+// the audit after every commit. Mutation-checked: returning the slot a cycle
+// early (Put when the tail flit enters the sink, not when it is delivered)
+// fails it at cycle 3 on every architecture, through a sink flit or a
+// Spec-Fast reservation; a slab that hands out a live slot trips the
+// interface's outlived-its-packet panic.
+func TestNoReferenceToFreePacket(t *testing.T) {
+	forArchsAndShards(t, func(t *testing.T, arch router.Arch, shards int) {
+		cfg := Config{Topo: noc.Topology{Width: 4, Height: 4}, Arch: arch, Shards: shards, SinkDepth: 2}
+		net := New(cfg)
+		defer func() { net.Close() }()
+		rng := sim.NewRNG(0x51AB + uint64(arch))
+		for cyc := 0; cyc < 900; cyc++ {
+			if cyc == 410 {
+				e := codec.NewEncoder()
+				if err := net.SaveState(e); err != nil {
+					t.Fatal(err)
+				}
+				net.Close()
+				net = New(cfg)
+				if err := net.RestoreState(codec.NewDecoder(e.Bytes())); err != nil {
+					t.Fatal(err)
+				}
+				auditNetwork(t, net, "after restore")
+			}
+			hotspotStep(net, rng, cyc)
+			auditNetwork(t, net, "after commit")
+		}
+		if !net.Drain(200000) {
+			t.Fatalf("%d packets did not drain", net.Outstanding())
+		}
+		auditNetwork(t, net, "after drain")
+		c := net.Counters()
+		if arch == router.NoX && (c.Collisions == 0 || c.Decode == 0 || c.Aborts == 0) {
+			t.Errorf("the run never reached what it is for: %d collisions, %d decodes, %d aborts", c.Collisions, c.Decode, c.Aborts)
+		}
+		if arch != router.NoX && arch != router.NonSpec && c.WastedCycles == 0 {
+			t.Error("the run never wasted a reserved or misspeculated cycle")
+		}
+		if net.packets == nil {
+			t.Error("a fault-free network runs without a packet slab: nothing was recycled")
+		}
+	})
+}
+
+// logDeliveries installs an OnDeliver hook writing one line per packet, in
+// delivery order, and returns the log.
+func logDeliveries(net *Network) *bytes.Buffer {
+	log := new(bytes.Buffer)
+	net.OnDeliver = func(p *noc.Packet, cycle int64) {
+		fmt.Fprintf(log, "%d %d>%d c%d i%d d%d\n", p.ID, p.Src, p.Dst, p.CreateCycle, p.InjectCycle, p.DeliverCycle)
+	}
+	return log
+}
+
+// TestPacketRecycleEquivalence runs the same seeded traffic twice, once with
+// recycling forced off (a nil slab is exactly what a faulted network runs
+// on): the (ID, Src, Dst, Create, Inject, Deliver) sequence, the counters and
+// a mid-run snapshot must be identical, byte for byte. Mutation-checked: a
+// Get that leaves the last tenant's InjectCycle changes the snapshot (queued
+// packets encode it), a Put ahead of OnDeliver changes the log.
+func TestPacketRecycleEquivalence(t *testing.T) {
+	forArchsAndShards(t, func(t *testing.T, arch router.Arch, shards int) {
+		run := func(recycle bool) (string, power.Counters, []byte) {
+			net := New(Config{Topo: noc.Topology{Width: 4, Height: 4}, Arch: arch, Shards: shards, SinkDepth: 2})
+			defer net.Close()
+			if !recycle {
+				net.packets = nil
+			}
+			log := logDeliveries(net)
+			rng := sim.NewRNG(0xE9 + uint64(arch))
+			var image []byte
+			for cyc := 0; cyc < 600; cyc++ {
+				hotspotStep(net, rng, cyc)
+				if cyc == 300 {
+					e := codec.NewEncoder()
+					if err := net.SaveState(e); err != nil {
+						t.Fatal(err)
+					}
+					image = append(image, e.Bytes()...)
+				}
+			}
+			if !net.Drain(200000) {
+				t.Fatalf("%d packets did not drain", net.Outstanding())
+			}
+			if recycle != (net.packets != nil) {
+				t.Fatalf("recycle=%v but the network's slab is %v", recycle, net.packets)
+			}
+			return log.String(), *net.Counters(), image
+		}
+		wantLog, wantCounters, wantImage := run(false)
+		gotLog, gotCounters, gotImage := run(true)
+		if gotLog != wantLog {
+			t.Errorf("recycling changed the delivery sequence (%d vs %d bytes of log)", len(gotLog), len(wantLog))
+		}
+		if gotCounters != wantCounters {
+			t.Errorf("recycling changed the counters:\n got %+v\nwant %+v", gotCounters, wantCounters)
+		}
+		if !bytes.Equal(gotImage, wantImage) {
+			t.Errorf("recycling changed the cycle-300 snapshot (%d vs %d bytes)", len(gotImage), len(wantImage))
+		}
+	})
+}
+
+// TestFaultedNetworkNeverRecycles: with Fault or Retransmit configured the
+// network has no slab — every packet is its own heap object for as long as
+// anything reaches it, no two injections ever return the same pointer, and a
+// delivered packet keeps its fields (duplicate suppression reads them).
+func TestFaultedNetworkNeverRecycles(t *testing.T) {
+	topo := noc.Topology{Width: 4, Height: 4}
+	for name, cfg := range map[string]Config{
+		"fault":      {Topo: topo, Arch: router.NoX, Check: check.New(check.All()), Fault: fault.NewInjector(fault.Spec{Seed: 1})},
+		"retransmit": {Topo: topo, Arch: router.NoX, Retransmit: &RetransmitConfig{Timeout: 40, Retries: 3}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			net := New(cfg)
+			defer net.Close()
+			if net.packets != nil {
+				t.Fatal("a network with Fault or Retransmit was given a packet slab")
+			}
+			seen := make(map[*noc.Packet]uint64)
+			rng := sim.NewRNG(3)
+			for cyc := 0; cyc < 300; cyc++ {
+				src := noc.NodeID(rng.Intn(16))
+				if dst := noc.NodeID(rng.Intn(16)); dst != src {
+					p := net.Inject(src, dst, 1+rng.Intn(3), 0)
+					if id, dup := seen[p]; dup {
+						t.Fatalf("packets %d and %d share a slot", id, p.ID)
+					}
+					seen[p] = p.ID
+				}
+				net.Step()
+			}
+			if err := net.DrainChecked(0, 0); err != nil {
+				t.Fatal(err)
+			}
+			for p, id := range seen {
+				if p.ID != id || p.Recycled() || p.Latency() <= 0 {
+					t.Fatalf("packet %d was touched after its delivery: %+v", id, p)
+				}
+			}
+		})
+	}
+
+	// Duplicate suppression still fires: a timeout far below the path latency
+	// makes every packet's first attempt race its own retransmission.
+	net := New(Config{Topo: topo, Arch: router.NoX, Retransmit: &RetransmitConfig{Timeout: 4, Retries: 8}})
+	defer net.Close()
+	for i := 0; i < 20; i++ {
+		net.Inject(0, 15, 3, 0)
+		net.Step()
+	}
+	if err := net.DrainChecked(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if net.Retransmits() == 0 || net.DupSuppressed() == 0 {
+		t.Errorf("%d retransmissions, %d duplicate flits suppressed: want both above zero", net.Retransmits(), net.DupSuppressed())
+	}
+	if net.Delivered() != 20 {
+		t.Errorf("%d packets delivered, want 20", net.Delivered())
+	}
+}
+
+// TestUseAfterDeliverIsLoud: a *Packet is valid until its OnDeliver returns.
+// Inside the hook it reads in full; held past it, it reads scrubbed — no ID,
+// no cycles, Recycled — and Latency panics naming the rule, instead of the
+// pointer quietly describing whichever packet moves into the slot next.
+func TestUseAfterDeliverIsLoud(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			net := New(Config{Topo: noc.Topology{Width: 4, Height: 4}, Arch: router.NoX, Shards: shards})
+			defer net.Close()
+			var inside noc.Packet
+			net.OnDeliver = func(p *noc.Packet, cycle int64) {
+				inside = *p
+				if p.Recycled() || p.Latency() != cycle-p.CreateCycle {
+					t.Errorf("inside OnDeliver the packet reads %+v", p)
+				}
+			}
+			held := net.Inject(0, 15, 9, 0)
+			if !net.Drain(500) {
+				t.Fatal("not drained")
+			}
+			if inside.ID != 1 || inside.Length != 9 || inside.DeliverCycle <= 0 {
+				t.Errorf("OnDeliver saw %+v", inside)
+			}
+			if !held.Recycled() || held.ID != 0 || held.CreateCycle != 0 || held.DeliverCycle >= 0 || held.InjectCycle >= 0 || held.Measured {
+				t.Errorf("a pointer held past OnDeliver reads %+v, want a scrubbed slot", held)
+			}
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "recycled") {
+						t.Errorf("Latency on a recycled packet: recovered %v, want a panic naming the rule", r)
+					}
+				}()
+				held.Latency()
+			}()
+			// LIFO: the next injection moves into the slot the held pointer names.
+			if next := net.Inject(3, 12, 1, 0); next != held || held.ID != 2 {
+				t.Errorf("the freed slot was not the next one handed out (%p vs %p)", next, held)
+			}
+		})
+	}
+}
+
+// steadyAllocs warms a loaded network up, then counts the allocations of one
+// inject-and-step at the same load. Deliveries happen inside the steps: at
+// steady state one packet completes for every one injected.
+func steadyAllocs(inject func(), step func()) float64 {
+	for cyc := 0; cyc < 600; cyc++ {
+		inject()
+		step()
+	}
+	return testing.AllocsPerRun(200, func() {
+		inject()
+		step()
+	})
+}
+
+// TestSteadyStateAllocs: once the slab, the source-queue rings, the flit
+// arenas and the collector have grown to the load, the whole loop — Inject,
+// Step, the delivery and its OnDeliver — allocates nothing: packets turn
+// around on the slab's free list. All four architectures, serial and two
+// shards, single-flit and 9-flit packets, and two class networks in lockstep.
+func TestSteadyStateAllocs(t *testing.T) {
+	topo := noc.Topology{Width: 4, Height: 4}
+	var delivered int64
+	count := func(p *noc.Packet, cycle int64) { delivered += int64(p.Length) }
+	for _, length := range []int{1, 9} {
+		forArchsAndShards(t, func(t *testing.T, arch router.Arch, shards int) {
+			net := New(Config{Topo: topo, Arch: arch, Shards: shards})
+			defer net.Close()
+			net.OnDeliver = count
+			rng := sim.NewRNG(uint64(length))
+			inject := func() {
+				for k := 0; k < 2; k++ { // 2 packets/cycle over 16 nodes, 1/9 of it for 9-flit packets
+					src := noc.NodeID(rng.Intn(16))
+					if dst := noc.NodeID(rng.Intn(16)); dst != src && (length == 1 || rng.Intn(9) == 0) {
+						net.Inject(src, dst, length, 0)
+					}
+				}
+			}
+			if avg := steadyAllocs(inject, net.Step); avg != 0 {
+				t.Errorf("%d-flit packets: inject+step allocates %v allocs/op in steady state", length, avg)
+			}
+			if net.Delivered() == 0 || net.Outstanding() > 200 {
+				t.Errorf("not a steady state: %d delivered, %d outstanding", net.Delivered(), net.Outstanding())
+			}
+		})
+	}
+	t.Run("multi", func(t *testing.T) {
+		m := NewMulti(2, Config{Topo: topo, Arch: router.NoX})
+		defer m.Close()
+		m.OnDeliver(count)
+		rng := sim.NewRNG(11)
+		var id uint64
+		inject := func() {
+			src := noc.NodeID(rng.Intn(16))
+			if dst := noc.NodeID(rng.Intn(16)); dst != src {
+				id++
+				class := int(id % 2) // requests of 1 flit, replies of 9
+				if _, err := m.InjectAs(id, src, dst, 1+8*class, class); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if avg := steadyAllocs(inject, m.Step); avg != 0 {
+			t.Errorf("two class networks: inject+step allocates %v allocs/op in steady state", avg)
+		}
+	})
+}
+
+// TestInjectPacketRejectsBadPackets: a hand-built packet goes through the
+// validation InjectChecked applies, before it can index an interface that
+// does not exist or wedge one with a length its payload does not have.
+func TestInjectPacketRejectsBadPackets(t *testing.T) {
+	net := New(Config{Topo: noc.Topology{Width: 2, Height: 2}, Arch: router.NoX})
+	defer net.Close()
+	short := noc.NewPacket(7, 0, 1, 3, 0, 0)
+	short.Payloads = short.Payloads[:2]
+	for name, p := range map[string]*noc.Packet{
+		"negative source":      noc.NewPacket(1, -1, 2, 1, 0, 0),
+		"negative destination": noc.NewPacket(2, 0, -3, 1, 0, 0),
+		"source beyond mesh":   noc.NewPacket(3, 4, 0, 1, 0, 0),
+		"self-addressed":       noc.NewPacket(4, 2, 2, 1, 0, 0),
+		"zero length":          {ID: 5, Src: 0, Dst: 1},
+		"negative length":      {ID: 6, Src: 0, Dst: 1, Length: -2},
+		"payload short":        short,
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if r == nil || !strings.Contains(fmt.Sprint(r), ErrBadPacket.Error()) {
+					t.Errorf("InjectPacket(%+v): recovered %v, want a panic with ErrBadPacket's text", p, r)
+				}
+				if net.Injected() != 0 {
+					t.Errorf("a rejected packet was counted injected")
+				}
+			}()
+			net.InjectPacket(p)
+		})
+	}
+	if _, err := net.InjectAs(9, 0, 4, 1, 0); !errors.Is(err, ErrBadPacket) {
+		t.Errorf("InjectAs beyond the mesh: %v", err)
+	}
+	m := NewMulti(2, Config{Topo: noc.Topology{Width: 2, Height: 2}, Arch: router.NoX})
+	defer m.Close()
+	if _, err := m.InjectAs(1, 0, 1, 1, 2); !errors.Is(err, ErrBadPacket) {
+		t.Errorf("InjectAs on class 2 of 2: %v", err)
+	}
+	good := noc.NewPacket(8, 0, 3, 2, 0, 0)
+	net.InjectPacket(good)
+	if !net.Drain(200) || net.Delivered() != 1 {
+		t.Error("a well-formed hand-built packet was not delivered")
+	}
+}

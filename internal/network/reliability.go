@@ -38,7 +38,9 @@ type RetransmitConfig struct {
 	Retries int
 }
 
-// relEntry tracks one unacknowledged packet at its source.
+// relEntry tracks one unacknowledged packet at its source. Entries live in
+// the map by value: one per injected packet, so a pointer each would be the
+// reliability layer's largest allocation.
 type relEntry struct {
 	p        *noc.Packet
 	attempts int   // re-sends performed so far
@@ -63,7 +65,7 @@ func (a relEvent) less(b relEvent) bool {
 
 type relState struct {
 	cfg     RetransmitConfig
-	entries map[uint64]*relEntry
+	entries map[uint64]relEntry
 	heap    []relEvent
 
 	retransmits int64 // re-sends performed
@@ -73,7 +75,7 @@ type relState struct {
 }
 
 func newRelState(cfg RetransmitConfig) *relState {
-	return &relState{cfg: cfg, entries: make(map[uint64]*relEntry)}
+	return &relState{cfg: cfg, entries: make(map[uint64]relEntry)}
 }
 
 // backoff returns the ack deadline distance for attempt k: Timeout << k,
@@ -133,7 +135,7 @@ func (r *relState) nextEvent() (int64, bool) {
 // relArm opens the retransmission entry for a freshly injected packet.
 func (n *Network) relArm(p *noc.Packet, cycle int64) {
 	r := n.rel
-	e := &relEntry{p: p, deadline: cycle + r.cfg.Timeout, ackAt: -1, sentAt: cycle}
+	e := relEntry{p: p, deadline: cycle + r.cfg.Timeout, ackAt: -1, sentAt: cycle}
 	r.entries[p.ID] = e
 	r.push(relEvent{e.deadline, p.ID})
 }
@@ -145,12 +147,13 @@ func (n *Network) relArm(p *noc.Packet, cycle int64) {
 // leaves ackAt unset; the source closes the entry at its next deadline.
 func (n *Network) relDelivered(p *noc.Packet, cycle int64) {
 	r := n.rel
-	e := r.entries[p.ID]
-	if e == nil || e.ackAt >= 0 {
+	e, open := r.entries[p.ID]
+	if !open || e.ackAt >= 0 {
 		return
 	}
 	if rev := n.routes.PathLength(p.Dst, p.Src); rev >= 0 {
 		e.ackAt = cycle + int64(rev)
+		r.entries[p.ID] = e
 		r.push(relEvent{e.ackAt, p.ID})
 	}
 }
@@ -162,8 +165,8 @@ func (n *Network) relTick(cycle int64, active int) {
 	r := n.rel
 	for len(r.heap) > 0 && r.heap[0].when <= cycle {
 		ev := r.pop()
-		e := r.entries[ev.id]
-		if e == nil {
+		e, open := r.entries[ev.id]
+		if !open {
 			continue // entry already closed; stale event
 		}
 		if ev.when == e.ackAt {
@@ -193,6 +196,7 @@ func (n *Network) relTick(cycle int64, active int) {
 			// stalled on backpressure): nothing on the wire has timed out.
 			// Re-arm without consuming a retry.
 			e.deadline = cycle + r.cfg.Timeout
+			r.entries[ev.id] = e
 			r.push(relEvent{e.deadline, ev.id})
 			continue
 		}
@@ -200,6 +204,7 @@ func (n *Network) relTick(cycle int64, active int) {
 			// The attempt launched after this deadline was armed; restart
 			// the timer from the head flit's actual entry into the network.
 			e.deadline = armAt
+			r.entries[ev.id] = e
 			r.push(relEvent{armAt, ev.id})
 			continue
 		}
@@ -213,6 +218,7 @@ func (n *Network) relTick(cycle int64, active int) {
 		r.retransmits++
 		e.sentAt = cycle
 		e.deadline = cycle + r.backoff(e.attempts)
+		r.entries[ev.id] = e
 		r.push(relEvent{e.deadline, ev.id})
 		ni.enqueue(p)
 		n.kernel.Wake(n.niHandle[p.Src])
@@ -307,7 +313,7 @@ func (r *relState) restore(d *codec.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	r.entries = make(map[uint64]*relEntry, count)
+	r.entries = make(map[uint64]relEntry, count)
 	r.heap = r.heap[:0]
 	for i := 0; i < count; i++ {
 		p := d.Packet()
@@ -328,7 +334,7 @@ func (r *relState) restore(d *codec.Decoder) error {
 		if _, dup := r.entries[p.ID]; dup {
 			return fmt.Errorf("%w: duplicate retransmission entry for packet %d", codec.ErrCorrupt, p.ID)
 		}
-		e := &relEntry{p: p, attempts: attempts, deadline: deadline, ackAt: ackAt, sentAt: sentAt}
+		e := relEntry{p: p, attempts: attempts, deadline: deadline, ackAt: ackAt, sentAt: sentAt}
 		r.entries[p.ID] = e
 		r.push(relEvent{e.deadline, p.ID})
 		if e.ackAt >= 0 {

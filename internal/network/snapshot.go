@@ -94,6 +94,7 @@ func (n *Network) RestoreState(d *codec.Decoder) error {
 			codec.ErrCorrupt, injected, delivered, cycle)
 	}
 	d.SetCores(n.Cores())
+	d.SetPackets(n.packets)
 	for id, r := range n.routers {
 		d.SetArena(n.arenaOf(id))
 		if err := r.RestoreState(d); err != nil {
@@ -218,10 +219,9 @@ func (n *Network) RestoreState(d *codec.Decoder) error {
 // source queue, the packet mid-injection, the sink port, and reassembly
 // progress. The delivered-flit stage is always empty between steps.
 func (ni *NI) SaveState(e *codec.Encoder) {
-	pending := ni.queue[ni.queueHead:]
-	e.Int(len(pending))
-	for _, p := range pending {
-		e.Packet(p)
+	e.Int(ni.queueLen)
+	for i := 0; i < ni.queueLen; i++ {
+		e.Packet(ni.queued(i))
 	}
 	e.Packet(ni.cur)
 	e.Int(ni.curSeq)
@@ -237,8 +237,8 @@ func (ni *NI) RestoreState(d *codec.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	ni.queue = ni.queue[:0]
-	ni.queueHead = 0
+	clear(ni.queue)
+	ni.queueHead, ni.queueLen = 0, 0
 	for i := 0; i < npend; i++ {
 		p := d.Packet()
 		if err := d.Err(); err != nil {
@@ -247,7 +247,7 @@ func (ni *NI) RestoreState(d *codec.Decoder) error {
 		if p == nil {
 			return fmt.Errorf("%w: nil packet in source queue", codec.ErrCorrupt)
 		}
-		ni.queue = append(ni.queue, p)
+		ni.enqueue(p)
 	}
 	cur := d.Packet()
 	curSeq := d.Int()

@@ -45,6 +45,18 @@ func (f *Flit) Tail() bool { return f.Encoded || f.Seq == f.Packet.Length-1 }
 // flit. Encoded flits never do, by construction.
 func (f *Flit) MultiFlit() bool { return !f.Encoded && f.Packet.Length > 1 }
 
+// Dangling reports that f, or a constituent of an encoded f, points at a
+// recycled packet slot (see PacketSlab): the reference outlived its packet.
+// The audits of every flit holder are built on it.
+func (f *Flit) Dangling() bool {
+	for _, part := range f.Parts {
+		if part.Dangling() {
+			return true
+		}
+	}
+	return f.Packet.Recycled()
+}
+
 // String renders the flit for debugging and trace output.
 func (f *Flit) String() string {
 	if f == nil {

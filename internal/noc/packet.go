@@ -54,20 +54,43 @@ const Undelivered int64 = -2
 // Bytes returns the packet size on the wire.
 func (p *Packet) Bytes() int { return p.Length * FlitBytes }
 
+// recycled is the DeliverCycle of a slot on its slab's free list (see
+// PacketSlab.Put): below every cycle and both sentinels, so any arithmetic on
+// it is visibly wrong and Latency refuses it by name.
+const recycled int64 = -3
+
+// Recycled reports that p is a freed slab slot: its packet was delivered, the
+// delivery observers have returned, and whoever still holds p holds it past
+// the end of its life. False for a nil packet, so audits need no nil test.
+func (p *Packet) Recycled() bool { return p != nil && p.DeliverCycle == recycled }
+
 // Latency returns the packet latency in cycles from creation to delivery.
-// It panics if the packet has not been delivered.
+// It panics if the packet has not been delivered, or is read after its
+// delivery callback returned (its slot is recycled by then).
 func (p *Packet) Latency() int64 {
 	if p.DeliverCycle < 0 {
+		if p.Recycled() {
+			panic("noc: Latency on a recycled packet (a *Packet is valid until its OnDeliver returns)")
+		}
 		panic("noc: Latency on undelivered packet")
 	}
 	return p.DeliverCycle - p.CreateCycle
 }
 
-// NewPacket builds a packet with deterministic payload words derived from
-// its identity, so any corruption in transit (in particular through the XOR
-// coding path) is detectable at delivery.
+// NewPacket builds a heap packet with deterministic payload words derived
+// from its identity, so any corruption in transit (in particular through the
+// XOR coding path) is detectable at delivery. Networks draw theirs from a
+// PacketSlab instead; this is the form for hand-built rigs and tests.
 func NewPacket(id uint64, src, dst NodeID, length int, class int, createCycle int64) *Packet {
-	p := &Packet{
+	return (*PacketSlab)(nil).Get(id, src, dst, length, class, createCycle)
+}
+
+// init (re)initializes p in place. The payload slice the slot's last tenant
+// left (Put keeps it) is reused when it is long enough — for a single-flit
+// tenant that is the slot's own inline word again.
+func (p *Packet) init(id uint64, src, dst NodeID, length int, class int, createCycle int64) {
+	words := p.Payloads
+	*p = Packet{
 		ID:           id,
 		Src:          src,
 		Dst:          dst,
@@ -77,15 +100,17 @@ func NewPacket(id uint64, src, dst NodeID, length int, class int, createCycle in
 		DeliverCycle: -1,
 		Class:        class,
 	}
-	if length == 1 {
+	switch {
+	case cap(words) >= length:
+		p.Payloads = words[:length]
+	case length == 1:
 		p.Payloads = p.payloadBuf[:1]
-	} else {
+	default:
 		p.Payloads = make([]uint64, length)
 	}
 	for i := range p.Payloads {
 		p.Payloads[i] = PayloadWord(id, src, dst, i)
 	}
-	return p
 }
 
 // PayloadWord is the canonical payload of flit seq of packet id. Delivery

@@ -10,6 +10,10 @@ import (
 // delivery), so their size sets how often the collector runs; 112 bytes is
 // the allocator size class the current fields fit, and a single-flit
 // packet must stay one allocation.
+const sizeofPacket = unsafe.Sizeof(Packet{})
+
+func uintptrOf(p *Packet) uintptr { return uintptr(unsafe.Pointer(p)) }
+
 func TestPacketFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(Packet{}); size > 112 {
 		t.Errorf("Packet is %d bytes, want <= 112", size)

@@ -146,6 +146,11 @@ func (r *noxRouter) scanMasks() (inBusy, outBusy uint32) {
 
 // Audit implements Router.
 func (r *noxRouter) Audit() error {
+	for i := range r.port {
+		if f := r.port[i].in.Dangling(); f != nil {
+			return r.dangling(i, "buffered flit", f)
+		}
+	}
 	inBusy, outBusy := r.scanMasks()
 	return r.auditMasks("inBusy/outBusy", [4]uint32{r.inBusy, r.outBusy}, [4]uint32{inBusy, outBusy})
 }

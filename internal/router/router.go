@@ -232,8 +232,11 @@ type Router interface {
 	// Audit recomputes from a full scan of the port records what the router
 	// caches between steps — busy inputs, held outputs, FIFO heads — and
 	// returns an error naming the first disagreement. The masks drive every
-	// walk and Quiet, so a stale bit is a skipped port; tests call Audit
-	// after every commit.
+	// walk and Quiet, so a stale bit is a skipped port. It also fails on any
+	// buffered flit, register constituent or reservation that points at a
+	// recycled packet (noc.PacketSlab): packets are compared by identity, so
+	// such a reference could come to name a stranger. Tests call Audit after
+	// every commit.
 	Audit() error
 }
 
@@ -368,6 +371,12 @@ func (b *base) auditMasks(names string, cached, scanned [4]uint32) error {
 		return fmt.Errorf("router %d: masks %s are %#b, a port scan says %#b", b.node, names, cached, scanned)
 	}
 	return nil
+}
+
+// dangling is the Audit failure for a reference at port p that outlived its
+// packet: the slot it points at is back on the network's free list.
+func (b *base) dangling(p int, what string, ref any) error {
+	return fmt.Errorf("router %d port %d: %s %v points at a recycled packet", b.node, p, what, ref)
 }
 
 // flitSink is the ingress side every architecture implements: deliver a flit

@@ -149,6 +149,11 @@ func (r *specRouter) Audit() error {
 	if err != nil {
 		return err
 	}
+	for o := range r.port {
+		if r.port[o].resPkt.Recycled() {
+			return r.dangling(o, "reservation of input", r.port[o].res)
+		}
+	}
 	locked, reserved := r.heldMasks()
 	return r.auditMasks("busy/locked/reserved/pops", [4]uint32{r.busy, r.locked, r.reserved, r.pops | r.popTail},
 		[4]uint32{busy, locked, reserved})

@@ -285,3 +285,25 @@ func TestKernelSameCycleWakeOfLaterComponent(t *testing.T) {
 		t.Fatalf("target commits at %v, want %v", tgt.commitCycles, want)
 	}
 }
+
+// TestKernelStepAllocs: the serial walk — evaluate the awake components, park
+// the ones that went quiet, wake one again — allocates nothing once the
+// kernel is built; the network's zero-allocation loop stands on it.
+func TestKernelStepAllocs(t *testing.T) {
+	k := NewKernel()
+	qs := make([]*quiescer, 64)
+	hs := make([]Handle, len(qs))
+	for i := range qs {
+		qs[i] = &quiescer{pending: 1 + i%3}
+		hs[i] = k.Add(qs[i])
+	}
+	next := 0
+	if avg := testing.AllocsPerRun(200, func() {
+		qs[next].pending = 2
+		k.Wake(hs[next])
+		next = (next + 7) % len(qs)
+		k.Step()
+	}); avg != 0 {
+		t.Errorf("Wake+Step allocates %v allocs/op", avg)
+	}
+}

@@ -184,6 +184,7 @@ type Decoder struct {
 	packets []*noc.Packet
 	flits   []*noc.Flit
 	arena   *noc.Arena
+	slab    *noc.PacketSlab
 	cores   int
 	// queued marks the flits QueuedFlit has handed out.
 	queued map[*noc.Flit]bool
@@ -196,6 +197,11 @@ func NewDecoder(data []byte) *Decoder { return &Decoder{buf: data} }
 // nil arena falls back to the heap. The restoring network switches arenas as
 // it walks shards so per-shard accounting stays plausible.
 func (d *Decoder) SetArena(a *noc.Arena) { d.arena = a }
+
+// SetPackets selects the slab subsequent Packet decodes draw from: the
+// restoring network's own, so restored packets recycle at delivery like
+// injected ones. Nil, the default, allocates each on the heap.
+func (d *Decoder) SetPackets(s *noc.PacketSlab) { d.slab = s }
 
 // SetCores tells the decoder how many cores the restoring network has:
 // from here on a packet whose source or destination is not one of them is
@@ -315,9 +321,9 @@ func (d *Decoder) byte() byte {
 	return b
 }
 
-// Packet reads a packet reference. First encounters are rebuilt through
-// noc.NewPacket so canonical payloads and inline buffers come out exactly as
-// live construction produces them.
+// Packet reads a packet reference. First encounters are rebuilt through the
+// slab's Get so canonical payloads and inline buffers come out exactly as live
+// construction produces them.
 func (d *Decoder) Packet() *noc.Packet {
 	switch tag := d.byte(); tag {
 	case tagNil:
@@ -350,11 +356,15 @@ func (d *Decoder) Packet() *noc.Packet {
 			d.failf(ErrCorrupt, "packet length %d", length)
 			return nil
 		}
+		if inject < -1 || deliver < noc.Undelivered {
+			d.failf(ErrCorrupt, "packet injected at %d, delivered at %d", inject, deliver)
+			return nil
+		}
 		if d.cores > 0 && (src < 0 || int(src) >= d.cores || dst < 0 || int(dst) >= d.cores) {
 			d.failf(ErrCorrupt, "packet %d -> %d on %d cores", src, dst, d.cores)
 			return nil
 		}
-		p := noc.NewPacket(id, src, dst, length, class, create)
+		p := d.slab.Get(id, src, dst, length, class, create)
 		p.InjectCycle, p.DeliverCycle, p.Measured = inject, deliver, measured
 		if !canonical {
 			for i := range p.Payloads {

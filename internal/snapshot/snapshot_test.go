@@ -3,6 +3,8 @@ package snapshot_test
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/check"
@@ -252,5 +254,51 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	bad[0] ^= 0xFF
 	if _, err := snapshot.Decode(bad, network.Config{}); err == nil {
 		t.Fatal("Decode with corrupt magic succeeded")
+	}
+}
+
+// TestParentImagesRestore pins the format across the packet slab: the images
+// under testdata/parent were written by the commit before packets moved onto
+// a per-network slab (5c7dc9a; a 3x3 mesh, 120 cycles of 1- and 9-flit
+// traffic, one image per architecture). Free slots are not state, so nothing
+// about the format moved: each image restores, re-encodes to the bytes it was
+// read from, holds no reference to a recycled slot, and drains to the cycle,
+// delivery count and delivery digest the parent's own restore reaches. `make
+// snapshot-smoke` runs this under the race detector.
+func TestParentImagesRestore(t *testing.T) {
+	for name, want := range map[string]struct {
+		cycle, delivered, digest int64
+	}{
+		"nonspec":  {234, 303, 4375114678039694390},
+		"specfast": {320, 316, -2141806674165284008},
+		"specacc":  {227, 318, 7745182881594344125},
+		"nox":      {217, 344, -4952545249540429693},
+	} {
+		for _, shards := range []int{1, 2} {
+			img, err := os.ReadFile(filepath.Join("testdata", "parent", name+".noxsnap"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			net, err := snapshot.Decode(img, network.Config{Shards: shards})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if again := encodeOrFatal(t, net); !bytes.Equal(again, img) {
+				t.Errorf("%s: re-encoding the parent's image gives %d bytes that differ from its %d", name, len(again), len(img))
+			}
+			var digest int64
+			net.OnDeliver = func(p *noc.Packet, cycle int64) { digest = digest*31 + int64(p.ID)*cycle }
+			for net.Outstanding() > 0 && net.Cycle() < 10000 {
+				net.Step()
+				if err := net.Audit(); err != nil {
+					t.Fatalf("%s, shards=%d, cycle %d: %v", name, shards, net.Cycle(), err)
+				}
+			}
+			if net.Cycle() != want.cycle || net.Delivered() != want.delivered || digest != want.digest {
+				t.Errorf("%s, shards=%d: drained at cycle %d with %d delivered, digest %d; the parent reaches %d, %d, %d",
+					name, shards, net.Cycle(), net.Delivered(), digest, want.cycle, want.delivered, want.digest)
+			}
+			net.Close()
+		}
 	}
 }

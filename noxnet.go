@@ -14,9 +14,15 @@
 // # Quick start
 //
 //	net := noxnet.NewNetwork(noxnet.NetworkConfig{Arch: noxnet.NoX})
-//	p := net.Inject(0, 63, 1, 0)
+//	net.OnDeliver = func(p *noxnet.Packet, cycle int64) {
+//		fmt.Println("latency cycles:", p.Latency())
+//	}
+//	net.Inject(0, 63, 1, 0)
 //	net.Drain(1000)
-//	fmt.Println("latency cycles:", p.Latency())
+//
+// A *Packet is valid until its OnDeliver returns — the network then recycles
+// it — so read what you need there instead of keeping the pointer Inject
+// returned.
 //
 // Or run a complete paper experiment:
 //

@@ -10,11 +10,13 @@ import (
 // public API only.
 func TestFacadeQuickstart(t *testing.T) {
 	net := noxnet.NewNetwork(noxnet.NetworkConfig{Arch: noxnet.NoX})
-	p := net.Inject(0, 63, 1, 0)
+	var latency int64
+	net.OnDeliver = func(p *noxnet.Packet, cycle int64) { latency = p.Latency() }
+	net.Inject(0, 63, 1, 0)
 	if !net.Drain(1000) {
 		t.Fatal("packet did not drain")
 	}
-	if p.Latency() <= 0 {
+	if latency <= 0 {
 		t.Fatal("latency not recorded")
 	}
 }
