@@ -1,19 +1,18 @@
 GO ?= go
 
-.PHONY: check build vet lint test alloc-guard race shard-race bench bench-json bench-compare bench-smoke bench-repo-smoke trace-smoke fault-smoke fault-perm-smoke batch-smoke telemetry-smoke snapshot-smoke fuzz-smoke contract-check
+.PHONY: check build vet lint test alloc-guard race shard-race bench bench-json bench-compare bench-smoke bench-repo-smoke trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke
 
 ## check: the CI gate — build, vet, static analysis, the allocation guards
 ## (seconds: an allocation back in the inject/step/deliver loop fails before
 ## the long suites start), the full test suite
 ## under the race detector (the parallel experiment engine makes this
 ## mandatory), the sharded executor's barrier at three GOMAXPROCS
-## settings, the event-horizon contract tests, the tracing,
-## fault-injection (transient and permanent), batched-execution, live
+## settings, the tracing, fault-injection (transient and permanent), live
 ## telemetry, and checkpoint/restore smoke tests, a short fuzz pass over
 ## the user-facing decoders and the arrival skip-ahead, the repo
 ## benchmark's own tests, and a soft benchmark-regression check against the
 ## newest committed snapshot.
-check: build vet lint alloc-guard race shard-race contract-check trace-smoke fault-smoke fault-perm-smoke batch-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-repo-smoke bench-compare
+check: build vet lint alloc-guard race shard-race trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-repo-smoke bench-compare
 
 build:
 	$(GO) build ./...
@@ -56,13 +55,6 @@ race:
 ## and 16-shard cases mix both on every host.
 shard-race:
 	$(GO) test -race -cpu 1,2,4 -run 'Shard|Barrier' ./internal/sim ./internal/network
-
-## contract-check: the event-horizon kernel's contract tests (build tag:
-## contract) — the next-wake/quiescence API's oracle catches components that
-## under-report their horizon or quiesce with latent work, and the real
-## network components must run clean under it on every architecture.
-contract-check:
-	$(GO) test -tags contract -run 'TestContract' ./internal/sim ./internal/network
 
 ## bench: one pass over every paper-figure benchmark plus the kernel
 ## microbenchmarks (allocation counts included).
@@ -149,10 +141,10 @@ fault-smoke:
 
 ## fault-perm-smoke: the permanent-fault degradation sweep on every
 ## architecture under the race detector — a mid-run link kill with
-## end-to-end retransmission armed — run serial, sharded, and batched, with
-## all three reports required byte-identical: the standing proof that hard
-## faults, reconfiguration epochs, and retransmission are deterministic
-## across every execution mode. Also fails on any UNDETECTED cell: every
+## end-to-end retransmission armed — run serial and sharded, with the two
+## reports required byte-identical: the standing proof that hard faults,
+## reconfiguration epochs, and retransmission are deterministic across
+## execution modes. Also fails on any UNDETECTED cell: every
 ## loss under a permanent fault must be accounted (delivered or retired
 ## undeliverable) with zero violations.
 fault-perm-smoke:
@@ -161,25 +153,9 @@ fault-perm-smoke:
 		-cycles 800 -load 0.04 -drain 10000 -watchdog 3000 -seed 0xF001 -shards 1 -out "$$tmp/serial.txt" && \
 	$(GO) run -race ./cmd/noxfault -arch all -width 4 -height 4 -degrade 2 -kill 400 \
 		-cycles 800 -load 0.04 -drain 10000 -watchdog 3000 -seed 0xF001 -shards 4 -out "$$tmp/sharded.txt" && \
-	$(GO) run -race ./cmd/noxfault -arch all -width 4 -height 4 -degrade 2 -kill 400 \
-		-cycles 800 -load 0.04 -drain 10000 -watchdog 3000 -seed 0xF001 -batch -1 -out "$$tmp/batched.txt" && \
-	cmp "$$tmp/serial.txt" "$$tmp/sharded.txt" && cmp "$$tmp/serial.txt" "$$tmp/batched.txt" && \
+	cmp "$$tmp/serial.txt" "$$tmp/sharded.txt" && \
 	{ ! grep -q UNDETECTED "$$tmp/serial.txt" || { echo "fault-perm-smoke: unaccounted loss under permanent faults" >&2; cat "$$tmp/serial.txt" >&2; exit 1; }; } && \
 	echo "fault-perm-smoke: OK"
-
-## batch-smoke: run a small sweep under the race detector, once serial and
-## once through the batched lockstep kernel, and require the two CSVs to be
-## byte-identical — the standing proof that cohort execution (shared route
-## tables, slabs, flit pools, the bit-sliced/dense lockstep walks) changes
-## wall-clock time only, never results.
-batch-smoke:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) run -race ./cmd/noxsweep -fast -pattern uniform -csv -parallel 1 \
-		> "$$tmp/serial.csv" && \
-	$(GO) run -race ./cmd/noxsweep -fast -pattern uniform -csv -parallel 1 -batch -1 \
-		> "$$tmp/batched.csv" && \
-	cmp "$$tmp/serial.csv" "$$tmp/batched.csv" && \
-	echo "batch-smoke: OK"
 
 ## telemetry-smoke: boot noxsim with the live telemetry server on an
 ## ephemeral port, curl the endpoint surface (/metrics, /healthz,
@@ -250,7 +226,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzNextMatchesTick$$' -fuzztime 10s ./internal/traffic
 
 ## bench-repo-smoke: the repo benchmark (BENCHMARK.json, benchmark/) is a
-## nested module, so `go test ./...` from the root never reaches its tests;
-## run them here (tiny-scale workloads against the golden digests, ~4 s).
+## nested module, so `go vet`/`go test ./...` from the root never reach it;
+## vet it and run its tests here (tiny-scale workloads against the golden
+## digests, ~4 s).
 bench-repo-smoke:
+	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...

@@ -8,11 +8,9 @@ package noxnet
 // numbers so a bench run doubles as a smoke reproduction.
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/exp"
 	"repro/internal/harness"
 	"repro/internal/network"
@@ -314,13 +312,12 @@ func BenchmarkNetworkCycleIdle(b *testing.B) {
 }
 
 // BenchmarkNetworkCycleSparse measures the light-load per-cycle cost the
-// event-horizon kernel exists for: an 8x8 network carrying one single-flit
+// quiescence fast path exists for: an 8x8 network carrying one single-flit
 // packet every 16 cycles (~0.1% per-node injection), so at any instant a
 // handful of components along one path are busy and everything else is
-// parked. The "event" variant is the shipping fast path — next-wake
-// scheduling plus the sparse bitmap walk plus port-granular dirty masks;
-// "eager" (Config.AlwaysActive) evaluates every component every cycle, the
-// pre-event-horizon behavior. The injection schedule is identical on both
+// parked. The "event" variant is the shipping fast path — parking plus the
+// sparse bitmap walk plus port-granular dirty masks; "eager"
+// (Config.AlwaysActive) evaluates every component every cycle. The injection schedule is identical on both
 // sides, so the ratio is pure kernel overhead.
 func BenchmarkNetworkCycleSparse(b *testing.B) {
 	for _, arch := range router.Archs {
@@ -353,64 +350,6 @@ func BenchmarkNetworkCycleSparse(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkBatchedSweep measures many-seed experiment throughput: N
-// complete synthetic points (8x8 NoX, light uniform load, N distinct
-// seeds) run to completion, comparing the per-point worker-pool engine
-// (each simulation alone on a pool worker) against the batched lockstep
-// kernel (cohorts of the default width, shared construction,
-// density-adaptive stepping: member-major lane walks while traffic flows,
-// bit-sliced column skips through drain tails). Outputs are byte-identical
-// on both paths; divide ns/op by N for per-simulation cost.
-func BenchmarkBatchedSweep(b *testing.B) {
-	mkCfgs := func(n int) []harness.SyntheticConfig {
-		cfgs := make([]harness.SyntheticConfig, n)
-		for i := range cfgs {
-			cfgs[i] = harness.SyntheticConfig{
-				Arch: router.NoX, Pattern: "uniform", RateMBps: 900,
-				WarmupCycles: 200, MeasureCycles: 600, DrainCycles: 4000,
-				Seed: 0xA11CE + uint64(i)*101, Shards: 1,
-			}
-		}
-		return cfgs
-	}
-	for _, n := range []int{1, 8, 64} {
-		cfgs := mkCfgs(n)
-		b.Run(fmt.Sprintf("pool/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out, err := exp.Map(context.Background(), benchPool, len(cfgs),
-					func(_ context.Context, j int) (harness.RunResult, error) {
-						return harness.RunSynthetic(cfgs[j])
-					})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(out) != n {
-					b.Fatal("short result set")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("batched/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				done := 0
-				for _, span := range batch.Chunks(len(cfgs), 0) {
-					res, errs := harness.RunSyntheticCohort(cfgs[span[0]:span[1]])
-					for _, err := range errs {
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-					done += len(res)
-				}
-				if done != n {
-					b.Fatal("short result set")
-				}
-			}
-		})
 	}
 }
 
@@ -455,48 +394,6 @@ func BenchmarkWarmStartSweep(b *testing.B) {
 	})
 	if coldCSV != "" && warmCSV != "" && coldCSV != warmCSV {
 		b.Fatal("warm-start sweep CSV diverged from the cold sweep")
-	}
-}
-
-// BenchmarkBatchedStepSteady isolates the steady-state lockstep stepping
-// cost: an N-member NoX cohort is built, loaded with long wormhole
-// traffic, and warmed before ResetTimer, so the timed region is pure
-// batched datapath — saturated members take the member-major dense walk,
-// member arenas recycle flits carved from the shared block pool. Divide
-// ns/op by N for the per-simulation cycle cost; allocs/op must read 0.
-func BenchmarkBatchedStepSteady(b *testing.B) {
-	for _, n := range []int{8, 64} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			c, err := batch.New(n, func(int) network.Config {
-				return network.Config{Arch: router.NoX, Shards: 1}
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			for m := 0; m < n; m++ {
-				net := c.Net(m)
-				rng := sim.NewRNG(uint64(m) + 1)
-				topo := net.Topology()
-				for node := 0; node < topo.Nodes(); node++ {
-					for k := 0; k < 4; k++ {
-						dst := noc.NodeID(rng.Intn(topo.Nodes()))
-						if dst != noc.NodeID(node) {
-							net.Inject(noc.NodeID(node), dst, 64, 0)
-						}
-					}
-				}
-			}
-			// Warm the arenas and reach a flowing steady state.
-			for i := 0; i < 200; i++ {
-				c.Step()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Step()
-			}
-		})
 	}
 }
 

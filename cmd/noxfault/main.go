@@ -26,7 +26,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/batch"
 	"repro/internal/check"
 	"repro/internal/exp"
 	"repro/internal/fault"
@@ -122,15 +121,15 @@ type params struct {
 	retransmit *network.RetransmitConfig
 	// newRecorder builds one flight recorder per campaign cell (nil or a
 	// factory returning nil disarms recording). Labels are deterministic in
-	// (arch, campaign), so the serial, sharded, and batched paths write the
-	// same dump files; the report text is unaffected either way.
+	// (arch, campaign), so the serial and sharded paths write the same dump
+	// files; the report text is unaffected either way.
 	newRecorder func(label string) *telemetry.Recorder
 	// warm holds one shared warm image per architecture (-warmstart): a
 	// fault-free network driven to steady state once, restored into every
 	// campaign so faults hit loaded queues instead of an empty mesh. The
 	// image is computed before the campaigns fan out, so the serial,
-	// parallel, sharded, and batched paths restore identical state and the
-	// report stays byte-identical across them.
+	// parallel, and sharded paths restore identical state and the report
+	// stays byte-identical across them.
 	warm map[router.Arch][]byte
 	// ckptDir, when set (-checkpoint), saves a full network snapshot of
 	// every detected or undetected campaign's final state for post-mortem
@@ -265,10 +264,8 @@ func run(arch router.Arch, idx int, p params) (c cell) {
 }
 
 // finishCell drains one campaign's network and classifies the outcome —
-// the post-traffic half of run, shared with the batched path (which drains
-// members individually after releasing the lockstep group). The recover
-// mirrors run's: a fault-reachable panic during the drain is a detected
-// outcome attributed to this cell alone.
+// the post-traffic half of run. The recover mirrors run's: a
+// fault-reachable panic during the drain is a detected outcome.
 func finishCell(c *cell, net *network.Network, ck *check.Checker, inj *fault.Injector, rec *telemetry.Recorder, p params) {
 	defer func() {
 		c.injected, c.delivered = ck.Injected(), ck.Delivered()
@@ -330,89 +327,6 @@ func finishCell(c *cell, net *network.Network, ck *check.Checker, inj *fault.Inj
 	}
 }
 
-// runCohortCells executes cells [lo, hi) of the flat (arch, campaign) grid
-// as one lockstep cohort: all members inject and step the traffic window
-// together on shared construction state, then the group is released and
-// each member drains and classifies individually — exactly run's epilogue.
-// ok reports whether the lockstep phase completed; a fault-reachable panic
-// during it cannot be attributed to one member, so the caller replays the
-// span serially (run recovers per cell) to keep the report byte-identical.
-func runCohortCells(archs []router.Arch, campaigns int, p params, lo, hi int) (cells []cell, ok bool) {
-	n := hi - lo
-	cells = make([]cell, n)
-	cks := make([]*check.Checker, n)
-	injs := make([]*fault.Injector, n)
-	for j := 0; j < n; j++ {
-		i := lo + j
-		c := &cells[j]
-		c.arch, c.idx = archs[i/campaigns], i%campaigns
-		c.spec = p.template
-		c.spec.Seed = campaignSeed(p.template.Seed, c.idx)
-		cks[j] = check.New(check.All())
-		injs[j] = fault.NewInjector(c.spec)
-	}
-
-	defer func() {
-		if r := recover(); r != nil {
-			ok = false
-		}
-	}()
-	recs := make([]*telemetry.Recorder, n)
-	for j := range recs {
-		recs[j] = cellRecorder(&cells[j], cks[j], p)
-	}
-	co, err := batch.New(n, func(j int) network.Config {
-		return network.Config{
-			Topo: p.topo, Arch: cells[j].arch, BufferDepth: p.bufferDepth,
-			Shards: p.shards, Check: cks[j], Fault: injs[j], Probe: recs[j].Probe(),
-			Retransmit: p.retransmit,
-		}
-	})
-	if err != nil {
-		panic(err.Error())
-	}
-	defer co.Close()
-	for j := 0; j < n; j++ {
-		wireReconfig(co.Net(j), recs[j])
-		restoreWarm(co.Net(j), cells[j].arch, p)
-	}
-
-	rngs := make([]*sim.RNG, n)
-	for j := range rngs {
-		rngs[j] = sim.NewRNG(cells[j].spec.Seed ^ 0x54524146) // "TRAF"
-	}
-	for cyc := int64(0); cyc < p.cycles; cyc++ {
-		for j := 0; j < n; j++ {
-			net, rng := co.Net(j), rngs[j]
-			cores := net.Cores()
-			for id := 0; id < cores; id++ {
-				if rng.Float64() >= p.load {
-					continue
-				}
-				dst := rng.Intn(cores - 1)
-				if dst >= id {
-					dst++
-				}
-				length := 1
-				if p.multi > 0 && rng.Float64() < p.multi {
-					length = 4
-				}
-				net.Inject(noc.NodeID(id), noc.NodeID(dst), length, 0)
-			}
-		}
-		co.Step()
-	}
-
-	// Drains end at member-specific cycles (watchdog windows, wedges), so
-	// they run standalone: dissolve the group and finish each member with
-	// the serial epilogue.
-	co.Release()
-	for j := 0; j < n; j++ {
-		finishCell(&cells[j], co.Net(j), cks[j], injs[j], recs[j], p)
-	}
-	return cells, true
-}
-
 // wireReconfig arms the flight recorder's reconfiguration trigger: the
 // first fault-driven route rebuild latches the recorder, so the dump window
 // brackets the epoch (first-trigger-wins; a later checker trip or wedge
@@ -461,7 +375,6 @@ func main() {
 		watchdog  = flag.Int64("watchdog", 4000, "livelock watchdog window (cycles without a delivery)")
 		shards    = flag.Int("shards", 1, "intra-simulation worker shards (report is bit-identical at any setting)")
 		parallel  = flag.Int("parallel", 0, "campaign-level worker pool size (0 = all CPUs; report is order-independent)")
-		batchW    = flag.Int("batch", 0, "lockstep cohort width: step up to this many campaigns together on shared state (0 = off, -1 = default width; report is identical)")
 		out       = flag.String("out", "", "write the report to this file instead of stdout")
 		specPath  = flag.String("spec", "", "JSON fault-spec file (flag rates ignored when set; its seed, if nonzero, overrides -seed)")
 		warmN     = flag.Int64("warmstart", 0, "warm each architecture's network fault-free for this many cycles once, then start every campaign from the shared warm state (0 = cold campaigns)")
@@ -593,7 +506,7 @@ func main() {
 	// Degradation-sweep mode: a separate experiment shape (fault-count sweep
 	// of permanent link kills under bursty traffic) with its own report.
 	if *degradeK > 0 {
-		if err := runDegradeMode(os.Stdout, archs, p, *degradeK, *killAt, *rtimeout, *retries, *parallel, *batchW, *out, *csvOut); err != nil {
+		if err := runDegradeMode(os.Stdout, archs, p, *degradeK, *killAt, *rtimeout, *retries, *parallel, *out, *csvOut); err != nil {
 			fail(err)
 		}
 		return
@@ -610,50 +523,13 @@ func main() {
 	}
 
 	// Fan the (arch, campaign) grid across the pool; cells are independent
-	// and individually seeded, so results are position-stable. With -batch,
-	// the grid is carved into lockstep cohorts first and whole cohorts fan
-	// across the pool instead of single cells.
-	pool := exp.NewPool(*parallel)
-	total := len(archs) * *campaigns
-	var cells []cell
-	if *batchW != 0 {
-		w := *batchW
-		if w < 0 {
-			w = 0 // batch.DefaultWidth
-		}
-		spans := batch.Chunks(total, w)
-		couts, merr := exp.Map(context.Background(), pool, len(spans),
-			func(_ context.Context, si int) ([]cell, error) {
-				lo, hi := spans[si][0], spans[si][1]
-				if cs, ok := runCohortCells(archs, *campaigns, p, lo, hi); ok {
-					return cs, nil
-				}
-				// A panic escaped the lockstep traffic phase, where it cannot
-				// be pinned on one member: replay this span cell by cell so
-				// run's per-cell recover attributes it and the report stays
-				// byte-identical to an unbatched invocation.
-				cs := make([]cell, hi-lo)
-				for j := range cs {
-					i := lo + j
-					cs[j] = run(archs[i / *campaigns], i%*campaigns, p)
-				}
-				return cs, nil
-			})
-		if merr != nil {
-			fail(merr)
-		}
-		cells = make([]cell, 0, total)
-		for _, cs := range couts {
-			cells = append(cells, cs...)
-		}
-	} else {
-		cells, err = exp.Map(context.Background(), pool, total,
-			func(_ context.Context, i int) (cell, error) {
-				return run(archs[i / *campaigns], i%*campaigns, p), nil
-			})
-		if err != nil {
-			fail(err)
-		}
+	// and individually seeded, so results are position-stable.
+	cells, err := exp.Map(context.Background(), exp.NewPool(*parallel), len(archs)**campaigns,
+		func(_ context.Context, i int) (cell, error) {
+			return run(archs[i / *campaigns], i%*campaigns, p), nil
+		})
+	if err != nil {
+		fail(err)
 	}
 
 	var sb strings.Builder

@@ -31,7 +31,6 @@ func main() {
 		seed     = flag.Uint64("seed", 0xA11CE, "simulation seed")
 		parallel = flag.Int("parallel", 0, "worker count for sweep points (0 = all CPUs, 1 = serial; output is identical)")
 		shards   = flag.Int("shards", 0, "intra-simulation worker shards per point (0 = auto, 1 = serial; output is identical)")
-		batch    = flag.Int("batch", 0, "lockstep cohort width: step up to this many sweep points together on shared state (0 = off, -1 = default width; output is identical)")
 		warm     = flag.Bool("warmstart", false, "warm once per architecture at -warmrate and fork every rate point from the copy (CSV is byte-identical to the cold sweep at the same warm rate)")
 		warmRate = flag.Float64("warmrate", 600, "warm-up injection rate in MB/s/node for -warmstart")
 		ckptDir  = flag.String("checkpoint", "", "persist per-architecture warm images into this directory (implies -warmstart)")
@@ -88,21 +87,7 @@ func main() {
 			base.WarmSaveDir = *ckptDir
 			base.WarmLoadDir = *restore
 		}
-		var points []harness.SweepPoint
-		var err error
-		if *batch != 0 {
-			width := *batch
-			if width < 0 {
-				width = 0 // batch.DefaultWidth
-			}
-			var skipped int
-			points, skipped, err = harness.SweepSyntheticBatched(base, harness.DefaultRates(pat), width, pool)
-			if skipped > 0 {
-				fmt.Fprintf(os.Stderr, "noxsweep: %s: %d duplicate (arch, rate) jobs simulated once\n", pat, skipped)
-			}
-		} else {
-			points, err = harness.SweepSynthetic(base, harness.DefaultRates(pat), pool)
-		}
+		points, err := harness.SweepSynthetic(base, harness.DefaultRates(pat), pool)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "noxsweep:", err)
 			os.Exit(1)

@@ -262,7 +262,7 @@ func RunFuture(cfg FutureConfig) (RunResult, error) {
 
 	deadline := net.Cycle() + cfg.DrainCycles
 	for !col.Complete() && net.Cycle() < deadline {
-		if net.FullyIdle() {
+		if net.Idle() {
 			if out := net.Outstanding(); out > 0 {
 				cfg.Recorder.Trigger(net.Cycle(),
 					fmt.Sprintf("deadlock: network fully quiescent with %d packets outstanding", out))

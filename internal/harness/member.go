@@ -17,13 +17,11 @@ import (
 	"repro/internal/traffic"
 )
 
-// synthMember is the per-run state of one synthetic-traffic simulation,
-// factored out of RunSynthetic so the serial path and the batched lockstep
-// path (RunSyntheticCohort) execute the same per-cycle code. Byte-identical
-// batched output is a structural property here, not a re-implementation
-// kept in sync by tests alone: both paths call the same prepare / attach /
-// injectCycle / enterDrain / needsDrainStep / finalize sequence, and differ
-// only in who advances the network clock between calls.
+// synthMember is the per-run state of one synthetic-traffic simulation:
+// RunSynthetic drives it through the prepare / attach / injectCycle /
+// enterDrain / needsDrainStep / finalize sequence, stepping the network
+// between calls, and the warm-start path saves and restores it around the
+// warmup boundary.
 type synthMember struct {
 	cfg         SyntheticConfig // filled
 	periodNs    float64
@@ -42,9 +40,8 @@ type synthMember struct {
 	total         int64 // warmup + measure cycles
 	deadline      int64 // drain deadline, valid after enterDrain
 
-	// Sparse-regime lookahead (event-horizon harness). When lookahead is
-	// armed, each traffic process is advanced eagerly with one skip-ahead
-	// Next call per arrival — its stream is private per-node state, so
+	// Sparse-regime lookahead. When lookahead is armed, each traffic process
+	// is advanced eagerly with one skip-ahead Next call per arrival — its stream is private per-node state, so
 	// consuming future cycles early is stream-exact — and arr[id] holds the
 	// node's next injection cycle (or the current wall when none is known
 	// yet). arrMin caches the minimum, so
@@ -66,9 +63,8 @@ type synthMember struct {
 }
 
 // prepareSynthetic validates and fills cfg and resolves its traffic
-// pattern. The network is built separately (standalone via network.Build,
-// or by a batch cohort overlaying shared construction state) and handed to
-// attach.
+// pattern. The network is built separately (network.Build over netConfig)
+// and handed to attach.
 func prepareSynthetic(cfg SyntheticConfig) (*synthMember, error) {
 	cfg.fill()
 	m := &synthMember{cfg: cfg}
@@ -111,10 +107,10 @@ func prepareSynthetic(cfg SyntheticConfig) (*synthMember, error) {
 	m.total = cfg.WarmupCycles + cfg.MeasureCycles
 
 	// Arm the flight recorder. The factory path builds one per run with a
-	// deterministic label, so sweep workers and cohort members each record
-	// into their own ring and dump to their own files. An explicit full
-	// Probe claims the network's probe slot, so recording is skipped — the
-	// user already has the complete event stream.
+	// deterministic label, so sweep workers each record into their own ring
+	// and dump to their own files. An explicit full Probe claims the
+	// network's probe slot, so recording is skipped — the user already has
+	// the complete event stream.
 	if m.cfg.Recorder == nil && m.cfg.NewRecorder != nil && m.cfg.Probe == nil {
 		m.cfg.Recorder = m.cfg.NewRecorder(fmt.Sprintf("%s-%s-%.0fMBps", m.cfg.Arch, m.cfg.Pattern, m.cfg.RateMBps))
 	}
@@ -241,7 +237,7 @@ func (m *synthMember) recomputeArrMin() {
 // performs the jump with FastForwardIdle, which preserves per-cycle probe
 // sampling, so skipped cycles are observationally identical to stepped ones.
 func (m *synthMember) idleSkip() int64 {
-	if !m.lookahead || !m.net.FullyIdle() {
+	if !m.lookahead || !m.net.Idle() {
 		return 0
 	}
 	next := m.net.Cycle()
@@ -350,10 +346,10 @@ func (m *synthMember) needsDrainStep() bool {
 	if m.col.Complete() || m.net.Cycle() >= m.deadline {
 		return false
 	}
-	if m.net.FullyIdle() {
+	if m.net.Idle() {
 		if m.net.RecoveryPending() {
 			m.net.FastForwardIdle(m.deadline - m.net.Cycle())
-			return !m.net.FullyIdle() && m.net.Cycle() < m.deadline
+			return !m.net.Idle() && m.net.Cycle() < m.deadline
 		}
 		if out := m.net.Outstanding(); out > 0 {
 			m.cfg.Recorder.Trigger(m.net.Cycle(),

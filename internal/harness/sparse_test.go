@@ -11,9 +11,9 @@ import (
 	"repro/internal/router"
 )
 
-// Sparse-regime equivalence suite: the event-horizon kernel (next-wake
-// scheduling, port-granular dirty evaluation, harness arrival lookahead,
-// idle fast-forward) is a performance mode only — at light load, where it
+// Sparse-regime equivalence suite: the quiescence fast path (parking,
+// port-granular dirty evaluation, harness arrival lookahead, idle
+// fast-forward) is a performance mode only — at light load, where it
 // earns its speedup, every observable byte must match the eager kernel
 // that evaluates every component every cycle. The rates here sit at
 // roughly 1% and 5% of per-node saturation bandwidth, the regime where
@@ -58,7 +58,7 @@ func sparseRun(t *testing.T, cfg SyntheticConfig) (results, trace, report string
 
 // TestSparseEquivalenceSerialSharded pins byte-identity between the eager
 // kernel (Eager harness + AlwaysActive network: no lookahead, no parking,
-// no dirty masks consulted) and the event-horizon fast path, for every
+// no dirty masks consulted) and the quiescence fast path, for every
 // architecture at shard counts 1 and 4 and both sparse rates — RunResult,
 // rendered CSV, full probe trace, and checker report.
 func TestSparseEquivalenceSerialSharded(t *testing.T) {
@@ -93,42 +93,6 @@ func TestSparseEquivalenceSerialSharded(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestSparseEquivalenceBatched pins the batched lockstep kernel at cohort
-// widths 1 and 8 against the eager serial sweep over the same sparse
-// rates: same points, same RunResults, same rendered CSV.
-func TestSparseEquivalenceBatched(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sparse batched equivalence is slow")
-	}
-	base := sparseCfg("uniform", 0)
-
-	ref := base
-	ref.Eager = true
-	ref.AlwaysActive = true
-	cold, err := SweepSynthetic(ref, sparseRates, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCSV := SweepCSV("uniform", cold)
-	wantDump := fmt.Sprintf("%+v", cold)
-
-	for _, width := range []int{1, 8} {
-		width := width
-		t.Run(fmt.Sprintf("width%d", width), func(t *testing.T) {
-			pts, _, err := SweepSyntheticBatched(base, sparseRates, width, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := SweepCSV("uniform", pts); got != wantCSV {
-				t.Errorf("batched sparse sweep CSV diverged from eager\ngot:\n%s\nwant:\n%s", got, wantCSV)
-			}
-			if got := fmt.Sprintf("%+v", pts); got != wantDump {
-				t.Errorf("batched sparse results diverged from eager\ngot: %.400s\nwant: %.400s", got, wantDump)
-			}
-		})
 	}
 }
 
@@ -180,7 +144,7 @@ func benchSparseRun(b *testing.B, cfg SyntheticConfig) {
 
 // BenchmarkSparseFSMWait measures the FSM-wait regime on NoX: at ~2% load
 // the output FSMs spend nearly every cycle idle between flits, so the
-// event-horizon kernel parks the routers while the eager reference walks
+// fast path parks the routers while the eager reference walks
 // all of them every cycle.
 func BenchmarkSparseFSMWait(b *testing.B) {
 	for _, mode := range []struct {
@@ -200,7 +164,7 @@ func BenchmarkSparseFSMWait(b *testing.B) {
 
 // BenchmarkSparseBurstyGap measures the bursty-gap regime: self-similar
 // sources inject dense Pareto bursts separated by long OFF gaps the
-// event-horizon kernel fast-forwards through.
+// fast path fast-forwards through.
 func BenchmarkSparseBurstyGap(b *testing.B) {
 	for _, mode := range []struct {
 		name  string

@@ -56,8 +56,8 @@ type SyntheticConfig struct {
 	Recorder *telemetry.Recorder
 	// NewRecorder, when set and Recorder/Probe are nil, builds the run's
 	// flight recorder from a deterministic per-run label — the factory the
-	// cmd tools thread through sweeps and cohorts so every member records
-	// into its own ring. A factory returning nil disarms recording.
+	// cmd tools thread through sweeps so every point records into its own
+	// ring. A factory returning nil disarms recording.
 	NewRecorder func(label string) *telemetry.Recorder
 	// Shards selects the simulation execution mode (see network.Config):
 	// 0 = automatic crossover, 1 = serial, N >= 2 = sharded worker pool.
@@ -77,7 +77,7 @@ type SyntheticConfig struct {
 	// what makes the warm phase rate-independent, so warm-start sweeps can
 	// share it; a cold run with the same WarmRateMBps executes identically.
 	WarmRateMBps float64
-	// WarmStart switches SweepSynthetic/SweepSyntheticBatched to warm-start
+	// WarmStart switches SweepSynthetic to warm-start
 	// mode: warm once per architecture at WarmRateMBps (required), then
 	// resume every rate point from a copy of the warm state. Output is
 	// byte-identical to the cold sweep with the same WarmRateMBps.
@@ -107,8 +107,8 @@ type SyntheticConfig struct {
 	// sparse benchmarks).
 	Eager bool
 	// AlwaysActive passes through to network.Config.AlwaysActive: the kernel
-	// evaluates every component every cycle, disabling quiescence, horizon
-	// parking, and the dirty-port walks. The fully eager reference.
+	// evaluates every component every cycle, disabling quiescence parking
+	// and the dirty-port walks. The fully eager reference.
 	AlwaysActive bool
 	// ReplayCheckpointEvery, when positive, keeps in-memory full-state
 	// checkpoints every that-many cycles (the last two are retained) and,
@@ -160,10 +160,8 @@ var ErrRateInvalid = errors.New("invalid injection rate")
 // RunSynthetic executes one (architecture, pattern, rate) point and
 // returns its latency, throughput, and energy results.
 //
-// The run itself lives in synthMember (member.go): RunSynthetic is the
-// standalone driver — build one network, step it between the member's
-// per-cycle hooks — and RunSyntheticCohort (batched.go) is the lockstep
-// driver over the same hooks.
+// The run itself lives in synthMember (member.go): RunSynthetic builds one
+// network and steps it between the member's per-cycle hooks.
 func RunSynthetic(cfg SyntheticConfig) (RunResult, error) {
 	m, err := prepareSynthetic(cfg)
 	if err != nil {
@@ -205,6 +203,19 @@ func RunSynthetic(cfg SyntheticConfig) (RunResult, error) {
 		m.cfg.Progress.Tick(net.Cycle())
 	}
 	return m.finalize(), nil
+}
+
+// RunSyntheticCohort runs the given points one after another and returns
+// per-point results and errors (parallel slices; exactly one of
+// results[i]/errs[i] is meaningful). It is kept only because the benchmark
+// module (benchmark/) compiles against it; nothing else calls it.
+func RunSyntheticCohort(cfgs []SyntheticConfig) ([]RunResult, []error) {
+	results := make([]RunResult, len(cfgs))
+	errs := make([]error, len(cfgs))
+	for i, cfg := range cfgs {
+		results[i], errs[i] = RunSynthetic(cfg)
+	}
+	return results, errs
 }
 
 // SweepPoint is one x-axis point of Figures 8/9.
@@ -261,8 +272,8 @@ type pointOutcome struct {
 // rate-major grid of speculative outcomes: include results up to and
 // including the first saturated point; an infeasible point ends the
 // series; a real error is remembered at the point the serial loop would
-// have hit it. Shared by the parallel and batched sweep paths so both
-// reproduce sweepSerial's output bit for bit.
+// have hit it. Shared by the parallel cold and warm-start sweep paths so
+// both reproduce sweepSerial's output bit for bit.
 func assembleSweep(rates []float64, archs []router.Arch, outs []pointOutcome) ([]SweepPoint, error) {
 	lastRate := 0 // index of the last SweepPoint the serial loop would append
 	includeEnd := make([]int, len(archs))

@@ -82,7 +82,7 @@ func loadWarmFile(path string) (*warmImage, error) {
 // the warm state depends on is pinned in the name — pattern, architecture,
 // topology, buffer depth, packet length, seed, warm-up window and rate — so
 // a sweep with different parameters misses the cache instead of restoring
-// the wrong state. Execution mode (shards, batch width) is deliberately
+// the wrong state. Execution mode (shards) is deliberately
 // absent: results are bit-identical across modes, so images are shared.
 func warmFileName(cfg SyntheticConfig) string {
 	return fmt.Sprintf("warm-%s-%s-%dx%d-b%d-f%d-s%x-w%d-r%g.noxwarm",

@@ -52,8 +52,10 @@ func (c Config) Validate() error {
 	if c.BufferDepth < 0 {
 		return fmt.Errorf("%w: buffer depth %d negative", ErrBadConfig, c.BufferDepth)
 	}
-	if c.SinkDepth < 0 {
-		return fmt.Errorf("%w: sink depth %d negative", ErrBadConfig, c.SinkDepth)
+	if c.SinkDepth < 0 || c.SinkDepth == 1 {
+		// Depth 1 is refused rather than supported: a Spec-Fast reservation
+		// at a one-slot sink can name a recycled packet slot for a cycle.
+		return fmt.Errorf("%w: sink depth %d (0 for the default, or >= 2)", ErrBadConfig, c.SinkDepth)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("%w: shards %d negative", ErrBadConfig, c.Shards)
@@ -148,7 +150,7 @@ func (n *Network) DrainChecked(limit, window int64) error {
 	wd := check.Watchdog{Window: window}
 	wd.Reset(n.Cycle(), n.Delivered())
 	for n.Outstanding() > 0 {
-		if n.FullyIdle() {
+		if n.Idle() {
 			if !n.RecoveryPending() {
 				// Quiescent with packets outstanding and no scheduled kill
 				// or retransmission timeout still to come: no evaluation can

@@ -24,6 +24,7 @@ func TestBuildRejectsBadConfig(t *testing.T) {
 		{"unknown arch", Config{Topo: noc.Topology{Width: 2, Height: 2}, Arch: router.Arch(99)}},
 		{"negative buffers", Config{Topo: noc.Topology{Width: 2, Height: 2}, BufferDepth: -3}},
 		{"negative sink", Config{Topo: noc.Topology{Width: 2, Height: 2}, SinkDepth: -1}},
+		{"one-slot sink", Config{Topo: noc.Topology{Width: 2, Height: 2}, SinkDepth: 1}},
 		{"negative shards", Config{Topo: noc.Topology{Width: 2, Height: 2}, Shards: -2}},
 		{"fault without check", Config{Topo: noc.Topology{Width: 2, Height: 2},
 			Fault: fault.NewInjector(fault.Spec{Seed: 1})}},

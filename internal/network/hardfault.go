@@ -19,7 +19,7 @@ import (
 // retransmission when armed), restores all channel credits, and retires
 // packets whose destinations the damage partitioned away as undeliverable.
 // The whole epoch runs atomically between two cycles on the stepping
-// goroutine, so serial, sharded, and batched execution see byte-identical
+// goroutine, so serial and sharded execution see byte-identical
 // degradation.
 
 // HardFaulter extends FaultInjector with the permanent-fault surface the
@@ -291,7 +291,7 @@ func (n *Network) nextEventBoundary() (int64, bool) {
 func (n *Network) fastForward(limit int64) int64 {
 	var advanced int64
 	for advanced < limit {
-		if !n.kernel.FullyIdle() {
+		if !n.kernel.Idle() {
 			return advanced
 		}
 		span := limit - advanced

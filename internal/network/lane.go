@@ -39,10 +39,7 @@ func (l niLane) ComputeActive(cycle int64, active []uint32) {
 }
 
 // CommitActive commits awake interfaces and latches arrived ones, clears the
-// flags of those that went quiet or parked on their horizon, and returns how
-// many it put to sleep. NI horizons are binary (Never or next cycle — see
-// NI.Horizon), so the lane never needs the kernel's timing wheel and stays
-// within the sim.Lane parking contract.
+// flags of those that went quiet, and returns how many it put to sleep.
 func (l niLane) CommitActive(cycle int64, active []uint32) int {
 	quiets := 0
 	for i, ni := range l {
@@ -55,7 +52,7 @@ func (l niLane) CommitActive(cycle int64, active []uint32) int {
 		default:
 			ni.Commit(cycle)
 		}
-		if ni.Quiet() || ni.Horizon(cycle) > cycle+1 {
+		if ni.Quiet() {
 			active[i] = sim.Parked
 			quiets++
 		}

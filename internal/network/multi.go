@@ -124,10 +124,10 @@ func (m *Multi) Close() {
 	}
 }
 
-// FullyIdle reports that every class network is fully quiescent.
-func (m *Multi) FullyIdle() bool {
+// Idle reports that every class network is fully quiescent.
+func (m *Multi) Idle() bool {
 	for _, nw := range m.nets {
-		if !nw.FullyIdle() {
+		if !nw.Idle() {
 			return false
 		}
 	}
@@ -138,7 +138,7 @@ func (m *Multi) FullyIdle() bool {
 // cycles in bulk, keeping them in lockstep; legal only while all classes
 // are fully quiescent (returns 0 otherwise).
 func (m *Multi) FastForwardIdle(limit int64) int64 {
-	if limit <= 0 || !m.FullyIdle() {
+	if limit <= 0 || !m.Idle() {
 		return 0
 	}
 	for _, nw := range m.nets {
@@ -153,7 +153,7 @@ func (m *Multi) FastForwardIdle(limit int64) int64 {
 func (m *Multi) Drain(limit int64) bool {
 	deadline := m.Cycle() + limit
 	for m.Outstanding() > 0 && m.Cycle() < deadline {
-		if m.FullyIdle() {
+		if m.Idle() {
 			m.FastForwardIdle(deadline - m.Cycle())
 			break
 		}
@@ -179,7 +179,7 @@ func (m *Multi) DrainChecked(limit, window int64) error {
 	wd := check.Watchdog{Window: window}
 	wd.Reset(m.Cycle(), m.delivered())
 	for m.Outstanding() > 0 {
-		if m.FullyIdle() {
+		if m.Idle() {
 			return m.wedged(fmt.Sprintf("deadlock: fully quiescent with %d packets outstanding", m.Outstanding()))
 		}
 		if m.Cycle() >= deadline {

@@ -35,7 +35,8 @@ type Config struct {
 	// BufferDepth is the per-input FIFO depth in flits (default 4, Table 1).
 	BufferDepth int
 	// SinkDepth is the ejection interface buffer depth (default 16; the
-	// sink drains a flit per cycle so it never fills in practice).
+	// sink drains a flit per cycle so it never fills in practice). Depth 1
+	// is rejected by Validate.
 	SinkDepth int
 	// NewArbiter overrides the per-output arbiter (default round-robin).
 	NewArbiter func(n int) arbiter.Arbiter
@@ -79,25 +80,14 @@ type Config struct {
 	// and packets that exhaust the budget are retired as undeliverable.
 	// Nil costs a single pointer test on the hot path.
 	Retransmit *RetransmitConfig
-	// Slabs, when non-nil, is a shared construction allocator: a batched
-	// cohort threads one through every member so N same-shape networks carve
-	// their router state from common chunks (see internal/batch). Nil builds
-	// a private allocator — identical layout, one skeleton per network.
-	// Construction-time, single-goroutine use only.
-	Slabs *router.Slabs
-	// FlitBlocks, when non-nil, is a shared backing store for the network's
-	// flit arenas, so a cohort's members draw blocks from common slabs.
-	// Serial execution only: sharded networks grow their shard arenas on
-	// worker goroutines and ignore this field.
-	FlitBlocks *noc.BlockPool
-	// Oracle arms the kernel's event-horizon contract oracle: every component
-	// is evaluated eagerly every cycle, and any component the quiescence or
-	// horizon rules would have parked is state-hashed around its evaluation —
-	// a hash change means the component lied about being parkable (its Quiet
-	// or Horizon broke the purity contract) and the step panics with the
-	// offender. Debug/contract-test mode: serial execution only, and far
-	// slower than either the eager or the parked walk (a full state
-	// serialization per parked component per cycle).
+	// Oracle arms the kernel's quiescence contract oracle: every component
+	// is evaluated eagerly every cycle, and any component the quiescence
+	// rules would have parked is state-hashed around its evaluation — a hash
+	// change means the component lied about being parkable (its Quiet broke
+	// the purity contract) and the step panics with the offender.
+	// Debug/contract-test mode: serial execution only, and far slower than
+	// either the eager or the parked walk (a full state serialization per
+	// parked component per cycle).
 	Oracle bool
 	// Observer, when non-nil, is installed as an additional kernel observer
 	// (after the probe's sampler): it fires at the end of every stepped or
@@ -380,15 +370,8 @@ func New(cfg Config) *Network {
 	n.nis = make([]*NI, cores)
 
 	// One batch allocator for every router: their ports, FIFOs, scratch
-	// vectors, and arbiters are carved from shared chunks (one allocator per
-	// network, or one per cohort when the caller shares it via cfg.Slabs).
-	slabs := cfg.Slabs
-	if slabs == nil {
-		slabs = router.NewSlabs()
-	}
-	if cfg.FlitBlocks != nil && !sharded {
-		n.local[0].arena.SetBlocks(cfg.FlitBlocks)
-	}
+	// vectors, and arbiters are carved from shared chunks.
+	slabs := router.NewSlabs()
 	for id := 0; id < routers; id++ {
 		n.routers[id] = router.New(router.Config{
 			Arch:        cfg.Arch,
@@ -737,9 +720,9 @@ func (n *Network) Shards() int { return n.shards }
 // A no-op on the serial path (and safe to call repeatedly).
 func (n *Network) Close() { n.kernel.Close() }
 
-// FullyIdle reports that every component is quiescent, so cycles advance
+// Idle reports that every component is quiescent, so cycles advance
 // without any evaluation until the next injection.
-func (n *Network) FullyIdle() bool { return n.kernel.FullyIdle() }
+func (n *Network) Idle() bool { return n.kernel.Idle() }
 
 // FastForwardIdle advances the clock up to limit cycles in bulk while the
 // network is fully quiescent, returning the cycles advanced (0 if busy).
@@ -761,9 +744,8 @@ func (n *Network) Routes() *routing.Table { return n.routes }
 // Cycle returns the current cycle number.
 func (n *Network) Cycle() int64 { return n.kernel.Cycle() }
 
-// Kernel exposes the network's simulation kernel for lockstep adoption by
-// internal/batch (sim.NewLockstepGroup takes the member kernels). Treat it
-// as opaque everywhere else: stepping or mutating it directly bypasses the
+// Kernel exposes the network's simulation kernel for read-only inspection
+// (ActiveComponents). Stepping or mutating it directly bypasses the
 // network's own sequencing.
 func (n *Network) Kernel() *sim.Kernel { return n.kernel }
 
@@ -866,7 +848,7 @@ func (n *Network) QueueLen(node noc.NodeID) int { return n.nis[node].QueueLen() 
 func (n *Network) Drain(limit int64) bool {
 	deadline := n.Cycle() + limit
 	for n.Outstanding() > 0 && n.Cycle() < deadline {
-		if n.kernel.FullyIdle() {
+		if n.kernel.Idle() {
 			if n.FastForwardIdle(deadline-n.Cycle()) == 0 {
 				break
 			}

@@ -230,7 +230,7 @@ func TestLowLoadSourceQueueRewinds(t *testing.T) {
 			t.Fatalf("packet not delivered: outstanding=%d", n.Outstanding())
 		}
 	}
-	for i := 0; i < 8; i++ { // grow the queue, slab, arena and wheel once
+	for i := 0; i < 8; i++ { // grow the queue, slab and arena once
 		send()
 	}
 	ni := n.nis[0]

@@ -12,7 +12,6 @@ import (
 	"repro/internal/noc"
 	"repro/internal/power"
 	"repro/internal/probe"
-	"repro/internal/sim"
 )
 
 // NI is a tile's network interface. The injection side holds an unbounded
@@ -173,34 +172,28 @@ func (ni *NI) Compute(cycle int64) {
 	}
 }
 
-// Quiet implements sim.Quiescable: nothing queued or mid-injection on the
-// source side and nothing buffered (FIFO or decode register) on the sink
-// side. A partially reassembled packet with an empty sink is quiet — its
-// remaining flits wake the interface on arrival. Re-activation paths:
-// Network.InjectPacket wakes the interface directly, and the router's Send
-// on the ejection link covers the sink side.
+// Quiet implements sim.Quiescable: nothing buffered (FIFO or decode
+// register) on the sink side, and on the source side either nothing queued
+// or mid-injection, or a packet mid-injection stalled on a creditless
+// injection channel. A partially reassembled packet with an empty sink is
+// quiet — its remaining flits wake the interface on arrival — and so is the
+// stalled sender: Compute finds Ready false and an empty sink, Commit has
+// nothing staged, so evaluation cannot change it until the home router's
+// returned credits lift the count off zero, which wakes it (the injection
+// link's source wake). An interface between packets with one queued is not
+// quiet (the packet still needs its pop into cur), nor is a sender
+// mid-packet with credits left (a time-varying stall fault may be all that
+// holds it back). Re-activation paths: Network.InjectPacket wakes the
+// interface directly, the router's Send on the ejection link covers the sink
+// side, and the credit return covers the stalled sender.
 func (ni *NI) Quiet() bool {
-	return ni.cur == nil && ni.queueLen == 0 &&
-		ni.sink.Buffered() == 0 && !ni.sink.RegisterBusy()
-}
-
-// Horizon implements sim.Horizoned: a non-quiet interface whose only pending
-// work is a mid-transmission packet stalled on a creditless injection channel
-// is in a state evaluation cannot change — Compute finds Ready false and an
-// empty sink, Commit has nothing staged — so it parks until an external wake
-// (the injection link's src wake when the home router's returned credits lift
-// the count off zero, or Network.InjectPacket). Every other non-quiet state must be
-// evaluated next cycle: a queued packet still needs its pop into cur (a state
-// change), a positive credit count may be gated by a time-varying stall
-// fault, and pending sink work drains one flit per cycle. The binary
-// Never/now+1 range keeps the interface lane-compatible (see sim.Lane): an
-// NI never files a timed wheel entry.
-func (ni *NI) Horizon(now int64) int64 {
-	if ni.cur != nil && ni.injectLink.Credits() == 0 &&
-		ni.sink.Buffered() == 0 && !ni.sink.RegisterBusy() && ni.released == nil {
-		return sim.Never
+	if ni.sink.Buffered() != 0 || ni.sink.RegisterBusy() {
+		return false
 	}
-	return now + 1
+	if ni.cur == nil {
+		return ni.queueLen == 0
+	}
+	return ni.injectLink.Credits() == 0 && ni.released == nil
 }
 
 // Latch implements sim.Latcher: the flit the router staged on the ejection

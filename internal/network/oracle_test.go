@@ -1,9 +1,6 @@
-//go:build contract
-
-// Network-level contract tests for the event-horizon kernel (build tag:
-// contract, run by `make contract-check`): every real component — routers,
-// NIs, links — must honor the horizon/quiescence contract under a workload
-// that crosses sleep/wake boundaries on every burst.
+// Network-level contract tests for the kernel's quiescence oracle: every
+// real component — routers, NIs, links — must honor the quiescence contract
+// under a workload that crosses sleep/wake boundaries on every burst.
 package network
 
 import (
@@ -14,9 +11,9 @@ import (
 )
 
 // TestContractOracleCleanOnAllArchs drives the bursty workload with the
-// kernel's horizon oracle armed: a parked component whose state changes
+// kernel's quiescence oracle armed: a parked component whose state changes
 // under eager evaluation panics the run, so a clean pass is the proof that
-// every shipped Quiet/Horizon implementation is honest. The fingerprint
+// every shipped Quiet implementation is honest. The fingerprint
 // must also match the unchecked run — the oracle observes, never perturbs.
 func TestContractOracleCleanOnAllArchs(t *testing.T) {
 	topo := noc.Topology{Width: 4, Height: 4}

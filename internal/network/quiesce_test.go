@@ -1,6 +1,7 @@
 package network
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/router"
 	"repro/internal/sim"
+	"repro/internal/snapshot/codec"
 )
 
 // driveBursty drives a deterministic bursty workload — alternating loaded
@@ -140,5 +142,119 @@ func TestNetworkGoesQuiescent(t *testing.T) {
 		if net.Delivered() != before+1 {
 			t.Errorf("%v: packet not delivered after wake", arch)
 		}
+	}
+}
+
+// stallWatch tallies, across a run, the interfaces the kernel parked in the
+// middle of a packet and how many of those the credit return woke again.
+type stallWatch struct {
+	stalled      []bool
+	parks, wakes int
+}
+
+// observe inspects every interface between steps. A parked interface holding
+// a packet must have no injection credits (it could send otherwise); one that
+// was parked so and is awake again with credits was woken by the return.
+func (w *stallWatch) observe(t *testing.T, net *Network) {
+	t.Helper()
+	if w.stalled == nil {
+		w.stalled = make([]bool, len(net.nis))
+	}
+	for i, ni := range net.nis {
+		if net.kernel.Parked(net.niHandle[i]) {
+			if ni.cur == nil {
+				continue
+			}
+			if c := ni.injectLink.Credits(); c != 0 {
+				t.Fatalf("cycle %d: interface %d parked mid-packet with %d injection credits", net.Cycle(), i, c)
+			}
+			if !w.stalled[i] {
+				w.stalled[i] = true
+				w.parks++
+			}
+			continue
+		}
+		if w.stalled[i] {
+			w.stalled[i] = false
+			if ni.injectLink.Credits() > 0 {
+				w.wakes++
+			}
+		}
+	}
+}
+
+// driveHotspot drives a back-pressured hotspot — every other core sends
+// 5-flit packets (longer than the 4-flit injection channel's credits) to
+// core 5 — drains it, and returns the delivery log, the event counters and
+// the snapshot image taken when injection stops. w, when non-nil, observes
+// every cycle.
+func driveHotspot(t *testing.T, cfg Config, w *stallWatch) (string, power.Counters, []byte) {
+	t.Helper()
+	const hot, cycles = 5, 200
+	cfg.Topo = noc.Topology{Width: 4, Height: 4}
+	net := New(cfg)
+	defer net.Close()
+	var log []string
+	net.OnDeliver = func(p *noc.Packet, cycle int64) {
+		log = append(log, fmt.Sprintf("%d:%d->%d@%d", p.ID, p.Src, p.Dst, cycle))
+	}
+	rng := sim.NewRNG(0x407)
+	step := func() {
+		net.Step()
+		if w != nil {
+			w.observe(t, net)
+		}
+	}
+	for cyc := 0; cyc < cycles; cyc++ {
+		for src := 0; src < net.Cores(); src++ {
+			if src != hot && rng.Intn(10) == 0 {
+				net.Inject(noc.NodeID(src), hot, 5, 0)
+			}
+		}
+		step()
+	}
+	e := codec.NewEncoder()
+	if err := net.SaveState(e); err != nil {
+		t.Fatal(err)
+	}
+	for limit := 0; net.Outstanding() > 0; limit++ {
+		if limit == 20000 {
+			t.Fatalf("hotspot did not drain (outstanding %d)", net.Outstanding())
+		}
+		step()
+	}
+	return fmt.Sprintf("cycle=%d log=%v", net.Cycle(), log), *net.Counters(), e.Bytes()
+}
+
+// TestNIParksOnZeroCredits pins the stalled-sender half of NI.Quiet: under a
+// back-pressured hotspot an interface mid-packet on an injection channel with
+// no credits parks, the home router's credit return wakes it, and the run
+// ends byte-equal to always-active evaluation — serially with the quiescence
+// oracle armed, and at two shards.
+func TestNIParksOnZeroCredits(t *testing.T) {
+	for _, arch := range router.Archs {
+		t.Run(arch.String(), func(t *testing.T) {
+			wantLog, wantC, wantImg := driveHotspot(t, Config{Arch: arch, Shards: 1, AlwaysActive: true}, nil)
+			for _, cfg := range []Config{
+				{Arch: arch, Shards: 1, Oracle: true},
+				{Arch: arch, Shards: 2},
+			} {
+				var w stallWatch
+				log, c, img := driveHotspot(t, cfg, &w)
+				t.Logf("shards=%d: %d mid-packet parks, %d credit wakes", cfg.Shards, w.parks, w.wakes)
+				if w.parks == 0 || w.wakes == 0 {
+					t.Errorf("shards=%d: %d mid-packet parks, %d credit wakes; want both > 0", cfg.Shards, w.parks, w.wakes)
+				}
+				if log != wantLog {
+					t.Errorf("shards=%d: delivery log diverged from always-active\ngot:  %.200s\nwant: %.200s", cfg.Shards, log, wantLog)
+				}
+				if c != wantC {
+					t.Errorf("shards=%d: event counters diverged\ngot:  %+v\nwant: %+v", cfg.Shards, c, wantC)
+				}
+				if !bytes.Equal(img, wantImg) {
+					t.Errorf("shards=%d: snapshot at the end of injection diverged from always-active", cfg.Shards)
+				}
+			}
+		})
 	}
 }

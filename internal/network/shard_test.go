@@ -217,7 +217,7 @@ func TestShardedQuiescence(t *testing.T) {
 	if n := net.kernel.ActiveComponents(); n != 0 {
 		t.Errorf("%d components still active after drain", n)
 	}
-	if !net.FullyIdle() {
+	if !net.Idle() {
 		t.Error("network not fully idle after drain")
 	}
 	if skipped := net.FastForwardIdle(100); skipped != 100 {

@@ -23,46 +23,10 @@ type Arena struct {
 	free  []*Flit
 	parts [][]*Flit
 	live  int
-	// blocks, when non-nil, is a shared backing store the arena grows from
-	// instead of the heap (see BlockPool).
-	blocks *BlockPool
 }
 
 // arenaBlock is the number of flits carved per pooled block.
 const arenaBlock = 256
-
-// BlockPool is a shared backing store for the flit arenas of many networks:
-// a batched cohort hands every member's arena one pool, so all their blocks
-// are carved from a handful of large contiguous slabs instead of one heap
-// allocation per block per member. Single-goroutine use only — the batch
-// lockstep executor steps every member on one goroutine, which is exactly
-// the setting the pool exists for (sharded networks keep their private
-// heap-backed growth; see network.Config.FlitBlocks).
-type BlockPool struct {
-	buf []Flit
-}
-
-// blockPoolSlab is the pool's refill size in flits (64 arena blocks).
-const blockPoolSlab = 64 * arenaBlock
-
-// take carves one arena block off the pool's current slab.
-func (p *BlockPool) take() []Flit {
-	if len(p.buf) < arenaBlock {
-		p.buf = make([]Flit, blockPoolSlab)
-	}
-	block := p.buf[:arenaBlock:arenaBlock]
-	p.buf = p.buf[arenaBlock:]
-	return block
-}
-
-// SetBlocks points the arena's block growth at a shared pool (nil restores
-// private heap growth). Call before the first allocation; blocks already
-// carved are unaffected. No-op on a nil arena.
-func (a *Arena) SetBlocks(p *BlockPool) {
-	if a != nil {
-		a.blocks = p
-	}
-}
 
 // alloc returns a zeroed flit from the freelist, growing it by one block when
 // empty.
@@ -71,12 +35,7 @@ func (a *Arena) alloc() *Flit {
 		return &Flit{}
 	}
 	if len(a.free) == 0 {
-		var block []Flit
-		if a.blocks != nil {
-			block = a.blocks.take()
-		} else {
-			block = make([]Flit, arenaBlock)
-		}
+		block := make([]Flit, arenaBlock)
 		for i := range block {
 			a.free = append(a.free, &block[i])
 		}

@@ -103,8 +103,8 @@ type Link struct {
 	credits int32
 	// sinkH is the kernel handle of the component owning the sink side,
 	// told of every Send; srcH that of an NI driving the channel, told when
-	// returned credits lift the count off zero (NI.Horizon parks on an
-	// exhausted injection channel), -1 when the driver is a router — a
+	// returned credits lift the count off zero (an NI mid-packet on an
+	// exhausted injection channel is quiet), -1 when the driver is a router — a
 	// router holding flits is never quiet, so it needs no such edge.
 	sinkH int32
 	// env is what the channel shares with its neighbours (never nil).

@@ -57,15 +57,3 @@ type Slabs struct {
 func NewSlabs() *Slabs {
 	return &Slabs{chunk: 16 << 10}
 }
-
-// NewSlabsSized returns a batch allocator with the given refill chunk size
-// in bytes. Batched cohorts constructing many same-shape networks pass a
-// larger chunk so the whole cohort's router state comes from a handful of
-// contiguous slabs (fewer allocations, denser layout); chunkBytes <= 0
-// falls back to the standalone default.
-func NewSlabsSized(chunkBytes int) *Slabs {
-	if chunkBytes <= 0 {
-		return NewSlabs()
-	}
-	return &Slabs{chunk: chunkBytes}
-}

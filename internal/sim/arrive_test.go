@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -76,10 +75,8 @@ type wakeRig struct {
 	lanes  bool // bind typed lanes over every component
 	hook   bool // install an eval hook (sharded: forces the index-list walk)
 	// pads appends always-quiet components and awake ones that never park,
-	// steering the serial step into its sparse or its dense walk and a
-	// lockstep group into its sliced or its member-major one.
+	// steering the serial step into its sparse or its dense walk.
 	parkedPads, awakePads int
-	members               int // > 0: a lockstep cohort of this many
 }
 
 const wakeRigCycles = 80
@@ -142,39 +139,18 @@ func (rig wakeRig) build() (*Kernel, [][]uint8) {
 	return k, marks
 }
 
-// run steps the rig for wakeRigCycles and returns member 0's marks and how
-// many steps took the serial sparse walk (lockstep: the sliced walk).
-func (rig wakeRig) run(t *testing.T) (marks [][]uint8, sparse int) {
-	if rig.members == 0 {
-		k, marks := rig.build()
-		defer k.Close()
-		for c := 0; c < wakeRigCycles; c++ {
-			if n := len(k.components); rig.shards == 0 && k.idle != 0 && k.idle != n && (n-k.idle)*sparseRatio <= n {
-				sparse++
-			}
-			k.Step()
-		}
-		return marks, sparse
-	}
-	kernels := make([]*Kernel, rig.members)
-	all := make([][][]uint8, rig.members)
-	for m := range kernels {
-		kernels[m], all[m] = rig.build()
-	}
-	g := NewLockstepGroup(kernels)
+// run steps the rig for wakeRigCycles and returns the marks and how many
+// steps took the serial sparse walk.
+func (rig wakeRig) run() (marks [][]uint8, sparse int) {
+	k, marks := rig.build()
+	defer k.Close()
 	for c := 0; c < wakeRigCycles; c++ {
-		if !g.denseWalk() {
+		if n := len(k.components); rig.shards == 0 && k.idle != 0 && k.idle != n && (n-k.idle)*sparseRatio <= n {
 			sparse++
 		}
-		g.Step()
+		k.Step()
 	}
-	g.Release()
-	for m := 1; m < rig.members; m++ {
-		if fmt.Sprint(all[m]) != fmt.Sprint(all[0]) {
-			t.Errorf("%s: member %d was evaluated differently from member 0", rig.name, m)
-		}
-	}
-	return all[0], sparse
+	return marks, sparse
 }
 
 // TestWakeCycleOnlyLatches: a component handed input while parked only
@@ -185,7 +161,7 @@ func (rig wakeRig) run(t *testing.T) (marks [][]uint8, sparse int) {
 // the same in all of them.
 func TestWakeCycleOnlyLatches(t *testing.T) {
 	ref := wakeRig{name: "serial dense, generic", awakePads: 8}
-	want, sparse := ref.run(t)
+	want, sparse := ref.run()
 	if sparse != 0 {
 		t.Fatalf("the dense reference took the sparse walk %d times", sparse)
 	}
@@ -231,10 +207,8 @@ func TestWakeCycleOnlyLatches(t *testing.T) {
 		{name: "7 shards, lanes", shards: 7, lanes: true},
 		{name: "2 shards, index list", shards: 2},
 		{name: "7 shards, index list under an eval hook", shards: 7, lanes: true, hook: true},
-		{name: "lockstep x3, member-major", members: 3, lanes: true, awakePads: 8},
-		{name: "lockstep x3, sliced", members: 3, parkedPads: 600},
 	} {
-		got, sparse := rig.run(t)
+		got, sparse := rig.run()
 		if wantSparse := rig.parkedPads != 0; (sparse != 0) != wantSparse {
 			t.Errorf("%s: took the sparse walk %d times", rig.name, sparse)
 		}

@@ -271,7 +271,7 @@ func TestShardLaneWalk(t *testing.T) {
 		if hook && hooked.Load() == 0 {
 			t.Error("eval hook never ran on a lane-bound kernel")
 		}
-		if !k.FullyIdle() {
+		if !k.Idle() {
 			t.Errorf("lanes=%v hook=%v: kernel not idle after 20 cycles", lanes, hook)
 		}
 		return counts, active

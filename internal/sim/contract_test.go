@@ -1,10 +1,6 @@
-//go:build contract
-
-// Contract tests for the event-horizon kernel API, run by `make
-// contract-check` (build tag: contract). They pin the two halves of the
-// Horizoned contract — honest horizons park and wake exactly on schedule;
-// lying horizons are the silent-divergence bug class — and prove the
-// SetOracle debug mode catches every liar the fast path would mask.
+// Contract tests for the quiescence API: a component that goes quiet while
+// still holding work is the silent-divergence bug class, and the SetOracle
+// debug mode must catch every such component the fast path would mask.
 package sim
 
 import (
@@ -12,104 +8,20 @@ import (
 	"testing"
 )
 
-// alarm is an honest Horizoned component: it does nothing until cycle at,
-// fires once there, and is quiet forever after. Its horizon is exact, so
-// every cycle in (park, at) is a state no-op — the parked stretch the
-// kernel may skip.
-type alarm struct {
-	at       int64
-	fired    bool
-	computes int
-}
-
-func (a *alarm) Compute(cycle int64) { a.computes++ }
-func (a *alarm) Commit(cycle int64) {
-	if cycle >= a.at {
-		a.fired = true
-	}
-}
-func (a *alarm) Quiet() bool { return a.fired }
-func (a *alarm) Horizon(now int64) int64 {
-	if a.at > now+1 {
-		return a.at
-	}
-	return now + 1
-}
-
-// liar mutates state every cycle it is evaluated but reports a far horizon:
-// the canonical under-reporting component. Under the fast path it silently
-// diverges from always-active evaluation; under the oracle it must be
-// caught on the first parked cycle.
-type liar struct{ val int }
-
-func (l *liar) Compute(cycle int64) {}
-func (l *liar) Commit(cycle int64)  { l.val++ }
-func (l *liar) Quiet() bool         { return false }
-func (l *liar) Horizon(now int64) int64 {
-	return now + 100
-}
-
-// latent goes quiet while still holding work: Quiet lies rather than
-// Horizon. Same bug class, other entry point.
+// latent goes quiet while still holding work: its Quiet lies, so every
+// cycle it is skipped is a state change the fast path never makes.
 type latent struct{ val int }
 
 func (l *latent) Compute(cycle int64) {}
 func (l *latent) Commit(cycle int64)  { l.val++ }
 func (l *latent) Quiet() bool         { return true }
 
-// TestContractHonestHorizonWakesOnSchedule pins the wheel's wake timing: an
-// alarm parked with a finite horizon is evaluated exactly twice — the cycle
-// it parks and the cycle its horizon names — and fires on time.
-func TestContractHonestHorizonWakesOnSchedule(t *testing.T) {
-	k := NewKernel()
-	a := &alarm{at: 50}
-	k.Add(a)
-	k.Run(100)
-	if !a.fired {
-		t.Fatal("alarm never fired")
-	}
-	if a.computes != 2 {
-		t.Fatalf("alarm evaluated %d times, want 2 (park cycle + horizon cycle)", a.computes)
-	}
-	if k.ActiveComponents() != 0 {
-		t.Fatalf("%d active components after firing, want 0", k.ActiveComponents())
-	}
-	if !k.FullyIdle() {
-		t.Fatal("kernel not fully idle after the alarm quiesced")
-	}
-}
-
-// TestContractSkipIdleStopsAtNextWake pins the clock-jump side: SkipIdle
-// must advance to the earliest scheduled wake, never past it.
-func TestContractSkipIdleStopsAtNextWake(t *testing.T) {
-	k := NewKernel()
-	a := &alarm{at: 50}
-	k.Add(a)
-	k.Step() // cycle 0: alarm parks with horizon 50
-	if k.FullyIdle() {
-		t.Fatal("FullyIdle with a pending timed wake")
-	}
-	if !k.Idle() {
-		t.Fatal("kernel not Idle with every component parked")
-	}
-	if got := k.NextWake(); got != 50 {
-		t.Fatalf("NextWake = %d, want 50", got)
-	}
-	if skipped := k.SkipIdle(1000); skipped != 49 {
-		t.Fatalf("SkipIdle skipped %d cycles, want 49 (stop at the wake)", skipped)
-	}
-	k.Step() // cycle 50: the wheel pops, the alarm fires
-	if !a.fired {
-		t.Fatal("alarm did not fire on the cycle SkipIdle stopped at")
-	}
-}
-
 // TestContractFastPathMasksLiar documents the failure mode the oracle
-// exists for: without it, an under-reporting component silently diverges
-// from always-active evaluation — no panic, just wrong state.
+// exists for: without it, a component quiescing with latent work silently
+// diverges from always-active evaluation — no panic, just wrong state.
 func TestContractFastPathMasksLiar(t *testing.T) {
 	k := NewKernel()
-	l := &liar{}
+	l := &latent{}
 	k.Add(l)
 	k.Run(10)
 	if l.val != 1 {
@@ -118,7 +30,7 @@ func TestContractFastPathMasksLiar(t *testing.T) {
 }
 
 // mustOracleViolation runs fn and requires it to panic with the kernel's
-// horizon-contract violation, returning the payload.
+// quiescence-contract violation, returning the payload.
 func mustOracleViolation(t *testing.T, fn func()) (v oracleViolation) {
 	t.Helper()
 	defer func() {
@@ -136,66 +48,57 @@ func mustOracleViolation(t *testing.T, fn func()) (v oracleViolation) {
 	return
 }
 
-// TestContractOracleCatchesUnderReportedHorizon is the oracle's core
-// guarantee: a component that mutates state while parked on a lying horizon
-// panics on the first parked cycle, naming the component.
-func TestContractOracleCatchesUnderReportedHorizon(t *testing.T) {
+// TestContractOracleCatchesLatentQuiet is the oracle's core guarantee: a
+// component that mutates state while parked panics on the first parked
+// cycle, naming the component.
+func TestContractOracleCatchesLatentQuiet(t *testing.T) {
 	k := NewKernel()
-	l := &liar{}
+	k.Add(&quiescer{pending: 2})
+	l := &latent{}
 	k.Add(l)
-	k.SetOracle(func(h Handle) uint64 { return uint64(l.val) })
+	k.SetOracle(func(h Handle) uint64 {
+		if h == 1 {
+			return uint64(l.val)
+		}
+		return 0
+	})
 	v := mustOracleViolation(t, func() { k.Run(10) })
-	if v.comp != 0 {
-		t.Errorf("violation names component %d, want 0", v.comp)
+	if v.comp != 1 || v.cycle != 1 {
+		t.Errorf("violation = component %d cycle %d, want component 1 cycle 1", v.comp, v.cycle)
 	}
-	if v.cycle != 1 {
-		t.Errorf("violation at cycle %d, want 1 (first parked cycle)", v.cycle)
-	}
-	if !strings.Contains(v.Error(), "horizon/quiescence contract violation") {
+	if !strings.Contains(v.Error(), "quiescence contract violation") {
 		t.Errorf("violation message %q does not name the contract", v.Error())
 	}
 }
 
-// TestContractOracleCatchesLatentQuiet covers the Quiet-side lie: quiescing
-// with staged work still pending.
-func TestContractOracleCatchesLatentQuiet(t *testing.T) {
-	k := NewKernel()
-	l := &latent{}
-	k.Add(l)
-	k.SetOracle(func(h Handle) uint64 { return uint64(l.val) })
-	v := mustOracleViolation(t, func() { k.Run(10) })
-	if v.comp != 0 || v.cycle != 1 {
-		t.Errorf("violation = component %d cycle %d, want component 0 cycle 1", v.comp, v.cycle)
-	}
-}
-
 // TestContractOraclePassesHonestComponents is the no-false-positive side:
-// honest horizons and honest quiescence run clean under the oracle, with
-// the same observable results as the fast path.
+// honest quiescence, including a component parked and woken again, runs
+// clean under the oracle with the same observable results as the fast path.
 func TestContractOraclePassesHonestComponents(t *testing.T) {
-	k := NewKernel()
-	a := &alarm{at: 30}
-	q := &quiescer{pending: 3}
-	ha := k.Add(a)
-	hq := k.Add(q)
-	k.SetOracle(func(h Handle) uint64 {
-		switch h {
-		case ha:
-			if a.fired {
-				return 1
-			}
-			return 0
-		case hq:
-			return uint64(q.pending)
+	run := func(oracle bool) (int, int) {
+		k := NewKernel()
+		q := &quiescer{pending: 3}
+		c := &counter{t: t}
+		hq := k.Add(q)
+		k.Add(c)
+		if oracle {
+			k.SetOracle(func(h Handle) uint64 {
+				if h == hq {
+					return uint64(q.pending)
+				}
+				return uint64(c.val)
+			})
 		}
-		return 0
-	})
-	k.Run(60)
-	if !a.fired {
-		t.Fatal("alarm did not fire under the oracle")
+		k.Run(20)
+		q.pending = 2
+		k.Wake(hq)
+		k.Run(20)
+		return q.pending, c.val
 	}
-	if q.pending != 0 {
-		t.Fatal("quiescer did not drain under the oracle")
+	fastQ, fastC := run(false)
+	gotQ, gotC := run(true)
+	if gotQ != 0 || gotQ != fastQ || gotC != fastC {
+		t.Fatalf("oracle run ended at pending %d / counter %d, fast path at %d / %d", gotQ, gotC, fastQ, fastC)
 	}
 }
 

@@ -5,15 +5,16 @@ import (
 	"math/bits"
 )
 
-// oracleViolation is the panic payload of a horizon-contract breach caught
-// by the SetOracle checker; it implements error so tests can assert on it.
+// oracleViolation is the panic payload of a quiescence-contract breach
+// caught by the SetOracle checker; it implements error so tests can assert on
+// it.
 type oracleViolation struct {
 	comp  int
 	cycle int64
 }
 
 func (v oracleViolation) Error() string {
-	return fmt.Sprintf("sim: component %d mutated state while parked at cycle %d (horizon/quiescence contract violation)", v.comp, v.cycle)
+	return fmt.Sprintf("sim: component %d mutated state while parked at cycle %d (quiescence contract violation)", v.comp, v.cycle)
 }
 
 // Clocked is implemented by every component that participates in the
@@ -85,7 +86,7 @@ const (
 	Arrived = 2
 )
 
-// Kernel drives a set of Clocked components through lockstep cycles,
+// Kernel drives a set of Clocked components through synchronous cycles,
 // skipping components that have declared themselves quiescent. It runs
 // serially by default; SetSharding partitions the components across a
 // persistent worker pool for intra-simulation parallelism with bit-exact
@@ -95,11 +96,6 @@ type Kernel struct {
 	// quiesc[i] is components[i]'s Quiescable interface, nil if it does not
 	// opt in (such components are evaluated every cycle forever).
 	quiesc []Quiescable
-	// hzn[i] is components[i]'s Horizoned interface, nil if it does not opt
-	// in. A non-quiet component with a horizon beyond the next cycle is
-	// parked like a quiet one and re-woken by the timing wheel (finite
-	// horizon) or an external Wake (Never).
-	hzn []Horizoned
 	// latch[i] is components[i]'s Latcher interface, nil if it does not opt
 	// in (an arrived component without one just becomes awake).
 	latch []Latcher
@@ -113,19 +109,12 @@ type Kernel struct {
 	// on the serial path only (nil once sharded). The invariant is one-sided:
 	// every component with a raised flag has its bit set, but a bit may be
 	// stale (component went quiet without clearing it) — the sparse walk
-	// prunes stale bits lazily as it visits them. nil also while adopted by
-	// a LockstepGroup in the bit-sliced representation (the group's words
-	// are authoritative there; ensureFlags re-establishes the invariant).
+	// prunes stale bits lazily as it visits them.
 	actWords []uint64
-	// wheel holds pending timed wake-ups for components that parked with a
-	// finite horizon. Allocated lazily when the first Horizoned component
-	// registers; nil on kernels with none (then parking is Wake-only). On
-	// the sharded path per-shard wheels take over (see sharding.wheels).
-	wheel *timingWheel
 	// oracle, when set, switches the serial step into contract-checking
 	// mode: every component is evaluated eagerly and any notionally-parked
-	// component whose state hash changes across its evaluation under-reported
-	// its horizon (or went quiet with latent work). See SetOracle.
+	// component whose state hash changes across its evaluation went quiet
+	// with latent work. See SetOracle.
 	oracle  func(Handle) uint64
 	oracleH []uint64
 	// idle counts inactive components on the serial path; when it equals
@@ -156,13 +145,6 @@ type Kernel struct {
 	// sh is the sharded execution state, nil on the serial path.
 	sh *sharding
 
-	// group/slot bind an adopted kernel to its LockstepGroup (see batch.go):
-	// the group owns this kernel's activity flags (transposed into shared
-	// bit words) and its stepping; Wake is redirected, Step panics. Nil when
-	// not adopted — the universal case outside batched execution.
-	group *LockstepGroup
-	slot  int
-
 	// lanes are the typed dense-iteration segments of the serial step,
 	// sorted by start handle (see BindLane). Empty means all-generic walks.
 	lanes []laneSeg
@@ -187,18 +169,10 @@ func (k *Kernel) Add(c Clocked) Handle {
 	if k.sh != nil {
 		panic("sim: Add after SetSharding")
 	}
-	if k.group != nil {
-		panic("sim: Add on a kernel adopted by a LockstepGroup")
-	}
 	h := Handle(len(k.components))
 	k.components = append(k.components, c)
 	q, _ := c.(Quiescable)
 	k.quiesc = append(k.quiesc, q)
-	hz, _ := c.(Horizoned)
-	k.hzn = append(k.hzn, hz)
-	if hz != nil && k.wheel == nil {
-		k.wheel = newTimingWheel(k.cycle)
-	}
 	l, _ := c.(Latcher)
 	k.latch = append(k.latch, l)
 	k.active = append(k.active, Awake)
@@ -216,10 +190,6 @@ func (k *Kernel) SetAlwaysActive(on bool) {
 	k.alwaysActive = on
 	if on {
 		k.wakeAllFlags()
-		if k.sh != nil {
-			k.sh.raiseAll()
-		}
-		k.resetWheels()
 	}
 }
 
@@ -235,25 +205,11 @@ func (k *Kernel) setAllBits() {
 	}
 }
 
-// resetWheels drops every pending timed wake. Only legal when all components
-// are active (a pending wake for an awake component is redundant; dropping a
-// parked component's wake would strand it).
-func (k *Kernel) resetWheels() {
-	if k.wheel != nil {
-		k.wheel.reset(k.cycle)
-	}
-	if k.sh != nil {
-		for _, w := range k.sh.wheels {
-			w.reset(k.cycle)
-		}
-	}
-}
-
 // Wake re-activates a component so it is evaluated again, in full, from its
 // next walk slot on; waking a component that is not parked is a no-op. It is
-// the between-steps wake — injection, snapshot restore, the timing wheel, the
-// end-of-step hooks. A component that hands a neighbour input in the middle
-// of a step calls Arrive instead.
+// the between-steps wake — injection, snapshot restore, the end-of-step
+// hooks. A component that hands a neighbour input in the middle of a step
+// calls Arrive instead.
 //
 // Concurrency contract: on the serial path Wake must be called from the
 // stepping goroutine only. On the sharded path raising a flag is atomic, so
@@ -278,10 +234,6 @@ func (k *Kernel) Arrive(h int) { k.raise(Handle(h), Arrived) }
 
 // raise moves a parked component to the given raised state.
 func (k *Kernel) raise(h Handle, to uint32) {
-	if g := k.group; g != nil {
-		g.raise(k.slot, h, to)
-		return
-	}
 	if sh := k.sh; sh != nil {
 		sh.raise(k, h, to)
 		return
@@ -295,17 +247,11 @@ func (k *Kernel) raise(h Handle, to uint32) {
 
 // Stepping reports whether the kernel is inside Step. Observer hooks fire
 // both at the end of every stepped cycle (stepping true) and once per cycle
-// skipped by FastForward/SkipIdle (stepping false); a hook that needs to
-// Wake components — legal only when a real step's quiescence bookkeeping
-// brackets the wake — checks this and arranges for the cycle to be stepped
-// instead (see Network.fastForward).
+// skipped by FastForward (stepping false); a hook that needs to Wake
+// components — legal only when a real step's quiescence bookkeeping brackets
+// the wake — checks this and arranges for the cycle to be stepped instead
+// (see Network.fastForward).
 func (k *Kernel) Stepping() bool { return k.stepping }
-
-// Waker returns a closure waking h, for wiring into components that cannot
-// know about the kernel.
-func (k *Kernel) Waker(h Handle) func() {
-	return func() { k.Wake(h) }
-}
 
 // SetObserver installs a hook called at the end of every Step with the
 // completed cycle number and the active-component count, replacing any
@@ -353,17 +299,14 @@ func (k *Kernel) ActiveComponents() int {
 	return len(k.components) - k.idle
 }
 
-// FullyIdle reports that every component is quiescent and no timed wake is
-// pending: a Step would be pure clock advance for any number of cycles.
-// Always false in always-active reference mode.
-func (k *Kernel) FullyIdle() bool {
-	return k.Idle() && k.pendingWakes() == 0
-}
+// Parked reports whether component h is parked: skipped by the walks until
+// something wakes it. Only between steps (or from an observer hook).
+func (k *Kernel) Parked(h Handle) bool { return k.active[h] == Parked }
 
-// Idle reports that no component is scheduled for evaluation next cycle.
-// Unlike FullyIdle it ignores the timing wheel: an Idle kernel may still
-// hold future wakes, so the clock can only be skipped up to NextWake (see
-// SkipIdle).
+// Idle reports that every component is quiescent: a Step would be pure
+// clock advance for any number of cycles, until something outside the step
+// wakes a component. Always false in always-active reference mode and on a
+// kernel with no components.
 func (k *Kernel) Idle() bool {
 	if len(k.components) == 0 {
 		return false
@@ -372,39 +315,6 @@ func (k *Kernel) Idle() bool {
 		return !k.sh.anyLive()
 	}
 	return k.idle == len(k.components)
-}
-
-// pendingWakes counts scheduled timed wake-ups across all wheels.
-func (k *Kernel) pendingWakes() int {
-	if k.sh != nil {
-		n := 0
-		for _, w := range k.sh.wheels {
-			n += w.len()
-		}
-		return n
-	}
-	if k.wheel != nil {
-		return k.wheel.len()
-	}
-	return 0
-}
-
-// NextWake returns the earliest scheduled timed wake-up, or Never when the
-// wheels are empty.
-func (k *Kernel) NextWake() int64 {
-	if k.sh != nil {
-		next := Never
-		for _, w := range k.sh.wheels {
-			if d := w.nextDue(); d < next {
-				next = d
-			}
-		}
-		return next
-	}
-	if k.wheel != nil {
-		return k.wheel.nextDue()
-	}
-	return Never
 }
 
 // Cycle returns the number of completed cycles.
@@ -420,50 +330,37 @@ func (k *Kernel) SetCycle(c int64) {
 		panic("sim: SetCycle during Step")
 	}
 	k.cycle = c
-	// Rebase the wheels: pending entries were filed against the old clock.
-	// SetCycle's only caller (snapshot restore) pairs it with WakeAll, so
-	// every component is awake and dropping its timed wake is harmless — it
-	// re-reports its horizon at its next evaluation.
-	k.resetWheels()
 }
 
 // WakeAll re-activates every component. Snapshot restore uses it instead of
 // reconstructing the saved activity set: over-waking is unobservable (the
 // quiescence fast path is proven bit-exact against always-active evaluation,
 // so evaluating a quiet component changes nothing), and the true set
-// re-converges within a cycle. Works in every execution mode — serial,
-// sharded, and adopted by a LockstepGroup.
+// re-converges within a cycle. Works serial and sharded.
 func (k *Kernel) WakeAll() {
 	if k.stepping {
 		panic("sim: WakeAll during Step")
 	}
-	if g := k.group; g != nil {
-		g.wakeAll(k)
-		return
-	}
 	k.wakeAllFlags()
-	if k.sh != nil {
-		k.sh.raiseAll()
-	}
-	k.resetWheels()
 }
 
-// wakeAllFlags makes every component awake on the kernel's own flag array.
+// wakeAllFlags makes every component awake, serial and sharded summaries
+// included.
 func (k *Kernel) wakeAllFlags() {
 	for i := range k.active {
 		k.active[i] = Awake
 	}
 	k.setAllBits()
 	k.idle = 0
+	if k.sh != nil {
+		k.sh.raiseAll()
+	}
 }
 
 // Step advances the simulation by one cycle.
 func (k *Kernel) Step() {
 	if k.stepping {
 		panic("sim: Step called reentrantly (observer/epilogue hooks must not step the kernel)")
-	}
-	if k.group != nil {
-		panic("sim: Step on a kernel adopted by a LockstepGroup (step the group, or Release it first)")
 	}
 	k.stepping = true
 	if k.sh != nil {
@@ -491,7 +388,7 @@ func (k *Kernel) Step() {
 // performance knob only — both walks are bit-identical (the sparse walk
 // visits exactly the raised-flag set in registration order, with the same
 // flag-at-visit-time wake semantics). In the dense regime the check is a
-// single compare, so the event-horizon machinery costs ~0 there.
+// single compare, so the sparse walk costs ~0 there.
 const sparseRatio = 16
 
 // stepSerial is the single-goroutine step: the reference semantics the
@@ -499,9 +396,6 @@ const sparseRatio = 16
 // and generic ranges interleaved in registration order (see lane.go); with
 // no lanes bound the walks reduce to the plain component loops.
 func (k *Kernel) stepSerial() {
-	if k.wheel != nil && k.wheel.len() != 0 {
-		k.wheel.popDue(k.cycle, k)
-	}
 	if k.oracle != nil {
 		k.stepOracle()
 		return
@@ -518,10 +412,9 @@ func (k *Kernel) stepSerial() {
 		}
 	case k.idle == n:
 		// Fully quiescent network: the cycle is pure clock advance. Wakes
-		// only arrive from outside the step (injection) or the wheel pop
-		// above (which would have lowered idle), so nothing can need
+		// only arrive from outside the step (injection), so nothing can need
 		// evaluation mid-step.
-	case k.actWords != nil && (n-k.idle)*sparseRatio <= n:
+	case (n-k.idle)*sparseRatio <= n:
 		k.walkSparse()
 	default:
 		k.walkCompute(false)
@@ -529,9 +422,9 @@ func (k *Kernel) stepSerial() {
 	}
 }
 
-// walkSparse is the event-horizon regime's walk: both phases iterate the
-// summary bitmap instead of scanning every flag. Bits are a superset of the
-// raised flags (see actWords); a bit whose flag turns out clear is pruned in
+// walkSparse is the light-load walk: both phases iterate the summary
+// bitmap instead of scanning every flag. Bits are a superset of the raised
+// flags (see actWords); a bit whose flag turns out clear is pruned in
 // passing. Flags raised mid-phase land in the words being walked: one for
 // a not-yet-visited position is picked up this phase (bits above the visit
 // cursor), one for an already-passed position waits for the next cycle —
@@ -594,7 +487,7 @@ func (k *Kernel) Run(n int64) {
 // cycles actually skipped (0 if the kernel is busy or in always-active
 // reference mode).
 func (k *Kernel) FastForward(n int64) int64 {
-	if n <= 0 || !k.FullyIdle() {
+	if n <= 0 || !k.Idle() {
 		return 0
 	}
 	if k.epilogue == nil && len(k.observers) == 0 {
@@ -613,88 +506,23 @@ func (k *Kernel) FastForward(n int64) int64 {
 	return n
 }
 
-// SkipIdle advances the clock while no component is active, up to limit.
-// Unlike FastForward it honors the timing wheel: the jump stops at the
-// earliest scheduled wake so the next Step pops and evaluates it. Per-cycle
-// hooks fire for every skipped cycle exactly as FastForward's do. Returns
-// the cycles skipped (0 if any component is active, the kernel is in
-// always-active mode, or a wake is due immediately).
-func (k *Kernel) SkipIdle(limit int64) int64 {
-	if k.stepping {
-		panic("sim: SkipIdle during Step")
-	}
-	if k.alwaysActive || !k.Idle() {
-		return 0
-	}
-	target := limit
-	if nw := k.NextWake(); nw < target {
-		target = nw
-	}
-	n := target - k.cycle
-	if n <= 0 {
-		return 0
-	}
-	if k.epilogue == nil && len(k.observers) == 0 {
-		k.cycle = target
-		return n
-	}
-	for k.cycle < target {
-		if k.epilogue != nil {
-			k.epilogue(k.cycle)
-		}
-		for _, o := range k.observers {
-			o(k.cycle, 0)
-		}
-		k.cycle++
-	}
-	return n
-}
-
-// RunUntil steps the simulation until done returns true or the cycle limit
-// is reached, and reports whether done was satisfied.
-//
-// done must be a read-only function of committed component state (it must
-// not mutate the simulation, and must not depend on the cycle counter):
-// once the kernel is idle nothing a step evaluates before the next timed
-// wake can change done's verdict, so RunUntil jumps the clock to the next
-// wake (or the limit) in bulk instead of stepping idle cycles one by one.
-func (k *Kernel) RunUntil(done func() bool, limit int64) bool {
-	for k.cycle < limit {
-		if done() {
-			return true
-		}
-		if k.Idle() && !k.alwaysActive {
-			if k.SkipIdle(limit) == 0 && k.Idle() {
-				// A wake is due this very cycle: step to evaluate it.
-				k.Step()
-			}
-			continue
-		}
-		k.Step()
-	}
-	return done()
-}
-
-// SetOracle arms the serial kernel's horizon-contract checker. hash must
+// SetOracle arms the serial kernel's quiescence-contract checker. hash must
 // return a digest of component h's externally visible state (any collision-
 // resistant fold of its committed fields). While armed, every step evaluates
 // every component eagerly — the always-evaluate reference semantics — but
 // keeps the notional active set's bookkeeping. A component the fast path
-// would have skipped (parked quiet or beyond its horizon) is hashed before
-// its Compute and after its Commit: the contract says evaluating it must be
-// a state no-op, so a differing hash means it under-reported its horizon or
-// went quiet with latent work — the silent-divergence bug class — and the
-// kernel panics naming the component. Debug mode: serial kernels only, and
-// the eager evaluation costs the full per-cycle walk. Pass nil to disarm.
+// would have skipped (parked quiet) is hashed before its Compute and after
+// its Commit: the contract says evaluating it must be a state no-op, so a
+// differing hash means it went quiet with latent work — the
+// silent-divergence bug class — and the kernel panics naming the component.
+// Debug mode: serial kernels only, and the eager evaluation costs the full
+// per-cycle walk. Pass nil to disarm.
 func (k *Kernel) SetOracle(hash func(Handle) uint64) {
 	if k.stepping {
 		panic("sim: SetOracle during Step")
 	}
 	if k.sh != nil {
 		panic("sim: SetOracle on a sharded kernel (the oracle is serial-only)")
-	}
-	if k.group != nil {
-		panic("sim: SetOracle on a kernel adopted by a LockstepGroup")
 	}
 	k.oracle = hash
 	if hash != nil && k.oracleH == nil {
@@ -704,7 +532,6 @@ func (k *Kernel) SetOracle(hash func(Handle) uint64) {
 
 // stepOracle is the contract-checking step (see SetOracle): eager evaluation
 // of every component with hash checks around the notionally-parked ones.
-// The wheel pop already ran in stepSerial.
 func (k *Kernel) stepOracle() {
 	cycle := k.cycle
 	// Hash every notionally-parked component before the cycle touches it.

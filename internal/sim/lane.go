@@ -46,14 +46,6 @@ package sim
 // adjusts its idle counter; a same-phase Arrive from a later component then
 // re-raises the flag and the accounting stays balanced). Elements whose
 // concrete type does not implement Quiescable must never be counted quiet.
-//
-// Horizoned elements extend the bookkeeping: a committed element that is
-// not quiet but reports a horizon beyond the next cycle is parked exactly
-// like a quiet one (flag cleared, counted in the sleep count). Lanes cannot
-// reach the kernel's timing wheel, so lane-covered elements may only report
-// Never or next-cycle horizons — true of every production lane (routers are
-// not Horizoned; NIs report only Never). An element needing a finite timed
-// wake must stay on the generic walk.
 type Lane interface {
 	// Len returns the number of components the lane covers.
 	Len() int
@@ -125,9 +117,6 @@ func (k *Kernel) Reserve(n int) {
 		quiesc := make([]Quiescable, len(k.quiesc), need)
 		copy(quiesc, k.quiesc)
 		k.quiesc = quiesc
-		hzn := make([]Horizoned, len(k.hzn), need)
-		copy(hzn, k.hzn)
-		k.hzn = hzn
 		latch := make([]Latcher, len(k.latch), need)
 		copy(latch, k.latch)
 		k.latch = latch
@@ -211,10 +200,7 @@ func (k *Kernel) walkCommitQuiesce() {
 
 // commitOne is the generic-path commit slot of component i: nothing for a
 // parked component, Latch for an arrived one, Commit otherwise, then quiet
-// tracking and horizon parking — a non-quiet component whose reported
-// horizon lies beyond the next cycle is dropped from the active set like a
-// quiet one, with a timed wake filed for finite horizons (Never parks on the
-// external Wake edge alone).
+// tracking.
 func (k *Kernel) commitOne(i int, cycle int64) {
 	switch k.active[i] {
 	case Parked:
@@ -230,15 +216,5 @@ func (k *Kernel) commitOne(i int, cycle int64) {
 	if q := k.quiesc[i]; q != nil && q.Quiet() {
 		k.active[i] = Parked
 		k.idle++
-		return
-	}
-	if hz := k.hzn[i]; hz != nil {
-		if at := hz.Horizon(cycle); at > cycle+1 {
-			k.active[i] = Parked
-			k.idle++
-			if at != Never {
-				k.wheel.schedule(at, Handle(i))
-			}
-		}
 	}
 }

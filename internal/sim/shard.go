@@ -218,13 +218,6 @@ type sharding struct {
 	// merged into serial emission order.
 	evalHook func(shard, phase, comp int)
 
-	// wheels[s] holds shard s's pending timed wakes. Workers schedule into
-	// their own shard's wheel during commit walks (worker-local, no
-	// synchronization); the stepping goroutine pops every wheel at the top
-	// of the step, with all workers quiescent, through the atomic wake path.
-	// Empty slice when the kernel has no Horizoned components.
-	wheels []*timingWheel
-
 	// The phase barrier. gates[s] carries phases to shard s's worker
 	// (gates[0] is unused: the first working shard always runs inline, so
 	// shard 0 is never posted to and has no worker); pending counts the
@@ -289,19 +282,10 @@ func (k *Kernel) SetSharding(shards int, shardOf []int) {
 		sh.shardOf[i] = int32(s)
 		sh.comps[s] = append(sh.comps[s], int32(i))
 	}
-	k.idle = 0 // the flags and sh.live take over
-	if k.wheel != nil {
-		// Per-shard wheels take over from the serial wheel, which is empty
-		// here: entries are only filed by commit bookkeeping and SetSharding
-		// precedes the first Step. The serial summary bitmap retires with it
-		// (the sharded step never takes the sparse walk).
-		sh.wheels = make([]*timingWheel, shards)
-		for s := range sh.wheels {
-			sh.wheels[s] = newTimingWheel(k.cycle)
-		}
-		k.wheel = nil
-		k.actWords = nil
-	}
+	// The flags and sh.live take over from the serial idle count and summary
+	// bitmap (the sharded step never takes the sparse walk).
+	k.idle = 0
+	k.actWords = nil
 	k.sh = sh
 	for s := range sh.live {
 		sh.settle(k, s)
@@ -427,14 +411,6 @@ func (k *Kernel) stepSharded() {
 	sh := k.sh
 	if sh.closed {
 		panic("sim: Step on a closed kernel")
-	}
-	// Pop due timed wakes before sizing the cycle: a fired wake re-activates
-	// its component through the atomic path, so the idleness check below sees
-	// it. Runs on the stepping goroutine with every worker quiescent.
-	for _, w := range sh.wheels {
-		if w.len() != 0 {
-			w.popDue(k.cycle, k)
-		}
 	}
 	if !k.alwaysActive && !sh.anyLive() {
 		// Fully quiescent: pure clock advance, same as the serial path.
@@ -620,19 +596,6 @@ func (k *Kernel) runShardGeneric(s, phase int) {
 		if q := k.quiesc[i]; q != nil && q.Quiet() {
 			k.active[i] = Parked
 			quiets++
-			continue
-		}
-		// Horizon parking, same bookkeeping as the serial commitOne. The
-		// timed wake lands in this shard's own wheel — worker-local, popped
-		// by the stepping goroutine between cycles.
-		if hz := k.hzn[i]; hz != nil {
-			if at := hz.Horizon(cycle); at > cycle+1 {
-				k.active[i] = Parked
-				quiets++
-				if at != Never {
-					sh.wheels[s].schedule(at, Handle(i))
-				}
-			}
 		}
 	}
 	if quiets != 0 {

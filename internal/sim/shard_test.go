@@ -94,7 +94,7 @@ func TestFastForward(t *testing.T) {
 		t.Fatalf("FastForward on a busy kernel skipped %d cycles, want 0", got)
 	}
 	k.Run(3) // q quiet after 2 cycles
-	if !k.FullyIdle() {
+	if !k.Idle() {
 		t.Fatal("kernel not idle after drain")
 	}
 	start := k.Cycle()
@@ -282,7 +282,7 @@ func TestShardedWakeCrossGoroutine(t *testing.T) {
 	k.SetSharding(4, shardOf)
 	defer k.Close()
 	k.Run(3) // everything goes quiet
-	if !k.FullyIdle() {
+	if !k.Idle() {
 		t.Fatalf("kernel not idle: %d active", k.ActiveComponents())
 	}
 	var wg sync.WaitGroup
@@ -301,7 +301,7 @@ func TestShardedWakeCrossGoroutine(t *testing.T) {
 		t.Fatalf("after concurrent wakes %d components active, want %d", got, n)
 	}
 	k.Run(3)
-	if !k.FullyIdle() {
+	if !k.Idle() {
 		t.Errorf("kernel did not re-quiesce: %d active", k.ActiveComponents())
 	}
 }

@@ -140,18 +140,41 @@ func TestKernelTwoPhase(t *testing.T) {
 	}
 }
 
+// runUntil is the drain loop every caller of the kernel writes (see
+// Network.Drain): step while done is false and a component is busy, then
+// jump the clock to the limit in one FastForward once the kernel is Idle.
+func runUntil(k *Kernel, done func() bool, limit int64) bool {
+	for k.Cycle() < limit && !done() {
+		if k.FastForward(limit-k.Cycle()) == 0 {
+			k.Step()
+		}
+	}
+	return done()
+}
+
+// TestRunUntil pins the two kernel calls a drain loop stands on: Idle turns
+// true exactly when the last component parks, and FastForward jumps an Idle
+// kernel's clock in one call while refusing (0) whenever anything is awake.
 func TestRunUntil(t *testing.T) {
 	k := NewKernel()
-	c := &counter{t: t}
-	k.Add(c)
-	if !k.RunUntil(func() bool { return c.val >= 5 }, 100) {
-		t.Fatal("RunUntil did not satisfy")
+	q := &quiescer{pending: 5}
+	h := k.Add(q)
+	if !runUntil(k, func() bool { return q.commits >= 3 }, 100) || k.Cycle() != 3 {
+		t.Fatalf("stopped at cycle %d after %d commits, want cycle 3", k.Cycle(), q.commits)
 	}
-	if c.val != 5 {
-		t.Fatalf("stopped at %d, want 5", c.val)
+	if k.Idle() {
+		t.Fatal("Idle with work pending")
 	}
-	if k.RunUntil(func() bool { return false }, 20) {
-		t.Fatal("RunUntil reported success at limit")
+	if runUntil(k, func() bool { return false }, 40) || k.Cycle() != 40 {
+		t.Fatalf("unsatisfiable run ended at cycle %d, want the limit 40", k.Cycle())
+	}
+	if !k.Idle() || q.computes != 5 {
+		t.Fatalf("Idle=%v after %d evaluations, want parked after 5", k.Idle(), q.computes)
+	}
+	q.pending = 1
+	k.Wake(h)
+	if k.Idle() || k.FastForward(10) != 0 {
+		t.Fatal("FastForward skipped cycles with a woken component")
 	}
 }
 
@@ -207,12 +230,12 @@ func TestKernelWakeReactivates(t *testing.T) {
 	if q.computes != 3 {
 		t.Fatalf("evaluated %d times total, want 3", q.computes)
 	}
-	// Waker closure and double-wake are harmless.
-	k.Waker(h)()
-	k.Waker(h)()
+	// A double wake is harmless.
+	k.Wake(h)
+	k.Wake(h)
 	k.Run(1)
 	if q.computes != 4 {
-		t.Fatalf("evaluated %d times after waker, want 4", q.computes)
+		t.Fatalf("evaluated %d times after a double wake, want 4", q.computes)
 	}
 }
 
@@ -275,7 +298,7 @@ func TestKernelSameCycleWakeOfLaterComponent(t *testing.T) {
 	hs := k.Add(src)
 	_ = hs
 	ht := k.Add(tgt)
-	src.wake = k.Waker(ht)
+	src.wake = func() { k.Wake(ht) }
 	k.Run(10)
 	// Target quiesces immediately (cycle 0), then must recommit exactly at
 	// the wake cycle — same cycle, because its commit slot follows the

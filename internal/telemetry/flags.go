@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/exp"
 )
 
@@ -96,13 +95,11 @@ func (f *Flags) Start(tool string) (*Session, error) {
 	return s, nil
 }
 
-// registerRuntimeMetrics adds the process-level gauges: worker-pool and
-// cohort occupancy, flight-dump count, uptime.
+// registerRuntimeMetrics adds the process-level gauges: worker-pool
+// occupancy, flight-dump count, uptime.
 func registerRuntimeMetrics(reg *Registry) {
 	start := time.Now()
 	reg.AddGaugeFunc("nox_pool_busy_workers", "experiment-pool workers currently executing a point", func() float64 { return float64(exp.BusyWorkers()) })
-	reg.AddGaugeFunc("nox_cohort_live_members", "members currently live (not parked) across batched cohorts", func() float64 { return float64(batch.LiveMembers()) })
-	reg.AddGaugeFunc("nox_cohort_active", "batched lockstep cohorts currently open", func() float64 { return float64(batch.ActiveCohorts()) })
 	reg.AddCounterFunc("nox_flight_dumps_total", "flight-recorder failure-window dumps written", func() float64 { return float64(FlightDumps()) })
 	reg.AddGaugeFunc("nox_uptime_seconds", "seconds since the telemetry session started", func() float64 { return time.Since(start).Seconds() })
 }
@@ -134,7 +131,7 @@ func (s *Session) Addr() string {
 
 // NewRecorder returns a flight recorder labeled for one run, or nil when
 // -flight=false. The factory shape is what the harness threads through
-// sweeps and cohorts so every member gets its own recorder.
+// sweeps so every point gets its own recorder.
 func (s *Session) NewRecorder(label string) *Recorder {
 	if s == nil || !s.flags.Flight {
 		return nil
