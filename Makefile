@@ -39,7 +39,8 @@ test:
 
 ## alloc-guard: the zero-allocation contracts of the simulation loop — the
 ## kernel walk, the sharded step, packets turning around on their slab, and
-## the whole loaded inject -> step -> deliver loop on all four architectures.
+## the whole loaded inject -> step -> deliver loop on all four architectures,
+## fault-free and with a dead link plus retransmission (quarantine and sweep).
 ## AllocsPerRun counts are exact only without the race detector, so this runs
 ## plain, and first.
 alloc-guard:
@@ -52,9 +53,11 @@ race:
 ## GOMAXPROCS 1, 2 and 4. The phase barrier spins only while shards <=
 ## GOMAXPROCS, so one setting alone leaves regimes unrun: at 1 every waiter
 ## parks at once, at 2 and 4 the 2- and 3-shard cases spin, and the 7-, 8-
-## and 16-shard cases mix both on every host.
+## and 16-shard cases mix both on every host. TestFaultedSteadyStateAllocs
+## adds the packet sweep, which walks every shard's state from the stepping
+## goroutine between steps.
 shard-race:
-	$(GO) test -race -cpu 1,2,4 -run 'Shard|Barrier' ./internal/sim ./internal/network
+	$(GO) test -race -cpu 1,2,4 -run 'Shard|Barrier|TestFaultedSteadyStateAllocs' ./internal/sim ./internal/network
 
 ## bench: one pass over every paper-figure benchmark plus the kernel
 ## microbenchmarks (allocation counts included).

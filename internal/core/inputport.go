@@ -124,19 +124,16 @@ func (p *InputPort) Buffered() int { return p.fifo.Len() }
 // RegisterBusy reports whether the decode register holds an encoded flit.
 func (p *InputPort) RegisterBusy() bool { return p.reg != nil }
 
-// Dangling returns a buffered flit or register superposition that points,
-// itself or through a constituent, at a recycled packet slot; nil when the
-// port holds none (see noc.PacketSlab). Between steps only.
-func (p *InputPort) Dangling() *noc.Flit {
+// VisitPackets calls visit for every packet the port's buffered flits and
+// decode register keep reachable (see noc.Flit.VisitPackets). Between steps
+// only: the cached decode presentation is gone by then.
+func (p *InputPort) VisitPackets(visit func(*noc.Packet)) {
 	for i := 0; i < p.fifo.Len(); i++ {
-		if f := p.fifo.At(i); f.Dangling() {
-			return f
-		}
+		p.fifo.At(i).VisitPackets(visit)
 	}
-	if p.reg != nil && p.reg.Dangling() {
-		return p.reg
+	if p.reg != nil {
+		p.reg.VisitPackets(visit)
 	}
-	return nil
 }
 
 // Receive buffers a flit delivered by the upstream link. For unencoded

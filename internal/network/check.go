@@ -256,29 +256,39 @@ func (n *Network) WriteDiagnostic(w io.Writer) {
 // Audit proves, between steps, what recycling packets rests on: nothing the
 // network retains points at a slot on the free list. Packets are held and
 // compared by pointer, so such a reference would come to name the slot's
-// next tenant. Every router's Audit covers its buffered flits, register
-// constituents, cached heads and reservations (and its dirty masks); this
-// adds each interface's source queue, packet mid-injection, reassembly and
-// sink port, and the sharded delivery mailboxes, which the epilogue must have
-// emptied. Tests run it after every commit.
+// next tenant. It walks the holders the packet sweep walks (visitPackets):
+// every router's Audit covers its own (and its dirty masks), then no packet
+// an interface, a mailbox or a retransmission entry reaches may be recycled
+// either, and each open retransmission entry must still name its own packet.
+// The delivered-flit stage and the sharded delivery mailboxes must also be
+// empty. Tests run it after every commit.
 func (n *Network) Audit() error {
 	for _, r := range n.routers {
 		if err := r.Audit(); err != nil {
 			return err
 		}
 	}
-	for _, ni := range n.nis {
-		if ni.cur.Recycled() || ni.assembling.Recycled() {
-			return fmt.Errorf("interface %d: the packet mid-injection or in reassembly is a recycled slot", ni.node)
+	var stale *noc.Packet
+	n.visitPackets(func(p *noc.Packet) {
+		if stale == nil && p.Recycled() {
+			stale = p
 		}
-		for i := 0; i < ni.queueLen; i++ {
-			if ni.queued(i).Recycled() {
-				return fmt.Errorf("interface %d: source queue entry %d points at a recycled packet", ni.node, i)
+	})
+	if stale != nil {
+		// A freed slot keeps its endpoints and length (see PacketSlab.Put).
+		return fmt.Errorf("a holder references a recycled packet slot (last tenant %d->%d, %d flits)",
+			stale.Src, stale.Dst, stale.Length)
+	}
+	if n.rel != nil {
+		// Entries are keyed by packet ID, which checks them apart from the
+		// walk: a slot recycled under an open entry answers another ID.
+		for id, e := range n.rel.entries {
+			if e.p.ID != id {
+				return fmt.Errorf("retransmission entry %d names packet %d: its slot was recycled", id, e.p.ID)
 			}
 		}
-		if f := ni.sink.Dangling(); f != nil {
-			return fmt.Errorf("interface %d: sink flit %v points at a recycled packet", ni.node, f)
-		}
+	}
+	for _, ni := range n.nis {
 		if ni.released != nil {
 			return fmt.Errorf("interface %d: delivered flit not released", ni.node)
 		}

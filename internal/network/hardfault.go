@@ -1,7 +1,7 @@
 package network
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/noc"
 	"repro/internal/router"
@@ -185,7 +185,7 @@ func (n *Network) reconfigure(fs routing.FaultSet, cycle int64) {
 	for id := range flushed {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		p := flushed[id]
 		if p.DeliverCycle >= 0 {
@@ -250,8 +250,10 @@ func (ni *NI) reconfigure(tbl *routing.Table, acct func(*noc.Flit), note func(*n
 // markUndeliverable retires a packet the network has proven can never be
 // delivered: the undeliverable count (which Outstanding subtracts, so drains
 // terminate), the checker's delivery oracle, and any retransmission entry
-// are all settled together. Idempotent, and a no-op on delivered packets.
-// Stepping goroutine only.
+// are all settled together, and the packet goes to retire. Idempotent, and a
+// no-op on delivered packets. Only hard faults and retransmission call it,
+// so the packet is always quarantined, never put back while a source queue
+// may still hold it. Stepping goroutine only.
 func (n *Network) markUndeliverable(p *noc.Packet, cycle int64) {
 	if p.DeliverCycle != -1 {
 		return // delivered, or already retired
@@ -262,6 +264,7 @@ func (n *Network) markUndeliverable(p *noc.Packet, cycle int64) {
 	if n.rel != nil {
 		delete(n.rel.entries, p.ID)
 	}
+	n.retire(p)
 }
 
 // nextEventBoundary returns the earliest upcoming cycle that must be stepped

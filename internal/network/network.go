@@ -18,11 +18,11 @@ import (
 
 // Config parameterizes one physical network.
 //
-// Packets: a network built with neither Fault nor Retransmit recycles every
-// packet at its delivery (see noc.PacketSlab), so the *noc.Packet that Inject
-// returns and OnDeliver receives is valid until that packet's OnDeliver
-// returns. With either set nothing is recycled and packets live as long as
-// something reaches them.
+// Packets: every network recycles its packets (see noc.PacketSlab), so the
+// *noc.Packet that Inject returns and OnDeliver receives is valid until that
+// packet's OnDeliver returns. Without Fault and Retransmit the slot is reused
+// from then on; with either set it is reused once nothing in the network
+// references it any more.
 type Config struct {
 	// Topo is the router-grid shape; the paper evaluates 8x8 (Table 1).
 	Topo noc.Topology
@@ -190,6 +190,9 @@ func (owned) Receive(*noc.Flit, int64) { panic("network: hand-driven Commit of a
 type delivery struct {
 	p  *noc.Packet
 	ni int32
+	// first is false for a packet the network had already retired (see
+	// Network.deliver).
+	first bool
 }
 
 // Network is a complete mesh NoC: routers, network interfaces, and the
@@ -246,13 +249,16 @@ type Network struct {
 	rel *relState
 
 	// packets is the store every packet this network carries is drawn from
-	// and, at its delivery, returned to. It is nil — Get allocates singly and
-	// Put does nothing — on a network configured with Fault or Retransmit:
-	// only without them does a packet's last reference provably die at its
-	// delivery (a dropped flit orphans superposition constituents that outlive
-	// their packet; duplicate suppression reads the DeliverCycle of a packet
-	// long delivered; an undeliverable packet is a tombstone).
-	packets *noc.PacketSlab
+	// and, at its retirement (see retire), returned to. quarantine is nil
+	// unless the network is configured with Fault or Retransmit: only without
+	// them does a packet's last reference provably die at its delivery (a
+	// dropped flit orphans superposition constituents that outlive their
+	// packet; duplicate suppression reads the DeliverCycle of a packet long
+	// delivered; a flush strands flits of packets retired as undeliverable).
+	// With either, a retired packet waits in the quarantine until a holder
+	// sweep (Step) finds nothing pointing at it.
+	packets    noc.PacketSlab
+	quarantine *noc.Quarantine
 
 	nextPacketID uint64
 	injected     int64
@@ -329,8 +335,8 @@ func New(cfg Config) *Network {
 	if cfg.Retransmit != nil {
 		n.rel = newRelState(*cfg.Retransmit)
 	}
-	if cfg.Fault == nil && cfg.Retransmit == nil {
-		n.packets = &noc.PacketSlab{}
+	if cfg.Fault != nil || cfg.Retransmit != nil {
+		n.quarantine = &noc.Quarantine{}
 	}
 
 	if n.probe != nil {
@@ -671,7 +677,7 @@ func (n *Network) drainShardMail(cycle int64) {
 			}
 			d := n.local[best].mailbox[n.mailHeads[best]]
 			n.mailHeads[best]++
-			n.deliver(d.p, cycle)
+			n.deliver(d.p, cycle, d.first)
 		}
 		for s := range n.local {
 			n.local[s].mailbox = n.local[s].mailbox[:0]
@@ -749,8 +755,16 @@ func (n *Network) Cycle() int64 { return n.kernel.Cycle() }
 // network's own sequencing.
 func (n *Network) Kernel() *sim.Kernel { return n.kernel }
 
-// Step advances the network one cycle.
-func (n *Network) Step() { n.kernel.Step() }
+// Step advances the network one cycle. On a network that quarantines retired
+// packets it ends, after the sharded epilogue and every observer, with the
+// holder sweep (which runs only once the quarantine has grown by a slab
+// chunk).
+func (n *Network) Step() {
+	n.kernel.Step()
+	if n.quarantine != nil {
+		n.quarantine.Sweep(&n.packets, n.visitPackets)
+	}
+}
 
 // Inject creates a packet from src to dst with the given flit count and
 // queues it at src's interface in the current cycle. The returned packet is
@@ -798,11 +812,11 @@ func (n *Network) enqueue(p *noc.Packet) {
 }
 
 // deliver completes a packet: accounting, the checker's oracle, the
-// retransmission ack, the caller's observer — and then, nothing in the
-// simulation referring to it any more, its slot goes back to the slab. The
-// one place a packet dies; on the stepping goroutine in both the serial walk
-// and the sharded epilogue.
-func (n *Network) deliver(p *noc.Packet, cycle int64) {
+// retransmission ack, the caller's observer — and then its retirement. first
+// is false for a packet already retired as undeliverable before its last flit
+// arrived, which retirement must not see twice. On the stepping goroutine in
+// both the serial walk and the sharded epilogue.
+func (n *Network) deliver(p *noc.Packet, cycle int64, first bool) {
 	n.delivered++
 	n.check.OnDeliver(cycle, p.ID)
 	if n.rel != nil {
@@ -811,7 +825,57 @@ func (n *Network) deliver(p *noc.Packet, cycle int64) {
 	if n.OnDeliver != nil {
 		n.OnDeliver(p, cycle)
 	}
-	n.packets.Put(p)
+	if first {
+		n.retire(p)
+	}
+}
+
+// retire is the one place a packet's life in the network closes, entered
+// exactly once per packet: from its delivery, or from markUndeliverable. A
+// network without faults or retransmission returns the slot at once — no
+// reference to a delivered packet survives its delivery (DESIGN §7, and
+// Audit after every commit pins it). Any other network quarantines it until
+// the holder sweep finds it unreferenced.
+func (n *Network) retire(p *noc.Packet) {
+	if n.quarantine != nil {
+		n.quarantine.Add(p)
+	} else {
+		n.packets.Put(p)
+	}
+}
+
+// visitPackets calls visit for every packet the network's between-step state
+// keeps reachable — the one holder enumeration the packet sweep and Audit are
+// both built on: every router's (Router.VisitPackets); each interface's
+// source queue, packet mid-injection, reassembly and sink port; the shard
+// mailboxes; and the open retransmission entries. A packet may be visited
+// more than once.
+func (n *Network) visitPackets(visit func(*noc.Packet)) {
+	for _, r := range n.routers {
+		r.VisitPackets(visit)
+	}
+	for _, ni := range n.nis {
+		for i := 0; i < ni.queueLen; i++ {
+			visit(ni.queued(i))
+		}
+		if ni.cur != nil {
+			visit(ni.cur)
+		}
+		if ni.assembling != nil {
+			visit(ni.assembling)
+		}
+		ni.sink.VisitPackets(visit)
+	}
+	for s := range n.local {
+		for _, d := range n.local[s].mailbox {
+			visit(d.p)
+		}
+	}
+	if n.rel != nil {
+		for _, e := range n.rel.entries {
+			visit(e.p)
+		}
+	}
 }
 
 // Outstanding returns the number of injected packets neither delivered nor

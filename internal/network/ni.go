@@ -332,6 +332,7 @@ func (ni *NI) deliver(f *noc.Flit, cycle int64) {
 	ni.released = f
 	if f.Seq == p.Length-1 {
 		ni.assembling = nil
+		first := p.DeliverCycle == -1
 		p.DeliverCycle = cycle
 		if pr := ni.probe; pr != nil {
 			pr.Deliver(cycle, int(ni.node), p.ID, cycle-p.CreateCycle)
@@ -342,9 +343,9 @@ func (ni *NI) deliver(f *noc.Flit, cycle int64) {
 			// goroutine — the network's delivered count and OnDeliver
 			// observers are shared state a worker must not touch.
 			box := &n.local[ni.shard].mailbox
-			*box = append(*box, delivery{p: p, ni: int32(ni.node)})
+			*box = append(*box, delivery{p: p, ni: int32(ni.node), first: first})
 		} else {
-			n.deliver(p, cycle)
+			n.deliver(p, cycle, first)
 		}
 	}
 }

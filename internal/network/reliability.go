@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/noc"
 	"repro/internal/routing"
@@ -238,17 +239,9 @@ func (r *relState) retireUnreachable(n *Network, tbl *routing.Table, cycle int64
 	if len(ids) == 0 {
 		return
 	}
-	sortIDs(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
 		n.markUndeliverable(r.entries[id].p, cycle)
-	}
-}
-
-func sortIDs(ids []uint64) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
 	}
 }
 
@@ -292,7 +285,7 @@ func (r *relState) save(e *codec.Encoder) {
 	for id := range r.entries {
 		ids = append(ids, id)
 	}
-	sortIDs(ids)
+	slices.Sort(ids)
 	e.Int(len(ids))
 	for _, id := range ids {
 		en := r.entries[id]

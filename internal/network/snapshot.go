@@ -94,7 +94,7 @@ func (n *Network) RestoreState(d *codec.Decoder) error {
 			codec.ErrCorrupt, injected, delivered, cycle)
 	}
 	d.SetCores(n.Cores())
-	d.SetPackets(n.packets)
+	d.SetPackets(&n.packets)
 	for id, r := range n.routers {
 		d.SetArena(n.arenaOf(id))
 		if err := r.RestoreState(d); err != nil {
@@ -206,6 +206,18 @@ func (n *Network) RestoreState(d *codec.Decoder) error {
 			n.faultKey = key
 			n.curFaults = fs
 		}
+	}
+	if n.quarantine != nil {
+		// The image's retired packets — delivered ones an open entry or a
+		// stale flit still reaches, undeliverable ones still queued — were
+		// quarantined in the saved run; they are here too.
+		retired := make(map[*noc.Packet]bool)
+		n.visitPackets(func(p *noc.Packet) {
+			if p.DeliverCycle != -1 && !retired[p] {
+				retired[p] = true
+				n.quarantine.Add(p)
+			}
+		})
 	}
 	// Wake everything rather than reconstruct the exact active set: waking a
 	// quiet component is unobservable (it re-quiesces after one evaluation),

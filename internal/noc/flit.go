@@ -45,16 +45,16 @@ func (f *Flit) Tail() bool { return f.Encoded || f.Seq == f.Packet.Length-1 }
 // flit. Encoded flits never do, by construction.
 func (f *Flit) MultiFlit() bool { return !f.Encoded && f.Packet.Length > 1 }
 
-// Dangling reports that f, or a constituent of an encoded f, points at a
-// recycled packet slot (see PacketSlab): the reference outlived its packet.
-// The audits of every flit holder are built on it.
-func (f *Flit) Dangling() bool {
+// VisitPackets calls visit with the packet behind f, or, for an encoded f,
+// behind each of its constituents: every packet the flit keeps reachable.
+// The holder walks of the audits and the packet sweep are built on it.
+func (f *Flit) VisitPackets(visit func(*Packet)) {
 	for _, part := range f.Parts {
-		if part.Dangling() {
-			return true
-		}
+		part.VisitPackets(visit)
 	}
-	return f.Packet.Recycled()
+	if f.Packet != nil {
+		visit(f.Packet)
+	}
 }
 
 // String renders the flit for debugging and trace output.

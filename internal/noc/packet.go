@@ -33,6 +33,10 @@ type Packet struct {
 	// Measured marks packets created inside the measurement window; only
 	// these contribute to reported statistics.
 	Measured bool
+	// held is a holder sweep's mark (see Quarantine.Sweep): set on every
+	// packet something still references, read and cleared on the quarantined
+	// ones. It sits in padding, so a Packet stays 112 bytes.
+	held bool
 
 	// payloadBuf inlines the payload storage for single-flit packets —
 	// Table 1's control packets, the bulk of every workload — so building
@@ -59,9 +63,9 @@ func (p *Packet) Bytes() int { return p.Length * FlitBytes }
 // it is visibly wrong and Latency refuses it by name.
 const recycled int64 = -3
 
-// Recycled reports that p is a freed slab slot: its packet was delivered, the
-// delivery observers have returned, and whoever still holds p holds it past
-// the end of its life. False for a nil packet, so audits need no nil test.
+// Recycled reports that p is a freed slab slot: its packet was retired, the
+// slab took the slot back, and whoever still holds p holds it past the end of
+// its life. False for a nil packet, so audits need no nil test.
 func (p *Packet) Recycled() bool { return p != nil && p.DeliverCycle == recycled }
 
 // Latency returns the packet latency in cycles from creation to delivery.
@@ -77,12 +81,14 @@ func (p *Packet) Latency() int64 {
 	return p.DeliverCycle - p.CreateCycle
 }
 
-// NewPacket builds a heap packet with deterministic payload words derived
-// from its identity, so any corruption in transit (in particular through the
-// XOR coding path) is detectable at delivery. Networks draw theirs from a
-// PacketSlab instead; this is the form for hand-built rigs and tests.
+// NewPacket builds a standalone heap packet with deterministic payload words
+// derived from its identity, so any corruption in transit (in particular
+// through the XOR coding path) is detectable at delivery. Networks draw theirs
+// from a PacketSlab instead; this is the form for hand-built rigs and tests.
 func NewPacket(id uint64, src, dst NodeID, length int, class int, createCycle int64) *Packet {
-	return (*PacketSlab)(nil).Get(id, src, dst, length, class, createCycle)
+	p := &Packet{}
+	p.init(id, src, dst, length, class, createCycle)
+	return p
 }
 
 // init (re)initializes p in place. The payload slice the slot's last tenant

@@ -89,19 +89,69 @@ func TestSlabTurnaroundAllocs(t *testing.T) {
 	}
 }
 
-// TestSlabNilReceiver: a nil slab is the no-recycling mode — Get is NewPacket
-// and Put leaves the packet alone.
-func TestSlabNilReceiver(t *testing.T) {
-	var s *PacketSlab
-	p := s.Get(1, 0, 1, 1, 0, 5)
-	q := s.Get(2, 0, 1, 9, 0, 6)
-	if p == q || p.ID != 1 || q.Length != 9 || len(q.Payloads) != 9 {
-		t.Fatalf("nil slab Get: %+v, %+v", p, q)
+// TestNewPacketStandalone: NewPacket builds a packet outside any slab, and a
+// slab takes one in as a slot of its own.
+func TestNewPacketStandalone(t *testing.T) {
+	p, q := NewPacket(1, 0, 1, 1, 0, 5), NewPacket(2, 0, 1, 9, 0, 6)
+	if p == q || p.ID != 1 || q.Length != 9 || len(q.Payloads) != 9 || q.Payloads[8] != PayloadWord(2, 0, 1, 8) {
+		t.Fatalf("NewPacket: %+v, %+v", p, q)
 	}
-	p.DeliverCycle = 9
-	s.Put(p)
-	if p.Recycled() || p.Latency() != 4 {
-		t.Errorf("nil slab Put touched the packet: %+v", p)
+	var s PacketSlab
+	s.Put(q)
+	if !q.Recycled() || s.Get(3, 1, 2, 4, 0, 7) != q || q.ID != 3 || len(q.Payloads) != 4 {
+		t.Errorf("a standalone packet put on a slab is not its next slot: %+v", q)
+	}
+}
+
+// TestQuarantineSweep: a quarantined packet goes back to the free list at the first
+// sweep that finds no holder reaching it, and not before; a sweep waits until
+// the quarantine has grown by a chunk past what the last one kept.
+func TestQuarantineSweep(t *testing.T) {
+	var s PacketSlab
+	var q Quarantine
+	retired := make([]*Packet, slabChunk)
+	for i := range retired {
+		retired[i] = s.Get(uint64(i+1), 0, 1, 1, 0, 0)
+	}
+	held := retired[7]
+	markHeld(held) // a mark from a sweep while it was live must not keep it
+	holders := func(visit func(*Packet)) {
+		if held != nil {
+			visit(held)
+		}
+	}
+	for _, p := range retired[:slabChunk-1] {
+		q.Add(p)
+	}
+	q.Sweep(&s, holders)
+	if waiting, _ := q.Len(); waiting != slabChunk-1 || retired[0].Recycled() {
+		t.Fatalf("swept a quarantine one short of a chunk: %d waiting", waiting)
+	}
+	q.Add(retired[slabChunk-1])
+	q.Sweep(&s, holders)
+	if waiting, kept := q.Len(); waiting != 1 || kept != 1 || held.Recycled() || held.held {
+		t.Fatalf("after the sweep: %d waiting, %d kept, the held packet reads %+v", waiting, kept, held)
+	}
+	for i, p := range retired {
+		if p != held && !p.Recycled() {
+			t.Fatalf("unheld packet %d was not returned", i)
+		}
+	}
+	if avg := testing.AllocsPerRun(10, func() {
+		for i := 0; i < slabChunk; i++ {
+			q.Add(s.Get(1, 0, 1, 1, 0, 0))
+		}
+		q.Sweep(&s, holders)
+	}); avg != 0 {
+		t.Errorf("a chunk of retirements and its sweep: %v allocs/op, want 0", avg)
+	}
+	held = nil
+	for i := 0; i < slabChunk; i++ {
+		q.Add(s.Get(1, 0, 1, 1, 0, 0))
+	}
+	q.Sweep(&s, holders)
+	if waiting, kept := q.Len(); waiting != 0 || kept != 0 {
+		t.Errorf("released holder: %d waiting, %d kept", waiting, kept)
 	}
 }
 
@@ -119,18 +169,26 @@ func TestSlabPutTwicePanics(t *testing.T) {
 	s.Put(p)
 }
 
-// TestDanglingFlit: Dangling sees a recycled packet behind a flit and behind
-// any constituent of a superposition.
+// TestDanglingFlit: VisitPackets reaches the packet behind a flit and behind
+// every constituent of a superposition, so an audit built on it sees a
+// recycled packet wherever it hides.
 func TestDanglingFlit(t *testing.T) {
 	var s PacketSlab
 	a, b := s.Get(1, 0, 2, 1, 0, 0), s.Get(2, 1, 2, 1, 0, 0)
 	fa, fb := NewFlit(a, 0), NewFlit(b, 0)
 	enc := Encode([]*Flit{fa, fb})
-	if fa.Dangling() || enc.Dangling() {
-		t.Fatal("live packets read as dangling")
+	dangling := func(f *Flit) bool {
+		found := false
+		f.VisitPackets(func(p *Packet) { found = found || p.Recycled() })
+		return found
+	}
+	var seen []uint64
+	enc.VisitPackets(func(p *Packet) { seen = append(seen, p.ID) })
+	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 || dangling(fa) || dangling(enc) {
+		t.Fatalf("the superposition's walk reached %v, want [1 2] and nothing recycled", seen)
 	}
 	s.Put(b)
-	if fa.Dangling() || !fb.Dangling() || !enc.Dangling() {
-		t.Errorf("after freeing packet 2: fa=%v fb=%v enc=%v, want false true true", fa.Dangling(), fb.Dangling(), enc.Dangling())
+	if dangling(fa) || !dangling(fb) || !dangling(enc) {
+		t.Errorf("after freeing packet 2: fa=%v fb=%v enc=%v, want false true true", dangling(fa), dangling(fb), dangling(enc))
 	}
 }

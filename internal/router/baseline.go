@@ -211,19 +211,27 @@ func (b *baseline) flushInputs(drop func(*noc.Flit)) {
 	b.busy, b.pops = 0, 0
 }
 
-// auditInputs checks every cached head against its FIFO, and that no buffered
-// flit outlived its packet, and returns the busy mask a scan of the FIFOs
-// gives.
+// VisitPackets implements Router for the input side both baseline-family
+// routers share: every buffered flit and every cached head.
+func (b *baseline) VisitPackets(visit func(*noc.Packet)) {
+	for i := range b.in {
+		in := &b.in[i]
+		for k := 0; k < in.fifo.Len(); k++ {
+			in.fifo.At(k).VisitPackets(visit)
+		}
+		if in.head.pkt != nil {
+			visit(in.head.pkt)
+		}
+	}
+}
+
+// auditInputs checks every cached head against its FIFO and returns the busy
+// mask a scan of the FIFOs gives.
 func (b *baseline) auditInputs() (busy uint32, err error) {
 	for i := range b.in {
 		in := &b.in[i]
 		if !in.fifo.Empty() {
 			busy |= 1 << uint(i)
-		}
-		for k := 0; k < in.fifo.Len(); k++ {
-			if f := in.fifo.At(k); f.Dangling() {
-				return 0, b.dangling(i, "buffered flit", f)
-			}
 		}
 		if want := headOfFIFO(&in.fifo); in.head != want {
 			return 0, fmt.Errorf("router %d input %d: cached head %+v, FIFO head %+v", b.node, i, in.head, want)

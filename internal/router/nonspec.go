@@ -69,6 +69,9 @@ func (r *nonspecRouter) Quiet() bool { return r.busy == 0 }
 
 // Audit implements Router.
 func (r *nonspecRouter) Audit() error {
+	if err := r.auditPackets(r.VisitPackets); err != nil {
+		return err
+	}
 	busy, err := r.auditInputs()
 	if err != nil {
 		return err

@@ -144,12 +144,18 @@ func (r *noxRouter) scanMasks() (inBusy, outBusy uint32) {
 	return inBusy, outBusy
 }
 
+// VisitPackets implements Router: every input port's buffered flits and
+// decode register, constituents included.
+func (r *noxRouter) VisitPackets(visit func(*noc.Packet)) {
+	for i := range r.port {
+		r.port[i].in.VisitPackets(visit)
+	}
+}
+
 // Audit implements Router.
 func (r *noxRouter) Audit() error {
-	for i := range r.port {
-		if f := r.port[i].in.Dangling(); f != nil {
-			return r.dangling(i, "buffered flit", f)
-		}
+	if err := r.auditPackets(r.VisitPackets); err != nil {
+		return err
 	}
 	inBusy, outBusy := r.scanMasks()
 	return r.auditMasks("inBusy/outBusy", [4]uint32{r.inBusy, r.outBusy}, [4]uint32{inBusy, outBusy})

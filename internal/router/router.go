@@ -229,14 +229,19 @@ type Router interface {
 	// Reroute swaps the router's routing table. Buffered flits keep their
 	// stale lookahead OutPort, so epochs Flush before the swap matters.
 	Reroute(routes *routing.Table)
+	// VisitPackets calls visit for every packet the router's between-step
+	// state keeps reachable: buffered flits and the constituents of encoded
+	// ones, NoX decode registers, cached FIFO heads and Spec-Fast
+	// reservations. A packet may be visited more than once. The network's
+	// packet sweep and its Audit are built on this one walk.
+	VisitPackets(visit func(*noc.Packet))
 	// Audit recomputes from a full scan of the port records what the router
 	// caches between steps — busy inputs, held outputs, FIFO heads — and
 	// returns an error naming the first disagreement. The masks drive every
 	// walk and Quiet, so a stale bit is a skipped port. It also fails on any
-	// buffered flit, register constituent or reservation that points at a
-	// recycled packet (noc.PacketSlab): packets are compared by identity, so
-	// such a reference could come to name a stranger. Tests call Audit after
-	// every commit.
+	// packet VisitPackets reaches that is a recycled slot (noc.PacketSlab):
+	// packets are compared by identity, so such a reference could come to
+	// name a stranger. Tests call Audit after every commit.
 	Audit() error
 }
 
@@ -373,10 +378,22 @@ func (b *base) auditMasks(names string, cached, scanned [4]uint32) error {
 	return nil
 }
 
-// dangling is the Audit failure for a reference at port p that outlived its
-// packet: the slot it points at is back on the network's free list.
-func (b *base) dangling(p int, what string, ref any) error {
-	return fmt.Errorf("router %d port %d: %s %v points at a recycled packet", b.node, p, what, ref)
+// auditPackets is the reference half of every Audit: walk is the router's
+// VisitPackets, and no packet it reaches may be back on the network's free
+// list.
+func (b *base) auditPackets(walk func(visit func(*noc.Packet))) error {
+	var stale *noc.Packet
+	walk(func(p *noc.Packet) {
+		if stale == nil && p.Recycled() {
+			stale = p
+		}
+	})
+	if stale != nil {
+		// A freed slot keeps its endpoints and length (see PacketSlab.Put).
+		return fmt.Errorf("router %d: holds a recycled packet slot (last tenant %d->%d, %d flits)",
+			b.node, stale.Src, stale.Dst, stale.Length)
+	}
+	return nil
 }
 
 // flitSink is the ingress side every architecture implements: deliver a flit

@@ -143,16 +143,25 @@ func (r *specRouter) heldMasks() (locked, reserved uint32) {
 	return locked, reserved
 }
 
+// VisitPackets implements Router: the inputs, then every live reservation's
+// packet (the staged resPktNext is rewritten before it is read).
+func (r *specRouter) VisitPackets(visit func(*noc.Packet)) {
+	r.baseline.VisitPackets(visit)
+	for o := range r.port {
+		if p := r.port[o].resPkt; p != nil {
+			visit(p)
+		}
+	}
+}
+
 // Audit implements Router.
 func (r *specRouter) Audit() error {
+	if err := r.auditPackets(r.VisitPackets); err != nil {
+		return err
+	}
 	busy, err := r.auditInputs()
 	if err != nil {
 		return err
-	}
-	for o := range r.port {
-		if r.port[o].resPkt.Recycled() {
-			return r.dangling(o, "reservation of input", r.port[o].res)
-		}
 	}
 	locked, reserved := r.heldMasks()
 	return r.auditMasks("busy/locked/reserved/pops", [4]uint32{r.busy, r.locked, r.reserved, r.pops | r.popTail},

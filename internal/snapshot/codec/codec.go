@@ -199,7 +199,7 @@ func NewDecoder(data []byte) *Decoder { return &Decoder{buf: data} }
 func (d *Decoder) SetArena(a *noc.Arena) { d.arena = a }
 
 // SetPackets selects the slab subsequent Packet decodes draw from: the
-// restoring network's own, so restored packets recycle at delivery like
+// restoring network's own, so restored packets are recycled like
 // injected ones. Nil, the default, allocates each on the heap.
 func (d *Decoder) SetPackets(s *noc.PacketSlab) { d.slab = s }
 
@@ -364,7 +364,12 @@ func (d *Decoder) Packet() *noc.Packet {
 			d.failf(ErrCorrupt, "packet %d -> %d on %d cores", src, dst, d.cores)
 			return nil
 		}
-		p := d.slab.Get(id, src, dst, length, class, create)
+		var p *noc.Packet
+		if d.slab != nil {
+			p = d.slab.Get(id, src, dst, length, class, create)
+		} else {
+			p = noc.NewPacket(id, src, dst, length, class, create)
+		}
 		p.InjectCycle, p.DeliverCycle, p.Measured = inject, deliver, measured
 		if !canonical {
 			for i := range p.Payloads {
