@@ -1,18 +1,19 @@
 GO ?= go
 
-.PHONY: check build vet lint test alloc-guard race shard-race bench bench-json bench-compare bench-smoke bench-repo-smoke trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke
+.PHONY: check build vet lint test alloc-guard race shard-race bench bench-json bench-compare bench-smoke bench-repo-smoke cli-smoke trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke
 
 ## check: the CI gate — build, vet, static analysis, the allocation guards
 ## (seconds: an allocation back in the inject/step/deliver loop fails before
 ## the long suites start), the full test suite
 ## under the race detector (the parallel experiment engine makes this
 ## mandatory), the sharded executor's barrier at three GOMAXPROCS
-## settings, the tracing, fault-injection (transient and permanent), live
-## telemetry, and checkpoint/restore smoke tests, a short fuzz pass over
+## settings, the tools' bad-input exits, the tracing, fault-injection
+## (transient and permanent), live telemetry, and checkpoint/restore smoke
+## tests, a short fuzz pass over
 ## the user-facing decoders and the arrival skip-ahead, the repo
 ## benchmark's own tests, and a soft benchmark-regression check against the
 ## newest committed snapshot.
-check: build vet lint alloc-guard race shard-race trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-repo-smoke bench-compare
+check: build vet lint alloc-guard race shard-race cli-smoke trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-repo-smoke bench-compare
 
 build:
 	$(GO) build ./...
@@ -113,6 +114,24 @@ bench-smoke:
 	$(GO) run ./cmd/noxbench -compare -threshold 2.0 "$$base" "$$tmp/smoke.json" && \
 	echo "bench-smoke: OK"
 
+## cli-smoke: the tools' flag boundary. Build every tool once, then feed it
+## values that once panicked (an empty application trace) or reported a run
+## the tool never did (an unknown figure, a 0- or negative-flit packet, a
+## negative rate): each must exit with status 1 and a message, never a
+## panic trace.
+cli-smoke:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	set -e; \
+	$(GO) build -o "$$tmp/" ./cmd/...; \
+	for c in "noxapp -cpu-cycles 0" "noxapp -figure 12" "noxsim -flits 0" "noxsim -flits -2" \
+		"noxsim -rate -5" "noxsweep -figure 7"; do \
+		st=0; "$$tmp/"$$c >/dev/null 2>"$$tmp/err" || st=$$?; \
+		if [ $$st -ne 1 ] || grep -qE '^(panic: |goroutine )' "$$tmp/err"; then \
+			echo "cli-smoke: $$c: exit $$st, want 1 without a panic" >&2; cat "$$tmp/err" >&2; exit 1; \
+		fi; \
+	done; \
+	echo "cli-smoke: OK"
+
 ## trace-smoke: run noxtrace on a tiny mesh and validate that the emitted
 ## Chrome trace JSON parses and that every CSV exporter produces output.
 trace-smoke:
@@ -162,7 +181,8 @@ fault-perm-smoke:
 
 ## telemetry-smoke: boot noxsim with the live telemetry server on an
 ## ephemeral port, curl the endpoint surface (/metrics, /healthz,
-## /debug/vars, /debug/pprof/) while the simulation runs, and validate the
+## /debug/vars, /debug/pprof/; /events, the deleted progress stream, must
+## answer 404) while the simulation runs, and validate the
 ## saved /metrics scrape parses as Prometheus text exposition via
 ## `noxtrace -validate-metrics`. The bound address is scraped from the
 ## plain "telemetry: serving on http://ADDR" stderr line.
@@ -185,6 +205,8 @@ telemetry-smoke:
 	curl -fsS "http://$$addr/healthz" | grep -q '^ok$$'; \
 	curl -fsS "http://$$addr/debug/vars" | grep -q '"memstats"'; \
 	curl -fsS "http://$$addr/debug/pprof/" > /dev/null; \
+	code=$$(curl -s -o /dev/null -w '%{http_code}' "http://$$addr/events"); \
+	[ "$$code" = 404 ] || { echo "telemetry-smoke: /events answered $$code, want 404" >&2; exit 1; }; \
 	"$$tmp/noxtrace" -validate-metrics "$$tmp/metrics.txt"; \
 	echo "telemetry-smoke: OK"
 

@@ -13,46 +13,23 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"sort"
 
-	"repro/internal/exp"
 	"repro/internal/harness"
-	"repro/internal/probe"
 	"repro/internal/router"
 	"repro/internal/telemetry"
-	"repro/internal/version"
 )
 
 func main() {
+	cli := telemetry.NewCLI("noxablate", telemetry.LiveFlags|telemetry.ProfileFlags)
+	shards := cli.Shards(0)
+	cli.Parallel()
 	var (
-		study    = flag.String("study", "all", "buffers | arbiter | xorcost | all")
-		rate     = flag.Float64("rate", 2000, "offered uniform load (MB/s/node)")
-		parallel = flag.Int("parallel", 0, "worker count for ablation points (0 = all CPUs, 1 = serial; output is identical)")
-		shards   = flag.Int("shards", 0, "intra-simulation worker shards (0 = auto, 1 = serial; output is identical)")
+		study = flag.String("study", "all", "buffers | arbiter | xorcost | all")
+		rate  = flag.Float64("rate", 2000, "offered uniform load (MB/s/node)")
 	)
-	tf := telemetry.AddFlags(flag.CommandLine)
-	prof := probe.AddProfileFlags(flag.CommandLine)
-	ver := version.Flag(flag.CommandLine)
-	flag.Parse()
-	version.ExitIf(*ver, "noxablate")
-	sess, err := tf.Start("noxablate")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "noxablate:", err)
-		os.Exit(1)
-	}
-	defer sess.Close()
-	stopProf, err := prof.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "noxablate:", err)
-		os.Exit(1)
-	}
-	defer stopProf()
-	pool, err := exp.PoolFromFlag(*parallel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "noxablate:", err)
-		os.Exit(1)
-	}
+	_, pool, stop := cli.Start()
+	defer stop()
 
 	archs := []router.Arch{router.SpecAccurate, router.NoX}
 	if *study == "buffers" || *study == "all" {
@@ -72,8 +49,7 @@ func main() {
 		factors := []float64{1.0, 1.03, 1.06, 1.12, 1.25}
 		rel, err := harness.AblateXORCost(factors, *rate, pool, *shards)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "noxablate:", err)
-			os.Exit(1)
+			cli.Fail(err)
 		}
 		fmt.Printf("Ablation: XOR switch energy premium (uniform @ %.0f MB/s/node)\n", *rate)
 		fmt.Printf("%-10s %s\n", "factor", "Spec-Accurate power relative to NoX")

@@ -10,63 +10,41 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
-	"repro/internal/exp"
 	"repro/internal/harness"
-	"repro/internal/probe"
 	"repro/internal/router"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/version"
 )
 
 func main() {
+	cli := telemetry.NewCLI("noxapp", telemetry.LiveFlags|telemetry.ProfileFlags)
+	seed, shards := cli.Seed(1234), cli.Shards(0)
+	cli.Parallel()
 	var (
 		figure    = flag.Int("figure", 0, "figure to regenerate: 10 (latency), 11 (energy-delay^2), 0 = both")
 		workload  = flag.String("workload", "all", "workload name or 'all'")
 		cpuCycles = flag.Int64("cpu-cycles", 40000, "trace length in 3 GHz CPU cycles")
 		csv       = flag.Bool("csv", false, "emit machine-readable CSV instead of tables")
-		seed      = flag.Uint64("seed", 1234, "trace generation seed")
-		parallel  = flag.Int("parallel", 0, "worker count for per-architecture replays (0 = all CPUs, 1 = serial; output is identical)")
-		shards    = flag.Int("shards", 0, "intra-simulation worker shards per network (0 = auto, 1 = serial; output is identical)")
 		ckptDir   = flag.String("checkpoint", "", "persist a resumable checkpoint per (workload, architecture) replay into this directory (atomic overwrite)")
 		ckptEvery = flag.Int64("checkpoint-every", 20000, "checkpoint period in network cycles (with -checkpoint)")
 		restore   = flag.String("restore", "", "resume replays from checkpoints in this directory; replays without a checkpoint cold-start")
-		warm      = flag.Bool("warmstart", false, "not applicable to open-loop trace replay (errors with guidance; see -checkpoint/-restore)")
 	)
-	tf := telemetry.AddFlags(flag.CommandLine)
-	prof := probe.AddProfileFlags(flag.CommandLine)
-	ver := version.Flag(flag.CommandLine)
-	flag.Parse()
-	version.ExitIf(*ver, "noxapp")
-	sess, err := tf.Start("noxapp")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "noxapp:", err)
-		os.Exit(1)
+	sess, pool, stop := cli.Start()
+	defer stop()
+	if *figure != 0 && *figure != 10 && *figure != 11 {
+		cli.Fail(errors.New("-figure must be 0, 10 or 11"))
 	}
-	defer sess.Close()
-	stopProf, err := prof.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "noxapp:", err)
-		os.Exit(1)
-	}
-	defer stopProf()
-	pool, err := exp.PoolFromFlag(*parallel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "noxapp:", err)
-		os.Exit(1)
-	}
-	if *warm {
-		fmt.Fprintln(os.Stderr, "noxapp: -warmstart: application traces replay open-loop with no shared warm-up phase — every event is injected at its trace timestamp. Use -checkpoint/-restore to make replays resumable, or noxsweep -warmstart for synthetic sweeps.")
-		os.Exit(1)
+	if *cpuCycles < 1 {
+		cli.Fail(fmt.Errorf("-cpu-cycles must be >= 1 (got %d)", *cpuCycles))
 	}
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "noxapp:", err)
-			os.Exit(1)
+			cli.Fail(err)
 		}
 	}
 
@@ -74,8 +52,7 @@ func main() {
 	if *workload != "all" {
 		w, err := trace.WorkloadByName(*workload)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "noxapp:", err)
-			os.Exit(1)
+			cli.Fail(err)
 		}
 		workloads = []trace.Workload{w}
 	}

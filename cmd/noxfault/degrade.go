@@ -211,7 +211,7 @@ func runDegradeCell(arch router.Arch, f int, seq [][2]noc.NodeID, killAt int64, 
 }
 
 // runDegradeMode runs the full sweep and writes the report (and CSV).
-func runDegradeMode(stdout io.Writer, archs []router.Arch, p params, degradeK int, killAt, rtimeout int64, retries, parallel int, outPath, csvPath string) error {
+func runDegradeMode(stdout io.Writer, archs []router.Arch, p params, degradeK int, killAt, rtimeout int64, retries int, pool *exp.Pool, outPath, csvPath string) error {
 	seq := degradeLinks(p.topo, p.template.Seed)
 	if degradeK > len(seq) {
 		return fmt.Errorf("-degrade %d exceeds the mesh's %d inter-router links", degradeK, len(seq))
@@ -223,7 +223,7 @@ func runDegradeMode(stdout io.Writer, archs []router.Arch, p params, degradeK in
 
 	points := degradeK + 1 // fault counts 0..K per architecture
 	total := len(archs) * points
-	cells, err := exp.Map(context.Background(), exp.NewPool(parallel), total,
+	cells, err := exp.Map(context.Background(), pool, total,
 		func(_ context.Context, i int) (dcell, error) {
 			return runDegradeCell(archs[i/points], i%points, seq, killAt, rt, p), nil
 		})

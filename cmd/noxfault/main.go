@@ -38,7 +38,6 @@ import (
 	"repro/internal/snapshot"
 	"repro/internal/snapshot/codec"
 	"repro/internal/telemetry"
-	"repro/internal/version"
 )
 
 // outcome classifies one campaign.
@@ -321,7 +320,11 @@ func finishCell(c *cell, net *network.Network, ck *check.Checker, inj *fault.Inj
 	// inspection with -restore. Side effect only — the report is unaffected.
 	if p.ckptDir != "" && (c.out == outDetected || c.out == outUndetected) {
 		path := filepath.Join(p.ckptDir, fmt.Sprintf("fault-%s-c%d.nox", c.arch, c.idx))
-		if err := snapshot.SaveFile(path, net); err != nil {
+		img, err := snapshot.Encode(net)
+		if err == nil {
+			err = os.WriteFile(path, img, 0o644)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "noxfault: checkpoint:", err)
 		}
 	}
@@ -361,20 +364,20 @@ func kindList[T fmt.Stringer](counts []int64, kind func(int) T) string {
 }
 
 func main() {
+	cli := telemetry.NewCLI("noxfault", telemetry.LiveFlags)
+	seed, shards := cli.Seed(0xF001), cli.Shards(1)
+	cli.Parallel()
 	var (
 		archName  = flag.String("arch", "all", "router architecture: all|nonspec|specfast|specaccurate|nox")
 		width     = flag.Int("width", 4, "mesh width")
 		height    = flag.Int("height", 4, "mesh height")
 		buffers   = flag.Int("buffers", 4, "input buffer depth (flits)")
 		campaigns = flag.Int("campaigns", 8, "seeded campaigns per architecture")
-		seed      = flag.Uint64("seed", 0xF001, "base campaign seed (campaign i uses a derived seed)")
 		cycles    = flag.Int64("cycles", 2000, "traffic-injection cycles per campaign")
 		load      = flag.Float64("load", 0.02, "per-node per-cycle injection probability")
 		multi     = flag.Float64("multi", 0.25, "probability an injected packet is 4 flits")
 		drain     = flag.Int64("drain", 20000, "drain cycle budget after injection stops")
 		watchdog  = flag.Int64("watchdog", 4000, "livelock watchdog window (cycles without a delivery)")
-		shards    = flag.Int("shards", 1, "intra-simulation worker shards (report is bit-identical at any setting)")
-		parallel  = flag.Int("parallel", 0, "campaign-level worker pool size (0 = all CPUs; report is order-independent)")
 		out       = flag.String("out", "", "write the report to this file instead of stdout")
 		specPath  = flag.String("spec", "", "JSON fault-spec file (flag rates ignored when set; its seed, if nonzero, overrides -seed)")
 		warmN     = flag.Int64("warmstart", 0, "warm each architecture's network fault-free for this many cycles once, then start every campaign from the shared warm state (0 = cold campaigns)")
@@ -396,19 +399,8 @@ func main() {
 		startCycle = flag.Int64("start", 0, "first active fault cycle")
 		endCycle   = flag.Int64("end", 0, "end of the active fault window (0 = unbounded)")
 	)
-	tf := telemetry.AddFlags(flag.CommandLine)
-	ver := version.Flag(flag.CommandLine)
-	flag.Parse()
-	version.ExitIf(*ver, "noxfault")
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "noxfault:", err)
-		os.Exit(1)
-	}
-	sess, err := tf.Start("noxfault")
-	if err != nil {
-		fail(err)
-	}
-	defer sess.Close()
+	sess, pool, stop := cli.Start()
+	defer stop()
 
 	// Post-mortem mode: rebuild the network a -checkpoint snapshot captured
 	// (structural parameters come from the image header) and print what the
@@ -417,11 +409,11 @@ func main() {
 	if *restoreIn != "" {
 		data, err := os.ReadFile(*restoreIn)
 		if err != nil {
-			fail(err)
+			cli.Fail(err)
 		}
 		info, err := snapshot.Inspect(data)
 		if err != nil {
-			fail(err)
+			cli.Fail(err)
 		}
 		cfg := info.Config()
 		cfg.Shards = *shards
@@ -433,7 +425,7 @@ func main() {
 			net, err = snapshot.Decode(data, cfg)
 		}
 		if err != nil {
-			fail(err)
+			cli.Fail(err)
 		}
 		defer net.Close()
 		fmt.Printf("snapshot %s: %s %dx%d buffers=%d cycle=%d\n",
@@ -447,7 +439,7 @@ func main() {
 	}
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			fail(err)
+			cli.Fail(err)
 		}
 	}
 
@@ -455,7 +447,7 @@ func main() {
 	if *archName != "all" {
 		a, err := router.ArchByName(*archName)
 		if err != nil {
-			fail(err)
+			cli.Fail(err)
 		}
 		archs = []router.Arch{a}
 	}
@@ -469,21 +461,21 @@ func main() {
 	if *specPath != "" {
 		data, err := os.ReadFile(*specPath)
 		if err != nil {
-			fail(err)
+			cli.Fail(err)
 		}
 		template, err = fault.ParseSpec(data)
 		if err != nil {
-			fail(err)
+			cli.Fail(err)
 		}
 		if template.Seed == 0 {
 			template.Seed = *seed
 		}
 	}
 	if err := template.Validate(); err != nil {
-		fail(err)
+		cli.Fail(err)
 	}
 	if *campaigns <= 0 {
-		fail(errors.New("-campaigns must be positive"))
+		cli.Fail(errors.New("-campaigns must be positive"))
 	}
 
 	p := params{
@@ -506,8 +498,8 @@ func main() {
 	// Degradation-sweep mode: a separate experiment shape (fault-count sweep
 	// of permanent link kills under bursty traffic) with its own report.
 	if *degradeK > 0 {
-		if err := runDegradeMode(os.Stdout, archs, p, *degradeK, *killAt, *rtimeout, *retries, *parallel, *out, *csvOut); err != nil {
-			fail(err)
+		if err := runDegradeMode(os.Stdout, archs, p, *degradeK, *killAt, *rtimeout, *retries, pool, *out, *csvOut); err != nil {
+			cli.Fail(err)
 		}
 		return
 	}
@@ -516,7 +508,7 @@ func main() {
 		for _, a := range archs {
 			img, err := warmFault(a, p, *warmN, template.Seed^0x5741524D) // "WARM"
 			if err != nil {
-				fail(fmt.Errorf("warm-up %s: %w", a, err))
+				cli.Fail(fmt.Errorf("warm-up %s: %w", a, err))
 			}
 			p.warm[a] = img
 		}
@@ -524,12 +516,12 @@ func main() {
 
 	// Fan the (arch, campaign) grid across the pool; cells are independent
 	// and individually seeded, so results are position-stable.
-	cells, err := exp.Map(context.Background(), exp.NewPool(*parallel), len(archs)**campaigns,
+	cells, err := exp.Map(context.Background(), pool, len(archs)**campaigns,
 		func(_ context.Context, i int) (cell, error) {
 			return run(archs[i / *campaigns], i%*campaigns, p), nil
 		})
 	if err != nil {
-		fail(err)
+		cli.Fail(err)
 	}
 
 	var sb strings.Builder
@@ -589,7 +581,7 @@ func main() {
 	report := sb.String()
 	if *out != "" {
 		if err := os.WriteFile(*out, []byte(report), 0o644); err != nil {
-			fail(err)
+			cli.Fail(err)
 		}
 		fmt.Printf("noxfault: report written to %s (%d campaigns)\n", *out, len(archs)**campaigns)
 	} else {

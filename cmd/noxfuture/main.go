@@ -18,70 +18,43 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
-	"repro/internal/exp"
 	"repro/internal/harness"
-	"repro/internal/probe"
 	"repro/internal/telemetry"
-	"repro/internal/version"
 )
 
 func main() {
+	cli := telemetry.NewCLI("noxfuture", telemetry.LiveFlags|telemetry.ProfileFlags)
+	seed, shards := cli.Seed(0xF07E), cli.Shards(0)
+	cli.Parallel()
 	var (
 		pattern  = flag.String("pattern", "uniform", "traffic pattern over cores (uniform|selfsimilar|transpose|...)")
 		ratesStr = flag.String("rates", "400,800,1200,1600,2000,2400", "comma-separated offered rates (MB/s/core)")
-		seed     = flag.Uint64("seed", 0xF07E, "simulation seed")
-		parallel = flag.Int("parallel", 0, "worker count for study points (0 = all CPUs, 1 = serial; output is identical)")
 		systems  = flag.String("systems", "mesh8x8,cmesh4x4", "comma-separated systems: mesh8x8|cmesh4x4|mesh16x16|mesh32x32")
-		shards   = flag.Int("shards", 0, "intra-simulation worker shards per point (0 = auto: large meshes shard on multicore; output is identical)")
 	)
-	tf := telemetry.AddFlags(flag.CommandLine)
-	prof := probe.AddProfileFlags(flag.CommandLine)
-	ver := version.Flag(flag.CommandLine)
-	flag.Parse()
-	version.ExitIf(*ver, "noxfuture")
-	sess, err := tf.Start("noxfuture")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "noxfuture:", err)
-		os.Exit(1)
-	}
-	defer sess.Close()
-	stopProf, err := prof.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "noxfuture:", err)
-		os.Exit(1)
-	}
-	defer stopProf()
-	pool, err := exp.PoolFromFlag(*parallel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "noxfuture:", err)
-		os.Exit(1)
-	}
+	sess, pool, stop := cli.Start()
+	defer stop()
 
 	var rates []float64
 	for _, f := range strings.Split(*ratesStr, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "noxfuture: bad rate:", err)
-			os.Exit(1)
+			cli.Fail(fmt.Errorf("bad rate: %w", err))
 		}
 		rates = append(rates, v)
 	}
 
 	kinds, err := harness.ParseSystemKinds(*systems)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "noxfuture:", err)
-		os.Exit(1)
+		cli.Fail(err)
 	}
 
 	st, err := harness.RunFutureStudyKinds(kinds, rates, *pattern, *seed, pool, *shards,
 		harness.Telemetry{Progress: sess.Sampler(), NewRecorder: sess.NewRecorder})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "noxfuture:", err)
-		os.Exit(1)
+		cli.Fail(err)
 	}
 	fmt.Print(harness.FormatFutureStudy(st))
 }

@@ -12,28 +12,19 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"repro/internal/harness"
-	"repro/internal/probe"
-	"repro/internal/version"
+	"repro/internal/telemetry"
 )
 
 func main() {
+	cli := telemetry.NewCLI("noxphys", telemetry.ProfileFlags)
 	var (
 		floorplan = flag.Bool("floorplan", false, "print the Figure 13 floorplan comparison")
 		all       = flag.Bool("all", false, "print both Table 2 and Figure 13")
 	)
-	prof := probe.AddProfileFlags(flag.CommandLine)
-	ver := version.Flag(flag.CommandLine)
-	flag.Parse()
-	version.ExitIf(*ver, "noxphys")
-	stopProf, err := prof.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "noxphys:", err)
-		os.Exit(1)
-	}
-	defer stopProf()
+	_, _, stop := cli.Start()
+	defer stop()
 
 	if !*floorplan || *all {
 		fmt.Print(harness.FormatTable2())

@@ -13,38 +13,23 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
 
 	"repro/internal/exp"
 	"repro/internal/harness"
-	"repro/internal/probe"
 	"repro/internal/router"
-	"repro/internal/version"
+	"repro/internal/telemetry"
 )
 
 func main() {
+	cli := telemetry.NewCLI("noxpower", telemetry.ProfileFlags)
+	seed, shards := cli.Seed(0xA11CE), cli.Shards(0)
+	cli.Parallel()
 	var (
-		rate     = flag.Float64("rate", 2000, "offered load (MB/s/node); the paper uses 2 GB/s/node")
-		measure  = flag.Int64("measure", 10000, "measurement cycles")
-		seed     = flag.Uint64("seed", 0xA11CE, "simulation seed")
-		parallel = flag.Int("parallel", 0, "worker count for per-architecture runs (0 = all CPUs, 1 = serial; output is identical)")
-		shards   = flag.Int("shards", 0, "intra-simulation worker shards (0 = auto, 1 = serial; output is identical)")
+		rate    = flag.Float64("rate", 2000, "offered load (MB/s/node); the paper uses 2 GB/s/node")
+		measure = flag.Int64("measure", 10000, "measurement cycles")
 	)
-	prof := probe.AddProfileFlags(flag.CommandLine)
-	ver := version.Flag(flag.CommandLine)
-	flag.Parse()
-	version.ExitIf(*ver, "noxpower")
-	stopProf, err := prof.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "noxpower:", err)
-		os.Exit(1)
-	}
-	defer stopProf()
-	pool, err := exp.PoolFromFlag(*parallel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "noxpower:", err)
-		os.Exit(1)
-	}
+	_, pool, stop := cli.Start()
+	defer stop()
 	runs, err := exp.Map(context.Background(), pool, len(router.Archs),
 		func(_ context.Context, i int) (harness.RunResult, error) {
 			return harness.RunSynthetic(harness.SyntheticConfig{
@@ -57,8 +42,7 @@ func main() {
 			})
 		})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "noxpower:", err)
-		os.Exit(1)
+		cli.Fail(err)
 	}
 	results := map[router.Arch]harness.RunResult{}
 	for i, arch := range router.Archs {

@@ -12,17 +12,16 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"repro/internal/harness"
 	"repro/internal/noc"
-	"repro/internal/probe"
 	"repro/internal/router"
 	"repro/internal/telemetry"
-	"repro/internal/version"
 )
 
 func main() {
+	cli := telemetry.NewCLI("noxsim", telemetry.LiveFlags|telemetry.ProfileFlags)
+	seed, shards := cli.Seed(0xA11CE), cli.Shards(0)
 	var (
 		archName    = flag.String("arch", "nox", "router architecture: nonspec|specfast|specaccurate|nox")
 		pattern     = flag.String("pattern", "uniform", "traffic pattern: uniform|transpose|bitcomp|bitrev|shuffle|tornado|neighbor|hotspot|selfsimilar")
@@ -30,41 +29,25 @@ func main() {
 		flits       = flag.Int("flits", 1, "packet length in flits")
 		warmup      = flag.Int64("warmup", 3000, "warmup cycles")
 		measure     = flag.Int64("measure", 10000, "measurement cycles")
-		seed        = flag.Uint64("seed", 0xA11CE, "simulation seed")
-		shards      = flag.Int("shards", 0, "intra-simulation worker shards (0 = auto, 1 = serial; results are bit-identical)")
 		printConfig = flag.Bool("print-config", false, "print Table 1 system parameters and exit")
 		tracePkts   = flag.Int("trace", 0, "print the first N delivered packets")
 		ckptPath    = flag.String("checkpoint", "", "write a resumable full-state checkpoint to this file every -checkpoint-every cycles (atomic overwrite)")
 		ckptEvery   = flag.Int64("checkpoint-every", 5000, "checkpoint period in main-loop cycles (with -checkpoint)")
 		restore     = flag.String("restore", "", "resume from a checkpoint file written by -checkpoint (run parameters must match the checkpointed run)")
 	)
-	tf := telemetry.AddFlags(flag.CommandLine)
-	prof := probe.AddProfileFlags(flag.CommandLine)
-	ver := version.Flag(flag.CommandLine)
-	flag.Parse()
-	version.ExitIf(*ver, "noxsim")
-	sess, err := tf.Start("noxsim")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "noxsim:", err)
-		os.Exit(1)
-	}
-	defer sess.Close()
-	stopProf, err := prof.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "noxsim:", err)
-		os.Exit(1)
-	}
-	defer stopProf()
+	sess, _, stop := cli.Start()
+	defer stop()
 
 	if *printConfig {
 		fmt.Print(harness.Table1())
 		return
 	}
-
+	if *flits < 1 {
+		cli.Fail(fmt.Errorf("-flits must be >= 1 (got %d)", *flits))
+	}
 	arch, err := router.ArchByName(*archName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "noxsim:", err)
-		os.Exit(1)
+		cli.Fail(err)
 	}
 	cfg := harness.SyntheticConfig{
 		Arch:          arch,
@@ -95,8 +78,7 @@ func main() {
 	}
 	res, err := harness.RunSynthetic(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "noxsim:", err)
-		os.Exit(1)
+		cli.Fail(err)
 	}
 	sess.Sampler().Done(*warmup + *measure)
 

@@ -27,7 +27,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
-	"repro/internal/version"
 )
 
 func fatal(err error) {
@@ -110,6 +109,8 @@ func validateMetrics(path string) error {
 }
 
 func main() {
+	cli := telemetry.NewCLI("noxtrace", telemetry.LiveFlags|telemetry.ProfileFlags)
+	seed, shards := cli.Seed(0xA11CE), cli.Shards(0)
 	var (
 		archName = flag.String("arch", "nox", "router architecture: nonspec|specfast|specaccurate|nox")
 		pattern  = flag.String("pattern", "uniform", "traffic pattern: uniform|transpose|bitcomp|bitrev|shuffle|tornado|neighbor|hotspot|selfsimilar")
@@ -119,8 +120,6 @@ func main() {
 		height   = flag.Int("height", 4, "mesh height in routers")
 		cycles   = flag.Int64("cycles", 2000, "cycles of traffic before the drain")
 		drain    = flag.Int64("drain", 20000, "drain cycle limit after traffic stops")
-		seed     = flag.Uint64("seed", 0xA11CE, "simulation seed")
-		shards   = flag.Int("shards", 0, "intra-simulation worker shards (0 = auto, 1 = serial; exports are byte-identical)")
 		ring     = flag.Int("ring", 1<<18, "event ring capacity (rounded up to a power of two; the ring keeps the most recent events)")
 		sample   = flag.Int64("sample", 100, "time-series sampling interval in cycles (0 disables the sampler)")
 		out      = flag.String("out", "trace.json", "Chrome trace-event JSON output file ('-' = stdout, '' = skip)")
@@ -131,11 +130,8 @@ func main() {
 		validate = flag.String("validate", "", "validate an existing Chrome trace JSON file and exit")
 		valMet   = flag.String("validate-metrics", "", "validate a saved Prometheus /metrics scrape and exit")
 	)
-	tf := telemetry.AddFlags(flag.CommandLine)
-	prof := probe.AddProfileFlags(flag.CommandLine)
-	ver := version.Flag(flag.CommandLine)
-	flag.Parse()
-	version.ExitIf(*ver, "noxtrace")
+	sess, _, stop := cli.Start()
+	defer stop()
 	if *validate != "" {
 		if err := validateTrace(*validate); err != nil {
 			fatal(err)
@@ -148,16 +144,6 @@ func main() {
 		}
 		return
 	}
-	sess, err := tf.Start("noxtrace")
-	if err != nil {
-		fatal(err)
-	}
-	defer sess.Close()
-	stopProf, err := prof.Start()
-	if err != nil {
-		fatal(err)
-	}
-	defer stopProf()
 
 	arch, err := router.ArchByName(*archName)
 	if err != nil {

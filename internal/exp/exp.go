@@ -12,7 +12,6 @@ package exp
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -48,18 +47,6 @@ func NewPool(workers int) *Pool {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Pool{workers: workers}
-}
-
-// PoolFromFlag validates a -parallel flag value and builds the pool:
-// workers > 0 is an explicit worker count, workers == 0 selects all CPUs
-// (runtime.GOMAXPROCS), and negative values are rejected with an error the
-// cmd tools surface verbatim. Results are bit-identical at any worker
-// count, so the flag only trades wall-clock time for CPU.
-func PoolFromFlag(workers int) (*Pool, error) {
-	if workers < 0 {
-		return nil, fmt.Errorf("-parallel must be >= 0 (got %d); use 0 for all CPUs, 1 for serial", workers)
-	}
-	return NewPool(workers), nil
 }
 
 // Workers returns the concurrency bound; 1 for a nil pool.

@@ -40,7 +40,7 @@ type AppConfig struct {
 	// common cycle numbers).
 	Probe *probe.Probe
 	// Progress, when set, receives per-cycle ticks and inject/deliver counts
-	// for live telemetry (cycles/s, /metrics, the SSE stream).
+	// for live telemetry (cycles/s, /metrics).
 	Progress *telemetry.Sampler
 	// Recorder, when set, is this run's flight recorder: its probe shadows
 	// both physical networks (unless Probe above claims the slot) and an
@@ -174,8 +174,10 @@ func RunApp(cfg AppConfig) AppResult {
 	if cfg.CheckpointPath != "" && cfg.CheckpointEvery > 0 {
 		nextCkpt = cycle + cfg.CheckpointEvery
 	}
-	lastEventCycle := int64(float64(events[len(events)-1].TimePs)/periodPs) + 1
-	deadline := lastEventCycle + cfg.DrainCycles
+	deadline := cfg.DrainCycles
+	if len(events) > 0 {
+		deadline += int64(float64(events[len(events)-1].TimePs)/periodPs) + 1
+	}
 	for cycle < deadline && (idx < len(events) || multi.Outstanding() > 0) {
 		// Persist a resumable checkpoint between steps. The threshold (not a
 		// modulus) tolerates the idle fast-forward jumping whole periods.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/network"
 	"repro/internal/router"
 	"repro/internal/trace"
 )
@@ -158,6 +159,13 @@ func TestRunSyntheticRateValidation(t *testing.T) {
 	if _, err := SweepSynthetic(fastCfg("uniform", 0), []float64{300, -1}, nil); !errors.Is(err, ErrRateInvalid) {
 		t.Errorf("sweep with a negative rung: err = %v, want ErrRateInvalid", err)
 	}
+	// A negative packet length makes the packet rate negative: such a run
+	// never injects and would report an empty network as a result.
+	cfg := fastCfg("uniform", 500)
+	cfg.PacketFlits = -2
+	if _, err := RunSynthetic(cfg); !errors.Is(err, network.ErrBadPacket) {
+		t.Errorf("-2-flit packets: err = %v, want network.ErrBadPacket", err)
+	}
 }
 
 // TestSweepStopsAfterSaturation verifies an architecture's series ends at
@@ -240,6 +248,24 @@ func TestRunAppShape(t *testing.T) {
 	again := RunApp(AppConfig{Arch: router.NoX, Trace: tr, BufferDepth: 4})
 	if again.MeanLatencyNs != results[router.NoX].MeanLatencyNs {
 		t.Error("application replay is not deterministic")
+	}
+}
+
+// TestRunAppEmptyTrace: a trace too short to hold an event (noxapp
+// -cpu-cycles 0) replays to a zero-delivery result instead of indexing its
+// last event.
+func TestRunAppEmptyTrace(t *testing.T) {
+	w, err := trace.WorkloadByName("tpcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.Generate(w, Table1().Topo, 0, 1)
+	if len(tr.Events) != 0 {
+		t.Fatalf("a 0-cycle trace holds %d events", len(tr.Events))
+	}
+	res := RunApp(AppConfig{Arch: router.NoX, Trace: tr})
+	if !res.Drained || res.DeliveredPkts != 0 || !math.IsNaN(res.MeanLatencyNs) {
+		t.Errorf("empty trace: drained %v, %d delivered, mean latency %v ns", res.Drained, res.DeliveredPkts, res.MeanLatencyNs)
 	}
 }
 

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"log/slog"
 	"math"
 	"os"
 
@@ -48,18 +47,12 @@ type synthMember struct {
 	// injection-free cycles cost one comparison, and the main loop may jump a
 	// fully idle network straight to arrMin. Advancing clamps at the warmup
 	// boundary (Ticks past it must see the retargeted rate) and at total.
-	// Lookahead is disabled whenever checkpoint, restore, replay, or
-	// warm-start machinery is armed: those serialize or fork live process
-	// state, which must then match the network clock exactly.
+	// Lookahead is disabled whenever checkpoint, restore, or warm-start
+	// machinery is armed: those serialize or fork live process state, which
+	// must then match the network clock exactly.
 	lookahead bool
 	arr       []int64
 	arrMin    int64
-
-	// ckpts is the time-travel checkpoint ring (newest last, at most two):
-	// periodic full-state images taken every ReplayCheckpointEvery cycles so
-	// a flight-recorder trigger can rewind and re-run the failure window
-	// with a complete probe. See timeTravelReplay.
-	ckpts []runCheckpoint
 }
 
 // prepareSynthetic validates and fills cfg and resolves its traffic
@@ -68,6 +61,9 @@ type synthMember struct {
 func prepareSynthetic(cfg SyntheticConfig) (*synthMember, error) {
 	cfg.fill()
 	m := &synthMember{cfg: cfg}
+	if cfg.PacketFlits < 0 {
+		return nil, fmt.Errorf("harness: packet length %d flits: %w", cfg.PacketFlits, network.ErrBadPacket)
+	}
 	for _, r := range []struct {
 		name string
 		mbps float64
@@ -185,7 +181,6 @@ func (m *synthMember) attach(net *network.Network) {
 
 	m.lookahead = !cfg.Eager &&
 		cfg.CheckpointPath == "" && cfg.CheckpointEvery == 0 && cfg.RestorePath == "" &&
-		cfg.ReplayCheckpointEvery == 0 &&
 		!cfg.WarmStart && cfg.WarmSaveDir == "" && cfg.WarmLoadDir == ""
 	if m.lookahead {
 		m.arr = make([]int64, nodes)
@@ -254,11 +249,6 @@ func (m *synthMember) idleSkip() int64 {
 // measurement-window counter snapshot at the warmup boundary, then one
 // injection opportunity per node. The caller steps the network afterwards.
 func (m *synthMember) injectCycle(cyc int64) {
-	// Checkpoints stop once a failure is latched: later ones would evict the
-	// very state time travel needs to rewind behind the failure window.
-	if every := m.cfg.ReplayCheckpointEvery; every > 0 && cyc%every == 0 && !m.cfg.Recorder.Triggered() {
-		m.checkpoint(cyc)
-	}
 	if every := m.cfg.CheckpointEvery; every > 0 && m.cfg.CheckpointPath != "" && cyc > 0 && cyc%every == 0 {
 		m.checkpointToFile()
 	}
@@ -412,21 +402,11 @@ func (m *synthMember) finalize() RunResult {
 	// violation, drain deadlock) tripped the flight recorder.
 	cfg.Progress.RunDone(cfg.Arch.String(), m.window)
 	if cfg.Recorder.Triggered() {
-		tracePath, err := cfg.Recorder.Flush(func(w io.Writer) {
+		if _, err := cfg.Recorder.Flush(func(w io.Writer) {
 			net.WriteDiagnostic(w)
 			cfg.Check.WriteReport(w)
-		})
-		if err != nil {
+		}); err != nil {
 			fmt.Fprintln(os.Stderr, "harness:", err)
-		}
-		// Time travel: with periodic checkpoints armed, rewind to the last
-		// checkpoint before the failure window and re-run it with a full
-		// probe, upgrading the bounded ring dump to a complete trace.
-		if replayPath, err := m.timeTravelReplay(tracePath); err != nil {
-			fmt.Fprintln(os.Stderr, "harness: time-travel replay:", err)
-		} else if replayPath != "" {
-			slog.Default().Info("time travel: replayed failure window with full probe",
-				"trace", replayPath)
 		}
 	}
 	return res

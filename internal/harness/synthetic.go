@@ -46,8 +46,8 @@ type SyntheticConfig struct {
 	// the run (see internal/probe). Nil disables instrumentation.
 	Probe *probe.Probe
 	// Progress, when set, receives per-cycle ticks and inject/deliver counts
-	// for live telemetry (cycles/s, /metrics, the SSE stream). Nil costs a
-	// nil check per hook.
+	// for live telemetry (cycles/s, /metrics). Nil costs a nil check per
+	// hook.
 	Progress *telemetry.Sampler
 	// Recorder, when set, is this run's flight recorder: its probe shadows
 	// the network (unless Probe above claims the slot) and a deadlock in the
@@ -110,13 +110,6 @@ type SyntheticConfig struct {
 	// evaluates every component every cycle, disabling quiescence parking
 	// and the dirty-port walks. The fully eager reference.
 	AlwaysActive bool
-	// ReplayCheckpointEvery, when positive, keeps in-memory full-state
-	// checkpoints every that-many cycles (the last two are retained) and,
-	// when the flight recorder trips, rewinds to the one before the failure
-	// window and re-runs it with a full probe — upgrading the recorder's
-	// bounded ring dump to a complete window trace
-	// (<stem>.replay.trace.json). Zero disables time travel.
-	ReplayCheckpointEvery int64
 }
 
 func (c *SyntheticConfig) fill() {

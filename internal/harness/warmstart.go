@@ -154,7 +154,6 @@ func warmSynthetic(base SyntheticConfig) (*warmImage, error) {
 	cfg.NewRecorder = nil
 	cfg.Progress = nil
 	cfg.Observe = nil
-	cfg.ReplayCheckpointEvery = 0
 	m, err := prepareSynthetic(cfg)
 	if err != nil {
 		return nil, err

@@ -3,20 +3,16 @@ package harness
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"strings"
 	"testing"
 
 	"repro/internal/check"
 	"repro/internal/exp"
 	"repro/internal/network"
-	"repro/internal/noc"
 	"repro/internal/physical"
 	"repro/internal/probe"
 	"repro/internal/router"
 	"repro/internal/snapshot"
 	"repro/internal/snapshot/codec"
-	"repro/internal/telemetry"
 )
 
 // TestWarmStartSweepMatchesCold is the warm-start contract: a sweep that
@@ -198,57 +194,5 @@ func TestMidRunSaveRestoreEquivalence(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestTimeTravelReplay pins the rewind path end to end: a run with periodic
-// checkpoints and a triggered flight recorder must write a replay trace
-// next to the ring dump, and that trace must byte-match what a full probe
-// watching the original run renders for the same window.
-func TestTimeTravelReplay(t *testing.T) {
-	dir := t.TempDir()
-	cfg := fastCfg("uniform", 1200)
-	cfg.Arch = router.NoX
-	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 600, 1500, 8000
-	cfg.ReplayCheckpointEvery = 512
-	rec := telemetry.NewRecorder(telemetry.RecorderConfig{Window: 400, Dir: dir, Label: "replay-test"})
-	cfg.Recorder = rec
-	triggered := false
-	cfg.Observe = func(p *noc.Packet, cycle int64) {
-		if !triggered && cycle >= 1500 {
-			triggered = true
-			rec.Trigger(cycle, "synthetic test trigger")
-		}
-	}
-	if _, err := RunSynthetic(cfg); err != nil {
-		t.Fatal(err)
-	}
-	flight := rec.TracePath()
-	if flight == "" {
-		t.Fatal("flight recorder did not dump")
-	}
-	replayPath := strings.TrimSuffix(flight, ".trace.json") + ".replay.trace.json"
-	replay, err := os.ReadFile(replayPath)
-	if err != nil {
-		t.Fatalf("replay trace not written: %v", err)
-	}
-
-	// Reference: the same run watched by a full probe from cycle zero.
-	start, end := rec.Window()
-	ref := cfg
-	ref.Observe = nil
-	ref.Recorder = nil
-	ref.ReplayCheckpointEvery = 0
-	ref.Probe = probe.New(probe.Config{RingEvents: 1 << 21, PeriodNs: physical.ClockPeriodNs(cfg.Arch)})
-	if _, err := RunSynthetic(ref); err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := ref.Probe.WriteChromeTraceWindow(&want, start, end); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(replay, want.Bytes()) {
-		t.Fatalf("replay trace (%d bytes) diverged from the full-probe reference window (%d bytes)",
-			len(replay), want.Len())
 	}
 }

@@ -16,8 +16,8 @@ import (
 var ErrBadConfig = errors.New("network: invalid configuration")
 
 // ErrBadPacket is wrapped by every injection path's rejection of a malformed
-// packet (InjectChecked and InjectAs return it, Inject and InjectPacket panic
-// with its text).
+// packet (InjectChecked and InjectAs return it, Inject panics with its
+// text).
 var ErrBadPacket = errors.New("network: invalid packet")
 
 // ErrNoProgress is wrapped by DrainChecked when the network wedges —
@@ -100,20 +100,33 @@ func (n *Network) InjectChecked(src, dst noc.NodeID, length int, class int) (*no
 
 // InjectAs is InjectChecked for a caller that numbers packets itself: trace
 // replay draws one ID sequence across the class networks of a Multi, whose
-// shared checker keys on it.
+// shared checker keys on it. A packet whose destination is currently
+// partitioned away by permanent faults is refused at the source — counted
+// injected and undeliverable, so offered-traffic accounting stays comparable
+// across fault sets.
 func (n *Network) InjectAs(id uint64, src, dst noc.NodeID, length int, class int) (*noc.Packet, error) {
-	if err := n.checkPacket(src, dst, length, length); err != nil {
+	if err := n.checkPacket(src, dst, length); err != nil {
 		return nil, err
 	}
 	p := n.packets.Get(id, src, dst, length, class, n.Cycle())
-	n.enqueue(p)
+	n.injected++
+	n.check.OnInject(n.Cycle(), p.ID)
+	if n.hard != nil && !n.routes.Reachable(src, dst) {
+		n.markUndeliverable(p, n.Cycle())
+		return p, nil
+	}
+	if n.rel != nil {
+		n.relArm(p, n.Cycle())
+	}
+	n.nis[src].enqueue(p)
+	// The interface may have gone quiescent; new work re-activates it.
+	n.kernel.Wake(n.niHandle[src])
 	return p, nil
 }
 
 // checkPacket is the one validation every injection path runs: endpoints are
-// cores of this network and differ, and the packet has one payload word per
-// flit of a positive length.
-func (n *Network) checkPacket(src, dst noc.NodeID, length, payloads int) error {
+// cores of this network and differ, and the length is positive.
+func (n *Network) checkPacket(src, dst noc.NodeID, length int) error {
 	cores := noc.NodeID(len(n.nis))
 	if src < 0 || src >= cores || dst < 0 || dst >= cores {
 		return fmt.Errorf("%w: endpoints %d->%d outside %d-core system", ErrBadPacket, src, dst, cores)
@@ -123,9 +136,6 @@ func (n *Network) checkPacket(src, dst noc.NodeID, length, payloads int) error {
 	}
 	if length <= 0 {
 		return fmt.Errorf("%w: length %d", ErrBadPacket, length)
-	}
-	if payloads != length {
-		return fmt.Errorf("%w: %d payload words for %d flits", ErrBadPacket, payloads, length)
 	}
 	return nil
 }

@@ -244,8 +244,11 @@ func TestMultiNetworkIsolation(t *testing.T) {
 	m := NewMulti(2, Config{Topo: noc.Topology{Width: 4, Height: 4}, Arch: router.NoX})
 	var delivered int
 	m.OnDeliver(func(p *noc.Packet, cycle int64) { delivered++ })
-	m.InjectPacket(noc.NewPacket(1, 0, 15, 1, 0, m.Cycle()))
-	m.InjectPacket(noc.NewPacket(2, 0, 15, 9, 1, m.Cycle()))
+	for id, class := range []int{0, 1} {
+		if _, err := m.InjectAs(uint64(id+1), 0, 15, 1+8*class, class); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if !m.Drain(1000) {
 		t.Fatalf("multi did not drain: %d", m.Outstanding())
 	}

@@ -62,16 +62,6 @@ func (m *Multi) classNet(class int) (*Network, error) {
 	return m.nets[class], nil
 }
 
-// InjectPacket queues a hand-built packet on the physical network its Class
-// selects (see Network.InjectPacket).
-func (m *Multi) InjectPacket(p *noc.Packet) {
-	n, err := m.classNet(p.Class)
-	if err != nil {
-		panic(err.Error())
-	}
-	n.InjectPacket(p)
-}
-
 // InjectAs creates packet id on the physical network its class selects, from
 // that network's slab (see Network.InjectAs).
 func (m *Multi) InjectAs(id uint64, src, dst noc.NodeID, length int, class int) (*noc.Packet, error) {

@@ -780,37 +780,6 @@ func (n *Network) Inject(src, dst noc.NodeID, length int, class int) *noc.Packet
 	return p
 }
 
-// InjectPacket queues a pre-built packet at its source, for rigs and tests
-// that construct packets by hand (trace replay goes through InjectAs, so its
-// packets come from the network's slab). The packet's CreateCycle must be the
-// current cycle or earlier, and it becomes the network's: delivery recycles
-// it like any other. A malformed packet panics with ErrBadPacket's text.
-func (n *Network) InjectPacket(p *noc.Packet) {
-	if err := n.checkPacket(p.Src, p.Dst, p.Length, len(p.Payloads)); err != nil {
-		panic(err.Error())
-	}
-	n.enqueue(p)
-}
-
-// enqueue hands a validated packet to its source interface. A packet whose
-// destination is currently partitioned away by permanent faults is refused at
-// the source — counted injected and undeliverable, so offered-traffic
-// accounting stays comparable across fault sets.
-func (n *Network) enqueue(p *noc.Packet) {
-	n.injected++
-	n.check.OnInject(n.Cycle(), p.ID)
-	if n.hard != nil && !n.routes.Reachable(p.Src, p.Dst) {
-		n.markUndeliverable(p, n.Cycle())
-		return
-	}
-	if n.rel != nil {
-		n.relArm(p, n.Cycle())
-	}
-	n.nis[p.Src].enqueue(p)
-	// The interface may have gone quiescent; new work re-activates it.
-	n.kernel.Wake(n.niHandle[p.Src])
-}
-
 // deliver completes a packet: accounting, the checker's oracle, the
 // retransmission ack, the caller's observer — and then its retirement. first
 // is false for a packet already retired as undeliverable before its last flit

@@ -183,7 +183,7 @@ func (ni *NI) Compute(cycle int64) {
 // link's source wake). An interface between packets with one queued is not
 // quiet (the packet still needs its pop into cur), nor is a sender
 // mid-packet with credits left (a time-varying stall fault may be all that
-// holds it back). Re-activation paths: Network.InjectPacket wakes the
+// holds it back). Re-activation paths: Network.InjectAs wakes the
 // interface directly, the router's Send on the ejection link covers the sink
 // side, and the credit return covers the stalled sender.
 func (ni *NI) Quiet() bool {

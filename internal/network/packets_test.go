@@ -473,47 +473,44 @@ func TestFaultedSteadyStateAllocs(t *testing.T) {
 	})
 }
 
-// TestInjectPacketRejectsBadPackets: a hand-built packet goes through the
-// validation InjectChecked applies, before it can index an interface that
-// does not exist or wedge one with a length its payload does not have.
+// TestInjectPacketRejectsBadPackets: a caller-numbered packet goes through
+// the validation InjectChecked applies, before it can index an interface
+// that does not exist, and Inject panics with the same error's text.
 func TestInjectPacketRejectsBadPackets(t *testing.T) {
 	net := New(Config{Topo: noc.Topology{Width: 2, Height: 2}, Arch: router.NoX})
 	defer net.Close()
-	short := noc.NewPacket(7, 0, 1, 3, 0, 0)
-	short.Payloads = short.Payloads[:2]
-	for name, p := range map[string]*noc.Packet{
-		"negative source":      noc.NewPacket(1, -1, 2, 1, 0, 0),
-		"negative destination": noc.NewPacket(2, 0, -3, 1, 0, 0),
-		"source beyond mesh":   noc.NewPacket(3, 4, 0, 1, 0, 0),
-		"self-addressed":       noc.NewPacket(4, 2, 2, 1, 0, 0),
-		"zero length":          {ID: 5, Src: 0, Dst: 1},
-		"negative length":      {ID: 6, Src: 0, Dst: 1, Length: -2},
-		"payload short":        short,
+	for name, p := range map[string]struct {
+		src, dst noc.NodeID
+		length   int
+	}{
+		"negative source":      {-1, 2, 1},
+		"negative destination": {0, -3, 1},
+		"source beyond mesh":   {4, 0, 1},
+		"self-addressed":       {2, 2, 1},
+		"zero length":          {0, 1, 0},
+		"negative length":      {0, 1, -2},
 	} {
 		t.Run(name, func(t *testing.T) {
+			if _, err := net.InjectAs(9, p.src, p.dst, p.length, 0); !errors.Is(err, ErrBadPacket) {
+				t.Errorf("InjectAs(%+v): %v, want ErrBadPacket", p, err)
+			}
 			defer func() {
-				r := recover()
-				if r == nil || !strings.Contains(fmt.Sprint(r), ErrBadPacket.Error()) {
-					t.Errorf("InjectPacket(%+v): recovered %v, want a panic with ErrBadPacket's text", p, r)
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), ErrBadPacket.Error()) {
+					t.Errorf("Inject(%+v): recovered %v, want a panic with ErrBadPacket's text", p, r)
 				}
 				if net.Injected() != 0 {
 					t.Errorf("a rejected packet was counted injected")
 				}
 			}()
-			net.InjectPacket(p)
+			net.Inject(p.src, p.dst, p.length, 0)
 		})
-	}
-	if _, err := net.InjectAs(9, 0, 4, 1, 0); !errors.Is(err, ErrBadPacket) {
-		t.Errorf("InjectAs beyond the mesh: %v", err)
 	}
 	m := NewMulti(2, Config{Topo: noc.Topology{Width: 2, Height: 2}, Arch: router.NoX})
 	defer m.Close()
 	if _, err := m.InjectAs(1, 0, 1, 1, 2); !errors.Is(err, ErrBadPacket) {
 		t.Errorf("InjectAs on class 2 of 2: %v", err)
 	}
-	good := noc.NewPacket(8, 0, 3, 2, 0, 0)
-	net.InjectPacket(good)
-	if !net.Drain(200) || net.Delivered() != 1 {
-		t.Error("a well-formed hand-built packet was not delivered")
+	if _, err := net.InjectAs(8, 0, 3, 2, 0); err != nil || !net.Drain(200) || net.Delivered() != 1 {
+		t.Errorf("a well-formed caller-numbered packet was not delivered: %v", err)
 	}
 }

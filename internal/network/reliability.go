@@ -19,7 +19,7 @@ import (
 // and the delivery oracle accounts it rather than reporting a loss.
 //
 // All retransmission state lives on the stepping goroutine: entries are
-// opened in InjectPacket, acks armed in the network's deliver (serial
+// opened in InjectAs, acks armed in the network's deliver (serial
 // commit walk or sharded epilogue, both interface-ordered), and timeouts
 // processed by an end-of-cycle observer popping a deterministic
 // (cycle, packet-ID) min-heap. Serial and sharded execution therefore

@@ -316,9 +316,6 @@ func (k *Kernel) shardWorker(s int) {
 	}
 }
 
-// Sharded reports whether the kernel runs on the sharded executor.
-func (k *Kernel) Sharded() bool { return k.sh != nil }
-
 // Shards returns the worker-shard count (0 on the serial path).
 func (k *Kernel) Shards() int {
 	if k.sh == nil {

@@ -1,8 +1,8 @@
 // Package snapshot provides versioned, deterministic checkpointing of a
-// complete network simulation: Save serializes every piece of between-step
+// complete network simulation: Encode serializes every piece of between-step
 // state (router queues and FSMs, interface source queues and reassembly,
 // in-flight packets and flits, link credits, power counters, and the
-// invariant checker's ledger) to a compact binary image, Restore rebuilds a
+// invariant checker's ledger) to a compact binary image, Decode rebuilds a
 // ready-to-step network from one.
 //
 // Snapshots are deterministic — saving the same network twice, or re-saving
@@ -16,8 +16,6 @@ package snapshot
 
 import (
 	"fmt"
-	"io"
-	"os"
 
 	"repro/internal/network"
 	"repro/internal/noc"
@@ -169,41 +167,4 @@ func restoreInto(net *network.Network, d *codec.Decoder) error {
 		return fmt.Errorf("%w: %d trailing bytes after network state", codec.ErrCorrupt, d.Remaining())
 	}
 	return nil
-}
-
-// Save writes a snapshot of the network to w. Only call between steps.
-func Save(w io.Writer, net *network.Network) error {
-	data, err := Encode(net)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
-// Restore reads a snapshot from r and rebuilds the network; see Decode.
-func Restore(r io.Reader, cfg network.Config) (*network.Network, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data, cfg)
-}
-
-// SaveFile writes a snapshot of the network to path.
-func SaveFile(path string, net *network.Network) error {
-	data, err := Encode(net)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// RestoreFile rebuilds a network from a snapshot file; see Decode.
-func RestoreFile(path string, cfg network.Config) (*network.Network, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data, cfg)
 }

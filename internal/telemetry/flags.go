@@ -8,11 +8,100 @@ import (
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/probe"
+	"repro/internal/version"
 )
 
-// Flags is the shared telemetry flag set every simulating command installs
-// via AddFlags.
-type Flags struct {
+// CLI is the flag preamble the cmd tools share. NewCLI registers -version
+// and the flag groups a tool asks for on flag.CommandLine; the tool then
+// registers its own flags (Seed, Shards and Parallel for the common ones)
+// and calls Start, which parses the command line and brings the session,
+// the profiler and the worker pool up.
+type CLI struct {
+	tool     string
+	ver      *bool
+	tel      *liveFlags
+	prof     *probe.ProfileFlags
+	parallel *int
+}
+
+// FlagGroup selects the flag groups NewCLI registers beyond -version.
+type FlagGroup uint8
+
+const (
+	// LiveFlags is the telemetry plane: -http, -progress, -log and the
+	// -flight* flight-recorder flags.
+	LiveFlags FlagGroup = 1 << iota
+	// ProfileFlags is -cpuprofile and -memprofile.
+	ProfileFlags
+)
+
+// NewCLI registers -version and the given flag groups for tool.
+func NewCLI(tool string, groups FlagGroup) *CLI {
+	c := &CLI{tool: tool, ver: version.Flag(flag.CommandLine)}
+	if groups&LiveFlags != 0 {
+		c.tel = addFlags(flag.CommandLine)
+	}
+	if groups&ProfileFlags != 0 {
+		c.prof = probe.AddProfileFlags(flag.CommandLine)
+	}
+	return c
+}
+
+// Seed registers -seed with the tool's default.
+func (c *CLI) Seed(def uint64) *uint64 {
+	return flag.Uint64("seed", def, "simulation seed (every output is a pure function of it)")
+}
+
+// Shards registers -shards with the tool's default.
+func (c *CLI) Shards(def int) *int {
+	return flag.Int("shards", def, "intra-simulation worker shards per network (0 = auto, 1 = serial; output is bit-identical at every setting)")
+}
+
+// Parallel registers -parallel; Start turns it into the worker pool.
+func (c *CLI) Parallel() {
+	c.parallel = flag.Int("parallel", 0, "worker count for independent simulation points (0 = all CPUs, 1 = serial; output is identical)")
+}
+
+// Start parses the command line, answers -version, and starts the
+// telemetry session, the profiler and the worker pool of the groups the
+// tool registered (a nil session and pool otherwise, both valid). A bad
+// flag value exits with status 1. Defer the returned stop.
+func (c *CLI) Start() (sess *Session, pool *exp.Pool, stop func()) {
+	flag.Parse()
+	version.ExitIf(*c.ver, c.tool)
+	var err error
+	if c.tel != nil {
+		if sess, err = c.tel.start(c.tool); err != nil {
+			c.Fail(err)
+		}
+	}
+	stopProf := func() {}
+	if c.prof != nil {
+		if stopProf, err = c.prof.Start(); err != nil {
+			c.Fail(err)
+		}
+	}
+	if c.parallel != nil {
+		if *c.parallel < 0 {
+			c.Fail(fmt.Errorf("-parallel must be >= 0 (got %d); use 0 for all CPUs, 1 for serial", *c.parallel))
+		}
+		pool = exp.NewPool(*c.parallel)
+	}
+	return sess, pool, func() {
+		stopProf()
+		sess.Close()
+	}
+}
+
+// Fail prints err after the tool's name and exits with status 1.
+func (c *CLI) Fail(err error) {
+	fmt.Fprintln(os.Stderr, c.tool+":", err)
+	os.Exit(1)
+}
+
+// liveFlags holds the telemetry flag values (LiveFlags).
+type liveFlags struct {
 	// HTTP is the -http listen address; empty leaves the server off.
 	HTTP string
 	// Progress enables periodic structured progress records on stderr.
@@ -29,11 +118,11 @@ type Flags struct {
 	FlightKeep int
 }
 
-// AddFlags registers the telemetry flags on fs and returns the destination
-// struct; call Start after fs.Parse.
-func AddFlags(fs *flag.FlagSet) *Flags {
-	f := &Flags{}
-	fs.StringVar(&f.HTTP, "http", "", "serve live telemetry on this address (/metrics, /events, /debug/pprof; e.g. 127.0.0.1:9077, :0 picks a port)")
+// addFlags registers the telemetry flags on fs and returns the destination
+// struct.
+func addFlags(fs *flag.FlagSet) *liveFlags {
+	f := &liveFlags{}
+	fs.StringVar(&f.HTTP, "http", "", "serve live telemetry on this address (/metrics, /healthz, /debug/vars, /debug/pprof; e.g. 127.0.0.1:9077, :0 picks a port)")
 	fs.BoolVar(&f.Progress, "progress", false, "log periodic progress records to stderr")
 	fs.StringVar(&f.LogFormat, "log", "text", "structured log format: text or json")
 	fs.BoolVar(&f.Flight, "flight", true, "arm the flight recorder: auto-dump a Perfetto trace of the failure window on oracle/watchdog/deadlock trips")
@@ -48,17 +137,17 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 // it), the metrics registry and HTTP server (nil unless -http), and the
 // flight-recorder factory.
 type Session struct {
-	flags   *Flags
+	flags   *liveFlags
 	logger  *slog.Logger
 	sampler *Sampler
 	server  *Server
 }
 
-// Start builds the session: it installs the process-wide slog handler and,
+// start builds the session: it installs the process-wide slog handler and,
 // when requested, starts the telemetry server. The serving line
 // "telemetry: serving on http://ADDR" is printed to stderr in plain form so
 // scripts (telemetry-smoke) can scrape the bound address.
-func (f *Flags) Start(tool string) (*Session, error) {
+func (f *liveFlags) start(tool string) (*Session, error) {
 	var h slog.Handler
 	opts := &slog.HandlerOptions{Level: slog.LevelInfo}
 	switch f.LogFormat {
@@ -81,11 +170,9 @@ func (f *Flags) Start(tool string) (*Session, error) {
 	}
 	if f.HTTP != "" {
 		reg := NewRegistry()
-		hub := NewHub()
-		s.sampler.SetHub(hub)
 		s.sampler.Register(reg)
 		registerRuntimeMetrics(reg)
-		srv, err := StartServer(f.HTTP, reg, hub)
+		srv, err := StartServer(f.HTTP, reg)
 		if err != nil {
 			return nil, err
 		}

@@ -209,13 +209,13 @@ func TestFlightRecorderRingWrap(t *testing.T) {
 // TestFlightRetention pins the dump-directory cap: with Keep=3, flushing
 // into a directory that already holds five older stems must leave exactly
 // three — the fresh dump plus the two youngest survivors — and must take
-// each evicted stem's report and replay trace with it.
+// each evicted stem's report with it.
 func TestFlightRetention(t *testing.T) {
 	dir := t.TempDir()
 	old := time.Now().Add(-time.Hour)
 	for i := 0; i < 5; i++ {
 		stem := filepath.Join(dir, fmt.Sprintf("flight-old%d", i))
-		for _, suffix := range []string{".trace.json", ".report.txt", ".replay.trace.json"} {
+		for _, suffix := range []string{".trace.json", ".report.txt"} {
 			if err := os.WriteFile(stem+suffix, []byte("{}"), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -241,9 +241,7 @@ func TestFlightRetention(t *testing.T) {
 	}
 	var stems []string
 	for _, tr := range traces {
-		if !strings.HasSuffix(tr, ".replay.trace.json") {
-			stems = append(stems, strings.TrimSuffix(tr, ".trace.json"))
-		}
+		stems = append(stems, strings.TrimSuffix(tr, ".trace.json"))
 	}
 	sort.Strings(stems)
 	want := []string{
@@ -258,11 +256,8 @@ func TestFlightRetention(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "flight-old0.report.txt")); !os.IsNotExist(err) {
 		t.Errorf("evicted stem's report survives: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "flight-old0.replay.trace.json")); !os.IsNotExist(err) {
-		t.Errorf("evicted stem's replay trace survives: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "flight-old4.replay.trace.json")); err != nil {
-		t.Errorf("surviving stem lost its replay trace: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "flight-old4.report.txt")); err != nil {
+		t.Errorf("surviving stem lost its report: %v", err)
 	}
 }
 

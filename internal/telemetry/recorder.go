@@ -55,9 +55,8 @@ type RecorderConfig struct {
 	// and flight-<label>.report.txt. Sanitized to filesystem-safe characters.
 	Label string
 	// Keep caps the number of dump stems retained in Dir: after a successful
-	// dump, the oldest stems beyond the cap are evicted (trace, report, and
-	// any replay trace). 0 selects DefaultFlightKeep; negative disables
-	// eviction.
+	// dump, the oldest stems beyond the cap are evicted (trace and report).
+	// 0 selects DefaultFlightKeep; negative disables eviction.
 	Keep int
 	// PeriodNs scales trace timestamps; settable later via SetPeriodNs while
 	// the probe has not yet been created.
@@ -280,8 +279,7 @@ func (r *Recorder) Flush(diag func(io.Writer)) (string, error) {
 
 // pruneFlightDumps evicts the oldest dump stems in dir beyond keep, never
 // evicting justWrote (the stem the caller just dumped). A stem is one
-// flight-<label> prefix; eviction removes its trace, report, and any replay
-// trace together. Eviction failures are ignored — retention is best-effort
+// flight-<label> prefix; eviction removes its trace and report together. Eviction failures are ignored — retention is best-effort
 // hygiene, and the dump that triggered it already succeeded.
 func pruneFlightDumps(dir string, keep int, justWrote string) {
 	if keep < 0 {
@@ -297,9 +295,6 @@ func pruneFlightDumps(dir string, keep int, justWrote string) {
 	}
 	var stems []stemAge
 	for _, tr := range traces {
-		if strings.HasSuffix(tr, ".replay.trace.json") {
-			continue // counted with its parent stem
-		}
 		stem := strings.TrimSuffix(tr, ".trace.json")
 		if stem == justWrote {
 			continue
@@ -318,7 +313,6 @@ func pruneFlightDumps(dir string, keep int, justWrote string) {
 	for _, s := range stems[:min(excess, len(stems))] {
 		os.Remove(s.stem + ".trace.json")
 		os.Remove(s.stem + ".report.txt")
-		os.Remove(s.stem + ".replay.trace.json")
 	}
 }
 

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"log/slog"
 	"math"
 	"sync"
@@ -15,19 +14,18 @@ import (
 // simulated-cycle counter fed by the kernel observer hook, injected and
 // delivered packet/flit counters fed by the harness run loops, and
 // per-architecture datapath event totals folded in as runs complete. It is
-// the single sink behind the /metrics endpoint, the SSE stream, and the
-// -progress log records, replacing the old per-tool progress printers.
+// the single sink behind the /metrics endpoint and the -progress log
+// records.
 //
 // All counting methods are nil-receiver-safe and lock-free (atomics), so
 // they can sit on hot paths and be called from sweep workers and shard
 // epilogues concurrently. Tick throttles the expensive publish work
-// (rate computation, logging, SSE fan-out) to one firing per interval no
+// (rate computation, logging) to one firing per interval no
 // matter how many runs tick it.
 type Sampler struct {
 	every time.Duration
 
 	log *slog.Logger // non-nil => progress records are logged
-	hub *Hub         // non-nil => snapshots are published as SSE events
 
 	start time.Time
 
@@ -64,13 +62,6 @@ func NewSampler(every time.Duration) *Sampler {
 func (s *Sampler) EnableLog(l *slog.Logger) {
 	if s != nil {
 		s.log = l
-	}
-}
-
-// SetHub makes Tick publish JSON snapshots to h as SSE events.
-func (s *Sampler) SetHub(h *Hub) {
-	if s != nil {
-		s.hub = h
 	}
 }
 
@@ -128,8 +119,8 @@ func (s *Sampler) RunDone(arch string, window power.Counters) {
 }
 
 // Tick is the per-cycle call from run loops. At most once per interval it
-// recomputes cycles/s, logs a progress record (when -progress is on), and
-// publishes an SSE snapshot; every other call is two atomic loads.
+// recomputes cycles/s and logs a progress record (when -progress is on);
+// every other call is two atomic loads.
 func (s *Sampler) Tick(cycle int64) {
 	if s == nil {
 		return
@@ -175,45 +166,6 @@ func (s *Sampler) publish(cycle int64, elapsed time.Duration) {
 			"mcycles_per_sec", cps/1e6,
 			"injected_flits", s.injectedFlits.Load(),
 			"delivered_flits", s.deliveredFlits.Load())
-	}
-	if s.hub != nil && s.hub.Subscribers() > 0 {
-		snap := s.Snapshot()
-		snap.Cycle = cycle
-		if b, err := json.Marshal(snap); err == nil {
-			s.hub.Publish(b)
-		}
-	}
-}
-
-// Snapshot is the JSON shape published on the SSE stream.
-type Snapshot struct {
-	Cycle            int64   `json:"cycle"`
-	CyclesTotal      int64   `json:"cycles_total"`
-	CyclesPerSec     float64 `json:"cycles_per_sec"`
-	ActiveComponents int64   `json:"active_components"`
-	InjectedPackets  int64   `json:"injected_packets"`
-	InjectedFlits    int64   `json:"injected_flits"`
-	DeliveredPackets int64   `json:"delivered_packets"`
-	DeliveredFlits   int64   `json:"delivered_flits"`
-	RunsStarted      int64   `json:"runs_started"`
-	RunsDone         int64   `json:"runs_done"`
-}
-
-// Snapshot returns the current aggregate counters.
-func (s *Sampler) Snapshot() Snapshot {
-	if s == nil {
-		return Snapshot{}
-	}
-	return Snapshot{
-		CyclesTotal:      s.cycles.Load(),
-		CyclesPerSec:     math.Float64frombits(s.cyclesPerSec.Load()),
-		ActiveComponents: s.active.Load(),
-		InjectedPackets:  s.injectedPackets.Load(),
-		InjectedFlits:    s.injectedFlits.Load(),
-		DeliveredPackets: s.deliveredPackets.Load(),
-		DeliveredFlits:   s.deliveredFlits.Load(),
-		RunsStarted:      s.runsStarted.Load(),
-		RunsDone:         s.runsDone.Load(),
 	}
 }
 

@@ -6,92 +6,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
 
-// Hub fans progress snapshots out to Server-Sent-Events subscribers. A nil
-// hub drops everything; publishing with no subscribers is two atomic-ish
-// operations, so the sampler can publish unconditionally.
-type Hub struct {
-	mu   sync.Mutex
-	subs map[chan []byte]struct{}
-}
-
-// NewHub returns an empty hub.
-func NewHub() *Hub { return &Hub{subs: map[chan []byte]struct{}{}} }
-
-// Subscribers returns the number of connected SSE clients.
-func (h *Hub) Subscribers() int {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
-}
-
-// Publish sends one event payload to every subscriber, dropping it for
-// subscribers whose buffers are full — a slow client never blocks the
-// simulation.
-func (h *Hub) Publish(payload []byte) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	for ch := range h.subs {
-		select {
-		case ch <- payload:
-		default:
-		}
-	}
-	h.mu.Unlock()
-}
-
-func (h *Hub) subscribe() chan []byte {
-	ch := make(chan []byte, 8)
-	h.mu.Lock()
-	h.subs[ch] = struct{}{}
-	h.mu.Unlock()
-	return ch
-}
-
-func (h *Hub) unsubscribe(ch chan []byte) {
-	h.mu.Lock()
-	delete(h.subs, ch)
-	h.mu.Unlock()
-}
-
-// ServeHTTP streams hub events as text/event-stream, one `data:` line per
-// published snapshot, until the client disconnects.
-func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	ch := h.subscribe()
-	defer h.unsubscribe(ch)
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case payload := <-ch:
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", payload); err != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
-}
-
-// Server is the live telemetry endpoint: Prometheus metrics, expvar, pprof,
-// and the SSE progress stream, bound to one listener.
+// Server is the live telemetry endpoint: Prometheus metrics, expvar and
+// pprof, bound to one listener.
 type Server struct {
 	// Addr is the bound listen address (host:port), useful with ":0".
 	Addr string
@@ -101,7 +19,7 @@ type Server struct {
 }
 
 // StartServer binds addr and serves telemetry in a background goroutine.
-func StartServer(addr string, reg *Registry, hub *Hub) (*Server, error) {
+func StartServer(addr string, reg *Registry) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
@@ -115,7 +33,6 @@ func StartServer(addr string, reg *Registry, hub *Hub) (*Server, error) {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		fmt.Fprint(w, `<!DOCTYPE html><title>nox telemetry</title><h1>nox telemetry</h1><ul>
 <li><a href="/metrics">/metrics</a> — Prometheus text exposition</li>
-<li><a href="/events">/events</a> — SSE progress stream</li>
 <li><a href="/debug/vars">/debug/vars</a> — expvar</li>
 <li><a href="/debug/pprof/">/debug/pprof/</a> — runtime profiles</li>
 <li><a href="/healthz">/healthz</a></li>
@@ -127,9 +44,6 @@ func StartServer(addr string, reg *Registry, hub *Hub) (*Server, error) {
 			_ = reg.WritePrometheus(w)
 		}
 	})
-	if hub != nil {
-		mux.Handle("/events", hub)
-	}
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -1,6 +1,6 @@
 // Package telemetry is the runtime observability plane: a live metrics
-// registry served in Prometheus text format, an SSE progress stream, a
-// structured-logging session shared by the cmd tools, and an always-on
+// registry served in Prometheus text format, a structured-logging session
+// and the flag preamble shared by the cmd tools, and an always-on
 // flight recorder that snapshots the probe-event window leading up to an
 // oracle, watchdog, or deadlock trip as a Perfetto/Chrome trace.
 //

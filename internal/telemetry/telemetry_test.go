@@ -94,18 +94,17 @@ func TestSamplerCounts(t *testing.T) {
 	s.RunDone("NoX", power.Counters{Xbar: 10})
 	s.RunDone("NoX", power.Counters{Xbar: 5, Decode: 1})
 
-	snap := s.Snapshot()
-	if snap.CyclesTotal != 5 || snap.ActiveComponents != 3 {
-		t.Errorf("cycles=%d active=%d, want 5/3", snap.CyclesTotal, snap.ActiveComponents)
+	if c, a := s.cycles.Load(), s.active.Load(); c != 5 || a != 3 {
+		t.Errorf("cycles=%d active=%d, want 5/3", c, a)
 	}
-	if snap.InjectedPackets != 4 || snap.InjectedFlits != 8 {
-		t.Errorf("injected %d/%d, want 4/8", snap.InjectedPackets, snap.InjectedFlits)
+	if p, f := s.injectedPackets.Load(), s.injectedFlits.Load(); p != 4 || f != 8 {
+		t.Errorf("injected %d/%d, want 4/8", p, f)
 	}
-	if snap.DeliveredPackets != 2 || snap.DeliveredFlits != 2 {
-		t.Errorf("delivered %d/%d, want 2/2", snap.DeliveredPackets, snap.DeliveredFlits)
+	if p, f := s.deliveredPackets.Load(), s.deliveredFlits.Load(); p != 2 || f != 2 {
+		t.Errorf("delivered %d/%d, want 2/2", p, f)
 	}
-	if snap.RunsStarted != 1 || snap.RunsDone != 2 {
-		t.Errorf("runs %d/%d, want 1 started 2 done", snap.RunsStarted, snap.RunsDone)
+	if st, d := s.runsStarted.Load(), s.runsDone.Load(); st != 1 || d != 2 {
+		t.Errorf("runs %d/%d, want 1 started 2 done", st, d)
 	}
 	arch := s.archSnapshot()
 	if got := arch["NoX"]; got.Xbar != 15 || got.Decode != 1 {
@@ -136,10 +135,9 @@ func TestNilSafety(t *testing.T) {
 	s.Tick(1)
 	s.Done(1)
 	s.EnableLog(nil)
-	s.SetHub(nil)
 	s.Register(NewRegistry())
-	if snap := s.Snapshot(); snap != (Snapshot{}) {
-		t.Errorf("nil sampler snapshot not zero: %+v", snap)
+	if arch := s.archSnapshot(); arch != nil {
+		t.Errorf("nil sampler has arch totals: %+v", arch)
 	}
 
 	var r *Recorder
@@ -154,12 +152,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	if path, err := r.Flush(nil); path != "" || err != nil {
 		t.Errorf("nil recorder Flush = %q, %v", path, err)
-	}
-
-	var h *Hub
-	h.Publish([]byte("x"))
-	if h.Subscribers() != 0 {
-		t.Error("nil hub has subscribers")
 	}
 
 	var srv *Server
@@ -218,38 +210,13 @@ func TestSanitizeLabel(t *testing.T) {
 	}
 }
 
-func TestHubPublishSubscribe(t *testing.T) {
-	h := NewHub()
-	h.Publish([]byte("dropped")) // no subscribers: must not block or panic
-	ch := h.subscribe()
-	if h.Subscribers() != 1 {
-		t.Fatalf("Subscribers = %d, want 1", h.Subscribers())
-	}
-	h.Publish([]byte("hello"))
-	select {
-	case got := <-ch:
-		if string(got) != "hello" {
-			t.Errorf("subscriber got %q", got)
-		}
-	default:
-		t.Error("published event not delivered to subscriber")
-	}
-	// A full subscriber buffer drops events instead of blocking the publisher.
-	for i := 0; i < cap(ch)+4; i++ {
-		h.Publish([]byte("burst"))
-	}
-	h.unsubscribe(ch)
-	if h.Subscribers() != 0 {
-		t.Errorf("Subscribers = %d after unsubscribe", h.Subscribers())
-	}
-}
-
 // TestServerEndpoints boots the live telemetry server on an ephemeral port
 // and scrapes every endpoint the Makefile's telemetry-smoke target curls.
+// /events, the deleted progress stream, must stay gone.
 func TestServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.AddCounterFunc("nox_cycles_total", "cycles", func() float64 { return 123 })
-	srv, err := StartServer("127.0.0.1:0", reg, NewHub())
+	srv, err := StartServer("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatalf("StartServer: %v", err)
 	}
@@ -291,7 +258,9 @@ func TestServerEndpoints(t *testing.T) {
 	if code, body := get("/"); code != http.StatusOK || !strings.Contains(string(body), "/metrics") {
 		t.Errorf("index = %d (endpoint catalogue missing)", code)
 	}
-	if code, _ := get("/nope"); code != http.StatusNotFound {
-		t.Errorf("unknown path status %d, want 404", code)
+	for _, path := range []string{"/nope", "/events"} {
+		if code, _ := get(path); code != http.StatusNotFound {
+			t.Errorf("%s status %d, want 404", path, code)
+		}
 	}
 }
