@@ -41,11 +41,13 @@ test:
 ## alloc-guard: the zero-allocation contracts of the simulation loop — the
 ## kernel walk, the sharded step, packets turning around on their slab, and
 ## the whole loaded inject -> step -> deliver loop on all four architectures,
-## fault-free and with a dead link plus retransmission (quarantine and sweep).
+## fault-free and with a dead link plus retransmission (quarantine and sweep)
+## — and of the measurement path: recording a latency allocates nothing, and
+## a synthetic point's bytes do not grow with its measurement window.
 ## AllocsPerRun counts are exact only without the race detector, so this runs
 ## plain, and first.
 alloc-guard:
-	$(GO) test -run 'Allocs' -count=1 ./internal/network ./internal/sim ./internal/noc
+	$(GO) test -run 'Allocs' -count=1 ./internal/network ./internal/sim ./internal/noc ./internal/stats ./internal/harness
 
 race:
 	$(GO) test -race ./...
@@ -239,14 +241,16 @@ snapshot-smoke:
 
 ## fuzz-smoke: a short native-fuzz pass over the user-facing decoders
 ## (noxtrace -validate, noxbench snapshot JSON, the binary snapshot image
-## decoder, the JSON fault-campaign spec) and the traffic sources'
-## skip-ahead Next against its Tick-loop specification. The committed seed
-## corpora always run under plain `go test`; this adds a little
-## coverage-guided mutation on top without turning CI into a fuzz farm.
+## decoder, the latency record's restore, the JSON fault-campaign spec) and
+## the traffic sources' skip-ahead Next against its Tick-loop
+## specification. The committed seed corpora always run under plain
+## `go test`; this adds a little coverage-guided mutation on top without
+## turning CI into a fuzz farm.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateTrace$$' -fuzztime 10s ./cmd/noxtrace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 10s ./cmd/noxbench
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/snapshot
+	$(GO) test -run '^$$' -fuzz '^FuzzCollectorRestore$$' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzNextMatchesTick$$' -fuzztime 10s ./internal/traffic
 

@@ -42,7 +42,6 @@ func runConfigured(arch router.Arch, rateMBps float64, bufferDepth int,
 	net := network.New(network.Config{Topo: topo, Arch: arch, BufferDepth: bufferDepth, NewArbiter: newArb, Shards: shards})
 	defer net.Close()
 	col := stats.NewCollector(warm, warm+meas)
-	col.Reserve(int(pktRate*float64(topo.Nodes())*float64(meas)) + 64)
 	net.OnDeliver = col.OnDeliver
 
 	base := sim.NewRNG(0xAB1A7E)

@@ -139,7 +139,6 @@ func RunApp(cfg AppConfig) AppResult {
 	// giving the same latency record a serial tally would produce plus the
 	// percentile machinery.
 	col := stats.NewCollector(0, int64(1)<<62)
-	col.Reserve(len(cfg.Trace.Events))
 	var latencySum, latencySqSum float64
 	var delivered int64
 	multi.OnDeliver(func(p *noc.Packet, cycle int64) {

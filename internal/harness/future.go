@@ -205,7 +205,6 @@ func RunFuture(cfg FutureConfig) (RunResult, error) {
 	})
 	defer net.Close()
 	col := stats.NewCollector(cfg.WarmupCycles, cfg.WarmupCycles+cfg.MeasureCycles)
-	col.Reserve(int(pktRate*float64(sys.Cores())*float64(cfg.MeasureCycles)) + 64)
 	net.OnDeliver = col.OnDeliver
 	if cfg.Progress != nil {
 		prog := cfg.Progress

@@ -138,7 +138,6 @@ func (m *synthMember) attach(net *network.Network) {
 	m.net = net
 	cfg := &m.cfg
 	m.col = stats.NewCollector(cfg.WarmupCycles, cfg.WarmupCycles+cfg.MeasureCycles)
-	m.col.Reserve(int(m.pktRate*float64(cfg.Topo.Nodes())*float64(cfg.MeasureCycles)) + 64)
 	net.OnDeliver = m.col.OnDeliver
 	if cfg.Observe != nil {
 		col, obs := m.col, cfg.Observe

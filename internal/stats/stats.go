@@ -13,6 +13,14 @@ import (
 	"repro/internal/noc"
 )
 
+// denseCeiling bounds the dense tier of the latency record: latencies below
+// it are counted per cycle, latencies at or above it are kept raw in the
+// overflow tier. A drained point's latencies sit far below 1<<16 cycles, so
+// only saturated drains and hostile images reach the overflow, and the dense
+// counts never exceed 512 KB however long a latency a straggler packet or a
+// restored image carries.
+const denseCeiling = 1 << 16
+
 // Collector accumulates packet statistics over a measurement window
 // [MeasureStart, MeasureEnd) in cycles.
 type Collector struct {
@@ -24,11 +32,13 @@ type Collector struct {
 
 	latencySum int64
 	latencyMax int64
-	latencies  []int64
-	// sorted records whether latencies is currently in ascending order, so
-	// repeated percentile queries sort in place at most once per batch of
-	// deliveries instead of copying the whole record every call.
-	sorted bool
+	// The latency record is an exact histogram in two tiers: counts[l] is
+	// the number of measured packets that took l < denseCeiling cycles
+	// (grown geometrically to the largest such latency seen), overflow holds
+	// the rest raw, in no particular order. Together they hold delivered
+	// values, so memory follows the largest latency, not the packet count.
+	counts   []int64
+	overflow []int64
 
 	windowFlits   int64
 	windowPackets int64
@@ -43,16 +53,10 @@ func NewCollector(measureStart, measureEnd int64) *Collector {
 	return &Collector{MeasureStart: measureStart, MeasureEnd: measureEnd}
 }
 
-// Reserve sizes the latency record for an expected number of measured
-// packets, so steady-state delivery does not regrow it. It is a hint;
-// exceeding it is fine.
-func (c *Collector) Reserve(n int) {
-	if n > cap(c.latencies) {
-		s := make([]int64, len(c.latencies), n)
-		copy(s, c.latencies)
-		c.latencies = s
-	}
-}
+// Reserve is a no-op: the histogram's size follows the largest latency, not
+// the packet count, so there is nothing to size ahead. It survives only for
+// the benchmark rigs under benchmark/, its one caller.
+func (c *Collector) Reserve(int) {}
 
 // OnCreate registers a packet at creation time and marks it measured when
 // it falls inside the window.
@@ -79,9 +83,35 @@ func (c *Collector) OnDeliver(p *noc.Packet, cycle int64) {
 		if l > c.latencyMax {
 			c.latencyMax = l
 		}
-		c.latencies = append(c.latencies, l)
-		c.sorted = false
+		c.add(l)
 	}
+}
+
+// add files one non-negative latency in the histogram.
+func (c *Collector) add(l int64) {
+	if uint64(l) < uint64(len(c.counts)) {
+		c.counts[l]++
+		return
+	}
+	c.record(l)
+}
+
+// record is add's slow path for a latency the dense counts do not yet cover:
+// it grows them geometrically, or files the latency in the overflow when it
+// is at or past the ceiling.
+func (c *Collector) record(l int64) {
+	if l >= denseCeiling {
+		c.overflow = append(c.overflow, l)
+		return
+	}
+	n := max(2*len(c.counts), 64)
+	for int64(n) <= l {
+		n *= 2
+	}
+	counts := make([]int64, n)
+	copy(counts, c.counts)
+	c.counts = counts
+	c.counts[l]++
 }
 
 // Created returns the number of measured packets created.
@@ -106,25 +136,24 @@ func (c *Collector) MeanLatencyCycles() float64 {
 func (c *Collector) MaxLatencyCycles() int64 { return c.latencyMax }
 
 // PercentileLatencyCycles returns the q-quantile (0 < q <= 1) of measured
-// latencies. Queries on an empty record or with q outside (0, 1] return
-// NaN rather than panicking — saturated runs legitimately finish with no
-// completed measured packets.
+// latencies: the nearest-rank value, element ceil(q·n)−1 of the sorted
+// record, read off the cumulative histogram. Queries on an empty record or
+// with q outside (0, 1] return NaN rather than panicking — saturated runs
+// legitimately finish with no completed measured packets.
 func (c *Collector) PercentileLatencyCycles(q float64) float64 {
-	if len(c.latencies) == 0 || math.IsNaN(q) || q <= 0 || q > 1 {
+	n := c.delivered
+	if n == 0 || math.IsNaN(q) || q <= 0 || q > 1 {
 		return math.NaN()
 	}
-	if !c.sorted {
-		slices.Sort(c.latencies)
-		c.sorted = true
+	rank := min(max(int64(math.Ceil(q*float64(n)))-1, 0), n-1)
+	for l, k := range c.counts {
+		if rank < k {
+			return float64(l)
+		}
+		rank -= k
 	}
-	idx := int(math.Ceil(q*float64(len(c.latencies)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(c.latencies) {
-		idx = len(c.latencies) - 1
-	}
-	return float64(c.latencies[idx])
+	slices.Sort(c.overflow)
+	return float64(c.overflow[rank])
 }
 
 // LatencyPercentilesNs returns the P50/P95/P99 measured latencies scaled by

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/noc"
@@ -131,4 +133,89 @@ func TestBadWindowPanics(t *testing.T) {
 		}
 	}()
 	NewCollector(10, 10)
+}
+
+// sortedPercentile is the definition the histogram must reproduce: the
+// list-backed record's algorithm, sort and take element ceil(q·n)−1.
+func sortedPercentile(lats []int64, q float64) float64 {
+	s := slices.Clone(lats)
+	slices.Sort(s)
+	idx := int(math.Ceil(q*float64(len(s)))) - 1
+	return float64(s[min(max(idx, 0), len(s)-1)])
+}
+
+// recordAll feeds the latencies to c as measured deliveries, one packet
+// created at cycle 0 and delivered l cycles later for each.
+func recordAll(c *Collector, lats []int64) {
+	p := pkt(1, 0, 1)
+	for _, l := range lats {
+		p.Measured = false
+		c.OnCreate(p, c.MeasureStart)
+		p.DeliverCycle = l
+		c.OnDeliver(p, l)
+	}
+}
+
+// TestPercentilesMatchSortedRecord checks the histogram against the
+// sort-and-index definition on seeded random multisets: heavy duplicates,
+// values on both sides of the dense ceiling, and queries between batches of
+// deliveries (the overflow is sorted in place, then appended to again).
+func TestPercentilesMatchSortedRecord(t *testing.T) {
+	qs := []float64{1e-9, 0.01, 0.5, 0.95, 0.99, 1}
+	dists := map[string]func(*rand.Rand) int64{
+		"duplicates": func(r *rand.Rand) int64 { return r.Int64N(8) },
+		"dense":      func(r *rand.Rand) int64 { return r.Int64N(2000) },
+		"ceiling":    func(r *rand.Rand) int64 { return denseCeiling - 100 + r.Int64N(200) },
+		"wide":       func(r *rand.Rand) int64 { return r.Int64N(4 * denseCeiling) },
+	}
+	for name, draw := range dists {
+		for seed, n := range []int{1, 2, 3, 10, 1000, 100_000} {
+			rng := rand.New(rand.NewPCG(uint64(seed), uint64(n)))
+			lats := make([]int64, n)
+			for i := range lats {
+				lats[i] = draw(rng)
+			}
+			c := NewCollector(0, 1<<40)
+			for _, k := range []int{n / 2, n} {
+				if k == 0 {
+					continue
+				}
+				recordAll(c, lats[c.Delivered():k])
+				for _, q := range qs {
+					if got, want := c.PercentileLatencyCycles(q), sortedPercentile(lats[:k], q); got != want {
+						t.Fatalf("%s n=%d after %d: q=%g: histogram %v, sorted record %v", name, n, k, q, got, want)
+					}
+				}
+			}
+			if got, want := c.MaxLatencyCycles(), slices.Max(lats); got != want {
+				t.Errorf("%s n=%d: max %d, want %d", name, n, got, want)
+			}
+			if len(c.counts) > denseCeiling {
+				t.Errorf("%s n=%d: dense tier holds %d counts, ceiling %d", name, n, len(c.counts), denseCeiling)
+			}
+			for _, q := range []float64{0, -0.5, 1.5, math.NaN()} {
+				if got := c.PercentileLatencyCycles(q); !math.IsNaN(got) {
+					t.Errorf("%s n=%d: q=%g answered %v, want NaN", name, n, q, got)
+				}
+			}
+		}
+	}
+}
+
+// TestCollectorRecordAllocs pins the measurement path allocation-free: once
+// the histogram covers a latency, OnCreate + OnDeliver allocate nothing.
+func TestCollectorRecordAllocs(t *testing.T) {
+	c := NewCollector(0, 1<<40)
+	recordAll(c, []int64{999}) // the dense counts now cover [0, 1024)
+	p := pkt(1, 0, 1)
+	var l int64
+	if avg := testing.AllocsPerRun(1000, func() {
+		l = (l + 37) % 1000
+		p.Measured = false
+		c.OnCreate(p, 0)
+		p.DeliverCycle = l
+		c.OnDeliver(p, l)
+	}); avg != 0 {
+		t.Errorf("OnCreate+OnDeliver allocates %v allocs/op", avg)
+	}
 }
