@@ -117,17 +117,23 @@ bench-smoke:
 	echo "bench-smoke: OK"
 
 ## cli-smoke: the tools' flag boundary. Build every tool once, then feed it
-## values that once panicked (an empty application trace) or reported a run
-## the tool never did (an unknown figure, a 0- or negative-flit packet, a
-## negative rate): each must exit with status 1 and a message, never a
-## panic trace.
+## values that once panicked (an empty application trace, a negative shard
+## count, a zero-width mesh, a negative measurement window), hung (a one-node
+## mesh, which has no destination for uniform traffic), or reported a run the
+## tool never did (an unknown figure, a 0- or negative-flit packet, a negative
+## rate, an invalid fault-campaign network counted as detected faults): each
+## must exit with status 1 and a message within 10 s, never a panic trace.
+## The tools run in the temp directory, so a regression cannot litter the tree.
 cli-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	set -e; \
 	$(GO) build -o "$$tmp/" ./cmd/...; \
+	cd "$$tmp"; \
 	for c in "noxapp -cpu-cycles 0" "noxapp -figure 12" "noxsim -flits 0" "noxsim -flits -2" \
-		"noxsim -rate -5" "noxsweep -figure 7"; do \
-		st=0; "$$tmp/"$$c >/dev/null 2>"$$tmp/err" || st=$$?; \
+		"noxsim -rate -5" "noxsweep -figure 7" "noxfault -width 0" "noxfault -shards -1" \
+		"noxtrace -shards -1" "noxablate -shards -1" "noxapp -shards -1" "noxfuture -shards -1" \
+		"noxtrace -width 0" "noxtrace -width 1 -height 1" "noxsim -measure -100" "noxtrace -rate -1"; do \
+		st=0; timeout 10 "$$tmp/"$$c >/dev/null 2>"$$tmp/err" || st=$$?; \
 		if [ $$st -ne 1 ] || grep -qE '^(panic: |goroutine )' "$$tmp/err"; then \
 			echo "cli-smoke: $$c: exit $$st, want 1 without a panic" >&2; cat "$$tmp/err" >&2; exit 1; \
 		fi; \
@@ -135,16 +141,31 @@ cli-smoke:
 	echo "cli-smoke: OK"
 
 ## trace-smoke: run noxtrace on a tiny mesh and validate that the emitted
-## Chrome trace JSON parses and that every CSV exporter produces output.
+## Chrome trace JSON parses and that every CSV exporter produces output. Then
+## the CLI-level referee of the shard probe children's merge tags: an 8x8 run
+## at -shards 4 must write the same Chrome trace, waveform, routers CSV and
+## time series, byte for byte, as at -shards 1, for NoX and for a baseline.
 trace-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) run ./cmd/noxtrace -arch nox -width 4 -height 4 -rate 2200 -cycles 300 \
+	set -e; \
+	$(GO) build -o "$$tmp/noxtrace" ./cmd/noxtrace; \
+	"$$tmp/noxtrace" -arch nox -width 4 -height 4 -rate 2200 -cycles 300 \
 		-out "$$tmp/trace.json" -waveform "$$tmp/wf.txt" -routers-csv "$$tmp/routers.csv" \
-		-heatmap-csv "$$tmp/heat.csv" -timeseries-csv "$$tmp/ts.csv" && \
-	$(GO) run ./cmd/noxtrace -validate "$$tmp/trace.json" && \
+		-heatmap-csv "$$tmp/heat.csv" -timeseries-csv "$$tmp/ts.csv"; \
+	"$$tmp/noxtrace" -validate "$$tmp/trace.json"; \
 	for f in wf.txt routers.csv heat.csv ts.csv; do \
 		test -s "$$tmp/$$f" || { echo "trace-smoke: $$f is empty" >&2; exit 1; }; \
-	done && \
+	done; \
+	for arch in nox specaccurate; do \
+		for s in 1 4; do \
+			"$$tmp/noxtrace" -arch $$arch -width 8 -height 8 -rate 1500 -cycles 600 -shards $$s \
+				-out "$$tmp/$$arch.$$s.json" -waveform "$$tmp/$$arch.$$s.wf" \
+				-routers-csv "$$tmp/$$arch.$$s.routers" -timeseries-csv "$$tmp/$$arch.$$s.ts" 2>/dev/null; \
+		done; \
+		for f in json wf routers ts; do \
+			cmp "$$tmp/$$arch.1.$$f" "$$tmp/$$arch.4.$$f" || { echo "trace-smoke: $$arch -shards 4 $$f differs from -shards 1" >&2; exit 1; }; \
+		done; \
+	done; \
 	echo "trace-smoke: OK"
 
 ## fault-smoke: run a small seeded fault campaign on every architecture

@@ -280,34 +280,27 @@ func BenchmarkNetworkCycleLarge(b *testing.B) {
 }
 
 // BenchmarkNetworkCycleIdle measures an idle cycle on a drained 8x8
-// network — the case the kernel's quiescence fast path exists for. The
-// "eager" variants (Config.AlwaysActive) are the old always-evaluate
-// behavior for comparison.
+// network — the case the kernel's quiescence fast path exists for.
 func BenchmarkNetworkCycleIdle(b *testing.B) {
 	for _, arch := range router.Archs {
-		for _, mode := range []struct {
-			name   string
-			always bool
-		}{{"quiesce", false}, {"eager", true}} {
-			b.Run(arch.String()+"/"+mode.name, func(b *testing.B) {
-				net := network.New(network.Config{Arch: arch, AlwaysActive: mode.always})
-				// A little traffic first so the network reaches idle from a
-				// realistic state rather than pristine construction.
-				net.Inject(0, 63, 3, 0)
-				net.Inject(27, 36, 1, 0)
-				if !net.Drain(500) {
-					b.Fatal("warmup did not drain")
-				}
-				for i := 0; i < 8; i++ {
-					net.Step()
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					net.Step()
-				}
-			})
-		}
+		b.Run(arch.String()+"/quiesce", func(b *testing.B) {
+			net := network.New(network.Config{Arch: arch})
+			// A little traffic first so the network reaches idle from a
+			// realistic state rather than pristine construction.
+			net.Inject(0, 63, 3, 0)
+			net.Inject(27, 36, 1, 0)
+			if !net.Drain(500) {
+				b.Fatal("warmup did not drain")
+			}
+			for i := 0; i < 8; i++ {
+				net.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.Step()
+			}
+		})
 	}
 }
 
@@ -315,41 +308,34 @@ func BenchmarkNetworkCycleIdle(b *testing.B) {
 // quiescence fast path exists for: an 8x8 network carrying one single-flit
 // packet every 16 cycles (~0.1% per-node injection), so at any instant a
 // handful of components along one path are busy and everything else is
-// parked. The "event" variant is the shipping fast path — parking plus the
-// sparse bitmap walk plus port-granular dirty masks; "eager"
-// (Config.AlwaysActive) evaluates every component every cycle. The injection schedule is identical on both
-// sides, so the ratio is pure kernel overhead.
+// parked. It times the shipping fast path: parking plus the sparse bitmap
+// walk plus port-granular dirty masks.
 func BenchmarkNetworkCycleSparse(b *testing.B) {
 	for _, arch := range router.Archs {
-		for _, mode := range []struct {
-			name   string
-			always bool
-		}{{"event", false}, {"eager", true}} {
-			b.Run(arch.String()+"/"+mode.name, func(b *testing.B) {
-				net := network.New(network.Config{Arch: arch, AlwaysActive: mode.always})
-				rng := sim.NewRNG(7)
-				cores := net.Cores()
-				// Reach steady sparse flow from a realistic state: a little
-				// traffic, fully drained, arenas warm.
-				net.Inject(0, 63, 3, 0)
-				net.Inject(27, 36, 1, 0)
-				if !net.Drain(500) {
-					b.Fatal("warmup did not drain")
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if i%16 == 0 {
-						src := noc.NodeID(rng.Intn(cores))
-						dst := noc.NodeID(rng.Intn(cores))
-						if src != dst {
-							net.Inject(src, dst, 1, 0)
-						}
+		b.Run(arch.String()+"/event", func(b *testing.B) {
+			net := network.New(network.Config{Arch: arch})
+			rng := sim.NewRNG(7)
+			cores := net.Cores()
+			// Reach steady sparse flow from a realistic state: a little
+			// traffic, fully drained, arenas warm.
+			net.Inject(0, 63, 3, 0)
+			net.Inject(27, 36, 1, 0)
+			if !net.Drain(500) {
+				b.Fatal("warmup did not drain")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%16 == 0 {
+					src := noc.NodeID(rng.Intn(cores))
+					dst := noc.NodeID(rng.Intn(cores))
+					if src != dst {
+						net.Inject(src, dst, 1, 0)
 					}
-					net.Step()
 				}
-			})
-		}
+				net.Step()
+			}
+		})
 	}
 }
 

@@ -212,13 +212,16 @@ func runDegradeCell(arch router.Arch, f int, seq [][2]noc.NodeID, killAt int64, 
 
 // runDegradeMode runs the full sweep and writes the report (and CSV).
 func runDegradeMode(stdout io.Writer, archs []router.Arch, p params, degradeK int, killAt, rtimeout int64, retries int, pool *exp.Pool, outPath, csvPath string) error {
-	seq := degradeLinks(p.topo, p.template.Seed)
-	if degradeK > len(seq) {
-		return fmt.Errorf("-degrade %d exceeds the mesh's %d inter-router links", degradeK, len(seq))
-	}
 	rt := network.RetransmitConfig{Timeout: rtimeout, Retries: retries}
 	if rt.Timeout <= 0 {
 		rt.Timeout = int64(4*(p.topo.Width+p.topo.Height) + 64)
+	}
+	if err := p.validate(&rt); err != nil {
+		return err
+	}
+	seq := degradeLinks(p.topo, p.template.Seed)
+	if degradeK > len(seq) {
+		return fmt.Errorf("-degrade %d exceeds the mesh's %d inter-router links", degradeK, len(seq))
 	}
 
 	points := degradeK + 1 // fault counts 0..K per architecture

@@ -136,6 +136,14 @@ type params struct {
 	ckptDir string
 }
 
+// validate refuses, once and before any cell runs, the network
+// configuration every cell would build with retransmission rt: a build error
+// is the command line's, and inside a cell run's recover would report it as
+// a detected fault.
+func (p params) validate(rt *network.RetransmitConfig) error {
+	return network.Config{Topo: p.topo, BufferDepth: p.bufferDepth, Shards: p.shards, Retransmit: rt}.Validate()
+}
+
 // restoreWarm rewinds a freshly built campaign network to its
 // architecture's shared warm image (a no-op without -warmstart). The warm
 // image was saved checker-armed from an identically shaped network, so the
@@ -502,6 +510,9 @@ func main() {
 			cli.Fail(err)
 		}
 		return
+	}
+	if err := p.validate(p.retransmit); err != nil {
+		cli.Fail(err)
 	}
 	if *warmN > 0 {
 		p.warm = make(map[router.Arch][]byte, len(archs))

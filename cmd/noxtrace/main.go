@@ -151,6 +151,9 @@ func main() {
 	}
 	topo := noc.Topology{Width: *width, Height: *height}
 	periodNs := physical.ClockPeriodNs(arch)
+	if err := harness.CheckRate(*pattern, *rate); err != nil {
+		fatal(err)
+	}
 
 	flitRate := harness.FlitsPerNodeCycle(*rate, periodNs)
 	pktRate := flitRate / float64(*flits)
@@ -159,13 +162,13 @@ func main() {
 	}
 
 	selfSimilar := *pattern == "selfsimilar"
-	var pat traffic.Pattern
+	patName := *pattern
 	if selfSimilar {
-		pat = traffic.Uniform{Topo: topo}
-	} else {
-		if pat, err = traffic.ByName(*pattern, topo); err != nil {
-			fatal(err)
-		}
+		patName = "uniform" // the Pareto ON/OFF process picks uniform destinations
+	}
+	pat, err := traffic.ByName(patName, topo)
+	if err != nil {
+		fatal(err)
 	}
 
 	rep := sess.Sampler()
@@ -174,7 +177,10 @@ func main() {
 		obs = rep.Observe
 	}
 	pr := probe.New(probe.Config{RingEvents: *ring, SampleEvery: *sample, PeriodNs: periodNs})
-	net := network.New(network.Config{Topo: topo, Arch: arch, Probe: pr, Shards: *shards, Observer: obs})
+	net, err := network.Build(network.Config{Topo: topo, Arch: arch, Probe: pr, Shards: *shards, Observer: obs})
+	if err != nil {
+		fatal(err)
+	}
 	defer net.Close()
 	rep.RunStarted()
 

@@ -166,6 +166,15 @@ func TestRunSyntheticRateValidation(t *testing.T) {
 	if _, err := RunSynthetic(cfg); !errors.Is(err, network.ErrBadPacket) {
 		t.Errorf("-2-flit packets: err = %v, want network.ErrBadPacket", err)
 	}
+	// A negative window used to panic in stats.NewCollector; zero still
+	// selects the default.
+	for _, w := range []struct{ warm, measure, drain int64 }{{-100, 0, 0}, {0, -100, 0}, {0, 0, -100}} {
+		cfg := fastCfg("uniform", 500)
+		cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = w.warm, w.measure, w.drain
+		if _, err := RunSynthetic(cfg); !errors.Is(err, ErrCycles) {
+			t.Errorf("windows %+v: err = %v, want ErrCycles", w, err)
+		}
+	}
 }
 
 // TestSweepStopsAfterSaturation verifies an architecture's series ends at

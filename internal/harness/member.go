@@ -64,18 +64,19 @@ func prepareSynthetic(cfg SyntheticConfig) (*synthMember, error) {
 	if cfg.PacketFlits < 0 {
 		return nil, fmt.Errorf("harness: packet length %d flits: %w", cfg.PacketFlits, network.ErrBadPacket)
 	}
-	for _, r := range []struct {
-		name string
-		mbps float64
-	}{{"offered", cfg.RateMBps}, {"warm-up", cfg.WarmRateMBps}} {
-		if r.mbps < 0 || math.IsNaN(r.mbps) || math.IsInf(r.mbps, 0) {
-			return nil, fmt.Errorf("harness: %s rate %v MB/s/node is not a finite non-negative bandwidth: %w", r.name, r.mbps, ErrRateInvalid)
+	for _, w := range []struct {
+		name   string
+		cycles int64
+	}{{"warm-up", cfg.WarmupCycles}, {"measurement", cfg.MeasureCycles}, {"drain", cfg.DrainCycles}} {
+		if w.cycles < 0 {
+			return nil, fmt.Errorf("harness: %s window of %d cycles: %w", w.name, w.cycles, ErrCycles)
 		}
 	}
-	// A zero-rate Bernoulli run is the legal idle-network configuration; the
-	// Pareto ON/OFF source has no zero-rate solution for T_off.
-	if cfg.Pattern == "selfsimilar" && cfg.RateMBps == 0 {
-		return nil, fmt.Errorf("harness: selfsimilar traffic needs an offered rate above zero: %w", ErrRateInvalid)
+	if err := CheckRate(cfg.Pattern, cfg.RateMBps); err != nil {
+		return nil, err
+	}
+	if err := checkBandwidth("warm-up", cfg.WarmRateMBps); err != nil {
+		return nil, err
 	}
 	m.periodNs = physical.ClockPeriodNs(cfg.Arch)
 	flitRate := FlitsPerNodeCycle(cfg.RateMBps, m.periodNs)
@@ -90,15 +91,14 @@ func prepareSynthetic(cfg SyntheticConfig) (*synthMember, error) {
 		}
 	}
 
-	var err error
 	m.selfSimilar = cfg.Pattern == "selfsimilar"
+	patName := cfg.Pattern
 	if m.selfSimilar {
-		m.pattern = traffic.Uniform{Topo: cfg.Topo}
-	} else {
-		m.pattern, err = traffic.ByName(cfg.Pattern, cfg.Topo)
-		if err != nil {
-			return nil, err
-		}
+		patName = "uniform" // the Pareto ON/OFF process picks uniform destinations
+	}
+	var err error
+	if m.pattern, err = traffic.ByName(patName, cfg.Topo); err != nil {
+		return nil, err
 	}
 	m.total = cfg.WarmupCycles + cfg.MeasureCycles
 
@@ -129,7 +129,7 @@ func (m *synthMember) netConfig() network.Config {
 	}
 	return network.Config{Topo: m.cfg.Topo, Arch: m.cfg.Arch, BufferDepth: m.cfg.BufferDepth,
 		NewArbiter: m.cfg.NewArbiter, Probe: pr, Shards: m.cfg.Shards, Check: m.cfg.Check,
-		AlwaysActive: m.cfg.AlwaysActive, Observer: obs}
+		Observer: obs}
 }
 
 // attach binds the member to its freshly built network: delivery collector,

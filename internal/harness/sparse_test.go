@@ -11,13 +11,15 @@ import (
 	"repro/internal/router"
 )
 
-// Sparse-regime equivalence suite: the quiescence fast path (parking,
-// port-granular dirty evaluation, harness arrival lookahead, idle
-// fast-forward) is a performance mode only — at light load, where it
-// earns its speedup, every observable byte must match the eager kernel
-// that evaluates every component every cycle. The rates here sit at
-// roughly 1% and 5% of per-node saturation bandwidth, the regime where
-// almost every cycle is quiescent for almost every component.
+// Sparse-regime equivalence suite: the harness's sparse accelerations
+// (arrival lookahead, idle fast-forward) are a performance mode only — at
+// light load, where they earn their speedup, every observable byte must
+// match the Eager harness that steps every main-loop cycle. The kernel's
+// parking underneath is pinned at network level against the oracle, the
+// eager reference stepper (internal/network TestQuiescenceEquivalence*).
+// The rates here sit at roughly 1% and 5% of per-node saturation
+// bandwidth, the regime where almost every cycle is quiescent for almost
+// every component.
 
 var sparseRates = []float64{40, 200}
 
@@ -56,11 +58,10 @@ func sparseRun(t *testing.T, cfg SyntheticConfig) (results, trace, report string
 	return fmt.Sprintf("%+v", res) + "\n" + csv, tb.String(), rb.String()
 }
 
-// TestSparseEquivalenceSerialSharded pins byte-identity between the eager
-// kernel (Eager harness + AlwaysActive network: no lookahead, no parking,
-// no dirty masks consulted) and the quiescence fast path, for every
-// architecture at shard counts 1 and 4 and both sparse rates — RunResult,
-// rendered CSV, full probe trace, and checker report.
+// TestSparseEquivalenceSerialSharded pins byte-identity between the Eager
+// harness (no lookahead, no fast-forward) and the sparse fast path, for
+// every architecture at shard counts 1 and 4 and both sparse rates —
+// RunResult, rendered CSV, full probe trace, and checker report.
 func TestSparseEquivalenceSerialSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sparse equivalence matrix is slow")
@@ -77,18 +78,17 @@ func TestSparseEquivalenceSerialSharded(t *testing.T) {
 
 					ref := cfg
 					ref.Eager = true
-					ref.AlwaysActive = true
 					wantRes, wantTrace, wantReport := sparseRun(t, ref)
 					gotRes, gotTrace, gotReport := sparseRun(t, cfg)
 
 					if gotRes != wantRes {
-						t.Errorf("results diverged from eager kernel\ngot:\n%s\nwant:\n%s", gotRes, wantRes)
+						t.Errorf("results diverged from the Eager harness\ngot:\n%s\nwant:\n%s", gotRes, wantRes)
 					}
 					if gotTrace != wantTrace {
-						t.Errorf("probe trace diverged from eager kernel (%d vs %d bytes)", len(gotTrace), len(wantTrace))
+						t.Errorf("probe trace diverged from the Eager harness (%d vs %d bytes)", len(gotTrace), len(wantTrace))
 					}
 					if gotReport != wantReport {
-						t.Errorf("checker report diverged from eager kernel\ngot:\n%s\nwant:\n%s", gotReport, wantReport)
+						t.Errorf("checker report diverged from the Eager harness\ngot:\n%s\nwant:\n%s", gotReport, wantReport)
 					}
 				})
 			}
@@ -113,15 +113,14 @@ func TestSparseEquivalenceBursty(t *testing.T) {
 
 			ref := cfg
 			ref.Eager = true
-			ref.AlwaysActive = true
 			wantRes, wantTrace, wantReport := sparseRun(t, ref)
 			gotRes, gotTrace, gotReport := sparseRun(t, cfg)
 
 			if gotRes != wantRes {
-				t.Errorf("bursty results diverged from eager kernel\ngot:\n%s\nwant:\n%s", gotRes, wantRes)
+				t.Errorf("bursty results diverged from the Eager harness\ngot:\n%s\nwant:\n%s", gotRes, wantRes)
 			}
 			if gotTrace != wantTrace {
-				t.Errorf("bursty probe trace diverged from eager kernel (%d vs %d bytes)", len(gotTrace), len(wantTrace))
+				t.Errorf("bursty probe trace diverged from the Eager harness (%d vs %d bytes)", len(gotTrace), len(wantTrace))
 			}
 			if gotReport != wantReport {
 				t.Errorf("bursty checker report diverged\ngot:\n%s\nwant:\n%s", gotReport, wantReport)
@@ -144,8 +143,7 @@ func benchSparseRun(b *testing.B, cfg SyntheticConfig) {
 
 // BenchmarkSparseFSMWait measures the FSM-wait regime on NoX: at ~2% load
 // the output FSMs spend nearly every cycle idle between flits, so the
-// fast path parks the routers while the eager reference walks
-// all of them every cycle.
+// harness fast path fast-forwards the gaps the Eager harness steps through.
 func BenchmarkSparseFSMWait(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
@@ -156,7 +154,6 @@ func BenchmarkSparseFSMWait(b *testing.B) {
 			cfg.Arch = router.NoX
 			cfg.MeasureCycles = 20000
 			cfg.Eager = mode.eager
-			cfg.AlwaysActive = mode.eager
 			benchSparseRun(b, cfg)
 		})
 	}
@@ -175,7 +172,6 @@ func BenchmarkSparseBurstyGap(b *testing.B) {
 			cfg.Arch = router.NoX
 			cfg.MeasureCycles = 20000
 			cfg.Eager = mode.eager
-			cfg.AlwaysActive = mode.eager
 			benchSparseRun(b, cfg)
 		})
 	}

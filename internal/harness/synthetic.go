@@ -106,10 +106,6 @@ type SyntheticConfig struct {
 	// equivalence suite compares against (and the honest baseline for the
 	// sparse benchmarks).
 	Eager bool
-	// AlwaysActive passes through to network.Config.AlwaysActive: the kernel
-	// evaluates every component every cycle, disabling quiescence parking
-	// and the dirty-port walks. The fully eager reference.
-	AlwaysActive bool
 }
 
 func (c *SyntheticConfig) fill() {
@@ -144,11 +140,38 @@ func (c *SyntheticConfig) fill() {
 // failure and is propagated.
 var ErrRateInfeasible = errors.New("offered rate exceeds injection capacity")
 
+// ErrCycles marks a negative warm-up, measurement or drain cycle count (zero
+// selects the default).
+var ErrCycles = errors.New("negative cycle count")
+
 // ErrRateInvalid marks an offered or warm-up rate no run can mean: negative,
 // NaN or infinite, or zero for the self-similar source (whose OFF period
 // has no zero-rate solution). Unlike ErrRateInfeasible it is a caller
 // mistake, so sweeps propagate it instead of ending the series quietly.
 var ErrRateInvalid = errors.New("invalid injection rate")
+
+// CheckRate rejects an offered rate no run of the pattern can mean:
+// negative, NaN or infinite, or zero for the self-similar source. A
+// zero-rate Bernoulli run is the legal idle-network configuration; the Pareto
+// ON/OFF source has no zero-rate solution for T_off. The error wraps
+// ErrRateInvalid.
+func CheckRate(pattern string, mbps float64) error {
+	if err := checkBandwidth("offered", mbps); err != nil {
+		return err
+	}
+	if pattern == "selfsimilar" && mbps == 0 {
+		return fmt.Errorf("harness: selfsimilar traffic needs an offered rate above zero: %w", ErrRateInvalid)
+	}
+	return nil
+}
+
+// checkBandwidth rejects a negative, NaN or infinite rate.
+func checkBandwidth(name string, mbps float64) error {
+	if mbps < 0 || math.IsNaN(mbps) || math.IsInf(mbps, 0) {
+		return fmt.Errorf("harness: %s rate %v MB/s/node is not a finite non-negative bandwidth: %w", name, mbps, ErrRateInvalid)
+	}
+	return nil
+}
 
 // RunSynthetic executes one (architecture, pattern, rate) point and
 // returns its latency, throughput, and energy results.

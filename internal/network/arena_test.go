@@ -71,14 +71,14 @@ func TestArenaLeakConcentrated(t *testing.T) {
 // TestLaneEquivalence pins the devirtualized dispatch lanes to the generic
 // interface walk: the typed-lane serial step must be observably identical —
 // same deliveries at the same cycles, same event counters, same final cycle
-// — to the reference path that dispatches every component through the
-// sim.Clocked interface, for every architecture.
+// — to the oracle, the reference stepper that dispatches every component
+// through the sim.Clocked interface, for every architecture.
 func TestLaneEquivalence(t *testing.T) {
 	topo := noc.Topology{Width: 4, Height: 4}
 	for _, arch := range router.Archs {
 		t.Run(arch.String(), func(t *testing.T) {
 			lanesFP, lanesC := driveBursty(t, Config{Topo: topo, Arch: arch}, 0xD15)
-			refFP, refC := driveBursty(t, Config{Topo: topo, Arch: arch, DisableLanes: true}, 0xD15)
+			refFP, refC := driveBursty(t, Config{Topo: topo, Arch: arch, Oracle: true}, 0xD15)
 			if lanesFP != refFP {
 				t.Errorf("lane dispatch diverged from interface dispatch:\nlanes: %s\nref:   %s", lanesFP, refFP)
 			}

@@ -3,6 +3,7 @@ package network
 import (
 	"sync/atomic"
 
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -15,17 +16,10 @@ type niLane []*NI
 // Len returns the number of interfaces the lane covers.
 func (l niLane) Len() int { return len(l) }
 
-// ComputeAll computes every interface (reference mode).
+// ComputeAll computes every interface (the fully-active serial step).
 func (l niLane) ComputeAll(cycle int64) {
 	for _, ni := range l {
 		ni.Compute(cycle)
-	}
-}
-
-// CommitAll commits every interface (reference mode).
-func (l niLane) CommitAll(cycle int64) {
-	for _, ni := range l {
-		ni.Commit(cycle)
 	}
 }
 
@@ -58,4 +52,25 @@ func (l niLane) CommitActive(cycle int64, active []uint32) int {
 		}
 	}
 	return quiets
+}
+
+// probedLane tags its shard's probe child with the segment it is about to
+// walk, the merge key of every event the segment's components emit (see
+// probe.SetShardContext). Bound only on probed sharded networks, so the
+// unprobed lanes are the plain ones; the sharded walk calls only the Active
+// methods.
+type probedLane struct {
+	sim.Lane
+	probe *probe.Probe
+	start int
+}
+
+func (l probedLane) ComputeActive(cycle int64, active []uint32) {
+	l.probe.SetShardContext(sim.PhaseCompute, l.start)
+	l.Lane.ComputeActive(cycle, active)
+}
+
+func (l probedLane) CommitActive(cycle int64, active []uint32) int {
+	l.probe.SetShardContext(sim.PhaseCommit, l.start)
+	return l.Lane.CommitActive(cycle, active)
 }

@@ -16,12 +16,12 @@ func TestNetworkRegistersNoLinks(t *testing.T) {
 	topo := noc.Topology{Width: 4, Height: 3}
 	for _, cfg := range []Config{
 		{Topo: topo, Arch: router.NoX, Shards: 1},
-		{Topo: topo, Arch: router.NoX, Shards: 1, DisableLanes: true},
-		{Topo: topo, Arch: router.SpecFast, Shards: 1, AlwaysActive: true},
+		{Topo: topo, Arch: router.NoX, Shards: 1, Oracle: true},
+		{Topo: topo, Arch: router.SpecFast, Shards: 1},
 		{Topo: topo, Arch: router.NonSpec, Shards: 1, Oracle: true},
 		{Topo: topo, Arch: router.NoX, Shards: 1, Concentration: 4},
 		{Topo: topo, Arch: router.NoX, Shards: 4},
-		{Topo: topo, Arch: router.SpecAccurate, Shards: 5, DisableLanes: true},
+		{Topo: topo, Arch: router.SpecAccurate, Shards: 5},
 		{Topo: topo, Arch: router.NoX, Shards: 3, Concentration: 4},
 	} {
 		n := New(cfg)

@@ -40,10 +40,6 @@ type Config struct {
 	SinkDepth int
 	// NewArbiter overrides the per-output arbiter (default round-robin).
 	NewArbiter func(n int) arbiter.Arbiter
-	// AlwaysActive disables the kernel's quiescence fast path so every
-	// component is evaluated every cycle — the reference mode that
-	// equivalence tests and benchmarks compare the fast path against.
-	AlwaysActive bool
 	// Probe, when non-nil, records flit-level trace events and per-router
 	// metrics for this network. Nil disables all instrumentation at zero
 	// cost on the simulation hot path.
@@ -54,12 +50,6 @@ type Config struct {
 	// Results are bit-identical at every shard count; call Close on the
 	// network when done so the workers are released.
 	Shards int
-	// DisableLanes turns off typed-lane dispatch, driving
-	// every component through the generic interface walk instead — the
-	// reference mode the lane-equivalence tests compare against. Behavior is
-	// identical either way; only dispatch mechanics differ. Applies to the
-	// sharded step's per-shard lanes as well.
-	DisableLanes bool
 	// Check, when non-nil, arms the runtime invariant layer on this network:
 	// the delivery oracle validates every packet at its interface, protocol
 	// violations (which injected faults make legitimately reachable) are
@@ -80,14 +70,15 @@ type Config struct {
 	// and packets that exhaust the budget are retired as undeliverable.
 	// Nil costs a single pointer test on the hot path.
 	Retransmit *RetransmitConfig
-	// Oracle arms the kernel's quiescence contract oracle: every component
-	// is evaluated eagerly every cycle, and any component the quiescence
-	// rules would have parked is state-hashed around its evaluation — a hash
-	// change means the component lied about being parkable (its Quiet broke
-	// the purity contract) and the step panics with the offender.
-	// Debug/contract-test mode: serial execution only, and far slower than
-	// either the eager or the parked walk (a full state serialization per
-	// parked component per cycle).
+	// Oracle arms the kernel's quiescence contract oracle, the reference
+	// stepper every faster walk is tested against: every component is
+	// evaluated eagerly every cycle through the generic interface walk, and
+	// any component the quiescence rules would have parked is state-hashed
+	// around its evaluation — a hash change means the component lied about
+	// being parkable (its Quiet broke the purity contract) and the step
+	// panics with the offender. Debug/contract-test mode: serial execution
+	// only, and far slower than the lane walk (a full state serialization
+	// per parked component per cycle).
 	Oracle bool
 	// Observer, when non-nil, is installed as an additional kernel observer
 	// (after the probe's sampler): it fires at the end of every stepped or
@@ -539,14 +530,13 @@ func New(cfg Config) *Network {
 	if len(n.sites) != len(links) {
 		panic(fmt.Sprintf("network: site table built %d sites for %d links", len(n.sites), len(links)))
 	}
-	if !sharded && !cfg.DisableLanes {
+	if !sharded {
 		// Typed dense lanes devirtualize the serial step's dispatch. The two
 		// component classes occupy contiguous handle ranges by construction:
 		// routers at [0, R), interfaces at [R, R+C).
 		n.kernel.BindLane(0, router.NewLane(n.routers))
 		n.kernel.BindLane(sim.Handle(routers), niLane(n.nis))
 	}
-	n.kernel.SetAlwaysActive(cfg.AlwaysActive)
 	if cfg.Oracle {
 		if sharded {
 			panic("network: Config.Oracle requires serial execution (Shards <= 1)")
@@ -565,15 +555,8 @@ func New(cfg Config) *Network {
 	}
 	if sharded {
 		n.kernel.SetSharding(shards, shardOf)
-		if !cfg.DisableLanes {
-			n.bindShardLanes(shardOf)
-		}
+		n.bindShardLanes(shardOf, probeChildren)
 		n.kernel.SetEpilogue(n.drainShardMail)
-		if n.probe != nil {
-			n.kernel.SetEvalHook(func(shard, phase, comp int) {
-				probeChildren[shard].SetShardContext(phase, comp)
-			})
-		}
 	}
 	// Recovery observers run first: the reconfiguration epoch rebuilds
 	// routes before the probe samples the cycle, and the retransmission
@@ -597,8 +580,9 @@ func New(cfg Config) *Network {
 // sharded counterpart of the two serial lanes above. A shard's routers and
 // interfaces are contiguous handle ranges (shardOfNode is monotone and cores
 // are numbered by home router), so they reuse the serial lane types over a
-// sub-slice.
-func (n *Network) bindShardLanes(shardOf []int) {
+// sub-slice. On a probed network each lane also tags its shard's probe child
+// (probedLane).
+func (n *Network) bindShardLanes(shardOf []int, probeChildren []*probe.Probe) {
 	routers, comps := len(n.routers), len(n.routers)+len(n.nis)
 	// span returns the end of the run of shard s starting at from within
 	// [from, limit) of shardOf.
@@ -608,14 +592,20 @@ func (n *Network) bindShardLanes(shardOf []int) {
 		}
 		return from
 	}
+	bind := func(s, start int, lane sim.Lane) {
+		if probeChildren != nil {
+			lane = probedLane{Lane: lane, probe: probeChildren[s], start: start}
+		}
+		n.kernel.BindShardLane(s, sim.Handle(start), lane)
+	}
 	r, c := 0, routers
 	for s := 0; s < n.shards; s++ {
 		if end := span(r, routers, s); end > r {
-			n.kernel.BindShardLane(s, sim.Handle(r), router.NewLane(n.routers[r:end]))
+			bind(s, r, router.NewLane(n.routers[r:end]))
 			r = end
 		}
 		if end := span(c, comps, s); end > c {
-			n.kernel.BindShardLane(s, sim.Handle(c), niLane(n.nis[c-routers:end-routers]))
+			bind(s, c, niLane(n.nis[c-routers:end-routers]))
 			c = end
 		}
 	}

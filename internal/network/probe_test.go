@@ -117,7 +117,7 @@ func TestProbeDeliveryAccounting(t *testing.T) {
 
 // TestQuiescenceEquivalenceProbed extends the quiescence safety net to the
 // observability layer: with a probe attached, the fast path must emit a
-// bit-exact event stream against the always-evaluate reference — compared
+// bit-exact event stream against the oracle's eager evaluation — compared
 // as serialized Chrome traces, which pin every event's kind, cycle, and
 // location. (Per-router mode-residency and occupancy metrics are sampled
 // per evaluated cycle and legitimately differ when quiescent routers skip
@@ -125,10 +125,10 @@ func TestProbeDeliveryAccounting(t *testing.T) {
 func TestQuiescenceEquivalenceProbed(t *testing.T) {
 	for _, arch := range router.Archs {
 		t.Run(arch.String(), func(t *testing.T) {
-			run := func(alwaysActive bool) (string, probe.Totals) {
+			run := func(oracle bool) (string, probe.Totals) {
 				pr := probe.New(probe.Config{RingEvents: 1 << 17})
 				cfg := Config{Topo: noc.Topology{Width: 4, Height: 4}, Arch: arch,
-					Probe: pr, AlwaysActive: alwaysActive}
+					Probe: pr, Oracle: oracle}
 				driveBursty(t, cfg, 0xBEEF)
 				var buf bytes.Buffer
 				if err := pr.WriteChromeTrace(&buf); err != nil {

@@ -73,15 +73,15 @@ func driveBursty(t *testing.T, cfg Config, seed uint64) (string, power.Counters)
 }
 
 // TestQuiescenceEquivalence is the safety net for the kernel's activity
-// list: the quiescence fast path must be bit-exact against the
-// always-evaluate reference — same deliveries at the same cycles, same
-// energy event counts — for every router architecture.
+// list: the quiescence fast path must be bit-exact against the oracle, the
+// eager reference stepper — same deliveries at the same cycles, same energy
+// event counts — for every router architecture.
 func TestQuiescenceEquivalence(t *testing.T) {
 	for _, arch := range router.Archs {
 		t.Run(arch.String(), func(t *testing.T) {
 			cfg := Config{Topo: noc.Topology{Width: 4, Height: 4}, Arch: arch}
 			ref := cfg
-			ref.AlwaysActive = true
+			ref.Oracle = true
 			gotFP, gotC := driveBursty(t, cfg, 0xBEEF)
 			wantFP, wantC := driveBursty(t, ref, 0xBEEF)
 			if gotFP != wantFP {
@@ -102,7 +102,7 @@ func TestQuiescenceEquivalenceConcentrated(t *testing.T) {
 		t.Run(arch.String(), func(t *testing.T) {
 			cfg := Config{Topo: noc.Topology{Width: 2, Height: 2}, Concentration: 4, Arch: arch}
 			ref := cfg
-			ref.AlwaysActive = true
+			ref.Oracle = true
 			gotFP, gotC := driveBursty(t, cfg, 0xC0FE)
 			wantFP, wantC := driveBursty(t, ref, 0xC0FE)
 			if gotFP != wantFP {
@@ -229,14 +229,14 @@ func driveHotspot(t *testing.T, cfg Config, w *stallWatch) (string, power.Counte
 // TestNIParksOnZeroCredits pins the stalled-sender half of NI.Quiet: under a
 // back-pressured hotspot an interface mid-packet on an injection channel with
 // no credits parks, the home router's credit return wakes it, and the run
-// ends byte-equal to always-active evaluation — serially with the quiescence
-// oracle armed, and at two shards.
+// ends byte-equal to the oracle's eager evaluation (which also checks every
+// park against the contract) — serially and at two shards.
 func TestNIParksOnZeroCredits(t *testing.T) {
 	for _, arch := range router.Archs {
 		t.Run(arch.String(), func(t *testing.T) {
-			wantLog, wantC, wantImg := driveHotspot(t, Config{Arch: arch, Shards: 1, AlwaysActive: true}, nil)
+			wantLog, wantC, wantImg := driveHotspot(t, Config{Arch: arch, Shards: 1, Oracle: true}, nil)
 			for _, cfg := range []Config{
-				{Arch: arch, Shards: 1, Oracle: true},
+				{Arch: arch, Shards: 1},
 				{Arch: arch, Shards: 2},
 			} {
 				var w stallWatch
@@ -246,13 +246,13 @@ func TestNIParksOnZeroCredits(t *testing.T) {
 					t.Errorf("shards=%d: %d mid-packet parks, %d credit wakes; want both > 0", cfg.Shards, w.parks, w.wakes)
 				}
 				if log != wantLog {
-					t.Errorf("shards=%d: delivery log diverged from always-active\ngot:  %.200s\nwant: %.200s", cfg.Shards, log, wantLog)
+					t.Errorf("shards=%d: delivery log diverged from the oracle\ngot:  %.200s\nwant: %.200s", cfg.Shards, log, wantLog)
 				}
 				if c != wantC {
 					t.Errorf("shards=%d: event counters diverged\ngot:  %+v\nwant: %+v", cfg.Shards, c, wantC)
 				}
 				if !bytes.Equal(img, wantImg) {
-					t.Errorf("shards=%d: snapshot at the end of injection diverged from always-active", cfg.Shards)
+					t.Errorf("shards=%d: snapshot at the end of injection diverged from the oracle", cfg.Shards)
 				}
 			}
 		})

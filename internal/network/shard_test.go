@@ -42,13 +42,15 @@ func TestShardedEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedEquivalenceAlwaysActive repeats the check with quiescence
-// skipping disabled, so every component is evaluated by the worker pool
-// every cycle — the maximal-parallelism schedule.
+// TestShardedEquivalenceAlwaysActive holds every shard count, the serial
+// lane walk included, to the oracle — the serial reference stepper that
+// evaluates every component every cycle.
 func TestShardedEquivalenceAlwaysActive(t *testing.T) {
-	cfg := Config{Topo: noc.Topology{Width: 4, Height: 4}, Arch: router.NoX, AlwaysActive: true, Shards: 1}
-	wantFP, wantC := driveBursty(t, cfg, 0xAC71)
-	for _, shards := range shardCounts[1:] {
+	cfg := Config{Topo: noc.Topology{Width: 4, Height: 4}, Arch: router.NoX}
+	ref := cfg
+	ref.Oracle, ref.Shards = true, 1
+	wantFP, wantC := driveBursty(t, ref, 0xAC71)
+	for _, shards := range shardCounts {
 		scfg := cfg
 		scfg.Shards = shards
 		gotFP, gotC := driveBursty(t, scfg, 0xAC71)
@@ -81,12 +83,12 @@ func TestShardedEquivalenceConcentrated(t *testing.T) {
 }
 
 // TestShardedLaneEquivalence pins the sharded step's typed per-shard lanes to
-// its index-list walk (Config.DisableLanes), the sharded counterpart of
-// TestLaneEquivalence: same deliveries at the same cycles, same event
-// counters, and the same active-component count after every cycle — the
-// lanes do the quiescence bookkeeping themselves — on every architecture,
-// at an even and an uneven shard count, and on a concentrated mesh, where a
-// shard's interfaces are a wider handle range than its routers.
+// the serial lane walk, the sharded counterpart of TestLaneEquivalence: same
+// deliveries at the same cycles, same event counters, and the same
+// active-component count after every cycle — the lanes do the quiescence
+// bookkeeping themselves — on every architecture, at an even and an uneven
+// shard count, and on a concentrated mesh, where a shard's interfaces are a
+// wider handle range than its routers.
 func TestShardedLaneEquivalence(t *testing.T) {
 	drive := func(cfg Config) (string, power.Counters, []int) {
 		var active []int
@@ -102,36 +104,38 @@ func TestShardedLaneEquivalence(t *testing.T) {
 	for _, cfg := range cfgs {
 		t.Run(fmt.Sprintf("%v/c%d/shards=%d", cfg.Arch, max(cfg.Concentration, 1), cfg.Shards), func(t *testing.T) {
 			ref := cfg
-			ref.DisableLanes = true
+			ref.Shards = 1
 			lanesFP, lanesC, lanesActive := drive(cfg)
 			refFP, refC, refActive := drive(ref)
 			if lanesFP != refFP {
-				t.Errorf("lane walk diverged from the index-list walk:\nlanes: %.200s\nref:   %.200s", lanesFP, refFP)
+				t.Errorf("sharded lanes diverged from the serial walk:\nsharded: %.200s\nserial:  %.200s", lanesFP, refFP)
 			}
 			if lanesC != refC {
-				t.Errorf("counters diverged:\nlanes: %+v\nref:   %+v", lanesC, refC)
+				t.Errorf("counters diverged:\nsharded: %+v\nserial:  %+v", lanesC, refC)
 			}
 			if len(lanesActive) != len(refActive) {
-				t.Fatalf("lane walk ran %d cycles, index-list walk %d", len(lanesActive), len(refActive))
+				t.Fatalf("sharded lanes ran %d cycles, serial walk %d", len(lanesActive), len(refActive))
 			}
 			for cyc := range refActive {
 				if lanesActive[cyc] != refActive[cyc] {
-					t.Fatalf("cycle %d: %d components active under lanes, %d under the index-list walk", cyc, lanesActive[cyc], refActive[cyc])
+					t.Fatalf("cycle %d: %d components active sharded, %d serial", cyc, lanesActive[cyc], refActive[cyc])
 				}
 			}
 		})
 	}
 }
 
-// driveProbed runs a loaded-then-idle NoX workload on an 8x8 mesh with a
-// full probe attached and returns every probe export that must be
-// byte-identical between serial and sharded execution: the raw event
-// stream, Chrome trace JSON, per-router CSV, heatmap CSV, and the sampled
-// time series.
-func driveProbed(t *testing.T, shards int) (events []probe.Event, exports map[string]string) {
+// driveProbed runs a loaded-then-idle workload on cfg with a full probe
+// attached and returns every probe output that must be byte-identical
+// between serial and sharded execution: the raw event stream, the
+// per-router CSV, the heatmap CSV, and the sampled time series. The Chrome
+// trace JSON is rendered from the event stream alone, so equal streams give
+// equal files (make trace-smoke compares the files themselves).
+func driveProbed(t *testing.T, cfg Config) (events []probe.Event, exports map[string]string) {
 	t.Helper()
-	p := probe.New(probe.Config{RingEvents: 1 << 20, SampleEvery: 16})
-	net := New(Config{Topo: noc.Topology{Width: 8, Height: 8}, Arch: router.NoX, Probe: p, Shards: shards})
+	p := probe.New(probe.Config{RingEvents: 1 << 16, SampleEvery: 16})
+	cfg.Probe = p
+	net := New(cfg)
 	defer net.Close()
 	rng := sim.NewRNG(0x9B0B)
 	cores := net.Cores()
@@ -157,10 +161,9 @@ func driveProbed(t *testing.T, shards int) (events []probe.Event, exports map[st
 	}
 	exports = make(map[string]string)
 	for name, write := range map[string]func(*bytes.Buffer) error{
-		"chrome-trace": func(b *bytes.Buffer) error { return p.WriteChromeTrace(b) },
-		"router-csv":   func(b *bytes.Buffer) error { return p.WriteRouterCSV(b) },
-		"heatmap-csv":  func(b *bytes.Buffer) error { return p.WriteHeatmapCSV(b) },
-		"series-csv":   func(b *bytes.Buffer) error { return p.WriteTimeSeriesCSV(b) },
+		"router-csv":  func(b *bytes.Buffer) error { return p.WriteRouterCSV(b) },
+		"heatmap-csv": func(b *bytes.Buffer) error { return p.WriteHeatmapCSV(b) },
+		"series-csv":  func(b *bytes.Buffer) error { return p.WriteTimeSeriesCSV(b) },
 	} {
 		var buf bytes.Buffer
 		if err := write(&buf); err != nil {
@@ -168,36 +171,59 @@ func driveProbed(t *testing.T, shards int) (events []probe.Event, exports map[st
 		}
 		exports[name] = buf.String()
 	}
+	if p.Dropped() != 0 {
+		t.Fatalf("the ring dropped %d of %d events: the comparison would not cover them all", p.Dropped(), p.EventCount())
+	}
 	return p.Events(), exports
 }
 
-// TestShardedProbeDeterminism: a probed 8x8 NoX run must emit the exact
-// serial event stream — and therefore byte-identical Chrome trace JSON and
-// CSV exports — at every shard count. This pins down the epilogue merge of
-// per-shard event buffers, not just aggregate counts.
+// TestShardedProbeDeterminism: a probed run must emit the exact serial event
+// stream — and therefore byte-identical Chrome trace JSON — and CSV exports
+// at every shard count. This pins down the per-segment tags of the shard
+// probe children and the epilogue merge of their buffers, not just aggregate
+// counts: on an 8x8 mesh for NoX (the unnamed subtests) and each baseline,
+// and on the concentrated 4x4 mesh, where a shard's interface segment spans
+// several interfaces per router and so starts at a different handle than a
+// router-aligned tag would give it.
 func TestShardedProbeDeterminism(t *testing.T) {
-	wantEvents, wantExports := driveProbed(t, 1)
-	if len(wantEvents) == 0 {
-		t.Fatal("probed reference run recorded no events")
+	mesh := noc.Topology{Width: 8, Height: 8}
+	// compare runs cfg serially, then as one subtest per shard count.
+	compare := func(t *testing.T, cfg Config, counts []int) {
+		cfg.Shards = 1
+		wantEvents, wantExports := driveProbed(t, cfg)
+		if len(wantEvents) == 0 {
+			t.Fatal("probed reference run recorded no events")
+		}
+		for _, shards := range counts {
+			t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+				scfg := cfg
+				scfg.Shards = shards
+				gotEvents, gotExports := driveProbed(t, scfg)
+				if len(gotEvents) != len(wantEvents) {
+					t.Fatalf("event count %d, want %d", len(gotEvents), len(wantEvents))
+				}
+				for i := range gotEvents {
+					if gotEvents[i] != wantEvents[i] {
+						t.Fatalf("event %d diverged: got %+v want %+v", i, gotEvents[i], wantEvents[i])
+					}
+				}
+				for name, want := range wantExports {
+					if got := gotExports[name]; got != want {
+						t.Errorf("%s export not byte-identical (%d vs %d bytes)", name, len(got), len(want))
+					}
+				}
+			})
+		}
 	}
-	for _, shards := range shardCounts[1:] {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			gotEvents, gotExports := driveProbed(t, shards)
-			if len(gotEvents) != len(wantEvents) {
-				t.Fatalf("event count %d, want %d", len(gotEvents), len(wantEvents))
-			}
-			for i := range gotEvents {
-				if gotEvents[i] != wantEvents[i] {
-					t.Fatalf("event %d diverged: got %+v want %+v", i, gotEvents[i], wantEvents[i])
-				}
-			}
-			for name, want := range wantExports {
-				if got := gotExports[name]; got != want {
-					t.Errorf("%s export not byte-identical (%d vs %d bytes)", name, len(got), len(want))
-				}
-			}
+	compare(t, Config{Topo: mesh, Arch: router.NoX}, shardCounts[1:])
+	for _, arch := range []router.Arch{router.NonSpec, router.SpecFast, router.SpecAccurate} {
+		t.Run(arch.String(), func(t *testing.T) {
+			compare(t, Config{Topo: mesh, Arch: arch}, shardCounts[1:])
 		})
 	}
+	t.Run("cmesh4x4x4", func(t *testing.T) {
+		compare(t, Config{Topo: noc.Topology{Width: 4, Height: 4}, Concentration: 4, Arch: router.NoX}, []int{2, 3})
+	})
 }
 
 // TestShardedQuiescence checks the per-shard idle accounting: a sharded

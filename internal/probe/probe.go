@@ -23,9 +23,10 @@
 // a probed run is a pure function of its configuration, so serialized
 // streams are byte-identical at any worker count. Sharded simulations
 // (sim.SetSharding) give each shard a child probe (ShardChildren): workers
-// emit into per-shard buffers tagged with their evaluation slot, and the
-// step epilogue merges them back into the parent ring in exactly the order
-// the serial walk would have emitted them — see shard.go.
+// emit into per-shard buffers tagged with the phase and the lane segment
+// being walked, and the step epilogue merges them back into the parent ring
+// in exactly the order the serial walk would have emitted them — see
+// shard.go.
 package probe
 
 import "fmt"
@@ -245,7 +246,7 @@ type Probe struct {
 	attached   bool
 
 	// Shard-child state (see shard.go). parent is non-nil on a child: its
-	// emits divert into shardBuf, tagged with the evaluation-slot key, and
+	// emits divert into shardBuf, tagged with the segment key, and
 	// its totals accumulate locally until MergeShards folds them into the
 	// parent. A child shares the parent's routers slice — every metrics
 	// write for router n comes from n's own shard, so elements never race.

@@ -7,24 +7,28 @@ package probe
 // sensitive (exporters replay it) and the serial event order is part of
 // the bit-exactness contract. Instead each shard gets a child probe: the
 // same emit API, but events are appended to a per-shard buffer tagged with
-// the evaluation slot they were emitted from, and per-run totals
-// accumulate shard-locally. At the end of every step the epilogue (on the
-// stepping goroutine, after the last barrier) calls MergeShards, which
-// k-way merges the buffers by tag into the parent ring and folds the
-// totals — reproducing, event for event, the stream a serial walk of the
-// same cycle would have produced.
+// the lane segment they were emitted from, and per-run totals accumulate
+// shard-locally. At the end of every step the epilogue (on the stepping
+// goroutine, after the last barrier) calls MergeShards, which k-way merges
+// the buffers by tag into the parent ring and folds the totals —
+// reproducing, event for event, the stream a serial walk of the same cycle
+// would have produced.
 //
-// The tag is ordered exactly like the serial walk visits evaluation slots:
+// The tag is ordered exactly like the serial walk visits components:
 //
-//	key = phase << 60 | component << 20 | seq
+//	key = phase << 60 | segment start << 32 | seq
 //
-// Compute events (phase 0) precede all commit events (phase 1); commit
-// events order by component registration index — a channel's Link event is
-// emitted from inside its sink's commit, so it carries the sink's index; seq
-// preserves emission order within one component evaluation. Each component
-// lives in exactly one shard, so keys never tie across children, and each
-// child's buffer is naturally key-sorted (its worker walks components in
-// ascending order, phase by phase) — the merge is a linear k-way pick.
+// Compute events (phase 0) precede all commit events (phase 1). Within a
+// phase, events order by the first registration index of the lane segment
+// being walked, and seq preserves emission order within one segment walk,
+// which visits its components in ascending order. That is exact because the
+// owner partitions contiguously: a shard's segments are handle ranges that
+// never interleave with another shard's, and every event is emitted inside
+// the walk of its own component's segment — a channel's Link event from
+// inside its sink's commit. Each segment lives in exactly one shard, so keys
+// never tie across children, and each child's buffer is naturally
+// key-sorted (its worker walks its segments in ascending order, phase by
+// phase) — the merge is a linear k-way pick.
 //
 // Per-router metrics need none of this: every metrics write for router n
 // (buffer accounting as it latches its incoming links, switch activity from
@@ -57,11 +61,11 @@ func (p *Probe) ShardChildren(n int) []*Probe {
 	return p.children[:n]
 }
 
-// SetShardContext tags subsequent emits on this child with the evaluation
-// slot (phase, component index). The kernel's eval hook calls it before
-// every component evaluation; see sim.SetEvalHook.
-func (p *Probe) SetShardContext(phase, comp int) {
-	p.ctxKey = uint64(phase)<<60 | uint64(comp)<<20
+// SetShardContext tags subsequent emits on this child with the phase and the
+// first registration index of the lane segment about to be walked. The
+// owner's shard lanes call it before every segment walk.
+func (p *Probe) SetShardContext(phase, start int) {
+	p.ctxKey = uint64(phase)<<60 | uint64(start)<<32
 	p.ctxSeq = 0
 }
 

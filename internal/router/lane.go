@@ -52,12 +52,6 @@ func (l *noxLane) Len() int { return len(l.rs) }
 
 func (l *noxLane) ComputeAll(cycle int64) { l.ComputeActive(cycle, nil) }
 
-func (l *noxLane) CommitAll(cycle int64) {
-	for _, r := range l.rs {
-		r.Commit(cycle)
-	}
-}
-
 func (l *noxLane) ComputeActive(cycle int64, active []uint32) {
 	for i, r := range l.rs {
 		if active == nil || atomic.LoadUint32(&active[i]) == sim.Awake {
@@ -92,12 +86,6 @@ func (l specLane) Len() int { return len(l) }
 
 func (l specLane) ComputeAll(cycle int64) { l.ComputeActive(cycle, nil) }
 
-func (l specLane) CommitAll(cycle int64) {
-	for _, r := range l {
-		r.Commit(cycle)
-	}
-}
-
 func (l specLane) ComputeActive(cycle int64, active []uint32) {
 	for i, r := range l {
 		if active == nil || atomic.LoadUint32(&active[i]) == sim.Awake {
@@ -131,12 +119,6 @@ type nonspecLane []*nonspecRouter
 func (l nonspecLane) Len() int { return len(l) }
 
 func (l nonspecLane) ComputeAll(cycle int64) { l.ComputeActive(cycle, nil) }
-
-func (l nonspecLane) CommitAll(cycle int64) {
-	for _, r := range l {
-		r.Commit(cycle)
-	}
-}
 
 func (l nonspecLane) ComputeActive(cycle int64, active []uint32) {
 	for i, r := range l {

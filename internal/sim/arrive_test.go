@@ -36,11 +36,6 @@ func (l latcherLane) ComputeAll(cycle int64) {
 		c.Compute(cycle)
 	}
 }
-func (l latcherLane) CommitAll(cycle int64) {
-	for _, c := range l {
-		c.Commit(cycle)
-	}
-}
 func (l latcherLane) ComputeActive(cycle int64, flags []uint32) {
 	for i, c := range l {
 		if atomic.LoadUint32(&flags[i]) == Awake {
@@ -72,8 +67,7 @@ func (l latcherLane) CommitActive(cycle int64, flags []uint32) int {
 type wakeRig struct {
 	name   string
 	shards int  // 0 serial
-	lanes  bool // bind typed lanes over every component
-	hook   bool // install an eval hook (sharded: forces the index-list walk)
+	lanes  bool // bind typed lanes over every component (sharded: required)
 	// pads appends always-quiet components and awake ones that never park,
 	// steering the serial step into its sparse or its dense walk.
 	parkedPads, awakePads int
@@ -129,9 +123,6 @@ func (rig wakeRig) build() (*Kernel, [][]uint8) {
 			if rig.awakePads != 0 {
 				panic("a lane-bound sharded rig takes no awake pads: hostile is not lane material")
 			}
-		}
-		if rig.hook {
-			k.SetEvalHook(func(shard, phase, comp int) {})
 		}
 	case rig.lanes:
 		k.BindLane(0, lane)
@@ -205,8 +196,6 @@ func TestWakeCycleOnlyLatches(t *testing.T) {
 		{name: "serial sparse, lanes", lanes: true, parkedPads: 600},
 		{name: "2 shards, lanes", shards: 2, lanes: true},
 		{name: "7 shards, lanes", shards: 7, lanes: true},
-		{name: "2 shards, index list", shards: 2},
-		{name: "7 shards, index list under an eval hook", shards: 7, lanes: true, hook: true},
 	} {
 		got, sparse := rig.run()
 		if wantSparse := rig.parkedPads != 0; (sparse != 0) != wantSparse {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -32,8 +33,14 @@ func (c *ticker) Commit(cycle int64) {
 	c.commits++
 }
 
+// Quiet and Latch make a ticker lane material (latcherLane): it never parks,
+// and nothing hands it input.
+func (c *ticker) Quiet() bool       { return false }
+func (c *ticker) Latch(cycle int64) {}
+
 // barrierRig is shards x (one ticker, one pulse quiescer), each pair on its
-// own shard, peers chained around the ring of shards.
+// own shard in a lane apiece, peers chained around the ring of shards. The
+// serial twin walks them generically.
 type barrierRig struct {
 	k       *Kernel
 	tickers []*ticker
@@ -56,6 +63,10 @@ func newBarrierRig(shards int, sharded bool) *barrierRig {
 	}
 	if sharded {
 		r.k.SetSharding(shards, shardOf)
+		for s := 0; s < shards; s++ {
+			r.k.BindShardLane(s, Handle(2*s), latcherLane{r.tickers[s]})
+			r.k.BindShardLane(s, r.pulseH[s], quiescerLane{r.pulses[s]})
+		}
 	}
 	return r
 }
@@ -190,11 +201,6 @@ func (l quiescerLane) ComputeAll(cycle int64) {
 		q.Compute(cycle)
 	}
 }
-func (l quiescerLane) CommitAll(cycle int64) {
-	for _, q := range l {
-		q.Commit(cycle)
-	}
-}
 func (l quiescerLane) ComputeActive(cycle int64, flags []uint32) {
 	for i, q := range l {
 		if atomic.LoadUint32(&flags[i]) == Awake {
@@ -221,9 +227,10 @@ func (l quiescerLane) CommitActive(cycle int64, flags []uint32) int {
 	return quiets
 }
 
-// laneRig registers 3 shards x 8 quiescers in contiguous runs and optionally
-// binds two lanes over every run.
-func laneRig(lanes bool) (*Kernel, []*quiescer) {
+// laneRig registers 3 shards x 8 quiescers in contiguous runs on a serial
+// kernel, or on a sharded one, with two lanes bound over every run unless
+// bare.
+func laneRig(sharded, bare bool) (*Kernel, []*quiescer) {
 	const shards, per = 3, 8
 	k := NewKernel()
 	var qs []*quiescer
@@ -233,8 +240,11 @@ func laneRig(lanes bool) (*Kernel, []*quiescer) {
 		k.Add(qs[i])
 		shardOf = append(shardOf, i/per)
 	}
+	if !sharded {
+		return k, qs
+	}
 	k.SetSharding(shards, shardOf)
-	if lanes {
+	if !bare {
 		for s := 0; s < shards; s++ {
 			k.BindShardLane(s, Handle(s*per), quiescerLane(qs[s*per:s*per+3]))
 			k.BindShardLane(s, Handle(s*per+3), quiescerLane(qs[s*per+3:(s+1)*per]))
@@ -243,18 +253,13 @@ func laneRig(lanes bool) (*Kernel, []*quiescer) {
 	return k, qs
 }
 
-// TestShardLaneWalk: the typed per-shard walk and the index-list walk are
-// the same step — same evaluation counts per component, same active count
-// after every cycle, including across re-wakes — and an eval hook sends a
-// lane-bound kernel back down the index-list walk.
+// TestShardLaneWalk: the typed per-shard walk and the serial kernel's
+// generic walk are the same step — same evaluation counts per component,
+// same active count after every cycle, including across re-wakes.
 func TestShardLaneWalk(t *testing.T) {
-	run := func(lanes, hook bool) (counts []int, active []int) {
-		k, qs := laneRig(lanes)
+	run := func(sharded bool) (counts []int, active []int) {
+		k, qs := laneRig(sharded, false)
 		defer k.Close()
-		var hooked atomic.Int64
-		if hook {
-			k.SetEvalHook(func(shard, phase, comp int) { hooked.Add(1) })
-		}
 		for cyc := 0; cyc < 20; cyc++ {
 			if cyc == 9 {
 				for h := 1; h < len(qs); h += 3 {
@@ -268,35 +273,31 @@ func TestShardLaneWalk(t *testing.T) {
 		for _, q := range qs {
 			counts = append(counts, q.computes, q.commits)
 		}
-		if hook && hooked.Load() == 0 {
-			t.Error("eval hook never ran on a lane-bound kernel")
-		}
 		if !k.Idle() {
-			t.Errorf("lanes=%v hook=%v: kernel not idle after 20 cycles", lanes, hook)
+			t.Errorf("sharded=%v: kernel not idle after 20 cycles", sharded)
 		}
 		return counts, active
 	}
-	wantCounts, wantActive := run(false, false)
-	for _, mode := range []struct{ lanes, hook bool }{{true, false}, {true, true}} {
-		counts, active := run(mode.lanes, mode.hook)
-		for i := range wantCounts {
-			if counts[i] != wantCounts[i] {
-				t.Fatalf("lanes=%v hook=%v: evaluation count %d is %d, index-list walk %d", mode.lanes, mode.hook, i, counts[i], wantCounts[i])
-			}
+	wantCounts, wantActive := run(false)
+	counts, active := run(true)
+	for i := range wantCounts {
+		if counts[i] != wantCounts[i] {
+			t.Fatalf("evaluation count %d is %d, serial walk %d", i, counts[i], wantCounts[i])
 		}
-		for i := range wantActive {
-			if active[i] != wantActive[i] {
-				t.Fatalf("lanes=%v hook=%v: %d active after cycle %d, index-list walk %d", mode.lanes, mode.hook, active[i], i, wantActive[i])
-			}
+	}
+	for i := range wantActive {
+		if active[i] != wantActive[i] {
+			t.Fatalf("%d active after cycle %d, serial walk %d", active[i], i, wantActive[i])
 		}
 	}
 }
 
 // TestBindShardLaneValidation pins the binding checks: a lane may cover only
-// its own shard's components, in ascending order.
+// its own shard's components, in ascending order, and a sharded kernel with a
+// component outside every lane refuses to step.
 func TestBindShardLaneValidation(t *testing.T) {
 	lane := func(n int) Lane { return make(quiescerLane, n) }
-	k, _ := laneRig(false)
+	k, _ := laneRig(true, true)
 	defer k.Close()
 	mustPanic(t, "foreign component", func() { k.BindShardLane(0, 6, lane(4)) })
 	mustPanic(t, "past the last component", func() { k.BindShardLane(2, 20, lane(5)) })
@@ -306,4 +307,19 @@ func TestBindShardLaneValidation(t *testing.T) {
 	serial := NewKernel()
 	serial.Add(&quiescer{})
 	mustPanic(t, "serial kernel", func() { serial.BindShardLane(0, 0, lane(1)) })
+
+	// One shard, so no worker outlives the refused step.
+	part := NewKernel()
+	part.Add(&quiescer{})
+	part.Add(&quiescer{})
+	part.SetSharding(1, []int{0, 0})
+	part.BindShardLane(0, 0, lane(1))
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "outside every shard lane") {
+				t.Errorf("Step with an unbound component: panic %q, want the unbound-lane refusal", msg)
+			}
+		}()
+		part.Step()
+	}()
 }

@@ -62,7 +62,7 @@ type Latcher interface {
 // between steps (the owner that wires components together installs those
 // hooks; see internal/network). A component that goes quiet with latent
 // staged state, or that is written without a wake, silently diverges from
-// the always-evaluate reference — keep Quiet conservative.
+// the oracle's eager evaluation (SetOracle) — keep Quiet conservative.
 type Quiescable interface {
 	Clocked
 	// Quiet reports that the component holds no pending work.
@@ -120,11 +120,8 @@ type Kernel struct {
 	// idle counts inactive components on the serial path; when it equals
 	// len(components) a step is pure clock advance. The sharded path keeps a
 	// per-shard summary instead (see sharding.live).
-	idle int
-	// alwaysActive disables quiescence skipping (reference mode used by
-	// equivalence tests and benchmarks).
-	alwaysActive bool
-	cycle        int64
+	idle  int
+	cycle int64
 
 	// stepping guards against reentrant stepping and mid-step registration:
 	// observer/epilogue hooks and component methods must not call Step or
@@ -181,16 +178,6 @@ func (k *Kernel) Add(c Clocked) Handle {
 	}
 	k.actWords[h>>6] |= 1 << (h & 63)
 	return h
-}
-
-// SetAlwaysActive switches the kernel between the quiescence-skipping fast
-// path (default) and the always-evaluate reference mode. Enabling reference
-// mode re-activates every component.
-func (k *Kernel) SetAlwaysActive(on bool) {
-	k.alwaysActive = on
-	if on {
-		k.wakeAllFlags()
-	}
 }
 
 // setAllBits raises every summary-bitmap bit, masking the tail word so no
@@ -305,8 +292,7 @@ func (k *Kernel) Parked(h Handle) bool { return k.active[h] == Parked }
 
 // Idle reports that every component is quiescent: a Step would be pure
 // clock advance for any number of cycles, until something outside the step
-// wakes a component. Always false in always-active reference mode and on a
-// kernel with no components.
+// wakes a component. Always false on a kernel with no components.
 func (k *Kernel) Idle() bool {
 	if len(k.components) == 0 {
 		return false
@@ -334,19 +320,13 @@ func (k *Kernel) SetCycle(c int64) {
 
 // WakeAll re-activates every component. Snapshot restore uses it instead of
 // reconstructing the saved activity set: over-waking is unobservable (the
-// quiescence fast path is proven bit-exact against always-active evaluation,
-// so evaluating a quiet component changes nothing), and the true set
-// re-converges within a cycle. Works serial and sharded.
+// quiescence fast path is proven bit-exact against the oracle's eager
+// evaluation, so evaluating a quiet component changes nothing), and the true
+// set re-converges within a cycle. Works serial and sharded.
 func (k *Kernel) WakeAll() {
 	if k.stepping {
 		panic("sim: WakeAll during Step")
 	}
-	k.wakeAllFlags()
-}
-
-// wakeAllFlags makes every component awake, serial and sharded summaries
-// included.
-func (k *Kernel) wakeAllFlags() {
 	for i := range k.active {
 		k.active[i] = Awake
 	}
@@ -402,14 +382,9 @@ func (k *Kernel) stepSerial() {
 	}
 	switch n := len(k.components); {
 	case k.idle == 0:
-		// Everything active: the tight no-flag-check loops, plus the
-		// post-commit quiescence check unless in reference mode.
+		// Everything active: the tight no-flag-check compute loops.
 		k.walkCompute(true)
-		if k.alwaysActive {
-			k.walkCommitAll()
-		} else {
-			k.walkCommitQuiesce()
-		}
+		k.walkCommitQuiesce()
 	case k.idle == n:
 		// Fully quiescent network: the cycle is pure clock advance. Wakes
 		// only arrive from outside the step (injection), so nothing can need
@@ -484,8 +459,7 @@ func (k *Kernel) Run(n int64) {
 // the component walk is unobservable. Per-cycle hooks (epilogue, observer)
 // still fire for every skipped cycle, keeping probed output byte-identical
 // to stepping; with no hooks installed the advance is O(1). Returns the
-// cycles actually skipped (0 if the kernel is busy or in always-active
-// reference mode).
+// cycles actually skipped (0 if the kernel is busy).
 func (k *Kernel) FastForward(n int64) int64 {
 	if n <= 0 || !k.Idle() {
 		return 0
@@ -506,17 +480,18 @@ func (k *Kernel) FastForward(n int64) int64 {
 	return n
 }
 
-// SetOracle arms the serial kernel's quiescence-contract checker. hash must
-// return a digest of component h's externally visible state (any collision-
-// resistant fold of its committed fields). While armed, every step evaluates
-// every component eagerly — the always-evaluate reference semantics — but
-// keeps the notional active set's bookkeeping. A component the fast path
-// would have skipped (parked quiet) is hashed before its Compute and after
-// its Commit: the contract says evaluating it must be a state no-op, so a
-// differing hash means it went quiet with latent work — the
-// silent-divergence bug class — and the kernel panics naming the component.
-// Debug mode: serial kernels only, and the eager evaluation costs the full
-// per-cycle walk. Pass nil to disarm.
+// SetOracle arms the serial kernel's quiescence-contract checker, the
+// kernel's one reference stepper. hash must return a digest of component h's
+// externally visible state (any collision-resistant fold of its committed
+// fields). While armed, every step evaluates every component eagerly through
+// the Clocked interface, bypassing lanes and parking — the always-evaluate
+// semantics every faster walk must reproduce — but keeps the notional active
+// set's bookkeeping. A component the fast path would have skipped (parked
+// quiet) is hashed before its Compute and after its Commit: the contract
+// says evaluating it must be a state no-op, so a differing hash means it
+// went quiet with latent work — the silent-divergence bug class — and the
+// kernel panics naming the component. Debug mode: serial kernels only, and
+// the eager evaluation costs the full per-cycle walk. Pass nil to disarm.
 func (k *Kernel) SetOracle(hash func(Handle) uint64) {
 	if k.stepping {
 		panic("sim: SetOracle during Step")

@@ -17,15 +17,14 @@ package sim
 // ownership of the activity flags and idle accounting, and the serial step
 // interleaves lane segments with generic ranges in registration order, so
 // commit-order guarantees and quiescence behavior are bit-identical to the
-// all-generic walk (asserted by the lane-equivalence tests in
-// internal/network).
+// generic walk and to the oracle's eager one (asserted by the
+// lane-equivalence tests in internal/network).
 //
-// The sharded executor binds the same lanes per shard (BindShardLane, in
-// shard.go). Its barrier is a spin on an atomic word, so dispatch is what
-// is left to save there too, and a shard's components are lane-shaped: its
-// routers and its interfaces are each a contiguous handle range. The
-// index-list walk is the path for kernels with an eval hook installed or no
-// lanes bound.
+// The sharded executor walks nothing but lanes, bound per shard
+// (BindShardLane, in shard.go). Its barrier is a spin on an atomic word, so
+// dispatch is what is left to save there too, and a shard's components are
+// lane-shaped: its routers and its interfaces are each a contiguous handle
+// range.
 
 // Lane is a typed view over the components registered at a contiguous run of
 // kernel handles. Implementations hold the same objects the kernel holds,
@@ -49,12 +48,9 @@ package sim
 type Lane interface {
 	// Len returns the number of components the lane covers.
 	Len() int
-	// ComputeAll computes every element (reference mode / fully-active fast
-	// path).
+	// ComputeAll computes every element (the serial step's fully-active
+	// fast path).
 	ComputeAll(cycle int64)
-	// CommitAll commits every element with no quiescence bookkeeping
-	// (reference mode).
-	CommitAll(cycle int64)
 	// ComputeActive computes the awake elements.
 	ComputeActive(cycle int64, active []uint32)
 	// CommitActive commits awake elements and latches arrived ones, clears
@@ -161,23 +157,6 @@ func (k *Kernel) walkCompute(all bool) {
 				k.components[i].Compute(cycle)
 			}
 		}
-	}
-}
-
-// walkCommitAll runs the reference-mode commit phase: every component, no
-// quiescence bookkeeping.
-func (k *Kernel) walkCommitAll() {
-	cycle := k.cycle
-	i := 0
-	for _, seg := range k.lanes {
-		for ; i < seg.start; i++ {
-			k.components[i].Commit(cycle)
-		}
-		seg.lane.CommitAll(cycle)
-		i = seg.end
-	}
-	for ; i < len(k.components); i++ {
-		k.components[i].Commit(cycle)
 	}
 }
 

@@ -60,15 +60,18 @@ import (
 // cycles therefore converge on parking, and a kernel stepped back
 // to back converges on spinning. Nothing here is configurable.
 //
+// A shard walks only its typed lanes (BindShardLane): every component of a
+// sharded kernel must be covered by one, and Step panics otherwise.
+//
 // Cross-shard effects that are order-sensitive at the simulation surface
 // (deliveries, probe events) are not handled here: owners stage them into
 // per-shard mailboxes and drain them in the kernel epilogue (see
 // SetEpilogue), which runs on the stepping goroutine after the last
 // barrier.
 
-// Phase identifiers passed to the eval hook; also the most significant
-// ordering key when per-shard probe buffers are merged back into serial
-// emission order.
+// Phase identifiers: the phases posted through the barrier, and the most
+// significant ordering key when an owner merges per-shard probe buffers
+// back into serial emission order.
 const (
 	PhaseCompute = 0
 	PhaseCommit  = 1
@@ -198,25 +201,14 @@ type sharding struct {
 	shards  int
 	shardOf []int32 // component index -> shard
 
-	// comps[s] lists shard s's components in ascending order: the generic
-	// walk, taken when an eval hook is installed or the owner bound no lanes.
-	comps [][]int32
-
-	// Per-shard typed walks (see BindShardLane); laneCover counts the
-	// components they cover, and the lane walk is taken once that is all of
-	// them.
-	lanes     [][]shardSeg
-	laneCover int
-	laned     bool // the lane walk is the one in use
+	// lanes[s] is shard s's walk, in ascending handle order (see
+	// BindShardLane); unbound counts the components no lane covers yet,
+	// which must be none by the first Step.
+	lanes   [][]shardSeg
+	unbound int
 
 	// live[s] is shard s's activity summary (see shardLive).
 	live []shardLive
-
-	// evalHook, when set, runs immediately before every component
-	// evaluation on the worker that performs it. The probe layer uses it to
-	// tag per-shard event buffers with (phase, component) so they can be
-	// merged into serial emission order.
-	evalHook func(shard, phase, comp int)
 
 	// The phase barrier. gates[s] carries phases to shard s's worker
 	// (gates[0] is unused: the first working shard always runs inline, so
@@ -245,7 +237,8 @@ type sharding struct {
 // router and NIs, and every channel belongs to its sink, so every
 // commit-phase write stays inside one shard.
 //
-// Must be called after all components are registered and before the first
+// Must be called after all components are registered, and every component
+// must then be covered by a shard lane (BindShardLane) before the first
 // Step; the kernel rejects further Add calls. Call Close when the simulation
 // is done to release the workers.
 func (k *Kernel) SetSharding(shards int, shardOf []int) {
@@ -267,7 +260,7 @@ func (k *Kernel) SetSharding(shards int, shardOf []int) {
 	sh := &sharding{
 		shards:  shards,
 		shardOf: make([]int32, len(shardOf)),
-		comps:   make([][]int32, shards),
+		unbound: len(shardOf),
 		lanes:   make([][]shardSeg, shards),
 		live:    make([]shardLive, shards),
 		gates:   make([]gate, shards),
@@ -280,16 +273,15 @@ func (k *Kernel) SetSharding(shards int, shardOf []int) {
 			panic(fmt.Sprintf("sim: component %d assigned to shard %d of %d", i, s, shards))
 		}
 		sh.shardOf[i] = int32(s)
-		sh.comps[s] = append(sh.comps[s], int32(i))
+		if k.active[i] != Parked {
+			sh.live[s].word.Store(1)
+		}
 	}
 	// The flags and sh.live take over from the serial idle count and summary
 	// bitmap (the sharded step never takes the sparse walk).
 	k.idle = 0
 	k.actWords = nil
 	k.sh = sh
-	for s := range sh.live {
-		sh.settle(k, s)
-	}
 	sh.done.wake = make(chan struct{}, 1)
 	for s := 1; s < shards; s++ {
 		sh.gates[s].wake = make(chan struct{}, 1)
@@ -324,17 +316,6 @@ func (k *Kernel) Shards() int {
 	return k.sh.shards
 }
 
-// SetEvalHook installs a callback invoked immediately before every
-// component evaluation on the sharded path, on the worker goroutine that
-// performs it, with the shard, phase (PhaseCompute/PhaseCommit), and
-// component index. Nil removes it. The serial path never calls it.
-func (k *Kernel) SetEvalHook(fn func(shard, phase, comp int)) {
-	if sh := k.sh; sh != nil {
-		sh.evalHook = fn
-		sh.relane(k)
-	}
-}
-
 // Close shuts down the sharded worker pool and returns once every worker
 // has exited, whether it was spinning or parked. Stepping a closed kernel
 // panics; Close on a serial kernel is a no-op. Safe to call more than once.
@@ -363,22 +344,29 @@ func (sh *sharding) anyLive() bool {
 	return false
 }
 
-// raiseAll marks every shard live (every flag was raised).
+// raiseAll marks every shard that owns components live (every flag was
+// raised).
 func (sh *sharding) raiseAll() {
 	for s := range sh.live {
-		sh.live[s].word.Store(1)
+		if len(sh.lanes[s]) != 0 {
+			sh.live[s].word.Store(1)
+		}
 	}
 }
 
-// settle recomputes shard s's live word from the flags, with an early exit
-// at the first raised one. The owner calls it after a commit walk that put
-// something to sleep; a walk that did not cannot have changed the answer.
+// settle recomputes shard s's live word from the flags of its lanes, with an
+// early exit at the first raised one. The owner calls it after a commit walk
+// that put something to sleep; a walk that did not cannot have changed the
+// answer.
 func (sh *sharding) settle(k *Kernel, s int) {
 	live := uint32(0)
-	for _, i := range sh.comps[s] {
-		if k.active[i] != Parked {
-			live = 1
-			break
+scan:
+	for _, g := range sh.lanes[s] {
+		for _, f := range k.active[g.start:g.end] {
+			if f != Parked {
+				live = 1
+				break scan
+			}
 		}
 	}
 	sh.live[s].word.Store(live)
@@ -409,7 +397,10 @@ func (k *Kernel) stepSharded() {
 	if sh.closed {
 		panic("sim: Step on a closed kernel")
 	}
-	if !k.alwaysActive && !sh.anyLive() {
+	if sh.unbound != 0 {
+		panic(fmt.Sprintf("sim: sharded Step with %d components outside every shard lane (bind each with BindShardLane)", sh.unbound))
+	}
+	if !sh.anyLive() {
 		// Fully quiescent: pure clock advance, same as the serial path.
 		return
 	}
@@ -426,7 +417,7 @@ func (sh *sharding) dispatch(k *Kernel, phase int) {
 	n := 0
 	mask := sh.dispatchMask
 	for s := 0; s < sh.shards; s++ {
-		w := len(sh.comps[s]) != 0 && (k.alwaysActive || sh.live[s].word.Load() != 0)
+		w := sh.live[s].word.Load() != 0
 		mask[s] = w
 		if !w {
 			continue
@@ -466,11 +457,8 @@ type shardSeg struct {
 // is BindLane for the sharded step: the same Lane implementations serve
 // both, because a shard's routers and interfaces are contiguous handle
 // ranges. Bind a shard's lanes in ascending handle order, after SetSharding
-// and before the first Step.
-//
-// The shard walks its lanes instead of its index list once every component
-// of the kernel is covered by some shard's lanes and no eval hook is
-// installed.
+// and before the first Step, until every component is covered: the shards
+// walk nothing else.
 func (k *Kernel) BindShardLane(shard int, start Handle, lane Lane) {
 	sh := k.sh
 	if sh == nil {
@@ -497,102 +485,23 @@ func (k *Kernel) BindShardLane(shard int, start Handle, lane Lane) {
 		}
 	}
 	*list = append(*list, seg)
-	sh.laneCover += n
-	sh.relane(k)
+	sh.unbound -= n
 }
 
-// relane decides which walk the shards take: the lanes once they cover every
-// component, unless an eval hook needs the per-component walk.
-func (sh *sharding) relane(k *Kernel) {
-	sh.laned = sh.evalHook == nil && sh.laneCover == len(k.components)
-}
-
-// runShard executes one phase of one shard. Runs on a worker goroutine (or
+// runShard executes one phase of one shard: its lanes in handle order, with
+// the kernel's quiescence bookkeeping done inline by the lanes and folded
+// into the shard's live word once per cycle. Runs on a worker goroutine (or
 // inline on the stepping goroutine for the first working shard).
 func (k *Kernel) runShard(s, phase int) {
-	sh := k.sh
-	if sh.laned {
-		k.runShardLanes(s, phase)
-		return
-	}
-	k.runShardGeneric(s, phase)
-}
-
-// runShardLanes is the typed walk: the shard's lanes in handle order, with
-// the kernel's quiescence bookkeeping done inline by the lanes and folded
-// into the shard's live word once per cycle.
-func (k *Kernel) runShardLanes(s, phase int) {
 	sh := k.sh
 	cycle := k.cycle
 	quiets := 0
 	for _, g := range sh.lanes[s] {
 		flags := k.active[g.start:g.end]
-		switch {
-		case phase == PhaseCompute && k.alwaysActive:
-			g.lane.ComputeAll(cycle)
-		case phase == PhaseCompute:
+		if phase == PhaseCompute {
 			g.lane.ComputeActive(cycle, flags)
-		case k.alwaysActive:
-			g.lane.CommitAll(cycle)
-		default:
+		} else {
 			quiets += g.lane.CommitActive(cycle, flags)
-		}
-	}
-	if quiets != 0 {
-		sh.settle(k, s)
-	}
-}
-
-// runShardGeneric is the index-list walk through the Clocked interface, with
-// the eval hook: the path probed runs and lane-less kernels take. Like the
-// lanes it loads flags atomically in the compute phase, which other shards'
-// Arrives run alongside, and plainly in the commit phase, which they do not.
-func (k *Kernel) runShardGeneric(s, phase int) {
-	sh := k.sh
-	hook := sh.evalHook
-	cycle := k.cycle
-	if phase == PhaseCompute {
-		for _, i := range sh.comps[s] {
-			if k.alwaysActive || atomic.LoadUint32(&k.active[i]) == Awake {
-				if hook != nil {
-					hook(s, PhaseCompute, int(i))
-				}
-				k.components[i].Compute(cycle)
-			}
-		}
-		return
-	}
-	if k.alwaysActive {
-		for _, i := range sh.comps[s] {
-			if hook != nil {
-				hook(s, PhaseCommit, int(i))
-			}
-			k.components[i].Commit(cycle)
-		}
-		return
-	}
-	quiets := 0
-	for _, i := range sh.comps[s] {
-		switch k.active[i] {
-		case Parked:
-			continue
-		case Arrived:
-			k.active[i] = Awake
-			if l := k.latch[i]; l != nil {
-				if hook != nil {
-					hook(s, PhaseCommit, int(i))
-				}
-				l.Latch(cycle)
-			}
-		default:
-			if hook != nil {
-				hook(s, PhaseCommit, int(i))
-			}
-			k.components[i].Commit(cycle)
-		}
-		if q := k.quiesc[i]; q != nil && q.Quiet() {
-			k.active[i] = Parked
-			quiets++
 		}
 	}
 	if quiets != 0 {

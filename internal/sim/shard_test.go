@@ -191,8 +191,9 @@ func (b *bell) Quiet() bool         { return true }
 
 // buildRelays wires n relay+bell pairs into a kernel: relay i feeds relay
 // (i*5+3)%n, so upstream handles lie both below and above their sinks', and
-// with shards > 0 pair i lives on shard i%shards, so most edges cross a
-// boundary. Returns the kernel plus the components for inspection.
+// with shards > 0 pair i lives on shard i%shards, in a lane of its own, so
+// most edges cross a boundary. Returns the kernel plus the components for
+// inspection.
 func buildRelays(n, shards int) (*Kernel, []*relay, []*bell) {
 	k := NewKernel()
 	relays := make([]*relay, n)
@@ -211,6 +212,9 @@ func buildRelays(n, shards int) (*Kernel, []*relay, []*bell) {
 	}
 	if shards > 0 {
 		k.SetSharding(shards, shardOf)
+		for i := range relays {
+			k.BindShardLane(i%shards, Handle(2*i), latcherLane{relays[i], bells[i]})
+		}
 	}
 	return k, relays, bells
 }
@@ -272,8 +276,10 @@ func TestShardedWakeCrossGoroutine(t *testing.T) {
 	k := NewKernel()
 	const n = 32
 	handles := make([]Handle, n)
+	lanes := make([]quiescerLane, n)
 	for i := 0; i < n; i++ {
-		handles[i] = k.Add(&quiescer{pending: 1})
+		lanes[i] = quiescerLane{{pending: 1}}
+		handles[i] = k.Add(lanes[i][0])
 	}
 	shardOf := make([]int, n)
 	for i := range shardOf {
@@ -281,6 +287,9 @@ func TestShardedWakeCrossGoroutine(t *testing.T) {
 	}
 	k.SetSharding(4, shardOf)
 	defer k.Close()
+	for i, h := range handles {
+		k.BindShardLane(i%4, h, lanes[i])
+	}
 	k.Run(3) // everything goes quiet
 	if !k.Idle() {
 		t.Fatalf("kernel not idle: %d active", k.ActiveComponents())

@@ -239,14 +239,20 @@ func TestKernelWakeReactivates(t *testing.T) {
 	}
 }
 
+// TestKernelAlwaysActive: the oracle, the kernel's reference stepper,
+// evaluates every component every cycle, parked ones included, while the
+// notional active set still parks them.
 func TestKernelAlwaysActive(t *testing.T) {
 	k := NewKernel()
 	q := &quiescer{}
 	k.Add(q)
-	k.SetAlwaysActive(true)
+	k.SetOracle(func(Handle) uint64 { return uint64(q.pending) })
 	k.Run(10)
 	if q.computes != 10 || q.commits != 10 {
-		t.Fatalf("reference mode evaluated %d/%d times, want 10/10", q.computes, q.commits)
+		t.Fatalf("the oracle evaluated %d/%d times, want 10/10", q.computes, q.commits)
+	}
+	if n := k.ActiveComponents(); n != 0 {
+		t.Fatalf("%d active under the oracle, want the quiet component parked", n)
 	}
 }
 

@@ -22,6 +22,7 @@ type CLI struct {
 	ver      *bool
 	tel      *liveFlags
 	prof     *probe.ProfileFlags
+	shards   *int
 	parallel *int
 }
 
@@ -53,9 +54,11 @@ func (c *CLI) Seed(def uint64) *uint64 {
 	return flag.Uint64("seed", def, "simulation seed (every output is a pure function of it)")
 }
 
-// Shards registers -shards with the tool's default.
+// Shards registers -shards with the tool's default; Start rejects a negative
+// value.
 func (c *CLI) Shards(def int) *int {
-	return flag.Int("shards", def, "intra-simulation worker shards per network (0 = auto, 1 = serial; output is bit-identical at every setting)")
+	c.shards = flag.Int("shards", def, "intra-simulation worker shards per network (0 = auto, 1 = serial; output is bit-identical at every setting)")
+	return c.shards
 }
 
 // Parallel registers -parallel; Start turns it into the worker pool.
@@ -81,6 +84,9 @@ func (c *CLI) Start() (sess *Session, pool *exp.Pool, stop func()) {
 		if stopProf, err = c.prof.Start(); err != nil {
 			c.Fail(err)
 		}
+	}
+	if c.shards != nil && *c.shards < 0 {
+		c.Fail(fmt.Errorf("-shards must be >= 0 (got %d); use 0 for auto, 1 for serial", *c.shards))
 	}
 	if c.parallel != nil {
 		if *c.parallel < 0 {

@@ -5,6 +5,7 @@
 package traffic
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -159,9 +160,17 @@ func (p Hotspot) Dest(src noc.NodeID, rng *sim.RNG) noc.NodeID {
 	return Uniform{p.Topo}.Dest(src, rng)
 }
 
+// ErrTooFewNodes is returned, wrapped, by ByName for a topology with fewer
+// than two nodes: no packet there has a destination other than its source
+// (Uniform would search for one forever).
+var ErrTooFewNodes = errors.New("traffic: a pattern needs at least two nodes")
+
 // ByName returns the named pattern for the topology. Valid names: uniform,
 // transpose, bitcomp, bitrev, shuffle, tornado, neighbor, hotspot.
 func ByName(name string, topo noc.Topology) (Pattern, error) {
+	if n := topo.Nodes(); n < 2 {
+		return nil, fmt.Errorf("%w (%dx%d has %d)", ErrTooFewNodes, topo.Width, topo.Height, n)
+	}
 	switch name {
 	case "uniform":
 		return Uniform{topo}, nil

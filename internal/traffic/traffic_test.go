@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -180,10 +181,17 @@ func TestSelfSimilarBurstiness(t *testing.T) {
 	}
 }
 
-// TestByNameUnknown checks the error path.
+// TestByNameUnknown checks the error paths: an unknown name, and a topology
+// too small for any destination but the source (Uniform used to search for
+// one forever).
 func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName("nope", topo8); err == nil {
 		t.Error("unknown pattern accepted")
+	}
+	for _, topo := range []noc.Topology{{Width: 1, Height: 1}, {}} {
+		if _, err := ByName("uniform", topo); !errors.Is(err, ErrTooFewNodes) {
+			t.Errorf("%dx%d: err = %v, want ErrTooFewNodes", topo.Width, topo.Height, err)
+		}
 	}
 }
 
