@@ -139,7 +139,7 @@ cli-smoke:
 	cd "$$tmp"; \
 	for c in "noxapp -cpu-cycles 0" "noxapp -figure 12" "noxsim -flits 0" "noxsim -flits -2" \
 		"noxsim -rate -5" "noxsweep -figure 7" "noxfault -width 0" "noxfault -shards -1" \
-		"noxtrace -shards -1" "noxablate -shards -1" "noxapp -shards -1" "noxfuture -shards -1" \
+		"noxsweep -shards -1" "noxablate -shards -1" "noxapp -shards -1" "noxfuture -shards -1" \
 		"noxtrace -width 0" "noxtrace -width 1 -height 1" "noxsim -measure -100" "noxtrace -rate -1" \
 		"noxfault -degrade 2 -kill -5" "noxfault -cycles -10" "noxfault -cycles 0" "noxfault -load -1" \
 		"noxfault -load 2" "noxfault -load NaN" "noxfault -multi 2" "noxfault -rtimeout -5" "noxfault -degrade -3"; do \
@@ -151,10 +151,8 @@ cli-smoke:
 	echo "cli-smoke: OK"
 
 ## trace-smoke: run noxtrace on a tiny mesh and validate that the emitted
-## Chrome trace JSON parses and that every CSV exporter produces output. Then
-## the CLI-level referee of the shard probe children's merge tags: an 8x8 run
-## at -shards 4 must write the same Chrome trace, waveform, routers CSV and
-## time series, byte for byte, as at -shards 1, for NoX and for a baseline.
+## Chrome trace JSON parses and that every CSV exporter produces output. (A
+## probed run is serial, so there is no shard count to compare across.)
 trace-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	set -e; \
@@ -166,16 +164,6 @@ trace-smoke:
 	for f in wf.txt routers.csv heat.csv ts.csv; do \
 		test -s "$$tmp/$$f" || { echo "trace-smoke: $$f is empty" >&2; exit 1; }; \
 	done; \
-	for arch in nox specaccurate; do \
-		for s in 1 4; do \
-			"$$tmp/noxtrace" -arch $$arch -width 8 -height 8 -rate 1500 -cycles 600 -shards $$s \
-				-out "$$tmp/$$arch.$$s.json" -waveform "$$tmp/$$arch.$$s.wf" \
-				-routers-csv "$$tmp/$$arch.$$s.routers" -timeseries-csv "$$tmp/$$arch.$$s.ts" 2>/dev/null; \
-		done; \
-		for f in json wf routers ts; do \
-			cmp "$$tmp/$$arch.1.$$f" "$$tmp/$$arch.4.$$f" || { echo "trace-smoke: $$arch -shards 4 $$f differs from -shards 1" >&2; exit 1; }; \
-		done; \
-	done; \
 	echo "trace-smoke: OK"
 
 ## fault-smoke: run a small seeded fault campaign on every architecture
@@ -184,14 +172,28 @@ trace-smoke:
 ## injection (and everything downstream of it) is deterministic and
 ## shard-invariant. Also fails on any UNDETECTED campaign: an injected
 ## fault must be caught by the invariant layer or masked by the protocol.
+## Each side runs in its own directory with a relative -flight-dir, and the
+## flight dumps the sharded run writes (each replays its campaign serially)
+## must be the serial run's, byte for byte.
 fault-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) run -race ./cmd/noxfault -arch all -width 4 -height 4 -campaigns 2 \
-		-cycles 800 -drain 10000 -watchdog 3000 -seed 0xF001 -shards 1 -out "$$tmp/serial.txt" && \
-	$(GO) run -race ./cmd/noxfault -arch all -width 4 -height 4 -campaigns 2 \
-		-cycles 800 -drain 10000 -watchdog 3000 -seed 0xF001 -shards 4 -out "$$tmp/sharded.txt" && \
-	cmp "$$tmp/serial.txt" "$$tmp/sharded.txt" && \
-	{ ! grep -q UNDETECTED "$$tmp/serial.txt" || { echo "fault-smoke: campaign left faults undetected" >&2; cat "$$tmp/serial.txt" >&2; exit 1; }; } && \
+	set -e; \
+	$(GO) build -race -o "$$tmp/noxfault" ./cmd/noxfault; \
+	for s in 1 4; do \
+		mkdir "$$tmp/shards$$s"; \
+		(cd "$$tmp/shards$$s" && "$$tmp/noxfault" -arch all -width 4 -height 4 -campaigns 2 \
+			-cycles 800 -drain 10000 -watchdog 3000 -seed 0xF001 -shards $$s \
+			-flight-dir flight -out report.txt); \
+	done; \
+	cmp "$$tmp/shards1/report.txt" "$$tmp/shards4/report.txt"; \
+	{ ! grep -q UNDETECTED "$$tmp/shards1/report.txt" || { echo "fault-smoke: campaign left faults undetected" >&2; cat "$$tmp/shards1/report.txt" >&2; exit 1; }; }; \
+	(cd "$$tmp/shards1/flight" 2>/dev/null && ls *.trace.json 2>/dev/null) > "$$tmp/dumps1" || true; \
+	(cd "$$tmp/shards4/flight" 2>/dev/null && ls *.trace.json 2>/dev/null) > "$$tmp/dumps4" || true; \
+	test -s "$$tmp/dumps1" || { echo "fault-smoke: no campaign wrote a flight dump" >&2; exit 1; }; \
+	cmp "$$tmp/dumps1" "$$tmp/dumps4" || { echo "fault-smoke: -shards 4 wrote other flight dumps than -shards 1" >&2; exit 1; }; \
+	for f in $$(cat "$$tmp/dumps1"); do \
+		cmp "$$tmp/shards1/flight/$$f" "$$tmp/shards4/flight/$$f" || { echo "fault-smoke: -shards 4 flight dump $$f differs from -shards 1" >&2; exit 1; }; \
+	done; \
 	echo "fault-smoke: OK"
 
 ## fault-perm-smoke: the permanent-fault degradation sweep on every

@@ -18,7 +18,6 @@ import (
 	"repro/internal/physical"
 	"repro/internal/router"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -196,17 +195,13 @@ func BenchmarkNetworkCycle(b *testing.B) {
 // ResetTimer, so the timed region is pure datapath — flits recycle through
 // the arenas, FIFOs reuse their rings, and the allocs/op column must read 0.
 // The network is saturated with long wormhole packets so every measured
-// cycle does real switching work. The flight recorder shadows the run the
-// way the cmd tools arm it by default, so the 0 allocs/op gate also proves
-// the recorder's ring is allocation-free in steady state.
+// cycle does real switching work. This is also the cycle of a cmd tool's
+// run with the flight recorder armed (the default): the recorder attaches
+// nothing to a live run and replays it only when it trips.
 func BenchmarkNetworkCycleSteady(b *testing.B) {
 	for _, arch := range router.Archs {
 		b.Run(arch.String(), func(b *testing.B) {
-			rec := telemetry.NewRecorder(telemetry.RecorderConfig{
-				Dir: b.TempDir(), Label: "bench-" + arch.String(),
-				PeriodNs: physical.ClockPeriodNs(arch),
-			})
-			net := network.New(network.Config{Arch: arch, Probe: rec.Probe()})
+			net := network.New(network.Config{Arch: arch})
 			rng := sim.NewRNG(1)
 			topo := net.Topology()
 			for n := 0; n < topo.Nodes(); n++ {

@@ -32,6 +32,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/noc"
 	"repro/internal/physical"
+	"repro/internal/probe"
 	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -193,7 +194,7 @@ func warmFault(arch router.Arch, p params, cycles int64, seed uint64) ([]byte, e
 	return snapshot.Encode(net)
 }
 
-// cellRecorder arms cell c's flight recorder: probe ring sized for the
+// cellRecorder arms cell c's flight recorder: trace timestamps in the
 // architecture's clock, checker violations latching the dump trigger.
 func cellRecorder(c *cell, ck *check.Checker, p params) *telemetry.Recorder {
 	if p.newRecorder == nil {
@@ -233,23 +234,37 @@ func run(arch router.Arch, idx int, p params) (c cell) {
 	}()
 
 	rec := cellRecorder(&c, ck, p)
+	net := buildCell(&c, p, ck, inj, nil)
+	defer net.Close()
+	wireReconfig(net, rec)
+	driveCell(net, &c, p, rec)
+	finishCell(&c, net, ck, inj, rec, p)
+	return c
+}
+
+// buildCell builds cell c's network, probed by pr (nil for none).
+func buildCell(c *cell, p params, ck *check.Checker, inj *fault.Injector, pr *probe.Probe) *network.Network {
 	net, err := network.Build(network.Config{
-		Topo: p.topo, Arch: arch, BufferDepth: p.bufferDepth,
-		Shards: p.shards, Check: ck, Fault: inj, Probe: rec.Probe(),
+		Topo: p.topo, Arch: c.arch, BufferDepth: p.bufferDepth,
+		Shards: p.shards, Check: ck, Fault: inj, Probe: pr,
 		Retransmit: p.retransmit,
 	})
 	if err != nil {
 		panic(err.Error())
 	}
-	defer net.Close()
-	wireReconfig(net, rec)
-	restoreWarm(net, arch, p)
+	return net
+}
 
+// driveCell runs cell c's traffic phase on its freshly built network, from
+// the architecture's warm image when there is one. A replay stops as soon
+// as its recorder rec is Done.
+func driveCell(net *network.Network, c *cell, p params, rec *telemetry.Recorder) {
+	restoreWarm(net, c.arch, p)
 	// Uniform-random traffic from the campaign's own stream; injection runs
 	// on the stepping goroutine, so the packet sequence is shard-invariant.
 	rng := sim.NewRNG(c.spec.Seed ^ 0x54524146) // "TRAF"
 	cores := net.Cores()
-	for cyc := int64(0); cyc < p.cycles; cyc++ {
+	for cyc := int64(0); cyc < p.cycles && !rec.Done(net.Cycle()); cyc++ {
 		for id := 0; id < cores; id++ {
 			if rng.Float64() >= p.load {
 				continue
@@ -266,8 +281,34 @@ func run(arch router.Arch, idx int, p params) (c cell) {
 		}
 		net.Step()
 	}
-	finishCell(&c, net, ck, inj, rec, p)
-	return c
+}
+
+// replayCell re-runs cell c from the start under the flight recorder's
+// replay recorder rr — serially, with a fresh checker and injector wired to
+// rr the way the cell's were to its recorder, and none of the cell's side
+// effects — until rr is Done.
+func replayCell(c *cell, p params, rr *telemetry.Recorder) {
+	p.shards = 1
+	ck := check.New(check.All())
+	rr.BindChecker(ck)
+	net := buildCell(c, p, ck, fault.NewInjector(c.spec), rr.Probe())
+	defer net.Close()
+	wireReconfig(net, rr)
+	driveCell(net, c, p, rr)
+	if !rr.Done(net.Cycle()) {
+		drainCell(net, p, rr)
+	}
+}
+
+// drainCell drains a cell's network once its traffic phase is over and
+// sweeps the invariants, latching rec if the drain fails.
+func drainCell(net *network.Network, p params, rec *telemetry.Recorder) error {
+	err := net.DrainChecked(p.drain, p.watchdog)
+	net.CheckInvariants()
+	if err != nil {
+		rec.Trigger(net.Cycle(), "drain: "+firstLine(err.Error()))
+	}
+	return err
 }
 
 // finishCell drains one campaign's network and classifies the outcome —
@@ -289,15 +330,12 @@ func finishCell(c *cell, net *network.Network, ck *check.Checker, inj *fault.Inj
 			c.why = "panic: " + firstLine(fmt.Sprint(r))
 		}
 	}()
-	drainErr := net.DrainChecked(p.drain, p.watchdog)
-	net.CheckInvariants()
-	if drainErr != nil {
-		rec.Trigger(net.Cycle(), "drain: "+firstLine(drainErr.Error()))
-	}
+	drainErr := drainCell(net, p, rec)
 	// The dump goes to the flight directory and stderr only — the campaign
 	// report must stay byte-identical with recording on or off.
 	if rec.Triggered() {
-		if _, err := rec.Flush(func(w io.Writer) {
+		replay := func(rr *telemetry.Recorder) { replayCell(c, p, rr) }
+		if _, err := rec.Flush(replay, func(w io.Writer) {
 			net.WriteDiagnostic(w)
 			ck.WriteReport(w)
 		}); err != nil {

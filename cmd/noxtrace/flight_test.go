@@ -25,32 +25,36 @@ func TestFlightDumpValidates(t *testing.T) {
 	rec := telemetry.NewRecorder(telemetry.RecorderConfig{
 		Dir: t.TempDir(), Label: "oracle-trip", PeriodNs: physical.ClockPeriodNs(arch),
 	})
-	ck := check.New(check.All())
-	rec.BindChecker(ck)
-
 	topo := noc.Topology{Width: 4, Height: 4}
-	inj := fault.NewInjector(fault.Spec{Seed: 0xBADF00D, BitFlip: 0.02})
-	net := network.New(network.Config{Topo: topo, Arch: arch, Check: ck, Fault: inj, Probe: rec.Probe()})
-	defer net.Close()
-
-	// Hotspot contention manufactures encoded flits for the bit-flips to
-	// corrupt; the seed makes the campaign replayable, so the trip is
-	// deterministic.
-	for round := 0; round < 20; round++ {
-		for id := 1; id < topo.Nodes(); id++ {
-			net.Inject(noc.NodeID(id), 0, 2, 0)
+	// campaign runs the failing run under recorder r — the run's own, or
+	// the replay's, whose network carries its probe. Hotspot contention
+	// manufactures encoded flits for the bit-flips to corrupt; the seed
+	// makes the campaign replayable, so the trip is deterministic.
+	campaign := func(r *telemetry.Recorder) *network.Network {
+		ck := check.New(check.All())
+		r.BindChecker(ck)
+		inj := fault.NewInjector(fault.Spec{Seed: 0xBADF00D, BitFlip: 0.02})
+		net := network.New(network.Config{Topo: topo, Arch: arch, Check: ck, Fault: inj, Probe: r.Probe()})
+		for round := 0; round < 20; round++ {
+			for id := 1; id < topo.Nodes(); id++ {
+				net.Inject(noc.NodeID(id), 0, 2, 0)
+			}
+			net.Step()
 		}
-		net.Step()
+		if err := net.DrainChecked(5000, 1000); err != nil {
+			r.Trigger(net.Cycle(), "drain: "+err.Error())
+		}
+		net.CheckInvariants()
+		return net
 	}
-	if err := net.DrainChecked(5000, 1000); err != nil {
-		rec.Trigger(net.Cycle(), "drain: "+err.Error())
-	}
-	net.CheckInvariants()
+	net := campaign(rec)
+	defer net.Close()
 
 	if !rec.Triggered() {
 		t.Fatal("fault campaign produced no trigger — raise the bit-flip rate")
 	}
-	path, err := rec.Flush(net.WriteDiagnostic)
+	replay := func(rr *telemetry.Recorder) { campaign(rr).Close() }
+	path, err := rec.Flush(replay, net.WriteDiagnostic)
 	if err != nil {
 		t.Fatalf("Flush: %v", err)
 	}

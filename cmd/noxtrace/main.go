@@ -110,7 +110,7 @@ func validateMetrics(path string) error {
 
 func main() {
 	cli := telemetry.NewCLI("noxtrace", telemetry.LiveFlags|telemetry.ProfileFlags)
-	seed, shards := cli.Seed(0xA11CE), cli.Shards(0)
+	seed := cli.Seed(0xA11CE)
 	var (
 		archName = flag.String("arch", "nox", "router architecture: nonspec|specfast|specaccurate|nox")
 		pattern  = flag.String("pattern", "uniform", "traffic pattern: uniform|transpose|bitcomp|bitrev|shuffle|tornado|neighbor|hotspot|selfsimilar")
@@ -177,7 +177,7 @@ func main() {
 		obs = rep.Observe
 	}
 	pr := probe.New(probe.Config{RingEvents: *ring, SampleEvery: *sample, PeriodNs: periodNs})
-	net, err := network.Build(network.Config{Topo: topo, Arch: arch, Probe: pr, Shards: *shards, Observer: obs})
+	net, err := network.Build(network.Config{Topo: topo, Arch: arch, Probe: pr, Observer: obs})
 	if err != nil {
 		fatal(err)
 	}

@@ -156,6 +156,15 @@ func New(cfg Config) *Checker {
 	return &Checker{cfg: cfg, max: max, inflight: make(map[uint64]int64)}
 }
 
+// Fresh returns a new checker with c's configuration and none of its
+// state, or nil for a nil c: the checker a replay of c's run starts with.
+func (c *Checker) Fresh() *Checker {
+	if c == nil {
+		return nil
+	}
+	return New(c.cfg)
+}
+
 // Armed reports whether the checker is present; nil-safe.
 func (c *Checker) Armed() bool { return c != nil }
 

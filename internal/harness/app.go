@@ -42,9 +42,9 @@ type AppConfig struct {
 	// Progress, when set, receives per-cycle ticks and inject/deliver counts
 	// for live telemetry (cycles/s, /metrics).
 	Progress *telemetry.Sampler
-	// Recorder, when set, is this run's flight recorder: its probe shadows
-	// both physical networks (unless Probe above claims the slot) and an
-	// undrained run or checker violation triggers a failure-window dump.
+	// Recorder, when set, is this run's flight recorder: an undrained run or
+	// a checker violation triggers it, and the run's epilogue replays the
+	// run to dump the failure window. Ignored when Probe is set.
 	Recorder *telemetry.Recorder
 	// Shards selects each physical network's execution mode (see
 	// network.Config): 0 = auto, 1 = serial, N >= 2 = sharded. Results are
@@ -92,6 +92,24 @@ type AppResult struct {
 // to their CPU-domain timestamp, so injection bandwidth is identical
 // across architectures as required by §5.2.
 func RunApp(cfg AppConfig) AppResult {
+	var origin *warmImage
+	if cfg.RestorePath != "" {
+		w, err := loadWarmFile(cfg.RestorePath)
+		switch {
+		case err == nil:
+			origin = w
+		case errors.Is(err, fs.ErrNotExist):
+			// No checkpoint yet for this (workload, architecture): cold start.
+		default:
+			panic(fmt.Sprintf("harness: app restore %s: %v", cfg.RestorePath, err))
+		}
+	}
+	return runApp(cfg, origin)
+}
+
+// runApp replays cfg's trace from cycle 0, or resumed from the origin
+// checkpoint when it is non-nil.
+func runApp(cfg AppConfig, origin *warmImage) AppResult {
 	if cfg.Trace == nil {
 		panic("harness: AppConfig.Trace is required")
 	}
@@ -108,12 +126,9 @@ func RunApp(cfg AppConfig) AppResult {
 	periodPs := physical.ClockPeriodPs(cfg.Arch)
 	topo := cfg.Trace.Topo
 
-	// An explicit Probe wins the probe slot; otherwise the flight recorder's
-	// ring shadows the run (both physical networks interleave into it, the
-	// same sharing an explicit probe gets).
-	pr := cfg.Probe
-	if pr == nil && cfg.Recorder != nil {
-		pr = cfg.Recorder.Probe()
+	// An explicit Probe already records the complete event stream.
+	if cfg.Probe != nil {
+		cfg.Recorder = nil
 	}
 	cfg.Recorder.SetPeriodNs(periodNs)
 	cfg.Recorder.BindChecker(cfg.Check)
@@ -133,6 +148,10 @@ func RunApp(cfg AppConfig) AppResult {
 		}
 	}
 
+	pr := cfg.Probe
+	if pr == nil {
+		pr = cfg.Recorder.Probe() // a replay's recorder carries the probe of its window
+	}
 	multi := network.NewMulti(trace.NumClasses, network.Config{Topo: topo, Arch: cfg.Arch, BufferDepth: cfg.BufferDepth, Probe: pr, Shards: cfg.Shards, Check: cfg.Check, Observer: obs})
 	defer multi.Close()
 	// Every trace packet is measured: the collector's window spans the run,
@@ -156,18 +175,14 @@ func RunApp(cfg AppConfig) AppResult {
 	var pktID uint64
 
 	cycle := int64(0)
-	if cfg.RestorePath != "" {
-		cur, err := loadAppCheckpoint(cfg.RestorePath, multi, col, len(events))
-		switch {
-		case err == nil:
-			idx, pktID = cur.idx, cur.pktID
-			latencySum, latencySqSum, delivered = cur.latencySum, cur.latencySqSum, cur.delivered
-			cycle = multi.Cycle()
-		case errors.Is(err, fs.ErrNotExist):
-			// No checkpoint yet for this (workload, architecture): cold start.
-		default:
+	if origin != nil {
+		cur, err := restoreAppCheckpoint(origin, multi, col, len(events))
+		if err != nil {
 			panic(fmt.Sprintf("harness: app restore %s: %v", cfg.RestorePath, err))
 		}
+		idx, pktID = cur.idx, cur.pktID
+		latencySum, latencySqSum, delivered = cur.latencySum, cur.latencySqSum, cur.delivered
+		cycle = multi.Cycle()
 	}
 	nextCkpt := int64(-1)
 	if cfg.CheckpointPath != "" && cfg.CheckpointEvery > 0 {
@@ -177,7 +192,8 @@ func RunApp(cfg AppConfig) AppResult {
 	if len(events) > 0 {
 		deadline += int64(float64(events[len(events)-1].TimePs)/periodPs) + 1
 	}
-	for cycle < deadline && (idx < len(events) || multi.Outstanding() > 0) {
+	// A flight-recorder replay stops once its recorder is Done.
+	for cycle < deadline && (idx < len(events) || multi.Outstanding() > 0) && !cfg.Recorder.Done(cycle) {
 		// Persist a resumable checkpoint between steps. The threshold (not a
 		// modulus) tolerates the idle fast-forward jumping whole periods.
 		if nextCkpt >= 0 && cycle >= nextCkpt {
@@ -256,10 +272,19 @@ func RunApp(cfg AppConfig) AppResult {
 
 	// Telemetry epilogue: fold this replay's datapath events into the live
 	// per-arch counters, and dump the failure window if the checker or the
-	// undrained exit tripped the flight recorder.
+	// undrained exit tripped the flight recorder. The dump re-runs this
+	// replay from its origin, serially, under the recorder Flush hands it.
 	cfg.Progress.RunDone(cfg.Arch.String(), window)
 	if cfg.Recorder.Triggered() {
-		if _, err := cfg.Recorder.Flush(func(w io.Writer) {
+		replay := func(rr *telemetry.Recorder) {
+			rc := cfg
+			rc.Shards, rc.Check = 1, cfg.Check.Fresh()
+			rc.Progress, rc.Recorder = nil, rr
+			rc.CheckpointPath, rc.RestorePath = "", ""
+			replayStarts(rr)
+			runApp(rc, origin)
+		}
+		if _, err := cfg.Recorder.Flush(replay, func(w io.Writer) {
 			for class := 0; class < multi.Classes(); class++ {
 				fmt.Fprintf(w, "class %d ", class)
 				multi.Net(class).WriteDiagnostic(w)

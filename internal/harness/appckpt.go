@@ -43,14 +43,10 @@ func saveAppCheckpoint(path string, multi *network.Multi, col *stats.Collector, 
 	return saveWarmFile(path, &warmImage{net: img, run: e.Bytes()})
 }
 
-// loadAppCheckpoint restores a replay checkpoint into the freshly built
-// multi-network and collector, returning the replay cursor. maxIdx bounds
-// the event cursor (the trace length).
-func loadAppCheckpoint(path string, multi *network.Multi, col *stats.Collector, maxIdx int) (appCursor, error) {
-	w, err := loadWarmFile(path)
-	if err != nil {
-		return appCursor{}, err
-	}
+// restoreAppCheckpoint restores a loaded replay checkpoint into the freshly
+// built multi-network and collector, returning the replay cursor. maxIdx
+// bounds the event cursor (the trace length).
+func restoreAppCheckpoint(w *warmImage, multi *network.Multi, col *stats.Collector, maxIdx int) (appCursor, error) {
 	if err := snapshot.DecodeMultiInto(w.net, multi); err != nil {
 		return appCursor{}, err
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/noc"
 	"repro/internal/physical"
 	"repro/internal/power"
+	"repro/internal/probe"
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -140,8 +141,9 @@ type FutureConfig struct {
 	// Progress, when set, receives per-cycle ticks and inject/deliver counts
 	// for live telemetry. Nil costs a nil check per hook.
 	Progress *telemetry.Sampler
-	// Recorder, when set, is this run's flight recorder: its probe shadows
-	// the network and a wedged drain triggers a failure-window dump.
+	// Recorder, when set, is this run's flight recorder: a wedged drain
+	// triggers it, and the run's epilogue replays the run to dump the
+	// failure window.
 	Recorder *telemetry.Recorder
 }
 
@@ -167,6 +169,12 @@ func (c *FutureConfig) fill() {
 // are per core in MB/s, converted with the system's own clock period, so
 // mesh and CMesh face identical absolute load.
 func RunFuture(cfg FutureConfig) (RunResult, error) {
+	return runFuture(cfg, nil)
+}
+
+// runFuture is RunFuture with the network probed by pr (nil for none): the
+// flight recorder's replay runs the point again under its probe.
+func runFuture(cfg FutureConfig, pr *probe.Probe) (RunResult, error) {
 	cfg.fill()
 	sys := cfg.Kind.System()
 	dp := cfg.Kind.Datapath()
@@ -200,7 +208,7 @@ func RunFuture(cfg FutureConfig) (RunResult, error) {
 		Concentration: sys.Concentration,
 		Arch:          cfg.Arch,
 		Shards:        cfg.Shards,
-		Probe:         cfg.Recorder.Probe(),
+		Probe:         pr,
 		Observer:      obs,
 	})
 	defer net.Close()
@@ -231,7 +239,8 @@ func RunFuture(cfg FutureConfig) (RunResult, error) {
 
 	var start power.Counters
 	total := cfg.WarmupCycles + cfg.MeasureCycles
-	for cyc := int64(0); cyc < total; cyc++ {
+	// A flight-recorder replay stops once its recorder is Done.
+	for cyc := int64(0); cyc < total && !cfg.Recorder.Done(cyc); cyc++ {
 		if cyc == cfg.WarmupCycles {
 			start = *net.Counters()
 		}
@@ -260,7 +269,7 @@ func RunFuture(cfg FutureConfig) (RunResult, error) {
 	window := net.Counters().Sub(start)
 
 	deadline := net.Cycle() + cfg.DrainCycles
-	for !col.Complete() && net.Cycle() < deadline {
+	for !col.Complete() && net.Cycle() < deadline && !cfg.Recorder.Done(net.Cycle()) {
 		if net.Idle() {
 			if out := net.Outstanding(); out > 0 {
 				cfg.Recorder.Trigger(net.Cycle(),
@@ -298,7 +307,15 @@ func RunFuture(cfg FutureConfig) (RunResult, error) {
 
 	cfg.Progress.RunDone(cfg.Arch.String(), window)
 	if cfg.Recorder.Triggered() {
-		if _, err := cfg.Recorder.Flush(net.WriteDiagnostic); err != nil {
+		replay := func(rr *telemetry.Recorder) {
+			rc := cfg
+			rc.Shards, rc.Progress, rc.Recorder = 1, nil, rr
+			replayStarts(rr)
+			if _, err := runFuture(rc, rr.Probe()); err != nil {
+				panic(err)
+			}
+		}
+		if _, err := cfg.Recorder.Flush(replay, net.WriteDiagnostic); err != nil {
 			fmt.Fprintln(os.Stderr, "harness:", err)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/traffic"
 )
 
@@ -28,6 +29,11 @@ type synthMember struct {
 	warmPkt     float64 // warm-up packets/cycle; 0 unless WarmRateMBps is set
 	selfSimilar bool
 	pattern     traffic.Pattern
+	// rec is the run's flight recorder (nil when disarmed); origin is the
+	// image the run was restored from, where a replay starts again (nil for
+	// a run from cycle 0).
+	rec    *telemetry.Recorder
+	origin *warmImage
 
 	net   *network.Network
 	col   *stats.Collector
@@ -102,34 +108,55 @@ func prepareSynthetic(cfg SyntheticConfig) (*synthMember, error) {
 	}
 	m.total = cfg.WarmupCycles + cfg.MeasureCycles
 
-	// Arm the flight recorder. The factory path builds one per run with a
-	// deterministic label, so sweep workers each record into their own ring
-	// and dump to their own files. An explicit full Probe claims the
-	// network's probe slot, so recording is skipped — the user already has
-	// the complete event stream.
-	if m.cfg.Recorder == nil && m.cfg.NewRecorder != nil && m.cfg.Probe == nil {
-		m.cfg.Recorder = m.cfg.NewRecorder(fmt.Sprintf("%s-%s-%.0fMBps", m.cfg.Arch, m.cfg.Pattern, m.cfg.RateMBps))
+	// Arm the flight recorder. The factory builds one per run with a
+	// deterministic label, so sweep workers each dump to their own files.
+	// An explicit Probe already records the complete event stream, so
+	// recording is skipped.
+	if m.cfg.NewRecorder != nil && m.cfg.Probe == nil {
+		m.rec = m.cfg.NewRecorder(fmt.Sprintf("%s-%s-%.0fMBps", m.cfg.Arch, m.cfg.Pattern, m.cfg.RateMBps))
 	}
-	m.cfg.Recorder.SetPeriodNs(m.periodNs)
-	m.cfg.Recorder.BindChecker(m.cfg.Check)
+	m.rec.SetPeriodNs(m.periodNs)
+	m.rec.BindChecker(m.cfg.Check)
 	return m, nil
 }
 
-// netConfig returns the network configuration this member runs on. An
-// explicit Probe wins the probe slot; otherwise the flight recorder's ring
-// shadows the run.
+// netConfig returns the network configuration this member runs on.
 func (m *synthMember) netConfig() network.Config {
-	pr := m.cfg.Probe
-	if pr == nil {
-		pr = m.cfg.Recorder.Probe()
-	}
 	var obs func(cycle int64, active int)
 	if m.cfg.Progress != nil {
 		obs = m.cfg.Progress.Observe
 	}
+	pr := m.cfg.Probe
+	if pr == nil {
+		pr = m.rec.Probe() // a replay's recorder carries the probe of its window
+	}
 	return network.Config{Topo: m.cfg.Topo, Arch: m.cfg.Arch, BufferDepth: m.cfg.BufferDepth,
 		NewArbiter: m.cfg.NewArbiter, Probe: pr, Shards: m.cfg.Shards, Check: m.cfg.Check,
 		Observer: obs}
+}
+
+// replayStarts is called with every flight-recorder replay's recorder just
+// before the replay runs. Tests that trigger a run's recorder by hand set it
+// to trigger the replay's too; no replay reproduces a trigger from outside
+// the run.
+var replayStarts = func(*telemetry.Recorder) {}
+
+// replay re-runs this member's run from its origin under the flight
+// recorder's replay recorder rr, serially, with a fresh checker and none of
+// the run's side effects: the flight recorder's dump path. Eager keeps the
+// replay's arrival lookahead what the run's was (clearing the checkpoint
+// path alone would switch it on).
+func (m *synthMember) replay(rr *telemetry.Recorder) {
+	rc := m.cfg
+	rc.Shards, rc.Check = 1, rc.Check.Fresh()
+	rc.NewRecorder = func(string) *telemetry.Recorder { return rr }
+	rc.Observe, rc.Progress = nil, nil
+	rc.CheckpointPath, rc.RestorePath = "", ""
+	rc.Eager = !m.lookahead
+	replayStarts(rr)
+	if _, err := runSynthetic(rc, m.origin); err != nil {
+		panic(err)
+	}
 }
 
 // attach binds the member to its freshly built network: delivery collector,
@@ -341,7 +368,7 @@ func (m *synthMember) needsDrainStep() bool {
 			return !m.net.Idle() && m.net.Cycle() < m.deadline
 		}
 		if out := m.net.Outstanding(); out > 0 {
-			m.cfg.Recorder.Trigger(m.net.Cycle(),
+			m.rec.Trigger(m.net.Cycle(),
 				fmt.Sprintf("deadlock: network fully quiescent with %d packets outstanding", out))
 		}
 		m.net.FastForwardIdle(m.deadline - m.net.Cycle())
@@ -400,8 +427,8 @@ func (m *synthMember) finalize() RunResult {
 	// per-arch counters, and dump the failure window if anything (checker
 	// violation, drain deadlock) tripped the flight recorder.
 	cfg.Progress.RunDone(cfg.Arch.String(), m.window)
-	if cfg.Recorder.Triggered() {
-		if _, err := cfg.Recorder.Flush(func(w io.Writer) {
+	if m.rec.Triggered() {
+		if _, err := m.rec.Flush(m.replay, func(w io.Writer) {
 			net.WriteDiagnostic(w)
 			cfg.Check.WriteReport(w)
 		}); err != nil {

@@ -35,20 +35,25 @@ func sparseCfg(pattern string, rate float64) SyntheticConfig {
 	}
 }
 
-// sparseRun executes one probed, checked run and returns its three
-// comparable byte surfaces: the RunResult dump plus rendered CSV row, the
-// complete Chrome probe trace, and the invariant checker's report.
+// sparseRun executes one checked run — probed when serial — and returns
+// its three comparable byte surfaces: the RunResult dump plus rendered CSV
+// row, the complete Chrome probe trace (empty for a sharded run: a probed
+// network runs serially), and the invariant checker's report.
 func sparseRun(t *testing.T, cfg SyntheticConfig) (results, trace, report string) {
 	t.Helper()
-	cfg.Probe = probe.New(probe.Config{RingEvents: 1 << 20, PeriodNs: physical.ClockPeriodNs(cfg.Arch)})
+	if cfg.Shards <= 1 {
+		cfg.Probe = probe.New(probe.Config{RingEvents: 1 << 20, PeriodNs: physical.ClockPeriodNs(cfg.Arch)})
+	}
 	cfg.Check = check.New(check.Config{})
 	res, err := RunSynthetic(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var tb, rb bytes.Buffer
-	if err := cfg.Probe.WriteChromeTrace(&tb); err != nil {
-		t.Fatal(err)
+	if cfg.Probe != nil {
+		if err := cfg.Probe.WriteChromeTrace(&tb); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cfg.Check.WriteReport(&rb)
 	csv := SweepCSV(cfg.Pattern, []SweepPoint{{
@@ -61,7 +66,8 @@ func sparseRun(t *testing.T, cfg SyntheticConfig) (results, trace, report string
 // TestSparseEquivalenceSerialSharded pins byte-identity between the Eager
 // harness (no lookahead, no fast-forward) and the sparse fast path, for
 // every architecture at shard counts 1 and 4 and both sparse rates —
-// RunResult, rendered CSV, full probe trace, and checker report.
+// RunResult, rendered CSV and checker report, plus the full probe trace on
+// the serial legs.
 func TestSparseEquivalenceSerialSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sparse equivalence matrix is slow")

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -49,15 +50,12 @@ type SyntheticConfig struct {
 	// for live telemetry (cycles/s, /metrics). Nil costs a nil check per
 	// hook.
 	Progress *telemetry.Sampler
-	// Recorder, when set, is this run's flight recorder: its probe shadows
-	// the network (unless Probe above claims the slot) and a deadlock in the
-	// drain loop or a checker violation triggers a failure-window dump in
-	// finalize. Usually left nil and supplied per run via NewRecorder.
-	Recorder *telemetry.Recorder
-	// NewRecorder, when set and Recorder/Probe are nil, builds the run's
-	// flight recorder from a deterministic per-run label — the factory the
-	// cmd tools thread through sweeps so every point records into its own
-	// ring. A factory returning nil disarms recording.
+	// NewRecorder, when set and Probe is nil, builds the run's flight
+	// recorder from a deterministic per-run label — the factory the cmd
+	// tools thread through sweeps so every point dumps to its own files. A
+	// deadlock in the drain loop or a checker violation triggers it, and
+	// the run's epilogue replays the run to dump the failure window. A
+	// factory returning nil disarms recording.
 	NewRecorder func(label string) *telemetry.Recorder
 	// Shards selects the simulation execution mode (see network.Config):
 	// 0 = automatic crossover, 1 = serial, N >= 2 = sharded worker pool.
@@ -179,6 +177,19 @@ func checkBandwidth(name string, mbps float64) error {
 // The run itself lives in synthMember (member.go): RunSynthetic builds one
 // network and steps it between the member's per-cycle hooks.
 func RunSynthetic(cfg SyntheticConfig) (RunResult, error) {
+	var origin *warmImage
+	if cfg.RestorePath != "" {
+		var err error
+		if origin, err = loadWarmFile(cfg.RestorePath); err != nil {
+			return RunResult{}, fmt.Errorf("harness: restore %s: %w", cfg.RestorePath, err)
+		}
+	}
+	return runSynthetic(cfg, origin)
+}
+
+// runSynthetic runs cfg from cycle 0, or resumed from origin (a checkpoint
+// or a warm-start image) when it is non-nil.
+func runSynthetic(cfg SyntheticConfig, origin *warmImage) (RunResult, error) {
 	m, err := prepareSynthetic(cfg)
 	if err != nil {
 		return RunResult{}, err
@@ -189,17 +200,15 @@ func RunSynthetic(cfg SyntheticConfig) (RunResult, error) {
 	}
 	defer net.Close()
 	m.attach(net)
-	if cfg.RestorePath != "" {
-		w, err := loadWarmFile(cfg.RestorePath)
-		if err != nil {
-			return RunResult{}, fmt.Errorf("harness: restore %s: %w", cfg.RestorePath, err)
+	if origin != nil {
+		if err := m.restoreWarm(origin); err != nil {
+			return RunResult{}, fmt.Errorf("harness: restore %s: %w", cmp.Or(cfg.RestorePath, "warm image"), err)
 		}
-		if err := m.restoreWarm(w); err != nil {
-			return RunResult{}, fmt.Errorf("harness: restore %s: %w", cfg.RestorePath, err)
-		}
+		m.origin = origin
 	}
 
-	for cyc := net.Cycle(); cyc < m.total; cyc = net.Cycle() {
+	// A flight-recorder replay stops once its recorder is Done.
+	for cyc := net.Cycle(); cyc < m.total && !m.rec.Done(cyc); cyc = net.Cycle() {
 		m.injectCycle(cyc)
 		net.Step()
 		m.cfg.Progress.Tick(cyc)
@@ -214,7 +223,7 @@ func RunSynthetic(cfg SyntheticConfig) (RunResult, error) {
 	// Drain without new traffic so measured packets can complete (deadline
 	// and wedge handling live in needsDrainStep).
 	m.enterDrain()
-	for m.needsDrainStep() {
+	for !m.rec.Done(net.Cycle()) && m.needsDrainStep() {
 		net.Step()
 		m.cfg.Progress.Tick(net.Cycle())
 	}

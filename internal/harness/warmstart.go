@@ -150,7 +150,6 @@ func warmSynthetic(base SyntheticConfig) (*warmImage, error) {
 	cfg := base
 	cfg.RateMBps = cfg.WarmRateMBps
 	cfg.Probe = nil
-	cfg.Recorder = nil
 	cfg.NewRecorder = nil
 	cfg.Progress = nil
 	cfg.Observe = nil
@@ -177,36 +176,6 @@ func warmSynthetic(base SyntheticConfig) (*warmImage, error) {
 		return nil, err
 	}
 	return &warmImage{net: img, run: e.Bytes()}, nil
-}
-
-// resumeSynthetic runs one rate point from the warm image: restore, then
-// the identical main/drain loops RunSynthetic runs from the same cycle.
-func resumeSynthetic(cfg SyntheticConfig, warm *warmImage) (RunResult, error) {
-	m, err := prepareSynthetic(cfg)
-	if err != nil {
-		return RunResult{}, err
-	}
-	net, err := snapshot.Decode(warm.net, m.netConfig())
-	if err != nil {
-		return RunResult{}, err
-	}
-	defer net.Close()
-	m.attach(net)
-	if err := m.restoreRunState(warm.run); err != nil {
-		return RunResult{}, err
-	}
-
-	for cyc := net.Cycle(); cyc < m.total; cyc++ {
-		m.injectCycle(cyc)
-		net.Step()
-		m.cfg.Progress.Tick(cyc)
-	}
-	m.enterDrain()
-	for m.needsDrainStep() {
-		net.Step()
-		m.cfg.Progress.Tick(net.Cycle())
-	}
-	return m.finalize(), nil
 }
 
 // sweepWarm is SweepSynthetic's warm-start mode: one warm phase per
@@ -246,7 +215,7 @@ func sweepWarm(base SyntheticConfig, rates []float64, pool *exp.Pool) ([]SweepPo
 			cfg := base
 			cfg.RateMBps = rates[i/len(archs)]
 			cfg.Arch = archs[ai]
-			res, err := resumeSynthetic(cfg, warms[ai])
+			res, err := runSynthetic(cfg, warms[ai])
 			return pointOutcome{res, err}, nil
 		})
 	if err != nil {
@@ -255,7 +224,8 @@ func sweepWarm(base SyntheticConfig, rates []float64, pool *exp.Pool) ([]SweepPo
 	return assembleSweep(rates, archs, outs)
 }
 
-// sweepWarmSerial is sweepSerial with resumeSynthetic as the point runner.
+// sweepWarmSerial is sweepSerial with each point resumed from its
+// architecture's warm image.
 func sweepWarmSerial(base SyntheticConfig, rates []float64, archs []router.Arch, warms []*warmImage, warmErrs []error) ([]SweepPoint, error) {
 	alive := make([]bool, len(archs))
 	for ai := range archs {
@@ -271,7 +241,7 @@ func sweepWarmSerial(base SyntheticConfig, rates []float64, archs []router.Arch,
 			cfg := base
 			cfg.Arch = arch
 			cfg.RateMBps = rate
-			res, err := resumeSynthetic(cfg, warms[ai])
+			res, err := runSynthetic(cfg, warms[ai])
 			if err != nil {
 				if errors.Is(err, ErrRateInfeasible) {
 					alive[ai] = false

@@ -60,6 +60,11 @@ func (c Config) Validate() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("%w: shards %d negative", ErrBadConfig, c.Shards)
 	}
+	if c.Shards > 1 && (c.Probe != nil || c.Oracle) {
+		// Both observe the serial walk: a probe's event order is the serial
+		// emission order, and the oracle hashes components around it.
+		return fmt.Errorf("%w: a probed or oracle network runs serially, not on %d shards", ErrBadConfig, c.Shards)
+	}
 	if c.Fault != nil && c.Check == nil {
 		// Fault consequences (corrupt decodes, overruns, orphan bodies) are
 		// panics unless the checker's lenient paths are armed — and a panic

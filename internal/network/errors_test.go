@@ -7,6 +7,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/fault"
 	"repro/internal/noc"
+	"repro/internal/probe"
 	"repro/internal/router"
 )
 
@@ -26,6 +27,9 @@ func TestBuildRejectsBadConfig(t *testing.T) {
 		{"negative sink", Config{Topo: noc.Topology{Width: 2, Height: 2}, SinkDepth: -1}},
 		{"one-slot sink", Config{Topo: noc.Topology{Width: 2, Height: 2}, SinkDepth: 1}},
 		{"negative shards", Config{Topo: noc.Topology{Width: 2, Height: 2}, Shards: -2}},
+		{"probe on two shards", Config{Topo: noc.Topology{Width: 2, Height: 2}, Shards: 2,
+			Probe: probe.New(probe.Config{RingEvents: 16})}},
+		{"oracle on two shards", Config{Topo: noc.Topology{Width: 2, Height: 2}, Shards: 2, Oracle: true}},
 		{"fault without check", Config{Topo: noc.Topology{Width: 2, Height: 2},
 			Fault: fault.NewInjector(fault.Spec{Seed: 1})}},
 	}

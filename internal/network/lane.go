@@ -3,7 +3,6 @@ package network
 import (
 	"sync/atomic"
 
-	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -52,25 +51,4 @@ func (l niLane) CommitActive(cycle int64, active []uint32) int {
 		}
 	}
 	return quiets
-}
-
-// probedLane tags its shard's probe child with the segment it is about to
-// walk, the merge key of every event the segment's components emit (see
-// probe.SetShardContext). Bound only on probed sharded networks, so the
-// unprobed lanes are the plain ones; the sharded walk calls only the Active
-// methods.
-type probedLane struct {
-	sim.Lane
-	probe *probe.Probe
-	start int
-}
-
-func (l probedLane) ComputeActive(cycle int64, active []uint32) {
-	l.probe.SetShardContext(sim.PhaseCompute, l.start)
-	l.Lane.ComputeActive(cycle, active)
-}
-
-func (l probedLane) CommitActive(cycle int64, active []uint32) int {
-	l.probe.SetShardContext(sim.PhaseCommit, l.start)
-	return l.Lane.CommitActive(cycle, active)
 }

@@ -41,13 +41,14 @@ type Config struct {
 	NewArbiter func(n int) arbiter.Arbiter
 	// Probe, when non-nil, records flit-level trace events and per-router
 	// metrics for this network. Nil disables all instrumentation at zero
-	// cost on the simulation hot path.
+	// cost on the simulation hot path. A probed network runs serially.
 	Probe *probe.Probe
 	// Shards selects the execution mode: 0 picks automatically (see
-	// AutoShards), 1 forces the serial kernel, and N >= 2 partitions the
-	// mesh into N spatial shards stepped by a persistent worker pool.
-	// Results are bit-identical at every shard count; call Close on the
-	// network when done so the workers are released.
+	// AutoShards; always serial with Probe or Oracle), 1 forces the serial
+	// kernel, and N >= 2 partitions the mesh into N spatial shards stepped
+	// by a persistent worker pool (refused with Probe or Oracle). Results
+	// are bit-identical at every shard count; call Close on the network when
+	// done so the workers are released.
 	Shards int
 	// Check, when non-nil, arms the runtime invariant layer on this network:
 	// the delivery oracle validates every packet at its interface, protocol
@@ -161,8 +162,7 @@ type shardLocal struct {
 	counters power.Counters
 	arena    noc.Arena
 	// links is what every channel latched by this shard shares (see
-	// noc.LinkEnv): the kernel, the fault injector, this shard's arena and
-	// its probe child.
+	// noc.LinkEnv): the kernel, the fault injector and this shard's arena.
 	links   noc.LinkEnv
 	mailbox []delivery
 	_       [128]byte
@@ -275,7 +275,10 @@ func New(cfg Config) *Network {
 	cores := sys.Cores()
 
 	shards := cfg.Shards
-	if shards == 0 {
+	switch {
+	case shards == 0 && (cfg.Probe != nil || cfg.Oracle):
+		shards = 1 // probed and oracle networks run serially
+	case shards == 0:
 		shards = AutoShards(routers)
 	}
 	if shards > routers {
@@ -324,14 +327,11 @@ func New(cfg Config) *Network {
 		n.probe.Attach(cfg.Topo.Width, cfg.Topo.Height, sys.Ports(), cores, cfg.BufferDepth)
 	}
 
-	// countersFor/probeFor resolve the instrumentation sinks for a component
-	// co-located with the given router node. Serial: one shared counter
-	// block and the probe itself. Sharded: the node's shard gets its own
-	// counter block and probe child, so workers never write shared state.
+	// countersFor resolves the power counters of a component co-located
+	// with the given router node. Serial: one shared counter block. Sharded:
+	// the node's shard gets its own, so workers never write shared state.
 	n.local = make([]shardLocal, shards)
 	var countersFor func(node int) *power.Counters
-	var probeFor func(node int) *probe.Probe
-	var probeChildren []*probe.Probe
 	if sharded {
 		n.shardOfNode = make([]int32, routers)
 		for id := range n.shardOfNode {
@@ -341,16 +341,9 @@ func New(cfg Config) *Network {
 		}
 		n.mailHeads = make([]int, shards)
 		countersFor = func(node int) *power.Counters { return &n.local[n.shardOfNode[node]].counters }
-		if n.probe != nil {
-			probeChildren = n.probe.ShardChildren(shards)
-			probeFor = func(node int) *probe.Probe { return probeChildren[n.shardOfNode[node]] }
-		} else {
-			probeFor = func(int) *probe.Probe { return nil }
-		}
 	} else {
 		n.counters = &n.local[0].counters
 		countersFor = func(int) *power.Counters { return n.counters }
-		probeFor = func(int) *probe.Probe { return n.probe }
 	}
 
 	n.routers = make([]router.Router, routers)
@@ -368,7 +361,7 @@ func New(cfg Config) *Network {
 			Counters:    countersFor(id),
 			Ports:       sys.Ports(),
 			NewArbiter:  cfg.NewArbiter,
-			Probe:       probeFor(id),
+			Probe:       n.probe,
 			Arena:       n.arenaOf(id),
 			Slabs:       slabs,
 			Check:       cfg.Check,
@@ -389,7 +382,7 @@ func New(cfg Config) *Network {
 		ni := &niSlab[c]
 		ni.init(noc.NodeID(c), n, cfg.SinkDepth, sinkSlots[c*sinkSl:(c+1)*sinkSl:(c+1)*sinkSl], localRow, n.arenaOf(home))
 		ni.counters = countersFor(home)
-		ni.probe = probeFor(home)
+		ni.probe = n.probe
 		if cfg.Check != nil {
 			// Armed: ejection-side decode corruption becomes a reported
 			// violation instead of a panic.
@@ -460,16 +453,13 @@ func New(cfg Config) *Network {
 	// only — the handle of the interface driving it, so a credit count
 	// lifting off zero re-activates a producer parked on backpressure. What
 	// the channels of one sink shard have in common — kernel, injector, the
-	// arena a flit dropped at the latch is released to, the probe child —
-	// they share through that shard's LinkEnv.
+	// arena a flit dropped at the latch is released to, the probe — they
+	// share through that shard's LinkEnv.
 	for i := range n.local {
 		env := &n.local[i].links
 		env.Waker, env.Arena, env.Probe = n.kernel, &n.local[i].arena, n.probe
 		if n.fault != nil { // a nil FaultInjector must stay a nil Tamperer
 			env.Tamper = n.fault
-		}
-		if probeChildren != nil {
-			env.Probe = probeChildren[i]
 		}
 	}
 	links := make([]*noc.Link, 0, linkCount)
@@ -528,9 +518,6 @@ func New(cfg Config) *Network {
 		n.kernel.BindLane(sim.Handle(routers), niLane(n.nis))
 	}
 	if cfg.Oracle {
-		if sharded {
-			panic("network: Config.Oracle requires serial execution (Shards <= 1)")
-		}
 		n.kernel.SetOracle(func(h sim.Handle) uint64 {
 			// The channels a component owns are a run of the slab: a
 			// router's inputs lead its tile's block, and each interface's
@@ -545,7 +532,7 @@ func New(cfg Config) *Network {
 	}
 	if sharded {
 		n.kernel.SetSharding(shards, shardOf)
-		n.bindShardLanes(shardOf, probeChildren)
+		n.bindShardLanes(shardOf)
 		n.kernel.SetEpilogue(n.drainShardMail)
 	}
 	// Recovery observers run first: the reconfiguration epoch rebuilds
@@ -570,9 +557,8 @@ func New(cfg Config) *Network {
 // sharded counterpart of the two serial lanes above. A shard's routers and
 // interfaces are contiguous handle ranges (shardOfNode is monotone and cores
 // are numbered by home router), so they reuse the serial lane types over a
-// sub-slice. On a probed network each lane also tags its shard's probe child
-// (probedLane).
-func (n *Network) bindShardLanes(shardOf []int, probeChildren []*probe.Probe) {
+// sub-slice.
+func (n *Network) bindShardLanes(shardOf []int) {
 	routers, comps := len(n.routers), len(n.routers)+len(n.nis)
 	// span returns the end of the run of shard s starting at from within
 	// [from, limit) of shardOf.
@@ -583,9 +569,6 @@ func (n *Network) bindShardLanes(shardOf []int, probeChildren []*probe.Probe) {
 		return from
 	}
 	bind := func(s, start int, lane sim.Lane) {
-		if probeChildren != nil {
-			lane = probedLane{Lane: lane, probe: probeChildren[s], start: start}
-		}
 		n.kernel.BindShardLane(s, sim.Handle(start), lane)
 	}
 	r, c := 0, routers
@@ -632,45 +615,42 @@ func (n *Network) oracleHash(h sim.Handle, owned []noc.Link) uint64 {
 // the shards staged this cycle in interface order (the order the serial NI
 // walk completes them in), puts the slots interfaces let go of that nothing
 // holds any more (two interfaces letting go in one cycle stage a slot twice,
-// hence the Recycled test), and merges per-shard probe event buffers back
-// into the parent ring. Runs on the stepping goroutine after the cycle's
-// last barrier.
+// hence the Recycled test). Runs on the stepping goroutine after the
+// cycle's last barrier.
 func (n *Network) drainShardMail(cycle int64) {
 	total := 0
 	for s := range n.local {
 		n.mailHeads[s] = 0
 		total += len(n.local[s].mailbox)
 	}
-	if total > 0 {
-		// Each shard's mailbox is already in ascending interface order (its
-		// worker walks NIs in registration order, one delivery per NI per
-		// cycle), so a k-way min pick reproduces the global order.
-		for ; total > 0; total-- {
-			best := -1
-			var bestNI int32
-			for s := range n.local {
-				h := n.mailHeads[s]
-				if h >= len(n.local[s].mailbox) {
-					continue
-				}
-				if ni := n.local[s].mailbox[h].ni; best < 0 || ni < bestNI {
-					best, bestNI = s, ni
-				}
+	if total == 0 {
+		return
+	}
+	// Each shard's mailbox is already in ascending interface order (its
+	// worker walks NIs in registration order, one delivery per NI per
+	// cycle), so a k-way min pick reproduces the global order.
+	for ; total > 0; total-- {
+		best := -1
+		var bestNI int32
+		for s := range n.local {
+			h := n.mailHeads[s]
+			if h >= len(n.local[s].mailbox) {
+				continue
 			}
-			d := n.local[best].mailbox[n.mailHeads[best]]
-			n.mailHeads[best]++
-			if !d.release {
-				n.deliver(d.p, cycle)
-			} else if !d.p.Owned() && !d.p.Recycled() {
-				n.packets.Put(d.p)
+			if ni := n.local[s].mailbox[h].ni; best < 0 || ni < bestNI {
+				best, bestNI = s, ni
 			}
 		}
-		for s := range n.local {
-			n.local[s].mailbox = n.local[s].mailbox[:0]
+		d := n.local[best].mailbox[n.mailHeads[best]]
+		n.mailHeads[best]++
+		if !d.release {
+			n.deliver(d.p, cycle)
+		} else if !d.p.Owned() && !d.p.Recycled() {
+			n.packets.Put(d.p)
 		}
 	}
-	if n.probe != nil {
-		n.probe.MergeShards()
+	for s := range n.local {
+		n.local[s].mailbox = n.local[s].mailbox[:0]
 	}
 }
 

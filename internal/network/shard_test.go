@@ -3,14 +3,19 @@ package network
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"log/slog"
+	"os"
 	"runtime"
 	"testing"
 
+	"repro/internal/check"
+	"repro/internal/fault"
 	"repro/internal/noc"
 	"repro/internal/power"
-	"repro/internal/probe"
 	"repro/internal/router"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // shardCounts are the worker-pool sizes the equivalence suite sweeps:
@@ -125,92 +130,90 @@ func TestShardedLaneEquivalence(t *testing.T) {
 	}
 }
 
-// driveProbed runs a loaded-then-idle workload on cfg with a full probe
-// attached and returns every probe output that must be byte-identical
-// between serial and sharded execution: the raw event stream, the
-// per-router CSV, the heatmap CSV, and the sampled time series. The Chrome
-// trace JSON is rendered from the event stream alone, so equal streams give
-// equal files (make trace-smoke compares the files themselves).
-func driveProbed(t *testing.T, cfg Config) (events []probe.Event, exports map[string]string) {
+// failingDump runs a loaded-then-idle workload with bit-flip faults on cfg,
+// with a flight recorder armed the way the drivers arm it (checker
+// observer, drain trigger, no probe on the run), and returns the trace the
+// recorder dumps. The dump replays the run serially and fails unless the
+// replay trips at the run's trigger cycle, so two runs' dumps are equal
+// exactly when they latched the same trigger cycle.
+func failingDump(t *testing.T, cfg Config) []byte {
 	t.Helper()
-	p := probe.New(probe.Config{RingEvents: 1 << 16, SampleEvery: 16})
-	cfg.Probe = p
-	net := New(cfg)
-	defer net.Close()
-	rng := sim.NewRNG(0x9B0B)
-	cores := net.Cores()
-	for cyc := 0; cyc < 300; cyc++ {
-		if cyc < 180 {
-			for inj := 0; inj < 4; inj++ {
-				src := noc.NodeID(rng.Intn(cores))
-				dst := noc.NodeID(rng.Intn(cores))
-				if src == dst {
-					continue
+	rec := telemetry.NewRecorder(telemetry.RecorderConfig{Dir: t.TempDir(), Label: "dump", Window: 32,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	// run runs the workload under recorder r: the run's own, or the
+	// replay's, whose network carries its probe.
+	run := func(cfg Config, r *telemetry.Recorder) *Network {
+		ck := check.New(check.All())
+		r.BindChecker(ck)
+		cfg.Probe, cfg.Check = r.Probe(), ck
+		cfg.Fault = fault.NewInjector(fault.Spec{Seed: 0xD0D0, BitFlip: 3e-4})
+		net := New(cfg)
+		rng := sim.NewRNG(0x9B0B)
+		cores := net.Cores()
+		for cyc := 0; cyc < 300; cyc++ {
+			if cyc < 180 {
+				for inj := 0; inj < 4; inj++ {
+					src := noc.NodeID(rng.Intn(cores))
+					dst := noc.NodeID(rng.Intn(cores))
+					if src == dst {
+						continue
+					}
+					length := 1
+					if rng.Intn(3) == 0 {
+						length = 4
+					}
+					net.Inject(src, dst, length, 0)
 				}
-				length := 1
-				if rng.Intn(3) == 0 {
-					length = 4
-				}
-				net.Inject(src, dst, length, 0)
 			}
+			net.Step()
 		}
-		net.Step()
-	}
-	if !net.Drain(3000) {
-		t.Fatalf("probed run did not drain (outstanding %d)", net.Outstanding())
-	}
-	exports = make(map[string]string)
-	for name, write := range map[string]func(*bytes.Buffer) error{
-		"router-csv":  func(b *bytes.Buffer) error { return p.WriteRouterCSV(b) },
-		"heatmap-csv": func(b *bytes.Buffer) error { return p.WriteHeatmapCSV(b) },
-		"series-csv":  func(b *bytes.Buffer) error { return p.WriteTimeSeriesCSV(b) },
-	} {
-		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
-			t.Fatalf("%s export: %v", name, err)
+		if err := net.DrainChecked(3000, 1000); err != nil {
+			r.Trigger(net.Cycle(), "drain: "+err.Error())
 		}
-		exports[name] = buf.String()
+		net.CheckInvariants()
+		return net
 	}
-	if p.Dropped() != 0 {
-		t.Fatalf("the ring dropped %d of %d events: the comparison would not cover them all", p.Dropped(), p.EventCount())
+	net := run(cfg, rec)
+	defer net.Close()
+	if !rec.Triggered() {
+		t.Fatal("the faulted run never tripped the recorder")
 	}
-	return p.Events(), exports
+	serial := cfg
+	serial.Shards = 1
+	path, err := rec.Flush(func(rr *telemetry.Recorder) { run(serial, rr).Close() }, net.WriteDiagnostic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
-// TestShardedProbeDeterminism: a probed run must emit the exact serial event
-// stream — and therefore byte-identical Chrome trace JSON — and CSV exports
-// at every shard count. This pins down the per-segment tags of the shard
-// probe children and the epilogue merge of their buffers, not just aggregate
-// counts: on an 8x8 mesh for NoX (the unnamed subtests) and each baseline,
-// and on the concentrated 4x4 mesh, where a shard's interface segment spans
-// several interfaces per router and so starts at a different handle than a
-// router-aligned tag would give it.
+// TestShardedProbeDeterminism: a sharded failing run's flight dump must be
+// byte-identical to the serial run's. A probed network runs serially, so a
+// sharded run carries no probe; what it must get right is the trigger — the
+// checker observer fires on shard workers — and the dump's replay of the
+// run. Covered on an 8x8 mesh for NoX (the unnamed subtests) and each
+// baseline, and on the concentrated 4x4 mesh, where a shard's interfaces
+// span several per router.
 func TestShardedProbeDeterminism(t *testing.T) {
 	mesh := noc.Topology{Width: 8, Height: 8}
-	// compare runs cfg serially, then as one subtest per shard count.
+	// compare dumps cfg's failing run serially, then as one subtest per
+	// shard count.
 	compare := func(t *testing.T, cfg Config, counts []int) {
 		cfg.Shards = 1
-		wantEvents, wantExports := driveProbed(t, cfg)
-		if len(wantEvents) == 0 {
-			t.Fatal("probed reference run recorded no events")
+		want := failingDump(t, cfg)
+		if bytes.Contains(want, []byte(`"events":0}`)) {
+			t.Fatal("the serial run's dump holds no events")
 		}
 		for _, shards := range counts {
 			t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 				scfg := cfg
 				scfg.Shards = shards
-				gotEvents, gotExports := driveProbed(t, scfg)
-				if len(gotEvents) != len(wantEvents) {
-					t.Fatalf("event count %d, want %d", len(gotEvents), len(wantEvents))
-				}
-				for i := range gotEvents {
-					if gotEvents[i] != wantEvents[i] {
-						t.Fatalf("event %d diverged: got %+v want %+v", i, gotEvents[i], wantEvents[i])
-					}
-				}
-				for name, want := range wantExports {
-					if got := gotExports[name]; got != want {
-						t.Errorf("%s export not byte-identical (%d vs %d bytes)", name, len(got), len(want))
-					}
+				if got := failingDump(t, scfg); !bytes.Equal(got, want) {
+					t.Errorf("dump not byte-identical to the serial run's (%d vs %d bytes):\n%.300s\nwant:\n%.300s", len(got), len(want), got, want)
 				}
 			})
 		}
@@ -261,8 +264,7 @@ func TestShardedQuiescence(t *testing.T) {
 
 // TestShardedStepAllocs pins the 0 allocs/op contract: once mailboxes and
 // event buffers have reached steady-state capacity, stepping a sharded
-// network of any architecture with traffic in flight (probe disabled) must
-// not allocate.
+// network of any architecture with traffic in flight must not allocate.
 func TestShardedStepAllocs(t *testing.T) {
 	for _, arch := range router.Archs {
 		t.Run(arch.String(), func(t *testing.T) {

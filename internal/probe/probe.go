@@ -18,18 +18,20 @@
 // 0 allocs/op). A Probe itself never allocates per event: the ring buffer is
 // preallocated and wraps, keeping the most recent events.
 //
-// A Probe belongs to one stepping goroutine. Runs that execute in parallel
-// (internal/exp pools) must each own a distinct Probe; the event stream of
-// a probed run is a pure function of its configuration, so serialized
-// streams are byte-identical at any worker count. Sharded simulations
-// (sim.SetSharding) give each shard a child probe (ShardChildren): workers
-// emit into per-shard buffers tagged with the phase and the lane segment
-// being walked, and the step epilogue merges them back into the parent ring
-// in exactly the order the serial walk would have emitted them — see
-// shard.go.
+// A Probe belongs to one stepping goroutine, so a probed network runs
+// serially (network.Config.Validate refuses a probe on more than one
+// shard). Runs that execute in parallel (internal/exp pools) must each own a
+// distinct Probe; the event stream of a probed run is a pure function of its
+// configuration, so serialized streams are byte-identical at any worker
+// count — which is also what lets the flight recorder (internal/telemetry)
+// attach no probe to a live run and replay a failing one under a probe
+// instead.
 package probe
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // EventKind enumerates the traced microarchitectural events.
 type EventKind uint8
@@ -222,6 +224,12 @@ type Config struct {
 	// PeriodNs scales exported timestamps (the router clock period). Zero
 	// leaves timestamps in cycles.
 	PeriodNs float64
+	// Horizon, when positive, is the first cycle the ring does not record:
+	// later events still count in the metrics but are neither stored nor
+	// counted in EventCount, so they cannot overwrite a window that ends
+	// before it. The flight recorder's replay sets it to one past the
+	// trigger cycle.
+	Horizon int64
 }
 
 // Probe records a simulation's event stream and per-router metrics. The
@@ -244,24 +252,15 @@ type Probe struct {
 	lastSample Totals
 	lastCycle  int64
 	attached   bool
-
-	// Shard-child state (see shard.go). parent is non-nil on a child: its
-	// emits divert into shardBuf, tagged with the segment key, and
-	// its totals accumulate locally until MergeShards folds them into the
-	// parent. A child shares the parent's routers slice — every metrics
-	// write for router n comes from n's own shard, so elements never race.
-	parent   *Probe
-	children []*Probe
-	shardBuf []taggedEvent
-	ctxKey   uint64
-	ctxSeq   uint32
-	heads    []int
 }
 
 // New builds a probe with the given configuration.
 func New(cfg Config) *Probe {
 	if cfg.RingEvents <= 0 {
 		cfg.RingEvents = 1 << 18
+	}
+	if cfg.Horizon <= 0 {
+		cfg.Horizon = math.MaxInt64
 	}
 	size := 1
 	for size < cfg.RingEvents {
@@ -299,20 +298,17 @@ func (p *Probe) Geometry() (width, height, ports int) {
 	return p.width, p.height, p.ports
 }
 
-// emit appends one event to the ring; on a shard child it buffers the
-// event under the current evaluation-slot key instead (see shard.go).
+// emit appends one event to the ring, unless it lies past the horizon.
 func (p *Probe) emit(ev Event) {
-	if p.parent != nil {
-		p.shardBuf = append(p.shardBuf, taggedEvent{key: p.ctxKey | uint64(p.ctxSeq), ev: ev})
-		p.ctxSeq++
+	if ev.Cycle >= p.cfg.Horizon {
 		return
 	}
 	p.ring[p.n&p.mask] = ev
 	p.n++
 }
 
-// EventCount returns the total events emitted, including any overwritten in
-// the ring.
+// EventCount returns the total events recorded before the horizon,
+// including any overwritten in the ring.
 func (p *Probe) EventCount() uint64 { return p.n }
 
 // Dropped returns how many events were overwritten by ring wraparound.

@@ -135,8 +135,8 @@ type Kernel struct {
 	observers []func(cycle int64, active int)
 	// epilogue, when set, runs at the end of every Step before the observer,
 	// on the stepping goroutine with all workers quiescent. The sharded
-	// network uses it to drain per-shard mailboxes (deliveries, probe event
-	// buffers) deterministically.
+	// network uses it to drain per-shard delivery mailboxes
+	// deterministically.
 	epilogue func(cycle int64)
 
 	// sh is the sharded execution state, nil on the serial path.
@@ -262,9 +262,8 @@ func (k *Kernel) AddObserver(fn func(cycle int64, active int)) {
 // SetEpilogue installs a hook that runs at the end of every Step, before
 // the observer, on the stepping goroutine with all shard workers quiescent.
 // The sharded network drains its per-shard mailboxes here (deliveries in
-// interface order, probe event buffers merged into registration order) so
-// every cross-shard effect lands deterministically. The same reentrancy
-// contract as SetObserver applies.
+// interface order) so every cross-shard effect lands deterministically.
+// The same reentrancy contract as SetObserver applies.
 func (k *Kernel) SetEpilogue(fn func(cycle int64)) {
 	k.epilogue = fn
 }

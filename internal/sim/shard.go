@@ -64,22 +64,20 @@ import (
 // sharded kernel must be covered by one, and Step panics otherwise.
 //
 // Cross-shard effects that are order-sensitive at the simulation surface
-// (deliveries, probe events) are not handled here: owners stage them into
-// per-shard mailboxes and drain them in the kernel epilogue (see
-// SetEpilogue), which runs on the stepping goroutine after the last
-// barrier.
+// (deliveries) are not handled here: owners stage them into per-shard
+// mailboxes and drain them in the kernel epilogue (see SetEpilogue), which
+// runs on the stepping goroutine after the last barrier. Probes are not
+// among them: a probed network runs serially.
 
-// Phase identifiers: the phases posted through the barrier, and the most
-// significant ordering key when an owner merges per-shard probe buffers
-// back into serial emission order.
+// Phase identifiers: the phases posted through the barrier.
 const (
-	PhaseCompute = 0
-	PhaseCommit  = 1
+	phaseCompute = 0
+	phaseCommit  = 1
 )
 
 // Gate words: a posted phase is phase+1 so that zero means "nothing posted".
 const (
-	gateClose = PhaseCommit + 2 // worker exits
+	gateClose = phaseCommit + 2 // worker exits
 	gateDone  = 1               // posted to the stepping goroutine's gate
 )
 
@@ -404,8 +402,8 @@ func (k *Kernel) stepSharded() {
 		// Fully quiescent: pure clock advance, same as the serial path.
 		return
 	}
-	sh.dispatch(k, PhaseCompute)
-	sh.dispatch(k, PhaseCommit)
+	sh.dispatch(k, phaseCompute)
+	sh.dispatch(k, phaseCommit)
 }
 
 // dispatch fans one phase out to every shard that has work, running the
@@ -498,7 +496,7 @@ func (k *Kernel) runShard(s, phase int) {
 	quiets := 0
 	for _, g := range sh.lanes[s] {
 		flags := k.active[g.start:g.end]
-		if phase == PhaseCompute {
+		if phase == phaseCompute {
 			g.lane.ComputeActive(cycle, flags)
 		} else {
 			quiets += g.lane.CommitActive(cycle, flags)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"slices"
@@ -41,10 +43,11 @@ func (xorTamper) CreditDelta(site int) int                         { return 0 }
 func (xorTamper) Impacted(id uint64) bool                          { return false }
 func (xorTamper) Leaky() bool                                      { return true }
 
-// runXORScenario replays the checker negative-control workload — hotspot
+// runXORScenario runs the checker negative-control workload — hotspot
 // contention on a 4x4 NoX mesh with the XOR bug armed — against the given
-// probe and checker. The simulator is deterministic, so two calls produce
-// identical event streams.
+// probe (nil for none) and checker. The simulator is deterministic, so two
+// calls produce identical event streams; that is what the recorder's
+// replay rests on.
 func runXORScenario(pr *probe.Probe, ck *check.Checker) {
 	topo := noc.Topology{Width: 4, Height: 4}
 	n := network.New(network.Config{Topo: topo, Arch: router.NoX, Check: ck, Fault: xorTamper{}, Probe: pr})
@@ -59,22 +62,31 @@ func runXORScenario(pr *probe.Probe, ck *check.Checker) {
 	n.CheckInvariants()
 }
 
+// replayXORScenario is the XOR scenario's replay: a fresh checker, bound to
+// the replay's recorder the way the run's was to its own.
+func replayXORScenario(rr *telemetry.Recorder) {
+	ck := check.New(check.All())
+	rr.BindChecker(ck)
+	runXORScenario(rr.Probe(), ck)
+}
+
 // TestFlightRecorderNegativeControl arms the flight recorder on a run with a
 // planted XOR-masking bug and checks the failure-window dump is faithful:
-// the auto-dumped trace must byte-match a full-probe export of the same
-// window from an identical run. If the recorder's bounded ring dropped,
-// reordered, or mis-windowed events, the bytes diverge.
+// the replayed trace must byte-match a full-probe export of the same window
+// from an identical run. If the replay dropped, reordered, or mis-windowed
+// events, the bytes diverge.
 func TestFlightRecorderNegativeControl(t *testing.T) {
 	dumpsBefore := telemetry.FlightDumps()
 	periodNs := physical.ClockPeriodNs(router.NoX)
 
-	// Run 1: recorder armed via the checker observer, default window/ring.
+	// Run 1: recorder armed via the checker observer, default window; the
+	// run itself carries no probe.
 	rec := telemetry.NewRecorder(telemetry.RecorderConfig{
 		Dir: t.TempDir(), Label: "negative-control", PeriodNs: periodNs,
 	})
 	ck := check.New(check.All())
 	rec.BindChecker(ck)
-	runXORScenario(rec.Probe(), ck)
+	runXORScenario(nil, ck)
 
 	if ck.Counts()[check.KindDecode] == 0 {
 		t.Fatal("scenario did not produce decode violations — negative control is broken")
@@ -82,12 +94,12 @@ func TestFlightRecorderNegativeControl(t *testing.T) {
 	if !rec.Triggered() {
 		t.Fatal("checker recorded violations but the recorder never triggered")
 	}
-	path, err := rec.Flush(nil)
+	path, err := rec.Flush(replayXORScenario, nil)
 	if err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if path == "" || path != rec.TracePath() {
-		t.Fatalf("Flush path %q, TracePath %q", path, rec.TracePath())
+	if path == "" {
+		t.Fatal("triggered recorder wrote no trace")
 	}
 	if telemetry.FlightDumps() <= dumpsBefore {
 		t.Error("flight dump counter did not advance")
@@ -121,29 +133,74 @@ func TestFlightRecorderNegativeControl(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderRingWrap drives enough traffic through a deliberately
-// tiny recorder ring to wrap it many times over, then checks the ring
-// discipline: retained events stay chronological, EventsWindow agrees with a
-// manual filter over Events for arbitrary windows, and the post-wrap dump is
-// still a parsable non-empty trace.
-func TestFlightRecorderRingWrap(t *testing.T) {
-	rec := telemetry.NewRecorder(telemetry.RecorderConfig{
-		Dir: t.TempDir(), Label: "ring-wrap", RingEvents: 256, Window: 512,
-	})
-	pr := rec.Probe()
-	net := network.New(network.Config{Topo: noc.Topology{Width: 4, Height: 4}, Arch: router.NoX, Probe: pr})
-	defer net.Close()
-
-	rng := sim.NewRNG(7)
-	nodes := net.Topology().Nodes()
-	for cyc := 0; cyc < 2000; cyc++ {
-		src := noc.NodeID(rng.Intn(nodes))
-		dst := noc.NodeID(rng.Intn(nodes))
-		if src != dst {
-			net.Inject(src, dst, 2, 0)
-		}
-		net.Step()
+// TestFlightReplayDiverged plants a replay that does not reproduce the run:
+// the XOR scenario without its bug never trips. Flush must still write the
+// dump, say in the report that the replay diverged, and return an error; a
+// replay that trips at another cycle diverges too.
+func TestFlightReplayDiverged(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		replay func(*telemetry.Recorder)
+		want   string
+	}{
+		{"never", func(rr *telemetry.Recorder) {
+			ck := check.New(check.All())
+			rr.BindChecker(ck)
+			n := network.New(network.Config{Topo: noc.Topology{Width: 4, Height: 4}, Arch: router.NoX, Check: ck, Probe: rr.Probe()})
+			defer n.Close()
+			n.Inject(1, 0, 1, 0)
+			_ = n.DrainChecked(5000, 1000)
+			n.CheckInvariants()
+		}, "never tripped"},
+		{"elsewhere", func(rr *telemetry.Recorder) {
+			replayXORScenario(rr)
+			if !rr.Triggered() {
+				t.Fatal("the XOR scenario's replay did not trip")
+			}
+		}, "tripped at cycle"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := telemetry.NewRecorder(telemetry.RecorderConfig{Dir: t.TempDir(), Label: "diverged",
+				Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+			rec.Trigger(3, "a trigger no replay reproduces")
+			path, err := rec.Flush(tc.replay, nil)
+			if err == nil || !strings.Contains(err.Error(), "replay diverged") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Flush error %v, want a divergence that %s", err, tc.want)
+			}
+			report, rerr := os.ReadFile(strings.TrimSuffix(path, ".trace.json") + ".report.txt")
+			if rerr != nil {
+				t.Fatalf("no report: %v", rerr)
+			}
+			if !bytes.Contains(report, []byte("replay diverged: ")) {
+				t.Errorf("report does not say the replay diverged:\n%s", report)
+			}
+		})
 	}
+}
+
+// TestFlightRecorderRingWrap pins the probe ring a flight dump is cut from.
+// Traffic wraps a deliberately tiny ring many times over: retained events
+// stay chronological, EventsWindow agrees with a manual filter over Events
+// for arbitrary windows, and a window export after heavy wrap is still a
+// parsable non-empty trace. A horizon stops the ring: nothing at or past it
+// is stored or counted, so a window ending before it keeps its events.
+func TestFlightRecorderRingWrap(t *testing.T) {
+	drive := func(pr *probe.Probe) {
+		net := network.New(network.Config{Topo: noc.Topology{Width: 4, Height: 4}, Arch: router.NoX, Probe: pr})
+		defer net.Close()
+		rng := sim.NewRNG(7)
+		nodes := net.Topology().Nodes()
+		for cyc := 0; cyc < 2000; cyc++ {
+			src := noc.NodeID(rng.Intn(nodes))
+			dst := noc.NodeID(rng.Intn(nodes))
+			if src != dst {
+				net.Inject(src, dst, 2, 0)
+			}
+			net.Step()
+		}
+	}
+	pr := probe.New(probe.Config{RingEvents: 256})
+	drive(pr)
 
 	if pr.Dropped() == 0 {
 		t.Fatalf("ring never wrapped: %d events in a 256-slot ring", pr.EventCount())
@@ -185,24 +242,47 @@ func TestFlightRecorderRingWrap(t *testing.T) {
 		}
 	}
 
-	// A dump after heavy wrap still yields a valid, non-empty trace.
-	rec.Trigger(net.Cycle(), "ring-wrap test")
-	path, err := rec.Flush(nil)
-	if err != nil || path == "" {
-		t.Fatalf("Flush after wrap: %q, %v", path, err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read dump: %v", err)
+	// A window export after heavy wrap still yields a valid, non-empty trace.
+	var buf bytes.Buffer
+	if err := pr.WriteChromeTraceWindow(&buf, lo, hi); err != nil {
+		t.Fatalf("WriteChromeTraceWindow after wrap: %v", err)
 	}
 	var doc struct {
 		TraceEvents []json.RawMessage `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("post-wrap dump is not valid trace JSON: %v", err)
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("post-wrap export is not valid trace JSON: %v", err)
 	}
 	if len(doc.TraceEvents) == 0 {
-		t.Error("post-wrap dump holds no events")
+		t.Error("post-wrap export holds no events")
+	}
+
+	// The same run under a horizon: the ring stops at it, and the window
+	// just before it matches the unbounded run's.
+	const horizon = 1000
+	full := probe.New(probe.Config{RingEvents: 1 << 18})
+	drive(full)
+	bounded := probe.New(probe.Config{RingEvents: 256, Horizon: horizon})
+	drive(bounded)
+	var want int
+	for _, ev := range full.Events() {
+		if ev.Cycle < horizon {
+			want++
+		}
+	}
+	if full.Dropped() != 0 {
+		t.Fatalf("the unbounded reference ring dropped %d events", full.Dropped())
+	}
+	if bounded.EventCount() != uint64(want) {
+		t.Fatalf("horizon %d: bounded ring counted %d events, want %d", horizon, bounded.EventCount(), want)
+	}
+	kept := bounded.Events()
+	if last := kept[len(kept)-1].Cycle; last >= horizon {
+		t.Fatalf("bounded ring holds an event at cycle %d, past horizon %d", last, horizon)
+	}
+	start := kept[0].Cycle + 1 // the first retained cycle may be partly overwritten
+	if got, want := bounded.EventsWindow(start, horizon-1), full.EventsWindow(start, horizon-1); !slices.Equal(got, want) {
+		t.Errorf("window [%d,%d] below the horizon: %d events, unbounded run %d", start, horizon-1, len(got), len(want))
 	}
 }
 
@@ -228,9 +308,8 @@ func TestFlightRetention(t *testing.T) {
 	}
 
 	rec := telemetry.NewRecorder(telemetry.RecorderConfig{Dir: dir, Label: "fresh", Keep: 3})
-	rec.Probe()
 	rec.Trigger(100, "retention test")
-	path, err := rec.Flush(nil)
+	path, err := rec.Flush(func(rr *telemetry.Recorder) { rr.Trigger(100, "retention test") }, nil)
 	if err != nil || path == "" {
 		t.Fatalf("Flush: %q, %v", path, err)
 	}
@@ -261,15 +340,22 @@ func TestFlightRetention(t *testing.T) {
 	}
 }
 
-// TestRecorderSteadyStateZeroAllocs proves the armed recorder is free on the
-// hot path: stepping a loaded network with the flight ring attached must not
-// allocate. This is the property that justifies arming it by default.
+// TestRecorderSteadyStateZeroAllocs proves an armed recorder attaches
+// nothing to the run it watches: wired the way the drivers wire it (its
+// probe slot, its checker observer), the network carries no probe, and
+// stepping it loaded allocates nothing. This is the property that justifies
+// arming it by default.
 func TestRecorderSteadyStateZeroAllocs(t *testing.T) {
 	rec := telemetry.NewRecorder(telemetry.RecorderConfig{
 		Dir: t.TempDir(), Label: "allocs", PeriodNs: physical.ClockPeriodNs(router.NoX),
 	})
-	net := network.New(network.Config{Arch: router.NoX, Probe: rec.Probe()})
+	ck := check.New(check.All())
+	rec.BindChecker(ck)
+	net := network.New(network.Config{Arch: router.NoX, Probe: rec.Probe(), Check: ck})
 	defer net.Close()
+	if net.Probe() != nil {
+		t.Fatal("an armed recorder attached a probe to the network")
+	}
 
 	rng := sim.NewRNG(1)
 	topo := net.Topology()
@@ -287,5 +373,8 @@ func TestRecorderSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, func() { net.Step() }); avg != 0 {
 		t.Errorf("steady-state Step with armed recorder allocates %.2f/op, want 0", avg)
+	}
+	if rec.Triggered() {
+		t.Errorf("a healthy run tripped the recorder")
 	}
 }

@@ -19,12 +19,6 @@ import (
 // covers when the recorder's config leaves Window zero.
 const DefaultFlightWindow = 4096
 
-// DefaultFlightRing is the recorder's probe ring capacity in events. It is
-// sized for the window: a saturated 8x8 mesh emits a few events per router
-// per cycle only near the hotspot, so 64 Ki events comfortably covers 4 Ki
-// cycles of failure-adjacent traffic while costing ~1.5 MiB once, up front.
-const DefaultFlightRing = 1 << 16
-
 // DefaultFlightKeep is the number of flight dumps retained per directory
 // when RecorderConfig.Keep is zero. Long fault campaigns can trip hundreds
 // of recorders; without a cap the dump directory grows without bound.
@@ -46,9 +40,6 @@ type RecorderConfig struct {
 	// Window is the failure window W in cycles; a dump covers
 	// [trigger-W+1, trigger]. 0 selects DefaultFlightWindow.
 	Window int64
-	// RingEvents is the probe ring capacity (rounded up to a power of two by
-	// internal/probe). 0 selects DefaultFlightRing.
-	RingEvents int
 	// Dir receives the dump files. Empty selects DefaultFlightDir().
 	Dir string
 	// Label distinguishes this recorder's dump files: flight-<label>.trace.json
@@ -58,49 +49,48 @@ type RecorderConfig struct {
 	// dump, the oldest stems beyond the cap are evicted (trace and report).
 	// 0 selects DefaultFlightKeep; negative disables eviction.
 	Keep int
-	// PeriodNs scales trace timestamps; settable later via SetPeriodNs while
-	// the probe has not yet been created.
+	// PeriodNs scales trace timestamps; settable later via SetPeriodNs.
 	PeriodNs float64
 	// Logger receives the dump notice; nil uses slog.Default().
 	Logger *slog.Logger
 }
 
-// Recorder is the always-on flight recorder: a bounded, allocation-free
-// probe ring that shadows a simulation and, on the first failure trigger
-// (oracle violation, watchdog trip, drain deadlock), snapshots the last W
-// cycles of events to a Perfetto/Chrome trace plus a diagnostic report.
+// Recorder is the always-on flight recorder. While a run is healthy it
+// records nothing and attaches nothing: it only latches the first failure
+// trigger (oracle violation, watchdog trip, drain deadlock, fault-driven
+// reconfiguration) with its cycle and reason. Every run is a pure function
+// of its configuration, so on a trigger Flush re-runs it — once, serially,
+// from the point the run started, under a recorder of its own that carries
+// the probe — and dumps the last W cycles of events to a Perfetto/Chrome
+// trace plus a diagnostic report. The replay stops once it has tripped and
+// stepped past the trigger cycle, so a tripped run executes once more only
+// up to its failure; a healthy run pays nothing.
 //
-// The steady-state cost is the probe's ring store per event — no
-// allocations, no locks beyond the probe's own discipline — which is what
-// lets the harness arm it by default. Trigger may be called from shard
-// workers (the checker observer fires under concurrent stepping); it only
-// latches trigger metadata. Flush must be called from the stepping
-// goroutine once stepping has stopped, like every other probe read.
+// Trigger may be called from shard workers (the checker observer fires
+// under concurrent stepping); it only latches trigger metadata. Flush must
+// be called once stepping has stopped.
 //
 // A nil *Recorder is a valid disarmed recorder: every method no-ops.
 type Recorder struct {
 	cfg RecorderConfig
+	// pr and end are set only on the recorder Flush hands a replay: the
+	// probe that records the window, and the window's last cycle.
+	pr  *probe.Probe
+	end int64
 
 	trig atomic.Bool // fast path for the checker observer
 
 	mu        sync.Mutex
-	probe     *probe.Probe
 	triggered bool
 	cycle     int64
 	reason    string
 	flushed   bool
-	tracePath string
 }
 
-// NewRecorder returns an armed recorder. The probe ring is created lazily on
-// the first Probe call, so constructing a recorder that never attaches to a
-// network costs nothing.
+// NewRecorder returns an armed recorder.
 func NewRecorder(cfg RecorderConfig) *Recorder {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultFlightWindow
-	}
-	if cfg.RingEvents <= 0 {
-		cfg.RingEvents = DefaultFlightRing
 	}
 	if cfg.Dir == "" {
 		cfg.Dir = DefaultFlightDir()
@@ -114,31 +104,31 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	return &Recorder{cfg: cfg}
 }
 
-// SetPeriodNs sets the clock period used for trace timestamps. It must be
-// called before the probe is first attached; later calls are ignored.
+// SetPeriodNs sets the clock period used for trace timestamps.
 func (r *Recorder) SetPeriodNs(ns float64) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	if r.probe == nil {
-		r.cfg.PeriodNs = ns
-	}
+	r.cfg.PeriodNs = ns
 	r.mu.Unlock()
 }
 
-// Probe returns the recorder's probe, creating it on first use. Wire it as
-// network.Config.Probe; a nil recorder returns a nil (disabled) probe.
+// Probe returns the probe a replay's network must carry, and nil for the
+// recorder of a live run, which attaches nothing (so the recorder overhead
+// rig of its other caller, benchmark/rigs.go:641, times a bare network).
 func (r *Recorder) Probe() *probe.Probe {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.probe == nil {
-		r.probe = probe.New(probe.Config{RingEvents: r.cfg.RingEvents, PeriodNs: r.cfg.PeriodNs})
-	}
-	return r.probe
+	return r.pr
+}
+
+// Done reports whether a replay may stop stepping at cycle, the network's
+// clock: it has latched its trigger and stepped every cycle of the window.
+// It is always false for the recorder of a live run.
+func (r *Recorder) Done(cycle int64) bool {
+	return r != nil && r.pr != nil && cycle > r.end && r.trig.Load()
 }
 
 // BindChecker installs a violation observer on ck so the first recorded
@@ -184,49 +174,54 @@ func (r *Recorder) Window() (start, end int64) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	start = r.cycle - r.cfg.Window + 1
-	if start < 0 {
-		start = 0
-	}
-	return start, r.cycle
+	return max(r.cycle-r.cfg.Window+1, 0), r.cycle
 }
 
-// TracePath returns the trace file written by Flush, empty before a dump.
-func (r *Recorder) TracePath() string {
-	if r == nil {
-		return ""
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tracePath
-}
-
-// Flush writes the failure-window dump if a trigger is latched: a Chrome
-// trace of the last W cycles plus a diagnostic report (trigger metadata,
-// then whatever diag writes — typically network.WriteDiagnostic). It runs at
-// most once per recorder and returns the trace path ("" when not
-// triggered). diag may be nil. Call from the stepping goroutine after
-// stepping has stopped.
-func (r *Recorder) Flush(diag func(io.Writer)) (string, error) {
+// Flush writes the failure-window dump if a trigger is latched. It calls
+// replay with a fresh recorder, which must re-run the failing run from the
+// point it started (cycle 0, or the image it was restored from) on a
+// serial network carrying the fresh recorder's Probe, without the run's
+// side effects (progress, observers, checkpoint writes, output), and with
+// that recorder in the run's place: bound to a fresh checker and tripped
+// by the same drain and reconfiguration hooks. The replay may stop once
+// the recorder reports Done. Its probe records nothing past the trigger
+// cycle, so what follows the window cannot overwrite it. Flush then writes
+// a Chrome trace of the window plus a diagnostic report (trigger metadata,
+// then whatever diag writes about the original run — typically
+// network.WriteDiagnostic). It runs at most once per recorder and returns
+// the trace path ("" when not triggered). diag may be nil. A replay that
+// panics fails the dump; one that does not trip at the trigger cycle has
+// diverged from the run, which the report says and the error returns.
+func (r *Recorder) Flush(replay func(*Recorder), diag func(io.Writer)) (string, error) {
 	if r == nil {
 		return "", nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.triggered || r.flushed || r.probe == nil {
+	if !r.triggered || r.flushed {
+		r.mu.Unlock()
 		return "", nil
 	}
 	r.flushed = true
+	cfg, cycle, reason := r.cfg, r.cycle, r.reason
+	r.mu.Unlock()
 
-	start := r.cycle - r.cfg.Window + 1
-	if start < 0 {
-		start = 0
+	start, end := max(cycle-cfg.Window+1, 0), cycle
+	pr := probe.New(probe.Config{PeriodNs: cfg.PeriodNs, Horizon: end + 1})
+	rr := &Recorder{cfg: cfg, pr: pr, end: end, flushed: true}
+	if err := runReplay(replay, rr); err != nil {
+		return "", fmt.Errorf("telemetry: flight dump replay: %w", err)
 	}
-	end := r.cycle
-	if err := os.MkdirAll(r.cfg.Dir, 0o755); err != nil {
+	diverged := ""
+	switch {
+	case !rr.triggered:
+		diverged = "the replay never tripped"
+	case rr.cycle != cycle:
+		diverged = fmt.Sprintf("the replay tripped at cycle %d (%s)", rr.cycle, rr.reason)
+	}
+	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return "", fmt.Errorf("telemetry: flight dump: %w", err)
 	}
-	stem := filepath.Join(r.cfg.Dir, "flight-"+sanitizeLabel(r.cfg.Label))
+	stem := filepath.Join(cfg.Dir, "flight-"+sanitizeLabel(cfg.Label))
 	tracePath := stem + ".trace.json"
 	reportPath := stem + ".report.txt"
 
@@ -234,7 +229,7 @@ func (r *Recorder) Flush(diag func(io.Writer)) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("telemetry: flight dump: %w", err)
 	}
-	werr := r.probe.WriteChromeTraceWindow(tf, start, end)
+	werr := pr.WriteChromeTraceWindow(tf, start, end)
 	if cerr := tf.Close(); werr == nil {
 		werr = cerr
 	}
@@ -247,10 +242,13 @@ func (r *Recorder) Flush(diag func(io.Writer)) (string, error) {
 		return "", fmt.Errorf("telemetry: flight dump: %w", err)
 	}
 	fmt.Fprintf(rf, "flight recorder dump\n")
-	fmt.Fprintf(rf, "reason: %s\n", r.reason)
-	fmt.Fprintf(rf, "trigger cycle: %d\n", r.cycle)
+	fmt.Fprintf(rf, "reason: %s\n", reason)
+	fmt.Fprintf(rf, "trigger cycle: %d\n", cycle)
+	if diverged != "" {
+		fmt.Fprintf(rf, "replay diverged: %s; the trace is not the failure window\n", diverged)
+	}
 	fmt.Fprintf(rf, "window: [%d, %d] (%d cycles)\n", start, end, end-start+1)
-	fmt.Fprintf(rf, "ring: %d events recorded, %d overwritten\n", r.probe.EventCount(), r.probe.Dropped())
+	fmt.Fprintf(rf, "ring: %d events recorded, %d overwritten\n", pr.EventCount(), pr.Dropped())
 	fmt.Fprintf(rf, "trace: %s\n", tracePath)
 	if diag != nil {
 		fmt.Fprintln(rf)
@@ -260,21 +258,35 @@ func (r *Recorder) Flush(diag func(io.Writer)) (string, error) {
 		return "", fmt.Errorf("telemetry: flight dump %s: %w", reportPath, err)
 	}
 
-	r.tracePath = tracePath
 	flightDumps.Add(1)
-	pruneFlightDumps(r.cfg.Dir, r.cfg.Keep, stem)
-	log := r.cfg.Logger
+	pruneFlightDumps(cfg.Dir, cfg.Keep, stem)
+	if diverged != "" {
+		return tracePath, fmt.Errorf("telemetry: flight dump %s: replay diverged: %s, the run at cycle %d", tracePath, diverged, cycle)
+	}
+	log := cfg.Logger
 	if log == nil {
 		log = slog.Default()
 	}
 	log.Warn("flight recorder: dumped failure window",
-		"reason", r.reason,
-		"trigger_cycle", r.cycle,
+		"reason", reason,
+		"trigger_cycle", cycle,
 		"window_start", start,
 		"window_end", end,
 		"trace", tracePath,
 		"report", reportPath)
 	return tracePath, nil
+}
+
+// runReplay runs replay with rr, turning a panic into an error: the
+// original run reached Flush, so a replay that panics has diverged from it.
+func runReplay(replay func(*Recorder), rr *Recorder) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
+		}
+	}()
+	replay(rr)
+	return nil
 }
 
 // pruneFlightDumps evicts the oldest dump stems in dir beyond keep, never

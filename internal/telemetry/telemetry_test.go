@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
@@ -150,7 +151,7 @@ func TestNilSafety(t *testing.T) {
 	if p := r.Probe(); p != nil {
 		t.Error("nil recorder returned a live probe")
 	}
-	if path, err := r.Flush(nil); path != "" || err != nil {
+	if path, err := r.Flush(nil, nil); path != "" || err != nil {
 		t.Errorf("nil recorder Flush = %q, %v", path, err)
 	}
 
@@ -185,16 +186,16 @@ func TestRecorderTriggerFirstWins(t *testing.T) {
 
 func TestRecorderFlushWithoutTrigger(t *testing.T) {
 	r := NewRecorder(RecorderConfig{Dir: t.TempDir()})
-	r.Probe() // armed and attached, but nothing failed
-	path, err := r.Flush(nil)
+	replayed := false
+	path, err := r.Flush(func(*Recorder) { replayed = true }, nil)
 	if err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	if path != "" {
 		t.Errorf("untriggered recorder dumped %q", path)
 	}
-	if r.TracePath() != "" {
-		t.Errorf("untriggered recorder has trace path %q", r.TracePath())
+	if replayed {
+		t.Error("untriggered recorder replayed the run")
 	}
 }
 
@@ -262,5 +263,33 @@ func TestServerEndpoints(t *testing.T) {
 		if code, _ := get(path); code != http.StatusNotFound {
 			t.Errorf("%s status %d, want 404", path, code)
 		}
+	}
+}
+
+// TestRecorderDone pins when a replay may stop: never on a live run's
+// recorder, and on a replay's once it has latched its trigger and stepped
+// the trigger cycle.
+func TestRecorderDone(t *testing.T) {
+	r := NewRecorder(RecorderConfig{Dir: t.TempDir(), Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	r.Trigger(5, "by hand")
+	if r.Done(1 << 40) {
+		t.Error("a live run's recorder reports Done")
+	}
+	stopped := int64(-1)
+	if _, err := r.Flush(func(rr *Recorder) {
+		for c := int64(0); c < 100; c++ {
+			if rr.Done(c) {
+				stopped = c
+				return
+			}
+			if c == 5 {
+				rr.Trigger(c, "by hand")
+			}
+		}
+	}, nil); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if stopped != 6 {
+		t.Errorf("replay stopped at cycle %d, want 6: right after the trigger cycle", stopped)
 	}
 }
