@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build vet lint test test-ids alloc-guard race shard-race bench bench-json bench-compare bench-smoke bench-repo-smoke cli-smoke trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke
+.PHONY: check build fmt vet lint test test-ids alloc-guard race shard-race bench bench-json bench-compare bench-smoke bench-repo-smoke cli-smoke trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke
 
-## check: the CI gate — build, vet, static analysis, the allocation guards
+## check: the CI gate — build, gofmt, vet, static analysis, the allocation guards
 ## (seconds: an allocation back in the inject/step/deliver loop fails before
 ## the long suites start), the full test suite
 ## under the race detector (the parallel experiment engine makes this
@@ -10,13 +10,17 @@ GO ?= go
 ## settings, the tools' bad-input exits, the tracing, fault-injection
 ## (transient and permanent), live telemetry, and checkpoint/restore smoke
 ## tests, a short fuzz pass over
-## the user-facing decoders and the arrival skip-ahead, the repo
+## the user-facing decoders and the arrival skip-ahead and skip map, the repo
 ## benchmark's own tests, and a soft benchmark-regression check against the
 ## newest committed snapshot.
-check: build vet lint alloc-guard race shard-race cli-smoke trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-repo-smoke bench-compare
+check: build fmt vet lint alloc-guard race shard-race cli-smoke trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-repo-smoke bench-compare
 
 build:
 	$(GO) build ./...
+
+## fmt: every Go file is gofmt-formatted (gofmt -l lists none).
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "fmt: gofmt -l lists:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -275,8 +279,8 @@ snapshot-smoke:
 ## fuzz-smoke: a short native-fuzz pass over the user-facing decoders
 ## (noxtrace -validate, noxbench snapshot JSON, the binary snapshot image
 ## decoder, the latency record's restore, the JSON fault-campaign spec) and
-## the traffic sources' skip-ahead Next against its Tick-loop
-## specification. The committed seed corpora always run under plain
+## the traffic sources' skip-ahead Next, plain and following a skip map,
+## against its Tick-loop specification. The committed seed corpora always run under plain
 ## `go test`; this adds a little coverage-guided mutation on top without
 ## turning CI into a fuzz farm.
 fuzz-smoke:
@@ -286,6 +290,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCollectorRestore$$' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzNextMatchesTick$$' -fuzztime 10s ./internal/traffic
+	$(GO) test -run '^$$' -fuzz '^FuzzSkipMatchesTick$$' -fuzztime 10s ./internal/traffic
 
 ## bench-repo-smoke: the repo benchmark (BENCHMARK.json, benchmark/) is a
 ## nested module, so `go vet`/`go test ./...` from the root never reach it;

@@ -15,9 +15,9 @@ type sliceFIFO struct {
 	depth int
 }
 
-func (s *sliceFIFO) Cap() int   { return s.depth }
-func (s *sliceFIFO) Len() int   { return len(s.slots) }
-func (s *sliceFIFO) Free() int  { return s.depth - len(s.slots) }
+func (s *sliceFIFO) Cap() int    { return s.depth }
+func (s *sliceFIFO) Len() int    { return len(s.slots) }
+func (s *sliceFIFO) Free() int   { return s.depth - len(s.slots) }
 func (s *sliceFIFO) Empty() bool { return len(s.slots) == 0 }
 
 func (s *sliceFIFO) Head() *noc.Flit {

@@ -151,7 +151,7 @@ func TestWatchdogProgress(t *testing.T) {
 	// Window 0 disables the trip entirely.
 	var off Watchdog
 	off.Reset(0, 0)
-	if _, tripped := off.Observe(1 << 40, 0); tripped {
+	if _, tripped := off.Observe(1<<40, 0); tripped {
 		t.Error("zero-window watchdog tripped")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/physical"
 	"repro/internal/power"
 	"repro/internal/router"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 )
@@ -44,13 +43,11 @@ func runConfigured(arch router.Arch, rateMBps float64, bufferDepth int,
 	col := stats.NewCollector(warm, warm+meas)
 	net.OnDeliver = col.OnDeliver
 
-	base := sim.NewRNG(0xAB1A7E)
 	pattern := traffic.Uniform{Topo: topo}
-	procs := make([]*traffic.Bernoulli, topo.Nodes())
-	dests := make([]*sim.RNG, topo.Nodes())
-	for i := range procs {
-		procs[i] = &traffic.Bernoulli{P: pktRate, RNG: base.Fork(uint64(i))}
-		dests[i] = base.Fork(uint64(1000 + i))
+	arr, dests := forkStreams(0xAB1A7E, topo.Nodes())
+	procs := make([]*traffic.Bernoulli, len(arr))
+	for i, r := range arr {
+		procs[i] = &traffic.Bernoulli{P: pktRate, RNG: r}
 	}
 	for cyc := int64(0); cyc < warm+meas; cyc++ {
 		for id := 0; id < topo.Nodes(); id++ {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/probe"
 	"repro/internal/router"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
@@ -224,17 +223,14 @@ func runFuture(cfg FutureConfig, pr *probe.Probe) (RunResult, error) {
 	}
 
 	cores := sys.Cores()
-	base := sim.NewRNG(cfg.Seed)
-	procs := make([]traffic.Process, cores)
-	dests := make([]*sim.RNG, cores)
-	for i := range procs {
-		r := base.Fork(uint64(i))
+	arr, dests := forkStreams(cfg.Seed, cores)
+	procs := make([]traffic.Process, len(arr))
+	for i, r := range arr {
 		if selfSimilar {
 			procs[i] = traffic.NewSelfSimilar(pktRate, r)
 		} else {
 			procs[i] = &traffic.Bernoulli{P: pktRate, RNG: r}
 		}
-		dests[i] = base.Fork(uint64(1000 + i))
 	}
 
 	var start power.Counters

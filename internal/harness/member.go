@@ -78,23 +78,9 @@ func prepareSynthetic(cfg SyntheticConfig) (*synthMember, error) {
 			return nil, fmt.Errorf("harness: %s window of %d cycles: %w", w.name, w.cycles, ErrCycles)
 		}
 	}
-	if err := CheckRate(cfg.Pattern, cfg.RateMBps); err != nil {
+	var err error
+	if m.periodNs, m.pktRate, m.warmPkt, err = cellRates(&cfg); err != nil {
 		return nil, err
-	}
-	if err := checkBandwidth("warm-up", cfg.WarmRateMBps); err != nil {
-		return nil, err
-	}
-	m.periodNs = physical.ClockPeriodNs(cfg.Arch)
-	flitRate := FlitsPerNodeCycle(cfg.RateMBps, m.periodNs)
-	m.pktRate = flitRate / float64(cfg.PacketFlits)
-	if m.pktRate >= 1 {
-		return nil, fmt.Errorf("harness: offered rate %.0f MB/s/node exceeds one packet per cycle at %v: %w", cfg.RateMBps, cfg.Arch, ErrRateInfeasible)
-	}
-	if cfg.WarmRateMBps > 0 {
-		m.warmPkt = FlitsPerNodeCycle(cfg.WarmRateMBps, m.periodNs) / float64(cfg.PacketFlits)
-		if m.warmPkt >= 1 {
-			return nil, fmt.Errorf("harness: warm-up rate %.0f MB/s/node exceeds one packet per cycle at %v: %w", cfg.WarmRateMBps, cfg.Arch, ErrRateInfeasible)
-		}
 	}
 
 	m.selfSimilar = cfg.Pattern == "selfsimilar"
@@ -102,7 +88,6 @@ func prepareSynthetic(cfg SyntheticConfig) (*synthMember, error) {
 	if m.selfSimilar {
 		patName = "uniform" // the Pareto ON/OFF process picks uniform destinations
 	}
-	var err error
 	if m.pattern, err = traffic.ByName(patName, cfg.Topo); err != nil {
 		return nil, err
 	}
@@ -118,6 +103,45 @@ func prepareSynthetic(cfg SyntheticConfig) (*synthMember, error) {
 	m.rec.SetPeriodNs(m.periodNs)
 	m.rec.BindChecker(m.cfg.Check)
 	return m, nil
+}
+
+// cellRates checks a filled cfg's offered and warm-up rates and returns its
+// clock period and the packets per node-cycle its sources draw at, measured
+// and warm-up (warm is 0 without a warm-up rate). Runs and a sweep's arrival
+// map both take their rates from here.
+func cellRates(cfg *SyntheticConfig) (periodNs, pkt, warm float64, err error) {
+	if err := CheckRate(cfg.Pattern, cfg.RateMBps); err != nil {
+		return 0, 0, 0, err
+	}
+	if err := checkBandwidth("warm-up", cfg.WarmRateMBps); err != nil {
+		return 0, 0, 0, err
+	}
+	periodNs = physical.ClockPeriodNs(cfg.Arch)
+	pkt = FlitsPerNodeCycle(cfg.RateMBps, periodNs) / float64(cfg.PacketFlits)
+	if pkt >= 1 {
+		return 0, 0, 0, fmt.Errorf("harness: offered rate %.0f MB/s/node exceeds one packet per cycle at %v: %w", cfg.RateMBps, cfg.Arch, ErrRateInfeasible)
+	}
+	if cfg.WarmRateMBps > 0 {
+		warm = FlitsPerNodeCycle(cfg.WarmRateMBps, periodNs) / float64(cfg.PacketFlits)
+		if warm >= 1 {
+			return 0, 0, 0, fmt.Errorf("harness: warm-up rate %.0f MB/s/node exceeds one packet per cycle at %v: %w", cfg.WarmRateMBps, cfg.Arch, ErrRateInfeasible)
+		}
+	}
+	return periodNs, pkt, warm, nil
+}
+
+// forkStreams forks every node's arrival and destination generators from
+// seed, in the order every run forks them. The streams depend on nothing
+// else, so all cells of a sweep draw the same arrivals, the streams the
+// sweep's arrival map scans.
+func forkStreams(seed uint64, nodes int) (arr, dst []*sim.RNG) {
+	base := sim.NewRNG(seed)
+	arr, dst = make([]*sim.RNG, nodes), make([]*sim.RNG, nodes)
+	for i := range arr {
+		arr[i] = base.Fork(uint64(i))
+		dst[i] = base.Fork(uint64(1000 + i))
+	}
+	return arr, dst
 }
 
 // netConfig returns the network configuration this member runs on.
@@ -191,25 +215,29 @@ func (m *synthMember) attach(net *network.Network) {
 	if m.warmPkt > 0 {
 		rate = m.warmPkt
 	}
-	base := sim.NewRNG(cfg.Seed)
-	nodes := cfg.Topo.Nodes()
-	m.procs = make([]traffic.Process, nodes)
-	m.dests = make([]*sim.RNG, nodes)
-	for i := range m.procs {
-		r := base.Fork(uint64(i))
-		if m.selfSimilar {
-			m.procs[i] = traffic.NewSelfSimilar(rate, r)
-		} else {
-			m.procs[i] = &traffic.Bernoulli{P: rate, RNG: r}
-		}
-		m.dests[i] = base.Fork(uint64(1000 + i))
-	}
-
 	m.lookahead = !cfg.Eager &&
 		cfg.CheckpointPath == "" && cfg.CheckpointEvery == 0 && cfg.RestorePath == "" &&
 		!cfg.WarmStart && cfg.WarmSaveDir == "" && cfg.WarmLoadDir == ""
+	// A sweep's arrival map serves only the look-ahead's Next calls; the
+	// eager path draws one Tick a cycle.
+	skips := m.lookahead && !m.selfSimilar && cfg.arrivals != nil
+	arr, dst := forkStreams(cfg.Seed, cfg.Topo.Nodes())
+	m.procs = make([]traffic.Process, len(arr))
+	m.dests = dst
+	for i, r := range arr {
+		if m.selfSimilar {
+			m.procs[i] = traffic.NewSelfSimilar(rate, r)
+			continue
+		}
+		b := &traffic.Bernoulli{P: rate, RNG: r}
+		if skips {
+			b.SkipWith(cfg.arrivals.row(i))
+		}
+		m.procs[i] = b
+	}
+
 	if m.lookahead {
-		m.arr = make([]int64, nodes)
+		m.arr = make([]int64, len(arr))
 		for id := range m.arr {
 			m.advanceArr(id, 0, m.wallAt(0))
 		}

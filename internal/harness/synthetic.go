@@ -104,6 +104,10 @@ type SyntheticConfig struct {
 	// equivalence suite compares against (and the honest baseline for the
 	// sparse benchmarks).
 	Eager bool
+
+	// arrivals is the arrival skip-map SweepSynthetic shares among its
+	// cells; nil for a single run.
+	arrivals *arrivalMap
 }
 
 func (c *SyntheticConfig) fill() {
@@ -261,10 +265,15 @@ type SweepPoint struct {
 // stop-at-saturation output bit for bit: same points, same RunResults,
 // same rendered CSV. A nil pool (or one worker) runs the classic serial
 // loop, which never simulates beyond a dead series.
+//
+// A cold sweep's cells share one arrival map (arrivalMap): each node's
+// arrival stream is scanned once for the blocks that can hold an arrival at
+// the sweep's top rate, and every look-ahead cell jumps the rest.
 func SweepSynthetic(base SyntheticConfig, rates []float64, pool *exp.Pool) ([]SweepPoint, error) {
 	if base.WarmStart {
 		return sweepWarm(base, rates, pool)
 	}
+	base.arrivals = newArrivalMap(base, rates)
 	if pool.Workers() <= 1 || len(rates) == 0 {
 		return sweepSerial(base, rates)
 	}

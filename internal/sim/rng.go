@@ -111,7 +111,7 @@ func (r *RNG) NextHit(p float64, limit int64) (gap int64, hit bool) {
 	case p >= 1:
 		return 0, true
 	case math.IsNaN(p):
-		r.state += gamma * uint64(limit)
+		r.Skip(limit)
 		return limit, false
 	}
 	t := uint64(math.Ceil(p * (1 << 53)))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -120,6 +121,56 @@ func FuzzNextMatchesTick(f *testing.F) {
 	})
 }
 
+// FuzzSkipMatchesTick checks a Bernoulli source following a skip map of its
+// stream against the Tick loop of an unmapped twin, on gaps, hits and RNG
+// position, for arbitrary source and map rates (the map's at, above or
+// below the source's; 0 and >= 1 for the source, which consume nothing),
+// windows ending mid-block or before the limits do (past it the source
+// must scan, never skip), and a Retarget mid-stream.
+func FuzzSkipMatchesTick(f *testing.F) {
+	f.Add(uint64(1), 0.001, 0.004, uint16(5000), int64(900), 0.002)
+	f.Add(uint64(0xA11CE), 0.003, 0.003, uint16(95), int64(33), 0.01)
+	f.Add(uint64(7), 0.05, 0.02, uint16(64), int64(31), 0.001)
+	f.Add(uint64(8), 0.05, 0.01, uint16(5000), int64(4000), 0.05)
+	f.Add(uint64(11), 0.02, 0.02, uint16(174), int64(3000), 0.02)
+	f.Add(uint64(9), 0.0, 0.1, uint16(100), int64(50), 0.2)
+	f.Add(uint64(3), 1.0, 0.5, uint16(100), int64(50), 1.5)
+	f.Add(uint64(5), 2e-5, 1e-4, uint16(65535), int64(16383), math.NaN())
+	f.Fuzz(func(t *testing.T, seed uint64, p, mapRate float64, window uint16, limit int64, retarget float64) {
+		if !(mapRate > 0 && mapRate < 1) {
+			t.Skip("ScanHits takes rates in (0, 1)")
+		}
+		limit %= 1 << 14 // bounds the reference loop, keeps negatives
+		rng := sim.NewRNG(seed)
+		h := rng.ScanHits(mapRate, int64(window), make([]uint64, sim.HitMapWords(int64(window))))
+		next := &Bernoulli{P: p, RNG: rng}
+		next.SkipWith(&h)
+		ref := &Bernoulli{P: p, RNG: sim.NewRNG(seed)}
+		// Walk arrival by arrival to past the window's last word, retargeting
+		// halfway; the call cap ends sources that consume nothing.
+		limits := []int64{limit, limit/2 + 1, 7, 33}
+		end := int64(sim.HitMapWords(int64(window))*64*sim.HitBlock) + 64
+		retargeted := false
+		for i, drawn := 0, int64(0); i < 300 && drawn < end; i++ {
+			if !retargeted && drawn >= int64(window)/2 {
+				next.Retarget(retarget)
+				ref.Retarget(retarget)
+				retargeted = true
+			}
+			l := limits[i%len(limits)]
+			gap, hit := next.Next(l)
+			wantGap, wantHit := tickNext(ref, l)
+			if gap != wantGap || hit != wantHit || next.RNG.State() != ref.RNG.State() {
+				t.Fatalf("p=%v map %v window %d call %d limit %d: Next = (%d, %v) state %#x, Tick loop = (%d, %v) state %#x",
+					next.P, mapRate, window, i, l, gap, hit, next.RNG.State(), wantGap, wantHit, ref.RNG.State())
+			}
+			if drawn += gap; hit {
+				drawn++
+			}
+		}
+	})
+}
+
 var scanSink int64
 
 // BenchmarkArrivalScan reports the cost of one stream draw (ns/op = ns per
@@ -152,4 +203,83 @@ func BenchmarkArrivalScan(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkSweepArrivals isolates the sweep's arrival map from the
+// simulator: 64 streams over a 303 000-draw window are scanned for every
+// arrival at the 12 per-cycle rates of lowload-uniform's cells, once with a plain
+// Next per arrival and once with every stream following a skip map scanned
+// at the top rate (its scan included in each op). draws/op counts the draws
+// evaluated: the window once per rate plain; the map's scan plus the draws
+// of its hit blocks once per rate mapped.
+func BenchmarkSweepArrivals(b *testing.B) {
+	const nodes, window = 64, 303_000
+	// 10, 20 and 40 MB/s/node at the four architectures' clock periods.
+	rates := []float64{0.00115, 0.0008625, 0.0009, 0.00095, 0.0023, 0.001725, 0.0018, 0.0019, 0.0046, 0.00345, 0.0036, 0.0038}
+	top := slices.Max(rates)
+	origins := make([]uint64, nodes)
+	for i := range origins {
+		origins[i] = sim.NewRNG(0xA11CE).Fork(uint64(i)).State()
+	}
+	for _, mapped := range []bool{false, true} {
+		b.Run(fmt.Sprintf("map=%v", mapped), func(b *testing.B) {
+			var draws, hits int64
+			for i := 0; i < b.N; i++ {
+				var maps []sim.HitMap
+				if mapped {
+					words := sim.HitMapWords(window)
+					bits := make([]uint64, nodes*words)
+					maps = make([]sim.HitMap, nodes)
+					for n, o := range origins {
+						maps[n] = sim.NewRNG(o).ScanHits(top, window, bits[n*words:(n+1)*words])
+					}
+					draws += nodes * window
+				}
+				for _, rate := range rates {
+					for n, o := range origins {
+						src := &Bernoulli{P: rate, RNG: sim.NewRNG(o)}
+						if mapped {
+							src.SkipWith(&maps[n])
+						}
+						for left := int64(window); left > 0; {
+							gap, hit := src.Next(left)
+							left -= gap
+							if hit {
+								left--
+								hits++
+							}
+						}
+					}
+					if !mapped {
+						draws += nodes * window
+					}
+				}
+				if mapped {
+					draws += int64(len(rates)) * hitBlockDraws(maps, origins)
+				}
+			}
+			scanSink = hits
+			b.ReportMetric(float64(draws)/float64(b.N), "draws/op")
+		})
+	}
+}
+
+// hitBlockDraws counts the draws in the maps' hit blocks, the ones a mapped
+// source still evaluates.
+func hitBlockDraws(maps []sim.HitMap, origins []uint64) int64 {
+	var n int64
+	for i := range maps {
+		r := sim.NewRNG(origins[i])
+		for {
+			run, hits := maps[i].Run(r)
+			if run == 0 {
+				break
+			}
+			if hits {
+				n += run
+			}
+			r.Skip(run)
+		}
+	}
+	return n
 }

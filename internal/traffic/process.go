@@ -23,13 +23,46 @@ type Process interface {
 type Bernoulli struct {
 	P   float64
 	RNG *sim.RNG
+
+	skip *sim.HitMap // see SkipWith
 }
+
+// SkipWith hands the source a skip map of its own stream, scanned from the
+// RNG's current state. While P is positive and at most the map's rate, Next
+// jumps the map's hit-free blocks instead of drawing them; outside the
+// map's window it scans as before. Either way it consumes and answers
+// exactly what the Tick loop would. The map is only read, so one map may
+// serve every source that starts at its origin.
+func (b *Bernoulli) SkipWith(h *sim.HitMap) { b.skip = h }
 
 // Tick implements Process.
 func (b *Bernoulli) Tick() bool { return b.RNG.Bernoulli(b.P) }
 
 // Next implements Process.
-func (b *Bernoulli) Next(limit int64) (gap int64, hit bool) { return b.RNG.NextHit(b.P, limit) }
+func (b *Bernoulli) Next(limit int64) (gap int64, hit bool) {
+	h := b.skip
+	if h == nil || !(b.P > 0 && b.P <= h.Rate()) {
+		return b.RNG.NextHit(b.P, limit)
+	}
+	for gap < limit {
+		run, hits := h.Run(b.RNG)
+		if run == 0 { // past the map's window
+			g, hit := b.RNG.NextHit(b.P, limit-gap)
+			return gap + g, hit
+		}
+		run = min(run, limit-gap)
+		if !hits {
+			b.RNG.Skip(run)
+			gap += run
+			continue
+		}
+		g, hit := b.RNG.NextHit(b.P, run)
+		if gap += g; hit {
+			return gap, true
+		}
+	}
+	return gap, false
+}
 
 // Rate implements Process.
 func (b *Bernoulli) Rate() float64 { return b.P }
