@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint test test-ids alloc-guard race shard-race bench bench-json bench-compare bench-smoke bench-repo-smoke cli-smoke trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke
+.PHONY: check build fmt vet lint test test-ids alloc-guard race shard-race bench bench-json bench-compare bench-smoke bench-repo-smoke cli-smoke results-check trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke
 
 ## check: the CI gate — build, gofmt, vet, static analysis, the allocation guards
 ## (seconds: an allocation back in the inject/step/deliver loop fails before
@@ -10,10 +10,11 @@ GO ?= go
 ## settings, the tools' bad-input exits, the tracing, fault-injection
 ## (transient and permanent), live telemetry, and checkpoint/restore smoke
 ## tests, a short fuzz pass over
-## the user-facing decoders and the arrival skip-ahead and skip map, the repo
+## the user-facing decoders and the arrival skip-ahead and skip map, the
+## committed results files that regenerate in seconds, the repo
 ## benchmark's own tests, and a soft benchmark-regression check against the
 ## newest committed snapshot.
-check: build fmt vet lint alloc-guard race shard-race cli-smoke trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-repo-smoke bench-compare
+check: build fmt vet lint alloc-guard race shard-race cli-smoke results-check trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-repo-smoke bench-compare
 
 build:
 	$(GO) build ./...
@@ -133,7 +134,8 @@ bench-smoke:
 ## tool never did (an unknown figure, a 0- or negative-flit packet, a negative
 ## rate, an invalid fault-campaign network counted as detected faults, a
 ## campaign or degrade parameter out of range — a run with no cycles, a load
-## that is no probability, a negative kill cycle that panicked a worker): each
+## that is no probability, a negative kill cycle that panicked a worker; an
+## ablation or §8 rate no run can mean or offer, an unknown ablation study): each
 ## must exit with status 1 and a message within 10 s, never a panic trace.
 ## The tools run in the temp directory, so a regression cannot litter the tree.
 cli-smoke:
@@ -146,13 +148,30 @@ cli-smoke:
 		"noxsweep -shards -1" "noxablate -shards -1" "noxapp -shards -1" "noxfuture -shards -1" \
 		"noxtrace -width 0" "noxtrace -width 1 -height 1" "noxsim -measure -100" "noxtrace -rate -1" \
 		"noxfault -degrade 2 -kill -5" "noxfault -cycles -10" "noxfault -cycles 0" "noxfault -load -1" \
-		"noxfault -load 2" "noxfault -load NaN" "noxfault -multi 2" "noxfault -rtimeout -5" "noxfault -degrade -3"; do \
+		"noxfault -load 2" "noxfault -load NaN" "noxfault -multi 2" "noxfault -rtimeout -5" "noxfault -degrade -3" \
+		"noxablate -rate -5" "noxablate -rate 1e9" "noxablate -study bogus" "noxfuture -rates -5" "noxfuture -rates NaN"; do \
 		st=0; timeout 10 "$$tmp/"$$c >/dev/null 2>"$$tmp/err" || st=$$?; \
 		if [ $$st -ne 1 ] || grep -qE '^(panic: |goroutine )' "$$tmp/err"; then \
 			echo "cli-smoke: $$c: exit $$st, want 1 without a panic" >&2; cat "$$tmp/err" >&2; exit 1; \
 		fi; \
 	done; \
 	echo "cli-smoke: OK"
+
+## results-check: regenerate the committed results files whose tools run in
+## seconds — results/section8_future.txt (noxfuture, ~7 s) and
+## results/ablations.txt (noxablate, ~2 s), each at its tool's defaults — and
+## require each to match the committed file byte for byte. The tools run in
+## the temp directory, so a flight dump cannot litter the tree.
+results-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	set -e; \
+	$(GO) build -o "$$tmp/" ./cmd/noxfuture ./cmd/noxablate; \
+	res=$$(pwd)/results; cd "$$tmp"; \
+	./noxfuture > section8_future.txt; \
+	./noxablate > ablations.txt; \
+	cmp "$$res/section8_future.txt" section8_future.txt; \
+	cmp "$$res/ablations.txt" ablations.txt; \
+	echo "results-check: OK"
 
 ## trace-smoke: run noxtrace on a tiny mesh and validate that the emitted
 ## Chrome trace JSON parses and that every CSV exporter produces output. (A

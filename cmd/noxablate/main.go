@@ -30,17 +30,28 @@ func main() {
 	)
 	_, pool, stop := cli.Start()
 	defer stop()
+	switch *study {
+	case "all", "buffers", "arbiter", "xorcost":
+	default:
+		cli.Fail(fmt.Errorf("unknown study %q (want buffers, arbiter, xorcost or all)", *study))
+	}
 
 	archs := []router.Arch{router.SpecAccurate, router.NoX}
 	if *study == "buffers" || *study == "all" {
 		depths := []int{2, 3, 4, 6, 8}
-		pts := harness.AblateBufferDepth(depths, *rate, archs, pool, *shards)
+		pts, err := harness.AblateBufferDepth(depths, *rate, archs, pool, *shards)
+		if err != nil {
+			cli.Fail(err)
+		}
 		fmt.Print(harness.FormatAblation(
 			fmt.Sprintf("Ablation: input buffer depth (uniform @ %.0f MB/s/node; Table 1 uses 4)", *rate), pts))
 		fmt.Println()
 	}
 	if *study == "arbiter" || *study == "all" {
-		pts := harness.AblateArbiter(*rate, archs, pool, *shards)
+		pts, err := harness.AblateArbiter(*rate, archs, pool, *shards)
+		if err != nil {
+			cli.Fail(err)
+		}
 		fmt.Print(harness.FormatAblation(
 			fmt.Sprintf("Ablation: output arbiter (uniform @ %.0f MB/s/node)", *rate), pts))
 		fmt.Println()

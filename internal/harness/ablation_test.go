@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -15,8 +16,11 @@ func TestAblateBufferDepthShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweep is slow")
 	}
-	pts := AblateBufferDepth([]int{2, 4}, 2000, []router.Arch{router.SpecAccurate, router.NoX}, nil, 0)
-	byKey := map[string]AblationPoint{}
+	pts, err := AblateBufferDepth([]int{2, 4}, 2000, []router.Arch{router.SpecAccurate, router.NoX}, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey := map[string]RunResult{}
 	for _, pt := range pts {
 		byKey[pt.Label+"/"+pt.Arch.String()] = pt
 	}
@@ -36,7 +40,10 @@ func TestAblateArbiterFunctional(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweep is slow")
 	}
-	pts := AblateArbiter(1500, []router.Arch{router.NoX}, nil, 0)
+	pts, err := AblateArbiter(1500, []router.Arch{router.NoX}, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 2 {
 		t.Fatalf("want 2 points, got %d", len(pts))
 	}
@@ -72,7 +79,7 @@ func TestAblateXORCostMonotonic(t *testing.T) {
 
 // TestFormatAblation checks the renderer.
 func TestFormatAblation(t *testing.T) {
-	s := FormatAblation("title", []AblationPoint{
+	s := FormatAblation("title", []RunResult{
 		{Label: "depth=2", Arch: router.NoX, MeanLatencyNs: 7.5, AcceptedMBps: 1999},
 		{Label: "depth=2", Arch: router.SpecAccurate, Saturated: true},
 	})
@@ -80,5 +87,17 @@ func TestFormatAblation(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("ablation output missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestAblateRejectsBadRate checks the ablations pass a run's rate errors
+// through instead of rendering rows for a load no run can mean or offer.
+func TestAblateRejectsBadRate(t *testing.T) {
+	archs := []router.Arch{router.NoX}
+	if _, err := AblateBufferDepth([]int{4}, -5, archs, nil, 0); !errors.Is(err, ErrRateInvalid) {
+		t.Errorf("negative rate: err = %v, want ErrRateInvalid", err)
+	}
+	if _, err := AblateArbiter(1e9, archs, nil, 0); !errors.Is(err, ErrRateInfeasible) {
+		t.Errorf("rate beyond one packet a cycle: err = %v, want ErrRateInfeasible", err)
 	}
 }

@@ -46,7 +46,7 @@ func newArrivalMap(base SyntheticConfig, rates []float64) *arrivalMap {
 	if !(top > 0) {
 		return nil
 	}
-	return &arrivalMap{seed: base.Seed, nodes: base.Topo.Nodes(),
+	return &arrivalMap{seed: base.Seed, nodes: base.system().Cores(),
 		draws: base.WarmupCycles + base.MeasureCycles, rate: top}
 }
 

@@ -46,7 +46,7 @@ func TestSweepArrivalMapEquivalence(t *testing.T) {
 			if tc.edit != nil {
 				tc.edit(&base)
 			}
-			ref, err := sweepSerial(base, tc.rates)
+			ref, err := sweepSerial(base, tc.rates, coldPoint)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -172,11 +172,11 @@ func TestFlightReplayMatchesFullProbe(t *testing.T) {
 		if _, err := RunFuture(run); err != nil {
 			t.Fatal(err)
 		}
-		full := fullProbe(cfg.Kind.Datapath().ClockPeriodNs(cfg.Arch))
-		cfg.Shards = 1
-		if _, err := runFuture(cfg, full); err != nil {
+		full := cfg.synthetic()
+		full.Probe, full.Shards = fullProbe(cfg.Kind.Datapath().ClockPeriodNs(cfg.Arch)), 1
+		if _, err := RunSynthetic(full); err != nil {
 			t.Fatal(err)
 		}
-		checkDump(t, dir, rec, full)
+		checkDump(t, dir, rec, full.Probe)
 	})
 }

@@ -4,19 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 
 	"repro/internal/exp"
-	"repro/internal/network"
 	"repro/internal/noc"
 	"repro/internal/physical"
 	"repro/internal/power"
-	"repro/internal/probe"
 	"repro/internal/router"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/traffic"
 )
 
 // This file implements the paper's future-work study (§8): the same four
@@ -75,8 +70,13 @@ func (k SystemKind) System() noc.System {
 // Datapath returns the implementation point's component delays. The large
 // meshes keep the baseline tile (radix-5 routers, 2 mm channels) — they
 // grow the grid, not the router.
-func (k SystemKind) Datapath() physical.Datapath {
-	if k == CMesh4x4 {
+func (k SystemKind) Datapath() physical.Datapath { return datapath(k.System().Concentration) }
+
+// datapath returns the tile of a system whose routers serve concentration
+// cores: the CMesh's radix-8 point above one core per router, the baseline
+// mesh's otherwise.
+func datapath(concentration int) physical.Datapath {
+	if concentration > 1 {
 		return physical.CMeshDatapath()
 	}
 	return physical.MeshDatapath()
@@ -168,154 +168,29 @@ func (c *FutureConfig) fill() {
 // are per core in MB/s, converted with the system's own clock period, so
 // mesh and CMesh face identical absolute load.
 func RunFuture(cfg FutureConfig) (RunResult, error) {
-	return runFuture(cfg, nil)
+	sc := cfg.synthetic()
+	res, err := RunSynthetic(sc)
+	if err != nil {
+		return RunResult{}, err
+	}
+	res.Label = fmt.Sprintf("%v/%s", cfg.Kind, sc.Pattern)
+	return res, nil
 }
 
-// runFuture is RunFuture with the network probed by pr (nil for none): the
-// flight recorder's replay runs the point again under its probe.
-func runFuture(cfg FutureConfig, pr *probe.Probe) (RunResult, error) {
+// synthetic maps the point onto the synthetic driver: the system's router
+// grid and concentration, its energy model, and the point's recorder
+// whatever label the driver would give it.
+func (cfg FutureConfig) synthetic() SyntheticConfig {
 	cfg.fill()
-	sys := cfg.Kind.System()
-	dp := cfg.Kind.Datapath()
-	model := cfg.Kind.EnergyModel()
-	periodNs := dp.ClockPeriodNs(cfg.Arch)
-	pktRate := FlitsPerNodeCycle(cfg.RateMBps, periodNs)
-	if pktRate >= 1 {
-		return RunResult{}, fmt.Errorf("harness: rate %.0f MB/s/core exceeds one flit per cycle on %v: %w", cfg.RateMBps, cfg.Kind, ErrRateInfeasible)
+	sys, model := cfg.Kind.System(), cfg.Kind.EnergyModel()
+	sc := SyntheticConfig{Arch: cfg.Arch, Topo: sys.Grid, concentration: sys.Concentration,
+		Pattern: cfg.Pattern, RateMBps: cfg.RateMBps, Seed: cfg.Seed, Model: &model, Shards: cfg.Shards,
+		WarmupCycles: cfg.WarmupCycles, MeasureCycles: cfg.MeasureCycles, DrainCycles: cfg.DrainCycles,
+		Progress: cfg.Progress}
+	if rec := cfg.Recorder; rec != nil {
+		sc.NewRecorder = func(string) *telemetry.Recorder { return rec }
 	}
-
-	var pattern traffic.Pattern
-	selfSimilar := cfg.Pattern == "selfsimilar"
-	virtual := sys.VirtualTopology()
-	if selfSimilar || cfg.Pattern == "uniform" {
-		pattern = traffic.Uniform{Topo: virtual}
-	} else {
-		var err error
-		pattern, err = traffic.ByName(cfg.Pattern, virtual)
-		if err != nil {
-			return RunResult{}, err
-		}
-	}
-
-	cfg.Recorder.SetPeriodNs(periodNs)
-	var obs func(cycle int64, active int)
-	if cfg.Progress != nil {
-		obs = cfg.Progress.Observe
-	}
-	net := network.New(network.Config{
-		Topo:          sys.Grid,
-		Concentration: sys.Concentration,
-		Arch:          cfg.Arch,
-		Shards:        cfg.Shards,
-		Probe:         pr,
-		Observer:      obs,
-	})
-	defer net.Close()
-	col := stats.NewCollector(cfg.WarmupCycles, cfg.WarmupCycles+cfg.MeasureCycles)
-	net.OnDeliver = col.OnDeliver
-	if cfg.Progress != nil {
-		prog := cfg.Progress
-		net.OnDeliver = func(p *noc.Packet, cycle int64) {
-			col.OnDeliver(p, cycle)
-			prog.CountDeliver(1, int64(p.Length))
-		}
-		prog.RunStarted()
-	}
-
-	cores := sys.Cores()
-	arr, dests := forkStreams(cfg.Seed, cores)
-	procs := make([]traffic.Process, len(arr))
-	for i, r := range arr {
-		if selfSimilar {
-			procs[i] = traffic.NewSelfSimilar(pktRate, r)
-		} else {
-			procs[i] = &traffic.Bernoulli{P: pktRate, RNG: r}
-		}
-	}
-
-	var start power.Counters
-	total := cfg.WarmupCycles + cfg.MeasureCycles
-	// A flight-recorder replay stops once its recorder is Done.
-	for cyc := int64(0); cyc < total && !cfg.Recorder.Done(cyc); cyc++ {
-		if cyc == cfg.WarmupCycles {
-			start = *net.Counters()
-		}
-		injected := 0
-		for c := 0; c < cores; c++ {
-			if !procs[c].Tick() {
-				continue
-			}
-			src := noc.NodeID(c)
-			// Patterns operate on the virtual core grid; translate back.
-			vdst := pattern.Dest(sys.VirtualFromCore(src), dests[c])
-			dst := sys.CoreFromVirtual(vdst)
-			if dst == src {
-				continue
-			}
-			p := net.Inject(src, dst, 1, 0)
-			col.OnCreate(p, cyc)
-			injected++
-		}
-		if injected > 0 {
-			cfg.Progress.CountInject(int64(injected), int64(injected))
-		}
-		net.Step()
-		cfg.Progress.Tick(cyc)
-	}
-	window := net.Counters().Sub(start)
-
-	deadline := net.Cycle() + cfg.DrainCycles
-	for !col.Complete() && net.Cycle() < deadline && !cfg.Recorder.Done(net.Cycle()) {
-		if net.Idle() {
-			if out := net.Outstanding(); out > 0 {
-				cfg.Recorder.Trigger(net.Cycle(),
-					fmt.Sprintf("deadlock: network fully quiescent with %d packets outstanding", out))
-			}
-			net.FastForwardIdle(deadline - net.Cycle())
-			break
-		}
-		net.Step()
-		cfg.Progress.Tick(net.Cycle())
-	}
-
-	accepted := col.AcceptedFlitsPerNodeCycle(cores)
-	res := RunResult{
-		Arch:              cfg.Arch,
-		Label:             fmt.Sprintf("%v/%s", cfg.Kind, cfg.Pattern),
-		Nodes:             cores,
-		PeriodNs:          periodNs,
-		OfferedMBps:       cfg.RateMBps,
-		AcceptedMBps:      MBpsPerNode(accepted, periodNs),
-		MeanLatencyCycles: col.MeanLatencyCycles(),
-		DeliveredPackets:  col.WindowPackets(),
-		Window:            window,
-	}
-	res.MeanLatencyNs = res.MeanLatencyCycles * periodNs
-	res.P50LatencyNs, res.P95LatencyNs, res.P99LatencyNs = col.LatencyPercentilesNs(periodNs)
-	res.Saturated = !col.Complete() ||
-		float64(col.WindowFlits()) < 0.92*float64(col.CreatedFlits())
-	res.Energy = model.Energy(window, cfg.Arch == router.NoX)
-	if col.WindowPackets() > 0 {
-		res.PacketEnergyPJ = res.Energy.TotalPJ() / float64(col.WindowPackets())
-	}
-	res.PowerMW = res.Energy.TotalPJ() / (float64(cfg.MeasureCycles) * periodNs)
-	res.EnergyDelay2 = edp2(res.PacketEnergyPJ, res.MeanLatencyNs)
-
-	cfg.Progress.RunDone(cfg.Arch.String(), window)
-	if cfg.Recorder.Triggered() {
-		replay := func(rr *telemetry.Recorder) {
-			rc := cfg
-			rc.Shards, rc.Progress, rc.Recorder = 1, nil, rr
-			replayStarts(rr)
-			if _, err := runFuture(rc, rr.Probe()); err != nil {
-				panic(err)
-			}
-		}
-		if _, err := cfg.Recorder.Flush(replay, net.WriteDiagnostic); err != nil {
-			fmt.Fprintln(os.Stderr, "harness:", err)
-		}
-	}
-	return res, nil
+	return sc
 }
 
 // FutureStudy sweeps the selected systems at the given per-core rates and

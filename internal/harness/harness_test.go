@@ -425,8 +425,13 @@ func TestFutureStudyHypothesis(t *testing.T) {
 
 // TestRunFutureValidation checks the error path and kind plumbing.
 func TestRunFutureValidation(t *testing.T) {
-	if _, err := RunFuture(FutureConfig{Kind: CMesh4x4, Arch: router.NoX, RateMBps: 1e9}); err == nil {
-		t.Error("impossible rate accepted")
+	if _, err := RunFuture(FutureConfig{Kind: CMesh4x4, Arch: router.NoX, RateMBps: 1e9}); !errors.Is(err, ErrRateInfeasible) {
+		t.Errorf("impossible rate: err = %v, want ErrRateInfeasible", err)
+	}
+	for _, rate := range []float64{-5, math.NaN()} {
+		if _, err := RunFuture(FutureConfig{Kind: Mesh8x8, Arch: router.NoX, RateMBps: rate}); !errors.Is(err, ErrRateInvalid) {
+			t.Errorf("rate %v: err = %v, want ErrRateInvalid", rate, err)
+		}
 	}
 	if Mesh8x8.System().Cores() != 64 || CMesh4x4.System().Cores() != 64 {
 		t.Error("both organizations must host 64 cores")

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/network"
 	"repro/internal/noc"
-	"repro/internal/physical"
 	"repro/internal/power"
 	"repro/internal/router"
 	"repro/internal/sim"
@@ -88,8 +87,14 @@ func prepareSynthetic(cfg SyntheticConfig) (*synthMember, error) {
 	if m.selfSimilar {
 		patName = "uniform" // the Pareto ON/OFF process picks uniform destinations
 	}
-	if m.pattern, err = traffic.ByName(patName, cfg.Topo); err != nil {
+	// Patterns are laid out over cores: on a concentrated mesh, over its
+	// virtual core grid, translated to and from core ids.
+	sys := cfg.system()
+	if m.pattern, err = traffic.ByName(patName, sys.VirtualTopology()); err != nil {
 		return nil, err
+	}
+	if sys.Concentration > 1 {
+		m.pattern = corePattern{sys, m.pattern}
 	}
 	m.total = cfg.WarmupCycles + cfg.MeasureCycles
 
@@ -116,7 +121,7 @@ func cellRates(cfg *SyntheticConfig) (periodNs, pkt, warm float64, err error) {
 	if err := checkBandwidth("warm-up", cfg.WarmRateMBps); err != nil {
 		return 0, 0, 0, err
 	}
-	periodNs = physical.ClockPeriodNs(cfg.Arch)
+	periodNs = datapath(cfg.concentration).ClockPeriodNs(cfg.Arch)
 	pkt = FlitsPerNodeCycle(cfg.RateMBps, periodNs) / float64(cfg.PacketFlits)
 	if pkt >= 1 {
 		return 0, 0, 0, fmt.Errorf("harness: offered rate %.0f MB/s/node exceeds one packet per cycle at %v: %w", cfg.RateMBps, cfg.Arch, ErrRateInfeasible)
@@ -144,6 +149,18 @@ func forkStreams(seed uint64, nodes int) (arr, dst []*sim.RNG) {
 	return arr, dst
 }
 
+// corePattern is a pattern over a concentrated system's virtual core grid,
+// addressed by core id.
+type corePattern struct {
+	sys noc.System
+	traffic.Pattern
+}
+
+// Dest picks src's destination on the virtual grid and maps it back to a core.
+func (p corePattern) Dest(src noc.NodeID, rng *sim.RNG) noc.NodeID {
+	return p.sys.CoreFromVirtual(p.Pattern.Dest(p.sys.VirtualFromCore(src), rng))
+}
+
 // netConfig returns the network configuration this member runs on.
 func (m *synthMember) netConfig() network.Config {
 	var obs func(cycle int64, active int)
@@ -154,7 +171,7 @@ func (m *synthMember) netConfig() network.Config {
 	if pr == nil {
 		pr = m.rec.Probe() // a replay's recorder carries the probe of its window
 	}
-	return network.Config{Topo: m.cfg.Topo, Arch: m.cfg.Arch, BufferDepth: m.cfg.BufferDepth,
+	return network.Config{Topo: m.cfg.Topo, Concentration: m.cfg.concentration, Arch: m.cfg.Arch, BufferDepth: m.cfg.BufferDepth,
 		NewArbiter: m.cfg.NewArbiter, Probe: pr, Shards: m.cfg.Shards, Check: m.cfg.Check,
 		Observer: obs}
 }
@@ -221,7 +238,7 @@ func (m *synthMember) attach(net *network.Network) {
 	// A sweep's arrival map serves only the look-ahead's Next calls; the
 	// eager path draws one Tick a cycle.
 	skips := m.lookahead && !m.selfSimilar && cfg.arrivals != nil
-	arr, dst := forkStreams(cfg.Seed, cfg.Topo.Nodes())
+	arr, dst := forkStreams(cfg.Seed, cfg.system().Cores())
 	m.procs = make([]traffic.Process, len(arr))
 	m.dests = dst
 	for i, r := range arr {
@@ -419,7 +436,7 @@ func (m *synthMember) finalize() RunResult {
 		net.CheckInvariants()
 	}
 
-	nodes := cfg.Topo.Nodes()
+	nodes := cfg.system().Cores()
 	accepted := col.AcceptedFlitsPerNodeCycle(nodes)
 	res := RunResult{
 		Arch:              cfg.Arch,

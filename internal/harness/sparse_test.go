@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/check"
-	"repro/internal/physical"
 	"repro/internal/probe"
 	"repro/internal/router"
 )
@@ -42,7 +41,7 @@ func sparseCfg(pattern string, rate float64) SyntheticConfig {
 func sparseRun(t *testing.T, cfg SyntheticConfig) (results, trace, report string) {
 	t.Helper()
 	if cfg.Shards <= 1 {
-		cfg.Probe = probe.New(probe.Config{RingEvents: 1 << 20, PeriodNs: physical.ClockPeriodNs(cfg.Arch)})
+		cfg.Probe = probe.New(probe.Config{RingEvents: 1 << 20, PeriodNs: datapath(cfg.concentration).ClockPeriodNs(cfg.Arch)})
 	}
 	cfg.Check = check.New(check.Config{})
 	res, err := RunSynthetic(cfg)
@@ -63,6 +62,25 @@ func sparseRun(t *testing.T, cfg SyntheticConfig) (results, trace, report string
 	return fmt.Sprintf("%+v", res) + "\n" + csv, tb.String(), rb.String()
 }
 
+// checkSparse runs cfg on the look-ahead path and on the Eager harness and
+// requires the two byte surfaces of sparseRun to match.
+func checkSparse(t *testing.T, cfg SyntheticConfig) {
+	t.Helper()
+	ref := cfg
+	ref.Eager = true
+	wantRes, wantTrace, wantReport := sparseRun(t, ref)
+	gotRes, gotTrace, gotReport := sparseRun(t, cfg)
+	if gotRes != wantRes {
+		t.Errorf("results diverged from the Eager harness\ngot:\n%s\nwant:\n%s", gotRes, wantRes)
+	}
+	if gotTrace != wantTrace {
+		t.Errorf("probe trace diverged from the Eager harness (%d vs %d bytes)", len(gotTrace), len(wantTrace))
+	}
+	if gotReport != wantReport {
+		t.Errorf("checker report diverged from the Eager harness\ngot:\n%s\nwant:\n%s", gotReport, wantReport)
+	}
+}
+
 // TestSparseEquivalenceSerialSharded pins byte-identity between the Eager
 // harness (no lookahead, no fast-forward) and the sparse fast path, for
 // every architecture at shard counts 1 and 4 and both sparse rates —
@@ -81,21 +99,7 @@ func TestSparseEquivalenceSerialSharded(t *testing.T) {
 					cfg := sparseCfg("uniform", rate)
 					cfg.Arch = arch
 					cfg.Shards = shards
-
-					ref := cfg
-					ref.Eager = true
-					wantRes, wantTrace, wantReport := sparseRun(t, ref)
-					gotRes, gotTrace, gotReport := sparseRun(t, cfg)
-
-					if gotRes != wantRes {
-						t.Errorf("results diverged from the Eager harness\ngot:\n%s\nwant:\n%s", gotRes, wantRes)
-					}
-					if gotTrace != wantTrace {
-						t.Errorf("probe trace diverged from the Eager harness (%d vs %d bytes)", len(gotTrace), len(wantTrace))
-					}
-					if gotReport != wantReport {
-						t.Errorf("checker report diverged from the Eager harness\ngot:\n%s\nwant:\n%s", gotReport, wantReport)
-					}
+					checkSparse(t, cfg)
 				})
 			}
 		}
@@ -116,22 +120,29 @@ func TestSparseEquivalenceBursty(t *testing.T) {
 			t.Parallel()
 			cfg := sparseCfg("selfsimilar", 120)
 			cfg.Arch = arch
-
-			ref := cfg
-			ref.Eager = true
-			wantRes, wantTrace, wantReport := sparseRun(t, ref)
-			gotRes, gotTrace, gotReport := sparseRun(t, cfg)
-
-			if gotRes != wantRes {
-				t.Errorf("bursty results diverged from the Eager harness\ngot:\n%s\nwant:\n%s", gotRes, wantRes)
-			}
-			if gotTrace != wantTrace {
-				t.Errorf("bursty probe trace diverged from the Eager harness (%d vs %d bytes)", len(gotTrace), len(wantTrace))
-			}
-			if gotReport != wantReport {
-				t.Errorf("bursty checker report diverged\ngot:\n%s\nwant:\n%s", gotReport, wantReport)
-			}
+			checkSparse(t, cfg)
 		})
+	}
+}
+
+// TestSparseEquivalenceCMesh runs the look-ahead on the §8 concentrated
+// mesh (4x4 routers, four cores each, patterns over the virtual 8x8 core
+// grid): a uniform and a coordinate pattern per architecture, probed and
+// checked, must match the Eager harness byte for byte.
+func TestSparseEquivalenceCMesh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CMesh sparse equivalence is slow")
+	}
+	for _, arch := range router.Archs {
+		for _, pattern := range []string{"uniform", "tornado"} {
+			arch, pattern := arch, pattern
+			t.Run(fmt.Sprintf("%s/%s", arch, pattern), func(t *testing.T) {
+				t.Parallel()
+				sc := sparseCfg(pattern, 200)
+				checkSparse(t, FutureConfig{Kind: CMesh4x4, Arch: arch, Pattern: pattern, RateMBps: sc.RateMBps,
+					WarmupCycles: sc.WarmupCycles, MeasureCycles: sc.MeasureCycles, DrainCycles: sc.DrainCycles}.synthetic())
+			})
+		}
 	}
 }
 

@@ -108,6 +108,14 @@ type SyntheticConfig struct {
 	// arrivals is the arrival skip-map SweepSynthetic shares among its
 	// cells; nil for a single run.
 	arrivals *arrivalMap
+	// concentration is the number of cores per router of Topo (1 when
+	// zero); only the §8 study (RunFuture) runs a concentrated mesh.
+	concentration int
+}
+
+// system returns the run's router grid with its cores.
+func (c *SyntheticConfig) system() noc.System {
+	return noc.System{Grid: c.Topo, Concentration: max(c.concentration, 1)}
 }
 
 func (c *SyntheticConfig) fill() {
@@ -274,19 +282,31 @@ func SweepSynthetic(base SyntheticConfig, rates []float64, pool *exp.Pool) ([]Sw
 		return sweepWarm(base, rates, pool)
 	}
 	base.arrivals = newArrivalMap(base, rates)
-	if pool.Workers() <= 1 || len(rates) == 0 {
-		return sweepSerial(base, rates)
-	}
+	return sweep(base, rates, pool, coldPoint)
+}
 
-	// Speculative fan-out: all points, rate-major so index order equals the
-	// serial visit order.
+// pointRunner runs one sweep point: cfg is the sweep's base at the point's
+// rate and architecture, ai the architecture's index in router.Archs.
+type pointRunner func(cfg SyntheticConfig, ai int) (RunResult, error)
+
+// coldPoint runs a cold sweep's point from cycle 0.
+func coldPoint(cfg SyntheticConfig, _ int) (RunResult, error) { return runSynthetic(cfg, nil) }
+
+// sweep walks rates × router.Archs with run, serially on a nil or
+// one-worker pool, else speculatively: every point in parallel, rate-major
+// so index order equals the serial visit order, then cut back to the
+// serial walk's output by assembleSweep.
+func sweep(base SyntheticConfig, rates []float64, pool *exp.Pool, run pointRunner) ([]SweepPoint, error) {
+	if pool.Workers() <= 1 || len(rates) == 0 {
+		return sweepSerial(base, rates, run)
+	}
 	archs := router.Archs
 	outs, err := exp.Map(context.Background(), pool, len(rates)*len(archs),
 		func(_ context.Context, i int) (pointOutcome, error) {
-			cfg := base
+			cfg, ai := base, i%len(archs)
 			cfg.RateMBps = rates[i/len(archs)]
-			cfg.Arch = archs[i%len(archs)]
-			res, err := cfg.runPoint()
+			cfg.Arch = archs[ai]
+			res, err := run(cfg, ai)
 			return pointOutcome{res, err}, nil
 		})
 	if err != nil {
@@ -306,8 +326,8 @@ type pointOutcome struct {
 // rate-major grid of speculative outcomes: include results up to and
 // including the first saturated point; an infeasible point ends the
 // series; a real error is remembered at the point the serial loop would
-// have hit it. Shared by the parallel cold and warm-start sweep paths so
-// both reproduce sweepSerial's output bit for bit.
+// have hit it, so the speculative walk reproduces sweepSerial's output bit
+// for bit.
 func assembleSweep(rates []float64, archs []router.Arch, outs []pointOutcome) ([]SweepPoint, error) {
 	lastRate := 0 // index of the last SweepPoint the serial loop would append
 	includeEnd := make([]int, len(archs))
@@ -352,40 +372,34 @@ func assembleSweep(rates []float64, archs []router.Arch, outs []pointOutcome) ([
 	return points, nil
 }
 
-// runPoint runs one sweep point with the sweep's base configuration
-// specialized to c's architecture and rate.
-func (c SyntheticConfig) runPoint() (RunResult, error) {
-	return RunSynthetic(c)
-}
-
-// sweepSerial is the one-point-at-a-time sweep: the reference semantics
-// the parallel path must reproduce exactly.
-func sweepSerial(base SyntheticConfig, rates []float64) ([]SweepPoint, error) {
-	alive := map[router.Arch]bool{}
-	for _, a := range router.Archs {
-		alive[a] = true
+// sweepSerial is the one-point-at-a-time walk: the reference semantics the
+// speculative walk must reproduce exactly.
+func sweepSerial(base SyntheticConfig, rates []float64, run pointRunner) ([]SweepPoint, error) {
+	alive := make([]bool, len(router.Archs))
+	for ai := range alive {
+		alive[ai] = true
 	}
 	var points []SweepPoint
 	for _, rate := range rates {
 		pt := SweepPoint{RateMBps: rate, Results: map[router.Arch]RunResult{}}
-		for _, arch := range router.Archs {
-			if !alive[arch] {
+		for ai, arch := range router.Archs {
+			if !alive[ai] {
 				continue
 			}
 			cfg := base
 			cfg.Arch = arch
 			cfg.RateMBps = rate
-			res, err := cfg.runPoint()
+			res, err := run(cfg, ai)
 			if err != nil {
 				if errors.Is(err, ErrRateInfeasible) {
-					alive[arch] = false
+					alive[ai] = false
 					continue
 				}
 				return nil, err
 			}
 			pt.Results[arch] = res
 			if res.Saturated {
-				alive[arch] = false
+				alive[ai] = false
 			}
 		}
 		points = append(points, pt)

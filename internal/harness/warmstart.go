@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -179,11 +178,11 @@ func warmSynthetic(base SyntheticConfig) (*warmImage, error) {
 }
 
 // sweepWarm is SweepSynthetic's warm-start mode: one warm phase per
-// architecture, then every point resumes from its architecture's image. The
-// stop-at-saturation output is reconstructed exactly as the cold paths do,
-// so the rendered CSV matches the cold sweep byte for byte. An architecture
-// whose warm-up rate is already infeasible ends its series before the first
-// rung, matching the cold semantics for a rate no clock can offer.
+// architecture, then every point resumes from its architecture's image on
+// the cold sweep's walk, so the rendered CSV matches the cold sweep byte
+// for byte. An architecture whose warm-up rate is already infeasible ends
+// its series before the first rung, matching the cold semantics for a rate
+// no clock can offer.
 func sweepWarm(base SyntheticConfig, rates []float64, pool *exp.Pool) ([]SweepPoint, error) {
 	if base.WarmRateMBps <= 0 {
 		return nil, ErrWarmRate
@@ -191,10 +190,9 @@ func sweepWarm(base SyntheticConfig, rates []float64, pool *exp.Pool) ([]SweepPo
 	if len(rates) == 0 {
 		return nil, nil
 	}
-	archs := router.Archs
-	warms := make([]*warmImage, len(archs))
-	warmErrs := make([]error, len(archs))
-	for ai, arch := range archs {
+	warms := make([]*warmImage, len(router.Archs))
+	warmErrs := make([]error, len(router.Archs))
+	for ai, arch := range router.Archs {
 		cfg := base
 		cfg.Arch = arch
 		warms[ai], warmErrs[ai] = warmFor(cfg)
@@ -202,66 +200,10 @@ func sweepWarm(base SyntheticConfig, rates []float64, pool *exp.Pool) ([]SweepPo
 			return nil, warmErrs[ai]
 		}
 	}
-
-	if pool.Workers() <= 1 {
-		return sweepWarmSerial(base, rates, archs, warms, warmErrs)
-	}
-	outs, err := exp.Map(context.Background(), pool, len(rates)*len(archs),
-		func(_ context.Context, i int) (pointOutcome, error) {
-			ai := i % len(archs)
-			if warmErrs[ai] != nil {
-				return pointOutcome{err: warmErrs[ai]}, nil
-			}
-			cfg := base
-			cfg.RateMBps = rates[i/len(archs)]
-			cfg.Arch = archs[ai]
-			res, err := runSynthetic(cfg, warms[ai])
-			return pointOutcome{res, err}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return assembleSweep(rates, archs, outs)
-}
-
-// sweepWarmSerial is sweepSerial with each point resumed from its
-// architecture's warm image.
-func sweepWarmSerial(base SyntheticConfig, rates []float64, archs []router.Arch, warms []*warmImage, warmErrs []error) ([]SweepPoint, error) {
-	alive := make([]bool, len(archs))
-	for ai := range archs {
-		alive[ai] = warmErrs[ai] == nil
-	}
-	var points []SweepPoint
-	for _, rate := range rates {
-		pt := SweepPoint{RateMBps: rate, Results: map[router.Arch]RunResult{}}
-		for ai, arch := range archs {
-			if !alive[ai] {
-				continue
-			}
-			cfg := base
-			cfg.Arch = arch
-			cfg.RateMBps = rate
-			res, err := runSynthetic(cfg, warms[ai])
-			if err != nil {
-				if errors.Is(err, ErrRateInfeasible) {
-					alive[ai] = false
-					continue
-				}
-				return nil, err
-			}
-			pt.Results[arch] = res
-			if res.Saturated {
-				alive[ai] = false
-			}
+	return sweep(base, rates, pool, func(cfg SyntheticConfig, ai int) (RunResult, error) {
+		if warmErrs[ai] != nil {
+			return RunResult{}, warmErrs[ai]
 		}
-		points = append(points, pt)
-		any := false
-		for _, v := range alive {
-			any = any || v
-		}
-		if !any {
-			break
-		}
-	}
-	return points, nil
+		return runSynthetic(cfg, warms[ai])
+	})
 }

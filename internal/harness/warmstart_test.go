@@ -18,47 +18,61 @@ import (
 // TestWarmStartSweepMatchesCold is the warm-start contract: a sweep that
 // warms once per architecture and forks every rate point from the copy must
 // render exactly the CSV the cold sweep renders — serial, speculative
-// parallel, and sharded.
+// parallel, and sharded. The second warm-up rate is one Non-Speculative's
+// slower clock cannot offer: that series ends at the warm phase, on the
+// serial and the speculative walk alike, as the cold sweep ends it.
 func TestWarmStartSweepMatchesCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warm-start equivalence sweep is slow")
 	}
-	base := fastCfg("uniform", 0)
-	base.WarmupCycles, base.MeasureCycles, base.DrainCycles = 800, 2000, 8000
-	base.WarmRateMBps = 600
-	rates := []float64{600, 1800, 3000, 3800}
+	// The second row warms near saturation, the dense end of every cold
+	// cell's cost, so it keeps to two rungs.
+	for _, row := range []struct {
+		warmRate float64
+		rates    []float64
+	}{{600, []float64{600, 1800, 3000, 3800}}, {10000, []float64{600, 1800}}} {
+		warmRate, rates := row.warmRate, row.rates
+		t.Run(fmt.Sprintf("warm%g", warmRate), func(t *testing.T) {
+			base := fastCfg("uniform", 0)
+			base.WarmupCycles, base.MeasureCycles, base.DrainCycles = 800, 2000, 8000
+			base.WarmRateMBps = warmRate
 
-	cold, err := SweepSynthetic(base, rates, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := SweepCSV("uniform", cold)
+			cold, err := SweepSynthetic(base, rates, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := SweepCSV("uniform", cold)
+			if _, ok := cold[0].Results[router.NonSpec]; ok == (warmRate == 10000) {
+				t.Fatalf("cold sweep at warm-up rate %g: Non-Speculative result present = %v", warmRate, ok)
+			}
 
-	warm := base
-	warm.WarmStart = true
-	runs := []struct {
-		name string
-		run  func() ([]SweepPoint, error)
-	}{
-		{"serial", func() ([]SweepPoint, error) { return SweepSynthetic(warm, rates, nil) }},
-		{"parallel", func() ([]SweepPoint, error) { return SweepSynthetic(warm, rates, exp.NewPool(4)) }},
-		{"sharded", func() ([]SweepPoint, error) {
-			sharded := warm
-			sharded.Shards = 2
-			return SweepSynthetic(sharded, rates, exp.NewPool(2))
-		}},
-	}
-	for _, tc := range runs {
-		pts, err := tc.run()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got := SweepCSV("uniform", pts); got != want {
-			t.Errorf("%s warm-start sweep CSV diverged from cold\nwarm:\n%s\ncold:\n%s", tc.name, got, want)
-		}
-		if got, wantDump := fmt.Sprintf("%+v", pts), fmt.Sprintf("%+v", cold); got != wantDump {
-			t.Errorf("%s warm-start results diverged from cold\nwarm: %.400s\ncold: %.400s", tc.name, got, wantDump)
-		}
+			warm := base
+			warm.WarmStart = true
+			runs := []struct {
+				name string
+				run  func() ([]SweepPoint, error)
+			}{
+				{"serial", func() ([]SweepPoint, error) { return SweepSynthetic(warm, rates, nil) }},
+				{"parallel", func() ([]SweepPoint, error) { return SweepSynthetic(warm, rates, exp.NewPool(4)) }},
+				{"sharded", func() ([]SweepPoint, error) {
+					sharded := warm
+					sharded.Shards = 2
+					return SweepSynthetic(sharded, rates, exp.NewPool(2))
+				}},
+			}
+			for _, tc := range runs {
+				pts, err := tc.run()
+				if err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				if got := SweepCSV("uniform", pts); got != want {
+					t.Errorf("%s warm-start sweep CSV diverged from cold\nwarm:\n%s\ncold:\n%s", tc.name, got, want)
+				}
+				if got, wantDump := fmt.Sprintf("%+v", pts), fmt.Sprintf("%+v", cold); got != wantDump {
+					t.Errorf("%s warm-start results diverged from cold\nwarm: %.400s\ncold: %.400s", tc.name, got, wantDump)
+				}
+			}
+		})
 	}
 }
 

@@ -8,8 +8,8 @@ import "repro/internal/router"
 // longer channels, and the fixed cost of the NoX decoding hardware."
 //
 // Datapath describes one implementation point's component delays; the
-// architecture critical paths compose them exactly as ClockPeriodPs does
-// for the baseline mesh.
+// architecture critical paths compose them in Datapath.ClockPeriodPs, and
+// the baseline mesh's ClockPeriodPs is that composition on MeshDatapath.
 type Datapath struct {
 	// SRAMReadPs is the input-buffer read delay.
 	SRAMReadPs float64
@@ -66,12 +66,14 @@ func CMeshDatapath() Datapath {
 }
 
 // ClockPeriodPs composes the architecture's critical path on this
-// datapath, mirroring the baseline composition exactly.
+// datapath.
 func (d Datapath) ClockPeriodPs(a router.Arch) float64 {
 	switch a {
 	case router.NonSpec:
+		// Arbitrate, then traverse, within one cycle.
 		return d.SRAMReadPs + d.SwitchArbPs + d.XbarMuxPs + d.LinkPs
 	case router.SpecFast:
+		// Arbitration fully off the critical path.
 		return d.SRAMReadPs + d.XbarMuxPs + d.LinkPs
 	case router.SpecAccurate:
 		return d.SRAMReadPs + d.XbarMuxPs + d.SwitchNextPs + d.LinkPs

@@ -45,23 +45,8 @@ const (
 )
 
 // ClockPeriodPs returns the architecture's clock period in picoseconds as
-// the sum of its critical-path components.
-func ClockPeriodPs(a router.Arch) float64 {
-	switch a {
-	case router.NonSpec:
-		// Arbitrate, then traverse, within one cycle.
-		return SRAMReadPs + SwitchArbPs + XbarMuxPs + LinkPs
-	case router.SpecFast:
-		// Arbitration fully off the critical path.
-		return SRAMReadPs + XbarMuxPs + LinkPs
-	case router.SpecAccurate:
-		return SRAMReadPs + XbarMuxPs + SwitchNextPs + LinkPs
-	case router.NoX:
-		return SRAMReadPs + DecodePs + XbarXORPs + LinkPs
-	default:
-		panic("physical: unknown architecture")
-	}
-}
+// the sum of its critical-path components on the baseline mesh tile.
+func ClockPeriodPs(a router.Arch) float64 { return MeshDatapath().ClockPeriodPs(a) }
 
 // ClockPeriodNs returns the clock period in nanoseconds (Table 2 units).
 func ClockPeriodNs(a router.Arch) float64 { return ClockPeriodPs(a) / 1000 }
