@@ -70,6 +70,8 @@ race:
 ## and 16-shard cases mix both on every host. TestFaultedSteadyStateAllocs
 ## adds retransmission, whose interfaces let go of packet slots on the shard
 ## workers and hand them to the step epilogue through the shard mailboxes.
+## TestShardCrossFedLatch has two workers raise bits of one router's
+## staged-input mask in the same compute phase.
 shard-race:
 	$(GO) test -race -cpu 1,2,4 -run 'Shard|Barrier|TestFaultedSteadyStateAllocs' ./internal/sim ./internal/network
 
@@ -135,8 +137,10 @@ bench-smoke:
 ## rate, an invalid fault-campaign network counted as detected faults, a
 ## campaign or degrade parameter out of range — a run with no cycles, a load
 ## that is no probability, a negative kill cycle that panicked a worker; an
-## ablation or §8 rate no run can mean or offer, an unknown ablation study): each
-## must exit with status 1 and a message within 10 s, never a panic trace.
+## ablation or §8 rate no run can mean or offer, an unknown ablation study, a
+## trace run with a negative cycle count, drain limit, ring or sampling
+## interval): each must exit with status 1 and a message within 10 s, never
+## a panic trace.
 ## The tools run in the temp directory, so a regression cannot litter the tree.
 cli-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
@@ -149,7 +153,8 @@ cli-smoke:
 		"noxtrace -width 0" "noxtrace -width 1 -height 1" "noxsim -measure -100" "noxtrace -rate -1" \
 		"noxfault -degrade 2 -kill -5" "noxfault -cycles -10" "noxfault -cycles 0" "noxfault -load -1" \
 		"noxfault -load 2" "noxfault -load NaN" "noxfault -multi 2" "noxfault -rtimeout -5" "noxfault -degrade -3" \
-		"noxablate -rate -5" "noxablate -rate 1e9" "noxablate -study bogus" "noxfuture -rates -5" "noxfuture -rates NaN"; do \
+		"noxablate -rate -5" "noxablate -rate 1e9" "noxablate -study bogus" "noxfuture -rates -5" "noxfuture -rates NaN" \
+		"noxtrace -cycles -5" "noxtrace -flits -3" "noxtrace -flits 0" "noxtrace -drain -5" "noxtrace -ring -1" "noxtrace -sample -5"; do \
 		st=0; timeout 10 "$$tmp/"$$c >/dev/null 2>"$$tmp/err" || st=$$?; \
 		if [ $$st -ne 1 ] || grep -qE '^(panic: |goroutine )' "$$tmp/err"; then \
 			echo "cli-smoke: $$c: exit $$st, want 1 without a panic" >&2; cat "$$tmp/err" >&2; exit 1; \

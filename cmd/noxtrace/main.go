@@ -145,6 +145,17 @@ func main() {
 		return
 	}
 
+	if *flits < 1 {
+		fatal(fmt.Errorf("-flits %d: %w", *flits, network.ErrBadPacket))
+	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"cycles", *cycles}, {"drain", *drain}, {"ring", int64(*ring)}, {"sample", *sample}} {
+		if f.v < 0 {
+			fatal(fmt.Errorf("-%s must be >= 0 (got %d)", f.name, f.v))
+		}
+	}
 	arch, err := router.ArchByName(*archName)
 	if err != nil {
 		fatal(err)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/noc"
+	"repro/internal/probe"
 	"repro/internal/router"
 )
 
@@ -141,5 +142,65 @@ func TestShardComputePhaseWakeRace(t *testing.T) {
 	}
 	if gotN, gotSum := pingPong(2); gotN != wantN || gotSum != wantSum {
 		t.Errorf("2 shards: %d deliveries (cycle hash %d), serial %d (%d)", gotN, gotSum, wantN, wantSum)
+	}
+}
+
+// TestShardCrossFedLatch: the middle router of a row of three is fed from
+// both of its neighbours every cycle, and with the row cut into two or three
+// shards those neighbours step on other workers, so two Sends raise bits of
+// its staged-input mask in the same compute phase. On every architecture the
+// deliveries must land on the cycles the serial kernel lands them on, and
+// Audit must find every mask zero between steps; under -race (make
+// shard-race runs this at -cpu 1,2,4) the two raises must not race. A probed
+// serial run proves the double feed happens: it counts the cycles in which
+// both neighbours' channels into the middle router carried a flit.
+func TestShardCrossFedLatch(t *testing.T) {
+	const cycles = 3000
+	topo := noc.Topology{Width: 3, Height: 1}
+	for _, arch := range router.Archs {
+		run := func(shards int, pr *probe.Probe) (delivered int64, digest uint64) {
+			n := New(Config{Topo: topo, Arch: arch, Shards: shards, Probe: pr})
+			defer n.Close()
+			n.OnDeliver = func(p *noc.Packet, cycle int64) {
+				digest = digest*1099511628211 ^ p.ID<<20 ^ uint64(cycle)
+			}
+			for cyc := 0; cyc < cycles; cyc++ {
+				if cyc%2 == 0 {
+					n.Inject(0, 2, 1+cyc%3, 0)
+					n.Inject(2, 0, 1+cyc%4, 0)
+					n.Inject(1, noc.NodeID(2*(cyc/2%2)), 1, 0)
+				}
+				n.Step()
+				if err := n.Audit(); err != nil {
+					t.Fatalf("%s shards=%d cycle %d: %v", arch, shards, n.Cycle(), err)
+				}
+			}
+			return n.Delivered(), digest
+		}
+		pr := probe.New(probe.Config{})
+		wantN, want := run(1, pr)
+		fromWest, fromEast := map[int64]bool{}, map[int64]bool{}
+		for _, ev := range pr.Events() {
+			switch {
+			case ev.Kind == probe.EvLink && ev.Node == 0 && ev.Port == int8(noc.East):
+				fromWest[ev.Cycle] = true
+			case ev.Kind == probe.EvLink && ev.Node == 2 && ev.Port == int8(noc.West):
+				fromEast[ev.Cycle] = true
+			}
+		}
+		both := 0
+		for c := range fromWest {
+			if fromEast[c] {
+				both++
+			}
+		}
+		if both < cycles/10 {
+			t.Fatalf("%s: the middle router was fed from both sides in only %d of %d cycles", arch, both, cycles)
+		}
+		for _, shards := range []int{2, 3} {
+			if gotN, got := run(shards, nil); gotN != wantN || got != want {
+				t.Errorf("%s shards=%d: %d deliveries (digest %#x), serial %d (%#x)", arch, shards, gotN, got, wantN, want)
+			}
+		}
 	}
 }

@@ -168,12 +168,6 @@ type shardLocal struct {
 	_       [128]byte
 }
 
-// owned is the Receiver of a channel a router latches itself (Link.Take): the
-// hand-driven Commit that would deliver through it is never called.
-type owned struct{}
-
-func (owned) Receive(*noc.Flit, int64) { panic("network: hand-driven Commit of a router-owned link") }
-
 // delivery is one completed packet staged by a shard worker for the step
 // epilogue, which replays deliveries in interface order — the order the
 // serial kernel's NI walk would have completed them in — or, with release
@@ -462,17 +456,31 @@ func New(cfg Config) *Network {
 			env.Tamper = n.fault
 		}
 	}
+	// crossFed reports whether a neighbour of router node steps on another
+	// shard: two workers then raise bits of its staged-input mask in one
+	// compute phase, so every Send into it is atomic (noc.Link.Bind); every
+	// other sink's senders share its shard.
+	crossFed := func(node int) bool {
+		for _, p := range dirs {
+			if nb, ok := cfg.Topo.Neighbor(noc.NodeID(node), p); ok && n.shardOfNode[nb] != n.shardOfNode[node] {
+				return true
+			}
+		}
+		return false
+	}
 	links := make([]*noc.Link, 0, linkCount)
 	// newLink builds the channel in slab slot `slot` that sinkNode's shard
 	// latches; probeNode/probePort name its driver in probe events.
-	newLink := func(slot int, sink noc.Receiver, credits int, sinkH, srcH sim.Handle, sinkNode, probeNode, probePort int) *noc.Link {
+	newLink := func(slot int, credits int, sinkH, srcH sim.Handle, sinkNode, probeNode, probePort int) *noc.Link {
 		l := &linkSlab[slot]
-		l.Init(sink, credits)
-		shard := 0
+		l.Init(credits)
+		shard, shared := 0, false
 		if sharded {
-			shard = int(n.shardOfNode[sinkNode])
+			// Routers hold handles [0, routers); an interface's one input
+			// comes from its home router, on its own shard.
+			shard, shared = int(n.shardOfNode[sinkNode]), int(sinkH) < routers && crossFed(sinkNode)
 		}
-		l.Bind(&n.local[shard].links, len(links), int(sinkH), int(srcH))
+		l.Bind(&n.local[shard].links, len(links), int(sinkH), int(srcH), shared)
 		l.SetProbeID(probeNode, probePort)
 		links = append(links, l)
 		return l
@@ -486,7 +494,7 @@ func New(cfg Config) *Network {
 				continue
 			}
 			dst, in := n.routers[nb], p.Opposite()
-			l := newLink(inSlot(int(nb), in), owned{}, cfg.BufferDepth, routerHandle[nb], -1, int(nb), id, int(p))
+			l := newLink(inSlot(int(nb), in), cfg.BufferDepth, routerHandle[nb], -1, int(nb), id, int(p))
 			r.SetOutputLink(p, l)
 			dst.SetInputLink(in, l)
 		}
@@ -495,10 +503,10 @@ func New(cfg Config) *Network {
 			coreID := sys.CoreID(noc.NodeID(id), k)
 			port := sys.LocalPort(coreID)
 			ni := n.nis[coreID]
-			inj := newLink(inSlot(id, port), owned{}, cfg.BufferDepth, routerHandle[id], n.niHandle[coreID], id, int(coreID), -1)
+			inj := newLink(inSlot(id, port), cfg.BufferDepth, routerHandle[id], n.niHandle[coreID], id, int(coreID), -1)
 			ni.injectLink = inj
 			r.SetInputLink(port, inj)
-			ej := newLink(inSlot(id, port)+sys.Concentration, ni, cfg.SinkDepth, n.niHandle[coreID], -1, id, id, int(port))
+			ej := newLink(inSlot(id, port)+sys.Concentration, cfg.SinkDepth, n.niHandle[coreID], -1, id, id, int(port))
 			r.SetOutputLink(port, ej)
 			ni.ejectLink = ej
 		}

@@ -117,8 +117,8 @@ func (ni *NI) dequeue() *noc.Packet {
 	return p
 }
 
-// Receive buffers a flit arriving from the router's local output port. It
-// also makes the interface the noc.Receiver its ejection link is built with.
+// Receive buffers a flit arriving from the router's local output port: the
+// interface's latch calls it with what it takes from its ejection link.
 func (ni *NI) Receive(f *noc.Flit, cycle int64) {
 	if ni.sink.Free() == 0 && ni.net.check != nil {
 		// Only an injected credit-duplication fault can overrun the sink

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/probe"
 )
@@ -86,6 +87,12 @@ var noEnv LinkEnv
 // ownership: the sink may drop, swallow or recycle the flit in the same
 // commit phase, so a sender must not dereference a flit after Send.
 //
+// A sink with several input channels (a router) binds each to a bit of its
+// staged-input mask (SetSinkMask): Send raises the bit, the hardware's
+// per-port write strobe, and the sink's latch takes from the channels whose
+// bits are up instead of polling every one. A sink with a single channel (a
+// network interface) binds none and takes from it directly.
+//
 // Credits are owned by the sender side: Credits reports downstream buffer
 // slots known free. Returns made during cycle t are visible to the sender at
 // t+1 (nothing reads the count during a commit phase), giving the 2-3 cycle
@@ -93,12 +100,13 @@ var noEnv LinkEnv
 //
 // Commit and ReturnCredit are the hand-driven form for a link with no owning
 // component (tests, the benchmark rigs): Commit delivers through the
-// Receiver the link was built with.
+// Receiver the link was built with (NewLink). A link a component owns is
+// built with Init and has no Receiver.
 type Link struct {
-	// staged and credits lead: they are all a sink's latch and a sender's
-	// Ready touch on a cycle the channel is idle, and a network carves each
-	// sink's input channels contiguously (see network.New). The whole record
-	// is one 64-byte line.
+	// staged, credits, sinkH, env and the sink's mask lead: they are all a
+	// Send writes or reads, and all a sink's latch touches of a channel whose
+	// bit is up. A network carves each sink's input channels contiguously
+	// (see network.New). The whole record is one 64-byte line.
 	staged  *Flit
 	credits int32
 	// sinkH is the kernel handle of the component owning the sink side,
@@ -108,54 +116,85 @@ type Link struct {
 	// router holding flits is never quiet, so it needs no such edge.
 	sinkH int32
 	// env is what the channel shares with its neighbours (never nil).
-	env  *LinkEnv
-	srcH int32
+	env *LinkEnv
+	// mask is the sink's staged-input mask and bit the sink port whose bit
+	// Send raises in it; nil for a sink that takes from its one channel
+	// directly. shared marks a sink that another shard's senders also
+	// drive: its bits are raised with an atomic add, as two senders on two
+	// workers can hit the word in one compute phase.
+	mask   *uint32
+	bit    uint8
+	shared bool
 
+	// probeNode/probePort identify the channel to the probe by its driver:
+	// (router, port) for inter-router and ejection channels, (core, -1) for
+	// injection channels.
+	probePort int8
+	probeNode int32
+
+	srcH int32
 	// site is the network-assigned channel index the fault injector keys
 	// on. capacity remembers the initial credit count for post-drain
 	// conservation checks.
 	site     int32
 	capacity int32
 
-	// probeNode/probePort identify the channel to the probe by its driver:
-	// (router, port) for inter-router and ejection channels, (core, -1) for
-	// injection channels.
-	probeNode int32
-	probePort int8
+	// hand is the hand-driven part: nil on a link a component owns.
+	hand *handDriven
+}
 
-	// returns counts credit returns staged through ReturnCredit and sink is
-	// where Commit delivers: the hand-driven form only.
-	returns int32
+// handDriven is what only a hand-driven link keeps: where Commit delivers
+// and the credit returns staged through ReturnCredit.
+type handDriven struct {
 	sink    Receiver
+	returns int32
 }
 
-// NewLink returns a link feeding sink whose receiver advertises credits
-// buffer slots.
+// NewLink returns a hand-driven link feeding sink whose receiver advertises
+// credits buffer slots.
 func NewLink(sink Receiver, credits int) *Link {
-	l := &Link{}
-	l.Init(sink, credits)
-	return l
-}
-
-// Init initializes a zero Link in place — the slab-construction form of
-// NewLink, letting a network carve all of its channels from one allocation.
-func (l *Link) Init(sink Receiver, credits int) {
 	if sink == nil {
 		panic("noc: link requires a sink")
 	}
+	hl := &struct {
+		link Link
+		hand handDriven
+	}{hand: handDriven{sink: sink}}
+	hl.link.Init(credits)
+	hl.link.hand = &hl.hand
+	return &hl.link
+}
+
+// Init initializes a zero Link in place as a channel its sink component owns
+// and latches itself (Take) — the slab-construction form, letting a network
+// carve all of its channels from one allocation. Its sink advertises credits
+// buffer slots.
+func (l *Link) Init(credits int) {
 	if credits <= 0 {
 		panic("noc: link requires positive credits")
 	}
-	*l = Link{sink: sink, credits: int32(credits), capacity: int32(credits), sinkH: -1, srcH: -1, env: &noEnv}
+	*l = Link{credits: int32(credits), capacity: int32(credits), sinkH: -1, srcH: -1, env: &noEnv}
 }
 
 // Bind places the link in a network: env is the environment it shares with
-// the other channels its sink's shard latches, site its channel index, sink the kernel handle of the component owning the
-// receiving side (told of every Send, so a parked sink latches the flit) and
-// src the handle of the sender-side component to tell when returned credits
-// lift the count off zero, -1 for none.
-func (l *Link) Bind(env *LinkEnv, site, sink, src int) {
-	l.env, l.site, l.sinkH, l.srcH = env, int32(site), int32(sink), int32(src)
+// the other channels its sink's shard latches, site its channel index, sink
+// the kernel handle of the component owning the receiving side (told of
+// every Send, so a parked sink latches the flit) and src the handle of the
+// sender-side component to tell when returned credits lift the count off
+// zero, -1 for none. shared says the sink has an input driven from another
+// shard (see SetSinkMask).
+func (l *Link) Bind(env *LinkEnv, site, sink, src int, shared bool) {
+	l.env, l.site, l.sinkH, l.srcH, l.shared = env, int32(site), int32(sink), int32(src), shared
+}
+
+// SetSinkMask binds the link to bit port of its sink's staged-input mask:
+// every Send raises the bit, and the sink clears the mask once its latch has
+// taken from the channels named in it. The mask stays zero between steps.
+func (l *Link) SetSinkMask(mask *uint32, port int) {
+	if port < 0 || port >= 32 {
+		panic("noc: sink mask bit out of range")
+	}
+	l.mask, l.bit = mask, uint8(port)
 }
 
 // SetProbeID names the channel in the probe events of its environment by the
@@ -194,9 +233,10 @@ func (l *Link) Ready(cycle int64) bool {
 }
 
 // Send stages a flit for the sink to take at this cycle's commit, consuming
-// one credit, and tells the kernel the sink has input. Called by the sender
-// during its compute phase; sending without a credit or sending twice in one
-// cycle panics (simulator bug). The flit belongs to the sink from here on.
+// one credit, raises the channel's bit in the sink's staged-input mask, and
+// tells the kernel the sink has input. Called by the sender during its
+// compute phase; sending without a credit or sending twice in one cycle
+// panics (simulator bug). The flit belongs to the sink from here on.
 func (l *Link) Send(f *Flit) {
 	if l.staged != nil {
 		panic("noc: link driven twice in one cycle")
@@ -209,6 +249,15 @@ func (l *Link) Send(f *Flit) {
 	}
 	l.credits--
 	l.staged = f
+	if m := l.mask; m != nil {
+		if l.shared {
+			// The bit is down (the channel held no flit), so the add is an
+			// OR, and a single locked instruction.
+			atomic.AddUint32(m, 1<<l.bit)
+		} else {
+			*m |= 1 << l.bit
+		}
+	}
 	if w := l.env.Waker; w != nil {
 		w.Arrive(int(l.sinkH))
 	}
@@ -271,18 +320,33 @@ func (l *Link) ReturnCredits(cycle int64, n int) {
 
 // ReturnCredit stages one credit return on a hand-driven link; Commit
 // applies it.
-func (l *Link) ReturnCredit() { l.returns++ }
+func (l *Link) ReturnCredit() { l.handPart().returns++ }
 
 // Commit is the hand-driven latch of a link no component owns: it delivers
 // the staged flit to the Receiver and applies the returns staged through
-// ReturnCredit, including any the Receiver staged while receiving.
+// ReturnCredit, including any the Receiver staged while receiving. A flit it
+// takes is lowered from the sink's mask, if the link is bound to one, so a
+// raised bit always means a staged flit (Send's atomic add relies on it).
 func (l *Link) Commit(cycle int64) {
-	if f := l.Take(cycle); f != nil {
-		l.sink.Receive(f, cycle)
+	h := l.handPart()
+	if l.staged != nil && l.mask != nil {
+		*l.mask &^= 1 << l.bit
 	}
-	if l.returns > 0 {
-		n := int(l.returns)
-		l.returns = 0
+	if f := l.Take(cycle); f != nil {
+		h.sink.Receive(f, cycle)
+	}
+	if h.returns > 0 {
+		n := int(h.returns)
+		h.returns = 0
 		l.ReturnCredits(cycle, n)
 	}
+}
+
+// handPart returns the hand-driven part, panicking on a link a component
+// owns: its sink latches it, so a hand-driven call is a wiring bug.
+func (l *Link) handPart() *handDriven {
+	if l.hand == nil {
+		panic("noc: hand-driven call on a component-owned link")
+	}
+	return l.hand
 }

@@ -112,7 +112,7 @@ func (a *arrivals) Arrive(h int) { *a = append(*a, h) }
 func TestLinkSinkLatch(t *testing.T) {
 	var woke arrivals
 	l := NewLink(&recorder{}, 2)
-	l.Bind(&LinkEnv{Waker: &woke}, 0, 7, 3)
+	l.Bind(&LinkEnv{Waker: &woke}, 0, 7, 3, false)
 	f, g := NewFlit(NewPacket(1, 0, 1, 1, 0, 0), 0), NewFlit(NewPacket(2, 0, 1, 1, 0, 0), 0)
 
 	if l.Take(0) != nil {
@@ -139,11 +139,44 @@ func TestLinkSinkLatch(t *testing.T) {
 	// A router-driven channel names no driver and wakes none.
 	woke = nil
 	r := NewLink(&recorder{}, 1)
-	r.Bind(&LinkEnv{Waker: &woke}, 0, 7, -1)
+	r.Bind(&LinkEnv{Waker: &woke}, 0, 7, -1, false)
 	r.Send(f)
 	r.Take(0)
 	r.ReturnCredits(0, 1)
 	if len(woke) != 1 {
 		t.Fatalf("router-driven channel: arrivals %v, want the one Send", woke)
+	}
+}
+
+// TestLinkSinkMask: a Send on a link bound to its sink's staged-input mask
+// raises exactly that channel's bit, plainly or, on a link its sink shares
+// with another shard's senders, atomically; a hand-driven Commit that takes
+// the flit lowers it again.
+func TestLinkSinkMask(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		var mask uint32
+		a, b := NewLink(&recorder{}, 2), NewLink(&recorder{}, 2)
+		a.Bind(&LinkEnv{}, 0, 7, -1, shared)
+		b.Bind(&LinkEnv{}, 1, 7, -1, shared)
+		a.SetSinkMask(&mask, 1)
+		b.SetSinkMask(&mask, 4)
+		a.Send(NewFlit(NewPacket(1, 0, 1, 1, 0, 0), 0))
+		if mask != 1<<1 {
+			t.Fatalf("shared=%v: mask %#b after a send on the port-1 channel, want %#b", shared, mask, 1<<1)
+		}
+		b.Send(NewFlit(NewPacket(2, 0, 1, 1, 0, 0), 0))
+		if mask != 1<<1|1<<4 {
+			t.Fatalf("shared=%v: mask %#b after sends on ports 1 and 4", shared, mask)
+		}
+		a.Commit(0)
+		if mask != 1<<4 {
+			t.Errorf("shared=%v: mask %#b after port 1's hand-driven commit, want %#b", shared, mask, 1<<4)
+		}
+	}
+	// A channel bound to no mask (an interface's) leaves every word alone.
+	l := NewLink(&recorder{}, 1)
+	l.Send(NewFlit(NewPacket(3, 0, 1, 1, 0, 0), 0))
+	if l.Take(0) == nil {
+		t.Fatal("unbound channel lost its flit")
 	}
 }

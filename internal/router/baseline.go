@@ -45,7 +45,10 @@ func (b *baseline) init(cfg *Config, sink flitSink) {
 }
 
 // SetInputLink registers the link feeding port p.
-func (b *baseline) SetInputLink(p noc.Port, l *noc.Link) { b.in[p].link = l }
+func (b *baseline) SetInputLink(p noc.Port, l *noc.Link) {
+	b.in[p].link = l
+	b.bindInput(p, l)
+}
 
 // BufferedFlits returns the number of flits held in input FIFOs.
 func (b *baseline) BufferedFlits() int {
@@ -67,15 +70,16 @@ func (b *baseline) portState(i int, out *noc.Link, lock int8) PortState {
 }
 
 // Latch implements sim.Latcher: the flits staged on the input channels this
-// cycle enter their ports' FIFOs.
+// cycle enter their ports' FIFOs. Only the channels named in the staged-input
+// mask carry one, taken in ascending port order.
 func (b *baseline) Latch(cycle int64) {
-	for i := range b.in {
-		if l := b.in[i].link; l != nil {
-			if f := l.Take(cycle); f != nil {
-				b.receive(noc.Port(i), f, cycle)
-			}
+	for m := b.staged; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		if f := b.in[i].link.Take(cycle); f != nil {
+			b.receive(noc.Port(i), f, cycle)
 		}
 	}
+	b.staged = 0
 }
 
 // gather fills req with the inputs requesting each output, from the cached
@@ -209,7 +213,7 @@ func (b *baseline) flushInputs(drop func(*noc.Flit)) {
 		}
 		b.in[i].head = headInfo{}
 	}
-	b.busy, b.pops = 0, 0
+	b.busy, b.pops, b.staged = 0, 0, 0
 }
 
 // auditInputs checks every cached head against its FIFO and returns the busy

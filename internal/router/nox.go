@@ -72,7 +72,10 @@ func newNoX(cfg *Config) *noxRouter {
 }
 
 // SetInputLink registers the link feeding port p.
-func (r *noxRouter) SetInputLink(p noc.Port, l *noc.Link) { r.port[p].inLink = l }
+func (r *noxRouter) SetInputLink(p noc.Port, l *noc.Link) {
+	r.port[p].inLink = l
+	r.bindInput(p, l)
+}
 
 // SetOutputLink registers the link driven by port p.
 func (r *noxRouter) SetOutputLink(p noc.Port, l *noc.Link) { r.wire(&r.port[p].out, p, l) }
@@ -160,7 +163,7 @@ func (r *noxRouter) Flush(drop func(*noc.Flit)) {
 		r.port[i].in.Flush(drop)
 		r.port[i].ctl.Reset()
 	}
-	r.inBusy, r.outBusy, r.decided = 0, 0, 0
+	r.inBusy, r.outBusy, r.decided, r.staged = 0, 0, 0, 0
 }
 
 // Reroute overrides base.Reroute: the NoX input ports hold their own
@@ -286,15 +289,16 @@ func (r *noxRouter) compute(cycle int64, s *noxScratch) {
 }
 
 // Latch implements sim.Latcher: the flits staged on the input channels this
-// cycle enter their ports' FIFOs.
+// cycle enter their ports' FIFOs. Only the channels named in the staged-input
+// mask carry one, taken in ascending port order.
 func (r *noxRouter) Latch(cycle int64) {
-	for i := range r.port {
-		if l := r.port[i].inLink; l != nil {
-			if f := l.Take(cycle); f != nil {
-				r.receive(noc.Port(i), f, cycle)
-			}
+	for m := r.staged; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		if f := r.port[i].inLink.Take(cycle); f != nil {
+			r.receive(noc.Port(i), f, cycle)
 		}
 	}
+	r.staged = 0
 }
 
 // Commit latches decode registers, applies pops and mask updates, returns

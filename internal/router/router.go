@@ -11,12 +11,14 @@
 //
 // A router is a small struct plus per-port records (noxPort; inPort with
 // nsPort or specPort), one slab per record type (Slabs). Every walk over
-// ports follows a mask of dirty ports: receive and the draining pop keep the
-// busy-input mask, Compute marks the outputs it evaluated and the pops it
-// staged, Commit applies exactly those and keeps the held-output masks, and
-// Quiet is a compare; Audit proves the masks equal a port scan. Per-cycle
-// scratch is the walking goroutine's: stack vectors, or for NoX one
-// noxScratch per lane (DESIGN.md §2 has the table).
+// ports follows a mask of dirty ports: Link.Send raises the input's bit in
+// the staged-input mask and Latch takes from those inputs only, receive and
+// the draining pop keep the busy-input mask, Compute marks the outputs it
+// evaluated and the pops it staged, Commit applies exactly those and keeps
+// the held-output masks, and Quiet is a compare; Audit proves the masks
+// equal a port scan and the staged mask zero. Per-cycle scratch is the
+// walking goroutine's: stack vectors, or for NoX one noxScratch per lane
+// (DESIGN.md §2 has the table).
 package router
 
 import (
@@ -201,9 +203,9 @@ type Router interface {
 	// link's Commit to deliver into (the router's own Latch does not go
 	// through it).
 	InputReceiver(p noc.Port) noc.Receiver
-	// SetInputLink registers the link feeding port p: the router latches
-	// the flits staged on it and returns credits to it when buffer slots
-	// free.
+	// SetInputLink registers the link feeding port p and binds it to bit p
+	// of the router's staged-input mask: the router latches the flits
+	// staged on it and returns credits to it when buffer slots free.
 	SetInputLink(p noc.Port, l *noc.Link)
 	// SetOutputLink registers the link driven by output port p.
 	SetOutputLink(p noc.Port, l *noc.Link)
@@ -231,10 +233,12 @@ type Router interface {
 	Reroute(routes *routing.Table)
 	// Audit recomputes from a full scan of the port records what the router
 	// caches between steps — busy inputs, held outputs, FIFO heads — and
-	// returns an error naming the first disagreement. The masks drive every
-	// walk and Quiet, so a stale bit is a skipped port. A Spec reservation
-	// must name a packet exactly when it is live. Buffered flits hold no
-	// packet slot (they carry their own header), so they are not audited.
+	// returns an error naming the first disagreement, or a staged-input
+	// mask that is not zero (a flit staged and never latched). The masks
+	// drive every walk and Quiet, so a stale bit is a skipped port. A Spec
+	// reservation must name a packet exactly when it is live. Buffered
+	// flits hold no packet slot (they carry their own header), so they are
+	// not audited.
 	// Tests call Audit after every commit.
 	Audit() error
 }
@@ -274,6 +278,11 @@ type base struct {
 	// wired has a bit per output with a link. A lookahead port is checked
 	// against it once, where it is computed (route) or loaded (RestoreState).
 	wired uint32
+	// staged is the staged-input mask, the input register's write strobes:
+	// a bit per input whose channel a neighbour sent on this cycle, raised
+	// by Link.Send in the compute phase and cleared by Latch once it has
+	// taken those flits. Zero between steps.
+	staged uint32
 }
 
 func (b *base) init(cfg *Config, sink flitSink) {
@@ -314,6 +323,13 @@ func (b *base) wire(out **noc.Link, p noc.Port, l *noc.Link) {
 	b.wired &^= 1 << uint(p)
 	if l != nil {
 		b.wired |= 1 << uint(p)
+	}
+}
+
+// bindInput binds the link feeding input p to bit p of the staged-input mask.
+func (b *base) bindInput(p noc.Port, l *noc.Link) {
+	if l != nil {
+		l.SetSinkMask(&b.staged, int(p))
 	}
 }
 
@@ -359,9 +375,13 @@ func (b *base) overflow(p noc.Port, f *noc.Flit, cycle int64, free int) bool {
 	return true
 }
 
-// auditMasks is the tail of every Audit: the masks a router caches against
-// the same masks recomputed from a port scan.
+// auditMasks is the tail of every Audit: the staged-input mask, which must
+// be zero between steps, then the masks a router caches against the same
+// masks recomputed from a port scan.
 func (b *base) auditMasks(names string, cached, scanned [4]uint32) error {
+	if b.staged != 0 {
+		return fmt.Errorf("router %d: staged-input mask is %#b between steps: a flit was staged and never latched", b.node, b.staged)
+	}
 	if cached != scanned {
 		return fmt.Errorf("router %d: masks %s are %#b, a port scan says %#b", b.node, names, cached, scanned)
 	}
