@@ -136,7 +136,9 @@ bench-smoke:
 ## tool never did (an unknown figure, a 0- or negative-flit packet, a negative
 ## rate, an invalid fault-campaign network counted as detected faults, a
 ## campaign or degrade parameter out of range — a run with no cycles, a load
-## that is no probability, a negative kill cycle that panicked a worker; an
+## that is no probability or no bursty rate, a one-node mesh, a negative
+## drain, watchdog or warm-up, a negative kill cycle that panicked a worker,
+## -csv or -kill without -degrade, a warm start no degrade cell can use; an
 ## ablation or §8 rate no run can mean or offer, an unknown ablation study, a
 ## trace run with a negative cycle count, drain limit, ring or sampling
 ## interval): each must exit with status 1 and a message within 10 s, never
@@ -154,7 +156,9 @@ cli-smoke:
 		"noxfault -degrade 2 -kill -5" "noxfault -cycles -10" "noxfault -cycles 0" "noxfault -load -1" \
 		"noxfault -load 2" "noxfault -load NaN" "noxfault -multi 2" "noxfault -rtimeout -5" "noxfault -degrade -3" \
 		"noxablate -rate -5" "noxablate -rate 1e9" "noxablate -study bogus" "noxfuture -rates -5" "noxfuture -rates NaN" \
-		"noxtrace -cycles -5" "noxtrace -flits -3" "noxtrace -flits 0" "noxtrace -drain -5" "noxtrace -ring -1" "noxtrace -sample -5"; do \
+		"noxtrace -cycles -5" "noxtrace -flits -3" "noxtrace -flits 0" "noxtrace -drain -5" "noxtrace -ring -1" "noxtrace -sample -5" \
+		"noxfault -degrade 1 -load 0" "noxfault -degrade 1 -load 1" "noxfault -width 1 -height 1" "noxfault -drain -5" \
+		"noxfault -watchdog -5" "noxfault -warmstart -5" "noxfault -csv x.csv" "noxfault -kill 5" "noxfault -degrade 2 -warmstart 100"; do \
 		st=0; timeout 10 "$$tmp/"$$c >/dev/null 2>"$$tmp/err" || st=$$?; \
 		if [ $$st -ne 1 ] || grep -qE '^(panic: |goroutine )' "$$tmp/err"; then \
 			echo "cli-smoke: $$c: exit $$st, want 1 without a panic" >&2; cat "$$tmp/err" >&2; exit 1; \
@@ -231,15 +235,35 @@ fault-smoke:
 ## reconfiguration epochs, and retransmission are deterministic across
 ## execution modes. Also fails on any UNDETECTED cell: every
 ## loss under a permanent fault must be accounted (delivered or retired
-## undeliverable) with zero violations.
+## undeliverable) with zero violations, and the healthy sweep must write no
+## flight dump (its kills are the experiment, not a failure). Then a sweep
+## that wedges in its drain, serial and sharded, each side in its own
+## directory with a relative -flight-dir: it must write flight dumps, and
+## the sharded run's must be the serial run's, byte for byte.
 fault-perm-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) run -race ./cmd/noxfault -arch all -width 4 -height 4 -degrade 2 -kill 400 \
-		-cycles 800 -load 0.04 -drain 10000 -watchdog 3000 -seed 0xF001 -shards 1 -out "$$tmp/serial.txt" && \
-	$(GO) run -race ./cmd/noxfault -arch all -width 4 -height 4 -degrade 2 -kill 400 \
-		-cycles 800 -load 0.04 -drain 10000 -watchdog 3000 -seed 0xF001 -shards 4 -out "$$tmp/sharded.txt" && \
-	cmp "$$tmp/serial.txt" "$$tmp/sharded.txt" && \
-	{ ! grep -q UNDETECTED "$$tmp/serial.txt" || { echo "fault-perm-smoke: unaccounted loss under permanent faults" >&2; cat "$$tmp/serial.txt" >&2; exit 1; }; } && \
+	set -e; \
+	$(GO) build -race -o "$$tmp/noxfault" ./cmd/noxfault; \
+	for s in 1 4; do \
+		mkdir "$$tmp/shards$$s" "$$tmp/wedged$$s"; \
+		(cd "$$tmp/shards$$s" && "$$tmp/noxfault" -arch all -width 4 -height 4 -degrade 2 -kill 400 \
+			-cycles 800 -load 0.04 -drain 10000 -watchdog 3000 -seed 0xF001 -shards $$s \
+			-flight-dir flight -out report.txt); \
+		(cd "$$tmp/wedged$$s" && "$$tmp/noxfault" -arch nox -width 4 -height 4 -degrade 3 -kill 0 \
+			-cycles 800 -load 0.3 -drain 200 -watchdog 50 -seed 0xF001 -shards $$s \
+			-flight-dir flight -out report.txt); \
+	done; \
+	cmp "$$tmp/shards1/report.txt" "$$tmp/shards4/report.txt"; \
+	{ ! grep -q UNDETECTED "$$tmp/shards1/report.txt" || { echo "fault-perm-smoke: unaccounted loss under permanent faults" >&2; cat "$$tmp/shards1/report.txt" >&2; exit 1; }; }; \
+	test ! -e "$$tmp/shards1/flight" || { echo "fault-perm-smoke: the healthy sweep wrote flight dumps" >&2; exit 1; }; \
+	cmp "$$tmp/wedged1/report.txt" "$$tmp/wedged4/report.txt"; \
+	(cd "$$tmp/wedged1/flight" 2>/dev/null && ls *.trace.json 2>/dev/null) > "$$tmp/dumps1" || true; \
+	(cd "$$tmp/wedged4/flight" 2>/dev/null && ls *.trace.json 2>/dev/null) > "$$tmp/dumps4" || true; \
+	test -s "$$tmp/dumps1" || { echo "fault-perm-smoke: the wedged sweep wrote no flight dump" >&2; exit 1; }; \
+	cmp "$$tmp/dumps1" "$$tmp/dumps4" || { echo "fault-perm-smoke: -shards 4 wrote other flight dumps than -shards 1" >&2; exit 1; }; \
+	for f in $$(cat "$$tmp/dumps1"); do \
+		cmp "$$tmp/wedged1/flight/$$f" "$$tmp/wedged4/flight/$$f" || { echo "fault-perm-smoke: -shards 4 flight dump $$f differs from -shards 1" >&2; exit 1; }; \
+	done; \
 	echo "fault-perm-smoke: OK"
 
 ## telemetry-smoke: boot noxsim with the live telemetry server on an

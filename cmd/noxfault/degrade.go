@@ -13,46 +13,19 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
-	"repro/internal/check"
 	"repro/internal/exp"
 	"repro/internal/fault"
-	"repro/internal/network"
 	"repro/internal/noc"
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
-// dcell is one (architecture, failed-link-count) degradation result.
-type dcell struct {
-	arch   router.Arch
-	failed int
-	ok     bool
-	why    string
-
-	injected      int64
-	delivered     int64
-	undeliverable int64
-	violations    int64
-	retransmits   int64
-	acked         int64
-	ackLost       int64
-	exhausted     int64
-	dupes         int64
-	epochs        int64
-	lastEpoch     int64
-	partitioned   int
-	latSum        int64
-	latN          int64
-	endCycle      int64
-}
-
-// meanLat returns the mean create-to-deliver latency in cycles (0 when
-// nothing was delivered).
-func (c dcell) meanLat() float64 {
+// meanLat returns a degrade cell's mean create-to-deliver latency in
+// cycles (0 when nothing was delivered).
+func (c cell) meanLat() float64 {
 	if c.latN == 0 {
 		return 0
 	}
@@ -60,11 +33,28 @@ func (c dcell) meanLat() float64 {
 }
 
 // thpt returns delivered packets per cycle over the cell's full run.
-func (c dcell) thpt() float64 {
+func (c cell) thpt() float64 {
 	if c.endCycle == 0 {
 		return 0
 	}
 	return float64(c.delivered) / float64(c.endCycle)
+}
+
+// accounted classifies a degrade cell: ok when the run ends with zero
+// violations and every injected packet either delivered or retired as
+// undeliverable; anything else is an UNDETECTED accounting hole, with why.
+func (c cell) accounted() (ok bool, why string) {
+	switch {
+	case c.panicked != "":
+		return false, "panic: " + c.panicked
+	case c.drainErr != "":
+		return false, "wedged: " + c.drainErr
+	case c.total > 0:
+		return false, fmt.Sprintf("%d violations", c.total)
+	case c.missing() != 0:
+		return false, fmt.Sprintf("%d packets unaccounted", c.missing())
+	}
+	return true, ""
 }
 
 // degradeLinks returns the sweep's kill sequence: every undirected
@@ -99,126 +89,39 @@ func degradeSpec(seq [][2]noc.NodeID, f int, killAt int64, seed uint64) fault.Sp
 	return s
 }
 
-// degradeTraffic builds one cell's bursty sources: per-core self-similar
-// ON/OFF processes and destination streams, forked from the cell seed
-// exactly like the harness does, so the packet sequence depends only on
-// (seed, arch, f).
-type degradeTraffic struct {
-	procs []traffic.Process
-	dests []*sim.RNG
-}
-
-func newDegradeTraffic(cores int, load float64, seed uint64) degradeTraffic {
-	base := sim.NewRNG(seed ^ 0x42555253) // "BURS"
-	tr := degradeTraffic{
-		procs: make([]traffic.Process, cores),
-		dests: make([]*sim.RNG, cores),
-	}
-	for i := range tr.procs {
-		tr.procs[i] = traffic.NewSelfSimilar(load, base.Fork(uint64(i)))
-		tr.dests[i] = base.Fork(uint64(1000 + i))
-	}
-	return tr
-}
-
-// injectCycle injects one cycle of the cell's traffic.
-func (tr degradeTraffic) injectCycle(net *network.Network, multi float64) {
-	cores := len(tr.procs)
-	for id := 0; id < cores; id++ {
-		if !tr.procs[id].Tick() {
-			continue
-		}
-		rng := tr.dests[id]
-		dst := rng.Intn(cores - 1)
-		if dst >= id {
-			dst++
-		}
-		length := 1
-		if multi > 0 && rng.Float64() < multi {
-			length = 4
-		}
-		net.Inject(noc.NodeID(id), noc.NodeID(dst), length, 0)
-	}
-}
-
-// attachLatency hooks the cell's latency accumulator onto the network.
-func (c *dcell) attachLatency(net *network.Network) {
-	net.OnDeliver = func(p *noc.Packet, cycle int64) {
-		c.latSum += cycle - p.CreateCycle
-		c.latN++
-	}
-}
-
-// finishDegradeCell drains and classifies one degradation cell — the
-// post-traffic half of runDegradeCell. A cell is ok when the run ends
-// with zero violations and every injected packet either delivered or
-// retired as undeliverable; anything else is an UNDETECTED accounting hole.
-func finishDegradeCell(c *dcell, net *network.Network, ck *check.Checker, p params) {
-	defer func() {
-		c.injected, c.delivered = ck.Injected(), ck.Delivered()
-		c.undeliverable = net.Undeliverable()
-		c.violations = ck.Total()
-		c.retransmits, c.acked, c.ackLost, c.exhausted = net.RetransmitStats()
-		c.dupes = net.DupSuppressed()
-		c.epochs, c.lastEpoch = net.Epochs(), net.LastEpochCycle()
-		c.partitioned = net.PartitionedPairs()
-		c.endCycle = net.Cycle()
-		if r := recover(); r != nil {
-			c.ok = false
-			c.why = "panic: " + firstLine(fmt.Sprint(r))
-		}
-	}()
-	drainErr := net.DrainChecked(p.drain, p.watchdog)
-	net.CheckInvariants()
-	switch {
-	case drainErr != nil:
-		c.ok = false
-		c.why = "wedged: " + firstLine(drainErr.Error())
-	case ck.Total() > 0:
-		c.ok = false
-		c.why = fmt.Sprintf("%d violations", ck.Total())
-	case ck.Delivered()+net.Undeliverable() != ck.Injected():
-		c.ok = false
-		c.why = fmt.Sprintf("%d packets unaccounted", ck.Injected()-ck.Delivered()-net.Undeliverable())
-	default:
-		c.ok = true
-	}
-}
-
-// runDegradeCell executes one cell.
-func runDegradeCell(arch router.Arch, f int, seq [][2]noc.NodeID, killAt int64, rt network.RetransmitConfig, p params) (c dcell) {
-	c.arch, c.failed = arch, f
+// degradeJob returns architecture arch's cell with the first f links of
+// the kill sequence seq dead at killAt.
+func degradeJob(arch router.Arch, f int, seq [][2]noc.NodeID, killAt int64, p params) job {
 	spec := degradeSpec(seq, f, killAt, p.template.Seed)
-	ck := check.New(check.All())
-	inj := fault.NewInjector(spec)
-	net, err := network.Build(network.Config{
-		Topo: p.topo, Arch: arch, BufferDepth: p.bufferDepth,
-		Shards: p.shards, Check: ck, Fault: inj, Retransmit: &rt,
-	})
-	if err != nil {
-		c.why = "build: " + err.Error()
-		return c
+	return job{
+		arch: arch, idx: f, label: fmt.Sprintf("degrade-%s-links%d", arch, f), spec: spec,
+		traffic: bursty(p.load, spec.Seed),
 	}
-	defer net.Close()
-	c.attachLatency(net)
-	tr := newDegradeTraffic(net.Cores(), p.load, spec.Seed)
-	for cyc := int64(0); cyc < p.cycles; cyc++ {
-		tr.injectCycle(net, p.multi)
-		net.Step()
+}
+
+// bursty is a degrade cell's traffic: per-core self-similar ON/OFF
+// processes and destination streams, forked from the cell seed exactly like
+// the harness does, so the packet sequence depends only on (seed, arch, f).
+func bursty(load float64, seed uint64) func(cores int) source {
+	return func(cores int) source {
+		base := sim.NewRNG(seed ^ 0x42555253) // "BURS"
+		procs := make([]traffic.Process, cores)
+		dests := make([]*sim.RNG, cores)
+		for i := range procs {
+			procs[i] = traffic.NewSelfSimilar(load, base.Fork(uint64(i)))
+			dests[i] = base.Fork(uint64(1000 + i))
+		}
+		return func(id int) *sim.RNG {
+			if procs[id].Tick() {
+				return dests[id]
+			}
+			return nil
+		}
 	}
-	finishDegradeCell(&c, net, ck, p)
-	return c
 }
 
 // runDegradeMode runs the full sweep and writes the report (and CSV).
-func runDegradeMode(stdout io.Writer, archs []router.Arch, p params, degradeK int, killAt, rtimeout int64, retries int, pool *exp.Pool, outPath, csvPath string) error {
-	rt := network.RetransmitConfig{Timeout: rtimeout, Retries: retries}
-	if rt.Timeout <= 0 {
-		rt.Timeout = int64(4*(p.topo.Width+p.topo.Height) + 64)
-	}
-	if err := p.validate(&rt); err != nil {
-		return err
-	}
+func runDegradeMode(stdout io.Writer, archs []router.Arch, p params, degradeK int, killAt int64, pool *exp.Pool, outPath, csvPath string) error {
 	seq := degradeLinks(p.topo, p.template.Seed)
 	if degradeK > len(seq) {
 		return fmt.Errorf("-degrade %d exceeds the mesh's %d inter-router links", degradeK, len(seq))
@@ -232,13 +135,14 @@ func runDegradeMode(stdout io.Writer, archs []router.Arch, p params, degradeK in
 	points := degradeK + 1 // fault counts 0..K per architecture
 	total := len(archs) * points
 	cells, err := exp.Map(context.Background(), pool, total,
-		func(_ context.Context, i int) (dcell, error) {
-			return runDegradeCell(archs[i/points], i%points, seq, killAt, rt, p), nil
+		func(_ context.Context, i int) (cell, error) {
+			return run(degradeJob(archs[i/points], i%points, seq, killAt, p), p), nil
 		})
 	if err != nil {
 		return err
 	}
 
+	rt := p.retransmit
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "noxfault degradation sweep\n")
 	fmt.Fprintf(&sb, "topo=%dx%d buffers=%d cycles=%d load=%.4f multi=%.2f drain=%d watchdog=%d seed=0x%X\n",
@@ -256,7 +160,7 @@ func runDegradeMode(stdout io.Writer, archs []router.Arch, p params, degradeK in
 		for f := 0; f < points; f++ {
 			c := cells[ai*points+f]
 			fmt.Fprintf(&sb, "  links=%d: injected=%d delivered=%d undeliverable=%d thpt=%.5f pkt/cycle lat=%.1f",
-				c.failed, c.injected, c.delivered, c.undeliverable, c.thpt(), c.meanLat())
+				c.idx, c.injected, c.delivered, c.undeliverable, c.thpt(), c.meanLat())
 			if c.epochs > 0 {
 				fmt.Fprintf(&sb, " epochs=%d@%d", c.epochs, c.lastEpoch)
 			}
@@ -269,11 +173,11 @@ func runDegradeMode(stdout io.Writer, archs []router.Arch, p params, degradeK in
 			if c.partitioned > 0 {
 				fmt.Fprintf(&sb, " partitioned=%d", c.partitioned)
 			}
-			if c.ok {
+			if ok, why := c.accounted(); ok {
 				fmt.Fprintf(&sb, " ok\n")
 			} else {
 				bad++
-				fmt.Fprintf(&sb, " UNDETECTED (%s)\n", c.why)
+				fmt.Fprintf(&sb, " UNDETECTED (%s)\n", why)
 			}
 		}
 	}
@@ -281,33 +185,21 @@ func runDegradeMode(stdout io.Writer, archs []router.Arch, p params, degradeK in
 	if bad > 0 {
 		fmt.Fprintf(&sb, "WARNING: unaccounted loss or violations under permanent faults\n")
 	}
+	if err := writeReport(stdout, sb.String(), outPath, "degradation report", fmt.Sprintf(" (%d cells)", total)); err != nil || csvPath == "" {
+		return err
+	}
 
-	report := sb.String()
-	if outPath != "" {
-		if err := os.WriteFile(outPath, []byte(report), 0o644); err != nil {
-			return err
+	var cb strings.Builder
+	cb.WriteString("arch,failed_links,kill_cycle,injected,delivered,undeliverable,violations,retransmits,acked,ack_lost,exhausted,dup_suppressed,epochs,last_epoch,partitioned_pairs,mean_latency_cycles,delivered_per_cycle,end_cycle,status\n")
+	for _, c := range cells {
+		status := "ok"
+		if ok, _ := c.accounted(); !ok {
+			status = "UNDETECTED"
 		}
-		fmt.Fprintf(stdout, "noxfault: degradation report written to %s (%d cells)\n", outPath, total)
-	} else {
-		fmt.Fprint(stdout, report)
+		fmt.Fprintf(&cb, "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.3f,%.6f,%d,%s\n",
+			c.arch, c.idx, killAt, c.injected, c.delivered, c.undeliverable, c.total,
+			c.retransmits, c.acked, c.ackLost, c.exhausted, c.dupes,
+			c.epochs, c.lastEpoch, c.partitioned, c.meanLat(), c.thpt(), c.endCycle, status)
 	}
-	if csvPath != "" {
-		var cb strings.Builder
-		cb.WriteString("arch,failed_links,kill_cycle,injected,delivered,undeliverable,violations,retransmits,acked,ack_lost,exhausted,dup_suppressed,epochs,last_epoch,partitioned_pairs,mean_latency_cycles,delivered_per_cycle,end_cycle,status\n")
-		for _, c := range cells {
-			status := "ok"
-			if !c.ok {
-				status = "UNDETECTED"
-			}
-			fmt.Fprintf(&cb, "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.3f,%.6f,%d,%s\n",
-				c.arch, c.failed, killAt, c.injected, c.delivered, c.undeliverable, c.violations,
-				c.retransmits, c.acked, c.ackLost, c.exhausted, c.dupes,
-				c.epochs, c.lastEpoch, c.partitioned, c.meanLat(), c.thpt(), c.endCycle, status)
-		}
-		if err := os.WriteFile(csvPath, []byte(cb.String()), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "noxfault: degradation CSV written to %s\n", csvPath)
-	}
-	return nil
+	return writeReport(stdout, cb.String(), csvPath, "degradation CSV", "")
 }

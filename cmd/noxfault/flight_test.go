@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/fault"
+	"repro/internal/network"
 	"repro/internal/noc"
 	"repro/internal/physical"
 	"repro/internal/probe"
@@ -44,8 +45,8 @@ func TestFlightDumpOfEarlyTrip(t *testing.T) {
 				Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 			return rec
 		}
-		if c := run(router.NoX, 0, q); c.out != outDetected {
-			t.Fatalf("campaign outcome %v, want detected", c.out)
+		if out, _ := run(campaign(router.NoX, 0, q), q).outcome(); out != outDetected {
+			t.Fatalf("campaign outcome %v, want detected", out)
 		}
 		data, err := os.ReadFile(filepath.Join(dir, "flight-fault-NoX-c0.trace.json"))
 		if err != nil {
@@ -60,11 +61,10 @@ func TestFlightDumpOfEarlyTrip(t *testing.T) {
 	}
 
 	// The reference: the same campaign with a full probe on the live run.
-	c := &cell{arch: router.NoX, spec: p.template}
-	c.spec.Seed = campaignSeed(p.template.Seed, 0)
+	j := campaign(router.NoX, 0, p)
 	full := probe.New(probe.Config{RingEvents: 1 << 20, PeriodNs: physical.ClockPeriodNs(router.NoX)})
-	net := buildCell(c, p, check.New(check.All()), fault.NewInjector(c.spec), full)
-	driveCell(net, c, p, nil)
+	net := buildCell(j, p, check.New(check.All()), fault.NewInjector(j.spec), nil, full)
+	driveCell(net, j, p, nil)
 	_ = net.DrainChecked(p.drain, p.watchdog)
 	net.Close()
 	if full.Dropped() != 0 {
@@ -108,9 +108,10 @@ func TestFlightReplayDivergence(t *testing.T) {
 		rec = telemetry.NewRecorder(telemetry.RecorderConfig{Dir: t.TempDir(), Label: label, Logger: quiet})
 		return rec
 	}
-	c := run(router.NoX, 0, q)
+	c := run(campaign(router.NoX, 0, q), q)
 	if !rec.Triggered() {
-		t.Fatalf("campaign (%v) did not trip its recorder", c.out)
+		out, _ := c.outcome()
+		t.Fatalf("campaign (%v) did not trip its recorder", out)
 	}
 	_, trigger := rec.Window()
 
@@ -120,13 +121,113 @@ func TestFlightReplayDivergence(t *testing.T) {
 		_, err := r.Flush(replay, nil)
 		return err
 	}
-	if err := flush(func(rr *telemetry.Recorder) { replayCell(&c, p, rr) }); err != nil {
+	if err := flush(func(rr *telemetry.Recorder) { replayCell(c.job, p, rr) }); err != nil {
 		t.Fatalf("the faithful replay: %v", err)
 	}
-	clean := c
+	clean := c.job
 	clean.spec.BitFlip = 0
-	err := flush(func(rr *telemetry.Recorder) { replayCell(&clean, p, rr) })
+	err := flush(func(rr *telemetry.Recorder) { replayCell(clean, p, rr) })
 	if err == nil || !strings.Contains(err.Error(), "replay diverged") {
 		t.Fatalf("the fault-free replay: Flush error %v, want a divergence", err)
+	}
+}
+
+// TestDegradeFlightDump: a degrade cell that wedges in its drain dumps and
+// replays like a campaign cell — a dump that does not diverge, and the same
+// trace from a sharded run — while a healthy cell, whose scheduled kill
+// reconfigures the network, writes none.
+func TestDegradeFlightDump(t *testing.T) {
+	p := params{
+		topo: noc.Topology{Width: 4, Height: 4}, bufferDepth: 4, shards: 1,
+		cycles: 800, load: 0.3, multi: 0.25, drain: 200, watchdog: 50,
+		template:   fault.Spec{Seed: 0xF001},
+		retransmit: &network.RetransmitConfig{Timeout: 96, Retries: 4},
+	}
+	seq := degradeLinks(p.topo, p.template.Seed)
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	// dump runs the cell with one dead link at killAt and returns it with
+	// the directory its recorder dumps into.
+	dump := func(q params, killAt int64) (cell, string) {
+		dir := t.TempDir()
+		q.newRecorder = func(label string) *telemetry.Recorder {
+			return telemetry.NewRecorder(telemetry.RecorderConfig{Dir: dir, Label: label, Logger: quiet})
+		}
+		return run(degradeJob(router.NoX, 1, seq, killAt, q), q), dir
+	}
+	read := func(dir, ext string) []byte {
+		data, err := os.ReadFile(filepath.Join(dir, "flight-degrade-NoX-links1."+ext))
+		if err != nil {
+			t.Fatalf("no dump: %v", err)
+		}
+		return data
+	}
+
+	c, dir := dump(p, 0)
+	if ok, why := c.accounted(); ok || !strings.HasPrefix(why, "wedged: ") {
+		t.Fatalf("cell ok=%v (%s), want wedged", ok, why)
+	}
+	if report := read(dir, "report.txt"); bytes.Contains(report, []byte("replay diverged")) {
+		t.Errorf("the dump's replay diverged:\n%s", report)
+	}
+	sharded := p
+	sharded.shards = 4
+	if _, dir4 := dump(sharded, 0); !bytes.Equal(read(dir4, "trace.json"), read(dir, "trace.json")) {
+		t.Error("the sharded cell's dump differs from the serial one's")
+	}
+
+	healthy := p
+	healthy.load, healthy.drain, healthy.watchdog = 0.04, 10000, 3000
+	c, dir = dump(healthy, 400)
+	if ok, why := c.accounted(); !ok || c.epochs == 0 {
+		t.Fatalf("healthy cell ok=%v (%s) epochs=%d, want ok after a reconfiguration", ok, why, c.epochs)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("the healthy cell wrote %d dump files", len(files))
+	}
+}
+
+// TestUndetectedLossTrips plants a loss the checker misses — a packet its
+// ledger saw injected that the network never carried, on a checker whose
+// delivery oracle is off, so no lost-packet violation records it — and
+// requires drainCell to latch the recorder at the drain's end cycle.
+func TestUndetectedLossTrips(t *testing.T) {
+	p := params{topo: noc.Topology{Width: 4, Height: 4}, bufferDepth: 4, shards: 1, drain: 2000, watchdog: 500}
+	var end int64
+	// drain runs the planted network to its drain's end under rec.
+	drain := func(rec *telemetry.Recorder) error {
+		ck := check.New(check.Config{Conservation: true, Protocol: true})
+		rec.BindChecker(ck)
+		net, err := network.Build(network.Config{Topo: p.topo, Arch: router.NoX, BufferDepth: 4, Check: ck, Probe: rec.Probe()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer net.Close()
+		net.Inject(0, 5, 4, 0)
+		ck.OnInject(0, 1<<40)
+		err = drainCell(net, ck, p, rec)
+		end = net.Cycle()
+		return err
+	}
+	dir := t.TempDir()
+	rec := telemetry.NewRecorder(telemetry.RecorderConfig{Dir: dir, Label: "loss",
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err := drain(rec); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if !rec.Triggered() {
+		t.Fatal("a drained network missing a packet did not trip the recorder")
+	}
+	if _, at := rec.Window(); at != end || end == 0 {
+		t.Errorf("tripped at cycle %d, want the drain's end %d", at, end)
+	}
+	if _, err := rec.Flush(func(rr *telemetry.Recorder) { _ = drain(rr) }, nil); err != nil {
+		t.Fatal(err)
+	}
+	report, err := os.ReadFile(filepath.Join(dir, "flight-loss.report.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(report, []byte("reason: undetected loss: 1 packets missing\n")) {
+		t.Errorf("dump report:\n%s", report)
 	}
 }

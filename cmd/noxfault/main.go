@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/check"
@@ -37,7 +36,6 @@ import (
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
-	"repro/internal/snapshot/codec"
 	"repro/internal/telemetry"
 )
 
@@ -79,15 +77,46 @@ func (o outcome) String() string {
 	}
 }
 
-// cell is one (architecture, campaign) result.
+// source is one cycle of a cell's traffic, asked node by node in order: it
+// returns the stream that draws node id's packet this cycle (destination,
+// then length), or nil when the node injects none.
+type source func(id int) *sim.RNG
+
+// uniform is the traffic of campaigns and warm phases: one stream draws
+// every node's arrival, destination and length in node order, so the packet
+// sequence depends on the seed alone and no per-node process reproduces it.
+func uniform(load float64, seed uint64) func(cores int) source {
+	return func(int) source {
+		rng := sim.NewRNG(seed)
+		return func(int) *sim.RNG {
+			if rng.Float64() < load {
+				return rng
+			}
+			return nil
+		}
+	}
+}
+
+// job is one cell to run: an architecture, the cell's index (campaign
+// number, or failed-link count), its fault spec and a constructor of its
+// traffic, so a replay can re-run it from the start.
+type job struct {
+	arch    router.Arch
+	idx     int
+	label   string // flight-dump label, deterministic in the job
+	spec    fault.Spec
+	traffic func(cores int) source
+}
+
+// cell is one job's result: the facts harvested after its run, from which
+// each report classifies it.
 type cell struct {
-	arch      router.Arch
-	idx       int
-	spec      fault.Spec
-	out       outcome
-	why       string // detection channel or wedge headline
+	job
+	panicked string // headline of a recovered panic
+	drainErr string // headline of a failed drain
+	clean    bool   // no fault fired and no route ever changed
+
 	faults    [fault.NumKinds]int64
-	impacted  int
 	injected  int64
 	delivered int64
 	counts    [check.NumKinds]int64
@@ -104,6 +133,34 @@ type cell struct {
 	lastEpoch     int64
 	partitioned   int
 	escalated     int64
+	latSum        int64
+	latN          int64
+	endCycle      int64
+}
+
+// missing is the number of injected packets neither delivered nor retired
+// as undeliverable.
+func (c cell) missing() int64 { return c.injected - c.delivered - c.undeliverable }
+
+// outcome classifies a campaign cell, with the detection channel or the
+// loss accounting as its reason.
+func (c cell) outcome() (outcome, string) {
+	switch {
+	case c.panicked != "":
+		return outDetected, "panic: " + c.panicked
+	case c.drainErr != "":
+		return outDetected, "watchdog: " + c.drainErr
+	case c.total > 0:
+		return outDetected, "violations"
+	case c.clean:
+		return outClean, ""
+	case c.delivered == c.injected:
+		return outMasked, ""
+	case c.undeliverable > 0 && c.missing() == 0:
+		return outDegraded, fmt.Sprintf("%d undeliverable, every loss accounted", c.undeliverable)
+	default:
+		return outUndetected, fmt.Sprintf("%d packets missing, zero violations", c.missing())
+	}
 }
 
 type params struct {
@@ -117,12 +174,12 @@ type params struct {
 	watchdog    int64
 	template    fault.Spec
 	// retransmit, when non-nil, arms end-to-end NI retransmission in every
-	// campaign network (see -rtimeout / -retries).
+	// cell network (see -rtimeout / -retries).
 	retransmit *network.RetransmitConfig
-	// newRecorder builds one flight recorder per campaign cell (nil or a
-	// factory returning nil disarms recording). Labels are deterministic in
-	// (arch, campaign), so the serial and sharded paths write the same dump
-	// files; the report text is unaffected either way.
+	// newRecorder builds one flight recorder per cell (nil or a factory
+	// returning nil disarms recording). Labels are deterministic in the job,
+	// so the serial and sharded paths write the same dump files; the report
+	// text is unaffected either way.
 	newRecorder func(label string) *telemetry.Recorder
 	// warm holds one shared warm image per architecture (-warmstart): a
 	// fault-free network driven to steady state once, restored into every
@@ -131,30 +188,14 @@ type params struct {
 	// parallel, and sharded paths restore identical state and the report
 	// stays byte-identical across them.
 	warm map[router.Arch][]byte
-	// ckptDir, when set (-checkpoint), saves a full network snapshot of
-	// every detected or undetected campaign's final state for post-mortem
-	// inspection (noxfault -restore <file>).
-	ckptDir string
 }
 
 // validate refuses, once and before any cell runs, the network
-// configuration every cell would build with retransmission rt: a build error
-// is the command line's, and inside a cell run's recover would report it as
-// a detected fault.
-func (p params) validate(rt *network.RetransmitConfig) error {
-	return network.Config{Topo: p.topo, BufferDepth: p.bufferDepth, Shards: p.shards, Retransmit: rt}.Validate()
-}
-
-// restoreWarm rewinds a freshly built campaign network to its
-// architecture's shared warm image (a no-op without -warmstart). The warm
-// image was saved checker-armed from an identically shaped network, so the
-// cell's own checker inherits the warm phase's delivery ledger.
-func restoreWarm(net *network.Network, arch router.Arch, p params) {
-	if img := p.warm[arch]; img != nil {
-		if err := snapshot.DecodeInto(img, net); err != nil {
-			panic("warm restore: " + err.Error())
-		}
-	}
+// configuration every cell would build: a build error is the command
+// line's, and inside a cell run's recover would report it as a detected
+// fault.
+func (p params) validate() error {
+	return network.Config{Topo: p.topo, BufferDepth: p.bufferDepth, Shards: p.shards, Retransmit: p.retransmit}.Validate()
 }
 
 // warmFault drives one architecture's fault-free warm phase: uniform
@@ -163,178 +204,82 @@ func restoreWarm(net *network.Network, arch router.Arch, p params) {
 // architecture resumes from. The traffic stream has its own seed, shared by
 // all campaigns of the architecture.
 func warmFault(arch router.Arch, p params, cycles int64, seed uint64) ([]byte, error) {
-	ck := check.New(check.All())
 	net, err := network.Build(network.Config{
 		Topo: p.topo, Arch: arch, BufferDepth: p.bufferDepth,
-		Shards: p.shards, Check: ck,
+		Shards: p.shards, Check: check.New(check.All()), Retransmit: p.retransmit,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer net.Close()
-	rng := sim.NewRNG(seed)
-	cores := net.Cores()
+	src := uniform(p.load, seed)(net.Cores())
 	for cyc := int64(0); cyc < cycles; cyc++ {
-		for id := 0; id < cores; id++ {
-			if rng.Float64() >= p.load {
-				continue
-			}
-			dst := rng.Intn(cores - 1)
-			if dst >= id {
-				dst++
-			}
-			length := 1
-			if p.multi > 0 && rng.Float64() < p.multi {
-				length = 4
-			}
-			net.Inject(noc.NodeID(id), noc.NodeID(dst), length, 0)
-		}
+		inject(net, src, p.multi)
 		net.Step()
 	}
 	return snapshot.Encode(net)
 }
 
-// cellRecorder arms cell c's flight recorder: trace timestamps in the
-// architecture's clock, checker violations latching the dump trigger.
-func cellRecorder(c *cell, ck *check.Checker, p params) *telemetry.Recorder {
-	if p.newRecorder == nil {
-		return nil
+// campaign returns campaign idx of architecture arch. Its fault seed steps
+// from the template's by a golden-ratio stride, so campaigns are
+// decorrelated but replayable from (template seed, idx) alone.
+func campaign(arch router.Arch, idx int, p params) job {
+	spec := p.template
+	spec.Seed += uint64(idx) * 0x9E3779B97F4A7C15
+	return job{
+		arch: arch, idx: idx, label: fmt.Sprintf("fault-%s-c%d", arch, idx), spec: spec,
+		traffic: uniform(p.load, spec.Seed^0x54524146), // "TRAF"
 	}
-	rec := p.newRecorder(fmt.Sprintf("fault-%s-c%d", c.arch, c.idx))
-	rec.SetPeriodNs(physical.ClockPeriodNs(c.arch))
-	rec.BindChecker(ck)
-	return rec
 }
 
-// campaignSeed derives campaign i's fault seed from the base with a
-// golden-ratio stride, so campaigns are decorrelated but replayable from
-// (base, i) alone.
-func campaignSeed(base uint64, i int) uint64 {
-	return base + uint64(i)*0x9E3779B97F4A7C15
-}
-
-// run executes one campaign cell. Fault-reachable panics are converted to a
-// detected outcome by the recover — with the checker armed none should
-// remain, so a recovered panic is itself worth surfacing in the report.
-func run(arch router.Arch, idx int, p params) (c cell) {
-	c.arch, c.idx = arch, idx
-	c.spec = p.template
-	c.spec.Seed = campaignSeed(p.template.Seed, idx)
-
+// run executes one cell: build, warm restore, drive, drain, harvest, and
+// the flight dump when its recorder tripped. Fault-reachable panics are
+// harvested as a fact for the report to classify — with the checker armed
+// none should remain, so a recovered panic is itself worth surfacing.
+func run(j job, p params) (c cell) {
+	c.job = j
 	ck := check.New(check.All())
-	inj := fault.NewInjector(c.spec)
+	inj := fault.NewInjector(j.spec)
+	var net *network.Network
 	defer func() {
-		c.injected, c.delivered = ck.Injected(), ck.Delivered()
-		c.counts, c.total = ck.Counts(), ck.Total()
-		c.faults, c.impacted = inj.Totals(), inj.ImpactedCount()
 		if r := recover(); r != nil {
-			c.out = outDetected
-			c.why = "panic: " + firstLine(fmt.Sprint(r))
+			c.panicked = firstLine(fmt.Sprint(r))
 		}
-	}()
-
-	rec := cellRecorder(&c, ck, p)
-	net := buildCell(&c, p, ck, inj, nil)
-	defer net.Close()
-	wireReconfig(net, rec)
-	driveCell(net, &c, p, rec)
-	finishCell(&c, net, ck, inj, rec, p)
-	return c
-}
-
-// buildCell builds cell c's network, probed by pr (nil for none).
-func buildCell(c *cell, p params, ck *check.Checker, inj *fault.Injector, pr *probe.Probe) *network.Network {
-	net, err := network.Build(network.Config{
-		Topo: p.topo, Arch: c.arch, BufferDepth: p.bufferDepth,
-		Shards: p.shards, Check: ck, Fault: inj, Probe: pr,
-		Retransmit: p.retransmit,
-	})
-	if err != nil {
-		panic(err.Error())
-	}
-	return net
-}
-
-// driveCell runs cell c's traffic phase on its freshly built network, from
-// the architecture's warm image when there is one. A replay stops as soon
-// as its recorder rec is Done.
-func driveCell(net *network.Network, c *cell, p params, rec *telemetry.Recorder) {
-	restoreWarm(net, c.arch, p)
-	// Uniform-random traffic from the campaign's own stream; injection runs
-	// on the stepping goroutine, so the packet sequence is shard-invariant.
-	rng := sim.NewRNG(c.spec.Seed ^ 0x54524146) // "TRAF"
-	cores := net.Cores()
-	for cyc := int64(0); cyc < p.cycles && !rec.Done(net.Cycle()); cyc++ {
-		for id := 0; id < cores; id++ {
-			if rng.Float64() >= p.load {
-				continue
-			}
-			dst := rng.Intn(cores - 1)
-			if dst >= id {
-				dst++
-			}
-			length := 1
-			if p.multi > 0 && rng.Float64() < p.multi {
-				length = 4
-			}
-			net.Inject(noc.NodeID(id), noc.NodeID(dst), length, 0)
-		}
-		net.Step()
-	}
-}
-
-// replayCell re-runs cell c from the start under the flight recorder's
-// replay recorder rr — serially, with a fresh checker and injector wired to
-// rr the way the cell's were to its recorder, and none of the cell's side
-// effects — until rr is Done.
-func replayCell(c *cell, p params, rr *telemetry.Recorder) {
-	p.shards = 1
-	ck := check.New(check.All())
-	rr.BindChecker(ck)
-	net := buildCell(c, p, ck, fault.NewInjector(c.spec), rr.Probe())
-	defer net.Close()
-	wireReconfig(net, rr)
-	driveCell(net, c, p, rr)
-	if !rr.Done(net.Cycle()) {
-		drainCell(net, p, rr)
-	}
-}
-
-// drainCell drains a cell's network once its traffic phase is over and
-// sweeps the invariants, latching rec if the drain fails.
-func drainCell(net *network.Network, p params, rec *telemetry.Recorder) error {
-	err := net.DrainChecked(p.drain, p.watchdog)
-	net.CheckInvariants()
-	if err != nil {
-		rec.Trigger(net.Cycle(), "drain: "+firstLine(err.Error()))
-	}
-	return err
-}
-
-// finishCell drains one campaign's network and classifies the outcome —
-// the post-traffic half of run. The recover mirrors run's: a
-// fault-reachable panic during the drain is a detected outcome.
-func finishCell(c *cell, net *network.Network, ck *check.Checker, inj *fault.Injector, rec *telemetry.Recorder, p params) {
-	defer func() {
 		c.injected, c.delivered = ck.Injected(), ck.Delivered()
 		c.counts, c.total = ck.Counts(), ck.Total()
-		c.faults, c.impacted = inj.Totals(), inj.ImpactedCount()
+		c.faults, c.escalated = inj.Totals(), inj.EscalatedLinks()
+		if net == nil {
+			return
+		}
 		c.undeliverable = net.Undeliverable()
 		c.retransmits, c.acked, c.ackLost, c.exhausted = net.RetransmitStats()
 		c.dupes = net.DupSuppressed()
 		c.epochs, c.lastEpoch = net.Epochs(), net.LastEpochCycle()
 		c.partitioned = net.PartitionedPairs()
-		c.escalated = inj.EscalatedLinks()
-		if r := recover(); r != nil {
-			c.out = outDetected
-			c.why = "panic: " + firstLine(fmt.Sprint(r))
-		}
+		c.clean = inj.Total() == 0 && c.epochs == 0 && net.CurrentFaults().Empty()
+		c.endCycle = net.Cycle()
+		net.Close()
 	}()
-	drainErr := drainCell(net, p, rec)
-	// The dump goes to the flight directory and stderr only — the campaign
-	// report must stay byte-identical with recording on or off.
+
+	var rec *telemetry.Recorder
+	if p.newRecorder != nil {
+		rec = p.newRecorder(j.label)
+		rec.SetPeriodNs(physical.ClockPeriodNs(j.arch))
+		rec.BindChecker(ck)
+	}
+	net = buildCell(j, p, ck, inj, rec, nil)
+	net.OnDeliver = func(pkt *noc.Packet, cycle int64) {
+		c.latSum += cycle - pkt.CreateCycle
+		c.latN++
+	}
+	driveCell(net, j, p, rec)
+	if err := drainCell(net, ck, p, rec); err != nil {
+		c.drainErr = firstLine(err.Error())
+	}
+	// The dump goes to the flight directory and stderr only — the report
+	// must stay byte-identical with recording on or off.
 	if rec.Triggered() {
-		replay := func(rr *telemetry.Recorder) { replayCell(c, p, rr) }
+		replay := func(rr *telemetry.Recorder) { replayCell(j, p, rr) }
 		if _, err := rec.Flush(replay, func(w io.Writer) {
 			net.WriteDiagnostic(w)
 			ck.WriteReport(w)
@@ -342,48 +287,99 @@ func finishCell(c *cell, net *network.Network, ck *check.Checker, inj *fault.Inj
 			fmt.Fprintln(os.Stderr, "noxfault:", err)
 		}
 	}
+	return c
+}
 
-	switch {
-	case drainErr != nil:
-		c.out = outDetected
-		c.why = "watchdog: " + firstLine(drainErr.Error())
-	case ck.Total() > 0:
-		c.out = outDetected
-		c.why = "violations"
-	case inj.Total() == 0 && net.Epochs() == 0 && net.CurrentFaults().Empty():
-		c.out = outClean
-	case ck.Delivered() == ck.Injected():
-		c.out = outMasked
-	case net.Undeliverable() > 0 && ck.Delivered()+net.Undeliverable() == ck.Injected():
-		c.out = outDegraded
-		c.why = fmt.Sprintf("%d undeliverable, every loss accounted", net.Undeliverable())
-	default:
-		c.out = outUndetected
-		c.why = fmt.Sprintf("%d packets missing, zero violations", ck.Injected()-ck.Delivered()-net.Undeliverable())
+// buildCell builds job j's network, probed by pr (nil for none), with rec's
+// reconfiguration trigger armed unless the spec schedules a death: there
+// the kill is the experiment, not a failure.
+func buildCell(j job, p params, ck *check.Checker, inj *fault.Injector, rec *telemetry.Recorder, pr *probe.Probe) *network.Network {
+	net, err := network.Build(network.Config{
+		Topo: p.topo, Arch: j.arch, BufferDepth: p.bufferDepth,
+		Shards: p.shards, Check: ck, Fault: inj, Probe: pr,
+		Retransmit: p.retransmit,
+	})
+	if err != nil {
+		panic(err.Error())
 	}
-	// Crash-state checkpoint (-checkpoint): persist the final network state
-	// of every campaign the fault actually damaged, for post-mortem
-	// inspection with -restore. Side effect only — the report is unaffected.
-	if p.ckptDir != "" && (c.out == outDetected || c.out == outUndetected) {
-		path := filepath.Join(p.ckptDir, fmt.Sprintf("fault-%s-c%d.nox", c.arch, c.idx))
-		img, err := snapshot.Encode(net)
-		if err == nil {
-			err = os.WriteFile(path, img, 0o644)
+	if len(j.spec.DeadLinks) == 0 && len(j.spec.DeadRouters) == 0 {
+		net.OnReconfigure = func(cycle int64, fs routing.FaultSet) {
+			rec.Trigger(cycle, "reconfiguration: "+fs.String())
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "noxfault: checkpoint:", err)
+	}
+	return net
+}
+
+// driveCell runs job j's traffic phase on its freshly built network, from
+// the architecture's warm image when there is one. Injection runs on the
+// stepping goroutine, so the packet sequence is shard-invariant. A replay
+// stops as soon as its recorder rec is Done.
+func driveCell(net *network.Network, j job, p params, rec *telemetry.Recorder) {
+	if img := p.warm[j.arch]; img != nil {
+		// Saved checker-armed from an identically configured network, so the
+		// cell's checker inherits the warm phase's delivery ledger.
+		if err := snapshot.DecodeInto(img, net); err != nil {
+			panic("warm restore: " + err.Error())
 		}
+	}
+	src := j.traffic(net.Cores())
+	for cyc := int64(0); cyc < p.cycles && !rec.Done(net.Cycle()); cyc++ {
+		inject(net, src, p.multi)
+		net.Step()
 	}
 }
 
-// wireReconfig arms the flight recorder's reconfiguration trigger: the
-// first fault-driven route rebuild latches the recorder, so the dump window
-// brackets the epoch (first-trigger-wins; a later checker trip or wedge
-// would latch it anyway). Nil-safe like every Recorder method.
-func wireReconfig(net *network.Network, rec *telemetry.Recorder) {
-	net.OnReconfigure = func(cycle int64, fs routing.FaultSet) {
-		rec.Trigger(cycle, "reconfiguration: "+fs.String())
+// inject injects one cycle of src's traffic: each drawing node picks a
+// destination other than itself, and a packet is 4 flits with probability
+// multi.
+func inject(net *network.Network, src source, multi float64) {
+	cores := net.Cores()
+	for id := 0; id < cores; id++ {
+		rng := src(id)
+		if rng == nil {
+			continue
+		}
+		dst := rng.Intn(cores - 1)
+		if dst >= id {
+			dst++
+		}
+		length := 1
+		if multi > 0 && rng.Float64() < multi {
+			length = 4
+		}
+		net.Inject(noc.NodeID(id), noc.NodeID(dst), length, 0)
 	}
+}
+
+// replayCell re-runs job j from the start under the flight recorder's
+// replay recorder rr — serially, with a fresh checker and injector wired to
+// rr the way the cell's were to its recorder, and none of the cell's side
+// effects — until rr is Done.
+func replayCell(j job, p params, rr *telemetry.Recorder) {
+	p.shards = 1
+	ck := check.New(check.All())
+	rr.BindChecker(ck)
+	net := buildCell(j, p, ck, fault.NewInjector(j.spec), rr, rr.Probe())
+	defer net.Close()
+	driveCell(net, j, p, rr)
+	if !rr.Done(net.Cycle()) {
+		_ = drainCell(net, ck, p, rr) // the replay's trip is in rr
+	}
+}
+
+// drainCell drains a cell's network once its traffic phase is over and
+// sweeps the invariants, latching rec if the drain fails, or if it succeeds
+// with zero violations while packets are missing from the checker's ledger:
+// a loss the invariant layer did not see.
+func drainCell(net *network.Network, ck *check.Checker, p params, rec *telemetry.Recorder) error {
+	err := net.DrainChecked(p.drain, p.watchdog)
+	net.CheckInvariants()
+	if err != nil {
+		rec.Trigger(net.Cycle(), "drain: "+firstLine(err.Error()))
+	} else if n := ck.Injected() - ck.Delivered() - net.Undeliverable(); n != 0 && ck.Total() == 0 {
+		rec.Trigger(net.Cycle(), fmt.Sprintf("undetected loss: %d packets missing", n))
+	}
+	return err
 }
 
 // firstLine trims a multi-line message (watchdog errors embed the full
@@ -409,6 +405,102 @@ func kindList[T fmt.Stringer](counts []int64, kind func(int) T) string {
 	return " [" + strings.Join(parts, " ") + "]"
 }
 
+// writeReport writes report to outPath and says so on stdout, with note
+// appended, or writes it to stdout when outPath is empty.
+func writeReport(stdout io.Writer, report, outPath, what, note string) error {
+	if outPath == "" {
+		_, err := io.WriteString(stdout, report)
+		return err
+	}
+	if err := os.WriteFile(outPath, []byte(report), 0o644); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(stdout, "noxfault: %s written to %s%s\n", what, outPath, note)
+	return err
+}
+
+// runCampaignMode runs campaigns seeded campaigns per architecture, from
+// warm images of warmN fault-free cycles when warmN > 0, and writes the
+// campaign report.
+func runCampaignMode(stdout io.Writer, archs []router.Arch, p params, campaigns int, warmN int64, pool *exp.Pool, outPath string) error {
+	if warmN > 0 {
+		p.warm = make(map[router.Arch][]byte, len(archs))
+		for _, a := range archs {
+			img, err := warmFault(a, p, warmN, p.template.Seed^0x5741524D) // "WARM"
+			if err != nil {
+				return fmt.Errorf("warm-up %s: %w", a, err)
+			}
+			p.warm[a] = img
+		}
+	}
+
+	// Fan the (arch, campaign) grid across the pool; cells are independent
+	// and individually seeded, so results are position-stable.
+	cells, err := exp.Map(context.Background(), pool, len(archs)*campaigns,
+		func(_ context.Context, i int) (cell, error) {
+			return run(campaign(archs[i/campaigns], i%campaigns, p), p), nil
+		})
+	if err != nil {
+		return err
+	}
+
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "noxfault campaign report\n")
+	fmt.Fprintf(&sb, "topo=%dx%d buffers=%d campaigns=%d cycles=%d load=%.4f multi=%.2f drain=%d watchdog=%d\n",
+		p.topo.Width, p.topo.Height, p.bufferDepth, campaigns, p.cycles, p.load, p.multi, p.drain, p.watchdog)
+	if warmN > 0 {
+		fmt.Fprintf(&sb, "warmstart: %d fault-free cycles shared per architecture\n", warmN)
+	}
+	fmt.Fprintf(&sb, "spec template: %s\n", p.template)
+
+	var overall [numOutcomes]int
+	for ai, arch := range archs {
+		fmt.Fprintf(&sb, "arch %s:\n", arch)
+		var tally [numOutcomes]int
+		var faults int64
+		for ci := 0; ci < campaigns; ci++ {
+			c := cells[ai*campaigns+ci]
+			out, why := c.outcome()
+			tally[out]++
+			overall[out]++
+			var fsum int64
+			for _, n := range c.faults {
+				fsum += n
+			}
+			faults += fsum
+			fmt.Fprintf(&sb, "  campaign %d: seed=0x%X faults=%d%s outcome=%s injected=%d delivered=%d violations=%d%s",
+				ci, c.spec.Seed, fsum,
+				kindList(c.faults[:], func(i int) fault.Kind { return fault.Kind(i) }),
+				out, c.injected, c.delivered, c.total,
+				kindList(c.counts[:], func(i int) check.Kind { return check.Kind(i) }))
+			if c.undeliverable > 0 {
+				fmt.Fprintf(&sb, " undeliverable=%d", c.undeliverable)
+			}
+			if c.epochs > 0 {
+				fmt.Fprintf(&sb, " epochs=%d@%d", c.epochs, c.lastEpoch)
+			}
+			if c.escalated > 0 {
+				fmt.Fprintf(&sb, " escalated=%d", c.escalated)
+			}
+			if c.retransmits > 0 || c.exhausted > 0 {
+				fmt.Fprintf(&sb, " rtx=%d/%d", c.retransmits, c.exhausted)
+			}
+			if why != "" && why != "violations" {
+				fmt.Fprintf(&sb, " (%s)", why)
+			}
+			fmt.Fprintln(&sb)
+		}
+		fmt.Fprintf(&sb, "  summary: clean=%d masked=%d detected=%d degraded=%d undetected=%d faults=%d\n",
+			tally[outClean], tally[outMasked], tally[outDetected], tally[outDegraded], tally[outUndetected], faults)
+	}
+	fmt.Fprintf(&sb, "overall: campaigns=%d clean=%d masked=%d detected=%d degraded=%d undetected=%d\n",
+		len(archs)*campaigns, overall[outClean], overall[outMasked], overall[outDetected], overall[outDegraded], overall[outUndetected])
+	if overall[outUndetected] > 0 {
+		fmt.Fprintf(&sb, "WARNING: undetected loss — the invariant layer missed faults it should catch\n")
+	}
+	return writeReport(stdout, sb.String(), outPath, "report", fmt.Sprintf(" (%d campaigns)", len(archs)*campaigns))
+}
+
 func main() {
 	cli := telemetry.NewCLI("noxfault", telemetry.LiveFlags)
 	seed, shards := cli.Seed(0xF001), cli.Shards(1)
@@ -427,8 +519,6 @@ func main() {
 		out       = flag.String("out", "", "write the report to this file instead of stdout")
 		specPath  = flag.String("spec", "", "JSON fault-spec file (flag rates ignored when set; its seed, if nonzero, overrides -seed)")
 		warmN     = flag.Int64("warmstart", 0, "warm each architecture's network fault-free for this many cycles once, then start every campaign from the shared warm state (0 = cold campaigns)")
-		ckptDir   = flag.String("checkpoint", "", "save a full network snapshot of every detected/undetected campaign's final state into this directory (fault-<arch>-c<N>.nox)")
-		restoreIn = flag.String("restore", "", "post-mortem mode: load a campaign snapshot, print its diagnostic dump and invariant report, and exit")
 
 		degradeK = flag.Int("degrade", 0, "degradation-sweep mode: fail 0..N links (a seeded nested sequence) and report sustained throughput, latency, and loss accounting per fault count; transient-rate flags are ignored")
 		killAt   = flag.Int64("kill", 0, "degradation mode: cycle the failed links die (0 = dead from the start; >0 = mid-run kill with flush and reconfiguration)")
@@ -447,47 +537,6 @@ func main() {
 	)
 	sess, pool, stop := cli.Start()
 	defer stop()
-
-	// Post-mortem mode: rebuild the network a -checkpoint snapshot captured
-	// (structural parameters come from the image header) and print what the
-	// fault left behind. The checker-armed state must match the image, so a
-	// snapshot saved without a checker falls back to an unchecked restore.
-	if *restoreIn != "" {
-		data, err := os.ReadFile(*restoreIn)
-		if err != nil {
-			cli.Fail(err)
-		}
-		info, err := snapshot.Inspect(data)
-		if err != nil {
-			cli.Fail(err)
-		}
-		cfg := info.Config()
-		cfg.Shards = *shards
-		ck := check.New(check.All())
-		cfg.Check = ck
-		net, err := snapshot.Decode(data, cfg)
-		if errors.Is(err, codec.ErrUnsupported) {
-			cfg.Check, ck = nil, nil
-			net, err = snapshot.Decode(data, cfg)
-		}
-		if err != nil {
-			cli.Fail(err)
-		}
-		defer net.Close()
-		fmt.Printf("snapshot %s: %s %dx%d buffers=%d cycle=%d\n",
-			*restoreIn, info.Arch, info.Topo.Width, info.Topo.Height, info.BufferDepth, net.Cycle())
-		net.WriteDiagnostic(os.Stdout)
-		net.CheckInvariants()
-		if ck != nil {
-			ck.WriteReport(os.Stdout)
-		}
-		return
-	}
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			cli.Fail(err)
-		}
-	}
 
 	archs := router.Archs
 	if *archName != "all" {
@@ -520,21 +569,6 @@ func main() {
 	if err := template.Validate(); err != nil {
 		cli.Fail(err)
 	}
-	if *campaigns <= 0 {
-		cli.Fail(errors.New("-campaigns must be positive"))
-	}
-	switch {
-	case *cycles < 1:
-		cli.Fail(fmt.Errorf("-cycles %d: must be at least 1", *cycles))
-	case !(*load >= 0 && *load <= 1): // NaN fails both
-		cli.Fail(fmt.Errorf("-load %v: a probability, must be in [0, 1]", *load))
-	case !(*multi >= 0 && *multi <= 1):
-		cli.Fail(fmt.Errorf("-multi %v: a probability, must be in [0, 1]", *multi))
-	case *rtimeout < 0:
-		cli.Fail(fmt.Errorf("-rtimeout %d: must be at least 0 (0 disarms)", *rtimeout))
-	case *degradeK < 0:
-		cli.Fail(fmt.Errorf("-degrade %d: must be at least 0", *degradeK))
-	}
 
 	p := params{
 		topo:        noc.Topology{Width: *width, Height: *height},
@@ -547,105 +581,49 @@ func main() {
 		watchdog:    *watchdog,
 		template:    template,
 		newRecorder: sess.NewRecorder,
-		ckptDir:     *ckptDir,
 	}
 	if *rtimeout > 0 {
 		p.retransmit = &network.RetransmitConfig{Timeout: *rtimeout, Retries: *retries}
+	} else if *degradeK > 0 {
+		p.retransmit = &network.RetransmitConfig{Timeout: int64(4*(*width+*height) + 64), Retries: *retries}
 	}
-
-	// Degradation-sweep mode: a separate experiment shape (fault-count sweep
-	// of permanent link kills under bursty traffic) with its own report.
-	if *degradeK > 0 {
-		if err := runDegradeMode(os.Stdout, archs, p, *degradeK, *killAt, *rtimeout, *retries, pool, *out, *csvOut); err != nil {
-			cli.Fail(err)
-		}
-		return
+	switch {
+	case p.topo.Nodes() < 2:
+		cli.Fail(fmt.Errorf("-width %d -height %d: uniform traffic needs at least 2 nodes", *width, *height))
+	case *campaigns <= 0:
+		cli.Fail(errors.New("-campaigns must be positive"))
+	case *cycles < 1:
+		cli.Fail(fmt.Errorf("-cycles %d: must be at least 1", *cycles))
+	case !(*load >= 0 && *load <= 1): // NaN fails both
+		cli.Fail(fmt.Errorf("-load %v: a probability, must be in [0, 1]", *load))
+	case *degradeK > 0 && !(*load > 0 && *load < 1):
+		cli.Fail(fmt.Errorf("-load %v: a bursty source's rate, must be in (0, 1) with -degrade", *load))
+	case !(*multi >= 0 && *multi <= 1):
+		cli.Fail(fmt.Errorf("-multi %v: a probability, must be in [0, 1]", *multi))
+	case *drain < 0 || *watchdog < 0 || *warmN < 0:
+		cli.Fail(fmt.Errorf("-drain %d, -watchdog %d, -warmstart %d: must be at least 0 (0 takes the default)", *drain, *watchdog, *warmN))
+	case *rtimeout < 0:
+		cli.Fail(fmt.Errorf("-rtimeout %d: must be at least 0 (0 disarms)", *rtimeout))
+	case *degradeK < 0:
+		cli.Fail(fmt.Errorf("-degrade %d: must be at least 0", *degradeK))
+	case *degradeK == 0 && (*csvOut != "" || *killAt != 0):
+		cli.Fail(errors.New("-csv and -kill need -degrade"))
+	case *warmN > 0 && (*degradeK > 0 || template.HasHardFaults()):
+		cli.Fail(errors.New("-warmstart: a fault-free image carries no hard-fault state, so it cannot start -degrade cells or a spec with dead links, dead routers or escalation"))
 	}
-	if err := p.validate(p.retransmit); err != nil {
+	if err := p.validate(); err != nil {
 		cli.Fail(err)
 	}
-	if *warmN > 0 {
-		p.warm = make(map[router.Arch][]byte, len(archs))
-		for _, a := range archs {
-			img, err := warmFault(a, p, *warmN, template.Seed^0x5741524D) // "WARM"
-			if err != nil {
-				cli.Fail(fmt.Errorf("warm-up %s: %w", a, err))
-			}
-			p.warm[a] = img
-		}
-	}
 
-	// Fan the (arch, campaign) grid across the pool; cells are independent
-	// and individually seeded, so results are position-stable.
-	cells, err := exp.Map(context.Background(), pool, len(archs)**campaigns,
-		func(_ context.Context, i int) (cell, error) {
-			return run(archs[i / *campaigns], i%*campaigns, p), nil
-		})
+	var err error
+	if *degradeK > 0 {
+		// A separate experiment shape (fault-count sweep of permanent link
+		// kills under bursty traffic) with its own report.
+		err = runDegradeMode(os.Stdout, archs, p, *degradeK, *killAt, pool, *out, *csvOut)
+	} else {
+		err = runCampaignMode(os.Stdout, archs, p, *campaigns, *warmN, pool, *out)
+	}
 	if err != nil {
 		cli.Fail(err)
-	}
-
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "noxfault campaign report\n")
-	fmt.Fprintf(&sb, "topo=%dx%d buffers=%d campaigns=%d cycles=%d load=%.4f multi=%.2f drain=%d watchdog=%d\n",
-		*width, *height, *buffers, *campaigns, *cycles, *load, *multi, *drain, *watchdog)
-	if *warmN > 0 {
-		fmt.Fprintf(&sb, "warmstart: %d fault-free cycles shared per architecture\n", *warmN)
-	}
-	fmt.Fprintf(&sb, "spec template: %s\n", template)
-
-	var overall [numOutcomes]int
-	for ai, arch := range archs {
-		fmt.Fprintf(&sb, "arch %s:\n", arch)
-		var tally [numOutcomes]int
-		var faults int64
-		for ci := 0; ci < *campaigns; ci++ {
-			c := cells[ai**campaigns+ci]
-			tally[c.out]++
-			overall[c.out]++
-			var fsum int64
-			for _, n := range c.faults {
-				fsum += n
-			}
-			faults += fsum
-			fmt.Fprintf(&sb, "  campaign %d: seed=0x%X faults=%d%s outcome=%s injected=%d delivered=%d violations=%d%s",
-				ci, c.spec.Seed, fsum,
-				kindList(c.faults[:], func(i int) fault.Kind { return fault.Kind(i) }),
-				c.out, c.injected, c.delivered, c.total,
-				kindList(c.counts[:], func(i int) check.Kind { return check.Kind(i) }))
-			if c.undeliverable > 0 {
-				fmt.Fprintf(&sb, " undeliverable=%d", c.undeliverable)
-			}
-			if c.epochs > 0 {
-				fmt.Fprintf(&sb, " epochs=%d@%d", c.epochs, c.lastEpoch)
-			}
-			if c.escalated > 0 {
-				fmt.Fprintf(&sb, " escalated=%d", c.escalated)
-			}
-			if c.retransmits > 0 || c.exhausted > 0 {
-				fmt.Fprintf(&sb, " rtx=%d/%d", c.retransmits, c.exhausted)
-			}
-			if c.why != "" && c.why != "violations" {
-				fmt.Fprintf(&sb, " (%s)", c.why)
-			}
-			fmt.Fprintln(&sb)
-		}
-		fmt.Fprintf(&sb, "  summary: clean=%d masked=%d detected=%d degraded=%d undetected=%d faults=%d\n",
-			tally[outClean], tally[outMasked], tally[outDetected], tally[outDegraded], tally[outUndetected], faults)
-	}
-	fmt.Fprintf(&sb, "overall: campaigns=%d clean=%d masked=%d detected=%d degraded=%d undetected=%d\n",
-		len(archs)**campaigns, overall[outClean], overall[outMasked], overall[outDetected], overall[outDegraded], overall[outUndetected])
-	if overall[outUndetected] > 0 {
-		fmt.Fprintf(&sb, "WARNING: undetected loss — the invariant layer missed faults it should catch\n")
-	}
-
-	report := sb.String()
-	if *out != "" {
-		if err := os.WriteFile(*out, []byte(report), 0o644); err != nil {
-			cli.Fail(err)
-		}
-		fmt.Printf("noxfault: report written to %s (%d campaigns)\n", *out, len(archs)**campaigns)
-	} else {
-		fmt.Print(report)
 	}
 }

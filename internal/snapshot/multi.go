@@ -61,27 +61,14 @@ func DecodeMultiInto(data []byte, m *network.Multi) error {
 	return nil
 }
 
-// Info is a snapshot's structural header in exported form, so tools can
-// rebuild a matching network from an image alone (noxfault -restore loads a
-// crash snapshot without knowing the campaign's topology).
+// Info is a snapshot's structural header in exported form, so a tool can
+// check an image before it restores it.
 type Info struct {
 	Topo          noc.Topology
 	Concentration int
 	Arch          router.Arch
 	BufferDepth   int
 	SinkDepth     int
-}
-
-// Config returns a network configuration with the image's structural
-// parameters; the caller adds execution mode and instrumentation.
-func (i Info) Config() network.Config {
-	return network.Config{
-		Topo:          i.Topo,
-		Concentration: i.Concentration,
-		Arch:          i.Arch,
-		BufferDepth:   i.BufferDepth,
-		SinkDepth:     i.SinkDepth,
-	}
 }
 
 // Inspect parses and validates an image's header without restoring it.
