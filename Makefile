@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint test test-ids alloc-guard race shard-race bench bench-json bench-compare bench-smoke bench-repo-smoke cli-smoke results-check trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke
+.PHONY: check build fmt vet lint test test-ids alloc-guard race shard-race ab bench bench-json bench-compare bench-smoke bench-repo-smoke cli-smoke results-check trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke
 
 ## check: the CI gate — build, gofmt, vet, static analysis, the allocation guards
 ## (seconds: an allocation back in the inject/step/deliver loop fails before
@@ -71,9 +71,26 @@ race:
 ## adds retransmission, whose interfaces let go of packet slots on the shard
 ## workers and hand them to the step epilogue through the shard mailboxes.
 ## TestShardCrossFedLatch has two workers raise bits of one router's
-## staged-input mask in the same compute phase.
+## staged-input mask in the same compute phase. TestAppClassConcurrency
+## steps an app replay's class networks on their own goroutines and
+## compares them with lockstep.
 shard-race:
 	$(GO) test -race -cpu 1,2,4 -run 'Shard|Barrier|TestFaultedSteadyStateAllocs' ./internal/sim ./internal/network
+	$(GO) test -race -cpu 1,2,4 -run 'TestAppClassConcurrency' ./internal/harness
+
+## ab: the paired A/B runner a wall-time claim must come from (ROADMAP
+## item 3(a)). BASE=<rev> (required) against the working tree, or HEAD=<rev>;
+## W=<workload> (required); N pairs (default 10). The base is checked out in a git worktree, and each tree's
+## benchmark is built and run by its own benchmark/run.sh, at seeds derived
+## from the head revision, the first side flipping each pair. Prints per
+## metric both medians and quartiles, the pairs the head won and an exact
+## two-sided sign-test p; fails when the sides of a pair disagree on digest,
+## cells, link_flits or paper_gap_pp; writes BENCH_<stamp>.json (nox-ab/v1;
+## refused from a dirty tree, as noxbench snapshots are).
+N ?= 10
+ab:
+	@test -n "$(BASE)" -a -n "$(W)" || { echo "ab: BASE=<rev> and W=<workload> are required" >&2; exit 2; }
+	$(GO) run ./cmd/noxbench -ab -base '$(BASE)' $(if $(HEAD),-head '$(HEAD)') -workload '$(W)' -n $(N)
 
 ## bench: one pass over every paper-figure benchmark plus the kernel
 ## microbenchmarks (allocation counts included).
@@ -90,7 +107,8 @@ bench-json:
 	$(GO) run ./cmd/noxbench -in "$$tmp"
 
 ## bench-compare: run the benchmark suite once and diff it against the newest
-## committed BENCH_*.json via `noxbench -compare`. The threshold is a
+## committed BENCH_*.json snapshot (schema nox-bench/v1; `make ab` records,
+## nox-ab/v1, share the name pattern) via `noxbench -compare`. The threshold is a
 ## deliberately generous 50%: `-benchtime 1x` single-iteration timings are
 ## noisy (machine load, turbo state), so only a gross slowdown should trip
 ## it. Slowdowns under noxbench's absolute noise floor (-floor, default
@@ -103,7 +121,7 @@ bench-json:
 ## writes is thrown away with the temp dir, so it is taken with -allow-dirty
 ## (as bench-smoke does): check runs on working trees.
 bench-compare:
-	@base=$$(ls BENCH_*.json 2>/dev/null | sort | tail -n 1); \
+	@base=$$(grep -l '"schema": "nox-bench/v1"' BENCH_*.json 2>/dev/null | sort | tail -n 1); \
 	if [ -z "$$base" ]; then echo "bench-compare: no committed BENCH_*.json baseline, skipping"; exit 0; fi; \
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) test -run '^$$' -bench . -benchtime 1x . > "$$tmp/bench.txt" && \
@@ -124,7 +142,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Table1SystemParameters|Table2ClockPeriods|NetworkCycleSparse' \
 		-benchtime 1x . | tee "$$tmp/bench.txt" && \
 	$(GO) run ./cmd/noxbench -in "$$tmp/bench.txt" -out "$$tmp/smoke.json" -allow-dirty && \
-	base=$$(ls BENCH_*.json 2>/dev/null | sort | tail -n 1); \
+	base=$$(grep -l '"schema": "nox-bench/v1"' BENCH_*.json 2>/dev/null | sort | tail -n 1); \
 	if [ -z "$$base" ]; then echo "bench-smoke: no committed BENCH_*.json baseline, skipping compare"; exit 0; fi; \
 	$(GO) run ./cmd/noxbench -compare -threshold 2.0 "$$base" "$$tmp/smoke.json" && \
 	echo "bench-smoke: OK"
@@ -141,7 +159,9 @@ bench-smoke:
 ## -csv or -kill without -degrade, a warm start no degrade cell can use; an
 ## ablation or §8 rate no run can mean or offer, an unknown ablation study, a
 ## trace run with a negative cycle count, drain limit, ring or sampling
-## interval): each must exit with status 1 and a message within 10 s, never
+## interval, an app replay checkpointing every 0 or a negative number of
+## cycles, or restoring from a directory that is not there, which cold-started
+## every replay): each must exit with status 1 and a message within 10 s, never
 ## a panic trace.
 ## The tools run in the temp directory, so a regression cannot litter the tree.
 cli-smoke:
@@ -158,7 +178,8 @@ cli-smoke:
 		"noxablate -rate -5" "noxablate -rate 1e9" "noxablate -study bogus" "noxfuture -rates -5" "noxfuture -rates NaN" \
 		"noxtrace -cycles -5" "noxtrace -flits -3" "noxtrace -flits 0" "noxtrace -drain -5" "noxtrace -ring -1" "noxtrace -sample -5" \
 		"noxfault -degrade 1 -load 0" "noxfault -degrade 1 -load 1" "noxfault -width 1 -height 1" "noxfault -drain -5" \
-		"noxfault -watchdog -5" "noxfault -warmstart -5" "noxfault -csv x.csv" "noxfault -kill 5" "noxfault -degrade 2 -warmstart 100"; do \
+		"noxfault -watchdog -5" "noxfault -warmstart -5" "noxfault -csv x.csv" "noxfault -kill 5" "noxfault -degrade 2 -warmstart 100" \
+		"noxapp -checkpoint d -checkpoint-every 0" "noxapp -checkpoint-every -5" "noxapp -restore nosuchdir"; do \
 		st=0; timeout 10 "$$tmp/"$$c >/dev/null 2>"$$tmp/err" || st=$$?; \
 		if [ $$st -ne 1 ] || grep -qE '^(panic: |goroutine )' "$$tmp/err"; then \
 			echo "cli-smoke: $$c: exit $$st, want 1 without a panic" >&2; cat "$$tmp/err" >&2; exit 1; \

@@ -32,7 +32,7 @@ func main() {
 		csv       = flag.Bool("csv", false, "emit machine-readable CSV instead of tables")
 		ckptDir   = flag.String("checkpoint", "", "persist a resumable checkpoint per (workload, architecture) replay into this directory (atomic overwrite)")
 		ckptEvery = flag.Int64("checkpoint-every", 20000, "checkpoint period in network cycles (with -checkpoint)")
-		restore   = flag.String("restore", "", "resume replays from checkpoints in this directory; replays without a checkpoint cold-start")
+		restore   = flag.String("restore", "", "resume replays from checkpoints in this existing directory; replays without a checkpoint in it cold-start")
 	)
 	sess, pool, stop := cli.Start()
 	defer stop()
@@ -41,6 +41,18 @@ func main() {
 	}
 	if *cpuCycles < 1 {
 		cli.Fail(fmt.Errorf("-cpu-cycles must be >= 1 (got %d)", *cpuCycles))
+	}
+	if *ckptEvery < 0 || *ckptDir != "" && *ckptEvery == 0 {
+		cli.Fail(fmt.Errorf("-checkpoint-every must be >= 1 (got %d)", *ckptEvery))
+	}
+	if *restore != "" {
+		// Replays without a checkpoint in the directory cold-start; a
+		// directory that is not there would cold-start every one.
+		if fi, err := os.Stat(*restore); err != nil {
+			cli.Fail(err)
+		} else if !fi.IsDir() {
+			cli.Fail(fmt.Errorf("-restore %s: not a directory", *restore))
+		}
 	}
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {

@@ -4,11 +4,12 @@
 // metrics reported via b.ReportMetric (the paper's headline numbers ride
 // along with the timings).
 //
-// Usage (see `make bench-json` and `make bench-compare`):
+// Usage (see `make bench-json`, `make bench-compare` and `make ab`):
 //
 //	go test -run '^$' -bench . -benchtime 1x . | noxbench -out BENCH_20260806T120000Z.json
 //	noxbench -in bench.txt -out -          # JSON to stdout
 //	noxbench -compare old.json new.json    # per-benchmark deltas; exit 1 on regression
+//	noxbench -ab -base REV [-head REV] -workload W [-n 10]  # paired A/B runs (ab.go)
 //
 // Compare mode matches benchmarks by name and gates on ns/op and allocs/op:
 // exit status 1 when any benchmark got slower than -threshold (default 20%)
@@ -174,11 +175,19 @@ func main() {
 		threshold  = flag.Float64("threshold", 0.20, "ns/op and allocs/op regression threshold for -compare (0.20 = 20% worse fails)")
 		floor      = flag.Float64("floor", 50_000, "absolute ns/op noise floor for -compare: slowdowns smaller than this never fail")
 		allowDirty = flag.Bool("allow-dirty", false, "write a snapshot file from a dirty git tree anyway (stamped git_dirty, loud warning)")
+		ab         = flag.Bool("ab", false, "paired A/B runs of the repo benchmark, -base against -head; writes a nox-ab/v1 record to -out")
+		base       = flag.String("base", "", "with -ab: the base revision")
+		head       = flag.String("head", "", "with -ab: the head revision (default: the working tree)")
+		workload   = flag.String("workload", "", "with -ab: the benchmark workload")
+		pairs      = flag.Int("n", 10, "with -ab: pairs per workload")
 	)
 	ver := version.Flag(flag.CommandLine)
 	flag.Parse()
 	version.ExitIf(*ver, "noxbench")
 
+	if *ab {
+		os.Exit(runAB(os.Stdout, os.Stderr, *base, *head, *workload, *pairs, *out, *allowDirty))
+	}
 	if *compare {
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "noxbench: -compare needs exactly two arguments: old.json new.json")

@@ -9,6 +9,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 
 	"repro/internal/check"
 	"repro/internal/exp"
@@ -47,8 +49,10 @@ type AppConfig struct {
 	// run to dump the failure window. Ignored when Probe is set.
 	Recorder *telemetry.Recorder
 	// Shards selects each physical network's execution mode (see
-	// network.Config): 0 = auto, 1 = serial, N >= 2 = sharded. Results are
-	// bit-identical at every setting.
+	// network.Config): 0 = auto, 1 = serial, N >= 2 = sharded. Serial class
+	// networks that nothing else couples (no Probe, Check, Progress,
+	// checkpoint or restore) step on their own goroutines when GOMAXPROCS >=
+	// 2, and in lockstep otherwise. Results are bit-identical in every mode.
 	Shards int
 	// Check, when set, arms the runtime invariant layer on both physical
 	// networks (they share the checker; packet IDs are globally unique
@@ -154,95 +158,33 @@ func runApp(cfg AppConfig, origin *warmImage) AppResult {
 	}
 	multi := network.NewMulti(trace.NumClasses, network.Config{Topo: topo, Arch: cfg.Arch, BufferDepth: cfg.BufferDepth, Probe: pr, Shards: cfg.Shards, Check: cfg.Check, Observer: obs})
 	defer multi.Close()
-	// Every trace packet is measured: the collector's window spans the run,
-	// giving the same latency record a serial tally would produce plus the
-	// percentile machinery.
-	col := stats.NewCollector(0, int64(1)<<62)
-	var latencySum, latencySqSum float64
-	var delivered int64
-	multi.OnDeliver(func(p *noc.Packet, cycle int64) {
-		l := float64(p.Latency())
-		latencySum += l
-		latencySqSum += l * l
-		delivered++
-		col.OnDeliver(p, cycle)
-		cfg.Progress.CountDeliver(1, int64(p.Length))
-	})
 	cfg.Progress.RunStarted()
 
-	events := cfg.Trace.Events
-	idx := 0
-	var pktID uint64
-
-	cycle := int64(0)
-	if origin != nil {
-		cur, err := restoreAppCheckpoint(origin, multi, col, len(events))
-		if err != nil {
-			panic(fmt.Sprintf("harness: app restore %s: %v", cfg.RestorePath, err))
-		}
-		idx, pktID = cur.idx, cur.pktID
-		latencySum, latencySqSum, delivered = cur.latencySum, cur.latencySqSum, cur.delivered
-		cycle = multi.Cycle()
+	r := &appReplay{cfg: &cfg, multi: multi, events: cfg.Trace.Events, periodPs: periodPs, deadline: cfg.DrainCycles}
+	if n := len(r.events); n > 0 {
+		r.deadline += r.due(n-1) + 1
 	}
-	nextCkpt := int64(-1)
-	if cfg.CheckpointPath != "" && cfg.CheckpointEvery > 0 {
-		nextCkpt = cycle + cfg.CheckpointEvery
-	}
-	deadline := cfg.DrainCycles
-	if len(events) > 0 {
-		deadline += int64(float64(events[len(events)-1].TimePs)/periodPs) + 1
-	}
-	// A flight-recorder replay stops once its recorder is Done.
-	for cycle < deadline && (idx < len(events) || multi.Outstanding() > 0) && !cfg.Recorder.Done(cycle) {
-		// Persist a resumable checkpoint between steps. The threshold (not a
-		// modulus) tolerates the idle fast-forward jumping whole periods.
-		if nextCkpt >= 0 && cycle >= nextCkpt {
-			cur := appCursor{idx: idx, pktID: pktID, latencySum: latencySum, latencySqSum: latencySqSum, delivered: delivered}
-			if err := saveAppCheckpoint(cfg.CheckpointPath, multi, col, cur); err != nil {
-				fmt.Fprintln(os.Stderr, "harness: app checkpoint:", err)
-				nextCkpt = -1
-			} else {
-				nextCkpt = cycle + cfg.CheckpointEvery
+	var s *appStream
+	if classesUncoupled(cfg, pr, origin, multi) {
+		s = r.runClasses()
+	} else {
+		s = &appStream{net: multi, class: -1, col: stats.NewCollector(0, 1<<62)}
+		multi.OnDeliver(r.deliver(s))
+		if origin != nil {
+			if err := restoreAppCheckpoint(origin, multi, s, len(r.events)); err != nil {
+				panic(fmt.Sprintf("harness: app restore %s: %v", cfg.RestorePath, err))
 			}
 		}
-		// Traces have idle gaps between bursts; once every network has fully
-		// quiesced, jump straight to the next event's injection cycle. The
-		// fast-forward replays per-cycle hooks, so probed output is unchanged.
-		if idx < len(events) && multi.Outstanding() == 0 {
-			if due := int64(float64(events[idx].TimePs) / periodPs); due > cycle {
-				if skipped := multi.FastForwardIdle(due - cycle); skipped > 0 {
-					cycle += skipped
-					cfg.Progress.Tick(cycle)
-					continue
-				}
-			}
-		}
-		for idx < len(events) {
-			due := int64(float64(events[idx].TimePs) / periodPs)
-			if due > cycle {
-				break
-			}
-			e := events[idx]
-			idx++
-			pktID++
-			p, err := multi.InjectAs(pktID, e.Src, e.Dst, e.Flits, e.Class)
-			if err != nil {
-				panic(fmt.Sprintf("harness: trace event %d: %v", idx-1, err))
-			}
-			col.OnCreate(p, cycle)
-			cfg.Progress.CountInject(1, int64(e.Flits))
-		}
-		multi.Step()
-		cycle++
-		cfg.Progress.Tick(cycle)
+		r.run(s)
 	}
+	delivered := s.col.Delivered()
 
 	// With a checker armed and everything delivered, run the post-drain
 	// invariant sweep across both physical networks.
 	if multi.Outstanding() == 0 {
 		multi.CheckInvariants()
 	} else {
-		cfg.Recorder.Trigger(cycle, fmt.Sprintf("undrained: %d packets outstanding after %d drain cycles", multi.Outstanding(), cfg.DrainCycles))
+		cfg.Recorder.Trigger(s.cycle, fmt.Sprintf("undrained: %d packets outstanding after %d drain cycles", multi.Outstanding(), cfg.DrainCycles))
 	}
 
 	window := multi.Counters()
@@ -252,12 +194,12 @@ func runApp(cfg AppConfig, origin *warmImage) AppResult {
 		PeriodNs:      periodNs,
 		DeliveredPkts: delivered,
 		InjectionMBps: cfg.Trace.MeanInjectionMBps(),
-		Drained:       idx == len(events) && multi.Outstanding() == 0,
+		Drained:       s.col.Created() == int64(len(r.events)) && multi.Outstanding() == 0,
 		Window:        window,
 	}
 	if delivered > 0 {
-		res.MeanLatencyNs = latencySum / float64(delivered) * periodNs
-		res.P50LatencyNs, res.P95LatencyNs, res.P99LatencyNs = col.LatencyPercentilesNs(periodNs)
+		res.MeanLatencyNs = float64(s.sum) / float64(delivered) * periodNs
+		res.P50LatencyNs, res.P95LatencyNs, res.P99LatencyNs = s.col.LatencyPercentilesNs(periodNs)
 		total := model.Energy(window, cfg.Arch == router.NoX).TotalPJ()
 		res.PacketEnergyPJ = total / float64(delivered)
 		// Average per-packet energy-delay^2: E[E_pkt * T^2] with the mean
@@ -265,7 +207,7 @@ func runApp(cfg AppConfig, origin *warmImage) AppResult {
 		// per packet (rather than squaring the mean latency) is the literal
 		// reading of "average packet energy-delay^2 product" and weights
 		// the latency tails that misspeculation produces.
-		res.EnergyDelay2 = res.PacketEnergyPJ * latencySqSum / float64(delivered) * periodNs * periodNs
+		res.EnergyDelay2 = res.PacketEnergyPJ * float64(s.sqSum) / float64(delivered) * periodNs * periodNs
 	} else {
 		res.MeanLatencyNs = math.NaN()
 	}
@@ -297,6 +239,168 @@ func runApp(cfg AppConfig, origin *warmImage) AppResult {
 	return res
 }
 
+// classesUncoupled reports whether each class network may step on its own
+// goroutine: they share no wires or feedback (open-loop replay), and nothing
+// couples them cycle by cycle — no probe, checker, sampler, checkpoint or
+// restore — each is serial (one Config), and there is a second CPU.
+func classesUncoupled(cfg AppConfig, pr *probe.Probe, origin *warmImage, multi *network.Multi) bool {
+	return pr == nil && cfg.Check == nil && cfg.Progress == nil && origin == nil &&
+		(cfg.CheckpointPath == "" || cfg.CheckpointEvery <= 0) && multi.Net(0).Shards() == 1 && runtime.GOMAXPROCS(0) >= 2
+}
+
+// appReplay is what one replay's streams share.
+type appReplay struct {
+	cfg      *AppConfig
+	multi    *network.Multi
+	events   []trace.Event
+	periodPs float64
+	deadline int64
+}
+
+// appNet is what a stream steps: the Multi in lockstep, or a class network.
+type appNet interface {
+	Step()
+	Outstanding() int64
+	FastForwardIdle(limit int64) int64
+}
+
+// appStream is one stepping goroutine's share of a replay: its network, its
+// cursor into the trace, and the latency record of what it delivers.
+type appStream struct {
+	net   appNet
+	class int // the class it replays; -1 = every class (lockstep)
+	idx   int // next trace event
+	cycle int64
+	col   *stats.Collector // measures every trace packet: its window spans the run
+	sum   int64            // latencies, cycles
+	sqSum int64            // squared latencies, cycles^2
+}
+
+// due returns the network cycle trace event i is injected on.
+func (r *appReplay) due(i int) int64 { return int64(float64(r.events[i].TimePs) / r.periodPs) }
+
+// pending moves the stream's cursor to its next event and reports whether
+// one remains. Class 0's stream also takes events of classes out of range,
+// so InjectAs rejects them as lockstep does.
+func (r *appReplay) pending(s *appStream) bool {
+	for ; s.idx < len(r.events) && s.class >= 0; s.idx++ {
+		if c := r.events[s.idx].Class; c == s.class || s.class == 0 && (c < 0 || c >= r.multi.Classes()) {
+			break
+		}
+	}
+	return s.idx < len(r.events)
+}
+
+// inject creates every event of the stream's classes due by its cycle, in
+// trace order. A packet's ID is its event index + 1 under either schedule.
+func (r *appReplay) inject(s *appStream) {
+	for r.pending(s) && r.due(s.idx) <= s.cycle {
+		e := r.events[s.idx]
+		s.idx++
+		p, err := r.multi.InjectAs(uint64(s.idx), e.Src, e.Dst, e.Flits, e.Class)
+		if err != nil {
+			panic(fmt.Sprintf("harness: trace event %d: %v", s.idx-1, err))
+		}
+		s.col.OnCreate(p, s.cycle)
+		r.cfg.Progress.CountInject(1, int64(e.Flits))
+	}
+}
+
+// deliver returns the stream's delivery observer.
+func (r *appReplay) deliver(s *appStream) func(*noc.Packet, int64) {
+	return func(p *noc.Packet, cycle int64) {
+		l := p.Latency()
+		s.sum, s.sqSum = s.sum+l, s.sqSum+l*l
+		s.col.OnDeliver(p, cycle)
+		r.cfg.Progress.CountDeliver(1, int64(p.Length))
+	}
+}
+
+// run steps the stream from its cycle until the deadline, or until its
+// events are injected and its network has delivered them.
+func (r *appReplay) run(s *appStream) {
+	cfg := r.cfg
+	nextCkpt := int64(-1)
+	if cfg.CheckpointPath != "" && cfg.CheckpointEvery > 0 {
+		nextCkpt = s.cycle + cfg.CheckpointEvery
+	}
+	// A flight-recorder replay stops once its recorder is Done.
+	for s.cycle < r.deadline && (r.pending(s) || s.net.Outstanding() > 0) && !cfg.Recorder.Done(s.cycle) {
+		// Persist a resumable checkpoint between steps. The threshold (not a
+		// modulus) tolerates the idle fast-forward jumping whole periods.
+		if nextCkpt >= 0 && s.cycle >= nextCkpt {
+			if err := saveAppCheckpoint(cfg.CheckpointPath, r.multi, s); err != nil {
+				fmt.Fprintln(os.Stderr, "harness: app checkpoint:", err)
+				nextCkpt = -1
+			} else {
+				nextCkpt = s.cycle + cfg.CheckpointEvery
+			}
+		}
+		// Traces have idle gaps between bursts; once the network has fully
+		// quiesced, jump straight to the next event's injection cycle (one is
+		// pending, or the loop would have ended). The fast-forward replays
+		// per-cycle hooks, so probed output is unchanged.
+		if s.net.Outstanding() == 0 {
+			if due := r.due(s.idx); due > s.cycle {
+				if skipped := s.net.FastForwardIdle(due - s.cycle); skipped > 0 {
+					s.cycle += skipped
+					cfg.Progress.Tick(s.cycle)
+					continue
+				}
+			}
+		}
+		r.inject(s)
+		s.net.Step()
+		s.cycle++
+		cfg.Progress.Tick(s.cycle)
+	}
+}
+
+// runClasses replays each class network on its own goroutine and folds the
+// streams into lockstep's result, exactly. A class that finished early is
+// stepped up to the common end cycle, as lockstep steps it (idle steps change
+// no counter). A class goroutine's panic is re-raised here, the one at the
+// earliest trace event: the one lockstep meets first.
+func (r *appReplay) runClasses() *appStream {
+	streams := make([]*appStream, r.multi.Classes())
+	panics := make([]any, len(streams))
+	var wg sync.WaitGroup
+	for class := range streams {
+		net := r.multi.Net(class)
+		s := &appStream{net: net, class: class, col: stats.NewCollector(0, 1<<62)}
+		net.OnDeliver = r.deliver(s)
+		streams[class] = s
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[class] = recover() }()
+			r.run(s)
+		}()
+	}
+	wg.Wait()
+	first, end := -1, int64(0)
+	for class, s := range streams {
+		end = max(end, s.cycle)
+		if panics[class] != nil && (first < 0 || s.idx < streams[first].idx) {
+			first = class
+		}
+	}
+	if first >= 0 {
+		panic(panics[first])
+	}
+	out := streams[0]
+	for _, s := range streams {
+		for ; s.cycle < end; s.cycle++ {
+			s.net.Step()
+		}
+		if s != out {
+			out.col.Merge(s.col)
+			out.sum, out.sqSum = out.sum+s.sum, out.sqSum+s.sqSum
+		}
+	}
+	return out
+}
+
 // AppCheckpoint threads noxapp's checkpoint/restore flags through
 // RunAppAllArchs: with Dir set, each (workload, architecture) replay
 // persists a resumable checkpoint named app-<workload>-<arch>.noxapp into
@@ -323,8 +427,9 @@ func (c AppCheckpoint) paths(workload string, arch router.Arch) (ckpt, restore s
 
 // RunAppAllArchs replays one trace on every architecture. The four replays
 // are independent (the trace is read-only; each builds its own networks),
-// so a pool with multiple workers runs them concurrently; shards
-// additionally parallelizes within each replay (0 = auto). Results are
+// so a pool with multiple workers runs them concurrently; within a replay,
+// shards parallelizes each network (0 = auto), and serial networks step
+// their classes on their own goroutines (see AppConfig.Shards). Results are
 // identical at every setting. tel threads the tool's live telemetry into
 // each replay (Telemetry{} disables it); ckpt threads the checkpoint and
 // restore directories (AppCheckpoint{} disables them).

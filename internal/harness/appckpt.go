@@ -2,11 +2,11 @@ package harness
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/network"
 	"repro/internal/snapshot"
 	"repro/internal/snapshot/codec"
-	"repro/internal/stats"
 )
 
 // App-replay checkpoints. An application-trace replay is a multi-class
@@ -15,59 +15,50 @@ import (
 // checkpoint container is the same one the synthetic paths use (warmImage:
 // a network image plus run state), with the multi-network image in the
 // network slot, so noxapp checkpoints share the file machinery and the
-// atomic-overwrite behavior of noxsim's.
-
-// appCursor is the replay state that lives outside the networks.
-type appCursor struct {
-	idx          int
-	pktID        uint64
-	latencySum   float64
-	latencySqSum float64
-	delivered    int64
-}
+// atomic-overwrite behavior of noxsim's. Only lockstep replays checkpoint.
 
 // saveAppCheckpoint persists a resumable replay checkpoint. Only call
-// between steps.
-func saveAppCheckpoint(path string, multi *network.Multi, col *stats.Collector, cur appCursor) error {
+// between steps. The packet-id allocator and delivered count follow from
+// the cursor and collector, and are kept for the format.
+func saveAppCheckpoint(path string, multi *network.Multi, s *appStream) error {
 	img, err := snapshot.EncodeMulti(multi)
 	if err != nil {
 		return err
 	}
 	e := codec.NewEncoder()
-	e.Int(cur.idx)
-	e.U64(cur.pktID)
-	e.F64(cur.latencySum)
-	e.F64(cur.latencySqSum)
-	e.I64(cur.delivered)
-	col.SaveState(e)
+	e.Int(s.idx)
+	e.U64(uint64(s.idx))
+	e.F64(float64(s.sum))
+	e.F64(float64(s.sqSum))
+	e.I64(s.col.Delivered())
+	s.col.SaveState(e)
 	return saveWarmFile(path, &warmImage{net: img, run: e.Bytes()})
 }
 
 // restoreAppCheckpoint restores a loaded replay checkpoint into the freshly
-// built multi-network and collector, returning the replay cursor. maxIdx
+// built multi-network and the lockstep stream's cursor and collector. maxIdx
 // bounds the event cursor (the trace length).
-func restoreAppCheckpoint(w *warmImage, multi *network.Multi, col *stats.Collector, maxIdx int) (appCursor, error) {
+func restoreAppCheckpoint(w *warmImage, multi *network.Multi, s *appStream, maxIdx int) error {
 	if err := snapshot.DecodeMultiInto(w.net, multi); err != nil {
-		return appCursor{}, err
+		return err
 	}
 	d := codec.NewDecoder(w.run)
-	var cur appCursor
-	cur.idx = d.Len(maxIdx)
-	cur.pktID = d.U64()
-	cur.latencySum = d.F64()
-	cur.latencySqSum = d.F64()
-	cur.delivered = d.I64()
+	idx, pktID := d.Len(maxIdx), d.U64()
+	sum, sqSum, delivered := d.F64(), d.F64(), d.I64()
 	if err := d.Err(); err != nil {
-		return cur, err
+		return err
 	}
-	if cur.delivered < 0 {
-		return cur, fmt.Errorf("%w: %d packets delivered", codec.ErrCorrupt, cur.delivered)
-	}
-	if err := col.RestoreState(d); err != nil {
-		return cur, err
+	if err := s.col.RestoreState(d); err != nil {
+		return err
 	}
 	if d.Remaining() != 0 {
-		return cur, fmt.Errorf("%w: %d trailing bytes after replay state", codec.ErrCorrupt, d.Remaining())
+		return fmt.Errorf("%w: %d trailing bytes after replay state", codec.ErrCorrupt, d.Remaining())
 	}
-	return cur, nil
+	if pktID != uint64(idx) || delivered != s.col.Delivered() ||
+		!(sum >= 0 && sum < math.MaxInt64 && sqSum >= 0 && sqSum < math.MaxInt64) {
+		return fmt.Errorf("%w: replay cursor (event %d, packet %d, %d delivered, latency sums %g/%g) disagrees with its record",
+			codec.ErrCorrupt, idx, pktID, delivered, sum, sqSum)
+	}
+	s.idx, s.sum, s.sqSum, s.cycle = idx, int64(sum), int64(sqSum), multi.Cycle()
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/noc"
@@ -65,7 +66,8 @@ func fullProbe(periodNs float64) *probe.Probe {
 // TestFlightReplayMatchesFullProbe triggers a recorder by hand at a fixed
 // cycle in each driver that arms one — a synthetic point (cold, sharded,
 // warm-started, and resumed from a checkpoint the run keeps overwriting),
-// an application-trace replay (sharded, and resumed the same way) and a
+// an application-trace replay (sharded, with its class networks on their
+// own goroutines, and resumed the same way) and a
 // future-study point — and requires the replayed dump to equal a
 // full-probe export of the same window.
 func TestFlightReplayMatchesFullProbe(t *testing.T) {
@@ -148,6 +150,15 @@ func TestFlightReplayMatchesFullProbe(t *testing.T) {
 		dir := t.TempDir()
 		rec := handRecorder(t, dir, trigger)
 		RunApp(AppConfig{Arch: router.NoX, Trace: tr, Shards: 2, Recorder: rec})
+		checkDump(t, dir, rec, fullApp())
+	})
+	t.Run("app-concurrent", func(t *testing.T) {
+		// Serial, unprobed and on two CPUs, the live replay steps each class
+		// network on its own goroutine; its dump replays in lockstep.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		dir := t.TempDir()
+		rec := handRecorder(t, dir, trigger)
+		RunApp(AppConfig{Arch: router.NoX, Trace: tr, Shards: 1, Recorder: rec})
 		checkDump(t, dir, rec, fullApp())
 	})
 	t.Run("app-restored", func(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -207,4 +208,32 @@ func FuzzCollectorRestore(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCollectorMerge: two collectors fed the halves of one packet stream
+// merge into exactly the collector fed all of it — the same saved bytes,
+// percentiles included — whichever half is larger, with latencies on both
+// sides of the dense ceiling, and an empty collector merges as a no-op.
+func TestCollectorMerge(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 9))
+	lats := make([]int64, 3000)
+	for i := range lats {
+		lats[i] = r.Int64N(300)
+		if i%97 == 0 {
+			lats[i] = denseCeiling + r.Int64N(1000)
+		}
+	}
+	for _, cut := range []int{0, 10, 2500, len(lats)} {
+		whole, a, b := NewCollector(0, 1<<20), NewCollector(0, 1<<20), NewCollector(0, 1<<20)
+		recordAll(whole, lats)
+		recordAll(a, lats[:cut])
+		recordAll(b, lats[cut:])
+		a.Merge(b)
+		if got, want := saved(a), saved(whole); !bytes.Equal(got, want) {
+			t.Errorf("cut %d: merged record differs from the whole stream's", cut)
+		}
+		if got, want := a.PercentileLatencyCycles(0.99), whole.PercentileLatencyCycles(0.99); got != want {
+			t.Errorf("cut %d: merged P99 %v, want %v", cut, got, want)
+		}
+	}
 }

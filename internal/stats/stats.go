@@ -87,6 +87,28 @@ func (c *Collector) OnDeliver(p *noc.Packet, cycle int64) {
 	}
 }
 
+// Merge folds o's measurements into c, which then holds exactly what one
+// collector fed both packet streams would hold. The windows must agree.
+func (c *Collector) Merge(o *Collector) {
+	if c.MeasureStart != o.MeasureStart || c.MeasureEnd != o.MeasureEnd {
+		panic("stats: merging collectors of different windows")
+	}
+	c.created += o.created
+	c.delivered += o.delivered
+	c.latencySum += o.latencySum
+	c.latencyMax = max(c.latencyMax, o.latencyMax)
+	if len(o.counts) > len(c.counts) {
+		c.counts = append(c.counts, make([]int64, len(o.counts)-len(c.counts))...)
+	}
+	for l, k := range o.counts {
+		c.counts[l] += k
+	}
+	c.overflow = append(c.overflow, o.overflow...)
+	c.windowFlits += o.windowFlits
+	c.windowPackets += o.windowPackets
+	c.createdFlits += o.createdFlits
+}
+
 // add files one non-negative latency in the histogram.
 func (c *Collector) add(l int64) {
 	if uint64(l) < uint64(len(c.counts)) {
