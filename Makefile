@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint test test-ids alloc-guard race shard-race ab bench bench-json bench-compare bench-smoke bench-repo-smoke cli-smoke results-check trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke
+.PHONY: check build fmt vet lint test test-ids alloc-guard race shard-race ab ab-smoke bench-repo-smoke cli-smoke results-check trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke
 
 ## check: the CI gate — build, gofmt, vet, static analysis, the allocation guards
 ## (seconds: an allocation back in the inject/step/deliver loop fails before
@@ -12,9 +12,9 @@ GO ?= go
 ## tests, a short fuzz pass over
 ## the user-facing decoders and the arrival skip-ahead and skip map, the
 ## committed results files that regenerate in seconds, the repo
-## benchmark's own tests, and a soft benchmark-regression check against the
-## newest committed snapshot.
-check: build fmt vet lint alloc-guard race shard-race cli-smoke results-check trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-repo-smoke bench-compare
+## benchmark's own tests, and one A/A pair through the paired benchmark
+## runner.
+check: build fmt vet lint alloc-guard race shard-race cli-smoke results-check trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-repo-smoke ab-smoke
 
 build:
 	$(GO) build ./...
@@ -86,66 +86,22 @@ shard-race:
 ## metric both medians and quartiles, the pairs the head won and an exact
 ## two-sided sign-test p; fails when the sides of a pair disagree on digest,
 ## cells, link_flits or paper_gap_pp; writes BENCH_<stamp>.json (nox-ab/v1;
-## refused from a dirty tree, as noxbench snapshots are).
+## refused from a dirty tree unless noxbench is given -allow-dirty).
 N ?= 10
 ab:
 	@test -n "$(BASE)" -a -n "$(W)" || { echo "ab: BASE=<rev> and W=<workload> are required" >&2; exit 2; }
-	$(GO) run ./cmd/noxbench -ab -base '$(BASE)' $(if $(HEAD),-head '$(HEAD)') -workload '$(W)' -n $(N)
+	$(GO) run ./cmd/noxbench -base '$(BASE)' $(if $(HEAD),-head '$(HEAD)') -workload '$(W)' -n $(N)
 
-## bench: one pass over every paper-figure benchmark plus the kernel
-## microbenchmarks (allocation counts included).
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
-
-## bench-json: run the benchmark suite and snapshot it to BENCH_<stamp>.json
-## (name -> ns/op, allocs/op, custom metrics) so the perf trajectory is
-## machine-tracked in version control. Committed snapshots are the baseline
-## future PRs compare against.
-bench-json:
-	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
-	$(GO) test -run '^$$' -bench . -benchtime 1x . | tee "$$tmp" && \
-	$(GO) run ./cmd/noxbench -in "$$tmp"
-
-## bench-compare: run the benchmark suite once and diff it against the newest
-## committed BENCH_*.json snapshot (schema nox-bench/v1; `make ab` records,
-## nox-ab/v1, share the name pattern) via `noxbench -compare`. The threshold is a
-## deliberately generous 50%: `-benchtime 1x` single-iteration timings are
-## noisy (machine load, turbo state), so only a gross slowdown should trip
-## it. Slowdowns under noxbench's absolute noise floor (-floor, default
-## 50µs) never trip regardless of percentage — nanosecond-scale benchmarks
-## jitter past any relative threshold on timer granularity alone.
-## Soft gate: a regression prints a loud warning but does not fail
-## `make check` — timings from different machines are not comparable, and
-## the committed snapshots are the authoritative record. Investigate any
-## warning with a longer -benchtime run before trusting it. The snapshot it
-## writes is thrown away with the temp dir, so it is taken with -allow-dirty
-## (as bench-smoke does): check runs on working trees.
-bench-compare:
-	@base=$$(grep -l '"schema": "nox-bench/v1"' BENCH_*.json 2>/dev/null | sort | tail -n 1); \
-	if [ -z "$$base" ]; then echo "bench-compare: no committed BENCH_*.json baseline, skipping"; exit 0; fi; \
-	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) test -run '^$$' -bench . -benchtime 1x . > "$$tmp/bench.txt" && \
-	$(GO) run ./cmd/noxbench -in "$$tmp/bench.txt" -out "$$tmp/new.json" -allow-dirty && \
-	{ $(GO) run ./cmd/noxbench -compare -threshold 0.50 "$$base" "$$tmp/new.json" || \
-	  { [ $$? -eq 1 ] && echo "bench-compare: WARNING: regression vs $$base (soft gate, check not failed)"; }; }
-
-## bench-smoke: the cheapest end-to-end exercise of the benchmark tooling —
-## run the three fastest benchmarks, snapshot them through noxbench
-## (-allow-dirty: smoke runs happen on working trees), and -compare against
-## the newest committed baseline at a deliberately loose threshold (200%,
-## absolute floor still applies). This is a tooling pipeline check plus a
-## gross-regression tripwire cheap enough for every push, not a perf gate —
-## the committed BENCH_*.json snapshots remain the authoritative record.
-bench-smoke:
+## ab-smoke: the runner end to end on real benchmark output — one A/A pair of
+## HEAD against itself on lowload-uniform (two worktree checkouts, two builds
+## by their own benchmark/run.sh, the exact-fact guard, the summary), with the
+## nox-ab/v1 record written to stdout; ~60 s on 2 CPUs with both builds cold.
+ab-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	set -e; \
-	$(GO) test -run '^$$' -bench 'Table1SystemParameters|Table2ClockPeriods|NetworkCycleSparse' \
-		-benchtime 1x . | tee "$$tmp/bench.txt" && \
-	$(GO) run ./cmd/noxbench -in "$$tmp/bench.txt" -out "$$tmp/smoke.json" -allow-dirty && \
-	base=$$(grep -l '"schema": "nox-bench/v1"' BENCH_*.json 2>/dev/null | sort | tail -n 1); \
-	if [ -z "$$base" ]; then echo "bench-smoke: no committed BENCH_*.json baseline, skipping compare"; exit 0; fi; \
-	$(GO) run ./cmd/noxbench -compare -threshold 2.0 "$$base" "$$tmp/smoke.json" && \
-	echo "bench-smoke: OK"
+	$(GO) run ./cmd/noxbench -base HEAD -head HEAD -workload lowload-uniform -n 1 -out - > "$$tmp/ab.txt"; \
+	grep -q '"schema": "nox-ab/v1"' "$$tmp/ab.txt" || { echo "ab-smoke: no nox-ab/v1 record" >&2; cat "$$tmp/ab.txt" >&2; exit 1; }; \
+	echo "ab-smoke: OK"
 
 ## cli-smoke: the tools' flag boundary. Build every tool once, then feed it
 ## values that once panicked (an empty application trace, a negative shard
@@ -346,7 +302,7 @@ snapshot-smoke:
 	echo "snapshot-smoke: OK"
 
 ## fuzz-smoke: a short native-fuzz pass over the user-facing decoders
-## (noxtrace -validate, noxbench snapshot JSON, the binary snapshot image
+## (noxtrace -validate, noxbench's reader of benchmark run output, the binary snapshot image
 ## decoder, the latency record's restore, the JSON fault-campaign spec) and
 ## the traffic sources' skip-ahead Next, plain and following a skip map,
 ## against its Tick-loop specification. The committed seed corpora always run under plain

@@ -19,14 +19,6 @@ import (
 	"repro/internal/version"
 )
 
-// A/B mode (-ab, `make ab`): the paired runner a wall-time claim goes
-// through. It checks the base revision out into a git worktree, runs each
-// tree's benchmark (benchmark/run.sh, as BENCHMARK.json declares it) in
-// alternating pairs at seeds derived from the head revision, and reports
-// per metric both sides' medians and quartiles, the pairs the head won and
-// an exact sign-test p. The two sides of a pair run the same seed, so the
-// exact simulated facts must agree: a difference fails the run.
-
 // exactFacts are the info-line facts that two sides of a pair must share.
 var exactFacts = []string{"digest", "cells", "link_flits", "paper_gap_pp"}
 
@@ -70,9 +62,10 @@ type abRecord struct {
 	Workload     string     `json:"workload"`
 	Pairs        []abPair   `json:"pairs"`
 	Summary      []abMetric `json:"summary"`
+	Unmeasured   []string   `json:"unmeasured,omitempty"` // contract metrics left out of Summary
 }
 
-// contract is the part of BENCHMARK.json the A/B mode reads.
+// contract is the part of BENCHMARK.json the runner reads.
 type contract struct {
 	RunSeconds float64  `json:"run_seconds"`
 	EndToEnd   []metric `json:"end_to_end"`
@@ -124,6 +117,9 @@ func parseBenchOutput(out []byte) (abRun, error) {
 		if strings.TrimSpace(line) != "" {
 			last = line
 		}
+	}
+	if err := sc.Err(); err != nil {
+		return r, err
 	}
 	var res struct {
 		Correct bool `json:"correct"`
@@ -215,10 +211,15 @@ func signTestP(won, n int) float64 {
 	return min(1, 2*tail/math.Exp2(float64(n)))
 }
 
-// summarize folds a workload's pairs into one line per contract metric.
-func summarize(pairs []abPair, c contract) []abMetric {
-	var out []abMetric
+// summarize folds a workload's pairs into one line per contract metric. A
+// metric that some run did not report (a base older than the metric) is left
+// out, with a note naming the side that lacks it, rather than read as 0.
+func summarize(pairs []abPair, c contract) (out []abMetric, unmeasured []string) {
 	for _, m := range c.EndToEnd {
+		if side := unmeasuredOn(pairs, m.Name); side != "" {
+			unmeasured = append(unmeasured, m.Name+": not measured on "+side)
+			continue
+		}
 		s := abMetric{Metric: m.Name, Better: m.Better}
 		var base, head []float64
 		for _, p := range pairs {
@@ -237,7 +238,30 @@ func summarize(pairs []abPair, c contract) []abMetric {
 		s.P = signTestP(s.Won, s.Decided)
 		out = append(out, s)
 	}
-	return out
+	return out, unmeasured
+}
+
+// unmeasuredOn names the sides ("base", "head" or "base and head") on which
+// some run did not report the metric, or returns "" when every run did.
+func unmeasuredOn(pairs []abPair, name string) string {
+	var sides []string
+	for i, side := range []string{"base", "head"} {
+		for _, p := range pairs {
+			if _, ok := [2]abRun{p.Base, p.Head}[i].Metrics[name]; !ok {
+				sides = append(sides, side)
+				break
+			}
+		}
+	}
+	return strings.Join(sides, " and ")
+}
+
+// pctDelta returns the relative change from oldV to newV as a percentage.
+func pctDelta(oldV, newV float64) float64 {
+	if oldV == 0 {
+		return 0
+	}
+	return (newV - oldV) / oldV * 100
 }
 
 func printSummary(w io.Writer, rec abRecord) {
@@ -249,6 +273,9 @@ func printSummary(w io.Writer, rec abRecord) {
 			fmt.Sprintf("%.4g [%.4g, %.4g]", m.Head[1], m.Head[0], m.Head[2]),
 			pctDelta(m.Base[1], m.Head[1]), m.Won, m.Decided, m.P)
 	}
+	for _, note := range rec.Unmeasured {
+		fmt.Fprintf(w, "  %s, left out\n", note)
+	}
 }
 
 func git(args ...string) (string, error) {
@@ -259,7 +286,7 @@ func git(args ...string) (string, error) {
 	return strings.TrimSpace(string(out)), nil
 }
 
-// runAB is the -ab mode: n pairs of the workload, base against head (the
+// runAB runs n pairs of the workload, base against head (the
 // working tree when ""). It returns the exit status.
 func runAB(stdout, stderr io.Writer, base, head, workload string, n int, out string, allowDirty bool) int {
 	fail := func(err error) int { fmt.Fprintln(stderr, "noxbench:", err); return 1 }
@@ -269,7 +296,7 @@ func runAB(stdout, stderr io.Writer, base, head, workload string, n int, out str
 		err = json.Unmarshal(data, &c)
 	}
 	if err != nil || n < 1 || base == "" || workload == "" {
-		return fail(fmt.Errorf("-ab needs -base, -workload, -n >= 1 and the repository root as working directory (BENCHMARK.json: %v)", err))
+		return fail(fmt.Errorf("needs -base, -workload, -n >= 1 and the repository root as working directory (BENCHMARK.json: %v)", err))
 	}
 	tmp, err := os.MkdirTemp("", "noxab-")
 	if err != nil {
@@ -315,7 +342,8 @@ func runAB(stdout, stderr io.Writer, base, head, workload string, n int, out str
 	if rec.Pairs, err = abPairs(benchRunner(c.RunSeconds), baseDir, headDir, rec.HeadSHA, workload, n, stderr); err != nil {
 		return fail(err)
 	}
-	rec.HostLine, rec.Summary = rec.Pairs[0].Head.host, summarize(rec.Pairs, c)
+	rec.HostLine = rec.Pairs[0].Head.host
+	rec.Summary, rec.Unmeasured = summarize(rec.Pairs, c)
 	printSummary(stdout, rec)
 	if data, err = json.MarshalIndent(rec, "", "  "); err == nil {
 		if data = append(data, '\n'); out == "-" {

@@ -72,7 +72,10 @@ func TestABPairs(t *testing.T) {
 	if len(seeds) != 4 || pairs[1].First != "head" {
 		t.Errorf("seeds %v, second pair first side %q", seeds, pairs[1].First)
 	}
-	sum := summarize(pairs, contract{EndToEnd: []metric{{"wall_s", "lower"}, {"alloc_mb", "lower"}}})
+	sum, unmeasured := summarize(pairs, contract{EndToEnd: []metric{{"wall_s", "lower"}, {"alloc_mb", "lower"}}})
+	if len(sum) != 2 || unmeasured != nil {
+		t.Fatalf("summary %+v, unmeasured %q: want both metrics measured", sum, unmeasured)
+	}
 	if w := sum[0]; w.Won != 4 || w.Decided != 4 || w.P != 0.125 || !(w.Head[1] < w.Base[1]) {
 		t.Errorf("wall_s summary %+v, want 4/4 head wins", w)
 	}
@@ -87,24 +90,77 @@ func TestABPairs(t *testing.T) {
 	}
 }
 
+// TestCompareImprovementNeverFails: the summary counts a head win by the
+// metric's direction, so a head that reads higher on a "higher" metric wins
+// every pair and one that reads lower loses every pair.
+func TestCompareImprovementNeverFails(t *testing.T) {
+	var pairs []abPair
+	for i := range 4 {
+		v := float64(10 + i)
+		pairs = append(pairs, abPair{
+			Base: abRun{Metrics: map[string]float64{"sim_mcycles_per_s": v, "wall_s": v}},
+			Head: abRun{Metrics: map[string]float64{"sim_mcycles_per_s": 2 * v, "wall_s": 2 * v}},
+		})
+	}
+	sum, _ := summarize(pairs, contract{EndToEnd: []metric{{"sim_mcycles_per_s", "higher"}, {"wall_s", "lower"}}})
+	if up := sum[0]; up.Won != 4 || up.Decided != 4 || up.Head[1] <= up.Base[1] {
+		t.Errorf("higher metric summary %+v, want 4/4 head wins", up)
+	}
+	if down := sum[1]; down.Won != 0 || down.Decided != 4 {
+		t.Errorf("lower metric summary %+v, want 0/4 head wins", down)
+	}
+}
+
+// TestCompareMissingMetrics: a contract metric that some run did not report
+// (a base that predates it) is left out of the summary with a note naming
+// the side that lacks it; it is never read as 0 and counted as a win.
+func TestCompareMissingMetrics(t *testing.T) {
+	pairs := []abPair{
+		{Base: abRun{Metrics: map[string]float64{"wall_s": 2}}, Head: abRun{Metrics: map[string]float64{"wall_s": 1.9, "setup_s": 0.1}}},
+		{Base: abRun{Metrics: map[string]float64{"wall_s": 2.1}}, Head: abRun{Metrics: map[string]float64{"wall_s": 2, "setup_s": 0.1}}},
+	}
+	c := contract{EndToEnd: []metric{{"wall_s", "lower"}, {"setup_s", "lower"}, {"peak_rss_mb", "lower"}}}
+	sum, unmeasured := summarize(pairs, c)
+	if len(sum) != 1 || sum[0].Metric != "wall_s" || sum[0].Won != 2 {
+		t.Errorf("summary %+v, want wall_s alone, won 2/2", sum)
+	}
+	want := []string{"setup_s: not measured on base", "peak_rss_mb: not measured on base and head"}
+	if strings.Join(unmeasured, "|") != strings.Join(want, "|") {
+		t.Errorf("unmeasured %q, want %q", unmeasured, want)
+	}
+	var out strings.Builder
+	printSummary(&out, abRecord{Workload: "w", Pairs: pairs, Summary: sum, Unmeasured: unmeasured})
+	if !strings.Contains(out.String(), "setup_s: not measured on base, left out") {
+		t.Errorf("summary does not note the unmeasured metric:\n%s", out.String())
+	}
+}
+
+// lowloadRun is a benchmark/run.sh run of lowload-uniform, verbatim.
+const lowloadRun = `host: nproc=2 GOMAXPROCS=2 cpu="Intel(R) Xeon(R) Processor" go=go1.24.0 git=a9f6f8fab998 load1=1.70
+repetitions: wall_s=[1.343 1.349 1.248 1.270 1.337 1.281] alloc_mb=[3.0 3.0 3.0 3.0 3.0 3.0] setup_s=[0.0553 0.0602 0.0755 0.0762 0.0763 0.0764 0.0797]
+workload lowload-uniform seed 7: end-to-end metrics (timings are medians of n=6 repetitions)
+  wall_s                                         1.3091 s
+  sim_mcycles_per_s                             2.77749 Mcycles/s
+  host_ns_per_flit_hop                          398.924 ns
+  alloc_mb                                      2.98658 MB
+  peak_rss_mb                                    12.375 MB
+  setup_s                                     0.0762308 s
+info cells=12 digest=f644c68526516287 link_flits=3281573 paper_gap_pp=0 reps=6
+{"correct":true,"attempted":72,"failed":0,"metrics":{"alloc_mb":{"value":2.986584,"unit":"MB"},"host_ns_per_flit_hop":{"value":398.9236646571629,"unit":"ns"},"peak_rss_mb":{"value":12.375,"unit":"MB"},"setup_s":{"value":0.076230773,"unit":"s"},"sim_mcycles_per_s":{"value":2.7774868075163073,"unit":"Mcycles/s"},"wall_s":{"value":1.309097127,"unit":"s"}}}
+`
+
 // TestParseBenchOutput reads the host line, the info line's facts and the
 // closing result object, and rejects a run that is not correct.
 func TestParseBenchOutput(t *testing.T) {
-	out := `host: nproc=2 GOMAXPROCS=2 cpu="x" go=go1.24.0 git=a977cdc32bc9 load1=0.50
-repetitions: wall_s=[2.0 2.1] alloc_mb=[10.0 10.0] setup_s=[0.1]
-workload fig10-apps seed 5: end-to-end metrics (timings are medians of n=2 repetitions)
-info cells=32 digest=3f2a link_flits=123 paper_gap_pp=1.25 reps=2
-{"correct":true,"attempted":64,"failed":0,"metrics":{"wall_s":{"value":2.05,"unit":"s"}}}
-`
-	r, err := parseBenchOutput([]byte(out))
+	r, err := parseBenchOutput([]byte(lowloadRun))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.host != `nproc=2 GOMAXPROCS=2 cpu="x" go=go1.24.0 git=a977cdc32bc9 load1=0.50` ||
-		r.Facts["digest"] != "3f2a" || r.Facts["paper_gap_pp"] != "1.25" || r.Metrics["wall_s"] != 2.05 {
+	if r.host != `nproc=2 GOMAXPROCS=2 cpu="Intel(R) Xeon(R) Processor" go=go1.24.0 git=a9f6f8fab998 load1=1.70` ||
+		r.Facts["digest"] != "f644c68526516287" || r.Facts["paper_gap_pp"] != "0" || r.Metrics["wall_s"] != 1.309097127 || len(r.Metrics) != 6 {
 		t.Errorf("misparsed: %+v", r)
 	}
-	bad := strings.Replace(out, `"correct":true,"attempted":64,"failed":0`, `"correct":false,"attempted":64,"failed":1`, 1)
+	bad := strings.Replace(lowloadRun, `"correct":true,"attempted":72,"failed":0`, `"correct":false,"attempted":72,"failed":1`, 1)
 	if _, err := parseBenchOutput([]byte(bad)); err == nil {
 		t.Error("a run with a failed cell parsed as a result")
 	}

@@ -1,35 +1,47 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
 
-// FuzzDecodeSnapshot drives the -compare path's snapshot decoder on
-// arbitrary bytes: it must never panic, every accepted snapshot carries the
-// nox-bench schema tag, and an accepted snapshot survives a full
-// self-comparison (which must report zero regressions — a snapshot cannot
-// be slower than itself).
+// FuzzDecodeSnapshot drives parseBenchOutput, the reader of a benchmark
+// run's output, on arbitrary bytes: it must never panic, and a run it
+// accepts must close on a result object that says correct:true and
+// failed:0.
 func FuzzDecodeSnapshot(f *testing.F) {
-	f.Add([]byte(`{"schema":"nox-bench/1","generated_utc":"2026-01-01T00:00:00Z","benchmarks":[{"name":"BenchmarkNetworkCycleSteady/arch=NoX","iterations":1,"ns_per_op":120000,"bytes_per_op":0,"allocs_per_op":0}]}`))
-	f.Add([]byte(`{"schema":"nox-bench/1","benchmarks":[]}`))
-	f.Add([]byte(`{"schema":"nox-bench/1","benchmarks":[{"name":"B","ns_per_op":-1,"bytes_per_op":-1,"allocs_per_op":-1,"metrics":{"cycles/sec":1e9}}]}`))
-	f.Add([]byte(`{"schema":"wrong/1"}`))
-	f.Add([]byte(`{"schema":123}`))
-	f.Add([]byte(`{`))
+	head, result, _ := strings.Cut(lowloadRun, "{")
+	f.Add([]byte(lowloadRun))
+	f.Add([]byte(head + "cell sweep/nox/r200: digest 3f2a, want 9c1e\n" +
+		strings.Replace("{"+result, `"correct":true,"attempted":72,"failed":0`, `"correct":false,"attempted":72,"failed":1`, 1)))
+	f.Add([]byte(head + "metric wall_s reported 0 times, want once\n" +
+		strings.Replace("{"+result, `"correct":true`, `"correct":false`, 1)))
+	f.Add([]byte(head + strings.Replace("{"+result, `"failed":0`, `"failed":2`, 1)))
+	f.Add([]byte("# repro/benchmark\n./main.go:12:2: undefined: harness.RunApp\n"))
+	f.Add([]byte(strings.ReplaceAll(lowloadRun, "\n", "\r\n")))
+	f.Add([]byte(lowloadRun + "\n\n  \n"))
 	f.Add([]byte(``))
-	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := decodeSnapshot(data)
+		r, err := parseBenchOutput(data)
 		if err != nil {
 			return
 		}
-		if !strings.HasPrefix(s.Schema, "nox-bench/") {
-			t.Fatalf("accepted snapshot with schema %q", s.Schema)
+		if r.Metrics == nil || r.Facts == nil {
+			t.Fatalf("accepted run with nil maps: %+v", r)
 		}
-		res := compareSnapshots(s, s, 0.10, 100)
-		if len(res.Regressions) != 0 {
-			t.Fatalf("self-comparison reported regressions: %v", res.Regressions)
+		var last string
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.TrimSpace(line) != "" {
+				last = line
+			}
+		}
+		var res struct {
+			Correct bool `json:"correct"`
+			Failed  int  `json:"failed"`
+		}
+		if err := json.Unmarshal([]byte(last), &res); err != nil || !res.Correct || res.Failed != 0 {
+			t.Fatalf("accepted a run whose last line %q is not a correct result (%+v, %v)", last, res, err)
 		}
 	})
 }

@@ -1,50 +1,13 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestParse covers the three line shapes `go test -bench` emits: plain
-// timing, timing with allocation stats, and custom ReportMetric units —
-// plus the chatter lines that must be ignored.
-func TestParse(t *testing.T) {
-	input := strings.Join([]string{
-		"goos: linux",
-		"goarch: amd64",
-		"pkg: repro",
-		"BenchmarkNetworkCycle/NoX-8         \t    1234\t    985432 ns/op\t       0 B/op\t       0 allocs/op",
-		"BenchmarkFigure8SyntheticLatency-8  \t       1\t 123456789 ns/op\t      2775 NoX-sat-MB/s/node",
-		"BenchmarkTable1SystemParameters     \t  500000\t      2101 ns/op",
-		"--- BENCH: not a result line",
-		"PASS",
-		"ok  \trepro\t12.3s",
-	}, "\n")
-	benches, err := Parse(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(benches) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3", len(benches))
-	}
-	cyc := benches[0]
-	if cyc.Name != "BenchmarkNetworkCycle/NoX-8" || cyc.Iterations != 1234 ||
-		cyc.NsPerOp != 985432 || cyc.AllocsPerOp != 0 || cyc.BytesPerOp != 0 {
-		t.Errorf("alloc-reporting line misparsed: %+v", cyc)
-	}
-	fig := benches[1]
-	if fig.NsPerOp != 123456789 || fig.Metrics["NoX-sat-MB/s/node"] != 2775 {
-		t.Errorf("custom metric misparsed: %+v", fig)
-	}
-	if fig.AllocsPerOp != -1 || fig.BytesPerOp != -1 {
-		t.Errorf("unreported alloc stats should be -1: %+v", fig)
-	}
-	if tab := benches[2]; tab.Iterations != 500000 || tab.NsPerOp != 2101 {
-		t.Errorf("plain line misparsed: %+v", tab)
-	}
-}
-
-// TestDirtyGuard pins the snapshot provenance rule: file writes from a
+// TestDirtyGuard pins the record provenance rule: file writes from a
 // dirty tree are refused without -allow-dirty, loudly warned with it, and
 // stdout output or a clean tree always passes.
 func TestDirtyGuard(t *testing.T) {
@@ -58,10 +21,47 @@ func TestDirtyGuard(t *testing.T) {
 	if err != nil {
 		t.Errorf("dirty tree with -allow-dirty refused: %v", err)
 	}
-	if !strings.Contains(warn, "WARNING") || !strings.Contains(warn, "git_dirty") {
+	if !strings.Contains(warn, "WARNING") || !strings.Contains(warn, "head_dirty") {
 		t.Errorf("dirty override warning not loud enough: %q", warn)
 	}
 	if warn, err := dirtyGuard("-", true, false); err != nil || warn != "" {
 		t.Errorf("stdout output from dirty tree: warn=%q err=%v, want silence", warn, err)
+	}
+}
+
+// TestRunCompareExitCodes: runAB exits 1 with a message on a missing -base,
+// a missing -workload, -n below 1, or a working directory without
+// BENCHMARK.json, before it calls git (PATH holds no git, so a git call
+// would fail with another message).
+func TestRunCompareExitCodes(t *testing.T) {
+	t.Setenv("PATH", t.TempDir())
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	root, bare := t.TempDir(), t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, "BENCHMARK.json"), []byte(`{"run_seconds":8,"end_to_end":[{"name":"wall_s","better":"lower"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, dir, base, workload string
+		n                         int
+	}{
+		{"no base", root, "", "fig10-apps", 10},
+		{"no workload", root, "HEAD", "", 10},
+		{"zero pairs", root, "HEAD", "fig10-apps", 0},
+		{"no BENCHMARK.json", bare, "HEAD", "fig10-apps", 10},
+	} {
+		if err := os.Chdir(c.dir); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr strings.Builder
+		if st := runAB(&stdout, &stderr, c.base, "", c.workload, c.n, "-", false); st != 1 {
+			t.Errorf("%s: exit %d, want 1", c.name, st)
+		}
+		if !strings.Contains(stderr.String(), "noxbench: needs -base, -workload, -n >= 1") || stdout.Len() != 0 {
+			t.Errorf("%s: stderr %q, stdout %q: want the usage message alone", c.name, stderr.String(), stdout.String())
+		}
 	}
 }

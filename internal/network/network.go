@@ -131,15 +131,16 @@ func (c *Config) fill() {
 // phase barrier cannot spin and sharding loses to serial at every size.
 //
 // The crossover is where the default measurably paid for the CPUs it takes
-// when it was set (BenchmarkNetworkCycleLarge -benchtime 2000x, 2 CPUs,
-// loaded NoX cycle, serial vs two shards): 16x16 34-37 vs 28-62 us — 1.1x at
-// best and a loss at worst, for twice the CPU, which a parallel sweep would
+// when it was set (the since-deleted BenchmarkNetworkCycleLarge, 2000 warmed
+// cycles, 2 CPUs, loaded NoX cycle, serial vs two shards): 16x16 34-37 vs
+// 28-62 us — 1.1x at best and a loss at worst, for twice the CPU, which a parallel sweep would
 // rather spend on another cell; 24x24 110 vs 80 us; 32x32 328-336 vs 176-183
 // us. The per-port router records since made the serial step ~30 % cheaper
 // and the sharded one ~10 %: 24x24 now reads 82-85 vs 78 us (a tie) and
 // 32x32 229-241 vs 154-164 us (1.45x), so the crossover is due a re-measure
 // upward; it is left where it was because moving it is a policy change of
-// its own.
+// its own. The live rig is the repo benchmark's network.shard_speedup.mesh32
+// (benchmark/, serial vs AutoShards on a loaded 32x32 NoX mesh).
 func AutoShards(routers int) int {
 	procs := runtime.GOMAXPROCS(0)
 	if routers < 576 || procs == 1 {

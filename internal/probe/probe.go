@@ -14,9 +14,10 @@
 // layer (internal/core, internal/router, internal/noc, internal/network,
 // internal/sim) can emit into it without import cycles. All emit sites in
 // the simulator are guarded by a nil check — a nil *Probe is the disabled
-// state and costs nothing on the hot path (BenchmarkNetworkCycle stays at
-// 0 allocs/op). A Probe itself never allocates per event: the ring buffer is
-// preallocated and wraps, keeping the most recent events.
+// state and costs nothing on the hot path (internal/network's
+// TestSteadyStateAllocs pins the loaded cycle at 0 allocs/op). A Probe
+// itself never allocates per event: the ring buffer is preallocated and
+// wraps, keeping the most recent events.
 //
 // A Probe belongs to one stepping goroutine, so a probed network runs
 // serially (network.Config.Validate refuses a probe on more than one

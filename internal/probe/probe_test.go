@@ -47,7 +47,7 @@ func TestRingRoundsUpToPowerOfTwo(t *testing.T) {
 // TestEmitDoesNotAllocate is the package-local half of the zero-cost
 // contract: recording an event into the preallocated ring must not allocate
 // (the network-level half — nil probes costing nothing — is pinned by
-// BenchmarkNetworkCycle's 0 allocs/op).
+// internal/network's TestSteadyStateAllocs at 0 allocs/op).
 func TestEmitDoesNotAllocate(t *testing.T) {
 	p := New(Config{RingEvents: 64})
 	p.Attach(2, 2, 5, 4, 4)

@@ -1,7 +1,7 @@
 // Package version stamps the cmd tools with build provenance: the working
 // tree's git commit (and dirty state), the Go toolchain, and the host. Every
 // tool exposes it behind -version via the two-line Flag/ExitIf pair, and
-// noxbench embeds the same provenance in its benchmark snapshots, so a
+// noxbench embeds the same provenance in its A/B records, so a
 // number in a report can always be traced back to the code that produced it.
 package version
 
