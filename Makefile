@@ -8,7 +8,7 @@ GO ?= go
 ## under the race detector (the parallel experiment engine makes this
 ## mandatory), the sharded executor's barrier at three GOMAXPROCS
 ## settings, the tools' bad-input exits, the tracing, fault-injection
-## (transient and permanent), live telemetry, and checkpoint/restore smoke
+## (transient and permanent), live telemetry, and warm-image smoke
 ## tests, a short fuzz pass over
 ## the user-facing decoders and the arrival skip-ahead and skip map, the
 ## committed results files that regenerate in seconds, the repo
@@ -115,10 +115,9 @@ ab-smoke:
 ## -csv or -kill without -degrade, a warm start no degrade cell can use; an
 ## ablation or §8 rate no run can mean or offer, an unknown ablation study, a
 ## trace run with a negative cycle count, drain limit, ring or sampling
-## interval, an app replay checkpointing every 0 or a negative number of
-## cycles, or restoring from a directory that is not there, which cold-started
-## every replay): each must exit with status 1 and a message within 10 s, never
-## a panic trace.
+## interval, or a warm-start sweep restoring from a directory that is not
+## there, which re-warmed every architecture): each must exit with status 1
+## and a message within 10 s, never a panic trace.
 ## The tools run in the temp directory, so a regression cannot litter the tree.
 cli-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
@@ -135,7 +134,7 @@ cli-smoke:
 		"noxtrace -cycles -5" "noxtrace -flits -3" "noxtrace -flits 0" "noxtrace -drain -5" "noxtrace -ring -1" "noxtrace -sample -5" \
 		"noxfault -degrade 1 -load 0" "noxfault -degrade 1 -load 1" "noxfault -width 1 -height 1" "noxfault -drain -5" \
 		"noxfault -watchdog -5" "noxfault -warmstart -5" "noxfault -csv x.csv" "noxfault -kill 5" "noxfault -degrade 2 -warmstart 100" \
-		"noxapp -checkpoint d -checkpoint-every 0" "noxapp -checkpoint-every -5" "noxapp -restore nosuchdir"; do \
+		"noxsweep -restore nosuchdir"; do \
 		st=0; timeout 10 "$$tmp/"$$c >/dev/null 2>"$$tmp/err" || st=$$?; \
 		if [ $$st -ne 1 ] || grep -qE '^(panic: |goroutine )' "$$tmp/err"; then \
 			echo "cli-smoke: $$c: exit $$st, want 1 without a panic" >&2; cat "$$tmp/err" >&2; exit 1; \
@@ -274,26 +273,17 @@ telemetry-smoke:
 	"$$tmp/noxtrace" -validate-metrics "$$tmp/metrics.txt"; \
 	echo "telemetry-smoke: OK"
 
-## snapshot-smoke: checkpoint/restore end to end under the race detector —
-## interrupt a noxsim run via periodic -checkpoint, resume it with -restore,
-## and require the resumed run's report to be byte-identical to the
-## uninterrupted run's. Then do the warm-start equivalent with noxsweep: a
-## -warmstart sweep that persists its warm images must render the same CSV
-## as a second sweep that -restores them from the cache. First, the format
-## itself: the committed images an earlier commit wrote must restore, re-encode
-## to the same bytes and drain as they did there (TestParentImagesRestore).
+## snapshot-smoke: warm images end to end under the race detector. First, the
+## format itself: the committed images an earlier commit wrote must restore,
+## re-encode to the same bytes and drain as they did there
+## (TestParentImagesRestore). Then noxsweep's warm cache: a -warmstart sweep
+## that persists its warm images must render the same CSV as a second sweep
+## that -restores them from the cache. (The mid-run save/restore seam is
+## pinned by TestMidRunSaveRestoreEquivalence, which make race runs.)
 snapshot-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	set -e; \
 	$(GO) test -race -count=1 -run 'TestParentImagesRestore' ./internal/snapshot && \
-	$(GO) run -race ./cmd/noxsim -arch nox -pattern uniform -rate 1400 \
-		-warmup 1000 -measure 3000 > "$$tmp/straight.txt" && \
-	$(GO) run -race ./cmd/noxsim -arch nox -pattern uniform -rate 1400 \
-		-warmup 1000 -measure 3000 -checkpoint "$$tmp/sim.noxckpt" -checkpoint-every 1500 \
-		> /dev/null && \
-	$(GO) run -race ./cmd/noxsim -arch nox -pattern uniform -rate 1400 \
-		-warmup 1000 -measure 3000 -restore "$$tmp/sim.noxckpt" > "$$tmp/resumed.txt" && \
-	cmp "$$tmp/straight.txt" "$$tmp/resumed.txt" && \
 	$(GO) run -race ./cmd/noxsweep -fast -pattern uniform -csv -parallel 1 \
 		-warmstart -checkpoint "$$tmp/warm" > "$$tmp/warmed.csv" && \
 	$(GO) run -race ./cmd/noxsweep -fast -pattern uniform -csv -parallel 1 \

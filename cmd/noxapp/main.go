@@ -13,7 +13,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"os"
 
 	"repro/internal/harness"
 	"repro/internal/router"
@@ -30,9 +29,6 @@ func main() {
 		workload  = flag.String("workload", "all", "workload name or 'all'")
 		cpuCycles = flag.Int64("cpu-cycles", 40000, "trace length in 3 GHz CPU cycles")
 		csv       = flag.Bool("csv", false, "emit machine-readable CSV instead of tables")
-		ckptDir   = flag.String("checkpoint", "", "persist a resumable checkpoint per (workload, architecture) replay into this directory (atomic overwrite)")
-		ckptEvery = flag.Int64("checkpoint-every", 20000, "checkpoint period in network cycles (with -checkpoint)")
-		restore   = flag.String("restore", "", "resume replays from checkpoints in this existing directory; replays without a checkpoint in it cold-start")
 	)
 	sess, pool, stop := cli.Start()
 	defer stop()
@@ -41,23 +37,6 @@ func main() {
 	}
 	if *cpuCycles < 1 {
 		cli.Fail(fmt.Errorf("-cpu-cycles must be >= 1 (got %d)", *cpuCycles))
-	}
-	if *ckptEvery < 0 || *ckptDir != "" && *ckptEvery == 0 {
-		cli.Fail(fmt.Errorf("-checkpoint-every must be >= 1 (got %d)", *ckptEvery))
-	}
-	if *restore != "" {
-		// Replays without a checkpoint in the directory cold-start; a
-		// directory that is not there would cold-start every one.
-		if fi, err := os.Stat(*restore); err != nil {
-			cli.Fail(err)
-		} else if !fi.IsDir() {
-			cli.Fail(fmt.Errorf("-restore %s: not a directory", *restore))
-		}
-	}
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			cli.Fail(err)
-		}
 	}
 
 	workloads := trace.Workloads
@@ -77,7 +56,7 @@ func main() {
 			w.Name, len(tr.Events), tr.MeanInjectionMBps())
 		results = append(results, harness.RunAppAllArchs(tr, 0, pool, *shards,
 			harness.Telemetry{Progress: sess.Sampler(), NewRecorder: sess.NewRecorder},
-			harness.AppCheckpoint{Dir: *ckptDir, Every: *ckptEvery, RestoreDir: *restore}))
+			harness.AppCheckpoint{}))
 	}
 	fmt.Println()
 	if *csv {

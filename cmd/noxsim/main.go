@@ -31,9 +31,6 @@ func main() {
 		measure     = flag.Int64("measure", 10000, "measurement cycles")
 		printConfig = flag.Bool("print-config", false, "print Table 1 system parameters and exit")
 		tracePkts   = flag.Int("trace", 0, "print the first N delivered packets")
-		ckptPath    = flag.String("checkpoint", "", "write a resumable full-state checkpoint to this file every -checkpoint-every cycles (atomic overwrite)")
-		ckptEvery   = flag.Int64("checkpoint-every", 5000, "checkpoint period in main-loop cycles (with -checkpoint)")
-		restore     = flag.String("restore", "", "resume from a checkpoint file written by -checkpoint (run parameters must match the checkpointed run)")
 	)
 	sess, _, stop := cli.Start()
 	defer stop()
@@ -60,10 +57,6 @@ func main() {
 		Shards:        *shards,
 		Progress:      sess.Sampler(),
 		NewRecorder:   sess.NewRecorder,
-
-		CheckpointPath:  *ckptPath,
-		CheckpointEvery: *ckptEvery,
-		RestorePath:     *restore,
 	}
 	if *tracePkts > 0 {
 		remaining := *tracePkts

@@ -32,7 +32,7 @@ func main() {
 		warm     = flag.Bool("warmstart", false, "warm once per architecture at -warmrate and fork every rate point from the copy (CSV is byte-identical to the cold sweep at the same warm rate)")
 		warmRate = flag.Float64("warmrate", 600, "warm-up injection rate in MB/s/node for -warmstart")
 		ckptDir  = flag.String("checkpoint", "", "persist per-architecture warm images into this directory (implies -warmstart)")
-		restore  = flag.String("restore", "", "load cached warm images from this directory instead of re-warming; missing images are computed (implies -warmstart)")
+		restore  = flag.String("restore", "", "load cached warm images from this directory instead of re-warming; missing images are computed; the directory must exist (implies -warmstart)")
 	)
 	sess, pool, stop := cli.Start()
 	defer stop()
@@ -43,6 +43,15 @@ func main() {
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			cli.Fail(err)
+		}
+	}
+	if *restore != "" {
+		// Images missing from the directory are computed; a directory that
+		// is not there would silently re-warm every architecture.
+		if fi, err := os.Stat(*restore); err != nil {
+			cli.Fail(err)
+		} else if !fi.IsDir() {
+			cli.Fail(fmt.Errorf("-restore %s: not a directory", *restore))
 		}
 	}
 

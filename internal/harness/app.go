@@ -2,13 +2,10 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 
@@ -50,24 +47,15 @@ type AppConfig struct {
 	Recorder *telemetry.Recorder
 	// Shards selects each physical network's execution mode (see
 	// network.Config): 0 = auto, 1 = serial, N >= 2 = sharded. Serial class
-	// networks that nothing else couples (no Probe, Check, Progress,
-	// checkpoint or restore) step on their own goroutines when GOMAXPROCS >=
-	// 2, and in lockstep otherwise. Results are bit-identical in every mode.
+	// networks that nothing else couples (no Probe, Check or Progress) step
+	// on their own goroutines when GOMAXPROCS >= 2, and in lockstep
+	// otherwise. Results are bit-identical in every mode.
 	Shards int
 	// Check, when set, arms the runtime invariant layer on both physical
 	// networks (they share the checker; packet IDs are globally unique
 	// across classes). The post-drain sweep runs before the result is
 	// returned. Nil costs nothing.
 	Check *check.Checker
-	// CheckpointPath/CheckpointEvery, when both set, persist a resumable
-	// replay checkpoint (both class networks plus the replay cursor and
-	// statistics) to the path at least every CheckpointEvery cycles,
-	// atomically overwriting the previous one. RestorePath resumes a replay
-	// from such a file; the resumed run's AppResult is identical to the
-	// uninterrupted run's. noxapp's -checkpoint/-restore flags.
-	CheckpointPath  string
-	CheckpointEvery int64
-	RestorePath     string
 }
 
 // AppResult captures one (architecture, workload) outcome for Figures 10
@@ -94,26 +82,9 @@ type AppResult struct {
 // RunApp replays the trace on the architecture and returns Figure 10/11
 // metrics. Packet events are injected on the network cycle corresponding
 // to their CPU-domain timestamp, so injection bandwidth is identical
-// across architectures as required by §5.2.
+// across architectures as required by §5.2. A replay always starts at
+// cycle 0.
 func RunApp(cfg AppConfig) AppResult {
-	var origin *warmImage
-	if cfg.RestorePath != "" {
-		w, err := loadWarmFile(cfg.RestorePath)
-		switch {
-		case err == nil:
-			origin = w
-		case errors.Is(err, fs.ErrNotExist):
-			// No checkpoint yet for this (workload, architecture): cold start.
-		default:
-			panic(fmt.Sprintf("harness: app restore %s: %v", cfg.RestorePath, err))
-		}
-	}
-	return runApp(cfg, origin)
-}
-
-// runApp replays cfg's trace from cycle 0, or resumed from the origin
-// checkpoint when it is non-nil.
-func runApp(cfg AppConfig, origin *warmImage) AppResult {
 	if cfg.Trace == nil {
 		panic("harness: AppConfig.Trace is required")
 	}
@@ -165,16 +136,11 @@ func runApp(cfg AppConfig, origin *warmImage) AppResult {
 		r.deadline += r.due(n-1) + 1
 	}
 	var s *appStream
-	if classesUncoupled(cfg, pr, origin, multi) {
+	if classesUncoupled(cfg, pr, multi) {
 		s = r.runClasses()
 	} else {
 		s = &appStream{net: multi, class: -1, col: stats.NewCollector(0, 1<<62)}
 		multi.OnDeliver(r.deliver(s))
-		if origin != nil {
-			if err := restoreAppCheckpoint(origin, multi, s, len(r.events)); err != nil {
-				panic(fmt.Sprintf("harness: app restore %s: %v", cfg.RestorePath, err))
-			}
-		}
 		r.run(s)
 	}
 	delivered := s.col.Delivered()
@@ -215,16 +181,15 @@ func runApp(cfg AppConfig, origin *warmImage) AppResult {
 	// Telemetry epilogue: fold this replay's datapath events into the live
 	// per-arch counters, and dump the failure window if the checker or the
 	// undrained exit tripped the flight recorder. The dump re-runs this
-	// replay from its origin, serially, under the recorder Flush hands it.
+	// replay from cycle 0, serially, under the recorder Flush hands it.
 	cfg.Progress.RunDone(cfg.Arch.String(), window)
 	if cfg.Recorder.Triggered() {
 		replay := func(rr *telemetry.Recorder) {
 			rc := cfg
 			rc.Shards, rc.Check = 1, cfg.Check.Fresh()
 			rc.Progress, rc.Recorder = nil, rr
-			rc.CheckpointPath, rc.RestorePath = "", ""
 			replayStarts(rr)
-			runApp(rc, origin)
+			RunApp(rc)
 		}
 		if _, err := cfg.Recorder.Flush(replay, func(w io.Writer) {
 			for class := 0; class < multi.Classes(); class++ {
@@ -241,11 +206,11 @@ func runApp(cfg AppConfig, origin *warmImage) AppResult {
 
 // classesUncoupled reports whether each class network may step on its own
 // goroutine: they share no wires or feedback (open-loop replay), and nothing
-// couples them cycle by cycle — no probe, checker, sampler, checkpoint or
-// restore — each is serial (one Config), and there is a second CPU.
-func classesUncoupled(cfg AppConfig, pr *probe.Probe, origin *warmImage, multi *network.Multi) bool {
-	return pr == nil && cfg.Check == nil && cfg.Progress == nil && origin == nil &&
-		(cfg.CheckpointPath == "" || cfg.CheckpointEvery <= 0) && multi.Net(0).Shards() == 1 && runtime.GOMAXPROCS(0) >= 2
+// couples them cycle by cycle — no probe, checker or sampler — each is
+// serial (one Config), and there is a second CPU.
+func classesUncoupled(cfg AppConfig, pr *probe.Probe, multi *network.Multi) bool {
+	return pr == nil && cfg.Check == nil && cfg.Progress == nil &&
+		multi.Net(0).Shards() == 1 && runtime.GOMAXPROCS(0) >= 2
 }
 
 // appReplay is what one replay's streams share.
@@ -320,22 +285,8 @@ func (r *appReplay) deliver(s *appStream) func(*noc.Packet, int64) {
 // events are injected and its network has delivered them.
 func (r *appReplay) run(s *appStream) {
 	cfg := r.cfg
-	nextCkpt := int64(-1)
-	if cfg.CheckpointPath != "" && cfg.CheckpointEvery > 0 {
-		nextCkpt = s.cycle + cfg.CheckpointEvery
-	}
 	// A flight-recorder replay stops once its recorder is Done.
 	for s.cycle < r.deadline && (r.pending(s) || s.net.Outstanding() > 0) && !cfg.Recorder.Done(s.cycle) {
-		// Persist a resumable checkpoint between steps. The threshold (not a
-		// modulus) tolerates the idle fast-forward jumping whole periods.
-		if nextCkpt >= 0 && s.cycle >= nextCkpt {
-			if err := saveAppCheckpoint(cfg.CheckpointPath, r.multi, s); err != nil {
-				fmt.Fprintln(os.Stderr, "harness: app checkpoint:", err)
-				nextCkpt = -1
-			} else {
-				nextCkpt = s.cycle + cfg.CheckpointEvery
-			}
-		}
 		// Traces have idle gaps between bursts; once the network has fully
 		// quiesced, jump straight to the next event's injection cycle (one is
 		// pending, or the loop would have ended). The fast-forward replays
@@ -401,29 +352,10 @@ func (r *appReplay) runClasses() *appStream {
 	return out
 }
 
-// AppCheckpoint threads noxapp's checkpoint/restore flags through
-// RunAppAllArchs: with Dir set, each (workload, architecture) replay
-// persists a resumable checkpoint named app-<workload>-<arch>.noxapp into
-// it every Every cycles; with RestoreDir set, each replay resumes from its
-// file when present (a missing file cold-starts). The zero value disables
-// both.
-type AppCheckpoint struct {
-	Dir        string
-	Every      int64
-	RestoreDir string
-}
-
-// paths returns one replay's checkpoint and restore paths.
-func (c AppCheckpoint) paths(workload string, arch router.Arch) (ckpt, restore string) {
-	name := fmt.Sprintf("app-%s-%s.noxapp", workload, arch)
-	if c.Dir != "" {
-		ckpt = filepath.Join(c.Dir, name)
-	}
-	if c.RestoreDir != "" {
-		restore = filepath.Join(c.RestoreDir, name)
-	}
-	return ckpt, restore
-}
+// AppCheckpoint is an empty shim: app replays no longer checkpoint, and
+// RunAppAllArchs ignores it. It stays only because the benchmark module
+// (benchmark/apps.go) passes AppCheckpoint{}.
+type AppCheckpoint struct{}
 
 // RunAppAllArchs replays one trace on every architecture. The four replays
 // are independent (the trace is read-only; each builds its own networks),
@@ -431,17 +363,14 @@ func (c AppCheckpoint) paths(workload string, arch router.Arch) (ckpt, restore s
 // shards parallelizes each network (0 = auto), and serial networks step
 // their classes on their own goroutines (see AppConfig.Shards). Results are
 // identical at every setting. tel threads the tool's live telemetry into
-// each replay (Telemetry{} disables it); ckpt threads the checkpoint and
-// restore directories (AppCheckpoint{} disables them).
-func RunAppAllArchs(tr *trace.Trace, bufferDepth int, pool *exp.Pool, shards int, tel Telemetry, ckpt AppCheckpoint) map[router.Arch]AppResult {
+// each replay (Telemetry{} disables it).
+func RunAppAllArchs(tr *trace.Trace, bufferDepth int, pool *exp.Pool, shards int, tel Telemetry, _ AppCheckpoint) map[router.Arch]AppResult {
 	results, _ := exp.Map(context.Background(), pool, len(router.Archs),
 		func(_ context.Context, i int) (AppResult, error) {
 			arch := router.Archs[i]
-			ckptPath, restorePath := ckpt.paths(tr.Workload.Name, arch)
 			return RunApp(AppConfig{Arch: arch, Trace: tr, BufferDepth: bufferDepth, Shards: shards,
-				Progress:       tel.Progress,
-				Recorder:       tel.recorder(fmt.Sprintf("app-%s-%s", tr.Workload.Name, arch)),
-				CheckpointPath: ckptPath, CheckpointEvery: ckpt.Every, RestorePath: restorePath}), nil
+				Progress: tel.Progress,
+				Recorder: tel.recorder(fmt.Sprintf("app-%s-%s", tr.Workload.Name, arch))}), nil
 		})
 	out := map[router.Arch]AppResult{}
 	for i, arch := range router.Archs {

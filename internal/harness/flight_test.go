@@ -64,12 +64,10 @@ func fullProbe(periodNs float64) *probe.Probe {
 }
 
 // TestFlightReplayMatchesFullProbe triggers a recorder by hand at a fixed
-// cycle in each driver that arms one — a synthetic point (cold, sharded,
-// warm-started, and resumed from a checkpoint the run keeps overwriting),
-// an application-trace replay (sharded, with its class networks on their
-// own goroutines, and resumed the same way) and a
-// future-study point — and requires the replayed dump to equal a
-// full-probe export of the same window.
+// cycle in each driver that arms one — a synthetic point (cold, sharded and
+// warm-started), an application-trace replay (sharded, and with its class
+// networks on their own goroutines) and a future-study point — and requires
+// the replayed dump to equal a full-probe export of the same window.
 func TestFlightReplayMatchesFullProbe(t *testing.T) {
 	const trigger = 1700
 	synth := func() SyntheticConfig {
@@ -113,29 +111,6 @@ func TestFlightReplayMatchesFullProbe(t *testing.T) {
 		}
 		checkDump(t, dir, rec, fullSynthetic(t, cold))
 	})
-	t.Run("synthetic-restored", func(t *testing.T) {
-		dir := t.TempDir()
-		path := filepath.Join(t.TempDir(), "run.noxckpt")
-		saver := synth()
-		saver.CheckpointPath, saver.CheckpointEvery = path, 1400
-		if _, err := RunSynthetic(saver); err != nil {
-			t.Fatal(err)
-		}
-		// The resumed run starts at cycle 1400 and overwrites its origin at
-		// 1600: the replay must start from the image the run began from.
-		var rec *telemetry.Recorder
-		resumed := synth()
-		resumed.RestorePath, resumed.CheckpointPath, resumed.CheckpointEvery = path, path, 200
-		resumed.NewRecorder = func(string) *telemetry.Recorder { rec = handRecorder(t, dir, trigger); return rec }
-		if _, err := RunSynthetic(resumed); err != nil {
-			t.Fatal(err)
-		}
-		full := fullSynthetic(t, synth())
-		if start, _ := rec.Window(); start <= 1400 {
-			t.Fatalf("window starts at %d, before the origin", start)
-		}
-		checkDump(t, dir, rec, full)
-	})
 	w, err := trace.WorkloadByName("tpcc")
 	if err != nil {
 		t.Fatal(err)
@@ -159,18 +134,6 @@ func TestFlightReplayMatchesFullProbe(t *testing.T) {
 		dir := t.TempDir()
 		rec := handRecorder(t, dir, trigger)
 		RunApp(AppConfig{Arch: router.NoX, Trace: tr, Shards: 1, Recorder: rec})
-		checkDump(t, dir, rec, fullApp())
-	})
-	t.Run("app-restored", func(t *testing.T) {
-		dir := t.TempDir()
-		path := filepath.Join(t.TempDir(), "app.noxapp")
-		RunApp(AppConfig{Arch: router.NoX, Trace: tr, CheckpointPath: path, CheckpointEvery: 1800})
-		// The replay ends near cycle 3,600, so its one checkpoint is at
-		// 1,800. As above, the resumed replay overwrites that origin (every
-		// 200 cycles) before and after the window it dumps.
-		rec := handRecorder(t, dir, 2500)
-		RunApp(AppConfig{Arch: router.NoX, Trace: tr, Recorder: rec,
-			RestorePath: path, CheckpointPath: path, CheckpointEvery: 200})
 		checkDump(t, dir, rec, fullApp())
 	})
 	t.Run("future", func(t *testing.T) {

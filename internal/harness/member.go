@@ -52,9 +52,8 @@ type synthMember struct {
 	// injection-free cycles cost one comparison, and the main loop may jump a
 	// fully idle network straight to arrMin. Advancing clamps at the warmup
 	// boundary (Ticks past it must see the retargeted rate) and at total.
-	// Lookahead is disabled whenever checkpoint, restore, or warm-start
-	// machinery is armed: those serialize or fork live process state, which
-	// must then match the network clock exactly.
+	// Every member runs it unless cfg.Eager is set; a warm image carries the
+	// cache (saveRunState), so a forked point resumes it exactly.
 	lookahead bool
 	arr       []int64
 	arrMin    int64
@@ -184,16 +183,12 @@ var replayStarts = func(*telemetry.Recorder) {}
 
 // replay re-runs this member's run from its origin under the flight
 // recorder's replay recorder rr, serially, with a fresh checker and none of
-// the run's side effects: the flight recorder's dump path. Eager keeps the
-// replay's arrival lookahead what the run's was (clearing the checkpoint
-// path alone would switch it on).
+// the run's side effects: the flight recorder's dump path.
 func (m *synthMember) replay(rr *telemetry.Recorder) {
 	rc := m.cfg
 	rc.Shards, rc.Check = 1, rc.Check.Fresh()
 	rc.NewRecorder = func(string) *telemetry.Recorder { return rr }
 	rc.Observe, rc.Progress = nil, nil
-	rc.CheckpointPath, rc.RestorePath = "", ""
-	rc.Eager = !m.lookahead
 	replayStarts(rr)
 	if _, err := runSynthetic(rc, m.origin); err != nil {
 		panic(err)
@@ -232,9 +227,7 @@ func (m *synthMember) attach(net *network.Network) {
 	if m.warmPkt > 0 {
 		rate = m.warmPkt
 	}
-	m.lookahead = !cfg.Eager &&
-		cfg.CheckpointPath == "" && cfg.CheckpointEvery == 0 && cfg.RestorePath == "" &&
-		!cfg.WarmStart && cfg.WarmSaveDir == "" && cfg.WarmLoadDir == ""
+	m.lookahead = !cfg.Eager
 	// A sweep's arrival map serves only the look-ahead's Next calls; the
 	// eager path draws one Tick a cycle.
 	skips := m.lookahead && !m.selfSimilar && cfg.arrivals != nil
@@ -320,9 +313,6 @@ func (m *synthMember) idleSkip() int64 {
 // measurement-window counter snapshot at the warmup boundary, then one
 // injection opportunity per node. The caller steps the network afterwards.
 func (m *synthMember) injectCycle(cyc int64) {
-	if every := m.cfg.CheckpointEvery; every > 0 && m.cfg.CheckpointPath != "" && cyc > 0 && cyc%every == 0 {
-		m.checkpointToFile()
-	}
 	if cyc == m.cfg.WarmupCycles {
 		m.startCounters = *m.net.Counters()
 		if m.warmPkt > 0 && m.warmPkt != m.pktRate {

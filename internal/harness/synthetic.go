@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -88,20 +87,12 @@ type SyntheticConfig struct {
 	// corrupt one is an error. noxsweep's -checkpoint/-restore flags.
 	WarmSaveDir string
 	WarmLoadDir string
-	// CheckpointPath/CheckpointEvery, when both set, persist a resumable
-	// full-state checkpoint (network image plus harness run state) to the
-	// path every CheckpointEvery main-loop cycles, atomically overwriting
-	// the previous one. RestorePath resumes a run from such a file: the
-	// network must have been configured identically (structural parameters
-	// are verified against the image). noxsim's -checkpoint/-restore flags.
-	CheckpointPath  string
-	CheckpointEvery int64
-	RestorePath     string
 	// Eager disables the harness's sparse-regime accelerations — the
 	// per-node next-arrival lookahead and the idle fast-forward between
 	// injections — stepping every main-loop cycle the classic way. Output is
-	// byte-identical either way; Eager is the reference mode the sparse
-	// equivalence suite compares against (and the honest baseline for the
+	// byte-identical either way; no tool sets it, so production always runs
+	// the look-ahead. Eager is the reference mode the sparse and warm-start
+	// equivalence suites compare against (and the honest baseline for the
 	// sparse benchmarks).
 	Eager bool
 
@@ -188,19 +179,10 @@ func checkBandwidth(name string, mbps float64) error {
 //
 // The run itself lives in synthMember (member.go): RunSynthetic builds one
 // network and steps it between the member's per-cycle hooks.
-func RunSynthetic(cfg SyntheticConfig) (RunResult, error) {
-	var origin *warmImage
-	if cfg.RestorePath != "" {
-		var err error
-		if origin, err = loadWarmFile(cfg.RestorePath); err != nil {
-			return RunResult{}, fmt.Errorf("harness: restore %s: %w", cfg.RestorePath, err)
-		}
-	}
-	return runSynthetic(cfg, origin)
-}
+func RunSynthetic(cfg SyntheticConfig) (RunResult, error) { return runSynthetic(cfg, nil) }
 
-// runSynthetic runs cfg from cycle 0, or resumed from origin (a checkpoint
-// or a warm-start image) when it is non-nil.
+// runSynthetic runs cfg from cycle 0, or resumed from origin (a warm-start
+// image, at the warmup boundary) when it is non-nil.
 func runSynthetic(cfg SyntheticConfig, origin *warmImage) (RunResult, error) {
 	m, err := prepareSynthetic(cfg)
 	if err != nil {
@@ -214,7 +196,7 @@ func runSynthetic(cfg SyntheticConfig, origin *warmImage) (RunResult, error) {
 	m.attach(net)
 	if origin != nil {
 		if err := m.restoreWarm(origin); err != nil {
-			return RunResult{}, fmt.Errorf("harness: restore %s: %w", cmp.Or(cfg.RestorePath, "warm image"), err)
+			return RunResult{}, fmt.Errorf("harness: restore warm image: %w", err)
 		}
 		m.origin = origin
 	}

@@ -11,13 +11,12 @@ import (
 	"repro/internal/snapshot/codec"
 )
 
-// Checkpoint files. A warm image (network snapshot plus harness run state)
-// is also exactly what a resumable checkpoint needs, so one container
-// serves both: noxsweep -checkpoint/-restore persists per-architecture warm
-// images across invocations, and noxsim -checkpoint/-restore saves periodic
-// mid-run checkpoints and resumes from them. The container is a codec
-// stream with its own magic/version so a harness checkpoint is never
-// mistaken for a bare network snapshot (or vice versa).
+// Warm-image files. The container carries noxsweep's warm cache only:
+// noxsweep -checkpoint/-restore persists per-architecture warm images
+// (network snapshot plus harness run state at the warmup boundary) across
+// invocations. The container is a codec stream with its own magic/version
+// so a warm image is never mistaken for a bare network snapshot (or vice
+// versa).
 
 const (
 	ckptMagic   uint64 = 0x4e4f58434b505431 // "NOXCKPT1"
@@ -121,21 +120,4 @@ func warmFor(base SyntheticConfig) (*warmImage, error) {
 		}
 	}
 	return w, nil
-}
-
-// checkpointToFile persists the member's complete state to the configured
-// checkpoint path (noxsim -checkpoint). Failures disable further attempts
-// and report once rather than erroring every period.
-func (m *synthMember) checkpointToFile() {
-	img, err := snapshot.Encode(m.net)
-	if err == nil {
-		e := codec.NewEncoder()
-		if err = m.saveRunState(e); err == nil {
-			err = saveWarmFile(m.cfg.CheckpointPath, &warmImage{net: img, run: e.Bytes()})
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "harness: checkpoint:", err)
-		m.cfg.CheckpointEvery = 0
-	}
 }

@@ -18,7 +18,9 @@ import (
 // TestWarmStartSweepMatchesCold is the warm-start contract: a sweep that
 // warms once per architecture and forks every rate point from the copy must
 // render exactly the CSV the cold sweep renders — serial, speculative
-// parallel, and sharded. The second warm-up rate is one Non-Speculative's
+// parallel, sharded, and on the Eager reference path, which keeps the
+// look-ahead's arrival cache honest across the warm seam (a warm image
+// saved and restored by look-ahead members carries it). The second warm-up rate is one Non-Speculative's
 // slower clock cannot offer: that series ends at the warm phase, on the
 // serial and the speculative walk alike, as the cold sweep ends it.
 func TestWarmStartSweepMatchesCold(t *testing.T) {
@@ -58,6 +60,11 @@ func TestWarmStartSweepMatchesCold(t *testing.T) {
 					sharded := warm
 					sharded.Shards = 2
 					return SweepSynthetic(sharded, rates, exp.NewPool(2))
+				}},
+				{"eager", func() ([]SweepPoint, error) {
+					eager := warm
+					eager.Eager = true
+					return SweepSynthetic(eager, rates, nil)
 				}},
 			}
 			for _, tc := range runs {

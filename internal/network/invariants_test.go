@@ -249,7 +249,10 @@ func TestMultiNetworkIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !m.Drain(1000) {
+	for m.Outstanding() > 0 && m.Net(0).Cycle() < 1000 {
+		m.Step()
+	}
+	if m.Outstanding() != 0 {
 		t.Fatalf("multi did not drain: %d", m.Outstanding())
 	}
 	if delivered != 2 {

@@ -2,9 +2,7 @@ package network
 
 import (
 	"fmt"
-	"strings"
 
-	"repro/internal/check"
 	"repro/internal/noc"
 	"repro/internal/power"
 )
@@ -79,9 +77,6 @@ func (m *Multi) Step() {
 	}
 }
 
-// Cycle returns the common cycle count.
-func (m *Multi) Cycle() int64 { return m.nets[0].Cycle() }
-
 // Outstanding returns undelivered packets across all classes.
 func (m *Multi) Outstanding() int64 {
 	var n int64
@@ -135,74 +130,6 @@ func (m *Multi) FastForwardIdle(limit int64) int64 {
 		nw.FastForwardIdle(limit)
 	}
 	return limit
-}
-
-// Drain steps without new traffic until everything is delivered or limit
-// cycles elapse. Like Network.Drain, a fully quiescent system with packets
-// outstanding is wedged, so the clock jumps to the deadline.
-func (m *Multi) Drain(limit int64) bool {
-	deadline := m.Cycle() + limit
-	for m.Outstanding() > 0 && m.Cycle() < deadline {
-		if m.Idle() {
-			m.FastForwardIdle(deadline - m.Cycle())
-			break
-		}
-		m.Step()
-	}
-	return m.Outstanding() == 0
-}
-
-// DrainChecked is the watchdog-supervised drain across every class, with
-// the same semantics and defaults as Network.DrainChecked. The diagnostic
-// dump on a wedge covers every class network.
-func (m *Multi) DrainChecked(limit, window int64) error {
-	if limit <= 0 {
-		limit = 30000
-	}
-	if window <= 0 {
-		window = limit
-		if window > 4096 {
-			window = 4096
-		}
-	}
-	deadline := m.Cycle() + limit
-	wd := check.Watchdog{Window: window}
-	wd.Reset(m.Cycle(), m.delivered())
-	for m.Outstanding() > 0 {
-		if m.Idle() {
-			return m.wedged(fmt.Sprintf("deadlock: fully quiescent with %d packets outstanding", m.Outstanding()))
-		}
-		if m.Cycle() >= deadline {
-			return m.wedged(fmt.Sprintf("drain limit: %d packets outstanding after %d cycles", m.Outstanding(), limit))
-		}
-		m.Step()
-		if stalled, tripped := wd.Observe(m.Cycle(), m.delivered()); tripped {
-			return m.wedged(fmt.Sprintf("livelock: no packet delivered for %d cycles, %d outstanding", stalled, m.Outstanding()))
-		}
-	}
-	return nil
-}
-
-func (m *Multi) delivered() int64 {
-	var n int64
-	for _, nw := range m.nets {
-		n += nw.Delivered()
-	}
-	return n
-}
-
-// wedged records the trip on every class's checker (they typically share
-// one) and packages the per-class diagnostics into the returned error.
-func (m *Multi) wedged(msg string) error {
-	var sb strings.Builder
-	for class, nw := range m.nets {
-		if nw.Outstanding() > 0 {
-			nw.check.Watchdog(nw.Cycle(), fmt.Sprintf("class %d: %s", class, msg))
-		}
-		fmt.Fprintf(&sb, "class %d ", class)
-		nw.WriteDiagnostic(&sb)
-	}
-	return fmt.Errorf("%s: %w\n%s", msg, ErrNoProgress, sb.String())
 }
 
 // CheckInvariants runs the post-drain sweep on every class network. The
