@@ -80,17 +80,19 @@ shard-race:
 
 ## ab: the paired A/B runner a wall-time claim must come from (ROADMAP
 ## item 3(a)). BASE=<rev> (required) against the working tree, or HEAD=<rev>;
-## W=<workload> (required); N pairs (default 10). The base is checked out in a git worktree, and each tree's
+## W=<workload>, or every workload in BENCHMARK.json one after another when W
+## is not given; N pairs (default 10). The base is checked out in a git worktree, and each tree's
 ## benchmark is built and run by its own benchmark/run.sh, at seeds derived
 ## from the head revision, the first side flipping each pair. Prints per
 ## metric both medians and quartiles, the pairs the head won and an exact
 ## two-sided sign-test p; fails when the sides of a pair disagree on digest,
-## cells, link_flits or paper_gap_pp; writes BENCH_<stamp>.json (nox-ab/v1;
+## cells, link_flits or paper_gap_pp; writes one nox-ab/v1 record per
+## workload, BENCH_<stamp>.json (BENCH_<stamp>-<workload>.json without W;
 ## refused from a dirty tree unless noxbench is given -allow-dirty).
 N ?= 10
 ab:
-	@test -n "$(BASE)" -a -n "$(W)" || { echo "ab: BASE=<rev> and W=<workload> are required" >&2; exit 2; }
-	$(GO) run ./cmd/noxbench -base '$(BASE)' $(if $(HEAD),-head '$(HEAD)') -workload '$(W)' -n $(N)
+	@test -n "$(BASE)" || { echo "ab: BASE=<rev> is required" >&2; exit 2; }
+	$(GO) run ./cmd/noxbench -base '$(BASE)' $(if $(HEAD),-head '$(HEAD)') $(if $(W),-workload '$(W)') -n $(N)
 
 ## ab-smoke: the runner end to end on real benchmark output — one A/A pair of
 ## HEAD against itself on lowload-uniform (two worktree checkouts, two builds

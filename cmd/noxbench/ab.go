@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -67,8 +68,11 @@ type abRecord struct {
 
 // contract is the part of BENCHMARK.json the runner reads.
 type contract struct {
-	RunSeconds float64  `json:"run_seconds"`
-	EndToEnd   []metric `json:"end_to_end"`
+	RunSeconds float64 `json:"run_seconds"`
+	Workloads  []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []metric `json:"end_to_end"`
 }
 
 type metric struct {
@@ -286,8 +290,11 @@ func git(args ...string) (string, error) {
 	return strings.TrimSpace(string(out)), nil
 }
 
-// runAB runs n pairs of the workload, base against head (the
-// working tree when ""). It returns the exit status.
+// runAB runs n pairs of the workload, or of every workload the contract
+// lists when workload is "", base against head (the working tree when "").
+// Each workload gets its own summary and record: BENCH_<stamp>.json, or
+// BENCH_<stamp>-<workload>.json when the run covers every workload. It
+// returns the exit status.
 func runAB(stdout, stderr io.Writer, base, head, workload string, n int, out string, allowDirty bool) int {
 	fail := func(err error) int { fmt.Fprintln(stderr, "noxbench:", err); return 1 }
 	var c contract
@@ -295,8 +302,15 @@ func runAB(stdout, stderr io.Writer, base, head, workload string, n int, out str
 	if err == nil {
 		err = json.Unmarshal(data, &c)
 	}
-	if err != nil || n < 1 || base == "" || workload == "" {
-		return fail(fmt.Errorf("needs -base, -workload, -n >= 1 and the repository root as working directory (BENCHMARK.json: %v)", err))
+	workloads := []string{workload}
+	if workload == "" {
+		workloads = nil
+		for _, w := range c.Workloads {
+			workloads = append(workloads, w.Name)
+		}
+	}
+	if err != nil || n < 1 || base == "" || len(workloads) == 0 || len(workloads) > 1 && out != "" && out != "-" {
+		return fail(fmt.Errorf("needs -base, -n >= 1, a -workload (or workloads in BENCHMARK.json, with -out '-' or the default) and the repository root as working directory (BENCHMARK.json: %v)", err))
 	}
 	tmp, err := os.MkdirTemp("", "noxab-")
 	if err != nil {
@@ -312,40 +326,67 @@ func runAB(stdout, stderr io.Writer, base, head, workload string, n int, out str
 		}
 		return sha, dir, err
 	}
-	rec := abRecord{Schema: "nox-ab/v1", Seconds: c.RunSeconds, Workload: workload}
+	tmpl := abRecord{Schema: "nox-ab/v1", Seconds: c.RunSeconds}
 	baseDir, headDir := "", ""
-	if rec.BaseSHA, baseDir, err = checkout("base", base); err != nil {
+	if tmpl.BaseSHA, baseDir, err = checkout("base", base); err != nil {
 		return fail(err)
 	}
 	if head == "" { // the working tree
-		rec.HeadSHA, rec.HeadDirty = version.Git()
+		tmpl.HeadSHA, tmpl.HeadDirty = version.Git()
 		headDir, err = git("rev-parse", "--show-toplevel")
 	} else {
-		rec.HeadSHA, headDir, err = checkout("head", head)
+		tmpl.HeadSHA, headDir, err = checkout("head", head)
 	}
 	if err != nil {
 		return fail(err)
 	}
-	now := time.Now().UTC()
-	rec.GeneratedUTC = now.Format(time.RFC3339)
-	if out == "" {
-		out = "BENCH_" + now.Format("20060102T150405Z") + ".json"
-	}
-	if warn, err := dirtyGuard(out, rec.HeadDirty, allowDirty); err != nil {
+	if warn, err := dirtyGuard(cmp.Or(out, "BENCH_<stamp>.json"), tmpl.HeadDirty, allowDirty); err != nil {
 		return fail(err)
 	} else if warn != "" {
 		fmt.Fprintln(stderr, "noxbench:", warn)
 	}
 	if host, err := os.Hostname(); err == nil {
-		rec.Host = host
+		tmpl.Host = host
 	}
-	if rec.Pairs, err = abPairs(benchRunner(c.RunSeconds), baseDir, headDir, rec.HeadSHA, workload, n, stderr); err != nil {
+	if err := abWorkloads(stdout, stderr, benchRunner(c.RunSeconds), c, tmpl, baseDir, headDir, workloads, n, out); err != nil {
 		return fail(err)
+	}
+	return 0
+}
+
+// abWorkloads runs n pairs of each workload in turn, stopping at the first
+// that fails, and writes each one's summary to stdout and its record to out:
+// "-" is stdout, and "" names the record BENCH_<stamp>.json, or
+// BENCH_<stamp>-<workload>.json when there are several workloads, stamped
+// with the time its pairs began.
+func abWorkloads(stdout, stderr io.Writer, run abRunner, c contract, tmpl abRecord, baseDir, headDir string, workloads []string, n int, out string) error {
+	for _, w := range workloads {
+		name := out
+		if name == "" && len(workloads) > 1 {
+			name = "BENCH_<stamp>-" + w + ".json"
+		}
+		if err := abWorkload(stdout, stderr, run, c, tmpl, baseDir, headDir, w, n, name); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// abWorkload runs n pairs of one workload and writes its summary to stdout
+// and its record to out ("" is BENCH_<stamp>.json; see abWorkloads).
+func abWorkload(stdout, stderr io.Writer, run abRunner, c contract, rec abRecord, baseDir, headDir, workload string, n int, out string) error {
+	now := time.Now().UTC()
+	rec.Workload, rec.GeneratedUTC = workload, now.Format(time.RFC3339)
+	out = strings.ReplaceAll(cmp.Or(out, "BENCH_<stamp>.json"), "<stamp>", now.Format("20060102T150405Z"))
+	var err error
+	if rec.Pairs, err = abPairs(run, baseDir, headDir, rec.HeadSHA, workload, n, stderr); err != nil {
+		return err
 	}
 	rec.HostLine = rec.Pairs[0].Head.host
 	rec.Summary, rec.Unmeasured = summarize(rec.Pairs, c)
 	printSummary(stdout, rec)
-	if data, err = json.MarshalIndent(rec, "", "  "); err == nil {
+	data, err := json.MarshalIndent(rec, "", "  ")
+	if err == nil {
 		if data = append(data, '\n'); out == "-" {
 			_, err = stdout.Write(data)
 		} else {
@@ -353,8 +394,8 @@ func runAB(stdout, stderr io.Writer, base, head, workload string, n int, out str
 		}
 	}
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	fmt.Fprintf(stderr, "noxbench: base %s, head %s (dirty %v): wrote %s\n", rec.BaseSHA, rec.HeadSHA, rec.HeadDirty, out)
-	return 0
+	fmt.Fprintf(stderr, "noxbench: %s: base %s, head %s (dirty %v): wrote %s\n", workload, rec.BaseSHA, rec.HeadSHA, rec.HeadDirty, out)
+	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -87,6 +89,47 @@ func TestABPairs(t *testing.T) {
 	pairs, err = abPairs(f.run, "base", "head", "0123abcd", "fig10-apps", 4, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "exact fact digest differs") || len(pairs) != 2 {
 		t.Errorf("digest mismatch at pair 3: err %v after %d pairs", err, len(pairs))
+	}
+}
+
+// TestABWorkloads: without -workload every workload runs in turn, each with
+// its own summary and its own record, named after it; a workload whose pair
+// disagrees on an exact fact stops the loop there.
+func TestABWorkloads(t *testing.T) {
+	c := contract{EndToEnd: []metric{{"wall_s", "lower"}}}
+	tmpl := abRecord{Schema: "nox-ab/v1", BaseSHA: "base", HeadSHA: "0123abcd"}
+	workloads := []string{"fig10-apps", "mesh32-dense"}
+	var stdout strings.Builder
+	f := &fakeRunner{mismatchPair: -1}
+	if err := abWorkloads(&stdout, io.Discard, f.run, c, tmpl, "base", "head", workloads, 2, "-"); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.calls) != 8 || strings.Count(stdout.String(), `"schema": "nox-ab/v1"`) != 2 {
+		t.Fatalf("%d runs, output:\n%s", len(f.calls), stdout.String())
+	}
+	for _, w := range workloads {
+		if !strings.Contains(stdout.String(), w+": 2 pairs") || !strings.Contains(stdout.String(), `"workload": "`+w+`"`) {
+			t.Errorf("no summary or record of %s:\n%s", w, stdout.String())
+		}
+	}
+
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	f = &fakeRunner{mismatchPair: 2} // the second workload's first pair
+	err = abWorkloads(io.Discard, io.Discard, f.run, c, tmpl, "base", "head", workloads, 2, "")
+	if err == nil || !strings.Contains(err.Error(), "mesh32-dense pair 1") {
+		t.Errorf("mismatch in the second workload: err %v", err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "BENCH_*"))
+	if len(files) != 1 || !strings.HasSuffix(files[0], "-fig10-apps.json") {
+		t.Errorf("records %q, want the first workload's alone, named after it", files)
 	}
 }
 

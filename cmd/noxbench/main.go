@@ -5,11 +5,13 @@
 // head revision, and reports per metric both sides' medians and quartiles,
 // the pairs the head won and an exact sign-test p. The two sides of a pair
 // run the same seed, so the exact simulated facts must agree: a difference
-// fails the run. It writes a nox-ab/v1 record, BENCH_<stamp>.json.
+// fails the run. It writes a nox-ab/v1 record per workload,
+// BENCH_<stamp>.json; without -workload it runs every workload
+// BENCHMARK.json lists, one after another, into BENCH_<stamp>-<workload>.json.
 //
 // Usage, from the repository root (the head defaults to the working tree):
 //
-//	noxbench -base REV [-head REV] -workload W [-n 10] [-out BENCH_<stamp>.json]
+//	noxbench -base REV [-head REV] [-workload W] [-n 10] [-out BENCH_<stamp>.json]
 //
 // A committed record must be reproducible from its commits, so writing one
 // from a dirty git tree is refused unless -allow-dirty is given, which stamps
@@ -43,9 +45,9 @@ func main() {
 	var (
 		base       = flag.String("base", "", "the base revision (required)")
 		head       = flag.String("head", "", "the head revision (default: the working tree)")
-		workload   = flag.String("workload", "", "the benchmark workload (required)")
+		workload   = flag.String("workload", "", "the benchmark workload (default: every workload in BENCHMARK.json)")
 		pairs      = flag.Int("n", 10, "pairs of runs")
-		out        = flag.String("out", "", "record file ('-' = stdout; default BENCH_<stamp>.json)")
+		out        = flag.String("out", "", "record file of a single -workload ('-' = stdout, for any run; default BENCH_<stamp>.json)")
 		allowDirty = flag.Bool("allow-dirty", false, "write a record file from a dirty git tree anyway (stamped head_dirty, loud warning)")
 	)
 	ver := version.Flag(flag.CommandLine)

@@ -75,6 +75,12 @@ func (f *FIFO) Free() int { return int(f.depth - f.count) }
 // Empty reports whether the FIFO holds no flits.
 func (f *FIFO) Empty() bool { return f.count == 0 }
 
+// Index returns the ring slot of the i-th buffered flit (0 = oldest), for an
+// owner that keeps state per slot beside the ring in a slice as long as it;
+// i = Len() names the slot the next Push fills. Slots are ring positions, so
+// an index stays the flit's until it is popped.
+func (f *FIFO) Index(i int) int { return (int(f.head) + i) & (len(f.slots) - 1) }
+
 // Head returns the oldest flit without removing it, or nil when empty.
 func (f *FIFO) Head() *noc.Flit {
 	if f.count == 0 {
@@ -91,20 +97,23 @@ func (f *FIFO) At(i int) *noc.Flit {
 	if i < 0 || i >= int(f.count) {
 		panic("buffer: At index out of range")
 	}
-	return f.slots[(int(f.head)+i)&(len(f.slots)-1)]
+	return f.slots[f.Index(i)]
 }
 
-// Push appends a flit. It panics on overflow: credit-based flow control must
-// make overflow impossible, so an overflow is always a simulator bug.
-func (f *FIFO) Push(fl *noc.Flit) {
+// Push appends a flit and returns the ring slot it took (see Index). It
+// panics on overflow: credit-based flow control must make overflow
+// impossible, so an overflow is always a simulator bug.
+func (f *FIFO) Push(fl *noc.Flit) int {
 	if fl == nil {
 		panic("buffer: Push of nil flit")
 	}
 	if f.count == f.depth {
 		panic("buffer: FIFO overflow (credit protocol violated)")
 	}
-	f.slots[int(f.head+f.count)&(len(f.slots)-1)] = fl
+	i := f.Index(int(f.count))
+	f.slots[i] = fl
 	f.count++
+	return i
 }
 
 // Pop removes and returns the oldest flit. It panics when empty.

@@ -364,9 +364,16 @@ func (c *Checker) Finalize(cycle int64, impacted func(id uint64) bool) (lost, ac
 		if c.cfg.Delivery {
 			c.mu.Lock()
 			injectCycle := c.inflight[id]
+			// Past the storage cap, with no observer, record only counts a
+			// violation: its detail would be formatted for nothing. (The cap,
+			// once reached, stays reached.)
+			kept := len(c.violations) < c.max || c.observer != nil
 			c.mu.Unlock()
-			c.record(Violation{Cycle: cycle, Kind: KindLost, Node: -1, Port: -1, Packet: id,
-				Detail: fmt.Sprintf("injected at cycle %d, never delivered, no fault accounts for it", injectCycle)})
+			v := Violation{Cycle: cycle, Kind: KindLost, Node: -1, Port: -1, Packet: id}
+			if kept {
+				v.Detail = fmt.Sprintf("injected at cycle %d, never delivered, no fault accounts for it", injectCycle)
+			}
+			c.record(v)
 		}
 	}
 	return lost, accounted

@@ -115,6 +115,49 @@ func TestViolationCapAndSorting(t *testing.T) {
 	}
 }
 
+// TestFinalizeFormatsOnlyKeptLosses: the lost-packet scan builds a
+// violation's detail text only when the violation is stored or observed. A
+// run that loses far more packets than the storage cap keeps allocates a
+// constant amount for the scan, not a formatted string per loss (1751
+// allocations for the thousand losses here when every detail was built);
+// the stored losses still carry their detail, and all are counted.
+func TestFinalizeFormatsOnlyKeptLosses(t *testing.T) {
+	const lost, keep = 1000, 4
+	var checkers []*Checker
+	for range 2 { // AllocsPerRun's warm-up call, then the measured one
+		c := New(Config{Delivery: true, MaxViolations: keep})
+		for id := uint64(1); id <= lost; id++ {
+			c.OnInject(int64(id), id)
+		}
+		checkers = append(checkers, c)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		checkers[next].Finalize(5000, nil)
+		next++
+	})
+	if allocs > 2*keep+8 {
+		t.Errorf("Finalize of %d losses with %d kept allocated %v times, want no more than %d", lost, keep, allocs, 2*keep+8)
+	}
+	c := checkers[1]
+	if vs := c.Violations(); len(vs) != keep || c.Total() != lost || !strings.Contains(vs[0].Detail, "never delivered") {
+		t.Errorf("stored %d of %d counted losses, first %+v", len(vs), c.Total(), vs[0])
+	}
+	// An observer hears every loss, past the cap too, with its detail.
+	o := New(Config{Delivery: true, MaxViolations: 1})
+	o.OnInject(1, 1)
+	o.OnInject(2, 2)
+	detailed := 0
+	o.SetObserver(func(v Violation) {
+		if v.Detail != "" {
+			detailed++
+		}
+	})
+	if o.Finalize(10, nil); detailed != 2 {
+		t.Errorf("observer heard %d detailed losses, want 2", detailed)
+	}
+}
+
 // TestOverflowMarksLeaky: a swallowed overflow flit disables the
 // arena-exactness expectation.
 func TestOverflowMarksLeaky(t *testing.T) {

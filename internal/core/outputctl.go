@@ -31,38 +31,60 @@ func (m Mode) String() string {
 	return "Recovery"
 }
 
-// Decision reports what one output of the NoX switch did in a cycle.
+// Decision reports what one output of the NoX switch did in a cycle. It is
+// returned by value on the switch's hottest path, so it keeps four fields in
+// 32 bytes — the shape the compiler returns in registers; the rest are flag
+// bits read through methods.
 type Decision struct {
 	// Out is the wire flit driven on the output channel, nil if none. It is
 	// an encoded superposition when Collided is set without Invalid.
 	Out *noc.Flit
-	// Invalid reports a multi-flit abort: the channel was driven with an
-	// indeterminate value that the receiver discards (§2.7).
-	Invalid bool
 	// Serviced is the input whose presentation was consumed (its buffer
 	// slot freed), or -1. Under a productive collision this is the
 	// arbitration winner; uncontested, it is the sole traverser.
 	Serviced int
 	// Granted is the input that won arbitration this cycle, or -1.
 	Granted int
-	// Collided reports >= 2 inputs traversing the XOR switch together.
-	Collided bool
-	// Colliders is the number of inputs traversing together when Collided
-	// (the contention fan-in of §3.2), 0 otherwise. Observability data for
-	// the probe layer; the router's behavior never depends on it. uint8 so
-	// the field fits existing struct padding — Decision returns by value on
-	// the switch's hottest path.
-	Colliders uint8
-	// ColliderMask is the input set of a productive collision (Collided set,
-	// Invalid clear), 0 otherwise. The router uses it to mark each collider's
-	// offer as absorbed into the encoded output (arena lifetime tracking).
-	ColliderMask uint32
-	// Arbitrated reports that the arbiter evaluated a non-empty request set
-	// (for energy accounting).
-	Arbitrated bool
-	// Stalled reports the output was blocked by exhausted credits.
-	Stalled bool
+	// flags holds the collision set in its low 32 bits and the dec* bits
+	// above them.
+	flags uint64
 }
+
+const (
+	decInvalid uint64 = 1 << (32 + iota)
+	decCollided
+	decArbitrated
+	decStalled
+)
+
+// Invalid reports a multi-flit abort: the channel was driven with an
+// indeterminate value that the receiver discards (§2.7).
+func (d Decision) Invalid() bool { return d.flags&decInvalid != 0 }
+
+// Collided reports >= 2 inputs traversing the XOR switch together.
+func (d Decision) Collided() bool { return d.flags&decCollided != 0 }
+
+// Colliders is the number of inputs traversing together when Collided (the
+// contention fan-in of §3.2), 0 otherwise. Observability data for the probe
+// layer; the router's behavior never depends on it.
+func (d Decision) Colliders() int { return bits.OnesCount32(uint32(d.flags)) }
+
+// ColliderMask is the input set of a productive collision (Collided set,
+// Invalid clear), 0 otherwise. The router uses it to mark each collider's
+// offer as absorbed into the encoded output (arena lifetime tracking).
+func (d Decision) ColliderMask() uint32 {
+	if d.Invalid() {
+		return 0
+	}
+	return uint32(d.flags)
+}
+
+// Arbitrated reports that the arbiter evaluated a non-empty request set (for
+// energy accounting).
+func (d Decision) Arbitrated() bool { return d.flags&decArbitrated != 0 }
+
+// Stalled reports the output was blocked by exhausted credits.
+func (d Decision) Stalled() bool { return d.flags&decStalled != 0 }
 
 // MaxInputs is the widest switch an OutputControl can decide for: its masks
 // are 32-bit words.
@@ -197,7 +219,9 @@ func (o *OutputControl) Commit() {
 // Decide evaluates one cycle for this output. offers[i] is the flit input i
 // presents to this output (nil if input i is idle or requesting another
 // output), one entry per input of the switch; creditOK reports downstream buffer availability. The returned
-// decision tells the router what to drive and which input to service.
+// decision tells the router what to drive and which input to service. Decide
+// reads each offer's routing header off the flit; DecideFor takes it from the
+// caller.
 //
 // The rules implemented here are the paper's §2.6/§2.7 behavior:
 //
@@ -223,21 +247,25 @@ func (o *OutputControl) Commit() {
 //     chain integrity.
 func (o *OutputControl) Decide(offers []*noc.Flit, creditOK bool) Decision {
 	var reqMask uint32
+	var hdr [MaxInputs]noc.Header
 	for i, f := range offers {
 		if f != nil {
 			reqMask |= 1 << i
+			hdr[i] = f.Header().Route(f.OutPort)
 		}
 	}
-	return o.DecideFor(offers, reqMask, creditOK)
+	return o.DecideFor(offers, hdr[:], reqMask, creditOK)
 }
 
 // DecideFor is Decide for a switch that keeps one vector of presentations
 // for all of its outputs: offers[i] is whatever input i presents this cycle,
-// to any output, and reqMask has a bit per input whose presentation is routed
-// to this one. Entries outside reqMask are not looked at, so the router
-// builds no per-output row.
-func (o *OutputControl) DecideFor(offers []*noc.Flit, reqMask uint32, creditOK bool) Decision {
-	if len(offers) < int(o.n) || reqMask&^o.all != 0 {
+// to any output, hdr[i] its routing header, and reqMask has a bit per input
+// whose presentation is routed to this one. Entries outside reqMask are not
+// looked at, so the router builds no per-output row. The wormhole lock and
+// the abort rule read the head, tail and multi-flit bits from hdr; a flit is
+// read only when a collision superimposes it.
+func (o *OutputControl) DecideFor(offers []*noc.Flit, hdr []noc.Header, reqMask uint32, creditOK bool) Decision {
+	if len(offers) < int(o.n) || len(hdr) < int(o.n) || reqMask&^o.all != 0 {
 		panic("core: offers narrower than the switch, or a request from beyond it")
 	}
 	d := Decision{Serviced: -1, Granted: -1}
@@ -255,7 +283,7 @@ func (o *OutputControl) DecideFor(offers []*noc.Flit, reqMask uint32, creditOK b
 	}
 
 	if !creditOK {
-		d.Stalled = true
+		d.flags |= decStalled
 		o.hold()
 		return d
 	}
@@ -274,10 +302,9 @@ func (o *OutputControl) DecideFor(offers []*noc.Flit, reqMask uint32, creditOK b
 			o.hold()
 			return d
 		}
-		f := offers[o.lockOwner]
-		d.Out = f
+		d.Out = offers[o.lockOwner]
 		d.Serviced = int(o.lockOwner)
-		if f.Tail() {
+		if hdr[o.lockOwner].Tail() {
 			a := reqMask & o.arbMask &^ (1 << o.lockOwner)
 			o.grantAndScheduleNext(a, &d)
 		} else {
@@ -305,20 +332,20 @@ func (o *OutputControl) DecideFor(offers []*noc.Flit, reqMask uint32, creditOK b
 
 	case 1:
 		i := bits.TrailingZeros32(s)
-		f := offers[i]
-		d.Out = f
+		h := hdr[i]
+		d.Out = offers[i]
 		d.Serviced = i
-		if f.MultiFlit() {
+		if h.MultiFlit() {
 			// A multi-flit head traverses uncontested; engage the lock and
 			// suppress grants until the tail passes. A body here is an
 			// orphan — its head was lost upstream — which only an injected
 			// fault can produce: lenient outputs forward it under the lock
 			// (an orphan tail passes without engaging it) so the rest of
 			// the packet drains instead of wedging.
-			if !f.Head() && !o.lenient {
+			if !h.Head() && !o.lenient {
 				panic("core: multi-flit body traversal without lock")
 			}
-			if !f.Tail() {
+			if !h.Tail() {
 				o.stage(o.mode, o.switchMask, o.arbMask, i)
 				return d
 			}
@@ -332,7 +359,7 @@ func (o *OutputControl) DecideFor(offers []*noc.Flit, reqMask uint32, creditOK b
 			if a != 0 {
 				g, _ := o.arb.Grant(a)
 				d.Granted = g
-				d.Arbitrated = true
+				d.flags |= decArbitrated
 			}
 			o.stage(Recovery, o.all, o.all, -1)
 		}
@@ -345,12 +372,11 @@ func (o *OutputControl) DecideFor(offers []*noc.Flit, reqMask uint32, creditOK b
 		if o.mode != Recovery {
 			panic("core: collision in Scheduled mode")
 		}
-		d.Collided = true
-		d.Colliders = uint8(bits.OnesCount32(s))
+		d.flags |= decCollided | uint64(s)
 
 		multi := false
 		for m := s; m != 0; m &= m - 1 {
-			if offers[bits.TrailingZeros32(m)].MultiFlit() {
+			if hdr[bits.TrailingZeros32(m)].MultiFlit() {
 				multi = true
 				break
 			}
@@ -364,22 +390,21 @@ func (o *OutputControl) DecideFor(offers []*noc.Flit, reqMask uint32, creditOK b
 			panic(fmt.Sprintf("core: grant %d outside collision set %b", g, s))
 		}
 		d.Granted = g
-		d.Arbitrated = true
+		d.flags |= decArbitrated
 
 		if multi {
 			// Abort (§2.7): indeterminate value on the channel, nobody
 			// serviced, immediate transition to Scheduled mode with the
 			// winner as sole traverser next cycle.
-			d.Invalid = true
+			d.flags |= decInvalid
 			o.stage(Scheduled, 1<<g, o.all&^(1<<g), -1)
 			return d
 		}
 
 		// Productive collision: superimpose the colliders, service the
 		// winner, and narrow the masks to the losers.
-		d.Out = o.superimpose(offers, s)
+		d.Out = o.superimpose(offers, hdr, s)
 		d.Serviced = g
-		d.ColliderMask = s
 
 		next := s &^ (1 << g)
 		switch bits.OnesCount32(next) {
@@ -400,12 +425,19 @@ func (o *OutputControl) DecideFor(offers []*noc.Flit, reqMask uint32, creditOK b
 // never share it; the function is kept out of line so that only a collision
 // pays for clearing that scratch, not every Decide.
 //
+// Each constituent's lookahead port is written into it here: a snapshot
+// records a superposition's constituents with their ports (Flit.OutPort), and
+// the winner among them is held by no input port after this cycle.
+//
 //go:noinline
-func (o *OutputControl) superimpose(offers []*noc.Flit, s uint32) *noc.Flit {
+func (o *OutputControl) superimpose(offers []*noc.Flit, hdr []noc.Header, s uint32) *noc.Flit {
 	var gather [MaxInputs]*noc.Flit
 	k := 0
 	for m := s; m != 0; m &= m - 1 {
-		gather[k] = offers[bits.TrailingZeros32(m)]
+		i := bits.TrailingZeros32(m)
+		f := offers[i]
+		f.OutPort = hdr[i].Port()
+		gather[k] = f
 		k++
 	}
 	return o.arena.Encode(gather[:k])
@@ -418,7 +450,7 @@ func (o *OutputControl) grantAndScheduleNext(a uint32, d *Decision) {
 	if a != 0 {
 		g, _ := o.arb.Grant(a)
 		d.Granted = g
-		d.Arbitrated = true
+		d.flags |= decArbitrated
 		o.stage(Scheduled, 1<<g, o.all&^(1<<g), -1)
 		return
 	}

@@ -64,7 +64,7 @@ func TestRandomizedChainSoak(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
 		ctl := NewOutputControl(n, nil)
-		ip := NewInputPort(64, func(noc.NodeID) noc.Port { return noc.Local })
+		ip := NewInputPort(64, routeTo(noc.Local))
 
 		var id uint64
 		live := map[int]*noc.Flit{}
@@ -143,7 +143,7 @@ func TestRecoveryChainNoNewEntrants(t *testing.T) {
 	live := map[int]*noc.Flit{0: mkSingle(1, noc.East), 1: mkSingle(2, noc.East), 2: mkSingle(3, noc.East)}
 
 	d := ctl.Decide(offers(n, live), true) // 3-way collision
-	if !d.Collided {
+	if !d.Collided() {
 		t.Fatal("expected collision")
 	}
 	delete(live, d.Serviced)
@@ -175,7 +175,7 @@ func TestRecoveryChainNoNewEntrants(t *testing.T) {
 // chain flits (upstream credit stalls): the decode register waits for the
 // next contiguous flit.
 func TestInputPortBubbleMidChain(t *testing.T) {
-	ip := NewInputPort(8, func(noc.NodeID) noc.Port { return noc.Local })
+	ip := NewInputPort(8, routeTo(noc.Local))
 	a, b := mkSingle(1, noc.East), mkSingle(2, noc.East)
 	enc := noc.Encode([]*noc.Flit{a, b})
 
@@ -205,7 +205,7 @@ func TestInputPortBubbleMidChain(t *testing.T) {
 // port keeps its panic. It used to be a nil dereference inside noc.Decode.
 func TestUnownedConstituentPoisonsLenientPort(t *testing.T) {
 	latchScrubbed := func(lenient bool) *InputPort {
-		ip := NewInputPort(8, func(noc.NodeID) noc.Port { return noc.Local })
+		ip := NewInputPort(8, routeTo(noc.Local))
 		ip.SetLenient(lenient)
 		a, b := mkSingle(1, noc.East), mkSingle(2, noc.East)
 		ip.Receive(noc.Encode([]*noc.Flit{a, b}))
@@ -242,7 +242,7 @@ func TestUnownedConstituentPoisonsLenientPort(t *testing.T) {
 // TestOfferStability verifies an unserviced offer is identical across
 // cycles (output logic depends on request stability).
 func TestOfferStability(t *testing.T) {
-	ip := NewInputPort(8, func(noc.NodeID) noc.Port { return noc.West })
+	ip := NewInputPort(8, routeTo(noc.West))
 	a, b := mkSingle(1, noc.East), mkSingle(2, noc.East)
 	ip.Receive(noc.Encode([]*noc.Flit{a, b}))
 	ip.Commit() // latch
@@ -264,7 +264,7 @@ func TestOfferStability(t *testing.T) {
 
 // TestServiceWithoutOfferPanics guards the port's usage contract.
 func TestServiceWithoutOfferPanics(t *testing.T) {
-	ip := NewInputPort(4, func(noc.NodeID) noc.Port { return noc.Local })
+	ip := NewInputPort(4, routeTo(noc.Local))
 	defer func() {
 		if recover() == nil {
 			t.Error("Service without offer did not panic")
@@ -303,7 +303,7 @@ func TestScheduledStallHoldsSchedule(t *testing.T) {
 	// Stall for three cycles: nothing moves, schedule intact.
 	for i := 0; i < 3; i++ {
 		d = ctl.Decide(offers(n, live), false)
-		if !d.Stalled || d.Out != nil {
+		if !d.Stalled() || d.Out != nil {
 			t.Fatalf("stall cycle %d leaked activity: %+v", i, d)
 		}
 		ctl.Commit()

@@ -15,6 +15,10 @@ func mkSingle(id uint64, out noc.Port) *noc.Flit {
 	return f
 }
 
+// routeTo returns a route-table row that sends every destination the tests
+// use (core 0 or 1) out of port out.
+func routeTo(out noc.Port) []noc.Port { return []noc.Port{out, out} }
+
 // mkMulti builds an n-flit packet and returns its flits.
 func mkMulti(id uint64, n int, out noc.Port) []*noc.Flit {
 	p := noc.NewPacket(id, 0, 1, n, 0, 0)
@@ -83,7 +87,7 @@ func TestFigure2TransmissionTiming(t *testing.T) {
 	if d.Granted != 1 || d.Serviced != 1 {
 		t.Fatalf("cycle 2: grant/serviced = %d/%d, want port 1 (B)", d.Granted, d.Serviced)
 	}
-	if !d.Collided || d.Invalid {
+	if !d.Collided() || d.Invalid() {
 		t.Fatalf("cycle 2: want productive collision, got %+v", d)
 	}
 	ctl.Commit()
@@ -119,7 +123,7 @@ func TestFigure2TransmissionTiming(t *testing.T) {
 //	cycle 3: C read and XORed with the register, presenting B
 //	cycle 4: C presented from the buffer
 func TestFigure3ReceiveTiming(t *testing.T) {
-	ip := NewInputPort(4, func(noc.NodeID) noc.Port { return noc.East })
+	ip := NewInputPort(4, routeTo(noc.East))
 
 	fA := mkSingle(1, noc.East)
 	fB := mkSingle(2, noc.East)
@@ -193,7 +197,7 @@ func TestFigure3ReceiveTiming(t *testing.T) {
 func TestThreeWayChain(t *testing.T) {
 	const n = 5
 	ctl := NewOutputControl(n, nil)
-	ip := NewInputPort(8, func(noc.NodeID) noc.Port { return noc.Local })
+	ip := NewInputPort(8, routeTo(noc.Local))
 
 	fs := []*noc.Flit{mkSingle(10, noc.East), mkSingle(11, noc.East), mkSingle(12, noc.East)}
 	live := map[int]*noc.Flit{0: fs[0], 1: fs[1], 2: fs[2]}
@@ -259,7 +263,7 @@ func TestMultiFlitAbort(t *testing.T) {
 
 	// Cycle 0: multi-flit head collides with a single-flit packet.
 	d := ctl.Decide(offers(n, map[int]*noc.Flit{0: data[0], 1: ctrl}), true)
-	if !d.Invalid || d.Out != nil || d.Serviced != -1 {
+	if !d.Invalid() || d.Out != nil || d.Serviced != -1 {
 		t.Fatalf("abort cycle: want invalid drive and no service, got %+v", d)
 	}
 	winner := d.Granted
@@ -329,7 +333,7 @@ func TestScheduledModeSteadyState(t *testing.T) {
 	delivered := 0
 	for cycle := 0; cycle < 40; cycle++ {
 		d := ctl.Decide(offers(n, live), true)
-		if d.Collided {
+		if d.Collided() {
 			collisions++
 		}
 		if d.Serviced >= 0 {
@@ -351,7 +355,7 @@ func TestScheduledModeSteadyState(t *testing.T) {
 func TestCreditStallPreservesChain(t *testing.T) {
 	const n = 5
 	ctl := NewOutputControl(n, nil)
-	ip := NewInputPort(8, func(noc.NodeID) noc.Port { return noc.Local })
+	ip := NewInputPort(8, routeTo(noc.Local))
 
 	live := map[int]*noc.Flit{0: mkSingle(31, noc.East), 1: mkSingle(32, noc.East), 2: mkSingle(33, noc.East)}
 	credits := []bool{true, false, false, true, true, true, true, true}
@@ -360,7 +364,7 @@ func TestCreditStallPreservesChain(t *testing.T) {
 	for cycle := 0; cycle < len(credits) && len(live) > 0; cycle++ {
 		d := ctl.Decide(offers(n, live), credits[cycle])
 		if !credits[cycle] {
-			if !d.Stalled || d.Out != nil || d.Serviced >= 0 {
+			if !d.Stalled() || d.Out != nil || d.Serviced >= 0 {
 				t.Fatalf("cycle %d: activity during stall: %+v", cycle, d)
 			}
 		}

@@ -20,7 +20,9 @@ import (
 // one flit per cycle. The ejection side receives from the router's local
 // output through an input-port structure identical to the router's own —
 // including the NoX decode register, since encoded chains reach the
-// destination interface too — and delivers one flit per cycle.
+// destination interface too, but without its header mirror, since the
+// interface loads every flit it buffers to deliver it — and delivers one
+// flit per cycle.
 type NI struct {
 	node noc.NodeID
 	net  *Network
@@ -117,9 +119,10 @@ func (ni *NI) dequeue() *noc.Packet {
 	return p
 }
 
-// Receive buffers a flit arriving from the router's local output port: the
-// interface's latch calls it with what it takes from its ejection link.
-func (ni *NI) Receive(f *noc.Flit, cycle int64) {
+// receive buffers a flit arriving from the router's local output port with
+// the header the channel carried: the interface's latch calls it with what it
+// takes from its ejection link.
+func (ni *NI) receive(f *noc.Flit, h noc.Header, cycle int64) {
 	if ni.sink.Free() == 0 && ni.net.check != nil {
 		// Only an injected credit-duplication fault can overrun the sink
 		// (the credit protocol otherwise forbids it): report and swallow.
@@ -127,7 +130,7 @@ func (ni *NI) Receive(f *noc.Flit, cycle int64) {
 		ni.arena.Release(f)
 		return
 	}
-	ni.sink.Receive(f)
+	ni.sink.Accept(f, h)
 	ni.counters.BufWrite++
 	if pr := ni.probe; pr != nil {
 		if f.Encoded {
@@ -152,7 +155,8 @@ func (ni *NI) Compute(cycle int64) {
 				pr.Inject(cycle, int(ni.node), ni.cur.ID, ni.cur.Length)
 			}
 		}
-		ni.injectLink.Send(ni.arena.NewFlit(ni.cur, ni.curSeq))
+		f := ni.arena.NewFlit(ni.cur, ni.curSeq)
+		ni.injectLink.SendHeader(f, f.Header())
 		ni.curSeq++
 		if ni.curSeq == ni.cur.Length {
 			ni.letGo(ni.cur, noc.OwnedBySource)
@@ -199,8 +203,8 @@ func (ni *NI) Quiet() bool {
 // Latch implements sim.Latcher: the flit the router staged on the ejection
 // link this cycle enters the sink port.
 func (ni *NI) Latch(cycle int64) {
-	if f := ni.ejectLink.Take(cycle); f != nil {
-		ni.Receive(f, cycle)
+	if f, h := ni.ejectLink.Take(cycle); f != nil {
+		ni.receive(f, h, cycle)
 	}
 }
 
@@ -216,18 +220,18 @@ func (ni *NI) Commit(cycle int64) {
 		ck.Decode(cycle, int(ni.node), -1, ev.DecodeErr)
 		ck.MarkLeaky()
 	}
-	c.BufRead += int64(ev.Reads)
+	c.BufRead += int64(ev.Reads())
 	if ev.Latched {
 		c.RegWrite++
 	}
 	if ev.Decoded {
 		c.Decode++
 	}
-	if pr := ni.probe; pr != nil && ev.Reads > 0 {
-		pr.NIBufRead(cycle, int(ni.node), ev.Reads)
+	if pr := ni.probe; pr != nil && ev.Reads() > 0 {
+		pr.NIBufRead(cycle, int(ni.node), ev.Reads())
 	}
 	if ev.FreedSlots > 0 {
-		ni.ejectLink.ReturnCredits(cycle, ev.FreedSlots)
+		ni.ejectLink.ReturnCredits(cycle, int(ev.FreedSlots))
 	}
 	if f := ni.released; f != nil {
 		// The flit delivered this cycle is now unreachable: the sink commit

@@ -37,8 +37,13 @@ type Flit struct {
 	// Encoded marks an XOR-superposition of several flits. On real
 	// hardware this is the one-bit "encoded" sideband signal of §2.2.
 	Encoded bool
-	// OutPort is the output port at the router currently holding the flit,
-	// precomputed by lookahead route computation on arrival.
+	// OutPort is the flit's lookahead output port as a snapshot image
+	// records it, and as a baseline router's FIFO keeps it (only the head's
+	// is cached there). A NoX hop keeps its port in the header mirror beside
+	// the flit pointer, so for NoX this field is written only where an image
+	// can read it: a collision's constituents, a decode copy, an input
+	// port's save, a restore. The core rig under benchmark/ also sets it on
+	// the flits it offers, and compiles against it.
 	OutPort Port
 	// flags holds flitTail and flitMulti.
 	flags uint8

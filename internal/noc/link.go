@@ -80,9 +80,10 @@ var noEnv LinkEnv
 // sent during cycle t is usable by the receiver at cycle t+1.
 //
 // A link is a passive record, not a simulation component: a register at the
-// sink's input plus the sender's credit counter. The sender stages a flit
-// with Send during its compute phase; the sink — the component that owns the
-// link — ends its own commit by taking whatever was staged (Take) and by
+// sink's input plus the sender's credit counter. The sender stages a flit and
+// its routing header with SendHeader (Send reads the header off the flit)
+// during its compute phase; the sink — the component that owns the link —
+// ends its own commit by taking whatever was staged (Take) and by
 // handing back the buffer slots it freed (ReturnCredits). Sending transfers
 // ownership: the sink may drop, swallow or recycle the flit in the same
 // commit phase, so a sender must not dereference a flit after Send.
@@ -103,10 +104,10 @@ var noEnv LinkEnv
 // Receiver the link was built with (NewLink). A link a component owns is
 // built with Init and has no Receiver.
 type Link struct {
-	// staged, credits, sinkH, env and the sink's mask lead: they are all a
-	// Send writes or reads, and all a sink's latch touches of a channel whose
-	// bit is up. A network carves each sink's input channels contiguously
-	// (see network.New). The whole record is one 64-byte line.
+	// staged, credits, sinkH, env and the sink's mask lead: with hdr they are
+	// all a Send writes or reads, and all a sink's latch touches of a channel
+	// whose bit is up. A network carves each sink's input channels
+	// contiguously (see network.New). The whole record is one 64-byte line.
 	staged  *Flit
 	credits int32
 	// sinkH is the kernel handle of the component owning the sink side,
@@ -138,6 +139,9 @@ type Link struct {
 	// conservation checks.
 	site     int32
 	capacity int32
+	// hdr is the staged flit's routing header, carried beside the pointer so
+	// the sink routes it without loading the flit.
+	hdr Header
 
 	// hand is the hand-driven part: nil on a link a component owns.
 	hand *handDriven
@@ -232,12 +236,26 @@ func (l *Link) Ready(cycle int64) bool {
 	return l.credits != 0 && (l.env.Tamper == nil || !l.env.Tamper.LinkStalled(l.site, cycle))
 }
 
-// Send stages a flit for the sink to take at this cycle's commit, consuming
-// one credit, raises the channel's bit in the sink's staged-input mask, and
-// tells the kernel the sink has input. Called by the sender during its
-// compute phase; sending without a credit or sending twice in one cycle
-// panics (simulator bug). The flit belongs to the sink from here on.
+// Send is SendHeader with the header read from the flit, for a sender that
+// holds a flit but not its header. A flit built as a literal, without one
+// (only the router rig under benchmark/ sends such), is stamped first.
 func (l *Link) Send(f *Flit) {
+	if f == nil {
+		panic("noc: send of nil flit")
+	}
+	if f.ID == 0 && !f.Encoded && f.Packet != nil {
+		f.Stamp()
+	}
+	l.SendHeader(f, f.Header())
+}
+
+// SendHeader stages a flit and its routing header h for the sink to take at
+// this cycle's commit, consuming one credit, raises the channel's bit in the
+// sink's staged-input mask, and tells the kernel the sink has input. Called
+// by the sender during its compute phase; sending without a credit or sending
+// twice in one cycle panics (simulator bug). The flit belongs to the sink
+// from here on.
+func (l *Link) SendHeader(f *Flit, h Header) {
 	if l.staged != nil {
 		panic("noc: link driven twice in one cycle")
 	}
@@ -248,7 +266,7 @@ func (l *Link) Send(f *Flit) {
 		panic("noc: send of nil flit")
 	}
 	l.credits--
-	l.staged = f
+	l.staged, l.hdr = f, h
 	if m := l.mask; m != nil {
 		if l.shared {
 			// The bit is down (the channel held no flit), so the add is an
@@ -264,19 +282,19 @@ func (l *Link) Send(f *Flit) {
 }
 
 // Take is the sink's latch: it removes and returns the flit staged this
-// cycle, nil when the channel was idle or a fault dropped the flit on the
-// wire. The owning component calls it at the end of its commit and buffers
-// the result.
-func (l *Link) Take(cycle int64) *Flit {
+// cycle with its routing header, a nil flit when the channel was idle or a
+// fault dropped the flit on the wire. The owning component calls it at the
+// end of its commit and buffers the result.
+func (l *Link) Take(cycle int64) (*Flit, Header) {
 	if l.staged == nil {
-		return nil
+		return nil, 0
 	}
 	return l.take(cycle)
 }
 
 // take is Take with a flit staged, kept apart so that the idle-channel test
 // inlines into the sink's latch loop.
-func (l *Link) take(cycle int64) *Flit {
+func (l *Link) take(cycle int64) (*Flit, Header) {
 	f := l.staged
 	l.staged = nil
 	env := l.env
@@ -287,7 +305,7 @@ func (l *Link) take(cycle int64) *Flit {
 		// referenced upstream and are left to leak (accounted for by the
 		// injector's Leaky flag).
 		env.Arena.Release(f)
-		return nil
+		return nil, 0
 	}
 	if pr := env.Probe; pr != nil {
 		if f.Encoded {
@@ -296,7 +314,7 @@ func (l *Link) take(cycle int64) *Flit {
 			pr.Link(cycle, int(l.probeNode), int(l.probePort), f.ID, f.Seq)
 		}
 	}
-	return f
+	return f, l.hdr
 }
 
 // ReturnCredits hands n freed buffer slots back to the sender — the sink
@@ -332,7 +350,7 @@ func (l *Link) Commit(cycle int64) {
 	if l.staged != nil && l.mask != nil {
 		*l.mask &^= 1 << l.bit
 	}
-	if f := l.Take(cycle); f != nil {
+	if f, _ := l.Take(cycle); f != nil {
 		h.sink.Receive(f, cycle)
 	}
 	if h.returns > 0 {

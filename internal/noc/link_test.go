@@ -115,14 +115,14 @@ func TestLinkSinkLatch(t *testing.T) {
 	l.Bind(&LinkEnv{Waker: &woke}, 0, 7, 3, false)
 	f, g := NewFlit(NewPacket(1, 0, 1, 1, 0, 0), 0), NewFlit(NewPacket(2, 0, 1, 1, 0, 0), 0)
 
-	if l.Take(0) != nil {
+	if got, _ := l.Take(0); got != nil {
 		t.Fatal("idle link handed the sink a flit")
 	}
 	l.Send(f)
-	if got := l.Take(0); got != f {
-		t.Fatalf("Take = %v, want the staged flit", got)
+	if got, h := l.Take(0); got != f || h != f.Header() {
+		t.Fatalf("Take = %v, %#x: want the staged flit and its header %#x", got, h, f.Header())
 	}
-	if l.Take(0) != nil {
+	if got, _ := l.Take(0); got != nil {
 		t.Fatal("flit taken twice")
 	}
 	l.Send(g)
@@ -176,7 +176,7 @@ func TestLinkSinkMask(t *testing.T) {
 	// A channel bound to no mask (an interface's) leaves every word alone.
 	l := NewLink(&recorder{}, 1)
 	l.Send(NewFlit(NewPacket(3, 0, 1, 1, 0, 0), 0))
-	if l.Take(0) == nil {
+	if got, _ := l.Take(0); got == nil {
 		t.Fatal("unbound channel lost its flit")
 	}
 }

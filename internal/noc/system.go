@@ -27,6 +27,9 @@ func (s System) Check() error {
 	if s.Grid.Width <= 0 || s.Grid.Height <= 0 || s.Concentration <= 0 {
 		return fmt.Errorf("noc: invalid system %+v", s)
 	}
+	if s.Cores() > int(MaxDst)+1 {
+		return fmt.Errorf("noc: system %+v has more cores than a flit header addresses (%d)", s, int(MaxDst)+1)
+	}
 	return nil
 }
 

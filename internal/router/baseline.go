@@ -75,8 +75,8 @@ func (b *baseline) portState(i int, out *noc.Link, lock int8) PortState {
 func (b *baseline) Latch(cycle int64) {
 	for m := b.staged; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m)
-		if f := b.in[i].link.Take(cycle); f != nil {
-			b.receive(noc.Port(i), f, cycle)
+		if f, h := b.in[i].link.Take(cycle); f != nil {
+			b.receive(noc.Port(i), f, h, cycle)
 		}
 	}
 	b.staged = 0
@@ -98,11 +98,12 @@ func (b *baseline) gather(req *[maxPorts]uint32) (outs uint32) {
 // send stages the switch traversal of input i's head to output o over out,
 // and returns the wormhole lock of the output after it (lock before).
 func (b *baseline) send(i, o int, out *noc.Link, lock int8, cycle int64) int8 {
-	if k := b.in[i].head.kind; k&headMulti != 0 {
-		if k&headFirst != 0 {
+	h := b.in[i].head.hdr
+	if h.MultiFlit() {
+		if h.Head() {
 			lock = int8(i)
 		}
-		if k&headTail != 0 {
+		if h.Tail() {
 			lock = -1
 		}
 	}
@@ -110,7 +111,7 @@ func (b *baseline) send(i, o int, out *noc.Link, lock int8, cycle int64) int8 {
 	if pr := b.probe; pr != nil {
 		pr.Traverse(cycle, int(b.node), o, f.ID, f.Seq)
 	}
-	out.Send(f)
+	out.SendHeader(f, h)
 	b.pops |= 1 << uint(i)
 	b.counters.Xbar++
 	b.counters.LinkFlit++
@@ -122,21 +123,17 @@ func (b *baseline) send(i, o int, out *noc.Link, lock int8, cycle int64) int8 {
 // header when the head changes (an arrival into an empty FIFO, the pop that
 // exposes the next flit, a restore). A head that waits — for a credit, a
 // lock, an arbiter — then costs its port record per cycle and not its flit,
-// which sits wherever the arena put it.
+// which sits wherever the arena put it; and it leaves with the header cached
+// here, so the traversal loads no flit either.
 type headInfo struct {
 	// id is the head flit's packet ID, 0 when the FIFO is empty.
 	id uint64
+	// hdr is the head flit's routing header: its head, tail and multi-flit
+	// bits decide the wormhole lock.
+	hdr noc.Header
 	// out is the head flit's lookahead output port.
 	out noc.Port
-	// kind is headMulti/headFirst/headTail bits.
-	kind uint8
 }
-
-const (
-	headMulti uint8 = 1 << iota // the packet is longer than one flit
-	headFirst                   // flit 0 of its packet
-	headTail                    // last flit of its packet
-)
 
 // headOfFIFO describes q's head (unencoded), the zero headInfo when q is
 // empty.
@@ -145,31 +142,22 @@ func headOfFIFO(q *buffer.FIFO) headInfo {
 	if f == nil {
 		return headInfo{}
 	}
-	h := headInfo{id: f.ID, out: f.OutPort}
-	if f.MultiFlit() {
-		h.kind |= headMulti
-	}
-	if f.Seq == 0 {
-		h.kind |= headFirst
-	}
-	if f.Tail() {
-		h.kind |= headTail
-	}
-	return h
+	return headInfo{id: f.ID, hdr: f.Header(), out: f.OutPort}
 }
 
 // receive buffers a flit latched from port p's channel and computes its
-// lookahead route.
-func (b *baseline) receive(p noc.Port, f *noc.Flit, cycle int64) {
-	if f.Encoded {
+// lookahead route from the header the channel carried. A baseline FIFO keeps
+// the route of every buffered flit in the flit (Flit.OutPort): only its head
+// is cached (headInfo).
+func (b *baseline) receive(p noc.Port, f *noc.Flit, h noc.Header, cycle int64) {
+	if h.Encoded() {
 		panic("router: baseline router received an encoded flit")
 	}
 	in := &b.in[p]
 	if b.overflow(p, f, cycle, in.fifo.Free()) {
 		return
 	}
-	stampLiteral(f)
-	f.OutPort = b.route(noc.NodeID(f.Dst))
+	f.OutPort = b.route(h.Dst())
 	in.fifo.Push(f)
 	if b.busy&(1<<uint(p)) == 0 {
 		in.head = headOfFIFO(&in.fifo)

@@ -11,9 +11,12 @@ import (
 )
 
 // TestTileFootprint prints and bounds the bytes of state one tile touches per
-// cycle: the router's struct, port records and FIFO rings, the channels the
-// tile latches (the router's five inputs and the interface's ejection
-// channel), and the network interface with its sink ring. The figures are for
+// cycle: the router's struct, port records and FIFO rings (with the NoX input
+// ports' header mirrors), the channels the tile latches (the router's five
+// inputs and the interface's ejection channel), and the network interface
+// with its sink ring; the sink keeps no header mirror (it loads every flit it
+// delivers), so the shared part has none to count. A channel is one 64-byte
+// line, its staged header in what was padding. The figures are for
 // the paper's tile — a 5-port mesh router, 4-deep buffers, one core, 16-deep
 // sink. headBytes is the same sum taken on the tree before the per-port
 // records (slice-per-field routers, 112-byte links, 304-byte interface); the
@@ -25,6 +28,9 @@ func TestTileFootprint(t *testing.T) {
 		buffer.SlotsFor(sinkDepth)*int(unsafe.Sizeof((*noc.Flit)(nil)))
 	t.Logf("link %d B, interface %d B, router-independent part of a tile %d B",
 		unsafe.Sizeof(noc.Link{}), unsafe.Sizeof(network.NI{}), shared)
+	if size := unsafe.Sizeof(noc.Link{}); size != 64 {
+		t.Errorf("a channel is %d B, not one 64-byte line", size)
+	}
 	for _, arch := range router.Archs {
 		rt := router.RecordBytes(arch, ports, depth)
 		tile, head := rt+shared, headBytes[arch]

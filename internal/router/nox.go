@@ -1,6 +1,7 @@
 package router
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/arbiter"
@@ -52,9 +53,11 @@ func newNoX(cfg *Config) *noxRouter {
 	r.port = s.noxPorts.take(n, s.chunk)
 	sl := buffer.SlotsFor(cfg.BufferDepth)
 	rings := s.rings.take(n*sl, s.chunk)
+	hdrs := s.hdrs.take(n*sl, s.chunk)
 	for i := range r.port {
 		p := &r.port[i]
 		p.in.Init(cfg.BufferDepth, rings[i*sl:(i+1)*sl:(i+1)*sl], r.row, cfg.Arena)
+		p.in.Mirror(hdrs[i*sl : (i+1)*sl : (i+1)*sl])
 		var arb arbiter.Arbiter
 		if cfg.NewArbiter != nil {
 			arb = cfg.NewArbiter(n)
@@ -80,16 +83,16 @@ func (r *noxRouter) SetInputLink(p noc.Port, l *noc.Link) {
 // SetOutputLink registers the link driven by port p.
 func (r *noxRouter) SetOutputLink(p noc.Port, l *noc.Link) { r.wire(&r.port[p].out, p, l) }
 
-func (r *noxRouter) receive(p noc.Port, f *noc.Flit, cycle int64) {
+// receive buffers a flit latched from port p's channel with the header the
+// channel carried: the flit itself is not loaded.
+func (r *noxRouter) receive(p noc.Port, f *noc.Flit, h noc.Header, cycle int64) {
 	in := &r.port[p].in
 	if r.overflow(p, f, cycle, in.Free()) {
 		return
 	}
 	r.inBusy |= 1 << uint(p)
-	stampLiteral(f)
-	in.Receive(f)
-	if !f.Encoded {
-		r.checkWired(f.OutPort) // the port computed the lookahead just now
+	if h = in.Accept(f, h); !h.Encoded() {
+		r.checkWired(h.Port()) // the port computed the lookahead just now
 	}
 	r.counters.BufWrite++
 	if pr := r.probe; pr != nil {
@@ -148,8 +151,14 @@ func (r *noxRouter) scanMasks() (inBusy, outBusy uint32) {
 	return inBusy, outBusy
 }
 
-// Audit implements Router.
+// Audit implements Router: the masks, and each input port's header mirror
+// against the flits it mirrors.
 func (r *noxRouter) Audit() error {
+	for i := range r.port {
+		if err := r.port[i].in.Audit(r.wired); err != nil {
+			return fmt.Errorf("router %d input %d: %w", r.node, i, err)
+		}
+	}
 	inBusy, outBusy := r.scanMasks()
 	return r.auditMasks("inBusy/outBusy", [4]uint32{r.inBusy, r.outBusy}, [4]uint32{inBusy, outBusy})
 }
@@ -176,12 +185,14 @@ func (r *noxRouter) Reroute(routes *routing.Table) {
 }
 
 // noxScratch is the working set of one NoX Compute: what each input presents
-// and the request vector per output. Compute clears exactly the entries it
-// wrote, so one all-zero scratch serves every router of a lane (one goroutine
+// with its header, and the request vector per output. Compute clears exactly
+// the offers and requests it wrote (a header is read only under its request
+// bit), so one all-zero scratch serves every router of a lane (one goroutine
 // walks a lane: shards never share one) instead of each router keeping
 // radix-squared pointers of its own.
 type noxScratch struct {
 	offer [maxPorts]*noc.Flit
+	hdr   [maxPorts]noc.Header
 	req   [maxPorts]uint32
 }
 
@@ -200,30 +211,32 @@ func (r *noxRouter) compute(cycle int64, s *noxScratch) {
 
 	// Each input presents at most one flit; group presentations by their
 	// lookahead output port. Only dirty inputs can hold one (a clean input's
-	// Offer is a guaranteed miss).
-	offer, req := &s.offer, &s.req
+	// Present is a guaranteed miss). A raw presentation's header comes from
+	// the port's mirror: the flit is not loaded.
+	offer, hdr, req := &s.offer, &s.hdr, &s.req
 	var offered, decoded uint32
 	for m := r.inBusy; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m)
-		f, dec, ok := port[i].in.Offer()
-		if !ok {
+		f, h, dec := port[i].in.Present()
+		if f == nil {
 			continue
 		}
+		o := h.Port()
 		if dec {
-			// A decode copy's lookahead is computed inside Offer.
-			r.checkWired(f.OutPort)
+			// A decode copy's lookahead is computed inside Present.
+			r.checkWired(o)
 			decoded |= 1 << uint(i)
 		}
-		offer[i] = f
-		req[f.OutPort] |= 1 << uint(i)
-		offered |= 1 << uint(f.OutPort)
+		offer[i], hdr[i] = f, h
+		req[o] |= 1 << uint(i)
+		offered |= 1 << uint(o)
 	}
 
 	r.decided = offered | r.outBusy
 	for v := r.decided; v != 0; v &= v - 1 {
 		o := bits.TrailingZeros32(v)
 		p := &port[o]
-		d := p.ctl.DecideFor(offer[:], req[o], p.out.Ready(cycle))
+		d := p.ctl.DecideFor(offer[:], hdr[:], req[o], p.out.Ready(cycle))
 		if d.Out != nil {
 			if pr != nil {
 				arg, seq := flitTraceID(d.Out)
@@ -232,11 +245,12 @@ func (r *noxRouter) compute(cycle int64, s *noxScratch) {
 			c.Xbar++
 			c.LinkFlit++
 			c.OutputActive++
-			if d.Out.Encoded {
+			if d.Collided() {
+				// A driven collision is a productive one: its superposition.
 				c.EncodedFlits++
 			}
 		}
-		if d.Invalid {
+		if d.Invalid() {
 			// Multi-flit abort: the channel carries an indeterminate value
 			// this cycle (§2.7) — same energy, no information.
 			c.LinkInvalid++
@@ -251,22 +265,22 @@ func (r *noxRouter) compute(cycle int64, s *noxScratch) {
 				ck.Mode(cycle, int(r.node), o, "multi-flit abort did not stage Scheduled mode")
 			}
 		}
-		if d.Collided && !d.Invalid {
+		if d.Collided() && !d.Invalid() {
 			c.Collisions++
 			// The encoded output absorbed every collider's presentation;
 			// their objects now belong to the superposition's constituent
 			// set (arena lifetime tracking in core.InputPort).
-			for m := d.ColliderMask; m != 0; m &= m - 1 {
+			for m := d.ColliderMask(); m != 0; m &= m - 1 {
 				port[bits.TrailingZeros32(m)].in.OfferAbsorbed()
 			}
 			if pr != nil {
-				pr.Collision(cycle, int(r.node), o, int(d.Colliders), d.Out.Raw)
+				pr.Collision(cycle, int(r.node), o, d.Colliders(), d.Out.Raw)
 			}
 		}
-		if d.Arbitrated {
+		if d.Arbitrated() {
 			c.Arb++
 		}
-		if d.Stalled && pr != nil {
+		if d.Stalled() && pr != nil {
 			pr.CreditStall(cycle, int(r.node), o)
 		}
 		if d.Serviced >= 0 {
@@ -278,8 +292,14 @@ func (r *noxRouter) compute(cycle int64, s *noxScratch) {
 			}
 		}
 		if d.Out != nil {
-			// Last: the flit belongs to the downstream port once sent.
-			p.out.Send(d.Out)
+			// Last: the flit belongs to the downstream port once sent. It
+			// travels with its header: the sole traverser's, or a
+			// superposition's.
+			h := noc.EncodedHeader
+			if !d.Collided() {
+				h = hdr[d.Serviced]
+			}
+			p.out.SendHeader(d.Out, h)
 		}
 		for m := req[o]; m != 0; m &= m - 1 {
 			offer[bits.TrailingZeros32(m)] = nil
@@ -294,8 +314,8 @@ func (r *noxRouter) compute(cycle int64, s *noxScratch) {
 func (r *noxRouter) Latch(cycle int64) {
 	for m := r.staged; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m)
-		if f := r.port[i].inLink.Take(cycle); f != nil {
-			r.receive(noc.Port(i), f, cycle)
+		if f, h := r.port[i].inLink.Take(cycle); f != nil {
+			r.receive(noc.Port(i), f, h, cycle)
 		}
 	}
 	r.staged = 0
@@ -316,15 +336,15 @@ func (r *noxRouter) commit(cycle int64) {
 		i := bits.TrailingZeros32(m)
 		p := &port[i]
 		ev := p.in.Commit()
-		c.BufRead += int64(ev.Reads)
+		c.BufRead += int64(ev.Reads())
 		if ev.Latched {
 			c.RegWrite++
 		}
 		if ev.Decoded {
 			c.Decode++
 		}
-		if pr != nil && ev.Reads > 0 {
-			pr.BufRead(cycle, int(r.node), i, ev.Reads)
+		if pr != nil && ev.Reads() > 0 {
+			pr.BufRead(cycle, int(r.node), i, ev.Reads())
 		}
 		if ev.DecodeErr != nil {
 			// A lenient input port discarded a corrupt decode register; its
@@ -334,7 +354,7 @@ func (r *noxRouter) commit(cycle int64) {
 			r.check.MarkLeaky()
 		}
 		if ev.FreedSlots != 0 {
-			returnCredits(p.inLink, ev.FreedSlots, cycle)
+			returnCredits(p.inLink, int(ev.FreedSlots), cycle)
 		}
 		if p.in.Buffered() == 0 && !p.in.RegisterBusy() {
 			r.inBusy &^= 1 << uint(i)

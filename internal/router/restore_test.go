@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/noc"
 	"repro/internal/power"
 	"repro/internal/routing"
@@ -33,10 +34,28 @@ func TestRestoreRejectsUndrivablePort(t *testing.T) {
 			src := cornerRouter(arch)
 			f := noc.NewFlit(noc.NewPacket(1, 0, 2, 1, 0, 0), 0) // 0 -> 2 leaves node 0 East
 			src.InputReceiver(noc.Local).Receive(f, 0)
-			f.OutPort = out // the FIFO holds this object: rewrite the lookahead in place
+			f.OutPort = out // a baseline FIFO holds this object: rewrite the lookahead in place
 			e := codec.NewEncoder()
 			if err := src.SaveState(e); err != nil {
 				t.Fatal(err)
+			}
+			if arch == NoX && out != noc.East {
+				// A NoX input port keeps the lookahead in its header mirror
+				// and writes it into the flit as it saves: the image naming
+				// out is that of ports which routed the flit there.
+				e = codec.NewEncoder()
+				for p := noc.Port(0); p < noc.NumPorts; p++ {
+					in := core.NewInputPort(4, []noc.Port{out, out, out})
+					if p == noc.Local {
+						in.Receive(f)
+					}
+					in.SaveState(e)
+				}
+				for p := noc.Port(0); p < noc.NumPorts; p++ {
+					if err := core.NewOutputControl(int(noc.NumPorts), nil).SaveState(e); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 			dst := cornerRouter(arch)
 			err := dst.RestoreState(codec.NewDecoder(e.Bytes()))

@@ -389,9 +389,9 @@ func (b *base) auditMasks(names string, cached, scanned [4]uint32) error {
 }
 
 // flitSink is the ingress side every architecture implements: deliver a flit
-// into input port p.
+// and its routing header into input port p.
 type flitSink interface {
-	receive(p noc.Port, f *noc.Flit, cycle int64)
+	receive(p noc.Port, f *noc.Flit, h noc.Header, cycle int64)
 }
 
 // portReceiver adapts (router, port) to noc.Receiver.
@@ -400,14 +400,8 @@ type portReceiver struct {
 	port noc.Port
 }
 
-// Receive forwards the delivered flit to the router's input port.
-func (pr *portReceiver) Receive(f *noc.Flit, cycle int64) { pr.r.receive(pr.port, f, cycle) }
-
-// stampLiteral writes the header of an unencoded flit that arrives without
-// one: a flit built as a literal, which only the router rig under benchmark/
-// sends.
-func stampLiteral(f *noc.Flit) {
-	if f.ID == 0 && !f.Encoded && f.Packet != nil {
-		f.Stamp()
-	}
+// Receive forwards the delivered flit to the router's input port, with the
+// header read off the flit (a hand-driven link delivers the flit alone).
+func (pr *portReceiver) Receive(f *noc.Flit, cycle int64) {
+	pr.r.receive(pr.port, f, f.Header(), cycle)
 }

@@ -38,8 +38,8 @@ func (p *pool[T]) take(n, chunkBytes int) []T {
 // network builds one Slabs and threads it through every router.New call via
 // Config.Slabs. A router is its own struct, its per-port records — noxPort
 // for NoX; for a baseline the shared input half inPort plus nsPort or
-// specPort — and the FIFO rings behind them: a walk over ports is a walk
-// over one run of memory. Single-goroutine use only (construction time). A
+// specPort — and the FIFO rings behind them, with a NoX port's header mirror
+// beside its ring: a walk over ports is a walk over one run of memory. Single-goroutine use only (construction time). A
 // nil Slabs in Config allocates each carving exactly — same layout.
 type Slabs struct {
 	chunk    int
@@ -51,6 +51,7 @@ type Slabs struct {
 	spPorts  pool[specPort]
 	nsPorts  pool[nsPort]
 	rings    pool[*noc.Flit]
+	hdrs     pool[noc.Header]
 }
 
 // NewSlabs returns a batch allocator for the construction of many routers.

@@ -298,7 +298,7 @@ func (r *specRouter) computeLocked(o, owner int, req uint32, cycle int64) {
 // traverse stages a successful switch traversal of input i's head to
 // output o.
 func (r *specRouter) traverse(o, i int, cycle int64) {
-	if r.in[i].head.kind&headTail != 0 {
+	if r.in[i].head.hdr.Tail() {
 		r.popTail |= 1 << uint(i)
 	}
 	p := &r.port[o]
