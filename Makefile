@@ -11,7 +11,7 @@ GO ?= go
 ## (transient and permanent), live telemetry, and warm-image smoke
 ## tests, a short fuzz pass over
 ## the user-facing decoders and the arrival skip-ahead and skip map, the
-## committed results files that regenerate in seconds, the repo
+## committed results files that regenerate in under a minute, the repo
 ## benchmark's own tests, and one A/A pair through the paired benchmark
 ## runner.
 check: build fmt vet lint alloc-guard race shard-race cli-smoke results-check trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-repo-smoke ab-smoke
@@ -145,19 +145,24 @@ cli-smoke:
 	echo "cli-smoke: OK"
 
 ## results-check: regenerate the committed results files whose tools run in
-## seconds — results/section8_future.txt (noxfuture, ~7 s) and
-## results/ablations.txt (noxablate, ~2 s), each at its tool's defaults — and
-## require each to match the committed file byte for byte. The tools run in
-## the temp directory, so a flight dump cannot litter the tree.
+## at most half a minute — results/section8_future.txt (noxfuture, ~7 s),
+## results/ablations.txt (noxablate, ~2 s), and results/figure8.txt and
+## results/figure9.txt (noxsweep -figure 8 / -figure 9, ~30 s each on 2
+## vCPUs: the sweep walk skips and cancels the cells past each series' end,
+## so this also guards that walk's byte-identity), each at its tool's
+## defaults — and require each to match the committed file byte for byte.
+## The tools run in the temp directory, so a flight dump cannot litter the
+## tree.
 results-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	set -e; \
-	$(GO) build -o "$$tmp/" ./cmd/noxfuture ./cmd/noxablate; \
+	$(GO) build -o "$$tmp/" ./cmd/noxfuture ./cmd/noxablate ./cmd/noxsweep; \
 	res=$$(pwd)/results; cd "$$tmp"; \
 	./noxfuture > section8_future.txt; \
 	./noxablate > ablations.txt; \
-	cmp "$$res/section8_future.txt" section8_future.txt; \
-	cmp "$$res/ablations.txt" ablations.txt; \
+	./noxsweep -figure 8 > figure8.txt; \
+	./noxsweep -figure 9 > figure9.txt; \
+	for f in section8_future.txt ablations.txt figure8.txt figure9.txt; do cmp "$$res/$$f" "$$f"; done; \
 	echo "results-check: OK"
 
 ## trace-smoke: run noxtrace on a tiny mesh and validate that the emitted

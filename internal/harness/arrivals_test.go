@@ -13,10 +13,10 @@ import (
 
 // TestSweepArrivalMapEquivalence pins the sweep's shared arrival map as a
 // pure accelerator: SweepSynthetic, whose look-ahead cells jump the map's
-// hit-free blocks, must reproduce the stop-at-saturation walk of per-cell
-// RunSynthetic calls with no map (sweepSerial on a base without one) —
-// same points and RunResults (compared as formatted dumps, since NaN
-// defeats ==) and the same CSV — serially and on a pool. Each case also
+// hit-free blocks, must reproduce the same walk over a base with no map
+// (sweep on the map-less base, serially) — same points and RunResults
+// (compared as formatted dumps, since NaN defeats ==) and the same CSV — on
+// one worker and on a pool. Each case also
 // checks that a cell handed the map scans it exactly when its sources are
 // Bernoulli and that each source starts inside its own row, so the
 // comparison is not between two unmapped sweeps.
@@ -46,7 +46,7 @@ func TestSweepArrivalMapEquivalence(t *testing.T) {
 			if tc.edit != nil {
 				tc.edit(&base)
 			}
-			ref, err := sweepSerial(base, tc.rates, coldPoint)
+			ref, err := sweep(base, tc.rates, nil, coldPoint)
 			if err != nil {
 				t.Fatal(err)
 			}

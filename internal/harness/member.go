@@ -43,6 +43,7 @@ type synthMember struct {
 	window        power.Counters
 	total         int64 // warmup + measure cycles
 	deadline      int64 // drain deadline, valid after enterDrain
+	cancelled     bool  // cfg.cancelled has reported true
 
 	// Sparse-regime lookahead. When lookahead is armed, each traffic process
 	// is advanced eagerly with one skip-ahead Next call per arrival — its stream is private per-node state, so
@@ -188,7 +189,7 @@ func (m *synthMember) replay(rr *telemetry.Recorder) {
 	rc := m.cfg
 	rc.Shards, rc.Check = 1, rc.Check.Fresh()
 	rc.NewRecorder = func(string) *telemetry.Recorder { return rr }
-	rc.Observe, rc.Progress = nil, nil
+	rc.Observe, rc.Progress, rc.cancelled = nil, nil, nil
 	replayStarts(rr)
 	if _, err := runSynthetic(rc, m.origin); err != nil {
 		panic(err)
@@ -215,7 +216,6 @@ func (m *synthMember) attach(net *network.Network) {
 			inner(p, cycle)
 			prog.CountDeliver(1, int64(p.Length))
 		}
-		prog.RunStarted()
 	}
 
 	// With a warm-up rate configured, sources start at it and are retargeted
@@ -410,6 +410,18 @@ func (m *synthMember) needsDrainStep() bool {
 		return false
 	}
 	return true
+}
+
+// cancelPoll is the cycle period at which a run polls cfg.cancelled.
+const cancelPoll = 1024
+
+// cancelledAt reports whether the run's sweep has cancelled it, polling the
+// hook on every cancelPoll-th cycle; once true, it stays true.
+func (m *synthMember) cancelledAt(cyc int64) bool {
+	if !m.cancelled && cyc%cancelPoll == 0 && m.cfg.cancelled != nil {
+		m.cancelled = m.cfg.cancelled()
+	}
+	return m.cancelled
 }
 
 // finalize runs the post-drain invariant sweep and assembles the result.

@@ -5,12 +5,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/exp"
 	"repro/internal/noc"
 	"repro/internal/probe"
 	"repro/internal/router"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -145,4 +149,205 @@ func TestSweepInfeasibleRateEndsSeries(t *testing.T) {
 			t.Errorf("%s: infeasible point has %d results, want none", name, len(pts[1].Results))
 		}
 	}
+}
+
+// TestSweepSkipsPastSeriesEnd pins the walk's two cuts. A fake pointRunner
+// whose series ends are known (a saturated rung, an infeasible rung, a
+// real error) records every cell start under a mutex together with the
+// cell's first poll of its cancelled hook, as runSynthetic makes it before
+// its first cycle: no cell above its series' end (or past a real error)
+// may start once the walk knows that end, and one worker must start
+// exactly the cells of the serial stop-at-saturation walk. A failure that
+// a lower rung of its series hides must not cut other cells. A real run
+// whose hook turns true at cycle c must return the sentinel by c +
+// cancelPoll, in the main loop and in the drain, and a 2-worker sweep that
+// cancels a real run must leave the sampler's runs started equal to its
+// runs completed.
+func TestSweepSkipsPastSeriesEnd(t *testing.T) {
+	archs := router.Archs
+	rates := make([]float64, 12)
+	for i := range rates {
+		rates[i] = float64(100 * (i + 1))
+	}
+	rung := func(rate float64) int { return int(rate)/100 - 1 }
+	cases := []struct {
+		name string
+		ends []int // per arch: the rung that ends its series
+		fail int   // arch whose end is a real error, -1 for none
+	}{
+		{"saturate", []int{2, 5, 8, len(rates)}, -1},
+		{"error", []int{9, 3, len(rates), 4}, 1},
+	}
+	for _, tc := range cases {
+		var serialOut string
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/%d-workers", tc.name, workers), func(t *testing.T) {
+				type start struct {
+					ri, ai int
+					late   bool // the walk already knew the cell was cut
+				}
+				var mu sync.Mutex
+				var starts []start
+				fake := func(cfg SyntheticConfig, ai int) (RunResult, error) {
+					ri := rung(cfg.RateMBps)
+					mu.Lock()
+					starts = append(starts, start{ri, ai, cfg.cancelled()})
+					mu.Unlock()
+					switch {
+					case ri == tc.ends[ai] && ai == tc.fail:
+						return RunResult{}, ErrCycles
+					case ri == tc.ends[ai] && ai == 1:
+						return RunResult{}, ErrRateInfeasible
+					case ri == tc.ends[ai]:
+						// An end lands while later rungs of its series run.
+						time.Sleep(3 * time.Millisecond)
+						return RunResult{OfferedMBps: cfg.RateMBps, Saturated: true}, nil
+					}
+					for k := 0; k < 10; k++ {
+						if cfg.cancelled() {
+							return RunResult{}, errCellCancelled
+						}
+						time.Sleep(200 * time.Microsecond)
+					}
+					return RunResult{OfferedMBps: cfg.RateMBps}, nil
+				}
+				pts, err := sweep(SyntheticConfig{}, rates, exp.NewPool(workers), fake)
+				if tc.fail >= 0 {
+					if !errors.Is(err, ErrCycles) {
+						t.Fatalf("got error %v, want the failing cell's", err)
+					}
+				} else if err != nil {
+					t.Fatal(err)
+				} else if got := len(pts); got != len(rates) {
+					t.Fatalf("got %d points, want %d", got, len(rates))
+				}
+				if out := fmt.Sprintf("%+v %v", pts, err); workers == 1 {
+					serialOut = out
+				} else if out != serialOut {
+					t.Errorf("%d workers returned\n%.400s\none worker\n%.400s", workers, out, serialOut)
+				}
+				errIdx := len(rates) * len(archs)
+				if tc.fail >= 0 {
+					errIdx = tc.ends[tc.fail]*len(archs) + tc.fail
+				}
+				serial := map[[2]int]bool{}
+				for ri := range rates {
+					for ai := range archs {
+						if ri <= tc.ends[ai] && ri*len(archs)+ai <= errIdx {
+							serial[[2]int{ri, ai}] = true
+						}
+					}
+				}
+				for _, s := range starts {
+					if s.late {
+						t.Errorf("cell (rung %d, %s) started after the walk cut it", s.ri, archs[s.ai])
+					}
+					if !serial[[2]int{s.ri, s.ai}] && workers == 1 {
+						t.Errorf("one worker started cell (rung %d, %s), which the serial walk skips", s.ri, archs[s.ai])
+					}
+				}
+				if workers == 1 && len(starts) != len(serial) {
+					t.Errorf("one worker started %d cells, the serial walk %d", len(starts), len(serial))
+				}
+			})
+		}
+	}
+
+	t.Run("hidden-error", func(t *testing.T) {
+		// Cell 4 (rung 1, arch 0) fails while cell 0 (rung 0, arch 0) still
+		// runs, and cell 0 then saturates: the serial walk never reaches the
+		// failure, so the cells past it must still run.
+		failed := make(chan struct{})
+		pts, err := sweep(SyntheticConfig{}, []float64{100, 200}, exp.NewPool(2), func(cfg SyntheticConfig, ai int) (RunResult, error) {
+			switch {
+			case ai == 0 && cfg.RateMBps == 100:
+				<-failed
+				return RunResult{Saturated: true}, nil
+			case ai == 0:
+				close(failed)
+				return RunResult{}, ErrCycles
+			}
+			return RunResult{OfferedMBps: cfg.RateMBps}, nil
+		})
+		if err != nil {
+			t.Fatalf("a failure above a saturated rung surfaced: %v", err)
+		}
+		if len(pts) != 2 || len(pts[1].Results) != len(archs)-1 {
+			t.Fatalf("got %+v, want rung 1 without %s only", pts, archs[0])
+		}
+	})
+
+	for _, tc := range []struct {
+		name string
+		rate float64
+		c    int64
+	}{{"main", 1000, 2000}, {"drain", 5000, 5000}} {
+		t.Run("poll/"+tc.name, func(t *testing.T) {
+			cfg := fastCfg("uniform", tc.rate)
+			cfg.Arch = router.NoX
+			var last, first int64 // latest delivery cycle, first at or past c
+			cfg.Observe = func(_ *noc.Packet, cycle int64) {
+				last = cycle
+				if first == 0 && cycle >= tc.c {
+					first = cycle
+				}
+			}
+			cfg.cancelled = func() bool { return last >= tc.c }
+			_, err := runSynthetic(cfg, nil)
+			if !errors.Is(err, errCellCancelled) {
+				t.Fatalf("run cancelled at cycle %d returned %v, want the sentinel", tc.c, err)
+			}
+			if first == 0 || last-first > cancelPoll {
+				t.Errorf("run cancelled at cycle %d (first delivery there %d) delivered until %d, want by %d",
+					tc.c, first, last, first+cancelPoll)
+			}
+		})
+	}
+
+	t.Run("sampler", func(t *testing.T) {
+		// Cell 0 (rung 0, arch 0) saturates only once cell 4 (rung 1, arch
+		// 0), a real run, has started, so the walk must cancel that run.
+		prog := telemetry.NewSampler(time.Hour)
+		base := fastCfg("uniform", 0)
+		base.Progress = prog
+		running := make(chan struct{})
+		var cancelled bool
+		_, err := sweep(base, []float64{600, 1200}, exp.NewPool(2), func(cfg SyntheticConfig, ai int) (RunResult, error) {
+			switch {
+			case ai != 0:
+				return RunResult{OfferedMBps: cfg.RateMBps}, nil
+			case cfg.RateMBps == 600:
+				<-running
+				return RunResult{Saturated: true}, nil
+			}
+			close(running)
+			_, err := runSynthetic(cfg, nil)
+			cancelled = errors.Is(err, errCellCancelled)
+			return RunResult{}, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cancelled {
+			t.Fatal("the run above its series' end was not cancelled")
+		}
+		reg := telemetry.NewRegistry()
+		prog.Register(reg)
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var started, done string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "nox_runs_started_total "); ok {
+				started = v
+			}
+			if v, ok := strings.CutPrefix(line, "nox_runs_completed_total "); ok {
+				done = v
+			}
+		}
+		if started != "1" || done != "1" {
+			t.Errorf("sampler counts %q runs started, %q completed; want 1 and 1", started, done)
+		}
+	})
 }

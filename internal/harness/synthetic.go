@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/arbiter"
 	"repro/internal/check"
@@ -102,6 +103,9 @@ type SyntheticConfig struct {
 	// concentration is the number of cores per router of Topo (1 when
 	// zero); only the §8 study (RunFuture) runs a concentrated mesh.
 	concentration int
+	// cancelled, set on a sweep's cells, is polled every cancelPoll cycles;
+	// once it reports true the run stops with errCellCancelled.
+	cancelled func() bool
 }
 
 // system returns the run's router grid with its cores.
@@ -200,9 +204,10 @@ func runSynthetic(cfg SyntheticConfig, origin *warmImage) (RunResult, error) {
 		}
 		m.origin = origin
 	}
+	m.cfg.Progress.RunStarted()
 
 	// A flight-recorder replay stops once its recorder is Done.
-	for cyc := net.Cycle(); cyc < m.total && !m.rec.Done(cyc); cyc = net.Cycle() {
+	for cyc := net.Cycle(); cyc < m.total && !m.rec.Done(cyc) && !m.cancelledAt(cyc); cyc = net.Cycle() {
 		m.injectCycle(cyc)
 		net.Step()
 		m.cfg.Progress.Tick(cyc)
@@ -217,9 +222,15 @@ func runSynthetic(cfg SyntheticConfig, origin *warmImage) (RunResult, error) {
 	// Drain without new traffic so measured packets can complete (deadline
 	// and wedge handling live in needsDrainStep).
 	m.enterDrain()
-	for !m.rec.Done(net.Cycle()) && m.needsDrainStep() {
+	for !m.rec.Done(net.Cycle()) && !m.cancelledAt(net.Cycle()) && m.needsDrainStep() {
 		net.Step()
 		m.cfg.Progress.Tick(net.Cycle())
+	}
+	if m.cancelled {
+		// A cancelled run closes its sampler run with no window events and
+		// flushes no flight dump.
+		m.cfg.Progress.RunDone(m.cfg.Arch.String(), power.Counters{})
+		return RunResult{}, errCellCancelled
 	}
 	return m.finalize(), nil
 }
@@ -249,12 +260,10 @@ type SweepPoint struct {
 // offer the rate (ErrRateInfeasible) likewise end their series; any other
 // error is a real failure and is returned.
 //
-// A pool with more than one worker runs every (rate, architecture) point
-// speculatively in parallel and then truncates each architecture's series
-// at its first saturated or infeasible point, reproducing the serial
-// stop-at-saturation output bit for bit: same points, same RunResults,
-// same rendered CSV. A nil pool (or one worker) runs the classic serial
-// loop, which never simulates beyond a dead series.
+// Every pool size runs one walk (sweep), which skips or cancels the cells
+// past a series' end or a real error: one worker (or a nil pool) simulates
+// exactly the serial stop-at-saturation walk, and any pool size returns the
+// same points, RunResults and rendered CSV bit for bit.
 //
 // A cold sweep's cells share one arrival map (arrivalMap): each node's
 // arrival stream is scanned once for the blocks that can hold an arrival at
@@ -274,21 +283,56 @@ type pointRunner func(cfg SyntheticConfig, ai int) (RunResult, error)
 // coldPoint runs a cold sweep's point from cycle 0.
 func coldPoint(cfg SyntheticConfig, _ int) (RunResult, error) { return runSynthetic(cfg, nil) }
 
-// sweep walks rates × router.Archs with run, serially on a nil or
-// one-worker pool, else speculatively: every point in parallel, rate-major
-// so index order equals the serial visit order, then cut back to the
-// serial walk's output by assembleSweep.
+// errCellCancelled is the outcome of a sweep cell skipped or stopped because
+// it can no longer reach the output; assembleSweep never reads it.
+var errCellCancelled = errors.New("harness: sweep cell cancelled")
+
+// sweep walks rates × router.Archs with run over the pool in rate-major
+// order and cuts the grid back to the stop-at-saturation output with
+// assembleSweep. A cell that can no longer reach the output is skipped
+// before it starts and cancelled while it runs: one above its series' end
+// (the lowest rung at which it saturated, was infeasible or failed), or past
+// the first real error once every lower rung of that error's series is kept.
 func sweep(base SyntheticConfig, rates []float64, pool *exp.Pool, run pointRunner) ([]SweepPoint, error) {
-	if pool.Workers() <= 1 || len(rates) == 0 {
-		return sweepSerial(base, rates, run)
+	if len(rates) == 0 {
+		return nil, nil
 	}
 	archs := router.Archs
-	outs, err := exp.Map(context.Background(), pool, len(rates)*len(archs),
+	na := len(archs)
+	end := make([]atomic.Int64, na) // each series' end rung
+	for ai := range end {
+		end[ai].Store(math.MaxInt64)
+	}
+	var firstErr atomic.Int64 // the first real error's cell index
+	firstErr.Store(math.MaxInt64)
+	kept := make([]atomic.Bool, len(rates)*na) // finished without ending its series
+	past := func(i int) bool {
+		e := int(firstErr.Load())
+		j := e - na
+		for i > e && j >= 0 && kept[j].Load() {
+			j -= na
+		}
+		return int64(i/na) > end[i%na].Load() || i > e && j < 0
+	}
+	outs, err := exp.Map(context.Background(), pool, len(rates)*na,
 		func(_ context.Context, i int) (pointOutcome, error) {
-			cfg, ai := base, i%len(archs)
-			cfg.RateMBps = rates[i/len(archs)]
-			cfg.Arch = archs[ai]
+			if past(i) {
+				return pointOutcome{err: errCellCancelled}, nil
+			}
+			cfg, ri, ai := base, i/na, i%na
+			cfg.RateMBps, cfg.Arch = rates[ri], archs[ai]
+			cfg.cancelled = func() bool { return past(i) }
 			res, err := run(cfg, ai)
+			switch {
+			case errors.Is(err, errCellCancelled):
+			case err != nil && !errors.Is(err, ErrRateInfeasible):
+				lower(&firstErr, int64(i))
+				fallthrough
+			case err != nil || res.Saturated:
+				lower(&end[ai], int64(ri))
+			default:
+				kept[i].Store(true)
+			}
 			return pointOutcome{res, err}, nil
 		})
 	if err != nil {
@@ -297,7 +341,13 @@ func sweep(base SyntheticConfig, rates []float64, pool *exp.Pool, run pointRunne
 	return assembleSweep(rates, archs, outs)
 }
 
-// pointOutcome is one speculative sweep point's result, indexed rate-major
+// lower sets v to x when x is below it.
+func lower(v *atomic.Int64, x int64) {
+	for old := v.Load(); x < old && !v.CompareAndSwap(old, x); old = v.Load() {
+	}
+}
+
+// pointOutcome is one sweep point's result, indexed rate-major
 // (index = rateIdx*len(archs) + archIdx) in the grids assembleSweep takes.
 type pointOutcome struct {
 	res RunResult
@@ -305,11 +355,10 @@ type pointOutcome struct {
 }
 
 // assembleSweep reconstructs the serial stop-at-saturation walk from a
-// rate-major grid of speculative outcomes: include results up to and
-// including the first saturated point; an infeasible point ends the
-// series; a real error is remembered at the point the serial loop would
-// have hit it, so the speculative walk reproduces sweepSerial's output bit
-// for bit.
+// rate-major grid of outcomes: include results up to and including the
+// first saturated point; an infeasible point ends the series; a real error
+// is remembered at the point the serial loop would have hit it, so the
+// output is the serial walk's bit for bit whatever order the cells ran in.
 func assembleSweep(rates []float64, archs []router.Arch, outs []pointOutcome) ([]SweepPoint, error) {
 	lastRate := 0 // index of the last SweepPoint the serial loop would append
 	includeEnd := make([]int, len(archs))
@@ -350,48 +399,6 @@ func assembleSweep(rates []float64, archs []router.Arch, outs []pointOutcome) ([
 			}
 		}
 		points = append(points, pt)
-	}
-	return points, nil
-}
-
-// sweepSerial is the one-point-at-a-time walk: the reference semantics the
-// speculative walk must reproduce exactly.
-func sweepSerial(base SyntheticConfig, rates []float64, run pointRunner) ([]SweepPoint, error) {
-	alive := make([]bool, len(router.Archs))
-	for ai := range alive {
-		alive[ai] = true
-	}
-	var points []SweepPoint
-	for _, rate := range rates {
-		pt := SweepPoint{RateMBps: rate, Results: map[router.Arch]RunResult{}}
-		for ai, arch := range router.Archs {
-			if !alive[ai] {
-				continue
-			}
-			cfg := base
-			cfg.Arch = arch
-			cfg.RateMBps = rate
-			res, err := run(cfg, ai)
-			if err != nil {
-				if errors.Is(err, ErrRateInfeasible) {
-					alive[ai] = false
-					continue
-				}
-				return nil, err
-			}
-			pt.Results[arch] = res
-			if res.Saturated {
-				alive[ai] = false
-			}
-		}
-		points = append(points, pt)
-		any := false
-		for _, v := range alive {
-			any = any || v
-		}
-		if !any {
-			break
-		}
 	}
 	return points, nil
 }

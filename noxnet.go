@@ -195,9 +195,10 @@ var ErrRateInvalid = harness.ErrRateInvalid
 // RunSynthetic executes one (architecture, pattern, rate) point.
 func RunSynthetic(cfg SyntheticConfig) (RunResult, error) { return harness.RunSynthetic(cfg) }
 
-// SweepSynthetic sweeps all architectures across offered rates (Figs. 8/9).
-// A multi-worker pool runs the points concurrently with output identical to
-// the serial sweep; pass nil to run serially.
+// SweepSynthetic sweeps all architectures across offered rates (Figs. 8/9),
+// each series ending at saturation. A pool runs the points concurrently and
+// skips those past a series' end; the output is the same for any pool,
+// and nil runs serially.
 func SweepSynthetic(base SyntheticConfig, rates []float64, pool *Pool) ([]SweepPoint, error) {
 	return harness.SweepSynthetic(base, rates, pool)
 }
