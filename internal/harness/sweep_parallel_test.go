@@ -153,11 +153,11 @@ func TestSweepInfeasibleRateEndsSeries(t *testing.T) {
 
 // TestSweepSkipsPastSeriesEnd pins the walk's two cuts. A fake pointRunner
 // whose series ends are known (a saturated rung, an infeasible rung, a
-// real error) records every cell start under a mutex together with the
-// cell's first poll of its cancelled hook, as runSynthetic makes it before
-// its first cycle: no cell above its series' end (or past a real error)
-// may start once the walk knows that end, and one worker must start
-// exactly the cells of the serial stop-at-saturation walk. A failure that
+// real error) records under a mutex when each cell starts and when each
+// end cell returns: no cell above its series' end may start once the walk
+// has had 5 ms to record that end, one worker must start exactly
+// the cells of the serial stop-at-saturation walk (which stops at a real
+// error too), and both must return the same output. A failure that
 // a lower rung of its series hides must not cut other cells. A real run
 // whose hook turns true at cycle c must return the sentinel by c +
 // cancelPoll, in the main loop and in the drain, and a 2-worker sweep that
@@ -184,15 +184,23 @@ func TestSweepSkipsPastSeriesEnd(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%d-workers", tc.name, workers), func(t *testing.T) {
 				type start struct {
 					ri, ai int
-					late   bool // the walk already knew the cell was cut
+					at     time.Time
 				}
 				var mu sync.Mutex
 				var starts []start
+				ended := make([]time.Time, len(archs)) // when each end cell returned
 				fake := func(cfg SyntheticConfig, ai int) (RunResult, error) {
 					ri := rung(cfg.RateMBps)
 					mu.Lock()
-					starts = append(starts, start{ri, ai, cfg.cancelled()})
+					starts = append(starts, start{ri, ai, time.Now()})
 					mu.Unlock()
+					if ri == tc.ends[ai] {
+						defer func() {
+							mu.Lock()
+							ended[ai] = time.Now()
+							mu.Unlock()
+						}()
+					}
 					switch {
 					case ri == tc.ends[ai] && ai == tc.fail:
 						return RunResult{}, ErrCycles
@@ -239,8 +247,8 @@ func TestSweepSkipsPastSeriesEnd(t *testing.T) {
 					}
 				}
 				for _, s := range starts {
-					if s.late {
-						t.Errorf("cell (rung %d, %s) started after the walk cut it", s.ri, archs[s.ai])
+					if end := ended[s.ai]; s.ri > tc.ends[s.ai] && !end.IsZero() && s.at.Sub(end) > 5*time.Millisecond {
+						t.Errorf("cell (rung %d, %s) started %v after its series ended", s.ri, archs[s.ai], s.at.Sub(end))
 					}
 					if !serial[[2]int{s.ri, s.ai}] && workers == 1 {
 						t.Errorf("one worker started cell (rung %d, %s), which the serial walk skips", s.ri, archs[s.ai])
