@@ -10,8 +10,8 @@ GO ?= go
 ## settings, the tools' bad-input exits, the tracing, fault-injection
 ## (transient and permanent), live telemetry, and warm-image smoke
 ## tests, a short fuzz pass over
-## the user-facing decoders and the arrival skip-ahead and skip map, the
-## committed results files that regenerate in under a minute, the repo
+## the user-facing decoders and the arrival skip-ahead and skip map, all
+## eight committed results files (about a minute and a half), the repo
 ## benchmark's own tests, and one A/A pair through the paired benchmark
 ## runner.
 check: build fmt vet lint alloc-guard race shard-race cli-smoke results-check trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-repo-smoke ab-smoke
@@ -73,7 +73,7 @@ race:
 ## TestShardCrossFedLatch has two workers raise bits of one router's
 ## staged-input mask in the same compute phase. TestAppClassConcurrency
 ## steps an app replay's class networks on their own goroutines and
-## compares them with lockstep.
+## compares them with the coupled schedule.
 shard-race:
 	$(GO) test -race -cpu 1,2,4 -run 'Shard|Barrier|TestFaultedSteadyStateAllocs' ./internal/sim ./internal/network
 	$(GO) test -race -cpu 1,2,4 -run 'TestAppClassConcurrency' ./internal/harness
@@ -144,25 +144,32 @@ cli-smoke:
 	done; \
 	echo "cli-smoke: OK"
 
-## results-check: regenerate the committed results files whose tools run in
-## at most half a minute — results/section8_future.txt (noxfuture, ~7 s),
+## results-check: regenerate all eight committed results files, each at its
+## tool's defaults — results/table1.txt (noxsim -print-config),
+## results/table2_figure13.txt (noxphys -all), results/figure12.txt
+## (noxpower, ~1 s), results/figures10_11.txt (noxapp, ~5 s: every app
+## replay's schedule), results/section8_future.txt (noxfuture, ~7 s),
 ## results/ablations.txt (noxablate, ~2 s), and results/figure8.txt and
 ## results/figure9.txt (noxsweep -figure 8 / -figure 9, ~30 s each on 2
 ## vCPUs: the sweep walk skips and cancels the cells past each series' end,
-## so this also guards that walk's byte-identity), each at its tool's
-## defaults — and require each to match the committed file byte for byte.
-## The tools run in the temp directory, so a flight dump cannot litter the
-## tree.
+## so this also guards that walk's byte-identity) — and require each to
+## match the committed file byte for byte. The tools run in the temp
+## directory, so a flight dump cannot litter the tree.
 results-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	set -e; \
-	$(GO) build -o "$$tmp/" ./cmd/noxfuture ./cmd/noxablate ./cmd/noxsweep; \
+	$(GO) build -o "$$tmp/" ./cmd/noxsim ./cmd/noxphys ./cmd/noxpower ./cmd/noxapp ./cmd/noxfuture ./cmd/noxablate ./cmd/noxsweep; \
 	res=$$(pwd)/results; cd "$$tmp"; \
+	./noxsim -print-config > table1.txt; \
+	./noxphys -all > table2_figure13.txt; \
+	./noxpower > figure12.txt; \
+	./noxapp > figures10_11.txt; \
 	./noxfuture > section8_future.txt; \
 	./noxablate > ablations.txt; \
 	./noxsweep -figure 8 > figure8.txt; \
 	./noxsweep -figure 9 > figure9.txt; \
-	for f in section8_future.txt ablations.txt figure8.txt figure9.txt; do cmp "$$res/$$f" "$$f"; done; \
+	for f in table1.txt table2_figure13.txt figure12.txt figures10_11.txt \
+		section8_future.txt ablations.txt figure8.txt figure9.txt; do cmp "$$res/$$f" "$$f"; done; \
 	echo "results-check: OK"
 
 ## trace-smoke: run noxtrace on a tiny mesh and validate that the emitted

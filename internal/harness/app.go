@@ -39,7 +39,8 @@ type AppConfig struct {
 	// common cycle numbers).
 	Probe *probe.Probe
 	// Progress, when set, receives per-cycle ticks and inject/deliver counts
-	// for live telemetry (cycles/s, /metrics).
+	// for live telemetry (cycles/s, /metrics). Only the request network
+	// reports its cycles to it, so each replayed cycle counts once.
 	Progress *telemetry.Sampler
 	// Recorder, when set, is this run's flight recorder: an undrained run or
 	// a checker violation triggers it, and the run's epilogue replays the
@@ -47,9 +48,9 @@ type AppConfig struct {
 	Recorder *telemetry.Recorder
 	// Shards selects each physical network's execution mode (see
 	// network.Config): 0 = auto, 1 = serial, N >= 2 = sharded. Serial class
-	// networks that nothing else couples (no Probe, Check or Progress) step
-	// on their own goroutines when GOMAXPROCS >= 2, and in lockstep
-	// otherwise. Results are bit-identical in every mode.
+	// networks that nothing else couples (no Probe or Check) step on their
+	// own goroutines when GOMAXPROCS >= 2, and together, one cycle at a
+	// time, otherwise. Results are bit-identical in every mode.
 	Shards int
 	// Check, when set, arms the runtime invariant layer on both physical
 	// networks (they share the checker; packet IDs are globally unique
@@ -98,8 +99,6 @@ func RunApp(cfg AppConfig) AppResult {
 	}
 
 	periodNs := physical.ClockPeriodNs(cfg.Arch)
-	periodPs := physical.ClockPeriodPs(cfg.Arch)
-	topo := cfg.Trace.Topo
 
 	// An explicit Probe already records the complete event stream.
 	if cfg.Probe != nil {
@@ -107,60 +106,36 @@ func RunApp(cfg AppConfig) AppResult {
 	}
 	cfg.Recorder.SetPeriodNs(periodNs)
 	cfg.Recorder.BindChecker(cfg.Check)
-	// NewMulti installs the same Config on every class network, so a raw
-	// sampler observer would count each cycle once per class. Dedup on the
-	// cycle number: the classes step in lockstep, and observers fire on the
-	// stepping goroutine, so the last-seen cycle needs no lock.
-	var obs func(cycle int64, active int)
-	if cfg.Progress != nil {
-		inner, last := cfg.Progress.Observe, int64(-1)
-		obs = func(cycle int64, active int) {
-			if cycle == last {
-				return
-			}
-			last = cycle
-			inner(cycle, active)
-		}
-	}
-
-	pr := cfg.Probe
-	if pr == nil {
-		pr = cfg.Recorder.Probe() // a replay's recorder carries the probe of its window
-	}
-	multi := network.NewMulti(trace.NumClasses, network.Config{Topo: topo, Arch: cfg.Arch, BufferDepth: cfg.BufferDepth, Probe: pr, Shards: cfg.Shards, Check: cfg.Check, Observer: obs})
-	defer multi.Close()
+	r := newAppReplay(&cfg)
+	defer r.close()
 	cfg.Progress.RunStarted()
-
-	r := &appReplay{cfg: &cfg, multi: multi, events: cfg.Trace.Events, periodPs: periodPs, deadline: cfg.DrainCycles}
-	if n := len(r.events); n > 0 {
-		r.deadline += r.due(n-1) + 1
-	}
-	var s *appStream
-	if classesUncoupled(cfg, pr, multi) {
-		s = r.runClasses()
-	} else {
-		s = &appStream{net: multi, class: -1, col: stats.NewCollector(0, 1<<62)}
-		multi.OnDeliver(r.deliver(s))
-		r.run(s)
-	}
+	s := r.replay()
 	delivered := s.col.Delivered()
 
+	var outstanding int64
+	var window power.Counters
+	for _, c := range r.streams {
+		outstanding += c.net.Outstanding()
+		window.Add(*c.net.Counters())
+	}
 	// With a checker armed and everything delivered, run the post-drain
-	// invariant sweep across both physical networks.
-	if multi.Outstanding() == 0 {
-		multi.CheckInvariants()
+	// invariant sweep on both physical networks. They share the checker,
+	// whose Finalize is idempotent: the lost-packet scan runs once.
+	if outstanding == 0 {
+		for _, c := range r.streams {
+			c.net.CheckInvariants()
+		}
 	} else {
-		cfg.Recorder.Trigger(s.cycle, fmt.Sprintf("undrained: %d packets outstanding after %d drain cycles", multi.Outstanding(), cfg.DrainCycles))
+		cfg.Recorder.Trigger(s.cycle, fmt.Sprintf("undrained: %d packets outstanding after %d drain cycles", outstanding, cfg.DrainCycles))
 	}
 
-	window := multi.Counters()
 	res := AppResult{
 		Arch:          cfg.Arch,
 		Workload:      cfg.Trace.Workload.Name,
 		PeriodNs:      periodNs,
 		DeliveredPkts: delivered,
 		InjectionMBps: cfg.Trace.MeanInjectionMBps(),
-		Drained:       s.col.Created() == int64(len(r.events)) && multi.Outstanding() == 0,
+		Drained:       s.col.Created() == int64(len(r.events)) && outstanding == 0,
 		Window:        window,
 	}
 	if delivered > 0 {
@@ -192,9 +167,9 @@ func RunApp(cfg AppConfig) AppResult {
 			RunApp(rc)
 		}
 		if _, err := cfg.Recorder.Flush(replay, func(w io.Writer) {
-			for class := 0; class < multi.Classes(); class++ {
+			for class, c := range r.streams {
 				fmt.Fprintf(w, "class %d ", class)
-				multi.Net(class).WriteDiagnostic(w)
+				c.net.WriteDiagnostic(w)
 			}
 			cfg.Check.WriteReport(w)
 		}); err != nil {
@@ -204,36 +179,26 @@ func RunApp(cfg AppConfig) AppResult {
 	return res
 }
 
-// classesUncoupled reports whether each class network may step on its own
-// goroutine: they share no wires or feedback (open-loop replay), and nothing
-// couples them cycle by cycle — no probe, checker or sampler — each is
-// serial (one Config), and there is a second CPU.
-func classesUncoupled(cfg AppConfig, pr *probe.Probe, multi *network.Multi) bool {
-	return pr == nil && cfg.Check == nil && cfg.Progress == nil &&
-		multi.Net(0).Shards() == 1 && runtime.GOMAXPROCS(0) >= 2
-}
-
-// appReplay is what one replay's streams share.
+// appReplay is one replay: its trace, and one stream per packet class, each
+// on its own physical network.
 type appReplay struct {
 	cfg      *AppConfig
-	multi    *network.Multi
 	events   []trace.Event
 	periodPs float64
 	deadline int64
+	streams  []*appStream
+	// concurrent steps each stream on its own goroutine: the class networks
+	// share no wires or feedback (open-loop replay), and nothing couples them
+	// cycle by cycle — no probe or checker — each is serial, and there is a
+	// second CPU.
+	concurrent bool
 }
 
-// appNet is what a stream steps: the Multi in lockstep, or a class network.
-type appNet interface {
-	Step()
-	Outstanding() int64
-	FastForwardIdle(limit int64) int64
-}
-
-// appStream is one stepping goroutine's share of a replay: its network, its
-// cursor into the trace, and the latency record of what it delivers.
+// appStream is one class's share of a replay: its network, its cursor into
+// the trace, and the latency record of what it delivers.
 type appStream struct {
-	net   appNet
-	class int // the class it replays; -1 = every class (lockstep)
+	net   *network.Network
+	class int
 	idx   int // next trace event
 	cycle int64
 	col   *stats.Collector // measures every trace packet: its window spans the run
@@ -241,32 +206,78 @@ type appStream struct {
 	sqSum int64            // squared latencies, cycles^2
 }
 
+// newAppReplay builds one network per class from the replay's configuration.
+// Only class 0's carries the sampler's observer, so each cycle counts once.
+func newAppReplay(cfg *AppConfig) *appReplay {
+	pr := cfg.Probe
+	if pr == nil {
+		pr = cfg.Recorder.Probe() // a replay's recorder carries the probe of its window
+	}
+	r := &appReplay{cfg: cfg, events: cfg.Trace.Events, periodPs: physical.ClockPeriodPs(cfg.Arch), deadline: cfg.DrainCycles}
+	if n := len(r.events); n > 0 {
+		r.deadline += r.due(n-1) + 1
+	}
+	for class := range trace.NumClasses {
+		ncfg := network.Config{Topo: cfg.Trace.Topo, Arch: cfg.Arch, BufferDepth: cfg.BufferDepth, Probe: pr, Shards: cfg.Shards, Check: cfg.Check}
+		if class == 0 && cfg.Progress != nil {
+			ncfg.Observer = cfg.Progress.Observe
+		}
+		s := &appStream{net: network.New(ncfg), class: class, col: stats.NewCollector(0, 1<<62)}
+		s.net.OnDeliver = r.deliver(s)
+		r.streams = append(r.streams, s)
+	}
+	r.concurrent = pr == nil && cfg.Check == nil && r.streams[0].net.Shards() == 1 && runtime.GOMAXPROCS(0) >= 2
+	return r
+}
+
+// close releases every class network's sharded worker pool.
+func (r *appReplay) close() {
+	for _, s := range r.streams {
+		s.net.Close()
+	}
+}
+
 // due returns the network cycle trace event i is injected on.
 func (r *appReplay) due(i int) int64 { return int64(float64(r.events[i].TimePs) / r.periodPs) }
 
 // pending moves the stream's cursor to its next event and reports whether
 // one remains. Class 0's stream also takes events of classes out of range,
-// so InjectAs rejects them as lockstep does.
+// so inject rejects them.
 func (r *appReplay) pending(s *appStream) bool {
-	for ; s.idx < len(r.events) && s.class >= 0; s.idx++ {
-		if c := r.events[s.idx].Class; c == s.class || s.class == 0 && (c < 0 || c >= r.multi.Classes()) {
+	for ; s.idx < len(r.events); s.idx++ {
+		if c := r.events[s.idx].Class; c == s.class || s.class == 0 && (c < 0 || c >= trace.NumClasses) {
 			break
 		}
 	}
 	return s.idx < len(r.events)
 }
 
-// inject creates every event of the stream's classes due by its cycle, in
+// next returns the stream whose next event comes first in trace order, or
+// nil once every stream's events are injected.
+func (r *appReplay) next(ss []*appStream) *appStream {
+	var first *appStream
+	for _, s := range ss {
+		if r.pending(s) && (first == nil || s.idx < first.idx) {
+			first = s
+		}
+	}
+	return first
+}
+
+// inject creates every event of the streams' classes due by the cycle, in
 // trace order. A packet's ID is its event index + 1 under either schedule.
-func (r *appReplay) inject(s *appStream) {
-	for r.pending(s) && r.due(s.idx) <= s.cycle {
+func (r *appReplay) inject(ss []*appStream, cycle int64) {
+	for s := r.next(ss); s != nil && r.due(s.idx) <= cycle; s = r.next(ss) {
 		e := r.events[s.idx]
 		s.idx++
-		p, err := r.multi.InjectAs(uint64(s.idx), e.Src, e.Dst, e.Flits, e.Class)
+		if e.Class != s.class {
+			panic(fmt.Sprintf("harness: trace event %d: %v: class %d of %d", s.idx-1, network.ErrBadPacket, e.Class, trace.NumClasses))
+		}
+		p, err := s.net.InjectAs(uint64(s.idx), e.Src, e.Dst, e.Flits, e.Class)
 		if err != nil {
 			panic(fmt.Sprintf("harness: trace event %d: %v", s.idx-1, err))
 		}
-		s.col.OnCreate(p, s.cycle)
+		s.col.OnCreate(p, cycle)
 		r.cfg.Progress.CountInject(1, int64(e.Flits))
 	}
 }
@@ -281,66 +292,95 @@ func (r *appReplay) deliver(s *appStream) func(*noc.Packet, int64) {
 	}
 }
 
-// run steps the stream from its cycle until the deadline, or until its
-// events are injected and its network has delivered them.
-func (r *appReplay) run(s *appStream) {
+// run steps the streams together, one cycle at a time, until the deadline,
+// or until their events are injected and their networks have delivered them.
+func (r *appReplay) run(ss []*appStream) {
 	cfg := r.cfg
+	var cycle int64
 	// A flight-recorder replay stops once its recorder is Done.
-	for s.cycle < r.deadline && (r.pending(s) || s.net.Outstanding() > 0) && !cfg.Recorder.Done(s.cycle) {
-		// Traces have idle gaps between bursts; once the network has fully
+	for cycle < r.deadline && (r.next(ss) != nil || outstanding(ss) > 0) && !cfg.Recorder.Done(cycle) {
+		// Traces have idle gaps between bursts; once every network has fully
 		// quiesced, jump straight to the next event's injection cycle (one is
 		// pending, or the loop would have ended). The fast-forward replays
 		// per-cycle hooks, so probed output is unchanged.
-		if s.net.Outstanding() == 0 {
-			if due := r.due(s.idx); due > s.cycle {
-				if skipped := s.net.FastForwardIdle(due - s.cycle); skipped > 0 {
-					s.cycle += skipped
-					cfg.Progress.Tick(s.cycle)
-					continue
+		if outstanding(ss) == 0 {
+			if due := r.due(r.next(ss).idx); due > cycle && idle(ss) {
+				for _, s := range ss {
+					s.net.FastForwardIdle(due - cycle)
 				}
+				cycle = due
+				cfg.Progress.Tick(cycle)
+				continue
 			}
 		}
-		r.inject(s)
-		s.net.Step()
-		s.cycle++
-		cfg.Progress.Tick(s.cycle)
+		r.inject(ss, cycle)
+		for _, s := range ss {
+			s.net.Step()
+		}
+		cycle++
+		cfg.Progress.Tick(cycle)
+	}
+	for _, s := range ss {
+		s.cycle = cycle
 	}
 }
 
-// runClasses replays each class network on its own goroutine and folds the
-// streams into lockstep's result, exactly. A class that finished early is
-// stepped up to the common end cycle, as lockstep steps it (idle steps change
-// no counter). A class goroutine's panic is re-raised here, the one at the
-// earliest trace event: the one lockstep meets first.
-func (r *appReplay) runClasses() *appStream {
-	streams := make([]*appStream, r.multi.Classes())
-	panics := make([]any, len(streams))
-	var wg sync.WaitGroup
-	for class := range streams {
-		net := r.multi.Net(class)
-		s := &appStream{net: net, class: class, col: stats.NewCollector(0, 1<<62)}
-		net.OnDeliver = r.deliver(s)
-		streams[class] = s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { panics[class] = recover() }()
-			r.run(s)
-		}()
+// outstanding returns the streams' undelivered packets.
+func outstanding(ss []*appStream) int64 {
+	var n int64
+	for _, s := range ss {
+		n += s.net.Outstanding()
 	}
-	wg.Wait()
-	first, end := -1, int64(0)
-	for class, s := range streams {
-		end = max(end, s.cycle)
-		if panics[class] != nil && (first < 0 || s.idx < streams[first].idx) {
-			first = class
+	return n
+}
+
+// idle reports that every stream's network is fully quiescent.
+func idle(ss []*appStream) bool {
+	for _, s := range ss {
+		if !s.net.Idle() {
+			return false
 		}
 	}
-	if first >= 0 {
-		panic(panics[first])
+	return true
+}
+
+// replay runs the streams, each on its own goroutine when concurrent and all
+// together otherwise, and folds them into class 0's, exactly: a class that
+// finished early is stepped up to the common end cycle, as the coupled
+// schedule steps it (idle steps change no counter), and the latency records
+// are merged. A class goroutine's panic is re-raised here, the one at the
+// earliest trace event: the one the coupled schedule meets first.
+func (r *appReplay) replay() *appStream {
+	if r.concurrent {
+		panics := make([]any, len(r.streams))
+		var wg sync.WaitGroup
+		for class := range r.streams {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { panics[class] = recover() }()
+				r.run(r.streams[class : class+1])
+			}()
+		}
+		wg.Wait()
+		first := -1
+		for class, s := range r.streams {
+			if panics[class] != nil && (first < 0 || s.idx < r.streams[first].idx) {
+				first = class
+			}
+		}
+		if first >= 0 {
+			panic(panics[first])
+		}
+	} else {
+		r.run(r.streams)
 	}
-	out := streams[0]
-	for _, s := range streams {
+	var end int64
+	for _, s := range r.streams {
+		end = max(end, s.cycle)
+	}
+	out := r.streams[0]
+	for _, s := range r.streams {
 		for ; s.cycle < end; s.cycle++ {
 			s.net.Step()
 		}

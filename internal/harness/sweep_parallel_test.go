@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -339,21 +338,7 @@ func TestSweepSkipsPastSeriesEnd(t *testing.T) {
 		if !cancelled {
 			t.Fatal("the run above its series' end was not cancelled")
 		}
-		reg := telemetry.NewRegistry()
-		prog.Register(reg)
-		var buf bytes.Buffer
-		if err := reg.WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		var started, done string
-		for _, line := range strings.Split(buf.String(), "\n") {
-			if v, ok := strings.CutPrefix(line, "nox_runs_started_total "); ok {
-				started = v
-			}
-			if v, ok := strings.CutPrefix(line, "nox_runs_completed_total "); ok {
-				done = v
-			}
-		}
+		started, done := samplerMetric(t, prog, "nox_runs_started_total"), samplerMetric(t, prog, "nox_runs_completed_total")
 		if started != "1" || done != "1" {
 			t.Errorf("sampler counts %q runs started, %q completed; want 1 and 1", started, done)
 		}

@@ -104,8 +104,8 @@ func (n *Network) InjectChecked(src, dst noc.NodeID, length int, class int) (*no
 }
 
 // InjectAs is InjectChecked for a caller that numbers packets itself: trace
-// replay draws one ID sequence across the class networks of a Multi, whose
-// shared checker keys on it. IDs must be unique per network and nonzero. A
+// replay draws one ID sequence across its class networks, whose shared
+// checker keys on it. IDs must be unique per network and nonzero. A
 // packet whose destination is currently partitioned away by permanent faults
 // is refused at the source — counted injected and undeliverable, so
 // offered-traffic accounting stays comparable across fault sets — and

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/check"
 	"repro/internal/fault"
 	"repro/internal/noc"
 	"repro/internal/probe"
@@ -85,28 +84,5 @@ func TestInjectCheckedRejectsBadPackets(t *testing.T) {
 	}
 	if n.Delivered() != 1 {
 		t.Error("checked-injected packet never delivered")
-	}
-}
-
-// TestBuildMultiRejections: class count and the per-network fault binding
-// are validated up front.
-func TestBuildMultiRejections(t *testing.T) {
-	base := Config{Topo: noc.Topology{Width: 2, Height: 2}, Arch: router.NoX}
-	if _, err := BuildMulti(0, base); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("classes=0 error: %v", err)
-	}
-	faulty := base
-	faulty.Check = check.New(check.All())
-	faulty.Fault = fault.NewInjector(fault.Spec{Seed: 1})
-	if _, err := BuildMulti(2, faulty); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("multi with fault injector error: %v", err)
-	}
-	m, err := BuildMulti(2, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if m.Classes() != 2 {
-		t.Errorf("classes = %d, want 2", m.Classes())
 	}
 }

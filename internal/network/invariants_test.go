@@ -237,48 +237,6 @@ func TestConcentratedNoXEncodes(t *testing.T) {
 	}
 }
 
-// TestMultiNetworkIsolation verifies packets of different classes travel
-// on separate physical networks (class counters are independent) while
-// sharing the cycle clock.
-func TestMultiNetworkIsolation(t *testing.T) {
-	m := NewMulti(2, Config{Topo: noc.Topology{Width: 4, Height: 4}, Arch: router.NoX})
-	var delivered int
-	m.OnDeliver(func(p *noc.Packet, cycle int64) { delivered++ })
-	for id, class := range []int{0, 1} {
-		if _, err := m.InjectAs(uint64(id+1), 0, 15, 1+8*class, class); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for m.Outstanding() > 0 && m.Net(0).Cycle() < 1000 {
-		m.Step()
-	}
-	if m.Outstanding() != 0 {
-		t.Fatalf("multi did not drain: %d", m.Outstanding())
-	}
-	if delivered != 2 {
-		t.Fatalf("delivered %d/2", delivered)
-	}
-	if m.Net(0).Delivered() != 1 || m.Net(1).Delivered() != 1 {
-		t.Error("classes not isolated per physical network")
-	}
-	if m.Net(0).Cycle() != m.Net(1).Cycle() {
-		t.Error("networks out of lockstep")
-	}
-	sum := m.Counters()
-	if sum.LinkFlit != m.Net(0).Counters().LinkFlit+m.Net(1).Counters().LinkFlit {
-		t.Error("counter aggregation wrong")
-	}
-}
-
-func TestMultiValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero classes accepted")
-		}
-	}()
-	NewMulti(0, Config{})
-}
-
 // TestSameFlowOrdering verifies the wormhole ordering invariant every
 // architecture must preserve: packets between one (src, dst) pair are
 // delivered in injection order — NoX decode included, since an input

@@ -407,9 +407,13 @@ func TestSteadyStateAllocs(t *testing.T) {
 		})
 	}
 	t.Run("multi", func(t *testing.T) {
-		m := NewMulti(2, Config{Topo: topo, Arch: router.NoX})
-		defer m.Close()
-		m.OnDeliver(count)
+		// Two class networks built from one Config, as an app replay builds them.
+		cfg := Config{Topo: topo, Arch: router.NoX}
+		nets := [2]*Network{New(cfg), New(cfg)}
+		for _, n := range nets {
+			defer n.Close()
+			n.OnDeliver = count
+		}
 		rng := sim.NewRNG(11)
 		var id uint64
 		inject := func() {
@@ -417,12 +421,17 @@ func TestSteadyStateAllocs(t *testing.T) {
 			if dst := noc.NodeID(rng.Intn(16)); dst != src {
 				id++
 				class := int(id % 2) // requests of 1 flit, replies of 9
-				if _, err := m.InjectAs(id, src, dst, 1+8*class, class); err != nil {
+				if _, err := nets[class].InjectAs(id, src, dst, 1+8*class, class); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		if avg := steadyAllocs(inject, m.Step); avg != 0 {
+		step := func() {
+			for _, n := range nets {
+				n.Step()
+			}
+		}
+		if avg := steadyAllocs(inject, step); avg != 0 {
 			t.Errorf("two class networks: inject+step allocates %v allocs/op in steady state", avg)
 		}
 	})
@@ -491,11 +500,6 @@ func TestInjectPacketRejectsBadPackets(t *testing.T) {
 			}()
 			net.Inject(p.src, p.dst, p.length, 0)
 		})
-	}
-	m := NewMulti(2, Config{Topo: noc.Topology{Width: 2, Height: 2}, Arch: router.NoX})
-	defer m.Close()
-	if _, err := m.InjectAs(1, 0, 1, 1, 2); !errors.Is(err, ErrBadPacket) {
-		t.Errorf("InjectAs on class 2 of 2: %v", err)
 	}
 	if _, err := net.InjectAs(8, 0, 3, 2, 0); err != nil || !net.Drain(200) || net.Delivered() != 1 {
 		t.Errorf("a well-formed caller-numbered packet was not delivered: %v", err)

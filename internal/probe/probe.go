@@ -271,7 +271,7 @@ func New(cfg Config) *Probe {
 }
 
 // Attach sizes the per-router metrics for a network's geometry. The network
-// calls it during construction; attaching twice (Multi's lockstep physical
+// calls it during construction; attaching twice (an app replay's class
 // networks share one probe) keeps the first geometry and merges counts.
 func (p *Probe) Attach(width, height, ports, cores, bufferDepth int) {
 	if p.attached {
