@@ -9,7 +9,8 @@ GO ?= go
 ## mandatory), the sharded executor's barrier at three GOMAXPROCS
 ## settings, the tools' bad-input exits, the tracing, fault-injection
 ## (transient and permanent), live telemetry, and warm-image smoke
-## tests, a short fuzz pass over
+## tests (committed snapshot images; the in-memory -warmstart fork across
+## worker and shard counts), a short fuzz pass over
 ## the user-facing decoders and the arrival skip-ahead and skip map, all
 ## eight committed results files (about a minute and a half), the repo
 ## benchmark's own tests, and one A/A pair through the paired benchmark
@@ -117,9 +118,10 @@ ab-smoke:
 ## -csv or -kill without -degrade, a warm start no degrade cell can use; an
 ## ablation or §8 rate no run can mean or offer, an unknown ablation study, a
 ## trace run with a negative cycle count, drain limit, ring or sampling
-## interval, or a warm-start sweep restoring from a directory that is not
-## there, which re-warmed every architecture): each must exit with status 1
-## and a message within 10 s, never a panic trace.
+## interval; a sweep's warm-up rate given without -warmstart, which was
+## ignored, one no architecture can offer, which printed an empty panel, or
+## one that is no bandwidth, which was blamed on the offered rate): each must
+## exit with status 1 and a message within 10 s, never a panic trace.
 ## The tools run in the temp directory, so a regression cannot litter the tree.
 cli-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
@@ -136,7 +138,7 @@ cli-smoke:
 		"noxtrace -cycles -5" "noxtrace -flits -3" "noxtrace -flits 0" "noxtrace -drain -5" "noxtrace -ring -1" "noxtrace -sample -5" \
 		"noxfault -degrade 1 -load 0" "noxfault -degrade 1 -load 1" "noxfault -width 1 -height 1" "noxfault -drain -5" \
 		"noxfault -watchdog -5" "noxfault -warmstart -5" "noxfault -csv x.csv" "noxfault -kill 5" "noxfault -degrade 2 -warmstart 100" \
-		"noxsweep -restore nosuchdir"; do \
+		"noxsweep -warmrate 300" "noxsweep -warmstart -warmrate 1e9" "noxsweep -warmstart -warmrate NaN"; do \
 		st=0; timeout 10 "$$tmp/"$$c >/dev/null 2>"$$tmp/err" || st=$$?; \
 		if [ $$st -ne 1 ] || grep -qE '^(panic: |goroutine )' "$$tmp/err"; then \
 			echo "cli-smoke: $$c: exit $$st, want 1 without a panic" >&2; cat "$$tmp/err" >&2; exit 1; \
@@ -290,19 +292,19 @@ telemetry-smoke:
 ## snapshot-smoke: warm images end to end under the race detector. First, the
 ## format itself: the committed images an earlier commit wrote must restore,
 ## re-encode to the same bytes and drain as they did there
-## (TestParentImagesRestore). Then noxsweep's warm cache: a -warmstart sweep
-## that persists its warm images must render the same CSV as a second sweep
-## that -restores them from the cache. (The mid-run save/restore seam is
-## pinned by TestMidRunSaveRestoreEquivalence, which make race runs.)
+## (TestParentImagesRestore). Then the in-memory fork: a -warmstart sweep
+## whose points resume from each architecture's warm image on one worker
+## must render the same CSV as on two workers with two shards per network.
+## (The mid-run save/restore seam is pinned by
+## TestMidRunSaveRestoreEquivalence, which make race runs.)
 snapshot-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	set -e; \
 	$(GO) test -race -count=1 -run 'TestParentImagesRestore' ./internal/snapshot && \
-	$(GO) run -race ./cmd/noxsweep -fast -pattern uniform -csv -parallel 1 \
-		-warmstart -checkpoint "$$tmp/warm" > "$$tmp/warmed.csv" && \
-	$(GO) run -race ./cmd/noxsweep -fast -pattern uniform -csv -parallel 1 \
-		-restore "$$tmp/warm" > "$$tmp/cached.csv" && \
-	cmp "$$tmp/warmed.csv" "$$tmp/cached.csv" && \
+	$(GO) build -race -o "$$tmp/" ./cmd/noxsweep && \
+	"$$tmp/noxsweep" -fast -pattern uniform -csv -warmstart -parallel 1 > "$$tmp/serial.csv" && \
+	"$$tmp/noxsweep" -fast -pattern uniform -csv -warmstart -parallel 2 -shards 2 > "$$tmp/sharded.csv" && \
+	cmp "$$tmp/serial.csv" "$$tmp/sharded.csv" && \
 	echo "snapshot-smoke: OK"
 
 ## fuzz-smoke: a short native-fuzz pass over the user-facing decoders

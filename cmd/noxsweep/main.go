@@ -13,7 +13,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"os"
 
 	"repro/internal/harness"
 	"repro/internal/telemetry"
@@ -31,8 +30,6 @@ func main() {
 		csv      = flag.Bool("csv", false, "emit machine-readable CSV instead of tables")
 		warm     = flag.Bool("warmstart", false, "warm once per architecture at -warmrate and fork every rate point from the copy (CSV is byte-identical to the cold sweep at the same warm rate)")
 		warmRate = flag.Float64("warmrate", 600, "warm-up injection rate in MB/s/node for -warmstart")
-		ckptDir  = flag.String("checkpoint", "", "persist per-architecture warm images into this directory (implies -warmstart)")
-		restore  = flag.String("restore", "", "load cached warm images from this directory instead of re-warming; missing images are computed; the directory must exist (implies -warmstart)")
 	)
 	sess, pool, stop := cli.Start()
 	defer stop()
@@ -40,20 +37,11 @@ func main() {
 	if *figure != 8 && *figure != 9 {
 		cli.Fail(errors.New("-figure must be 8 or 9"))
 	}
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			cli.Fail(err)
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "warmrate" && !*warm {
+			cli.Fail(errors.New("-warmrate needs -warmstart"))
 		}
-	}
-	if *restore != "" {
-		// Images missing from the directory are computed; a directory that
-		// is not there would silently re-warm every architecture.
-		if fi, err := os.Stat(*restore); err != nil {
-			cli.Fail(err)
-		} else if !fi.IsDir() {
-			cli.Fail(fmt.Errorf("-restore %s: not a directory", *restore))
-		}
-	}
+	})
 
 	patterns := traffic.PatternNames
 	if *pattern != "all" {
@@ -66,15 +54,18 @@ func main() {
 		if *fast {
 			base.WarmupCycles, base.MeasureCycles, base.DrainCycles = 1500, 4000, 15000
 		}
-		if *warm || *ckptDir != "" || *restore != "" {
+		if *warm {
 			base.WarmStart = true
 			base.WarmRateMBps = *warmRate
-			base.WarmSaveDir = *ckptDir
-			base.WarmLoadDir = *restore
 		}
 		points, err := harness.SweepSynthetic(base, harness.DefaultRates(pat), pool)
 		if err != nil {
 			cli.Fail(err)
+		}
+		// A cold ladder's first rung is always feasible, so only a warm-up
+		// rate no architecture can offer leaves the panel empty.
+		if !anyResult(points) {
+			cli.Fail(fmt.Errorf("%s: no architecture can offer the warm-up rate %g MB/s/node", pat, *warmRate))
 		}
 		if *csv {
 			fmt.Print(harness.SweepCSV(pat, points))
@@ -88,4 +79,14 @@ func main() {
 		fmt.Print(harness.FormatSaturation(pat, points))
 		fmt.Println()
 	}
+}
+
+// anyResult reports whether any architecture produced a result at any rate.
+func anyResult(points []harness.SweepPoint) bool {
+	for _, p := range points {
+		if len(p.Results) > 0 {
+			return true
+		}
+	}
+	return false
 }

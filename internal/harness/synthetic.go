@@ -80,14 +80,6 @@ type SyntheticConfig struct {
 	// resume every rate point from a copy of the warm state. Output is
 	// byte-identical to the cold sweep with the same WarmRateMBps.
 	WarmStart bool
-	// WarmSaveDir, when set in warm-start mode, persists each freshly
-	// computed per-architecture warm image into the directory (atomic write;
-	// file names pin every parameter the image depends on). WarmLoadDir,
-	// when set, restores cached images from the directory instead of
-	// re-running the warm phase; a missing file falls back to warming, a
-	// corrupt one is an error. noxsweep's -checkpoint/-restore flags.
-	WarmSaveDir string
-	WarmLoadDir string
 	// Eager disables the harness's sparse-regime accelerations — the
 	// per-node next-arrival lookahead and the idle fast-forward between
 	// injections — stepping every main-loop cycle the classic way. Output is

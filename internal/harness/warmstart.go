@@ -56,7 +56,6 @@ func (m *synthMember) saveRunState(e *codec.Encoder) error {
 	// to each node's pending arrival — the RNG positions alone cannot
 	// reconstruct those already-drawn arrivals, so the cache travels with
 	// the state.
-	e.Bool(m.lookahead)
 	if m.lookahead {
 		for _, at := range m.arr {
 			e.I64(at)
@@ -67,6 +66,8 @@ func (m *synthMember) saveRunState(e *codec.Encoder) error {
 
 // restoreRunState loads state saved by saveRunState into this attached
 // member (attach built the process roster; restore overwrites its state).
+// Saver and restorer share one configuration; a look-ahead mismatch fails
+// with trailing bytes or truncation.
 func (m *synthMember) restoreRunState(data []byte) error {
 	d := codec.NewDecoder(data)
 	if err := m.col.RestoreState(d); err != nil {
@@ -90,38 +91,9 @@ func (m *synthMember) restoreRunState(data []byte) error {
 	if err := m.startCounters.RestoreState(d); err != nil {
 		return err
 	}
-	hadLookahead := d.Bool()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	switch {
-	case hadLookahead && !m.lookahead:
-		// The saver's streams ran ahead of the clock; an eager restorer
-		// would re-draw Ticks the saver already consumed.
-		return fmt.Errorf("%w: lookahead-saved run state restored into an eager member", codec.ErrUnsupported)
-	case hadLookahead:
+	if m.lookahead {
 		for id := range m.arr {
 			m.arr[id] = d.I64()
-		}
-		if err := d.Err(); err != nil {
-			return err
-		}
-		m.recomputeArrMin()
-	case m.lookahead:
-		// Eager-saved state: the streams stand exactly at the seam, but
-		// attach primed this member's arrival cache from freshly seeded
-		// processes, so every cached arrival is stale. Re-prime from the
-		// seam. Every save point sits before injectCycle(cyc) runs, so a
-		// seam at or before the warmup boundary walls at the boundary (the
-		// boundary's retarget block re-advances past it with the measurement
-		// rate); only a later seam may consume post-boundary Ticks.
-		cyc := m.net.Cycle()
-		wall := m.total
-		if cyc <= m.cfg.WarmupCycles {
-			wall = m.cfg.WarmupCycles
-		}
-		for id := range m.arr {
-			m.advanceArr(id, cyc, wall)
 		}
 		m.recomputeArrMin()
 	}
@@ -184,6 +156,9 @@ func warmSynthetic(base SyntheticConfig) (*warmImage, error) {
 // its series before the first rung, matching the cold semantics for a rate
 // no clock can offer.
 func sweepWarm(base SyntheticConfig, rates []float64, pool *exp.Pool) ([]SweepPoint, error) {
+	if err := checkBandwidth("warm-up", base.WarmRateMBps); err != nil {
+		return nil, err
+	}
 	if base.WarmRateMBps <= 0 {
 		return nil, ErrWarmRate
 	}
@@ -195,7 +170,7 @@ func sweepWarm(base SyntheticConfig, rates []float64, pool *exp.Pool) ([]SweepPo
 	for ai, arch := range router.Archs {
 		cfg := base
 		cfg.Arch = arch
-		warms[ai], warmErrs[ai] = warmFor(cfg)
+		warms[ai], warmErrs[ai] = warmSynthetic(cfg)
 		if warmErrs[ai] != nil && !errors.Is(warmErrs[ai], ErrRateInfeasible) {
 			return nil, warmErrs[ai]
 		}

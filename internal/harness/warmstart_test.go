@@ -2,7 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/check"
@@ -83,8 +86,10 @@ func TestWarmStartSweepMatchesCold(t *testing.T) {
 	}
 }
 
-// TestWarmStartRequiresRate pins the misconfiguration error on the serial
-// and the parallel sweep.
+// TestWarmStartRequiresRate pins the misconfiguration errors on the serial
+// and the parallel sweep: a missing warm-up rate, and one that is no
+// bandwidth at all, which must be reported as the warm-up rate (not as the
+// offered rate the warm phase runs at).
 func TestWarmStartRequiresRate(t *testing.T) {
 	base := fastCfg("uniform", 0)
 	base.WarmStart = true
@@ -93,6 +98,16 @@ func TestWarmStartRequiresRate(t *testing.T) {
 	}
 	if _, err := SweepSynthetic(base, []float64{600}, exp.NewPool(2)); err != ErrWarmRate {
 		t.Errorf("SweepSynthetic parallel: err = %v, want ErrWarmRate", err)
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1)} {
+		bad := base
+		bad.WarmRateMBps = rate
+		for _, pool := range []*exp.Pool{nil, exp.NewPool(2)} {
+			_, err := SweepSynthetic(bad, []float64{600}, pool)
+			if !errors.Is(err, ErrRateInvalid) || !strings.Contains(fmt.Sprint(err), "warm-up rate") {
+				t.Errorf("warm-up rate %v (pool %v): err = %v, want ErrRateInvalid naming the warm-up rate", rate, pool != nil, err)
+			}
+		}
 	}
 }
 
