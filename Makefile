@@ -55,11 +55,13 @@ test-ids:
 ## the whole loaded inject -> step -> deliver loop on all four architectures,
 ## fault-free and with a dead link plus retransmission (slots reused when
 ## their last owner lets go) — and of the measurement path: recording a latency allocates nothing, and
-## a synthetic point's bytes do not grow with its measurement window.
+## a synthetic point's bytes do not grow with its measurement window; and an
+## application trace is generated in a handful of allocations, not one per
+## transaction.
 ## AllocsPerRun counts are exact only without the race detector, so this runs
 ## plain, and first.
 alloc-guard:
-	$(GO) test -run 'Allocs' -count=1 ./internal/network ./internal/sim ./internal/noc ./internal/stats ./internal/harness
+	$(GO) test -run 'Allocs' -count=1 ./internal/network ./internal/sim ./internal/noc ./internal/stats ./internal/harness ./internal/trace
 
 race:
 	$(GO) test -race ./...
@@ -120,7 +122,10 @@ ab-smoke:
 ## trace run with a negative cycle count, drain limit, ring or sampling
 ## interval; a sweep's warm-up rate given without -warmstart, which was
 ## ignored, one no architecture can offer, which printed an empty panel, or
-## one that is no bandwidth, which was blamed on the offered rate): each must
+## one that is no bandwidth, which was blamed on the offered rate; an
+## application trace so short that a workload has no packet, which printed
+## rows of zeros and a mean over the rest, or so long that its picosecond
+## event times overflow, which ran on past 15 s): each must
 ## exit with status 1 and a message within 10 s, never a panic trace.
 ## The tools run in the temp directory, so a regression cannot litter the tree.
 cli-smoke:
@@ -138,7 +143,8 @@ cli-smoke:
 		"noxtrace -cycles -5" "noxtrace -flits -3" "noxtrace -flits 0" "noxtrace -drain -5" "noxtrace -ring -1" "noxtrace -sample -5" \
 		"noxfault -degrade 1 -load 0" "noxfault -degrade 1 -load 1" "noxfault -width 1 -height 1" "noxfault -drain -5" \
 		"noxfault -watchdog -5" "noxfault -warmstart -5" "noxfault -csv x.csv" "noxfault -kill 5" "noxfault -degrade 2 -warmstart 100" \
-		"noxsweep -warmrate 300" "noxsweep -warmstart -warmrate 1e9" "noxsweep -warmstart -warmrate NaN"; do \
+		"noxsweep -warmrate 300" "noxsweep -warmstart -warmrate 1e9" "noxsweep -warmstart -warmrate NaN" \
+		"noxapp -cpu-cycles 1" "noxapp -cpu-cycles 100000000000000000 -workload radix"; do \
 		st=0; timeout 10 "$$tmp/"$$c >/dev/null 2>"$$tmp/err" || st=$$?; \
 		if [ $$st -ne 1 ] || grep -qE '^(panic: |goroutine )' "$$tmp/err"; then \
 			echo "cli-smoke: $$c: exit $$st, want 1 without a panic" >&2; cat "$$tmp/err" >&2; exit 1; \

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"repro/internal/harness"
-	"repro/internal/router"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -38,6 +37,9 @@ func main() {
 	if *cpuCycles < 1 {
 		cli.Fail(fmt.Errorf("-cpu-cycles must be >= 1 (got %d)", *cpuCycles))
 	}
+	if *cpuCycles > trace.MaxCPUCycles {
+		cli.Fail(fmt.Errorf("-cpu-cycles must be <= %d (got %d): event times would overflow", int64(trace.MaxCPUCycles), *cpuCycles))
+	}
 
 	workloads := trace.Workloads
 	if *workload != "all" {
@@ -48,15 +50,21 @@ func main() {
 		workloads = []trace.Workload{w}
 	}
 
-	var results []map[router.Arch]harness.AppResult
 	topo := harness.Table1().Topo
-	for _, w := range workloads {
+	load := func(i int) (*trace.Trace, error) {
+		w := workloads[i]
 		tr := trace.Generate(w, topo, *cpuCycles, *seed)
+		if len(tr.Events) == 0 {
+			return nil, fmt.Errorf("workload %s has no packets at -cpu-cycles %d: lengthen the trace", w.Name, *cpuCycles)
+		}
 		fmt.Printf("replaying %-8s (%6d packets, offered %6.0f MB/s/node)\n",
 			w.Name, len(tr.Events), tr.MeanInjectionMBps())
-		results = append(results, harness.RunAppAllArchs(tr, 0, pool, *shards,
-			harness.Telemetry{Progress: sess.Sampler(), NewRecorder: sess.NewRecorder},
-			harness.AppCheckpoint{}))
+		return tr, nil
+	}
+	results, err := harness.RunAppWalk(len(workloads), load, 0, pool, *shards,
+		harness.Telemetry{Progress: sess.Sampler(), NewRecorder: sess.NewRecorder})
+	if err != nil {
+		cli.Fail(err)
 	}
 	fmt.Println()
 	if *csv {

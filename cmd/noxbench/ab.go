@@ -48,6 +48,7 @@ type abMetric struct {
 	Won     int        `json:"head_won"`
 	Decided int        `json:"decided"` // pairs not tied
 	P       float64    `json:"sign_test_p"`
+	Bound   float64    `json:"-"` // the contract's bound, for the verdict
 }
 
 // abRecord is the BENCH_<stamp>.json an A/B run writes (schema nox-ab/v1).
@@ -76,8 +77,9 @@ type contract struct {
 }
 
 type metric struct {
-	Name   string `json:"name"`
-	Better string `json:"better"` // "lower" or "higher"
+	Name   string  `json:"name"`
+	Better string  `json:"better"` // "lower" or "higher"
+	Bound  float64 `json:"bound"`  // the worst relative change of the median allowed
 }
 
 // abRunner runs the benchmark of the tree at dir once, for one workload at
@@ -224,7 +226,7 @@ func summarize(pairs []abPair, c contract) (out []abMetric, unmeasured []string)
 			unmeasured = append(unmeasured, m.Name+": not measured on "+side)
 			continue
 		}
-		s := abMetric{Metric: m.Name, Better: m.Better}
+		s := abMetric{Metric: m.Name, Better: m.Better, Bound: m.Bound}
 		var base, head []float64
 		for _, p := range pairs {
 			b, h := p.Base.Metrics[m.Name], p.Head.Metrics[m.Name]
@@ -268,14 +270,42 @@ func pctDelta(oldV, newV float64) float64 {
 	return (newV - oldV) / oldV * 100
 }
 
+// verdict reads one metric's summary against its bound:
+//
+//   - "gain": the head won at least 9 of every 10 decided pairs, and its
+//     median is better than the base's by more than the base's
+//     interquartile range;
+//   - "worse": the head's median is worse than the base's by more than the
+//     bound, relative to the base's median;
+//   - "unresolved": the base's own interquartile range, relative to its
+//     median, is wider than the bound, so a move within it cannot be told
+//     from noise;
+//   - "flat": everything else.
+func (m abMetric) verdict() string {
+	gain := m.Head[1] - m.Base[1] // > 0: the head is better
+	if m.Better == "lower" {
+		gain = -gain
+	}
+	iqr, scale := m.Base[2]-m.Base[0], math.Abs(m.Base[1])
+	switch {
+	case m.Decided > 0 && 10*m.Won >= 9*m.Decided && gain > iqr:
+		return "gain"
+	case -gain > m.Bound*scale:
+		return "worse"
+	case iqr > m.Bound*scale:
+		return "unresolved"
+	}
+	return "flat"
+}
+
 func printSummary(w io.Writer, rec abRecord) {
-	fmt.Fprintf(w, "%s: %d pairs, base %.12s, head %.12s\n  %-22s %-30s %-30s %8s %7s %8s\n", rec.Workload, len(rec.Pairs),
-		rec.BaseSHA, rec.HeadSHA, "metric", "base median [q1, q3]", "head median [q1, q3]", "delta", "won", "p")
+	fmt.Fprintf(w, "%s: %d pairs, base %.12s, head %.12s\n  %-22s %-30s %-30s %8s %7s %8s  %s\n", rec.Workload, len(rec.Pairs),
+		rec.BaseSHA, rec.HeadSHA, "metric", "base median [q1, q3]", "head median [q1, q3]", "delta", "won", "p", "verdict")
 	for _, m := range rec.Summary {
-		fmt.Fprintf(w, "  %-22s %-30s %-30s %+7.1f%% %3d/%-3d %8.3g\n", m.Metric,
+		fmt.Fprintf(w, "  %-22s %-30s %-30s %+7.1f%% %3d/%-3d %8.3g  %s\n", m.Metric,
 			fmt.Sprintf("%.4g [%.4g, %.4g]", m.Base[1], m.Base[0], m.Base[2]),
 			fmt.Sprintf("%.4g [%.4g, %.4g]", m.Head[1], m.Head[0], m.Head[2]),
-			pctDelta(m.Base[1], m.Head[1]), m.Won, m.Decided, m.P)
+			pctDelta(m.Base[1], m.Head[1]), m.Won, m.Decided, m.P, m.verdict())
 	}
 	for _, note := range rec.Unmeasured {
 		fmt.Fprintf(w, "  %s, left out\n", note)

@@ -74,7 +74,7 @@ func TestABPairs(t *testing.T) {
 	if len(seeds) != 4 || pairs[1].First != "head" {
 		t.Errorf("seeds %v, second pair first side %q", seeds, pairs[1].First)
 	}
-	sum, unmeasured := summarize(pairs, contract{EndToEnd: []metric{{"wall_s", "lower"}, {"alloc_mb", "lower"}}})
+	sum, unmeasured := summarize(pairs, contract{EndToEnd: []metric{{"wall_s", "lower", 0.25}, {"alloc_mb", "lower", 0.12}}})
 	if len(sum) != 2 || unmeasured != nil {
 		t.Fatalf("summary %+v, unmeasured %q: want both metrics measured", sum, unmeasured)
 	}
@@ -96,7 +96,7 @@ func TestABPairs(t *testing.T) {
 // its own summary and its own record, named after it; a workload whose pair
 // disagrees on an exact fact stops the loop there.
 func TestABWorkloads(t *testing.T) {
-	c := contract{EndToEnd: []metric{{"wall_s", "lower"}}}
+	c := contract{EndToEnd: []metric{{"wall_s", "lower", 0.25}}}
 	tmpl := abRecord{Schema: "nox-ab/v1", BaseSHA: "base", HeadSHA: "0123abcd"}
 	workloads := []string{"fig10-apps", "mesh32-dense"}
 	var stdout strings.Builder
@@ -145,7 +145,7 @@ func TestCompareImprovementNeverFails(t *testing.T) {
 			Head: abRun{Metrics: map[string]float64{"sim_mcycles_per_s": 2 * v, "wall_s": 2 * v}},
 		})
 	}
-	sum, _ := summarize(pairs, contract{EndToEnd: []metric{{"sim_mcycles_per_s", "higher"}, {"wall_s", "lower"}}})
+	sum, _ := summarize(pairs, contract{EndToEnd: []metric{{"sim_mcycles_per_s", "higher", 0.25}, {"wall_s", "lower", 0.25}}})
 	if up := sum[0]; up.Won != 4 || up.Decided != 4 || up.Head[1] <= up.Base[1] {
 		t.Errorf("higher metric summary %+v, want 4/4 head wins", up)
 	}
@@ -162,7 +162,7 @@ func TestCompareMissingMetrics(t *testing.T) {
 		{Base: abRun{Metrics: map[string]float64{"wall_s": 2}}, Head: abRun{Metrics: map[string]float64{"wall_s": 1.9, "setup_s": 0.1}}},
 		{Base: abRun{Metrics: map[string]float64{"wall_s": 2.1}}, Head: abRun{Metrics: map[string]float64{"wall_s": 2, "setup_s": 0.1}}},
 	}
-	c := contract{EndToEnd: []metric{{"wall_s", "lower"}, {"setup_s", "lower"}, {"peak_rss_mb", "lower"}}}
+	c := contract{EndToEnd: []metric{{"wall_s", "lower", 0.25}, {"setup_s", "lower", 0.25}, {"peak_rss_mb", "lower", 0.2}}}
 	sum, unmeasured := summarize(pairs, c)
 	if len(sum) != 1 || sum[0].Metric != "wall_s" || sum[0].Won != 2 {
 		t.Errorf("summary %+v, want wall_s alone, won 2/2", sum)
@@ -209,5 +209,44 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 	if _, err := parseBenchOutput([]byte("host: x\n")); err == nil {
 		t.Error("a run without a result object parsed as a result")
+	}
+}
+
+// TestABVerdict: the summary's verdict column. The first row is a real
+// fig8-uniform setup_s summary of a change that alters no code the metric
+// times: +10.9 % at 0/10 pairs, inside its bound and the base's spread
+// narrow, so it reads flat.
+func TestABVerdict(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		m    abMetric
+		want string
+	}{
+		{"layout-only setup_s", abMetric{Better: "lower", Bound: 0.25,
+			Base: [3]float64{0.04797, 0.04897, 0.04997}, Head: [3]float64{0.05152, 0.05431, 0.05558}, Won: 0, Decided: 10}, "flat"},
+		{"halved setup_s", abMetric{Better: "lower", Bound: 0.25,
+			Base: [3]float64{0.066, 0.072, 0.084}, Head: [3]float64{0.035, 0.037, 0.040}, Won: 10, Decided: 10}, "gain"},
+		{"9 of 9 decided, one tie", abMetric{Better: "lower", Bound: 0.25,
+			Base: [3]float64{0.9, 1, 1.1}, Head: [3]float64{0.7, 0.75, 0.8}, Won: 9, Decided: 9}, "gain"},
+		{"higher is better", abMetric{Better: "higher", Bound: 0.25,
+			Base: [3]float64{9, 10, 11}, Head: [3]float64{12, 13, 14}, Won: 10, Decided: 10}, "gain"},
+		{"won 8 of 10", abMetric{Better: "lower", Bound: 0.25,
+			Base: [3]float64{0.9, 1, 1.1}, Head: [3]float64{0.5, 0.6, 0.7}, Won: 8, Decided: 10}, "flat"},
+		{"gap within the base IQR", abMetric{Better: "lower", Bound: 0.25,
+			Base: [3]float64{0.9, 1, 1.1}, Head: [3]float64{0.85, 0.9, 0.95}, Won: 10, Decided: 10}, "flat"},
+		{"past the bound", abMetric{Better: "lower", Bound: 0.25,
+			Base: [3]float64{0.95, 1, 1.05}, Head: [3]float64{1.2, 1.3, 1.4}, Won: 0, Decided: 10}, "worse"},
+		{"past the bound, higher is better", abMetric{Better: "higher", Bound: 0.25,
+			Base: [3]float64{9.5, 10, 10.5}, Head: [3]float64{6, 7, 8}, Won: 0, Decided: 10}, "worse"},
+		{"within the bound", abMetric{Better: "lower", Bound: 0.25,
+			Base: [3]float64{0.95, 1, 1.05}, Head: [3]float64{1.1, 1.2, 1.3}, Won: 1, Decided: 10}, "flat"},
+		{"base spread wider than the bound", abMetric{Better: "lower", Bound: 0.25,
+			Base: [3]float64{0.8, 1, 1.3}, Head: [3]float64{0.9, 1.1, 1.3}, Won: 4, Decided: 10}, "unresolved"},
+		{"exact metric, every pair tied", abMetric{Better: "lower", Bound: 0.12,
+			Base: [3]float64{17.28, 17.28, 17.28}, Head: [3]float64{17.28, 17.28, 17.28}}, "flat"},
+	} {
+		if got := c.m.verdict(); got != c.want {
+			t.Errorf("%s: verdict %q, want %q", c.name, got, c.want)
+		}
 	}
 }

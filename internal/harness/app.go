@@ -8,6 +8,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/check"
 	"repro/internal/exp"
@@ -397,26 +398,124 @@ func (r *appReplay) replay() *appStream {
 // (benchmark/apps.go) passes AppCheckpoint{}.
 type AppCheckpoint struct{}
 
-// RunAppAllArchs replays one trace on every architecture. The four replays
-// are independent (the trace is read-only; each builds its own networks),
-// so a pool with multiple workers runs them concurrently; within a replay,
-// shards parallelizes each network (0 = auto), and serial networks step
-// their classes on their own goroutines (see AppConfig.Shards). Results are
-// identical at every setting. tel threads the tool's live telemetry into
-// each replay (Telemetry{} disables it).
+// RunAppAllArchs replays one trace on every architecture: the one-trace
+// case of RunAppWalk.
 func RunAppAllArchs(tr *trace.Trace, bufferDepth int, pool *exp.Pool, shards int, tel Telemetry, _ AppCheckpoint) map[router.Arch]AppResult {
-	results, _ := exp.Map(context.Background(), pool, len(router.Archs),
-		func(_ context.Context, i int) (AppResult, error) {
-			arch := router.Archs[i]
+	results, _ := RunAppWalk(1, func(int) (*trace.Trace, error) { return tr, nil }, bufferDepth, pool, shards, tel)
+	return results[0]
+}
+
+// RunAppWalk replays n traces on every architecture in one pool walk. Its
+// cells are the (trace, architecture) replays in trace-major order; they are
+// independent (a trace is read-only; each replay builds its own networks),
+// so a pool with multiple workers runs them concurrently, across traces as
+// well as architectures. Within a replay, shards parallelizes each network
+// (0 = auto), and serial networks step their classes on their own
+// goroutines (see AppConfig.Shards). tel threads the tool's live telemetry
+// into each replay (Telemetry{} disables it).
+//
+// load builds trace i. The walk calls it once per trace, in index order and
+// never concurrently, when the first replay that needs the trace starts,
+// and lets the trace go after its last replay: a pool of W workers holds at
+// most W+1 traces at once. A load error stops the walk (no further replay
+// starts; running ones finish), and RunAppWalk returns the error of the
+// lowest failing trace. Results, one map per trace, are identical at every
+// setting.
+func RunAppWalk(n int, load func(i int) (*trace.Trace, error), bufferDepth int, pool *exp.Pool, shards int, tel Telemetry) ([]map[router.Arch]AppResult, error) {
+	return newAppWalk(n, load).run(bufferDepth, pool, shards, tel)
+}
+
+// appWalk is RunAppWalk's trace store: traces load in index order, on
+// demand, and are dropped when their last replay is done.
+type appWalk struct {
+	load   func(i int) (*trace.Trace, error)
+	mu     sync.Mutex   // serializes loads
+	loaded atomic.Int64 // traces[:loaded] are set
+	traces []appTrace
+	// dropped, when set, hears that trace i's last replay is done (tests).
+	dropped func(i int)
+}
+
+type appTrace struct {
+	tr   *trace.Trace
+	err  error
+	left atomic.Int32 // replays not yet done
+}
+
+func newAppWalk(n int, load func(i int) (*trace.Trace, error)) *appWalk {
+	w := &appWalk{load: load, traces: make([]appTrace, n)}
+	for i := range w.traces {
+		w.traces[i].left.Store(int32(len(router.Archs)))
+	}
+	return w
+}
+
+// trace returns trace i, loading it and every earlier trace not yet loaded.
+// After a failed load, later traces return its error unloaded.
+func (w *appWalk) trace(i int) (*trace.Trace, error) {
+	if int64(i) >= w.loaded.Load() {
+		w.mu.Lock()
+		for k := int(w.loaded.Load()); k <= i; k++ {
+			t := &w.traces[k]
+			if k > 0 && w.traces[k-1].err != nil {
+				t.err = w.traces[k-1].err
+			} else {
+				t.tr, t.err = w.load(k)
+			}
+			w.loaded.Store(int64(k + 1))
+		}
+		w.mu.Unlock()
+	}
+	return w.traces[i].tr, w.traces[i].err
+}
+
+// done marks one replay of trace i finished; the last one drops the trace.
+// A loaded trace is most of the live heap (4 MB at 40,000 CPU cycles, where
+// a replay's networks take 0.4 MB), and the heap goal was last set while it
+// and its successor were both live. So a drop with traces still to come
+// collects at once: the goal follows the live set down, and the next
+// trace's buffer reuses the freed pages instead of growing the heap.
+func (w *appWalk) done(i int) {
+	if w.traces[i].left.Add(-1) != 0 {
+		return
+	}
+	w.traces[i].tr = nil
+	if w.dropped != nil {
+		w.dropped(i)
+	}
+	if i+1 < len(w.traces) {
+		runtime.GC()
+	}
+}
+
+func (w *appWalk) run(bufferDepth int, pool *exp.Pool, shards int, tel Telemetry) ([]map[router.Arch]AppResult, error) {
+	archs := len(router.Archs)
+	results, err := exp.Map(context.Background(), pool, len(w.traces)*archs,
+		func(ctx context.Context, c int) (AppResult, error) {
+			if ctx.Err() != nil {
+				return AppResult{}, nil // a load failed: the walk is stopping
+			}
+			i, arch := c/archs, router.Archs[c%archs]
+			tr, err := w.trace(i)
+			if err != nil {
+				return AppResult{}, err
+			}
+			defer w.done(i)
 			return RunApp(AppConfig{Arch: arch, Trace: tr, BufferDepth: bufferDepth, Shards: shards,
 				Progress: tel.Progress,
 				Recorder: tel.recorder(fmt.Sprintf("app-%s-%s", tr.Workload.Name, arch))}), nil
 		})
-	out := map[router.Arch]AppResult{}
-	for i, arch := range router.Archs {
-		out[arch] = results[i]
+	if err != nil {
+		return nil, err
 	}
-	return out
+	out := make([]map[router.Arch]AppResult, len(w.traces))
+	for i := range out {
+		out[i] = map[router.Arch]AppResult{}
+		for a, arch := range router.Archs {
+			out[i][arch] = results[i*archs+a]
+		}
+	}
+	return out, nil
 }
 
 // GeoMeanImprovement returns NoX's mean energy-delay^2 improvement over

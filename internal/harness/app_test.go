@@ -7,11 +7,15 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/exp"
 	"repro/internal/network"
 	"repro/internal/noc"
 	"repro/internal/router"
@@ -181,6 +185,93 @@ func TestMultiNetworkIsolation(t *testing.T) {
 		}
 		if req.Cycle() != rep.Cycle() {
 			t.Errorf("GOMAXPROCS %d: networks end on cycles %d and %d", procs, req.Cycle(), rep.Cycle())
+		}
+	}
+}
+
+// TestAppWalk runs the one app walk over four traces on a two-worker pool.
+// Its results must equal RunAppAllArchs run serially per trace; it must load
+// each trace once, in index order, and drop each after its last replay; and
+// counting through the load callback, no more than workers + 1 traces may
+// be live at once.
+func TestAppWalk(t *testing.T) {
+	topo := noc.Topology{Width: 4, Height: 4}
+	names := []string{"tpcc", "barnes", "ocean", "water"}
+	gen := func(i int) *trace.Trace {
+		w, err := trace.WorkloadByName(names[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return trace.Generate(w, topo, 2500, uint64(i))
+	}
+	pool := exp.NewPool(2)
+	var (
+		mu            sync.Mutex
+		order         []int
+		live, maxLive int
+		drops         = map[int]int{}
+	)
+	w := newAppWalk(len(names), func(i int) (*trace.Trace, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		order = append(order, i)
+		live++
+		maxLive = max(maxLive, live)
+		return gen(i), nil
+	})
+	w.dropped = func(i int) {
+		mu.Lock()
+		defer mu.Unlock()
+		live--
+		drops[i]++
+	}
+	got, err := w.run(0, pool, 0, Telemetry{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(order, []int{0, 1, 2, 3}) {
+		t.Errorf("loads ran in order %v, want each trace once in index order", order)
+	}
+	if live != 0 || len(drops) != len(names) {
+		t.Errorf("%d traces live after the walk, drops %v", live, drops)
+	}
+	if maxLive > pool.Workers()+1 {
+		t.Errorf("%d traces live at once on %d workers", maxLive, pool.Workers())
+	}
+	for i := range names {
+		want := RunAppAllArchs(gen(i), 0, nil, 0, Telemetry{}, AppCheckpoint{})
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("trace %d (%s): walk\n%+v\nserial\n%+v", i, names[i], got[i], want)
+		}
+	}
+}
+
+// TestAppWalkLoadError: a failed load stops the walk with that trace's
+// error, and no later trace is loaded, at every pool size.
+func TestAppWalkLoadError(t *testing.T) {
+	w, err := trace.WorkloadByName("lu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.Generate(w, noc.Topology{Width: 4, Height: 4}, 1500, 1)
+	for _, workers := range []int{1, 2, 4} {
+		var mu sync.Mutex
+		var loads []int
+		load := func(i int) (*trace.Trace, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			loads = append(loads, i)
+			if i == 1 {
+				return nil, fmt.Errorf("trace %d is empty", i)
+			}
+			return tr, nil
+		}
+		res, err := RunAppWalk(4, load, 0, exp.NewPool(workers), 0, Telemetry{})
+		if res != nil || err == nil || err.Error() != "trace 1 is empty" {
+			t.Errorf("%d workers: results %v, error %v; want trace 1's error", workers, res, err)
+		}
+		if !slices.Equal(loads, []int{0, 1}) {
+			t.Errorf("%d workers: loaded %v, want [0 1]", workers, loads)
 		}
 	}
 }

@@ -29,9 +29,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/noc"
 	"repro/internal/sim"
@@ -49,6 +50,10 @@ const (
 	DirLatencyCycles = 30
 	// InvAckCycles is the sharer's turnaround for an invalidation ack.
 	InvAckCycles = 15
+	// MaxCPUCycles is the longest trace whose event times, at most
+	// MemLatencyCycles past its last transaction, fit an int64 of
+	// picoseconds.
+	MaxCPUCycles = math.MaxInt64/CPUCyclePs - MemLatencyCycles
 )
 
 // Packet lengths in flits (Table 1: 8 B control, 72 B data on 64 b flits).
@@ -162,28 +167,44 @@ func (t *Trace) MeanInjectionMBps() float64 {
 func Generate(w Workload, topo noc.Topology, cpuCycles int64, seed uint64) *Trace {
 	base := sim.NewRNG(seed ^ hashName(w.Name))
 	gen := &generator{w: w, topo: topo, homes: newHomePicker(w, topo, base.Fork(1))}
+	gen.events = make([]Event, 0, eventsHint(w, topo, cpuCycles))
 
-	rngs := make([]*sim.RNG, topo.Nodes())
-	for i := range rngs {
-		rngs[i] = base.Fork(uint64(100 + i))
-	}
-
-	var events []Event
+	// Each core forks its stream from base in core order, then the storms
+	// fork theirs: the draw order every seed's trace is pinned to.
 	for core := 0; core < topo.Nodes(); core++ {
-		events = append(events, gen.coreEvents(noc.NodeID(core), cpuCycles, rngs[core])...)
+		gen.coreEvents(noc.NodeID(core), cpuCycles, base.Fork(uint64(100+core)))
 	}
-	events = append(events, gen.contentionEvents(cpuCycles, base.Fork(7))...)
-	sort.Slice(events, func(i, j int) bool {
-		a, b := events[i], events[j]
+	gen.contentionEvents(cpuCycles, base.Fork(7))
+	sortEvents(gen.events)
+	return &Trace{Workload: w, Topo: topo, DurationPs: cpuCycles * CPUCyclePs, Events: gen.events}
+}
+
+// maxEventsHint caps the up-front event buffer (40 MiB of events): a longer
+// trace grows it by appending.
+const maxEventsHint = 1 << 20
+
+// eventsHint sizes a trace's event buffer from the profile's rates: about
+// three events per transaction and up to sixteen per contention storm.
+func eventsHint(w Workload, topo noc.Topology, cpuCycles int64) int {
+	kcycles := float64(max(cpuCycles, 0)) / 1000
+	n := kcycles * (3*w.TransPerKCycle*float64(topo.Nodes()) + 16*w.HotEventsPerKCycle)
+	return int(min(n, maxEventsHint))
+}
+
+// sortEvents orders the events by (TimePs, Src, Dst) in place. Ties keep
+// the order sort.Slice gives them: slices.SortFunc is the same pdqsort,
+// without reflection, and makes the same moves on the same comparison
+// outcomes.
+func sortEvents(events []Event) {
+	slices.SortFunc(events, func(a, b Event) int {
 		if a.TimePs != b.TimePs {
-			return a.TimePs < b.TimePs
+			return cmp.Compare(a.TimePs, b.TimePs)
 		}
 		if a.Src != b.Src {
-			return a.Src < b.Src
+			return cmp.Compare(a.Src, b.Src)
 		}
-		return a.Dst < b.Dst
+		return cmp.Compare(a.Dst, b.Dst)
 	})
-	return &Trace{Workload: w, Topo: topo, DurationPs: cpuCycles * CPUCyclePs, Events: events}
 }
 
 func hashName(s string) uint64 {
@@ -196,16 +217,16 @@ func hashName(s string) uint64 {
 }
 
 type generator struct {
-	w     Workload
-	topo  noc.Topology
-	homes *homePicker
+	w      Workload
+	topo   noc.Topology
+	homes  *homePicker
+	events []Event // every event, in generation order
 }
 
 // coreEvents generates one core's transactions as Pareto bursts whose
 // spacing is solved to meet the profile's transaction rate.
-func (g *generator) coreEvents(core noc.NodeID, cpuCycles int64, rng *sim.RNG) []Event {
+func (g *generator) coreEvents(core noc.NodeID, cpuCycles int64, rng *sim.RNG) {
 	w := g.w
-	var events []Event
 	// Mean gap between transactions to achieve TransPerKCycle.
 	meanGap := 1000 / w.TransPerKCycle
 	// Within a burst transactions are spaced a few CPU cycles apart; the
@@ -227,35 +248,33 @@ func (g *generator) coreEvents(core noc.NodeID, cpuCycles int64, rng *sim.RNG) [
 			burst = mshrLimit
 		}
 		for i := 0; i < burst && t < cpuCycles; i++ {
-			events = append(events, g.transaction(core, t, rng)...)
+			g.transaction(core, t, rng)
 			t += intraBurstGap
 		}
 		t += int64(rng.Exp(interBurstGap)) + 1
 	}
-	return events
 }
 
 // transaction emits the protocol events of one coherence transaction
 // starting at CPU cycle tc.
-func (g *generator) transaction(core noc.NodeID, tc int64, rng *sim.RNG) []Event {
+func (g *generator) transaction(core noc.NodeID, tc int64, rng *sim.RNG) {
 	w := g.w
 	home := g.homes.pick(core, rng)
 	ps := func(cycles int64) int64 { return cycles * CPUCyclePs }
-	var ev []Event
 
 	if rng.Bernoulli(w.WritebackFrac) {
 		// Dirty writeback: data out, control ack back.
-		ev = append(ev,
+		g.events = append(g.events,
 			Event{ps(tc), core, home, DataFlits, ClassRequest},
 			Event{ps(tc + MemLatencyCycles), home, core, ControlFlits, ClassReply},
 		)
-		return ev
+		return
 	}
 
 	upgrade := rng.Bernoulli(w.UpgradeFrac)
 
 	// Miss / upgrade request.
-	ev = append(ev, Event{ps(tc), core, home, ControlFlits, ClassRequest})
+	g.events = append(g.events, Event{ps(tc), core, home, ControlFlits, ClassRequest})
 	if (upgrade || !rng.Bernoulli(w.ReadFrac)) && rng.Bernoulli(w.ShareFrac) {
 		// Write permission on a shared line: invalidate sharers first.
 		n := 1 + int(rng.Exp(math.Max(w.MeanSharers-1, 0.01))+0.5)
@@ -267,7 +286,7 @@ func (g *generator) transaction(core noc.NodeID, tc int64, rng *sim.RNG) []Event
 			if sharer == home || sharer == core {
 				continue
 			}
-			ev = append(ev,
+			g.events = append(g.events,
 				Event{ps(tc + DirLatencyCycles), home, sharer, ControlFlits, ClassRequest},
 				Event{ps(tc + DirLatencyCycles + InvAckCycles), sharer, home, ControlFlits, ClassReply},
 			)
@@ -275,12 +294,11 @@ func (g *generator) transaction(core noc.NodeID, tc int64, rng *sim.RNG) []Event
 	}
 	if upgrade {
 		// Upgrade grant: control only, directory turnaround.
-		ev = append(ev, Event{ps(tc + DirLatencyCycles + InvAckCycles + DirLatencyCycles), home, core, ControlFlits, ClassReply})
-		return ev
+		g.events = append(g.events, Event{ps(tc + DirLatencyCycles + InvAckCycles + DirLatencyCycles), home, core, ControlFlits, ClassReply})
+		return
 	}
 	// Data reply.
-	ev = append(ev, Event{ps(tc + MemLatencyCycles), home, core, DataFlits, ClassReply})
-	return ev
+	g.events = append(g.events, Event{ps(tc + MemLatencyCycles), home, core, DataFlits, ClassReply})
 }
 
 // contentionEvents emits lock/barrier storms: at each event several cores
@@ -289,41 +307,41 @@ func (g *generator) transaction(core noc.NodeID, tc int64, rng *sim.RNG) []Event
 // is the contention signature that distinguishes the router architectures
 // (§3.2): NoX superimposes the colliders productively while the speculative
 // designs burn cycles and channel energy resolving them.
-func (g *generator) contentionEvents(cpuCycles int64, rng *sim.RNG) []Event {
+func (g *generator) contentionEvents(cpuCycles int64, rng *sim.RNG) {
 	w := g.w
 	if w.HotEventsPerKCycle <= 0 {
-		return nil
+		return
 	}
 	nodes := g.topo.Nodes()
 	count := int(float64(cpuCycles) / 1000 * w.HotEventsPerKCycle)
-	var ev []Event
 	for e := 0; e < count; e++ {
 		t := int64(rng.Intn(int(cpuCycles)))
 		home := noc.NodeID(rng.Intn(nodes))
 		k := 4 + rng.Intn(5)
-		seen := map[noc.NodeID]bool{home: true}
+		seen := [9]noc.NodeID{home} // the home and up to 8 distinct cores
+		n := 1
 		for i := 0; i < k; i++ {
 			core := noc.NodeID(rng.Intn(nodes))
-			if seen[core] {
+			if slices.Contains(seen[:n], core) {
 				continue
 			}
-			seen[core] = true
+			seen[n] = core
+			n++
 			jitter := int64(rng.Intn(3))
-			ev = append(ev,
+			g.events = append(g.events,
 				Event{(t + jitter) * CPUCyclePs, core, home, ControlFlits, ClassRequest},
 				Event{(t + DirLatencyCycles + int64(2*i)) * CPUCyclePs, home, core, ControlFlits, ClassReply},
 			)
 		}
 	}
-	return ev
 }
 
 // homePicker selects L2 home nodes with optional distance-decayed locality.
 type homePicker struct {
 	topo noc.Topology
-	// cdf[src] is the cumulative weight distribution over destinations;
-	// nil for uniform selection.
-	cdf [][]float64
+	// cdf[src*n : (src+1)*n] is the cumulative weight distribution over
+	// the n destinations; nil for uniform selection.
+	cdf []float64
 }
 
 func newHomePicker(w Workload, topo noc.Topology, rng *sim.RNG) *homePicker {
@@ -332,9 +350,9 @@ func newHomePicker(w Workload, topo noc.Topology, rng *sim.RNG) *homePicker {
 		return hp
 	}
 	n := topo.Nodes()
-	hp.cdf = make([][]float64, n)
+	hp.cdf = make([]float64, n*n)
 	for src := 0; src < n; src++ {
-		cum := make([]float64, n)
+		cum := hp.cdf[src*n : (src+1)*n]
 		total := 0.0
 		for dst := 0; dst < n; dst++ {
 			if dst != src {
@@ -346,7 +364,6 @@ func newHomePicker(w Workload, topo noc.Topology, rng *sim.RNG) *homePicker {
 		for i := range cum {
 			cum[i] /= total
 		}
-		hp.cdf[src] = cum
 	}
 	return hp
 }
@@ -361,7 +378,8 @@ func (hp *homePicker) pick(src noc.NodeID, rng *sim.RNG) noc.NodeID {
 		}
 	}
 	u := rng.Float64()
-	cum := hp.cdf[src]
+	n := hp.topo.Nodes()
+	cum := hp.cdf[int(src)*n : (int(src)+1)*n]
 	lo, hi := 0, len(cum)-1
 	for lo < hi {
 		mid := (lo + hi) / 2

@@ -1,7 +1,11 @@
 package trace
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -200,5 +204,101 @@ func TestMeanInjectionMBps(t *testing.T) {
 	// 10 flits * 8 B / 1e-6 s / 4 nodes = 20 MB/s/node.
 	if got := tr.MeanInjectionMBps(); math.Abs(got-20) > 1e-9 {
 		t.Errorf("MeanInjectionMBps = %v, want 20", got)
+	}
+}
+
+// eventsDigest is the SHA-256 of every profile's trace at one setting, each
+// event written as five little-endian int64 fields after its profile's
+// event count.
+func eventsDigest(topo noc.Topology, cpuCycles int64, seed uint64) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for _, w := range Workloads {
+		tr := Generate(w, topo, cpuCycles, seed)
+		put(int64(len(tr.Events)))
+		for _, e := range tr.Events {
+			put(e.TimePs)
+			put(int64(e.Src))
+			put(int64(e.Dst))
+			put(int64(e.Flits))
+			put(int64(e.Class))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGenerateDigest pins the generated events, tie order included, of all
+// eight profiles at two settings: a change to the generator or its sort
+// that moves any event fails here.
+func TestGenerateDigest(t *testing.T) {
+	for _, c := range []struct {
+		topo   noc.Topology
+		cycles int64
+		seed   uint64
+		want   string
+	}{
+		{noc.Topology{Width: 8, Height: 8}, 10_000, 0xA11CE, "c8d9ba255173d42904d06c99e7ceeb470a6622635920067fa3bf3f15c04b280a"},
+		{noc.Topology{Width: 4, Height: 4}, 4_000, 7, "4f30252fef3a747c8cca449f99a99306fc59337877af654c69f846a75b9bf1c6"},
+	} {
+		if got := eventsDigest(c.topo, c.cycles, c.seed); got != c.want {
+			t.Errorf("%dx%d, %d cycles, seed %#x: digest %s, want %s",
+				c.topo.Width, c.topo.Height, c.cycles, c.seed, got, c.want)
+		}
+	}
+}
+
+// TestSortEventsMatchesSortSlice: sortEvents orders tie-heavy slices
+// exactly as sort.Slice does with the same comparator, the order of equal
+// keys included.
+func TestSortEventsMatchesSortSlice(t *testing.T) {
+	rng := sim.NewRNG(5)
+	for _, n := range []int{0, 1, 2, 3, 12, 13, 50, 257, 1000, 4096, 20_000} {
+		for _, distinct := range []int{1, 3, 16} {
+			events := make([]Event, n)
+			for i := range events {
+				// Few distinct keys, and Flits/Class outside the key, so
+				// equal keys are told apart by where they end up.
+				events[i] = Event{
+					TimePs: int64(rng.Intn(distinct)) * CPUCyclePs,
+					Src:    noc.NodeID(rng.Intn(distinct)),
+					Dst:    noc.NodeID(rng.Intn(2)),
+					Flits:  i,
+					Class:  rng.Intn(2),
+				}
+			}
+			want := slices.Clone(events)
+			sort.Slice(want, func(i, j int) bool {
+				a, b := want[i], want[j]
+				if a.TimePs != b.TimePs {
+					return a.TimePs < b.TimePs
+				}
+				if a.Src != b.Src {
+					return a.Src < b.Src
+				}
+				return a.Dst < b.Dst
+			})
+			if sortEvents(events); !slices.Equal(events, want) {
+				t.Fatalf("n=%d, %d distinct keys: sortEvents differs from sort.Slice", n, distinct)
+			}
+		}
+	}
+}
+
+// TestGenerateAllocs bounds the allocations of one trace: the generator,
+// its home picker, one event buffer sorted in place and the trace, not one
+// per core, transaction or storm.
+func TestGenerateAllocs(t *testing.T) {
+	w, err := WorkloadByName("barnes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() { Generate(w, topo, 10_000, 1) })
+	t.Logf("%.0f allocations per trace", allocs)
+	if allocs > 16 {
+		t.Errorf("Generate(barnes, 10k cycles) makes %.0f allocations, want <= 16", allocs)
 	}
 }
