@@ -87,8 +87,9 @@ shard-race:
 ## is not given; N pairs (default 10). The base is checked out in a git worktree, and each tree's
 ## benchmark is built and run by its own benchmark/run.sh, at seeds derived
 ## from the head revision, the first side flipping each pair. Prints per
-## metric both medians and quartiles, the pairs the head won and an exact
-## two-sided sign-test p; fails when the sides of a pair disagree on digest,
+## metric both medians and quartiles, the pairs the head won, an exact
+## two-sided sign-test p and a verdict against the metric's BENCHMARK.json
+## bound (gain, worse, unresolved or flat; see cmd/noxbench verdict); fails when the sides of a pair disagree on digest,
 ## cells, link_flits or paper_gap_pp; writes one nox-ab/v1 record per
 ## workload, BENCH_<stamp>.json (BENCH_<stamp>-<workload>.json without W;
 ## refused from a dirty tree unless noxbench is given -allow-dirty).

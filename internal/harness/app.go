@@ -417,10 +417,10 @@ func RunAppAllArchs(tr *trace.Trace, bufferDepth int, pool *exp.Pool, shards int
 // load builds trace i. The walk calls it once per trace, in index order and
 // never concurrently, when the first replay that needs the trace starts,
 // and lets the trace go after its last replay: a pool of W workers holds at
-// most W+1 traces at once. A load error stops the walk (no further replay
-// starts; running ones finish), and RunAppWalk returns the error of the
-// lowest failing trace. Results, one map per trace, are identical at every
-// setting.
+// most W+1 traces at once. A load error stops the walk: no later trace is
+// loaded, no further replay is dispatched, and once the replays already
+// under way finish, RunAppWalk returns the error of the lowest failing
+// trace. Results, one map per trace, are identical at every setting.
 func RunAppWalk(n int, load func(i int) (*trace.Trace, error), bufferDepth int, pool *exp.Pool, shards int, tel Telemetry) ([]map[router.Arch]AppResult, error) {
 	return newAppWalk(n, load).run(bufferDepth, pool, shards, tel)
 }
@@ -491,10 +491,7 @@ func (w *appWalk) done(i int) {
 func (w *appWalk) run(bufferDepth int, pool *exp.Pool, shards int, tel Telemetry) ([]map[router.Arch]AppResult, error) {
 	archs := len(router.Archs)
 	results, err := exp.Map(context.Background(), pool, len(w.traces)*archs,
-		func(ctx context.Context, c int) (AppResult, error) {
-			if ctx.Err() != nil {
-				return AppResult{}, nil // a load failed: the walk is stopping
-			}
+		func(_ context.Context, c int) (AppResult, error) {
 			i, arch := c/archs, router.Archs[c%archs]
 			tr, err := w.trace(i)
 			if err != nil {

@@ -247,7 +247,8 @@ func TestAppWalk(t *testing.T) {
 }
 
 // TestAppWalkLoadError: a failed load stops the walk with that trace's
-// error, and no later trace is loaded, at every pool size.
+// error, and no later trace is loaded, at every pool size: a replay of a
+// later trace that starts before the walk stops gets the same error.
 func TestAppWalkLoadError(t *testing.T) {
 	w, err := trace.WorkloadByName("lu")
 	if err != nil {
@@ -266,9 +267,13 @@ func TestAppWalkLoadError(t *testing.T) {
 			}
 			return tr, nil
 		}
-		res, err := RunAppWalk(4, load, 0, exp.NewPool(workers), 0, Telemetry{})
+		walk := newAppWalk(4, load)
+		res, err := walk.run(0, exp.NewPool(workers), 0, Telemetry{})
 		if res != nil || err == nil || err.Error() != "trace 1 is empty" {
 			t.Errorf("%d workers: results %v, error %v; want trace 1's error", workers, res, err)
+		}
+		if _, err := walk.trace(3); err == nil || err.Error() != "trace 1 is empty" {
+			t.Errorf("%d workers: trace 3 after the failure: error %v, want trace 1's", workers, err)
 		}
 		if !slices.Equal(loads, []int{0, 1}) {
 			t.Errorf("%d workers: loaded %v, want [0 1]", workers, loads)

@@ -3,10 +3,11 @@ package harness
 import "repro/internal/telemetry"
 
 // Telemetry bundles the live-observability hooks a cmd tool threads into
-// the multi-run harness entry points (RunAppAllArchs, RunFutureStudy): the
-// shared progress sampler feeding /metrics and the SSE stream, and the
-// per-run flight-recorder factory. The zero value disables both, so callers
-// without a telemetry session pass Telemetry{}.
+// the multi-run harness entry points (RunAppWalk and its one-trace case
+// RunAppAllArchs, RunFutureStudy): the shared progress sampler feeding
+// /metrics and the SSE stream, and the per-run flight-recorder factory. The
+// zero value disables both, so callers without a telemetry session pass
+// Telemetry{}.
 type Telemetry struct {
 	// Progress receives per-cycle ticks and inject/deliver counts from every
 	// run. Nil costs a nil check per hook.
