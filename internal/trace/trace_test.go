@@ -288,6 +288,24 @@ func TestSortEventsMatchesSortSlice(t *testing.T) {
 	}
 }
 
+// TestEventsHintCapped: the up-front buffer is sized from the profile and
+// capped, so the longest valid trace cannot panic in make, and a length of
+// zero or less reserves nothing.
+func TestEventsHintCapped(t *testing.T) {
+	for _, w := range Workloads {
+		if got := eventsHint(w, topo, MaxCPUCycles); got != maxEventsHint {
+			t.Errorf("%s: hint %d at MaxCPUCycles, want the cap %d", w.Name, got, maxEventsHint)
+		}
+		if a, b := eventsHint(w, topo, 0), eventsHint(w, topo, -5); a != 0 || b != 0 {
+			t.Errorf("%s: hints %d and %d at 0 and -5 cycles, want 0", w.Name, a, b)
+		}
+		tr := Generate(w, topo, 10_000, 3)
+		if hint := eventsHint(w, topo, 10_000); len(tr.Events) > hint {
+			t.Errorf("%s: %d events outgrew the hint %d", w.Name, len(tr.Events), hint)
+		}
+	}
+}
+
 // TestGenerateAllocs bounds the allocations of one trace: the generator,
 // its home picker, one event buffer sorted in place and the trace, not one
 // per core, transaction or storm.
