@@ -54,10 +54,13 @@ test-ids:
 ## kernel walk, the sharded step, packets turning around on their slab, and
 ## the whole loaded inject -> step -> deliver loop on all four architectures,
 ## fault-free and with a dead link plus retransmission (slots reused when
-## their last owner lets go) — and of the measurement path: recording a latency allocates nothing, and
-## a synthetic point's bytes do not grow with its measurement window; and an
-## application trace is generated in a handful of allocations, not one per
-## transaction.
+## their last owner lets go) — of the cell: a network rebuilt on the storage
+## of a closed one of its shape allocates only its record and lanes
+## (TestRebuildAllocs) — and of the measurement path: recording a latency
+## allocates nothing, and a synthetic point's bytes do not grow with its
+## measurement window (measured after a warm cell, so recycled storage cannot
+## hide the growth); and an application trace is generated in a handful of
+## allocations, not one per transaction.
 ## AllocsPerRun counts are exact only without the race detector, so this runs
 ## plain, and first.
 alloc-guard:
@@ -125,8 +128,10 @@ ab-smoke:
 ## ignored, one no architecture can offer, which printed an empty panel, or
 ## one that is no bandwidth, which was blamed on the offered rate; an
 ## application trace so short that a workload has no packet, which printed
-## rows of zeros and a mean over the rest, or so long that its picosecond
-## event times overflow, which ran on past 15 s): each must
+## rows of zeros and a mean over the rest, so long that its picosecond
+## event times overflow, which ran on past 15 s, or so long that its events
+## alone would need tens of GB, refused before any is generated; a NaN
+## fault rate, which fired no fault and reported every campaign clean): each must
 ## exit with status 1 and a message within 10 s, never a panic trace.
 ## The tools run in the temp directory, so a regression cannot litter the tree.
 cli-smoke:
@@ -145,7 +150,9 @@ cli-smoke:
 		"noxfault -degrade 1 -load 0" "noxfault -degrade 1 -load 1" "noxfault -width 1 -height 1" "noxfault -drain -5" \
 		"noxfault -watchdog -5" "noxfault -warmstart -5" "noxfault -csv x.csv" "noxfault -kill 5" "noxfault -degrade 2 -warmstart 100" \
 		"noxsweep -warmrate 300" "noxsweep -warmstart -warmrate 1e9" "noxsweep -warmstart -warmrate NaN" \
-		"noxapp -cpu-cycles 1" "noxapp -cpu-cycles 100000000000000000 -workload radix"; do \
+		"noxapp -cpu-cycles 1" "noxapp -cpu-cycles 100000000000000000 -workload radix" \
+		"noxfault -bitflip NaN" "noxfault -drop NaN" "noxfault -stall NaN" "noxfault -creditloss NaN" \
+		"noxfault -creditdup NaN" "noxapp -cpu-cycles 1000000000"; do \
 		st=0; timeout 10 "$$tmp/"$$c >/dev/null 2>"$$tmp/err" || st=$$?; \
 		if [ $$st -ne 1 ] || grep -qE '^(panic: |goroutine )' "$$tmp/err"; then \
 			echo "cli-smoke: $$c: exit $$st, want 1 without a panic" >&2; cat "$$tmp/err" >&2; exit 1; \

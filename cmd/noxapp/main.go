@@ -13,6 +13,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/harness"
 	"repro/internal/telemetry"
@@ -51,6 +52,14 @@ func main() {
 	}
 
 	topo := harness.Table1().Topo
+	// A trace is generated whole before it replays: refuse one whose event
+	// buffer alone would not fit in memory before allocating any of it.
+	for _, w := range workloads {
+		if n := trace.EventsEstimate(w, topo, *cpuCycles); n > trace.MaxEvents {
+			cli.Fail(fmt.Errorf("-cpu-cycles %d: workload %s would generate about %.3g events (%.3g GB), over the %d-event bound",
+				*cpuCycles, w.Name, n, n*float64(unsafe.Sizeof(trace.Event{}))/1e9, trace.MaxEvents))
+		}
+	}
 	load := func(i int) (*trace.Trace, error) {
 		w := workloads[i]
 		tr := trace.Generate(w, topo, *cpuCycles, *seed)

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/noc"
@@ -109,7 +110,9 @@ func (s Spec) Validate() error {
 		{"credit_loss_rate", s.CreditLoss},
 		{"credit_dup_rate", s.CreditDup},
 	} {
-		if r.v < 0 || r.v >= 1 {
+		if math.IsNaN(r.v) || r.v < 0 || r.v >= 1 {
+			// NaN fails every comparison, so it is named: unchecked, it fires
+			// no fault and the campaign reports clean.
 			return fmt.Errorf("%w: %s %v outside [0,1)", ErrBadSpec, r.name, r.v)
 		}
 	}

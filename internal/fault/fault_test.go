@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -38,6 +39,32 @@ func TestSpecValidate(t *testing.T) {
 		}
 		if !errors.Is(err, ErrBadSpec) {
 			t.Errorf("validation error does not wrap ErrBadSpec: %v", err)
+		}
+	}
+}
+
+// TestSpecValidateRejectsNonFinite: a NaN or infinite rate is refused with
+// ErrBadSpec naming its field. NaN fails every comparison, and the check once
+// let it through: noxfault -bitflip NaN reported every campaign clean.
+func TestSpecValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Spec, float64)
+	}{
+		{"bit_flip_rate", func(s *Spec, v float64) { s.BitFlip = v }},
+		{"drop_rate", func(s *Spec, v float64) { s.Drop = v }},
+		{"stall_rate", func(s *Spec, v float64) { s.Stall = v }},
+		{"credit_loss_rate", func(s *Spec, v float64) { s.CreditLoss = v }},
+		{"credit_dup_rate", func(s *Spec, v float64) { s.CreditDup = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			var s Spec
+			f.set(&s, v)
+			err := s.Validate()
+			if !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: Validate returned %v, want ErrBadSpec naming %s", f.name, v, err, f.name)
+			}
 		}
 	}
 }

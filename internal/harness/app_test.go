@@ -171,7 +171,6 @@ func TestMultiNetworkIsolation(t *testing.T) {
 		cfg := AppConfig{Arch: router.NoX, Trace: tr, DrainCycles: 1000}
 		r := newAppReplay(&cfg)
 		r.replay()
-		r.close()
 		req, rep := r.streams[0].net, r.streams[1].net
 		for class, n := range []*network.Network{req, rep} {
 			if n.Injected() != 1 || n.Delivered() != 1 {
@@ -186,6 +185,7 @@ func TestMultiNetworkIsolation(t *testing.T) {
 		if req.Cycle() != rep.Cycle() {
 			t.Errorf("GOMAXPROCS %d: networks end on cycles %d and %d", procs, req.Cycle(), rep.Cycle())
 		}
+		r.close()
 	}
 }
 

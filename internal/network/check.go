@@ -111,6 +111,7 @@ func (n *Network) InjectChecked(src, dst noc.NodeID, length int, class int) (*no
 // offered-traffic accounting stays comparable across fault sets — and
 // retired before InjectAs returns: the pointer it returns reads scrubbed.
 func (n *Network) InjectAs(id uint64, src, dst noc.NodeID, length int, class int) (*noc.Packet, error) {
+	n.mustBeOpen("Inject")
 	if err := n.checkPacket(src, dst, length); err != nil {
 		return nil, err
 	}

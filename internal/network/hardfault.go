@@ -58,15 +58,17 @@ type HardFaulter interface {
 	RestoreHardState(d *codec.Decoder) error
 }
 
-// buildSites constructs the per-channel topology attachments in exactly the
-// order New wires links: per router (ascending id) its North/East/South/West
-// inter-router channels to existing neighbors, then per attached core an
-// inject channel followed by an eject channel. New cross-checks the length
-// against the wired link count.
-func buildSites(sys noc.System) []noc.LinkSite {
+// buildSites appends to sites the per-channel topology attachments in
+// exactly the order New wires links: per router (ascending id) its
+// North/East/South/West inter-router channels to existing neighbors, then per
+// attached core an inject channel followed by an eject channel. New
+// cross-checks the length against the wired link count.
+func buildSites(sys noc.System, sites []noc.LinkSite) []noc.LinkSite {
 	topo := sys.Grid
 	routers := sys.Routers()
-	sites := make([]noc.LinkSite, 0, 2*(topo.Width*(topo.Height-1)+topo.Height*(topo.Width-1))+2*sys.Cores())
+	if need := 2*(topo.Width*(topo.Height-1)+topo.Height*(topo.Width-1)) + 2*sys.Cores(); cap(sites) < need {
+		sites = make([]noc.LinkSite, 0, need)
+	}
 	for id := 0; id < routers; id++ {
 		for _, p := range []noc.Port{noc.North, noc.East, noc.South, noc.West} {
 			if nb, ok := topo.Neighbor(noc.NodeID(id), p); ok {

@@ -51,7 +51,7 @@ func TestSentFlitNotDereferenced(t *testing.T) {
 	// Every channel the two flows cross: all but the local channels of the
 	// two middle tiles.
 	var path []int32
-	for site, at := range buildSites(noc.MeshSystem(topo)) {
+	for site, at := range buildSites(noc.MeshSystem(topo), nil) {
 		if at.Core != 1 && at.Core != 2 {
 			path = append(path, int32(site))
 		}

@@ -71,6 +71,9 @@ type NI struct {
 	dupes int64
 }
 
+// niQueueRing is the length of a source queue's first ring.
+const niQueueRing = 8
+
 // init wires a slab-allocated NI: slots backs the sink port's FIFO ring,
 // localRow is the shared all-Local route row (every flit reaching a sink
 // ejects), and arena is the home shard's flit pool.
@@ -99,7 +102,7 @@ func (ni *NI) queued(i int) *noc.Packet { return ni.queue[(ni.queueHead+i)&(len(
 func (ni *NI) enqueue(p *noc.Packet) {
 	p.Hold(noc.OwnedBySource)
 	if ni.queueLen == len(ni.queue) {
-		grown := make([]*noc.Packet, max(8, 2*len(ni.queue)))
+		grown := make([]*noc.Packet, max(niQueueRing, 2*len(ni.queue)))
 		for i := 0; i < ni.queueLen; i++ {
 			grown[i] = ni.queued(i)
 		}

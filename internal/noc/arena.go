@@ -23,6 +23,7 @@ type Arena struct {
 	free  []*Flit
 	parts [][]*Flit
 	live  int
+	first []Flit // the first block, which Reset keeps
 }
 
 // arenaBlock is the number of flits carved per pooled block.
@@ -36,14 +37,42 @@ func (a *Arena) alloc() *Flit {
 	}
 	if len(a.free) == 0 {
 		block := make([]Flit, arenaBlock)
-		for i := range block {
-			a.free = append(a.free, &block[i])
+		if a.first == nil {
+			a.first = block
 		}
+		a.carve(block)
 	}
 	f := a.free[len(a.free)-1]
 	a.free = a.free[:len(a.free)-1]
 	a.live++
 	return f
+}
+
+// carve puts every flit of block on the free list, the last one on top.
+func (a *Arena) carve(block []Flit) {
+	for i := range block {
+		a.free = append(a.free, &block[i])
+	}
+}
+
+// Reset empties the arena for the next network built on its storage: the
+// first block is scrubbed and goes back on the free list as alloc carves a
+// new block, so the flits come out in the order a new arena hands them out.
+// Blocks past the first, a free list grown past one block and the pooled
+// constituent sets are dropped, so an arena keeps at most one block across
+// networks. No flit may be used after Reset.
+func (a *Arena) Reset() {
+	clear(a.first)
+	free := a.free[:0]
+	clear(free[:cap(free)])
+	if cap(free) > arenaBlock {
+		free = make([]*Flit, 0, arenaBlock)
+	}
+	clear(a.parts[:cap(a.parts)])
+	*a = Arena{free: free, first: a.first}
+	if a.first != nil {
+		a.carve(a.first)
+	}
 }
 
 // NewFlit builds flit seq of packet p from the pool.

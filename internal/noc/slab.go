@@ -19,6 +19,7 @@ package noc
 type PacketSlab struct {
 	free  []*Packet
 	chunk []Packet // unused tail of the newest chunk
+	first []Packet // the first chunk, which Reset keeps
 }
 
 // slabChunk is the number of packets carved per backing chunk (26 KB).
@@ -35,12 +36,30 @@ func (s *PacketSlab) Get(id uint64, src, dst NodeID, length int, class int, crea
 	} else {
 		if len(s.chunk) == 0 {
 			s.chunk = make([]Packet, slabChunk)
+			if s.first == nil {
+				s.first = s.chunk
+			}
 		}
 		p, s.chunk = &s.chunk[0], s.chunk[1:]
 	}
 	p.init(id, src, dst, length, class, createCycle)
 	p.Hold(OwnedByNetwork)
 	return p
+}
+
+// Reset empties the slab for the next network built on its storage: it
+// scrubs the first chunk and hands it out again from its first slot, as a
+// new slab would carve it. Chunks past the first and a free list grown past
+// one chunk are dropped, so a slab keeps at most one chunk across networks.
+// No slot may be used after Reset.
+func (s *PacketSlab) Reset() {
+	clear(s.first)
+	free := s.free[:0]
+	clear(free[:cap(free)])
+	if cap(free) > slabChunk {
+		free = nil
+	}
+	*s = PacketSlab{free: free, chunk: s.first, first: s.first}
 }
 
 // Free returns how many slots wait on the free list.

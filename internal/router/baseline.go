@@ -36,9 +36,9 @@ type baseline struct {
 
 func (b *baseline) init(cfg *Config, sink flitSink) {
 	b.base.init(cfg, sink)
-	b.in = cfg.Slabs.ins.take(cfg.Ports, cfg.Slabs.chunk)
+	b.in = cfg.Slabs.ins.take(cfg.Ports)
 	sl := buffer.SlotsFor(cfg.BufferDepth)
-	rings := cfg.Slabs.rings.take(cfg.Ports*sl, cfg.Slabs.chunk)
+	rings := cfg.Slabs.rings.take(cfg.Ports * sl)
 	for i := range b.in {
 		b.in[i].fifo.Init(cfg.BufferDepth, rings[i*sl:(i+1)*sl:(i+1)*sl])
 	}

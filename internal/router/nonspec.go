@@ -38,9 +38,9 @@ type nonspecRouter struct {
 
 func newNonSpec(cfg *Config) *nonspecRouter {
 	s := cfg.Slabs
-	r := &s.nonspecs.take(1, s.chunk)[0]
+	r := &s.nonspecs.take(1)[0]
 	r.init(cfg, r)
-	r.port = s.nsPorts.take(cfg.Ports, s.chunk)
+	r.port = s.nsPorts.take(cfg.Ports)
 	for i := range r.port {
 		p := &r.port[i]
 		p.arb = arbiterFor(cfg, &p.rr)

@@ -47,13 +47,13 @@ type noxRouter struct {
 
 func newNoX(cfg *Config) *noxRouter {
 	s := cfg.Slabs
-	r := &s.noxes.take(1, s.chunk)[0]
+	r := &s.noxes.take(1)[0]
 	r.init(cfg, r)
 	n := cfg.Ports
-	r.port = s.noxPorts.take(n, s.chunk)
+	r.port = s.noxPorts.take(n)
 	sl := buffer.SlotsFor(cfg.BufferDepth)
-	rings := s.rings.take(n*sl, s.chunk)
-	hdrs := s.hdrs.take(n*sl, s.chunk)
+	rings := s.rings.take(n * sl)
+	hdrs := s.hdrs.take(n * sl)
 	for i := range r.port {
 		p := &r.port[i]
 		p.in.Init(cfg.BufferDepth, rings[i*sl:(i+1)*sl:(i+1)*sl], r.row, cfg.Arena)

@@ -112,8 +112,8 @@ type Config struct {
 	// (NoX superpositions and decode copies). Nil falls back to the heap.
 	Arena *noc.Arena
 	// Slabs, when non-nil, batches the backing storage of many routers into
-	// shared chunks (one allocation per record type per ~16 KB of routers) —
-	// the network construction path. Nil allocates per router.
+	// one exactly sized block per record type (see NewSlabs) — the network
+	// construction path. Nil allocates per router.
 	Slabs *Slabs
 	// Check, when non-nil, arms the runtime invariant layer: protocol
 	// violations that an injected fault can legitimately produce (corrupt
@@ -140,7 +140,7 @@ func (c *Config) fill() {
 		c.Counters = &power.Counters{}
 	}
 	if c.Slabs == nil {
-		// Zero chunk: every take allocates exactly its length, so a
+		// Nothing reserved: every take allocates exactly its length, so a
 		// standalone router costs no slack memory.
 		c.Slabs = &Slabs{}
 	}

@@ -97,10 +97,10 @@ type specRouter struct {
 
 func newSpec(cfg *Config) *specRouter {
 	s := cfg.Slabs
-	r := &s.specs.take(1, s.chunk)[0]
+	r := &s.specs.take(1)[0]
 	r.accurate = cfg.Arch == SpecAccurate
 	r.init(cfg, r)
-	r.port = s.spPorts.take(cfg.Ports, s.chunk)
+	r.port = s.spPorts.take(cfg.Ports)
 	for i := range r.port {
 		p := &r.port[i]
 		p.arb = arbiterFor(cfg, &p.rr)

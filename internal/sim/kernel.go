@@ -106,7 +106,7 @@ type Kernel struct {
 	// during the compute phase (see sharding.raise).
 	active []uint32
 	// actWords is a per-64-component summary bitmap over active, maintained
-	// on the serial path only (nil once sharded). The invariant is one-sided:
+	// on the serial path only (empty once sharded). The invariant is one-sided:
 	// every component with a raised flag has its bit set, but a bit may be
 	// stale (component went quiet without clearing it) — the sparse walk
 	// prunes stale bits lazily as it visits them.
@@ -150,6 +150,34 @@ type Kernel struct {
 // NewKernel returns an empty kernel at cycle 0.
 func NewKernel() *Kernel {
 	return &Kernel{}
+}
+
+// Reset returns the kernel to the state NewKernel returns — cycle 0, no
+// components, lanes, hooks or sharding — keeping the registration arrays and
+// the lane and observer lists, emptied and zeroed, for the next Reserve: a
+// network rebuilt on recycled storage registers its components with no
+// allocation. The kernel must be serial or Closed, and nothing registered
+// before may be stepped through it again.
+func (k *Kernel) Reset() {
+	if k.sh != nil && !k.sh.closed {
+		panic("sim: Reset of a sharded kernel that is not Closed")
+	}
+	clear(k.components[:cap(k.components)])
+	clear(k.quiesc[:cap(k.quiesc)])
+	clear(k.latch[:cap(k.latch)])
+	clear(k.active[:cap(k.active)])
+	clear(k.actWords[:cap(k.actWords)])
+	clear(k.lanes[:cap(k.lanes)])
+	clear(k.observers[:cap(k.observers)])
+	*k = Kernel{
+		components: k.components[:0],
+		quiesc:     k.quiesc[:0],
+		latch:      k.latch[:0],
+		active:     k.active[:0],
+		actWords:   k.actWords[:0],
+		lanes:      k.lanes[:0],
+		observers:  k.observers[:0],
+	}
 }
 
 // Add registers a component and returns its wake handle. Components are

@@ -104,25 +104,23 @@ func (k *Kernel) BindLane(start Handle, lane Lane) {
 
 // Reserve pre-sizes the registration slices for n additional components, so
 // a network that knows its component count up front registers everything
-// with zero slice growth.
+// with zero slice growth — and with no allocation at all on a kernel whose
+// Reset kept arrays at least that large.
 func (k *Kernel) Reserve(n int) {
-	if need := len(k.components) + n; need > cap(k.components) {
-		components := make([]Clocked, len(k.components), need)
-		copy(components, k.components)
-		k.components = components
-		quiesc := make([]Quiescable, len(k.quiesc), need)
-		copy(quiesc, k.quiesc)
-		k.quiesc = quiesc
-		latch := make([]Latcher, len(k.latch), need)
-		copy(latch, k.latch)
-		k.latch = latch
-		active := make([]uint32, len(k.active), need)
-		copy(active, k.active)
-		k.active = active
-		words := make([]uint64, len(k.actWords), (need+63)/64)
-		copy(words, k.actWords)
-		k.actWords = words
+	need := len(k.components) + n
+	k.components = reserve(k.components, need)
+	k.quiesc = reserve(k.quiesc, need)
+	k.latch = reserve(k.latch, need)
+	k.active = reserve(k.active, need)
+	k.actWords = reserve(k.actWords, (need+63)/64)
+}
+
+// reserve returns s with capacity for n elements, reallocated only when short.
+func reserve[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s
 	}
+	return append(make([]T, 0, n), s...)
 }
 
 // walkCompute runs the compute phase in registration order, interleaving

@@ -278,7 +278,7 @@ func (k *Kernel) SetSharding(shards int, shardOf []int) {
 	// The flags and sh.live take over from the serial idle count and summary
 	// bitmap (the sharded step never takes the sparse walk).
 	k.idle = 0
-	k.actWords = nil
+	k.actWords = k.actWords[:0]
 	k.sh = sh
 	sh.done.wake = make(chan struct{}, 1)
 	for s := 1; s < shards; s++ {
@@ -316,14 +316,13 @@ func (k *Kernel) Shards() int {
 
 // Close shuts down the sharded worker pool and returns once every worker
 // has exited, whether it was spinning or parked. Stepping a closed kernel
-// panics; Close on a serial kernel is a no-op. Safe to call more than once.
+// panics; Close on a serial kernel is a no-op. Safe to call more than once,
+// and after a Step that panicked and was recovered: a worker still running
+// the abandoned phase takes the close once it is through.
 func (k *Kernel) Close() {
 	sh := k.sh
 	if sh == nil || sh.closed {
 		return
-	}
-	if k.stepping {
-		panic("sim: Close during Step")
 	}
 	sh.closed = true
 	for s := 1; s < sh.shards; s++ {

@@ -183,12 +183,25 @@ func Generate(w Workload, topo noc.Topology, cpuCycles int64, seed uint64) *Trac
 // trace grows it by appending.
 const maxEventsHint = 1 << 20
 
-// eventsHint sizes a trace's event buffer from the profile's rates: about
-// three events per transaction and up to sixteen per contention storm.
-func eventsHint(w Workload, topo noc.Topology, cpuCycles int64) int {
+// MaxEvents bounds the trace a tool may ask Generate for: 2^26 events, about
+// 2.7 GB of 40-byte events before the sort. A tool checks EventsEstimate
+// against it before generating anything (noxapp refuses a longer
+// -cpu-cycles); on the Table 1 mesh the default 40k-cycle traces estimate
+// under 2^17 events, and every profile fits up to about 22 M cycles.
+const MaxEvents = 1 << 26
+
+// EventsEstimate is about how many events Generate(w, topo, cpuCycles, ·)
+// produces, from the profile's rates: about three events per transaction and
+// up to sixteen per contention storm. Uncapped, so it can be compared with
+// MaxEvents without generating anything.
+func EventsEstimate(w Workload, topo noc.Topology, cpuCycles int64) float64 {
 	kcycles := float64(max(cpuCycles, 0)) / 1000
-	n := kcycles * (3*w.TransPerKCycle*float64(topo.Nodes()) + 16*w.HotEventsPerKCycle)
-	return int(min(n, maxEventsHint))
+	return kcycles * (3*w.TransPerKCycle*float64(topo.Nodes()) + 16*w.HotEventsPerKCycle)
+}
+
+// eventsHint sizes a trace's event buffer: EventsEstimate, capped.
+func eventsHint(w Workload, topo noc.Topology, cpuCycles int64) int {
+	return int(min(EventsEstimate(w, topo, cpuCycles), maxEventsHint))
 }
 
 // sortEvents orders the events by (TimePs, Src, Dst) in place. Ties keep

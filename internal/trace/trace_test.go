@@ -306,6 +306,20 @@ func TestEventsHintCapped(t *testing.T) {
 	}
 }
 
+// TestMaxEventsBound: every profile's default 40k-cycle trace estimates far
+// under MaxEvents, and the billion-cycle trace noxapp must refuse before
+// generating it estimates over it.
+func TestMaxEventsBound(t *testing.T) {
+	for _, w := range Workloads {
+		if n := EventsEstimate(w, topo, 40_000); n > MaxEvents/256 {
+			t.Errorf("%s: default trace estimates %.0f events, not far under MaxEvents", w.Name, n)
+		}
+		if n := EventsEstimate(w, topo, 1_000_000_000); n <= MaxEvents {
+			t.Errorf("%s: a 1e9-cycle trace estimates %.0f events, within MaxEvents", w.Name, n)
+		}
+	}
+}
+
 // TestGenerateAllocs bounds the allocations of one trace: the generator,
 // its home picker, one event buffer sorted in place and the trace, not one
 // per core, transaction or storm.

@@ -83,7 +83,10 @@ type (
 
 // NewNetwork builds a wired mesh network (defaults: 8x8, 4-flit buffers).
 // It panics on an invalid configuration; BuildNetwork is the
-// error-returning form for configurations assembled from user input.
+// error-returning form for configurations assembled from user input. Close
+// the network when done: its storage then carries the next network of the
+// same shape, so a network must not be used after Close (Step and Inject
+// panic).
 func NewNetwork(cfg NetworkConfig) *Network { return network.New(cfg) }
 
 // BuildNetwork validates and builds a network, returning ErrBadConfig-
