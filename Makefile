@@ -131,7 +131,10 @@ ab-smoke:
 ## rows of zeros and a mean over the rest, so long that its picosecond
 ## event times overflow, which ran on past 15 s, or so long that its events
 ## alone would need tens of GB, refused before any is generated; a NaN
-## fault rate, which fired no fault and reported every campaign clean): each must
+## fault rate, which fired no fault and reported every campaign clean; a zero
+## warm-up or measurement window, which ran the library's default window
+## instead; a fault spec naming link escalation or dead routers, which the
+## fault layer no longer models): each must
 ## exit with status 1 and a message within 10 s, never a panic trace.
 ## The tools run in the temp directory, so a regression cannot litter the tree.
 cli-smoke:
@@ -139,6 +142,8 @@ cli-smoke:
 	set -e; \
 	$(GO) build -o "$$tmp/" ./cmd/...; \
 	cd "$$tmp"; \
+	printf '{"seed":11,"drop_rate":0.01,"escalate":{"threshold":3,"window":200}}' > escalate.json; \
+	printf '{"seed":4,"dead_routers":[{"router":0}]}' > dead_routers.json; \
 	for c in "noxapp -cpu-cycles 0" "noxapp -figure 12" "noxsim -flits 0" "noxsim -flits -2" \
 		"noxsim -rate -5" "noxsweep -figure 7" "noxfault -width 0" "noxfault -shards -1" \
 		"noxsweep -shards -1" "noxablate -shards -1" "noxapp -shards -1" "noxfuture -shards -1" \
@@ -152,7 +157,9 @@ cli-smoke:
 		"noxsweep -warmrate 300" "noxsweep -warmstart -warmrate 1e9" "noxsweep -warmstart -warmrate NaN" \
 		"noxapp -cpu-cycles 1" "noxapp -cpu-cycles 100000000000000000 -workload radix" \
 		"noxfault -bitflip NaN" "noxfault -drop NaN" "noxfault -stall NaN" "noxfault -creditloss NaN" \
-		"noxfault -creditdup NaN" "noxapp -cpu-cycles 1000000000"; do \
+		"noxfault -creditdup NaN" "noxapp -cpu-cycles 1000000000" \
+		"noxsim -warmup 0" "noxsim -measure 0" "noxpower -measure 0" \
+		"noxfault -spec escalate.json" "noxfault -spec dead_routers.json"; do \
 		st=0; timeout 10 "$$tmp/"$$c >/dev/null 2>"$$tmp/err" || st=$$?; \
 		if [ $$st -ne 1 ] || grep -qE '^(panic: |goroutine )' "$$tmp/err"; then \
 			echo "cli-smoke: $$c: exit $$st, want 1 without a panic" >&2; cat "$$tmp/err" >&2; exit 1; \

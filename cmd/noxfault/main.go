@@ -132,7 +132,6 @@ type cell struct {
 	epochs        int64
 	lastEpoch     int64
 	partitioned   int
-	escalated     int64
 	latSum        int64
 	latN          int64
 	endCycle      int64
@@ -247,7 +246,7 @@ func run(j job, p params) (c cell) {
 		}
 		c.injected, c.delivered = ck.Injected(), ck.Delivered()
 		c.counts, c.total = ck.Counts(), ck.Total()
-		c.faults, c.escalated = inj.Totals(), inj.EscalatedLinks()
+		c.faults = inj.Totals()
 		if net == nil {
 			return
 		}
@@ -302,7 +301,7 @@ func buildCell(j job, p params, ck *check.Checker, inj *fault.Injector, rec *tel
 	if err != nil {
 		panic(err.Error())
 	}
-	if len(j.spec.DeadLinks) == 0 && len(j.spec.DeadRouters) == 0 {
+	if !j.spec.HasHardFaults() {
 		net.OnReconfigure = func(cycle int64, fs routing.FaultSet) {
 			rec.Trigger(cycle, "reconfiguration: "+fs.String())
 		}
@@ -479,9 +478,6 @@ func runCampaignMode(stdout io.Writer, archs []router.Arch, p params, campaigns 
 			if c.epochs > 0 {
 				fmt.Fprintf(&sb, " epochs=%d@%d", c.epochs, c.lastEpoch)
 			}
-			if c.escalated > 0 {
-				fmt.Fprintf(&sb, " escalated=%d", c.escalated)
-			}
 			if c.retransmits > 0 || c.exhausted > 0 {
 				fmt.Fprintf(&sb, " rtx=%d/%d", c.retransmits, c.exhausted)
 			}
@@ -609,7 +605,7 @@ func main() {
 	case *degradeK == 0 && (*csvOut != "" || *killAt != 0):
 		cli.Fail(errors.New("-csv and -kill need -degrade"))
 	case *warmN > 0 && (*degradeK > 0 || template.HasHardFaults()):
-		cli.Fail(errors.New("-warmstart: a fault-free image carries no hard-fault state, so it cannot start -degrade cells or a spec with dead links, dead routers or escalation"))
+		cli.Fail(errors.New("-warmstart: a fault-free image restores only into a network without dead links, so it cannot start -degrade cells or a spec with dead links"))
 	}
 	if err := p.validate(); err != nil {
 		cli.Fail(err)

@@ -11,6 +11,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 
@@ -30,6 +31,9 @@ func main() {
 	)
 	_, pool, stop := cli.Start()
 	defer stop()
+	if *measure == 0 {
+		cli.Fail(errors.New("-measure 0: 0 would select the library default (10000 cycles), not a zero window"))
+	}
 	runs, err := exp.Map(context.Background(), pool, len(router.Archs),
 		func(_ context.Context, i int) (harness.RunResult, error) {
 			return harness.RunSynthetic(harness.SyntheticConfig{

@@ -42,6 +42,9 @@ func main() {
 	if *flits < 1 {
 		cli.Fail(fmt.Errorf("-flits must be >= 1 (got %d)", *flits))
 	}
+	if *warmup == 0 || *measure == 0 {
+		cli.Fail(fmt.Errorf("-warmup %d, -measure %d: 0 would select the library default (3000 warm-up, 10000 measured cycles), not a zero window", *warmup, *measure))
+	}
 	arch, err := router.ArchByName(*archName)
 	if err != nil {
 		cli.Fail(err)

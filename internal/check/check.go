@@ -11,9 +11,12 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -53,6 +56,12 @@ const (
 
 	NumKinds = 10
 )
+
+// inStep reports whether the kind is recorded while the network steps,
+// where shard workers report one cycle's violations in no fixed order. The
+// others (credit, arena, lost, watchdog) are recorded between or after
+// steps, by the goroutine that steps the network.
+func (k Kind) inStep() bool { return k < KindCredit }
 
 // String returns the short report label for the kind.
 func (k Kind) String() string {
@@ -178,11 +187,21 @@ func (c *Checker) SetObserver(fn func(Violation)) {
 	c.observer = fn
 }
 
+// record counts v and stores it in canonical order (compareViolations).
+// Past the cap, a violation met while the network steps displaces the
+// largest stored one if it is smaller, so the violations of the step that
+// fills the cap are kept by that order, not by the order the shard workers
+// report them in; the rest are kept first come.
 func (c *Checker) record(v Violation) {
 	c.mu.Lock()
 	c.counts[v.Kind]++
-	if len(c.violations) < c.max {
-		c.violations = append(c.violations, v)
+	if c.keeps(v) {
+		if len(c.violations) == c.max {
+			c.violations = c.violations[:c.max-1]
+			c.truncated++
+		}
+		i, _ := slices.BinarySearchFunc(c.violations, v, compareViolations)
+		c.violations = slices.Insert(c.violations, i, v)
 	} else {
 		c.truncated++
 	}
@@ -191,6 +210,19 @@ func (c *Checker) record(v Violation) {
 	if obs != nil {
 		obs(v)
 	}
+}
+
+// keeps reports whether record would store v. Caller holds c.mu.
+func (c *Checker) keeps(v Violation) bool {
+	n := len(c.violations)
+	return n < c.max || v.Kind.inStep() && compareViolations(v, c.violations[n-1]) < 0
+}
+
+// compareViolations is the canonical violation order: by cycle, kind, node,
+// port, packet, then detail.
+func compareViolations(a, b Violation) int {
+	return cmp.Or(cmp.Compare(a.Cycle, b.Cycle), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Node, b.Node),
+		cmp.Compare(a.Port, b.Port), cmp.Compare(a.Packet, b.Packet), strings.Compare(a.Detail, b.Detail))
 }
 
 // OnInject registers an injected packet with the delivery oracle.
@@ -362,14 +394,14 @@ func (c *Checker) Finalize(cycle int64, impacted func(id uint64) bool) (lost, ac
 		}
 		lost++
 		if c.cfg.Delivery {
+			v := Violation{Cycle: cycle, Kind: KindLost, Node: -1, Port: -1, Packet: id}
 			c.mu.Lock()
 			injectCycle := c.inflight[id]
 			// Past the storage cap, with no observer, record only counts a
 			// violation: its detail would be formatted for nothing. (The cap,
 			// once reached, stays reached.)
-			kept := len(c.violations) < c.max || c.observer != nil
+			kept := c.observer != nil || c.keeps(v)
 			c.mu.Unlock()
-			v := Violation{Cycle: cycle, Kind: KindLost, Node: -1, Port: -1, Packet: id}
 			if kept {
 				v.Detail = fmt.Sprintf("injected at cycle %d, never delivered, no fault accounts for it", injectCycle)
 			}
@@ -379,34 +411,16 @@ func (c *Checker) Finalize(cycle int64, impacted func(id uint64) bool) (lost, ac
 	return lost, accounted
 }
 
-// Violations returns a sorted copy of the recorded violations (by cycle,
-// then kind, node, port, packet) so reports are deterministic regardless of
-// the recording interleave across shard workers.
+// Violations returns a copy of the stored violations in canonical order (by
+// cycle, then kind, node, port, packet, detail), so reports are
+// deterministic regardless of the recording interleave across shard workers.
 func (c *Checker) Violations() []Violation {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
-	out := make([]Violation, len(c.violations))
-	copy(out, c.violations)
-	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Cycle != b.Cycle {
-			return a.Cycle < b.Cycle
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Port != b.Port {
-			return a.Port < b.Port
-		}
-		return a.Packet < b.Packet
-	})
-	return out
+	defer c.mu.Unlock()
+	return slices.Clone(c.violations)
 }
 
 // Counts returns the per-kind violation totals (including truncated ones).

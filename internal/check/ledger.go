@@ -1,5 +1,7 @@
 package check
 
+import "slices"
+
 // Ledger is the checker's complete serializable state, exported so the
 // snapshot layer (which owns the wire format — this package stays
 // dependency-free) can checkpoint an armed checker mid-run and restore it
@@ -20,8 +22,10 @@ type Ledger struct {
 }
 
 // Ledger returns a deep copy of the checker's current state. Violations come
-// out in recording order (not report order), so a restored checker re-saves
-// byte-identically. Nil-safe: a nil checker returns a zero ledger.
+// out in canonical order (compareViolations), so the ledger of a sharded run
+// does not depend on the order its workers reported them in, and a restored
+// checker re-saves byte-identically. Nil-safe: a nil checker returns a zero
+// ledger.
 func (c *Checker) Ledger() Ledger {
 	if c == nil {
 		return Ledger{}
@@ -46,8 +50,10 @@ func (c *Checker) Ledger() Ledger {
 }
 
 // RestoreLedger overwrites the checker's state with a previously captured
-// ledger (deep-copied; the caller keeps ownership of l). The checker's
-// armed families, violation cap, and observer are left as configured.
+// ledger (deep-copied; the caller keeps ownership of l). The violations are
+// put in canonical order: an image written before the checker kept them so
+// holds them in arrival order. The checker's armed families, violation cap,
+// and observer are left as configured.
 func (c *Checker) RestoreLedger(l Ledger) {
 	if c == nil {
 		return
@@ -55,6 +61,7 @@ func (c *Checker) RestoreLedger(l Ledger) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.violations = append(c.violations[:0], l.Violations...)
+	slices.SortStableFunc(c.violations, compareViolations)
 	c.truncated = l.Truncated
 	c.counts = l.Counts
 	c.inflight = make(map[uint64]int64, len(l.Inflight))

@@ -88,11 +88,8 @@ type Spec struct {
 	CreditLoss  float64 `json:"credit_loss_rate,omitempty"`
 	CreditDup   float64 `json:"credit_dup_rate,omitempty"`
 
-	// DeadLinks and DeadRouters schedule permanent topology faults; see
-	// hard.go. Escalate promotes chronically faulty links to permanent.
-	DeadLinks   []DeadLink   `json:"dead_links,omitempty"`
-	DeadRouters []DeadRouter `json:"dead_routers,omitempty"`
-	Escalate    *Escalation  `json:"escalate,omitempty"`
+	// DeadLinks schedules permanent link faults; see hard.go.
+	DeadLinks []DeadLink `json:"dead_links,omitempty"`
 }
 
 // ErrBadSpec is wrapped by every Spec validation failure.
@@ -194,14 +191,12 @@ type Injector struct {
 	stallMark []int64
 
 	// mu guards the impacted set, which is only touched when a fault
-	// actually fires (rare at campaign rates), and the hard state's kill
-	// records.
+	// actually fires (rare at campaign rates).
 	mu       sync.Mutex
 	impacted map[uint64]struct{}
 
-	// hard is the permanent-fault machinery, nil unless the spec declares
-	// dead links/routers or an escalation policy (see hard.go) — the hot
-	// paths pay one pointer test.
+	// hard is the permanent-fault schedule, nil unless the spec declares
+	// dead links (see hard.go) — the hot paths pay one pointer test.
 	hard *hardState
 }
 
@@ -218,10 +213,9 @@ func NewInjector(spec Spec) *Injector {
 // Spec returns the campaign spec the injector was built from.
 func (inj *Injector) Spec() Spec { return inj.spec }
 
-// HardArmed reports whether the campaign declares any permanent-fault
-// machinery (dead links, dead routers, or transient-to-permanent
-// escalation). The network probes this before construction to decide
-// whether to pay for topology binding and the reconfiguration observer.
+// HardArmed reports whether the campaign declares any dead link. The
+// network probes this before construction to decide whether to pay for
+// topology binding and the reconfiguration observer.
 func (inj *Injector) HardArmed() bool { return inj.spec.HasHardFaults() }
 
 // BindSites is called by the owning network with its channel-site count.
@@ -312,7 +306,6 @@ func (inj *Injector) TamperFlit(site int32, cycle int64, f *noc.Flit) bool {
 		inj.impactFlit(f)
 		inj.count(site, Drop)
 		inj.creditDelta[site]--
-		inj.noteTransient(site, cycle)
 		return true
 	}
 	if s.BitFlip > 0 && inj.roll(saltFlip, site, cycle, 0) < s.BitFlip {
@@ -320,7 +313,6 @@ func (inj *Injector) TamperFlit(site int32, cycle int64, f *noc.Flit) bool {
 		f.Raw ^= 1 << bit
 		inj.impactFlit(f)
 		inj.count(site, BitFlip)
-		inj.noteTransient(site, cycle)
 	}
 	return false
 }
@@ -340,12 +332,10 @@ func (inj *Injector) TamperCredits(site int32, cycle int64, n int) int {
 			out--
 			inj.count(site, CreditLoss)
 			inj.creditDelta[site]--
-			inj.noteTransient(site, cycle)
 		case r < s.CreditLoss+s.CreditDup:
 			out++
 			inj.count(site, CreditDup)
 			inj.creditDelta[site]++
-			inj.noteTransient(site, cycle)
 		}
 	}
 	return out
@@ -378,7 +368,6 @@ func (inj *Injector) LinkStalled(site int32, cycle int64) bool {
 			if inj.stallMark[site] < t {
 				inj.stallMark[site] = t
 				inj.count(site, Stall)
-				inj.noteTransient(site, cycle)
 			}
 			return true
 		}

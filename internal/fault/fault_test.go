@@ -81,11 +81,52 @@ func TestParseSpec(t *testing.T) {
 		`{"seed":7,"unknown_field":1}`, // strict decoding
 		`{"bit_flip_rate":1.5}`,        // out of range
 		`{"seed":`,                     // truncated
+		// Dead routers and link escalation are not modelled: a spec naming
+		// them fails instead of running without them.
+		`{"seed":4,"dead_routers":[{"router":0},{"router":7,"at_cycle":1000}]}`,
+		`{"seed":11,"drop_rate":0.01,"escalate":{"threshold":3,"window":200}}`,
+		`{"seed":2,"dead_links":[{"a":0,"b":1}],"dead_routers":[{"router":15}]}`,
 	} {
 		if _, err := ParseSpec([]byte(in)); err == nil {
 			t.Errorf("ParseSpec accepted %q", in)
 		} else if !errors.Is(err, ErrBadSpec) {
 			t.Errorf("ParseSpec error for %q does not wrap ErrBadSpec: %v", in, err)
+		}
+	}
+}
+
+// TestBindTopologyFixesSchedule: BindTopology resolves the spec's dead links
+// once — each link at its earliest listed cycle, in both directions — and
+// the fault set at any cycle is a function of the spec alone.
+func TestBindTopologyFixesSchedule(t *testing.T) {
+	sys := noc.System{Grid: noc.Topology{Width: 4, Height: 4}, Concentration: 1}
+	sites := []noc.LinkSite{
+		{Src: 5, Dst: 6, Core: -1}, {Src: 6, Dst: 5, Core: -1},
+		{Src: 1, Dst: 2, Core: -1}, {Src: 9, Dst: 10, Core: -1},
+		{Src: -1, Dst: 5, Core: 5}, {Src: 5, Dst: -1, Core: 5},
+	}
+	inj := NewInjector(Spec{Seed: 1, DeadLinks: []DeadLink{
+		{A: 5, B: 6, At: 300}, {A: 6, B: 5, At: 100}, {A: 2, B: 1, At: 100}, {A: 9, B: 10},
+	}})
+	inj.BindSites(len(sites))
+	inj.BindTopology(sys, sites)
+	if got := inj.ScheduledKillCycles(); len(got) != 1 || got[0] != 100 {
+		t.Errorf("scheduled kills %v, want [100]", got)
+	}
+	for _, c := range []struct {
+		cycle int64
+		want  string
+	}{{0, "1 dead (L9-10)"}, {99, "1 dead (L9-10)"}, {100, "3 dead (L1-2 L5-6 L9-10)"}, {1 << 40, "3 dead (L1-2 L5-6 L9-10)"}} {
+		if got := inj.FaultSet(c.cycle).String(); got != c.want {
+			t.Errorf("FaultSet(%d) = %q, want %s", c.cycle, got, c.want)
+		}
+	}
+	for site, dead := range []bool{true, true, true, true, false, false} {
+		if got := inj.LinkStalled(int32(site), 100); got != dead {
+			t.Errorf("site %d dead at 100: %v, want %v", site, got, dead)
+		}
+		if inj.LinkStalled(int32(site), 99) && site != 3 {
+			t.Errorf("site %d dead at 99", site)
 		}
 	}
 }

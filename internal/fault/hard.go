@@ -1,25 +1,22 @@
-// Hard (permanent) faults: dead links, dead routers, and the escalation
-// policy that promotes a chronically faulty link to permanently dead.
+// Hard (permanent) faults: inter-router links scheduled dead by the spec.
 //
-// Hard faults stay as deterministic as the transient layer: scheduled kills
-// are literal spec data, and escalation decisions depend only on transient
-// fault firings — themselves pure hashes of (seed, site, cycle) — so a
+// A hard fault is literal spec data, resolved to channel sites once in
+// BindTopology; from then on the hard-fault schedule is immutable, so a
 // degradation campaign replays bit-identically from its Spec at any shard
-// count. A dead site refuses traffic exactly like an infinite stall and
-// drops anything already staged across it (counted and impact-marked like a
-// transient drop), while the owning network reacts to fault-set changes by
-// rebuilding routes (see internal/network's reconfiguration epoch).
+// count and the hot paths read it without synchronization. A dead site
+// refuses traffic exactly like an infinite stall and drops anything already
+// staged across it (counted and impact-marked like a transient drop), while
+// the owning network reacts to fault-set changes by rebuilding routes (see
+// internal/network's reconfiguration epoch).
 package fault
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/noc"
 	"repro/internal/routing"
-	"repro/internal/snapshot/codec"
 )
 
 // DeadLink declares the inter-router link between routers A and B
@@ -32,28 +29,8 @@ type DeadLink struct {
 	At int64      `json:"at_cycle,omitempty"`
 }
 
-// DeadRouter declares a router permanently dead from cycle At on. Every
-// incident channel dies with it — the four neighbor links and its local
-// cores' inject/eject channels — so the attached cores drop off the network.
-type DeadRouter struct {
-	Router noc.NodeID `json:"router"`
-	At     int64      `json:"at_cycle,omitempty"`
-}
-
-// Escalation promotes an inter-router link to permanently dead once
-// Threshold transient faults have fired at one of its sites within any
-// Window-cycle span. Interface channels never escalate (a core with a
-// flaky local port has nowhere to be rerouted to).
-type Escalation struct {
-	Threshold int   `json:"threshold"`
-	Window    int64 `json:"window"`
-}
-
-// HasHardFaults reports whether the spec declares any permanent-fault
-// machinery (scheduled kills or an escalation policy).
-func (s Spec) HasHardFaults() bool {
-	return len(s.DeadLinks) > 0 || len(s.DeadRouters) > 0 || s.Escalate != nil
-}
+// HasHardFaults reports whether the spec schedules any dead link.
+func (s Spec) HasHardFaults() bool { return len(s.DeadLinks) > 0 }
 
 func (s Spec) validateHard() error {
 	for _, l := range s.DeadLinks {
@@ -64,22 +41,6 @@ func (s Spec) validateHard() error {
 			return fmt.Errorf("%w: dead link %d-%d at negative cycle %d", ErrBadSpec, int(l.A), int(l.B), l.At)
 		}
 	}
-	for _, r := range s.DeadRouters {
-		if r.Router < 0 {
-			return fmt.Errorf("%w: dead router %d", ErrBadSpec, int(r.Router))
-		}
-		if r.At < 0 {
-			return fmt.Errorf("%w: dead router %d at negative cycle %d", ErrBadSpec, int(r.Router), r.At)
-		}
-	}
-	if e := s.Escalate; e != nil {
-		if e.Threshold < 1 {
-			return fmt.Errorf("%w: escalation threshold %d < 1", ErrBadSpec, e.Threshold)
-		}
-		if e.Window < 1 {
-			return fmt.Errorf("%w: escalation window %d < 1", ErrBadSpec, e.Window)
-		}
-	}
 	return nil
 }
 
@@ -88,79 +49,44 @@ func (s Spec) hardString() string {
 		return ""
 	}
 	out := "dead=["
-	first := true
-	for _, l := range s.DeadLinks {
-		if !first {
+	for i, l := range s.DeadLinks {
+		if i > 0 {
 			out += " "
 		}
-		first = false
 		out += fmt.Sprintf("L%d-%d@%d", int(l.A), int(l.B), l.At)
 	}
-	for _, r := range s.DeadRouters {
-		if !first {
-			out += " "
-		}
-		first = false
-		out += fmt.Sprintf("R%d@%d", int(r.Router), r.At)
-	}
-	out += "]"
-	if e := s.Escalate; e != nil {
-		out += fmt.Sprintf(" esc=%d/%d", e.Threshold, e.Window)
-	}
-	return out
+	return out + "]"
 }
 
-// aliveForever marks a site with no scheduled or escalated death.
+// aliveForever marks a site with no scheduled death.
 const aliveForever = math.MaxInt64
 
-// hardKill is one recorded permanent fault: a router, or a normalized
-// (a < b) inter-router link, dead from cycle at.
-type hardKill struct {
-	router noc.NodeID // -1 for a link kill
-	a, b   noc.NodeID // normalized link endpoints, -1 for a router kill
-	at     int64
+// deadLink is one normalized (a < b) link with its earliest death cycle.
+type deadLink struct {
+	ends [2]noc.NodeID
+	at   int64
 }
 
-// hardState is the Injector's permanent-fault machinery, nil when the spec
-// declares none — the hot paths test one pointer.
+// hardState is the Injector's permanent-fault schedule, nil when the spec
+// declares none — the hot paths test one pointer. It is written once, by
+// BindTopology, and only read after.
 type hardState struct {
-	sys   noc.System
-	sites []noc.LinkSite
 	// deadAt[site] is the first cycle the site is dead, aliveForever if
-	// never. Written at bind for scheduled kills and — under inj.mu, via
-	// atomic stores — by escalation promotions; hot-path readers use
-	// atomic loads (a promotion at cycle t takes effect at t+1, so the
-	// racing same-cycle readers' verdicts are unaffected by timing).
+	// never.
 	deadAt []int64
-	// kills is every recorded permanent fault, scheduled and escalated.
-	// Appends are guarded by inj.mu; order is canonicalized on read.
-	kills []hardKill
-	// linkDead/routerDead dedupe kills by earliest death cycle so a link
-	// escalating from both directions in one cycle records once.
-	linkDead   map[[2]noc.NodeID]int64
-	routerDead map[noc.NodeID]int64
-	// scheduled is the sorted list of future kill cycles from the spec;
-	// the network's epoch observer walks it with a cursor.
+	// links is every dead link, deduplicated to its earliest death cycle,
+	// in map order (FaultSet canonicalizes).
+	links []deadLink
+	// scheduled is the sorted, distinct list of kill cycles after 0; the
+	// network's epoch observer walks it with a cursor.
 	scheduled []int64
-
-	esc *Escalation
-	// ring[site*Threshold+i] holds recent transient-fault cycles at the
-	// site; ringCnt counts lifetime events. Each cell has phase-separated
-	// writers only (stalls on the sender's compute, drops/flips/credit
-	// faults on the link's commit), so plain accesses are race-free.
-	ring    []int64
-	ringCnt []int32
-	// escGen counts accepted promotions (atomic): the epoch observer's
-	// cheap dirty signal. escalated mirrors it for reports (under inj.mu).
-	escGen    int64
-	escalated int64
 }
 
 // BindTopology attaches the injector to the owning network's topology: sys
 // and the per-site link table in site order. Must follow BindSites with a
 // matching site count; a second bind panics. Scheduled kills are resolved
-// to sites here — a spec naming routers outside the grid or non-adjacent
-// link endpoints panics, because the campaign would silently not degrade.
+// to sites here — a spec naming non-adjacent link endpoints panics, because
+// the campaign would silently not degrade.
 func (inj *Injector) BindTopology(sys noc.System, sites []noc.LinkSite) {
 	if inj.sites == 0 {
 		panic("fault: BindTopology before BindSites")
@@ -171,165 +97,67 @@ func (inj *Injector) BindTopology(sys noc.System, sites []noc.LinkSite) {
 	if inj.hard != nil {
 		panic("fault: injector topology already bound")
 	}
-	s := &inj.spec
-	if !s.HasHardFaults() {
+	if !inj.spec.HasHardFaults() {
 		return
 	}
-	h := &hardState{
-		sys:        sys,
-		sites:      append([]noc.LinkSite(nil), sites...),
-		deadAt:     make([]int64, len(sites)),
-		linkDead:   make(map[[2]noc.NodeID]int64),
-		routerDead: make(map[noc.NodeID]int64),
-		esc:        s.Escalate,
-	}
-	for i := range h.deadAt {
-		h.deadAt[i] = aliveForever
-	}
-	if h.esc != nil {
-		h.ring = make([]int64, len(sites)*h.esc.Threshold)
-		h.ringCnt = make([]int32, len(sites))
-	}
-	nr := sys.Routers()
-	for _, dl := range s.DeadLinks {
-		a, b := dl.A, dl.B
-		if a > b {
-			a, b = b, a
-		}
-		if int(b) >= nr || sys.Grid.Hops(a, b) != 1 {
+	dead := make(map[[2]noc.NodeID]int64)
+	for _, dl := range inj.spec.DeadLinks {
+		ends := normalize(dl.A, dl.B)
+		if int(ends[1]) >= sys.Routers() || sys.Grid.Hops(ends[0], ends[1]) != 1 {
 			panic(fmt.Sprintf("fault: dead link %d-%d is not an adjacent router pair of the %dx%d grid",
 				int(dl.A), int(dl.B), sys.Grid.Width, sys.Grid.Height))
 		}
-		h.recordKill(hardKill{router: -1, a: a, b: b, at: dl.At})
-	}
-	for _, dr := range s.DeadRouters {
-		if int(dr.Router) >= nr {
-			panic(fmt.Sprintf("fault: dead router %d outside the %dx%d grid",
-				int(dr.Router), sys.Grid.Width, sys.Grid.Height))
-		}
-		h.recordKill(hardKill{router: dr.Router, a: -1, b: -1, at: dr.At})
-	}
-	for _, k := range h.kills {
-		if k.at > 0 {
-			h.scheduled = append(h.scheduled, k.at)
+		if at, ok := dead[ends]; !ok || dl.At < at {
+			dead[ends] = dl.At
 		}
 	}
-	sort.Slice(h.scheduled, func(i, j int) bool { return h.scheduled[i] < h.scheduled[j] })
+	h := &hardState{deadAt: make([]int64, len(sites))}
+	for i, ls := range sites {
+		h.deadAt[i] = aliveForever
+		if at, ok := dead[normalize(ls.Src, ls.Dst)]; ok { // an interface site's -1 end matches no link
+			h.deadAt[i] = at
+		}
+	}
+	for ends, at := range dead {
+		h.links = append(h.links, deadLink{ends: ends, at: at})
+		if at > 0 {
+			h.scheduled = append(h.scheduled, at)
+		}
+	}
+	slices.Sort(h.scheduled)
+	h.scheduled = slices.Compact(h.scheduled)
 	inj.hard = h
 }
 
-// recordKill dedupes and applies one permanent fault. Caller holds inj.mu
-// when invoked after bind (escalation); bind-time calls are single-threaded.
-func (h *hardState) recordKill(k hardKill) bool {
-	if k.router >= 0 {
-		if at, ok := h.routerDead[k.router]; ok && at <= k.at {
-			return false
-		}
-		h.routerDead[k.router] = k.at
-	} else {
-		if at, ok := h.linkDead[[2]noc.NodeID{k.a, k.b}]; ok && at <= k.at {
-			return false
-		}
-		h.linkDead[[2]noc.NodeID{k.a, k.b}] = k.at
-	}
-	h.kills = append(h.kills, k)
-	for i, ls := range h.sites {
-		if !h.siteMatches(ls, k) {
-			continue
-		}
-		if cur := atomic.LoadInt64(&h.deadAt[i]); k.at < cur {
-			atomic.StoreInt64(&h.deadAt[i], k.at)
-		}
-	}
-	return true
-}
-
-func (h *hardState) siteMatches(ls noc.LinkSite, k hardKill) bool {
-	if k.router >= 0 {
-		if ls.InterRouter() {
-			return ls.Src == k.router || ls.Dst == k.router
-		}
-		return h.sys.RouterOf(ls.Core) == k.router
-	}
-	if !ls.InterRouter() {
-		return false
-	}
-	a, b := ls.Src, ls.Dst
+// normalize orders a link's endpoints low to high.
+func normalize(a, b noc.NodeID) [2]noc.NodeID {
 	if a > b {
 		a, b = b, a
 	}
-	return a == k.a && b == k.b
+	return [2]noc.NodeID{a, b}
 }
 
 // siteDead reports whether a site is permanently dead at cycle.
 func (inj *Injector) siteDead(site int32, cycle int64) bool {
 	h := inj.hard
-	return h != nil && cycle >= atomic.LoadInt64(&h.deadAt[site])
+	return h != nil && cycle >= h.deadAt[site]
 }
 
-// noteTransient feeds one transient fault firing at a site into the
-// escalation policy. Promotion kills the whole normalized link (both
-// directions) from the next cycle.
-func (inj *Injector) noteTransient(site int32, cycle int64) {
-	h := inj.hard
-	if h == nil || h.esc == nil {
-		return
-	}
-	ls := h.sites[site]
-	if !ls.InterRouter() {
-		return
-	}
-	t := h.esc.Threshold
-	base := int(site) * t
-	cnt := h.ringCnt[site]
-	h.ring[base+int(cnt)%t] = cycle
-	cnt++
-	h.ringCnt[site] = cnt
-	if int(cnt) < t {
-		return
-	}
-	oldest := h.ring[base+int(cnt)%t]
-	if cycle-oldest >= h.esc.Window {
-		return
-	}
-	if cycle+1 >= atomic.LoadInt64(&h.deadAt[site]) {
-		return // already dead or dying this instant
-	}
-	a, b := ls.Src, ls.Dst
-	if a > b {
-		a, b = b, a
-	}
-	inj.mu.Lock()
-	if h.recordKill(hardKill{router: -1, a: a, b: b, at: cycle + 1}) {
-		h.escalated++
-		atomic.AddInt64(&h.escGen, 1)
-	}
-	inj.mu.Unlock()
-}
-
-// FaultSet returns the canonical set of routers and links permanently dead
-// at cycle — the key the routing layer rebuilds tables from. The zero set
-// is returned when no hard faults are armed.
+// FaultSet returns the canonical set of links permanently dead at cycle —
+// the key the routing layer rebuilds tables from. It is a pure function of
+// the spec; the zero set is returned when no hard faults are armed.
 func (inj *Injector) FaultSet(cycle int64) routing.FaultSet {
 	h := inj.hard
 	if h == nil {
 		return routing.FaultSet{}
 	}
-	inj.mu.Lock()
-	var routers []noc.NodeID
 	var links [][2]noc.NodeID
-	for r, at := range h.routerDead {
-		if at <= cycle {
-			routers = append(routers, r)
+	for _, l := range h.links {
+		if l.at <= cycle {
+			links = append(links, l.ends)
 		}
 	}
-	for l, at := range h.linkDead {
-		if at <= cycle {
-			links = append(links, l)
-		}
-	}
-	inj.mu.Unlock()
-	return routing.NewFaultSet(routers, links)
+	return routing.NewFaultSet(nil, links)
 }
 
 // ScheduledKillCycles returns the sorted cycles (> 0) at which spec-
@@ -340,26 +168,6 @@ func (inj *Injector) ScheduledKillCycles() []int64 {
 		return nil
 	}
 	return inj.hard.scheduled
-}
-
-// EscalationGen returns the number of accepted escalation promotions so far
-// (monotonic; safe from the stepping goroutine between phases).
-func (inj *Injector) EscalationGen() int64 {
-	if inj.hard == nil {
-		return 0
-	}
-	return atomic.LoadInt64(&inj.hard.escGen)
-}
-
-// EscalatedLinks returns how many links the escalation policy killed.
-func (inj *Injector) EscalatedLinks() int64 {
-	if inj.hard == nil {
-		return 0
-	}
-	inj.mu.Lock()
-	n := inj.hard.escalated
-	inj.mu.Unlock()
-	return n
 }
 
 // MarkImpacted records a packet whose delivery a permanent fault may have
@@ -378,129 +186,4 @@ func (inj *Injector) ResetSiteAccounting() {
 	for i := range inj.creditDelta {
 		inj.creditDelta[i] = 0
 	}
-}
-
-// SaveHardState serializes the dynamic permanent-fault state — escalated
-// kills and the escalation rings — in deterministic order. Scheduled kills
-// are spec data and are not re-saved.
-func (inj *Injector) SaveHardState(e *codec.Encoder) {
-	h := inj.hard
-	if h == nil {
-		e.Int(0)
-		return
-	}
-	inj.mu.Lock()
-	esc := make([]hardKill, 0, len(h.kills))
-	for _, k := range h.kills {
-		if k.router < 0 {
-			if at, ok := h.linkDead[[2]noc.NodeID{k.a, k.b}]; ok && at == k.at {
-				esc = append(esc, k)
-			}
-		}
-	}
-	// Keep only runtime promotions: a scheduled link kill also satisfies
-	// the filter above, so dedupe against the spec's own list.
-	specLink := make(map[[2]noc.NodeID]int64)
-	for _, dl := range inj.spec.DeadLinks {
-		a, b := dl.A, dl.B
-		if a > b {
-			a, b = b, a
-		}
-		if at, ok := specLink[[2]noc.NodeID{a, b}]; !ok || dl.At < at {
-			specLink[[2]noc.NodeID{a, b}] = dl.At
-		}
-	}
-	out := esc[:0]
-	for _, k := range esc {
-		if at, ok := specLink[[2]noc.NodeID{k.a, k.b}]; ok && at == k.at {
-			continue
-		}
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].a != out[j].a {
-			return out[i].a < out[j].a
-		}
-		if out[i].b != out[j].b {
-			return out[i].b < out[j].b
-		}
-		return out[i].at < out[j].at
-	})
-	escalated := h.escalated
-	inj.mu.Unlock()
-
-	e.Int(1)
-	e.Int(len(out))
-	for _, k := range out {
-		e.Int(int(k.a))
-		e.Int(int(k.b))
-		e.I64(k.at)
-	}
-	e.I64(escalated)
-	if h.esc != nil {
-		e.Int(len(h.ringCnt))
-		for _, c := range h.ringCnt {
-			e.Int(int(c))
-		}
-		for _, v := range h.ring {
-			e.I64(v)
-		}
-	} else {
-		e.Int(0)
-	}
-}
-
-// RestoreHardState loads state saved by SaveHardState into a freshly bound
-// injector of the identical spec and topology.
-func (inj *Injector) RestoreHardState(d *codec.Decoder) error {
-	tag := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	h := inj.hard
-	if tag == 0 {
-		if h != nil {
-			return fmt.Errorf("%w: snapshot has no hard-fault state, injector arms it", codec.ErrUnsupported)
-		}
-		return nil
-	}
-	if h == nil {
-		return fmt.Errorf("%w: snapshot has hard-fault state, injector arms none", codec.ErrUnsupported)
-	}
-	nesc := d.Len(1 << 20)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	inj.mu.Lock()
-	for i := 0; i < nesc; i++ {
-		a, b := noc.NodeID(d.Int()), noc.NodeID(d.Int())
-		at := d.I64()
-		if err := d.Err(); err != nil {
-			inj.mu.Unlock()
-			return err
-		}
-		if h.recordKill(hardKill{router: -1, a: a, b: b, at: at}) {
-			atomic.AddInt64(&h.escGen, 1)
-		}
-	}
-	h.escalated = d.I64()
-	inj.mu.Unlock()
-	nring := d.Len(1 << 24)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if h.esc != nil {
-		if nring != len(h.ringCnt) {
-			return fmt.Errorf("%w: escalation ring over %d sites, injector has %d", codec.ErrCorrupt, nring, len(h.ringCnt))
-		}
-		for i := range h.ringCnt {
-			h.ringCnt[i] = int32(d.Int())
-		}
-		for i := range h.ring {
-			h.ring[i] = d.I64()
-		}
-	} else if nring != 0 {
-		return fmt.Errorf("%w: escalation rings without an escalation policy", codec.ErrCorrupt)
-	}
-	return d.Err()
 }

@@ -240,3 +240,33 @@ func TestFaultCampaignReplay(t *testing.T) {
 		t.Errorf("replay diverged:\n%s\nvs\n%s", a, b)
 	}
 }
+
+// TestCheckerImageShardInvariant: the state image of a checker-armed network
+// under bit flips and drops is a function of the run, not of the order in
+// which shard workers meet its violations — at every checkpoint, serial and
+// on two and four shards. The cap on stored violations fills during a step
+// that meets several, so the stored set past the cap is compared too.
+// Mutation-checked: storing violations in arrival order fails it, and so
+// does a cap that keeps the first violations to arrive.
+func TestCheckerImageShardInvariant(t *testing.T) {
+	const keep = 57
+	images := func(shards int) []string {
+		ck := check.New(check.Config{Delivery: true, Conservation: true, Protocol: true, MaxViolations: keep})
+		n := New(Config{
+			Topo: noc.Topology{Width: 3, Height: 5}, Arch: router.SpecFast, Shards: shards, BufferDepth: 3, SinkDepth: 5,
+			Check: ck, Fault: fault.NewInjector(fault.Spec{Seed: 0x1ED6E, BitFlip: 1e-3, Drop: 1e-3}),
+		})
+		defer n.Close()
+		out := imagesAt(t, n, 0x0DE5, 40, 95, 260, 700, 1500)
+		if ck.Total() <= keep {
+			t.Fatalf("%d violations do not fill the cap of %d", ck.Total(), keep)
+		}
+		return out
+	}
+	want := images(1)
+	for _, shards := range []int{2, 4} {
+		for run := 0; run < 3; run++ {
+			compareTraces(t, fmt.Sprintf("run %d on %d shards", run, shards), images(shards), want)
+		}
+	}
+}

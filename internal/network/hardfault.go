@@ -6,16 +6,14 @@ import (
 	"repro/internal/noc"
 	"repro/internal/router"
 	"repro/internal/routing"
-	"repro/internal/snapshot/codec"
 )
 
 // Permanent-fault support: when the fault injector declares hard faults
-// (dead links, dead routers, or transient-to-permanent escalation), the
-// network arms a reconfiguration-epoch observer. At the end of the cycle
-// before a kill takes effect — or the cycle an escalation promotes a site —
-// the observer rebuilds the route table over the surviving topology
-// (deadlock-free up*/down*, see internal/routing), flushes every in-flight
-// flit (accounted to the delivery oracle, recovered by end-to-end
+// (dead links, fixed once the injector is bound), the network arms a
+// reconfiguration-epoch observer. At the end of the cycle before a kill
+// takes effect the observer rebuilds the route table over the surviving
+// topology (deadlock-free up*/down*, see internal/routing), flushes every
+// in-flight flit (accounted to the delivery oracle, recovered by end-to-end
 // retransmission when armed), restores all channel credits, and retires
 // packets whose destinations the damage partitioned away as undeliverable.
 // The whole epoch runs atomically between two cycles on the stepping
@@ -35,27 +33,19 @@ type HardFaulter interface {
 	// BindTopology is called once at construction, after BindSites, with the
 	// system and the per-site topology attachments in site order.
 	BindTopology(sys noc.System, sites []noc.LinkSite)
-	// FaultSet returns the canonical dead-router/dead-link set in force at
-	// cycle — the key route tables are rebuilt from.
+	// FaultSet returns the canonical dead-link set in force at cycle — the
+	// key route tables are rebuilt from. Fixed by the spec once BindTopology
+	// returns.
 	FaultSet(cycle int64) routing.FaultSet
 	// ScheduledKillCycles returns the sorted cycles (> 0) at which
 	// spec-scheduled kills take effect.
 	ScheduledKillCycles() []int64
-	// EscalationGen returns a monotonic count of escalation promotions, the
-	// epoch observer's dirty signal for runtime-promoted permanent faults.
-	EscalationGen() int64
-	// EscalatedLinks returns how many links escalation killed so far.
-	EscalatedLinks() int64
 	// MarkImpacted records a packet whose delivery a permanent fault may
 	// have prevented, so the delivery oracle accounts rather than loses it.
 	MarkImpacted(id uint64)
 	// ResetSiteAccounting zeroes per-site credit deltas after the epoch
 	// restores every channel to full credit.
 	ResetSiteAccounting()
-	// SaveHardState and RestoreHardState checkpoint the dynamic permanent-
-	// fault state (escalated kills, escalation rings) with the network.
-	SaveHardState(e *codec.Encoder)
-	RestoreHardState(d *codec.Decoder) error
 }
 
 // buildSites appends to sites the per-channel topology attachments in
@@ -86,10 +76,10 @@ func buildSites(sys noc.System, sites []noc.LinkSite) []noc.LinkSite {
 
 // epochTick is the reconfiguration observer, installed (before all other
 // observers) only when hard faults are armed. It fires at the end of every
-// cycle; the cheap path is two comparisons. When the permanent-fault set
-// effective next cycle differs from the one the current route table was
-// built for, it runs the reconfiguration epoch. Wakes are legal only inside
-// a real Step; Network.fastForward guarantees every cycle on which this
+// cycle; the cheap path is the cursor test. When a scheduled kill takes
+// effect next cycle — each scheduled cycle kills at least one link not yet
+// dead — it runs the reconfiguration epoch. Wakes are legal only inside a
+// real Step; Network.fastForward guarantees every cycle on which this
 // observer could find work is stepped, never skipped.
 func (n *Network) epochTick(cycle int64, active int) {
 	dirty := false
@@ -98,25 +88,13 @@ func (n *Network) epochTick(cycle int64, active int) {
 		n.killCursor++
 		dirty = true
 	}
-	if g := n.hard.EscalationGen(); g != n.lastEscGen {
-		n.lastEscGen = g
-		dirty = true
-	}
 	if !dirty {
 		return
 	}
-	fs := n.hard.FaultSet(cycle + 1)
-	if fs.Key() == n.faultKey {
-		// A kill landed on an already-dead site (scheduled twice, or
-		// escalation racing a scheduled kill): nothing to rebuild.
-		return
-	}
 	if !n.kernel.Stepping() {
-		// fastForward steps every cycle a scheduled kill can land on, and
-		// escalations need traffic, which a fully idle network has none of.
 		panic("network: reconfiguration epoch during fast-forward (kill boundary was skipped, not stepped)")
 	}
-	n.reconfigure(fs, cycle)
+	n.reconfigure(n.hard.FaultSet(cycle+1), cycle)
 }
 
 // reconfigure is the epoch itself, running between cycle and cycle+1 with

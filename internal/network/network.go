@@ -217,14 +217,13 @@ type Network struct {
 	// Permanent-fault state (see hardfault.go). hard is non-nil only when
 	// the injector declares hard faults; sites mirrors links in site order.
 	// faultKey/curFaults identify the fault set the active route table was
-	// built for; killCursor and lastEscGen are the epoch observer's dirty
-	// cursors. All untouched on fault-free runs.
+	// built for; killCursor is the epoch observer's cursor into the
+	// scheduled kills. All untouched on fault-free runs.
 	hard           HardFaulter
 	sites          []noc.LinkSite
 	faultKey       string
 	curFaults      routing.FaultSet
 	killCursor     int
-	lastEscGen     int64
 	epochs         int64
 	lastEpochCycle int64
 	undeliverable  int64
@@ -313,7 +312,6 @@ func New(cfg Config) *Network {
 		if hf, ok := n.fault.(HardFaulter); ok && hf.HardArmed() {
 			hf.BindTopology(sys, n.sites)
 			n.hard = hf
-			n.lastEscGen = hf.EscalationGen()
 		}
 	}
 	n.routes = routing.SharedSystemTable(sys)

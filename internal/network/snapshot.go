@@ -53,9 +53,6 @@ func (n *Network) SaveState(e *codec.Encoder) error {
 	e.I64(n.epochs)
 	e.I64(n.lastEpochCycle)
 	e.Bool(n.hard != nil)
-	if n.hard != nil {
-		n.hard.SaveHardState(e)
-	}
 	e.Bool(n.rel != nil)
 	if n.rel != nil {
 		n.rel.save(e)
@@ -95,7 +92,6 @@ func (n *Network) RestoreState(d *codec.Decoder) error {
 	}
 	d.SetCores(n.Cores())
 	d.SetPackets(&n.packets)
-	mark := len(d.Packets()) // a multi-network image interns every class's packets
 	for id, r := range n.routers {
 		d.SetArena(n.arenaOf(id))
 		if err := r.RestoreState(d); err != nil {
@@ -154,11 +150,6 @@ func (n *Network) RestoreState(d *codec.Decoder) error {
 		return fmt.Errorf("%w: snapshot hard-faults-armed=%v, restore target=%v",
 			codec.ErrUnsupported, hasHard, n.hard != nil)
 	}
-	if hasHard {
-		if err := n.hard.RestoreHardState(d); err != nil {
-			return err
-		}
-	}
 	hasRel := d.Bool()
 	if err := d.Err(); err != nil {
 		return err
@@ -196,7 +187,6 @@ func (n *Network) RestoreState(d *codec.Decoder) error {
 			k++
 		}
 		n.killCursor = k
-		n.lastEscGen = n.hard.EscalationGen()
 		fs := n.hard.FaultSet(cycle)
 		if key := fs.Key(); key != n.faultKey {
 			tbl := routing.SharedFaultTable(n.sys, fs)
@@ -214,7 +204,7 @@ func (n *Network) RestoreState(d *codec.Decoder) error {
 	// carried their header keeps such a packet whole) — was restored as it
 	// was saved and stamped into its flits; its slot goes back now unless
 	// another owner holds it.
-	for _, p := range d.Packets()[mark:] {
+	for _, p := range d.Packets() {
 		if p.DeliverCycle != -1 {
 			n.packets.Release(p, noc.OwnedByNetwork)
 		}

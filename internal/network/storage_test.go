@@ -52,11 +52,9 @@ func recycleConfig(arch router.Arch, shards int, armed bool) Config {
 	cfg := Config{Topo: noc.Topology{Width: 3, Height: 5}, Arch: arch, Shards: shards, BufferDepth: 3, SinkDepth: 6}
 	if armed {
 		cfg.Check = check.New(check.All())
-		// Stalls, lost credits and a link dying mid-run (a reconfiguration
-		// epoch). No bit flips or drops: the violations they cause are
-		// recorded in the order the shard workers meet them, which no two
-		// sharded runs need share.
-		cfg.Fault = fault.NewInjector(fault.Spec{Seed: 0xC105E, Stall: 2e-3, CreditLoss: 5e-4,
+		// Bit flips, drops, stalls, lost credits and a link dying mid-run (a
+		// reconfiguration epoch).
+		cfg.Fault = fault.NewInjector(fault.Spec{Seed: 0xC105E, BitFlip: 1e-3, Drop: 1e-3, Stall: 2e-3, CreditLoss: 5e-4,
 			DeadLinks: []fault.DeadLink{{A: 4, B: 7, At: 120}}})
 		cfg.Retransmit = &RetransmitConfig{Timeout: 96, Retries: 3}
 	}
@@ -97,7 +95,8 @@ func imagesAt(t *testing.T, n *Network, seed uint64, checkpoints ...int) []strin
 	return out
 }
 
-// compareTraces reports the first checkpoint at which got differs from want.
+// compareTraces reports the first checkpoint at which got differs from the
+// reference want.
 func compareTraces(t *testing.T, what string, got, want []string) {
 	t.Helper()
 	for i := range want {
@@ -106,7 +105,7 @@ func compareTraces(t *testing.T, what string, got, want []string) {
 			for k < len(got[i]) && k < len(want[i]) && got[i][k] == want[i][k] {
 				k++
 			}
-			t.Fatalf("%s differs from a network on new memory at checkpoint %d, byte %d on:\n got  %.300s\n want %.300s", what, i, k, got[i][k:], want[i][k:])
+			t.Fatalf("%s differs from the reference at checkpoint %d, byte %d on:\n got  %.300s\n want %.300s", what, i, k, got[i][k:], want[i][k:])
 		}
 	}
 }
@@ -118,8 +117,8 @@ var checkpoints = []int{0, 1, 40, 95, 260, 700}
 // shape on its storage. The rebuilt network's state image and counters must
 // equal, at every checkpoint of the same traffic, those of a network of that
 // shape built on new memory, on every architecture, serial and on two
-// shards, bare and with checker, stalls, credit loss, a dying link and
-// retransmission armed.
+// shards, bare and with checker, bit flips, drops, stalls, credit loss, a
+// dying link and retransmission armed.
 // Mutation-checked: a scrub that leaves the router slabs, the interfaces or
 // an arena's first block uncleared fails it. (The link slab, the sink rings
 // and the packet chunk are cleared for the garbage collector's sake: Link.Init

@@ -116,7 +116,8 @@ type (
 	// Violation is one recorded invariant failure.
 	Violation = check.Violation
 	// FaultSpec is a replayable fault-campaign description (rates, window,
-	// seed); campaigns are deterministic and shard-invariant.
+	// seed, and links dead from a scheduled cycle); campaigns are
+	// deterministic and shard-invariant.
 	FaultSpec = fault.Spec
 	// FaultInjector drives channel-level faults on one network.
 	FaultInjector = fault.Injector
