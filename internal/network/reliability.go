@@ -151,9 +151,8 @@ func (n *Network) closeEntry(id uint64, e relEntry) {
 
 // relDelivered schedules the acknowledgment for a delivered packet: the ack
 // travels the reverse route, so its latency is the reverse path length under
-// the route table in force at delivery. An unreachable reverse path (the
-// damage is asymmetric only through dead routers' core attachments — rare)
-// leaves ackAt unset; the source closes the entry at its next deadline.
+// the route table in force at delivery. An unreachable reverse path leaves
+// ackAt unset; the source closes the entry at its next deadline.
 func (n *Network) relDelivered(p *noc.Packet, cycle int64) {
 	r := n.rel
 	e, open := r.entries[p.ID]
