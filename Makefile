@@ -12,7 +12,7 @@ GO ?= go
 ## tests (committed snapshot images; the in-memory -warmstart fork across
 ## worker and shard counts), a short fuzz pass over
 ## the user-facing decoders and the arrival skip-ahead and skip map, all
-## eight committed results files (about a minute and a half), the repo
+## seven committed results files (about a minute), the repo
 ## benchmark's own tests, and one A/A pair through the paired benchmark
 ## runner.
 check: build fmt vet lint alloc-guard race shard-race cli-smoke results-check trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-repo-smoke ab-smoke
@@ -145,7 +145,7 @@ cli-smoke:
 	printf '{"seed":11,"drop_rate":0.01,"escalate":{"threshold":3,"window":200}}' > escalate.json; \
 	printf '{"seed":4,"dead_routers":[{"router":0}]}' > dead_routers.json; \
 	for c in "noxapp -cpu-cycles 0" "noxapp -figure 12" "noxsim -flits 0" "noxsim -flits -2" \
-		"noxsim -rate -5" "noxsweep -figure 7" "noxfault -width 0" "noxfault -shards -1" \
+		"noxsim -rate -5" "noxfault -width 0" "noxfault -shards -1" \
 		"noxsweep -shards -1" "noxablate -shards -1" "noxapp -shards -1" "noxfuture -shards -1" \
 		"noxtrace -width 0" "noxtrace -width 1 -height 1" "noxsim -measure -100" "noxtrace -rate -1" \
 		"noxfault -degrade 2 -kill -5" "noxfault -cycles -10" "noxfault -cycles 0" "noxfault -load -1" \
@@ -167,16 +167,16 @@ cli-smoke:
 	done; \
 	echo "cli-smoke: OK"
 
-## results-check: regenerate all eight committed results files, each at its
+## results-check: regenerate all seven committed results files, each at its
 ## tool's defaults — results/table1.txt (noxsim -print-config),
 ## results/table2_figure13.txt (noxphys -all), results/figure12.txt
 ## (noxpower, ~1 s), results/figures10_11.txt (noxapp, ~5 s: every app
 ## replay's schedule), results/section8_future.txt (noxfuture, ~7 s),
-## results/ablations.txt (noxablate, ~2 s), and results/figure8.txt and
-## results/figure9.txt (noxsweep -figure 8 / -figure 9, ~30 s each on 2
-## vCPUs: the sweep walk skips and cancels the cells past each series' end,
-## so this also guards that walk's byte-identity) — and require each to
-## match the committed file byte for byte. The tools run in the temp
+## results/ablations.txt (noxablate, ~2 s), and results/figures8_9.txt
+## (noxsweep, ~40 s on 2 vCPUs: one sweep per pattern prints both figures;
+## the sweep walk skips and cancels the cells past each series' end, so this
+## also guards that walk's byte-identity) — and require each to match the
+## committed file byte for byte. The tools run in the temp
 ## directory, so a flight dump cannot litter the tree.
 results-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
@@ -189,10 +189,9 @@ results-check:
 	./noxapp > figures10_11.txt; \
 	./noxfuture > section8_future.txt; \
 	./noxablate > ablations.txt; \
-	./noxsweep -figure 8 > figure8.txt; \
-	./noxsweep -figure 9 > figure9.txt; \
+	./noxsweep > figures8_9.txt; \
 	for f in table1.txt table2_figure13.txt figure12.txt figures10_11.txt \
-		section8_future.txt ablations.txt figure8.txt figure9.txt; do cmp "$$res/$$f" "$$f"; done; \
+		section8_future.txt ablations.txt figures8_9.txt; do cmp "$$res/$$f" "$$f"; done; \
 	echo "results-check: OK"
 
 ## trace-smoke: run noxtrace on a tiny mesh and validate that the emitted

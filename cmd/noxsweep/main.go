@@ -2,10 +2,13 @@
 // versus offered injection bandwidth, per traffic pattern, for all four
 // router architectures.
 //
+// Each panel prints the Figure 8 latency table, the Figure 9 ED^2 table
+// and the saturation lines, all from one sweep.
+//
 // Usage:
 //
-//	noxsweep -figure 8                 # all patterns, latency panels
-//	noxsweep -figure 9 -pattern uniform
+//	noxsweep                           # all patterns
+//	noxsweep -pattern uniform
 //	noxsweep -fast                     # reduced cycles for a quick look
 package main
 
@@ -24,7 +27,6 @@ func main() {
 	seed, shards := cli.Seed(0xA11CE), cli.Shards(0)
 	cli.Parallel()
 	var (
-		figure   = flag.Int("figure", 8, "figure to regenerate: 8 (latency) or 9 (energy-delay^2)")
 		pattern  = flag.String("pattern", "all", "traffic pattern or 'all'")
 		fast     = flag.Bool("fast", false, "reduced warmup/measurement for a quick look")
 		csv      = flag.Bool("csv", false, "emit machine-readable CSV instead of tables")
@@ -34,9 +36,6 @@ func main() {
 	sess, pool, stop := cli.Start()
 	defer stop()
 
-	if *figure != 8 && *figure != 9 {
-		cli.Fail(errors.New("-figure must be 8 or 9"))
-	}
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "warmrate" && !*warm {
 			cli.Fail(errors.New("-warmrate needs -warmstart"))
@@ -71,11 +70,8 @@ func main() {
 			fmt.Print(harness.SweepCSV(pat, points))
 			continue
 		}
-		if *figure == 8 {
-			fmt.Print(harness.FormatSweepLatency(pat, points))
-		} else {
-			fmt.Print(harness.FormatSweepED2(pat, points))
-		}
+		fmt.Print(harness.FormatSweepLatency(pat, points))
+		fmt.Print(harness.FormatSweepED2(pat, points))
 		fmt.Print(harness.FormatSaturation(pat, points))
 		fmt.Println()
 	}

@@ -193,7 +193,8 @@ func (p *InputPort) Accept(f *noc.Flit, h noc.Header) noc.Header {
 }
 
 // Receive is Accept with the header read off the flit, for a caller that
-// holds the flit but not its header.
+// holds the flit but not its header. The routers call Accept; the benchmark
+// rigs under benchmark/ are Receive's one non-test caller.
 func (p *InputPort) Receive(f *noc.Flit) { p.Accept(f, f.Header()) }
 
 // Present returns the flit currently presented to the switch fabric with its

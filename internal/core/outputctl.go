@@ -218,10 +218,11 @@ func (o *OutputControl) Commit() {
 
 // Decide evaluates one cycle for this output. offers[i] is the flit input i
 // presents to this output (nil if input i is idle or requesting another
-// output), one entry per input of the switch; creditOK reports downstream buffer availability. The returned
-// decision tells the router what to drive and which input to service. Decide
-// reads each offer's routing header off the flit; DecideFor takes it from the
-// caller.
+// output), one entry per input of the switch; creditOK reports downstream
+// buffer availability. The returned decision tells the router what to drive
+// and which input to service. Decide reads each offer's routing header off
+// the flit; DecideFor takes it from the caller. The routers call DecideFor;
+// the benchmark rigs under benchmark/ are Decide's one non-test caller.
 //
 // The rules implemented here are the paper's §2.6/§2.7 behavior:
 //

@@ -210,9 +210,6 @@ func NewInjector(spec Spec) *Injector {
 	return &Injector{spec: spec, impacted: make(map[uint64]struct{})}
 }
 
-// Spec returns the campaign spec the injector was built from.
-func (inj *Injector) Spec() Spec { return inj.spec }
-
 // HardArmed reports whether the campaign declares any dead link. The
 // network probes this before construction to decide whether to pay for
 // topology binding and the reconfiguration observer.

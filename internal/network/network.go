@@ -759,9 +759,6 @@ func (n *Network) FastForwardIdle(limit int64) int64 {
 	return n.fastForward(limit)
 }
 
-// Routes returns the network's route table.
-func (n *Network) Routes() *routing.Table { return n.routes }
-
 // Cycle returns the current cycle number.
 func (n *Network) Cycle() int64 { return n.kernel.Cycle() }
 

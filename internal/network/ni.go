@@ -82,9 +82,6 @@ func (ni *NI) init(node noc.NodeID, net *Network, sinkDepth int, slots []*noc.Fl
 	ni.sink.Init(sinkDepth, slots, localRow, arena)
 }
 
-// Node returns the tile this interface serves.
-func (ni *NI) Node() noc.NodeID { return ni.node }
-
 // QueueLen returns the number of packets waiting in the source queue
 // (including the one mid-injection).
 func (ni *NI) QueueLen() int {

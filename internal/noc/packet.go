@@ -56,9 +56,6 @@ const FlitBytes = 8
 // a given-up packet be recognized and swallowed at the destination.
 const Undelivered int64 = -2
 
-// Bytes returns the packet size on the wire.
-func (p *Packet) Bytes() int { return p.Length * FlitBytes }
-
 // Owner is one holder of a packet's slab slot. A slot goes back to its slab
 // when its last owner lets go (PacketSlab.Release), and not before: no
 // holder ever reads a recycled slot. Flits are not owners — they carry their

@@ -15,6 +15,3 @@ type LinkSite struct {
 	// inter-router channels.
 	Core NodeID
 }
-
-// InterRouter reports whether the site is a router-to-router channel.
-func (s LinkSite) InterRouter() bool { return s.Src >= 0 && s.Dst >= 0 }

@@ -197,8 +197,6 @@ func (s PortState) String() string {
 type Router interface {
 	sim.Quiescable
 	sim.Latcher
-	// Node returns the tile this router serves.
-	Node() noc.NodeID
 	// InputReceiver returns port p as a noc.Receiver, for a hand-driven
 	// link's Commit to deliver into (the router's own Latch does not go
 	// through it).
@@ -304,9 +302,6 @@ func arbiterFor(cfg *Config, rr *arbiter.RoundRobin) arbiter.Arbiter {
 // InputReceiver returns the link sink for port p, allocated on demand: only
 // hand-driven links deliver through one (a network's are latched by Latch).
 func (b *base) InputReceiver(p noc.Port) noc.Receiver { return &portReceiver{r: b.sink, port: p} }
-
-// Node returns the tile this router serves.
-func (b *base) Node() noc.NodeID { return b.node }
 
 // flitTraceID returns a flit's trace identity: its packet ID and sequence, or
 // the raw wire image with seq -1 for an encoded superposition (no one owner).

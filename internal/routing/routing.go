@@ -94,9 +94,6 @@ func SharedSystemTable(sys noc.System) *Table {
 // Topology returns the router grid the table was built for.
 func (t *Table) Topology() noc.Topology { return t.sys.Grid }
 
-// System returns the system the table was built for.
-func (t *Table) System() noc.System { return t.sys }
-
 // Port returns the XY output port at router cur for a packet headed to
 // destination core dst.
 func (t *Table) Port(cur, dst noc.NodeID) noc.Port {
@@ -125,7 +122,7 @@ func (t *Table) PathLength(src, dst noc.NodeID) int {
 // Reachable reports whether a packet injected at core src can reach core dst
 // under this table. Always true on XY tables; on a fault table it is false
 // exactly when the two cores' routers sit in different components of the
-// damaged mesh (or either router is dead).
+// damaged mesh.
 func (t *Table) Reachable(src, dst noc.NodeID) bool {
 	if t.hops == nil {
 		return true

@@ -1,13 +1,13 @@
 // Up*/down* routing over the live remnant of a damaged mesh.
 //
-// When permanent faults remove links or whole routers, XY routing is no
-// longer usable: the minimal X-then-Y path may cross a dead link, and ad-hoc
-// detours reintroduce the cyclic channel dependencies XY's turn discipline
-// ruled out. Up*/down* (Autonet; Schroeder et al. 1991) restores a provable
-// deadlock-freedom argument on an arbitrary connected remnant: orient every
-// live link "up" toward the root of a BFS spanning tree (ties broken by node
-// id), and constrain every route to zero or more up-channels followed by
-// zero or more down-channels. Up-channel dependencies strictly decrease the
+// When permanent faults remove links, XY routing is no longer usable: the
+// minimal X-then-Y path may cross a dead link, and ad-hoc detours reintroduce
+// the cyclic channel dependencies XY's turn discipline ruled out. Up*/down*
+// (Autonet; Schroeder et al. 1991) restores a provable deadlock-freedom
+// argument on an arbitrary connected remnant: orient every live link "up"
+// toward the root of a BFS spanning tree (ties broken by node id), and
+// constrain every route to zero or more up-channels followed by zero or more
+// down-channels. Up-channel dependencies strictly decrease the
 // (level, id) key and down-channel dependencies strictly increase it, and a
 // legal path never takes an up-channel after a down-channel, so the channel
 // dependency graph is acyclic — no routed configuration can deadlock.
@@ -31,28 +31,29 @@ import (
 
 // Unreachable is the route-table entry for a (router, destination) pair with
 // no live path: the destination sits in a different component of the damaged
-// mesh (or on a dead router). Callers must consult Table.Reachable before
+// mesh. Callers must consult Table.Reachable before
 // injecting rather than route into a black hole.
 const Unreachable noc.Port = -1
 
-// FaultSet is a canonicalized set of permanently dead routers and links. A
-// dead link kills both directions of the channel pair (the physical failure
-// model: a severed link neither carries flits nor returns credits), which
-// keeps reachability symmetric — it coincides with undirected BFS component
+// FaultSet is a canonicalized set of permanently dead links. A dead link
+// kills both directions of the channel pair (the physical failure model: a
+// severed link neither carries flits nor returns credits), which keeps
+// reachability symmetric — it coincides with undirected BFS component
 // membership. Construct with NewFaultSet; the zero value is the empty set.
 type FaultSet struct {
-	routers []noc.NodeID
-	links   [][2]noc.NodeID
-	key     string
+	links [][2]noc.NodeID
+	key   string
 }
 
-// NewFaultSet canonicalizes dead routers and dead inter-router links:
-// links are normalized to (low, high) endpoint order, both lists are sorted
-// and deduplicated. The inputs are copied, never retained.
+// NewFaultSet canonicalizes dead inter-router links: they are normalized to
+// (low, high) endpoint order, sorted and deduplicated. The input is copied,
+// never retained. The routers parameter stays only for benchmark/, the one
+// caller that passes the argument (nil): routers do not fail in this model,
+// so a non-empty list panics like any other malformed fault set.
 func NewFaultSet(routers []noc.NodeID, links [][2]noc.NodeID) FaultSet {
-	rs := append([]noc.NodeID(nil), routers...)
-	sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-	rs = dedupIDs(rs)
+	if len(routers) > 0 {
+		panic(fmt.Sprintf("routing: dead routers %v: only links can fail", routers))
+	}
 	ls := make([][2]noc.NodeID, 0, len(links))
 	for _, l := range links {
 		if l[0] > l[1] {
@@ -67,19 +68,9 @@ func NewFaultSet(routers []noc.NodeID, links [][2]noc.NodeID) FaultSet {
 		return ls[i][1] < ls[j][1]
 	})
 	ls = dedupLinks(ls)
-	fs := FaultSet{routers: rs, links: ls}
+	fs := FaultSet{links: ls}
 	fs.key = fs.buildKey()
 	return fs
-}
-
-func dedupIDs(s []noc.NodeID) []noc.NodeID {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 func dedupLinks(s [][2]noc.NodeID) [][2]noc.NodeID {
@@ -94,10 +85,6 @@ func dedupLinks(s [][2]noc.NodeID) [][2]noc.NodeID {
 
 func (fs FaultSet) buildKey() string {
 	var b strings.Builder
-	b.WriteByte('R')
-	for _, r := range fs.routers {
-		fmt.Fprintf(&b, ":%d", int(r))
-	}
 	b.WriteByte('L')
 	for _, l := range fs.links {
 		fmt.Fprintf(&b, ":%d-%d", int(l[0]), int(l[1]))
@@ -106,7 +93,7 @@ func (fs FaultSet) buildKey() string {
 }
 
 // Empty reports whether the set contains no faults.
-func (fs FaultSet) Empty() bool { return len(fs.routers) == 0 && len(fs.links) == 0 }
+func (fs FaultSet) Empty() bool { return len(fs.links) == 0 }
 
 // Key returns a canonical string identity for memoization: equal sets have
 // equal keys.
@@ -118,32 +105,20 @@ func (fs FaultSet) Key() string {
 	return fs.key
 }
 
-// Routers returns the sorted dead-router list (read-only).
-func (fs FaultSet) Routers() []noc.NodeID { return fs.routers }
-
 // Links returns the sorted, normalized dead-link list (read-only).
 func (fs FaultSet) Links() [][2]noc.NodeID { return fs.links }
 
-// String renders the set for reports: "3 dead (R5 L2-3 L7-11)".
+// String renders the set for reports: "2 dead (L2-3 L7-11)".
 func (fs FaultSet) String() string {
 	if fs.Empty() {
 		return "none"
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d dead (", len(fs.routers)+len(fs.links))
-	first := true
-	for _, r := range fs.routers {
-		if !first {
+	fmt.Fprintf(&b, "%d dead (", len(fs.links))
+	for i, l := range fs.links {
+		if i > 0 {
 			b.WriteByte(' ')
 		}
-		first = false
-		fmt.Fprintf(&b, "R%d", int(r))
-	}
-	for _, l := range fs.links {
-		if !first {
-			b.WriteByte(' ')
-		}
-		first = false
 		fmt.Fprintf(&b, "L%d-%d", int(l[0]), int(l[1]))
 	}
 	b.WriteByte(')')
@@ -151,22 +126,15 @@ func (fs FaultSet) String() string {
 }
 
 // NewFaultTable builds an up*/down* route table for the remnant of sys after
-// removing the routers and links in fs. Entries whose destination is
-// unreachable from the source router hold Unreachable / path length -1; use
-// Table.Reachable to query. Panics on a fault set naming routers outside the
-// grid or links that are not mesh-adjacent router pairs.
+// removing the links in fs. Entries whose destination is unreachable from
+// the source router hold Unreachable / path length -1; use Table.Reachable to
+// query. Panics on a fault set naming links that are not mesh-adjacent router
+// pairs.
 func NewFaultTable(sys noc.System, fs FaultSet) *Table {
 	sys.Validate()
 	topo := sys.Grid
 	nr, nc := sys.Routers(), sys.Cores()
 
-	dead := make([]bool, nr)
-	for _, r := range fs.routers {
-		if int(r) < 0 || int(r) >= nr {
-			panic(fmt.Sprintf("routing: dead router %d outside %dx%d grid", int(r), topo.Width, topo.Height))
-		}
-		dead[r] = true
-	}
 	deadEdge := make(map[[2]noc.NodeID]bool, len(fs.links))
 	for _, l := range fs.links {
 		if int(l[0]) < 0 || int(l[1]) >= nr || topo.Hops(l[0], l[1]) != 1 {
@@ -175,9 +143,6 @@ func NewFaultTable(sys noc.System, fs FaultSet) *Table {
 		deadEdge[l] = true
 	}
 	edgeAlive := func(a, b noc.NodeID) bool {
-		if dead[a] || dead[b] {
-			return false
-		}
 		if a > b {
 			a, b = b, a
 		}
@@ -185,7 +150,7 @@ func NewFaultTable(sys noc.System, fs FaultSet) *Table {
 	}
 
 	// BFS levels per connected component; the root of each component is its
-	// lowest-id live router. The (level, id) key totally orders each
+	// lowest-id router. The (level, id) key totally orders each
 	// component: an edge's up direction points at the smaller key.
 	level := make([]int32, nr)
 	comp := make([]int32, nr)
@@ -195,7 +160,7 @@ func NewFaultTable(sys noc.System, fs FaultSet) *Table {
 	queue := make([]noc.NodeID, 0, nr)
 	ncomp := int32(0)
 	for root := 0; root < nr; root++ {
-		if dead[root] || level[root] >= 0 {
+		if level[root] >= 0 {
 			continue
 		}
 		level[root], comp[root] = 0, ncomp
@@ -222,13 +187,11 @@ func NewFaultTable(sys noc.System, fs FaultSet) *Table {
 		return a < b
 	}
 
-	// Live routers in increasing key order, for the up-cost DP (every
+	// Routers in increasing key order, for the up-cost DP (every
 	// up-neighbor of a vertex precedes it in this order).
-	byKey := make([]noc.NodeID, 0, nr)
-	for r := 0; r < nr; r++ {
-		if !dead[r] {
-			byKey = append(byKey, noc.NodeID(r))
-		}
+	byKey := make([]noc.NodeID, nr)
+	for r := range byKey {
+		byKey[r] = noc.NodeID(r)
 	}
 	sort.Slice(byKey, func(i, j int) bool { return less(byKey[i], byKey[j]) })
 
@@ -243,9 +206,6 @@ func NewFaultTable(sys noc.System, fs FaultSet) *Table {
 	visits := make([]int32, nr) // routers visited from here to destination, inclusive
 
 	for d := 0; d < nr; d++ {
-		if dead[d] {
-			continue
-		}
 		dst := noc.NodeID(d)
 
 		// downDist: backward BFS from d. An edge u->w with key(u) < key(w)
@@ -344,7 +304,7 @@ func NewFaultTable(sys noc.System, fs FaultSet) *Table {
 		for k := 0; k < sys.Concentration; k++ {
 			c := int(sys.CoreID(dst, k))
 			for r := 0; r < nr; r++ {
-				if dead[r] || comp[r] != comp[dst] {
+				if comp[r] != comp[dst] {
 					continue
 				}
 				if r == d {

@@ -10,23 +10,16 @@ import (
 )
 
 // remnant computes the undirected live adjacency of sys under fs and the
-// BFS component id of every router (-1 for dead), independently of the
-// table construction — the reference the fault table is checked against.
+// BFS component id of every router, independently of the table construction
+// — the reference the fault table is checked against.
 func remnant(sys noc.System, fs FaultSet) (alive func(a, b noc.NodeID) bool, comp []int) {
 	topo := sys.Grid
 	nr := sys.Routers()
-	dead := make([]bool, nr)
-	for _, r := range fs.Routers() {
-		dead[r] = true
-	}
 	deadEdge := make(map[[2]noc.NodeID]bool)
 	for _, l := range fs.Links() {
 		deadEdge[l] = true
 	}
 	alive = func(a, b noc.NodeID) bool {
-		if dead[a] || dead[b] {
-			return false
-		}
 		if a > b {
 			a, b = b, a
 		}
@@ -38,7 +31,7 @@ func remnant(sys noc.System, fs FaultSet) (alive func(a, b noc.NodeID) bool, com
 	}
 	nc := 0
 	for root := 0; root < nr; root++ {
-		if dead[root] || comp[root] >= 0 {
+		if comp[root] >= 0 {
 			continue
 		}
 		comp[root] = nc
@@ -59,17 +52,11 @@ func remnant(sys noc.System, fs FaultSet) (alive func(a, b noc.NodeID) bool, com
 	return alive, comp
 }
 
-// randomFaultSet draws a fault set over sys: each router dead with
-// probability pr, each mesh link dead with probability pl.
-func randomFaultSet(rng *rand.Rand, sys noc.System, pr, pl float64) FaultSet {
+// randomFaultSet draws a fault set over sys: each mesh link dead with
+// probability pl.
+func randomFaultSet(rng *rand.Rand, sys noc.System, pl float64) FaultSet {
 	topo := sys.Grid
-	var routers []noc.NodeID
 	var links [][2]noc.NodeID
-	for r := 0; r < sys.Routers(); r++ {
-		if rng.Float64() < pr {
-			routers = append(routers, noc.NodeID(r))
-		}
-	}
 	for r := 0; r < sys.Routers(); r++ {
 		for _, p := range []noc.Port{noc.East, noc.South} {
 			if nb, ok := topo.Neighbor(noc.NodeID(r), p); ok && rng.Float64() < pl {
@@ -77,7 +64,7 @@ func randomFaultSet(rng *rand.Rand, sys noc.System, pr, pl float64) FaultSet {
 			}
 		}
 	}
-	return NewFaultSet(routers, links)
+	return NewFaultSet(nil, links)
 }
 
 // checkFaultTable runs the full battery of structural checks on one
@@ -216,7 +203,7 @@ func TestFaultTableProperty(t *testing.T) {
 		cfg := &quick.Config{
 			MaxCount: 40,
 			Values: func(args []reflect.Value, rng *rand.Rand) {
-				args[0] = reflect.ValueOf(randomFaultSet(rng, sys, 0.08, 0.15))
+				args[0] = reflect.ValueOf(randomFaultSet(rng, sys, 0.15))
 			},
 		}
 		f := func(fs FaultSet) bool {
@@ -233,24 +220,31 @@ func TestFaultTableProperty(t *testing.T) {
 }
 
 // TestFaultTableTargeted pins known-tricky shapes: the empty set, a single
-// dead link, a dead corner router, a cut that partitions the mesh, and
-// everything dead.
+// dead link, a corner router cut off, a cut that partitions the mesh, and
+// every link dead; a dead router is refused.
 func TestFaultTableTargeted(t *testing.T) {
 	sys := noc.System{Grid: noc.Topology{Width: 4, Height: 4}, Concentration: 1}
 	cases := []FaultSet{
 		NewFaultSet(nil, nil),
 		NewFaultSet(nil, [][2]noc.NodeID{{5, 6}}),
-		NewFaultSet([]noc.NodeID{0}, nil),
-		NewFaultSet([]noc.NodeID{15}, nil),
+		// Corner routers 0 and 15 cut off by links alone.
+		NewFaultSet(nil, [][2]noc.NodeID{{0, 1}, {0, 4}}),
+		NewFaultSet(nil, [][2]noc.NodeID{{11, 15}, {14, 15}}),
 		// Vertical cut between columns 1 and 2: partitions the mesh.
 		NewFaultSet(nil, [][2]noc.NodeID{{1, 2}, {5, 6}, {9, 10}, {13, 14}}),
 		// Isolate router 5 by links alone.
 		NewFaultSet(nil, [][2]noc.NodeID{{1, 5}, {4, 5}, {5, 6}, {5, 9}}),
-		NewFaultSet([]noc.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, nil),
+		randomFaultSet(rand.New(rand.NewSource(1)), sys, 1), // every link
 	}
 	for _, fs := range cases {
 		checkFaultTable(t, sys, fs)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewFaultSet accepted a dead router")
+		}
+	}()
+	NewFaultSet([]noc.NodeID{0}, nil)
 }
 
 // TestSharedFaultTable checks memoization identity: same fault set, same
@@ -261,8 +255,8 @@ func TestSharedFaultTable(t *testing.T) {
 	if empty != SharedSystemTable(sys) {
 		t.Fatal("empty fault set must share the XY table")
 	}
-	fs1 := NewFaultSet([]noc.NodeID{3}, [][2]noc.NodeID{{5, 6}})
-	fs2 := NewFaultSet([]noc.NodeID{3, 3}, [][2]noc.NodeID{{6, 5}, {5, 6}})
+	fs1 := NewFaultSet(nil, [][2]noc.NodeID{{2, 3}, {5, 6}})
+	fs2 := NewFaultSet(nil, [][2]noc.NodeID{{3, 2}, {6, 5}, {5, 6}, {2, 3}})
 	if fs1.Key() != fs2.Key() {
 		t.Fatalf("canonicalization: %q vs %q", fs1.Key(), fs2.Key())
 	}

@@ -306,14 +306,6 @@ func (k *Kernel) shardWorker(s int) {
 	}
 }
 
-// Shards returns the worker-shard count (0 on the serial path).
-func (k *Kernel) Shards() int {
-	if k.sh == nil {
-		return 0
-	}
-	return k.sh.shards
-}
-
 // Close shuts down the sharded worker pool and returns once every worker
 // has exited, whether it was spinning or parked. Stepping a closed kernel
 // panics; Close on a serial kernel is a no-op. Safe to call more than once,
