@@ -176,8 +176,8 @@ cli-smoke:
 ## (noxsweep, ~40 s on 2 vCPUs: one sweep per pattern prints both figures;
 ## the sweep walk skips and cancels the cells past each series' end, so this
 ## also guards that walk's byte-identity) — and require each to match the
-## committed file byte for byte. The tools run in the temp
-## directory, so a flight dump cannot litter the tree.
+## committed file byte for byte. The tools run in the temp directory, so a
+## flight dump cannot litter the tree.
 results-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	set -e; \

@@ -31,8 +31,8 @@ import (
 
 // Unreachable is the route-table entry for a (router, destination) pair with
 // no live path: the destination sits in a different component of the damaged
-// mesh. Callers must consult Table.Reachable before
-// injecting rather than route into a black hole.
+// mesh. Callers must consult Table.Reachable before injecting rather than
+// route into a black hole.
 const Unreachable noc.Port = -1
 
 // FaultSet is a canonicalized set of permanently dead links. A dead link
