@@ -1,6 +1,12 @@
 GO ?= go
+# Extra build flags for the smokes' tool builds: make reach sets COVER to a
+# coverage build and RACE to nothing (under the race detector a coverage
+# build counts atomically, and snapshot-smoke's first sweep alone ran past
+# six minutes).
+COVER ?=
+RACE ?= -race
 
-.PHONY: check build fmt vet lint test test-ids alloc-guard race shard-race ab ab-smoke bench-repo-smoke cli-smoke results-check trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke
+.PHONY: check build fmt vet lint test test-ids reach alloc-guard race shard-race ab ab-smoke bench-repo-smoke cli-smoke results-check trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke
 
 ## check: the CI gate — build, gofmt, vet, static analysis, the allocation guards
 ## (seconds: an allocation back in the inject/step/deliver loop fails before
@@ -66,8 +72,12 @@ test-ids:
 alloc-guard:
 	$(GO) test -run 'Allocs' -count=1 ./internal/network ./internal/sim ./internal/noc ./internal/stats ./internal/harness ./internal/trace
 
+## race: every package under the race detector; internal/harness (about
+## 8 min on 2 vCPUs) in its own go test run, so no other package's race
+## binary shares the CPUs with it.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race $$($(GO) list ./... | grep -v '/internal/harness$$')
+	$(GO) test -race ./internal/harness
 
 ## shard-race: the sharded executor's tests under the race detector at
 ## GOMAXPROCS 1, 2 and 4. The phase barrier spins only while shards <=
@@ -108,7 +118,7 @@ ab:
 ab-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	set -e; \
-	$(GO) run ./cmd/noxbench -base HEAD -head HEAD -workload lowload-uniform -n 1 -out - > "$$tmp/ab.txt"; \
+	$(GO) run $(COVER) ./cmd/noxbench -base HEAD -head HEAD -workload lowload-uniform -n 1 -out - > "$$tmp/ab.txt"; \
 	grep -q '"schema": "nox-ab/v1"' "$$tmp/ab.txt" || { echo "ab-smoke: no nox-ab/v1 record" >&2; cat "$$tmp/ab.txt" >&2; exit 1; }; \
 	echo "ab-smoke: OK"
 
@@ -140,7 +150,7 @@ ab-smoke:
 cli-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	set -e; \
-	$(GO) build -o "$$tmp/" ./cmd/...; \
+	$(GO) build $(COVER) -o "$$tmp/" ./cmd/...; \
 	cd "$$tmp"; \
 	printf '{"seed":11,"drop_rate":0.01,"escalate":{"threshold":3,"window":200}}' > escalate.json; \
 	printf '{"seed":4,"dead_routers":[{"router":0}]}' > dead_routers.json; \
@@ -176,12 +186,14 @@ cli-smoke:
 ## (noxsweep, ~40 s on 2 vCPUs: one sweep per pattern prints both figures;
 ## the sweep walk skips and cancels the cells past each series' end, so this
 ## also guards that walk's byte-identity) — and require each to match the
-## committed file byte for byte. The tools run in the temp directory, so a
-## flight dump cannot litter the tree.
+## committed file byte for byte. Then one workload's replay as CSV
+## (noxapp -workload tpcc -csv) must be byte-identical on one worker and on
+## two workers with two shards per network. The tools run in the temp
+## directory, so a flight dump cannot litter the tree.
 results-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	set -e; \
-	$(GO) build -o "$$tmp/" ./cmd/noxsim ./cmd/noxphys ./cmd/noxpower ./cmd/noxapp ./cmd/noxfuture ./cmd/noxablate ./cmd/noxsweep; \
+	$(GO) build $(COVER) -o "$$tmp/" ./cmd/noxsim ./cmd/noxphys ./cmd/noxpower ./cmd/noxapp ./cmd/noxfuture ./cmd/noxablate ./cmd/noxsweep; \
 	res=$$(pwd)/results; cd "$$tmp"; \
 	./noxsim -print-config > table1.txt; \
 	./noxphys -all > table2_figure13.txt; \
@@ -192,6 +204,9 @@ results-check:
 	./noxsweep > figures8_9.txt; \
 	for f in table1.txt table2_figure13.txt figure12.txt figures10_11.txt \
 		section8_future.txt ablations.txt figures8_9.txt; do cmp "$$res/$$f" "$$f"; done; \
+	./noxapp -workload tpcc -csv -parallel 1 > tpcc1.csv; \
+	./noxapp -workload tpcc -csv -parallel 2 -shards 2 > tpcc2.csv; \
+	cmp tpcc1.csv tpcc2.csv; \
 	echo "results-check: OK"
 
 ## trace-smoke: run noxtrace on a tiny mesh and validate that the emitted
@@ -200,7 +215,7 @@ results-check:
 trace-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	set -e; \
-	$(GO) build -o "$$tmp/noxtrace" ./cmd/noxtrace; \
+	$(GO) build $(COVER) -o "$$tmp/noxtrace" ./cmd/noxtrace; \
 	"$$tmp/noxtrace" -arch nox -width 4 -height 4 -rate 2200 -cycles 300 \
 		-out "$$tmp/trace.json" -waveform "$$tmp/wf.txt" -routers-csv "$$tmp/routers.csv" \
 		-heatmap-csv "$$tmp/heat.csv" -timeseries-csv "$$tmp/ts.csv"; \
@@ -216,27 +231,36 @@ trace-smoke:
 ## injection (and everything downstream of it) is deterministic and
 ## shard-invariant. Also fails on any UNDETECTED campaign: an injected
 ## fault must be caught by the invariant layer or masked by the protocol.
-## Each side runs in its own directory with a relative -flight-dir, and the
-## flight dumps the sharded run writes (each replays its campaign serially)
-## must be the serial run's, byte for byte.
+## A second, NoX-only campaign starts from a warm image with retransmission
+## armed and one retry: its drops leave the network idle while timeouts are
+## pending (the drain fast-forwards to them), exhaust retries (packets
+## retired undeliverable), and its image carries the retransmission state.
+## Each run and side runs in its own directory with a relative -flight-dir,
+## and the flight dumps the sharded runs write (each replays its campaign
+## serially) must be the serial runs', byte for byte.
 fault-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	set -e; \
-	$(GO) build -race -o "$$tmp/noxfault" ./cmd/noxfault; \
+	$(GO) build $(RACE) $(COVER) -o "$$tmp/noxfault" ./cmd/noxfault; \
 	for s in 1 4; do \
-		mkdir "$$tmp/shards$$s"; \
+		mkdir -p "$$tmp/shards$$s/warm"; \
 		(cd "$$tmp/shards$$s" && "$$tmp/noxfault" -arch all -width 4 -height 4 -campaigns 2 \
 			-cycles 800 -drain 10000 -watchdog 3000 -seed 0xF001 -shards $$s \
 			-flight-dir flight -out report.txt); \
+		(cd "$$tmp/shards$$s/warm" && "$$tmp/noxfault" -arch nox -width 4 -height 4 -campaigns 1 \
+			-cycles 600 -warmstart 300 -rtimeout 512 -retries 1 -drop 1e-2 -bitflip 0 -seed 0xF001 -shards $$s \
+			-flight-dir flight -out report.txt); \
 	done; \
-	cmp "$$tmp/shards1/report.txt" "$$tmp/shards4/report.txt"; \
-	{ ! grep -q UNDETECTED "$$tmp/shards1/report.txt" || { echo "fault-smoke: campaign left faults undetected" >&2; cat "$$tmp/shards1/report.txt" >&2; exit 1; }; }; \
-	(cd "$$tmp/shards1/flight" 2>/dev/null && ls *.trace.json 2>/dev/null) > "$$tmp/dumps1" || true; \
-	(cd "$$tmp/shards4/flight" 2>/dev/null && ls *.trace.json 2>/dev/null) > "$$tmp/dumps4" || true; \
-	test -s "$$tmp/dumps1" || { echo "fault-smoke: no campaign wrote a flight dump" >&2; exit 1; }; \
-	cmp "$$tmp/dumps1" "$$tmp/dumps4" || { echo "fault-smoke: -shards 4 wrote other flight dumps than -shards 1" >&2; exit 1; }; \
-	for f in $$(cat "$$tmp/dumps1"); do \
-		cmp "$$tmp/shards1/flight/$$f" "$$tmp/shards4/flight/$$f" || { echo "fault-smoke: -shards 4 flight dump $$f differs from -shards 1" >&2; exit 1; }; \
+	for d in . warm; do \
+		cmp "$$tmp/shards1/$$d/report.txt" "$$tmp/shards4/$$d/report.txt"; \
+		{ ! grep -q UNDETECTED "$$tmp/shards1/$$d/report.txt" || { echo "fault-smoke: campaign left faults undetected" >&2; cat "$$tmp/shards1/$$d/report.txt" >&2; exit 1; }; }; \
+		(cd "$$tmp/shards1/$$d/flight" 2>/dev/null && ls *.trace.json 2>/dev/null) > "$$tmp/dumps1" || true; \
+		(cd "$$tmp/shards4/$$d/flight" 2>/dev/null && ls *.trace.json 2>/dev/null) > "$$tmp/dumps4" || true; \
+		test -s "$$tmp/dumps1" || { echo "fault-smoke: no campaign in $$d wrote a flight dump" >&2; exit 1; }; \
+		cmp "$$tmp/dumps1" "$$tmp/dumps4" || { echo "fault-smoke: -shards 4 wrote other flight dumps than -shards 1" >&2; exit 1; }; \
+		for f in $$(cat "$$tmp/dumps1"); do \
+			cmp "$$tmp/shards1/$$d/flight/$$f" "$$tmp/shards4/$$d/flight/$$f" || { echo "fault-smoke: -shards 4 flight dump $$d/$$f differs from -shards 1" >&2; exit 1; }; \
+		done; \
 	done; \
 	echo "fault-smoke: OK"
 
@@ -255,7 +279,7 @@ fault-smoke:
 fault-perm-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	set -e; \
-	$(GO) build -race -o "$$tmp/noxfault" ./cmd/noxfault; \
+	$(GO) build $(RACE) $(COVER) -o "$$tmp/noxfault" ./cmd/noxfault; \
 	for s in 1 4; do \
 		mkdir "$$tmp/shards$$s" "$$tmp/wedged$$s"; \
 		(cd "$$tmp/shards$$s" && "$$tmp/noxfault" -arch all -width 4 -height 4 -degrade 2 -kill 400 \
@@ -279,18 +303,19 @@ fault-perm-smoke:
 	echo "fault-perm-smoke: OK"
 
 ## telemetry-smoke: boot noxsim with the live telemetry server on an
-## ephemeral port, curl the endpoint surface (/metrics, /healthz,
+## ephemeral port and progress records on stderr, curl the endpoint surface (/metrics, /healthz,
 ## /debug/vars, /debug/pprof/; /events, the deleted progress stream, must
 ## answer 404) while the simulation runs, and validate the
 ## saved /metrics scrape parses as Prometheus text exposition via
 ## `noxtrace -validate-metrics`. The bound address is scraped from the
-## plain "telemetry: serving on http://ADDR" stderr line.
+## plain "telemetry: serving on http://ADDR" stderr line. The run (about
+## 10 s) must then finish with status 0 while serving; it is not killed, so
+## a -cover build writes its counters.
 telemetry-smoke:
-	@tmp=$$(mktemp -d); pid=""; trap 'kill $$pid 2>/dev/null; rm -rf "$$tmp"' EXIT; \
+	@tmp=$$(mktemp -d); pid=""; trap 'kill $$pid 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
 	set -e; \
-	$(GO) build -o "$$tmp/noxsim" ./cmd/noxsim; \
-	$(GO) build -o "$$tmp/noxtrace" ./cmd/noxtrace; \
-	"$$tmp/noxsim" -http 127.0.0.1:0 -measure 1000000 >"$$tmp/stdout.txt" 2>"$$tmp/stderr.txt" & pid=$$!; \
+	$(GO) build $(COVER) -o "$$tmp/" ./cmd/noxsim ./cmd/noxtrace; \
+	"$$tmp/noxsim" -http 127.0.0.1:0 -progress -measure 1000000 >"$$tmp/stdout.txt" 2>"$$tmp/stderr.txt" & pid=$$!; \
 	addr=""; \
 	for i in $$(seq 1 100); do \
 		addr=$$(sed -n 's|^telemetry: serving on http://||p' "$$tmp/stderr.txt" 2>/dev/null | head -n 1); \
@@ -307,6 +332,8 @@ telemetry-smoke:
 	code=$$(curl -s -o /dev/null -w '%{http_code}' "http://$$addr/events"); \
 	[ "$$code" = 404 ] || { echo "telemetry-smoke: /events answered $$code, want 404" >&2; exit 1; }; \
 	"$$tmp/noxtrace" -validate-metrics "$$tmp/metrics.txt"; \
+	st=0; wait $$pid || st=$$?; pid=""; \
+	[ $$st -eq 0 ] || { echo "telemetry-smoke: noxsim exited $$st while serving" >&2; cat "$$tmp/stderr.txt" >&2; exit 1; }; \
 	echo "telemetry-smoke: OK"
 
 ## snapshot-smoke: warm images end to end under the race detector. First, the
@@ -314,17 +341,21 @@ telemetry-smoke:
 ## re-encode to the same bytes and drain as they did there
 ## (TestParentImagesRestore). Then the in-memory fork: a -warmstart sweep
 ## whose points resume from each architecture's warm image on one worker
-## must render the same CSV as on two workers with two shards per network.
+## must render the same CSV as on two workers with two shards per network,
+## for uniform traffic and for the self-similar sources (whose bursts the
+## fork retargets from the warm-up rate to each point's rate).
 ## (The mid-run save/restore seam is pinned by
 ## TestMidRunSaveRestoreEquivalence, which make race runs.)
 snapshot-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	set -e; \
-	$(GO) test -race -count=1 -run 'TestParentImagesRestore' ./internal/snapshot && \
-	$(GO) build -race -o "$$tmp/" ./cmd/noxsweep && \
-	"$$tmp/noxsweep" -fast -pattern uniform -csv -warmstart -parallel 1 > "$$tmp/serial.csv" && \
-	"$$tmp/noxsweep" -fast -pattern uniform -csv -warmstart -parallel 2 -shards 2 > "$$tmp/sharded.csv" && \
-	cmp "$$tmp/serial.csv" "$$tmp/sharded.csv" && \
+	$(GO) test -race -count=1 -run 'TestParentImagesRestore' ./internal/snapshot; \
+	$(GO) build $(RACE) $(COVER) -o "$$tmp/" ./cmd/noxsweep; \
+	for p in uniform selfsimilar; do \
+		"$$tmp/noxsweep" -fast -pattern $$p -csv -warmstart -parallel 1 > "$$tmp/serial.csv"; \
+		"$$tmp/noxsweep" -fast -pattern $$p -csv -warmstart -parallel 2 -shards 2 > "$$tmp/sharded.csv"; \
+		cmp "$$tmp/serial.csv" "$$tmp/sharded.csv"; \
+	done; \
 	echo "snapshot-smoke: OK"
 
 ## fuzz-smoke: a short native-fuzz pass over the user-facing decoders
@@ -350,3 +381,49 @@ fuzz-smoke:
 bench-repo-smoke:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
+
+## reach: the reachability census. Every tool is built with -cover
+## -coverpkg=./... (COVER) and without -race (RACE), and run through the
+## smokes' own command lists (REACH_SMOKES) and -version; the repo benchmark
+## is built the same way from a copy, so nothing under benchmark/ changes,
+## and runs each BENCHMARK.json workload at -scale tiny, plain and with
+## -trace 1; tier-1 runs under -coverpkg=./.... It writes reach.txt: one
+## sorted row per non-test function no tool enters (the first of benchmark,
+## test or none that enters it, the function, its statements), then per
+## package its functions by class and non-test lines. Not part of check: it
+## takes about 10 min on 2 vCPUs, and check's race run is already near go
+## test's timeout.
+REACH_SMOKES = results-check cli-smoke trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke ab-smoke
+reach:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	set -e; cov='-cover -coverpkg=./...'; mkdir "$$tmp/tool" "$$tmp/bench" "$$tmp/test"; \
+	GOCOVERDIR="$$tmp/tool" $(MAKE) --no-print-directory COVER="$$cov" RACE= $(REACH_SMOKES) >"$$tmp/smokes.log" 2>&1 || \
+		{ cat "$$tmp/smokes.log" >&2; exit 1; }; \
+	$(GO) build $$cov -o "$$tmp/bin/" ./cmd/...; \
+	for t in "$$tmp"/bin/*; do GOCOVERDIR="$$tmp/tool" "$$t" -version >/dev/null; done; \
+	cp -R benchmark "$$tmp/"; \
+	(cd "$$tmp/benchmark" && $(GO) mod edit -replace repro="$(CURDIR)" && \
+		GOFLAGS=-mod=mod $(GO) build -cover -coverpkg=repro/... -o "$$tmp/noxbenchmark" .); \
+	for w in $$(sed -n '/"workloads"/,/\]/s/.*"name": "\([^"]*\)".*/\1/p' BENCHMARK.json); do for tr in 0 1; do \
+		(cd "$$tmp" && GOCOVERDIR="$$tmp/bench" ./noxbenchmark -workload $$w -scale tiny -seconds 0 -trace $$tr -trace-out t.json >/dev/null); \
+	done; done; \
+	$(GO) test -count=1 $$cov ./... -args -test.gocoverdir="$$tmp/test" >"$$tmp/test.log" || { cat "$$tmp/test.log" >&2; exit 1; }; \
+	for c in tool bench test; do $(GO) tool covdata textfmt -i="$$tmp/$$c" -o "$$tmp/$$c.txt"; done; \
+	$(GO) tool covdata func -i="$$tmp/tool,$$tmp/bench,$$tmp/test" >"$$tmp/func.txt"; \
+	git ls-files -co --exclude-standard -- '*.go' ':!:*_test.go' ':!:benchmark/*' | xargs wc -l >"$$tmp/lines.txt"; \
+	awk 'FILENAME ~ /func.txt$$/ { if ($$1 == "total" || $$1 ~ /^repro\/benchmark\//) next; split($$1, a, ":"); n++; file[n] = a[1]; start[n] = a[2]; name[n] = $$2; of[a[1], ++nf[a[1]]] = n; next } \
+	FILENAME ~ /lines.txt$$/ { if ($$2 == "total") next; d = "repro/" $$2; sub(/\/[^\/]*$$/, "", d); lines[d] += $$1; next } \
+	/^mode:/ { next } \
+	{ src = FILENAME; sub(/.*\//, "", src); split($$1, a, ":"); split(a[2], p, "[.,]"); fn = 0; \
+		for (j = 1; j <= nf[a[1]]; j++) { k = of[a[1], j]; if (start[k] + 0 <= p[1] + 0 && start[k] + 0 > start[fn] + 0) fn = k } \
+		if (!fn) next; if (!($$1 in seen)) { seen[$$1] = 1; stmts[fn] += $$2 } if ($$3 > 0) hit[fn, src] = 1 } \
+	END { sort = "LC_ALL=C sort"; for (i = 1; i <= n; i++) { \
+			c = hit[i, "tool.txt"] ? "tool" : hit[i, "bench.txt"] ? "benchmark" : hit[i, "test.txt"] ? "test" : "none"; \
+			pkg = file[i]; sub(/\/[^\/]*$$/, "", pkg); nm = name[i]; \
+			if (sub(/^\*/, "", nm)) { k = index(nm, "."); nm = "(*" substr(nm, 1, k - 1) ")" substr(nm, k) } \
+			cnt[pkg, c]++; cnt[pkg]++; cnt[c]++; if (c != "tool") print c, pkg "." nm, stmts[i] | sort } \
+		close(sort); print "package functions tool benchmark test none lines"; \
+		for (q in lines) { printf "%s %d %d %d %d %d %d\n", q, cnt[q], cnt[q, "tool"], cnt[q, "benchmark"], cnt[q, "test"], cnt[q, "none"], lines[q] | sort; all += lines[q] } \
+		close(sort); printf "total %d %d %d %d %d %d\n", n, cnt["tool"], cnt["benchmark"], cnt["test"], cnt["none"], all }' \
+		"$$tmp/func.txt" "$$tmp/lines.txt" "$$tmp/tool.txt" "$$tmp/bench.txt" "$$tmp/test.txt" >reach.txt; \
+	echo "reach: wrote reach.txt"

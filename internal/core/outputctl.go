@@ -321,9 +321,13 @@ func (o *OutputControl) DecideFor(offers []*noc.Flit, hdr []noc.Header, reqMask 
 	case 0:
 		// Requests exist but all are inhibited (new arrivals during a
 		// Recovery chain, or an idle pre-scheduled input in Scheduled
-		// mode). In Scheduled mode arbitration still runs so a waiting
-		// input can be scheduled; in Recovery the masks hold to protect
-		// the chain.
+		// mode). A collision loser or a pre-scheduled input presents until
+		// it is serviced, so the protocol gets here only through a
+		// condemned decode register: a lenient port whose chain failed to
+		// decode under an injected fault presents nothing until its commit
+		// discards the register (InputPort.presented). In Scheduled mode
+		// arbitration still runs so a waiting input can be scheduled; in
+		// Recovery the masks hold to protect the chain.
 		if o.mode == Scheduled {
 			o.grantAndScheduleNext(a, &d)
 		} else {

@@ -171,6 +171,66 @@ func TestRecoveryChainNoNewEntrants(t *testing.T) {
 	}
 }
 
+// TestInhibitedRequestsOnly drives DecideFor where requests exist but the
+// switch mask enables none of them. The protocol reaches that case only when
+// a collision loser or the pre-scheduled input stops presenting (a condemned
+// decode register), so each subtest presents a newcomer alone. Recovery
+// holds the narrowed masks and grants nothing; Scheduled arbitrates and
+// pre-schedules the newcomer.
+func TestInhibitedRequestsOnly(t *testing.T) {
+	const n = 5
+	all := uint32(1<<n) - 1
+	decide := func(ctl *OutputControl, live map[int]*noc.Flit) Decision {
+		fs := offers(n, live)
+		var hdr [n]noc.Header
+		var req uint32
+		for i, f := range fs {
+			if f != nil {
+				req |= 1 << i
+				hdr[i] = f.Header().Route(f.OutPort)
+			}
+		}
+		return ctl.DecideFor(fs, hdr[:], req, true)
+	}
+	newcomer := map[int]*noc.Flit{4: mkSingle(9, noc.East)}
+
+	t.Run("Recovery", func(t *testing.T) {
+		ctl := NewOutputControl(n, nil)
+		d := decide(ctl, map[int]*noc.Flit{0: mkSingle(1, noc.East), 1: mkSingle(2, noc.East), 2: mkSingle(3, noc.East)})
+		ctl.Commit()
+		losers := uint32(0b111) &^ (1 << d.Serviced)
+		if sw, ar := ctl.Masks(); !d.Collided() || ctl.Mode() != Recovery || sw != losers || ar != losers {
+			t.Fatalf("three-way collision: %+v, mode %v, masks %05b/%05b, want Recovery on the losers %05b", d, ctl.Mode(), sw, ar, losers)
+		}
+		d = decide(ctl, newcomer)
+		if d.Out != nil || d.Serviced != -1 || d.Granted != -1 || d.Arbitrated() || d.Collided() || d.Stalled() {
+			t.Fatalf("inhibited newcomer in Recovery: %+v, want no drive, service or grant", d)
+		}
+		ctl.Commit()
+		if sw, ar := ctl.Masks(); ctl.Mode() != Recovery || sw != losers || ar != losers || ctl.Locked() != -1 {
+			t.Fatalf("staged mode %v, masks %05b/%05b, lock %d, want the chain held: Recovery, %05b/%05b, -1", ctl.Mode(), sw, ar, ctl.Locked(), losers, losers)
+		}
+	})
+
+	t.Run("Scheduled", func(t *testing.T) {
+		ctl := NewOutputControl(n, nil)
+		d := decide(ctl, map[int]*noc.Flit{0: mkSingle(1, noc.East), 1: mkSingle(2, noc.East)})
+		ctl.Commit()
+		loser := uint32(0b11) &^ (1 << d.Serviced)
+		if sw, ar := ctl.Masks(); ctl.Mode() != Scheduled || sw != loser || ar != all&^loser {
+			t.Fatalf("two-way collision: mode %v, masks %05b/%05b, want the loser %05b pre-scheduled", ctl.Mode(), sw, ar, loser)
+		}
+		d = decide(ctl, newcomer)
+		if d.Out != nil || d.Serviced != -1 || d.Granted != 4 || !d.Arbitrated() || d.Collided() {
+			t.Fatalf("inhibited newcomer in Scheduled: %+v, want no drive or service and a grant to input 4", d)
+		}
+		ctl.Commit()
+		if sw, ar := ctl.Masks(); ctl.Mode() != Scheduled || sw != 1<<4 || ar != all&^(1<<4) || ctl.Locked() != -1 {
+			t.Fatalf("staged mode %v, masks %05b/%05b, lock %d, want input 4 pre-scheduled: Scheduled, %05b/%05b, -1", ctl.Mode(), sw, ar, ctl.Locked(), uint32(1<<4), all&^(1<<4))
+		}
+	})
+}
+
 // TestInputPortBubbleMidChain checks the receiver tolerates gaps between
 // chain flits (upstream credit stalls): the decode register waits for the
 // next contiguous flit.

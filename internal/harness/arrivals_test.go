@@ -42,7 +42,7 @@ func TestSweepArrivalMapEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := SyntheticConfig{Pattern: tc.pattern, WarmupCycles: 500, MeasureCycles: 2000, DrainCycles: 8000}
+			base := SyntheticConfig{Pattern: tc.pattern, WarmupCycles: 150, MeasureCycles: 500, DrainCycles: 2000}
 			if tc.edit != nil {
 				tc.edit(&base)
 			}

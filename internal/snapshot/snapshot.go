@@ -168,28 +168,3 @@ func restoreInto(net *network.Network, d *codec.Decoder) error {
 	}
 	return nil
 }
-
-// Info is a snapshot's structural header in exported form, so a tool can
-// check an image before it restores it.
-type Info struct {
-	Topo          noc.Topology
-	Concentration int
-	Arch          router.Arch
-	BufferDepth   int
-	SinkDepth     int
-}
-
-// Inspect parses and validates an image's header without restoring it.
-func Inspect(data []byte) (Info, error) {
-	h, err := readHeader(codec.NewDecoder(data))
-	if err != nil {
-		return Info{}, err
-	}
-	return Info{
-		Topo:          noc.Topology{Width: h.width, Height: h.height},
-		Concentration: h.concentration,
-		Arch:          h.arch,
-		BufferDepth:   h.bufferDepth,
-		SinkDepth:     h.sinkDepth,
-	}, nil
-}

@@ -197,14 +197,6 @@ func registerRuntimeMetrics(reg *Registry) {
 	reg.AddGaugeFunc("nox_uptime_seconds", "seconds since the telemetry session started", func() float64 { return time.Since(start).Seconds() })
 }
 
-// Logger returns the session logger.
-func (s *Session) Logger() *slog.Logger {
-	if s == nil {
-		return slog.Default()
-	}
-	return s.logger
-}
-
 // Sampler returns the progress sampler; nil (a valid no-op sampler) when
 // neither -progress nor -http was given.
 func (s *Session) Sampler() *Sampler {
@@ -212,14 +204,6 @@ func (s *Session) Sampler() *Sampler {
 		return nil
 	}
 	return s.sampler
-}
-
-// Addr returns the bound telemetry address, empty when the server is off.
-func (s *Session) Addr() string {
-	if s == nil || s.server == nil {
-		return ""
-	}
-	return s.server.Addr
 }
 
 // NewRecorder returns a flight recorder labeled for one run, or nil when

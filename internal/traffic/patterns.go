@@ -18,8 +18,6 @@ import (
 // dst == src (e.g., fixed points of a permutation); such packets are not
 // injected, which is the standard convention.
 type Pattern interface {
-	// Name identifies the pattern in reports.
-	Name() string
 	// Dest picks the destination for a packet from src.
 	Dest(src noc.NodeID, rng *sim.RNG) noc.NodeID
 }
@@ -37,9 +35,6 @@ func nodeBits(t noc.Topology) int {
 // Uniform sends each packet to a destination chosen uniformly at random.
 type Uniform struct{ Topo noc.Topology }
 
-// Name implements Pattern.
-func (u Uniform) Name() string { return "uniform" }
-
 // Dest implements Pattern.
 func (u Uniform) Dest(src noc.NodeID, rng *sim.RNG) noc.NodeID {
 	for {
@@ -54,9 +49,6 @@ func (u Uniform) Dest(src noc.NodeID, rng *sim.RNG) noc.NodeID {
 // under dimension-ordered routing.
 type Transpose struct{ Topo noc.Topology }
 
-// Name implements Pattern.
-func (p Transpose) Name() string { return "transpose" }
-
 // Dest implements Pattern.
 func (p Transpose) Dest(src noc.NodeID, rng *sim.RNG) noc.NodeID {
 	c := p.Topo.Coord(src)
@@ -67,9 +59,6 @@ func (p Transpose) Dest(src noc.NodeID, rng *sim.RNG) noc.NodeID {
 // permutation.
 type BitComplement struct{ Topo noc.Topology }
 
-// Name implements Pattern.
-func (p BitComplement) Name() string { return "bitcomp" }
-
 // Dest implements Pattern.
 func (p BitComplement) Dest(src noc.NodeID, rng *sim.RNG) noc.NodeID {
 	b := nodeBits(p.Topo)
@@ -78,9 +67,6 @@ func (p BitComplement) Dest(src noc.NodeID, rng *sim.RNG) noc.NodeID {
 
 // BitReverse sends b_{n-1}...b_0 to b_0...b_{n-1}.
 type BitReverse struct{ Topo noc.Topology }
-
-// Name implements Pattern.
-func (p BitReverse) Name() string { return "bitrev" }
 
 // Dest implements Pattern.
 func (p BitReverse) Dest(src noc.NodeID, rng *sim.RNG) noc.NodeID {
@@ -97,9 +83,6 @@ func (p BitReverse) Dest(src noc.NodeID, rng *sim.RNG) noc.NodeID {
 // Shuffle sends b_{n-1}...b_0 to b_{n-2}...b_0 b_{n-1} (rotate left).
 type Shuffle struct{ Topo noc.Topology }
 
-// Name implements Pattern.
-func (p Shuffle) Name() string { return "shuffle" }
-
 // Dest implements Pattern.
 func (p Shuffle) Dest(src noc.NodeID, rng *sim.RNG) noc.NodeID {
 	b := nodeBits(p.Topo)
@@ -110,9 +93,6 @@ func (p Shuffle) Dest(src noc.NodeID, rng *sim.RNG) noc.NodeID {
 // Tornado sends each node roughly halfway around each dimension, the
 // adversarial pattern for minimal routing.
 type Tornado struct{ Topo noc.Topology }
-
-// Name implements Pattern.
-func (p Tornado) Name() string { return "tornado" }
 
 // Dest implements Pattern.
 func (p Tornado) Dest(src noc.NodeID, rng *sim.RNG) noc.NodeID {
@@ -125,9 +105,6 @@ func (p Tornado) Dest(src noc.NodeID, rng *sim.RNG) noc.NodeID {
 // Neighbor sends each node to its +1 neighbor in X (dimension-local
 // traffic with minimal path variation).
 type Neighbor struct{ Topo noc.Topology }
-
-// Name implements Pattern.
-func (p Neighbor) Name() string { return "neighbor" }
 
 // Dest implements Pattern.
 func (p Neighbor) Dest(src noc.NodeID, rng *sim.RNG) noc.NodeID {
@@ -144,9 +121,6 @@ type Hotspot struct {
 	// when zero).
 	Frac float64
 }
-
-// Name implements Pattern.
-func (p Hotspot) Name() string { return "hotspot" }
 
 // Dest implements Pattern.
 func (p Hotspot) Dest(src noc.NodeID, rng *sim.RNG) noc.NodeID {
