@@ -1,9 +1,11 @@
-// Command noxsweep regenerates Figures 8 and 9: latency and energy-delay^2
-// versus offered injection bandwidth, per traffic pattern, for all four
-// router architectures.
+// Command noxsweep regenerates Figures 8, 9 and 12: latency and
+// energy-delay^2 versus offered injection bandwidth, per traffic pattern, for
+// all four router architectures, and the power breakdown at 2 GB/s/node
+// uniform.
 //
 // Each panel prints the Figure 8 latency table, the Figure 9 ED^2 table
-// and the saturation lines, all from one sweep.
+// and the saturation lines, all from one sweep; the uniform panel then
+// prints Figure 12 from its 2000 MB/s/node rung.
 //
 // Usage:
 //
@@ -73,6 +75,9 @@ func main() {
 		fmt.Print(harness.FormatSweepLatency(pat, points))
 		fmt.Print(harness.FormatSweepED2(pat, points))
 		fmt.Print(harness.FormatSaturation(pat, points))
+		if fig12 := harness.FormatPowerBreakdown(pat, points); fig12 != "" {
+			fmt.Print("\n" + fig12)
+		}
 		fmt.Println()
 	}
 }

@@ -4,10 +4,14 @@
 // per router, one track per port), a textual waveform, per-router and
 // heatmap CSVs, and the periodic time series.
 //
+// The run is one harness.RunSynthetic cell under a probe: the library's
+// warm-up, -measure cycles of traffic, then the drain. The ring keeps the
+// most recent events, the steady state.
+//
 // Usage:
 //
 //	noxtrace -arch nox -width 4 -height 4 -rate 1800 -out trace.json
-//	noxtrace -waveform - -cycles 200 -rate 2500      # waveform to stdout
+//	noxtrace -waveform - -measure 200 -rate 2500     # waveform to stdout
 //	noxtrace -routers-csv routers.csv -heatmap-csv heat.csv -timeseries-csv ts.csv
 package main
 
@@ -19,43 +23,30 @@ import (
 	"os"
 
 	"repro/internal/harness"
-	"repro/internal/network"
 	"repro/internal/noc"
 	"repro/internal/physical"
 	"repro/internal/probe"
 	"repro/internal/router"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/traffic"
 )
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "noxtrace:", err)
-	os.Exit(1)
-}
-
-// withOut opens path ('-' = stdout, "" = skip) and runs write against it.
-func withOut(path string, write func(w io.Writer) error) {
-	if path == "" {
-		return
-	}
-	if path == "-" {
-		if err := write(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
+// writeOut opens path ('-' = stdout, "" = skip) and runs write against it.
+func writeOut(path string, write func(w io.Writer) error) error {
+	switch path {
+	case "":
+		return nil
+	case "-":
+		return write(os.Stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := write(f); err != nil {
 		f.Close()
-		fatal(err)
+		return err
 	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
+	return f.Close()
 }
 
 // parseTraceEvents parses Chrome trace-event JSON and returns the event
@@ -118,9 +109,9 @@ func main() {
 		flits    = flag.Int("flits", 1, "packet length in flits")
 		width    = flag.Int("width", 4, "mesh width in routers")
 		height   = flag.Int("height", 4, "mesh height in routers")
-		cycles   = flag.Int64("cycles", 2000, "cycles of traffic before the drain")
+		measure  = flag.Int64("measure", 2000, "measured cycles of traffic, after the default warm-up and before the drain")
 		drain    = flag.Int64("drain", 20000, "drain cycle limit after traffic stops")
-		ring     = flag.Int("ring", 1<<18, "event ring capacity (rounded up to a power of two; the ring keeps the most recent events)")
+		ring     = flag.Int("ring", 1<<18, fmt.Sprintf("event ring capacity, at most %d (rounded up to a power of two; the ring keeps the most recent events)", probe.MaxRingEvents))
 		sample   = flag.Int64("sample", 100, "time-series sampling interval in cycles (0 disables the sampler)")
 		out      = flag.String("out", "trace.json", "Chrome trace-event JSON output file ('-' = stdout, '' = skip)")
 		waveform = flag.String("waveform", "", "textual waveform output file ('-' = stdout)")
@@ -134,103 +125,59 @@ func main() {
 	defer stop()
 	if *validate != "" {
 		if err := validateTrace(*validate); err != nil {
-			fatal(err)
+			cli.Fail(err)
 		}
 		return
 	}
 	if *valMet != "" {
 		if err := validateMetrics(*valMet); err != nil {
-			fatal(err)
+			cli.Fail(err)
 		}
 		return
 	}
 
-	if *flits < 1 {
-		fatal(fmt.Errorf("-flits %d: %w", *flits, network.ErrBadPacket))
-	}
+	// A zero mesh side, packet length or window would select the library's
+	// default (an 8x8 mesh, 1 flit, 10000 measured or 30000 drain cycles),
+	// not what the flag says.
 	for _, f := range []struct {
-		name string
-		v    int64
-	}{{"cycles", *cycles}, {"drain", *drain}, {"ring", int64(*ring)}, {"sample", *sample}} {
-		if f.v < 0 {
-			fatal(fmt.Errorf("-%s must be >= 0 (got %d)", f.name, f.v))
+		name   string
+		v, min int64
+	}{{"width", int64(*width), 1}, {"height", int64(*height), 1}, {"flits", int64(*flits), 1},
+		{"measure", *measure, 1}, {"drain", *drain, 1}, {"ring", int64(*ring), 0}, {"sample", *sample, 0}} {
+		if f.v < f.min {
+			cli.Fail(fmt.Errorf("-%s must be >= %d (got %d)", f.name, f.min, f.v))
 		}
+	}
+	if *ring > probe.MaxRingEvents {
+		cli.Fail(fmt.Errorf("-ring %d: above the cap of %d events (probe.MaxRingEvents)", *ring, probe.MaxRingEvents))
 	}
 	arch, err := router.ArchByName(*archName)
 	if err != nil {
-		fatal(err)
-	}
-	topo := noc.Topology{Width: *width, Height: *height}
-	periodNs := physical.ClockPeriodNs(arch)
-	if err := harness.CheckRate(*pattern, *rate); err != nil {
-		fatal(err)
+		cli.Fail(err)
 	}
 
-	flitRate := harness.FlitsPerNodeCycle(*rate, periodNs)
-	pktRate := flitRate / float64(*flits)
-	if pktRate >= 1 {
-		fatal(fmt.Errorf("offered rate %.0f MB/s/node exceeds one packet per cycle at %v", *rate, arch))
-	}
-
-	selfSimilar := *pattern == "selfsimilar"
-	patName := *pattern
-	if selfSimilar {
-		patName = "uniform" // the Pareto ON/OFF process picks uniform destinations
-	}
-	pat, err := traffic.ByName(patName, topo)
+	pr := probe.New(probe.Config{RingEvents: *ring, SampleEvery: *sample, PeriodNs: physical.ClockPeriodNs(arch)})
+	res, err := harness.RunSynthetic(harness.SyntheticConfig{
+		Arch:          arch,
+		Topo:          noc.Topology{Width: *width, Height: *height},
+		Pattern:       *pattern,
+		RateMBps:      *rate,
+		PacketFlits:   *flits,
+		MeasureCycles: *measure,
+		DrainCycles:   *drain,
+		Seed:          *seed,
+		Probe:         pr,
+		Progress:      sess.Sampler(),
+	})
 	if err != nil {
-		fatal(err)
+		cli.Fail(err)
 	}
 
-	rep := sess.Sampler()
-	var obs func(cycle int64, active int)
-	if rep != nil {
-		obs = rep.Observe
-	}
-	pr := probe.New(probe.Config{RingEvents: *ring, SampleEvery: *sample, PeriodNs: periodNs})
-	net, err := network.Build(network.Config{Topo: topo, Arch: arch, Probe: pr, Observer: obs})
-	if err != nil {
-		fatal(err)
-	}
-	defer net.Close()
-	rep.RunStarted()
-
-	base := sim.NewRNG(*seed)
-	nodes := topo.Nodes()
-	procs := make([]traffic.Process, nodes)
-	dests := make([]*sim.RNG, nodes)
-	for i := range procs {
-		r := base.Fork(uint64(i))
-		if selfSimilar {
-			procs[i] = traffic.NewSelfSimilar(pktRate, r)
-		} else {
-			procs[i] = &traffic.Bernoulli{P: pktRate, RNG: r}
+	withOut := func(path string, write func(io.Writer) error) {
+		if err := writeOut(path, write); err != nil {
+			cli.Fail(err)
 		}
-		dests[i] = base.Fork(uint64(1000 + i))
 	}
-
-	for cyc := int64(0); cyc < *cycles; cyc++ {
-		for id := 0; id < nodes; id++ {
-			if !procs[id].Tick() {
-				continue
-			}
-			src := noc.NodeID(id)
-			dst := pat.Dest(src, dests[id])
-			if dst == src {
-				continue
-			}
-			net.Inject(src, dst, *flits, 0)
-		}
-		net.Step()
-		rep.Tick(net.Cycle())
-	}
-	deadline := net.Cycle() + *drain
-	for net.Outstanding() > 0 && net.Cycle() < deadline {
-		net.Step()
-		rep.Tick(net.Cycle())
-	}
-	rep.Done(net.Cycle())
-
 	withOut(*out, pr.WriteChromeTrace)
 	withOut(*waveform, pr.WriteWaveform)
 	withOut(*routers, pr.WriteRouterCSV)
@@ -239,12 +186,12 @@ func main() {
 
 	t := pr.Totals()
 	fmt.Fprintf(os.Stderr,
-		"noxtrace: %s %dx%d %s @ %.0f MB/s/node: %d cycles, %d/%d packets delivered\n",
-		arch, *width, *height, *pattern, *rate, net.Cycle(), net.Delivered(), net.Injected())
+		"noxtrace: %s %dx%d %s @ %.0f MB/s/node: %d measured cycles, %d/%d packets delivered, mean latency %.2f ns\n",
+		arch, *width, *height, *pattern, *rate, *measure, t.Delivers, t.Injects, res.MeanLatencyNs)
 	fmt.Fprintf(os.Stderr,
 		"noxtrace: %d events recorded (%d dropped by ring wrap): traversals=%d collisions=%d aborts=%d decodes=%d stalls=%d\n",
 		pr.EventCount(), pr.Dropped(), t.Traversals, t.Collisions, t.Aborts, t.Decodes, t.CreditStalls)
-	if net.Outstanding() > 0 {
-		fmt.Fprintf(os.Stderr, "noxtrace: warning: %d packets undelivered at the drain limit\n", net.Outstanding())
+	if n := t.Injects - t.Delivers; n > 0 {
+		fmt.Fprintf(os.Stderr, "noxtrace: warning: %d packets undelivered at the end of the drain\n", n)
 	}
 }

@@ -2,10 +2,11 @@ package check
 
 import (
 	"errors"
-	"math"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/alloctest"
 )
 
 // TestNilCheckerSafe: every method on a nil *Checker must be a no-op — the
@@ -166,11 +167,8 @@ func TestLedgerCanonicalOrder(t *testing.T) {
 // the stored losses still carry their detail, and all are counted.
 func TestFinalizeFormatsOnlyKeptLosses(t *testing.T) {
 	const lost, keep = 1000, 4
-	// AllocsPerRun counts every goroutine's mallocs (the race detector's
-	// too), so the reading is the fewest of several independent runs.
 	var checkers []*Checker
-	fewest := math.Inf(1)
-	for range 5 {
+	fewest := alloctest.Allocs(1, func() func() {
 		checkers = checkers[:0]
 		for range 2 { // AllocsPerRun's warm-up call, then the measured one
 			c := New(Config{Delivery: true, MaxViolations: keep})
@@ -180,11 +178,11 @@ func TestFinalizeFormatsOnlyKeptLosses(t *testing.T) {
 			checkers = append(checkers, c)
 		}
 		next := 0
-		fewest = min(fewest, testing.AllocsPerRun(1, func() {
+		return func() {
 			checkers[next].Finalize(5000, nil)
 			next++
-		}))
-	}
+		}
+	})
 	if fewest > 2*keep+8 {
 		t.Errorf("Finalize of %d losses with %d kept allocated %v times, want no more than %d", lost, keep, fewest, 2*keep+8)
 	}

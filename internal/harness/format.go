@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -150,28 +151,52 @@ func formatApp(title string, results []map[router.Arch]AppResult, metric func(Ap
 	return b.String()
 }
 
-// FormatPowerBreakdown renders Figure 12: total network dynamic power by
-// component under 2 GB/s/node uniform single-flit traffic. Spec-Fast is
-// omitted, as in the paper, when it cannot sustain the load.
-func FormatPowerBreakdown(results map[router.Arch]RunResult) string {
+// figure12Rate is the offered load Figure 12 prices: 2 GB/s/node, a rung of
+// Figure 8's uniform ladder.
+const figure12Rate = 2000
+
+// FormatPowerBreakdown renders Figure 12 from a sweep: total network dynamic
+// power by component at the uniform panel's figure12Rate rung, then
+// Spec-Accurate against NoX (§5.3). An architecture that cannot sustain the
+// load (saturated there, or its series ended below the rung) is reported but
+// not broken down, as in the paper. It returns "" for any other pattern or a
+// sweep without the rung.
+func FormatPowerBreakdown(pattern string, points []SweepPoint) string {
+	i := slices.IndexFunc(points, func(p SweepPoint) bool { return p.RateMBps == figure12Rate })
+	if pattern != "uniform" || i < 0 {
+		return ""
+	}
+	shown := map[router.Arch]RunResult{}
+	for a, r := range points[i].Results {
+		if !r.Saturated {
+			shown[a] = r
+		}
+	}
+	// Component power is energy per wall-time: equal cycle counts span
+	// different wall-time windows across clocks.
+	mw := func(r RunResult, pj float64) float64 { return pj / (r.Energy.TotalPJ() / r.PowerMW) }
+
 	var b strings.Builder
 	b.WriteString("Figure 12: Network dynamic power @ 2 GB/s/node uniform (mW)\n")
 	fmt.Fprintf(&b, "%-16s %9s %9s %9s %9s %9s %9s %7s\n",
 		"Architecture", "buffer", "xbar", "link", "arb", "decode", "total", "link%")
 	for _, a := range router.Archs {
-		r, ok := results[a]
+		r, ok := shown[a]
 		if !ok {
-			continue
-		}
-		if r.Saturated {
 			fmt.Fprintf(&b, "%-16s %s\n", a, "not shown (cannot sustain the load, as in the paper)")
 			continue
 		}
 		e := r.Energy
-		windowNs := e.TotalPJ() / r.PowerMW // PowerMW = TotalPJ / window(ns)
-		mw := func(pj float64) float64 { return pj / windowNs }
 		fmt.Fprintf(&b, "%-16s %9.1f %9.1f %9.1f %9.1f %9.1f %9.1f %6.1f%%\n",
-			a, mw(e.BufferPJ), mw(e.XbarPJ), mw(e.LinkPJ), mw(e.ArbPJ), mw(e.DecodePJ), r.PowerMW, 100*e.LinkShare())
+			a, mw(r, e.BufferPJ), mw(r, e.XbarPJ), mw(r, e.LinkPJ), mw(r, e.ArbPJ), mw(r, e.DecodePJ), r.PowerMW, 100*e.LinkShare())
+	}
+	nox, okN := shown[router.NoX]
+	sa, okS := shown[router.SpecAccurate]
+	if okN && okS {
+		b.WriteString("\nSpec-Accurate vs NoX (paper §5.3: +4.6% link, -2.4% switch, +2.5% total):\n")
+		fmt.Fprintf(&b, "  link:   %+.1f%%\n", 100*(mw(sa, sa.Energy.LinkPJ)/mw(nox, nox.Energy.LinkPJ)-1))
+		fmt.Fprintf(&b, "  switch: %+.1f%%\n", 100*(mw(sa, sa.Energy.XbarPJ)/mw(nox, nox.Energy.XbarPJ)-1))
+		fmt.Fprintf(&b, "  total:  %+.1f%%\n", 100*(sa.PowerMW/nox.PowerMW-1))
 	}
 	return b.String()
 }

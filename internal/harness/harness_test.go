@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/network"
+	"repro/internal/power"
 	"repro/internal/router"
 	"repro/internal/trace"
 )
@@ -50,14 +51,18 @@ func TestLowLoadLatencyOrdering(t *testing.T) {
 
 // TestSaturationOrdering checks Figure 8a's high-injection regime on
 // uniform traffic: NoX sustains the highest absolute bandwidth, Spec-Fast
-// by far the lowest (§5.1).
+// by far the lowest (§5.1). Three rungs and short windows keep every
+// saturation within 1 % of a 7-rung sweep of 4000 measured cycles, and
+// still fail a Spec-Fast whose Switch-Next drops the success (Spec-Fast
+// then outlasts Spec-Accurate) and NoX rates converted at the
+// non-speculative clock (NoX then saturates below it).
 func TestSaturationOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("saturation sweep is slow")
 	}
 	base := fastCfg("uniform", 0)
-	base.MeasureCycles = 4000
-	pts, err := SweepSynthetic(base, []float64{1000, 1400, 1800, 2200, 2600, 3000, 3400}, nil)
+	base.WarmupCycles, base.MeasureCycles, base.DrainCycles = 500, 1500, 2000
+	pts, err := SweepSynthetic(base, []float64{1800, 2600, 3400}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,6 +325,49 @@ func TestFloorplanFormat(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("floorplan output missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestPowerBreakdownView checks Figure 12 is read from the uniform sweep's
+// 2000 MB/s/node rung and from nothing else: no other pattern or rung, and an
+// architecture absent from the rung (its series ended below it) is reported
+// as not sustaining the load, with no comparison that needs it.
+func TestPowerBreakdownView(t *testing.T) {
+	at := func(mw float64) RunResult {
+		return RunResult{PowerMW: mw, Energy: power.Breakdown{BufferPJ: mw, LinkPJ: 3 * mw}}
+	}
+	rung := func(rate float64, mw float64, archs ...router.Arch) SweepPoint {
+		p := SweepPoint{RateMBps: rate, Results: map[router.Arch]RunResult{}}
+		for _, a := range archs {
+			p.Results[a] = at(mw)
+		}
+		return p
+	}
+	points := []SweepPoint{
+		rung(1800, 111, router.Archs...),
+		rung(2000, 222, router.NonSpec, router.SpecAccurate, router.NoX),
+		rung(2200, 333, router.Archs...),
+	}
+	s := FormatPowerBreakdown("uniform", points)
+	for _, want := range []string{"@ 2 GB/s/node uniform", "222.0", "Spec-Fast        not shown", "total:  +0.0%"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("Figure 12 missing %q:\n%s", want, s)
+		}
+	}
+	for _, other := range []string{"111.0", "333.0"} {
+		if strings.Contains(s, other) {
+			t.Errorf("Figure 12 reads another rung (%s):\n%s", other, s)
+		}
+	}
+	delete(points[1].Results, router.NoX)
+	if s := FormatPowerBreakdown("uniform", points); !strings.Contains(s, "NoX              not shown") || strings.Contains(s, "vs NoX") {
+		t.Errorf("Figure 12 without NoX at the rung:\n%s", s)
+	}
+	if s := FormatPowerBreakdown("transpose", points); s != "" {
+		t.Errorf("Figure 12 printed for transpose:\n%s", s)
+	}
+	if s := FormatPowerBreakdown("uniform", append(points[:1:1], points[2])); s != "" {
+		t.Errorf("Figure 12 printed without a 2000 MB/s/node rung:\n%s", s)
 	}
 }
 

@@ -113,10 +113,15 @@ func prepareSynthetic(cfg SyntheticConfig) (*synthMember, error) {
 // cellRates checks a filled cfg's offered and warm-up rates and returns its
 // clock period and the packets per node-cycle its sources draw at, measured
 // and warm-up (warm is 0 without a warm-up rate). Runs and a sweep's arrival
-// map both take their rates from here.
+// map both take their rates from here. A zero-rate Bernoulli run is the
+// legal idle-network configuration; the Pareto ON/OFF source has no
+// zero-rate solution for T_off, so a zero self-similar rate is refused.
 func cellRates(cfg *SyntheticConfig) (periodNs, pkt, warm float64, err error) {
-	if err := CheckRate(cfg.Pattern, cfg.RateMBps); err != nil {
+	if err := checkBandwidth("offered", cfg.RateMBps); err != nil {
 		return 0, 0, 0, err
+	}
+	if cfg.Pattern == "selfsimilar" && cfg.RateMBps == 0 {
+		return 0, 0, 0, fmt.Errorf("harness: selfsimilar traffic needs an offered rate above zero: %w", ErrRateInvalid)
 	}
 	if err := checkBandwidth("warm-up", cfg.WarmRateMBps); err != nil {
 		return 0, 0, 0, err

@@ -147,21 +147,6 @@ var ErrCycles = errors.New("negative cycle count")
 // mistake, so sweeps propagate it instead of ending the series quietly.
 var ErrRateInvalid = errors.New("invalid injection rate")
 
-// CheckRate rejects an offered rate no run of the pattern can mean:
-// negative, NaN or infinite, or zero for the self-similar source. A
-// zero-rate Bernoulli run is the legal idle-network configuration; the Pareto
-// ON/OFF source has no zero-rate solution for T_off. The error wraps
-// ErrRateInvalid.
-func CheckRate(pattern string, mbps float64) error {
-	if err := checkBandwidth("offered", mbps); err != nil {
-		return err
-	}
-	if pattern == "selfsimilar" && mbps == 0 {
-		return fmt.Errorf("harness: selfsimilar traffic needs an offered rate above zero: %w", ErrRateInvalid)
-	}
-	return nil
-}
-
 // checkBandwidth rejects a negative, NaN or infinite rate.
 func checkBandwidth(name string, mbps float64) error {
 	if mbps < 0 || math.IsNaN(mbps) || math.IsInf(mbps, 0) {

@@ -3,6 +3,7 @@ package network
 import (
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/noc"
 	"repro/internal/router"
 	"repro/internal/sim"
@@ -235,7 +236,7 @@ func TestLowLoadSourceQueueRewinds(t *testing.T) {
 	}
 	ni := n.nis[0]
 	before := len(ni.queue)
-	if avg := testing.AllocsPerRun(2000, send); avg != 0 {
+	if avg := alloctest.Allocs(2000, alloctest.Same(send)); avg != 0 {
 		t.Errorf("inject+drain of one packet = %v allocs, want 0", avg)
 	}
 	if ni.queueLen != 0 || len(ni.queue) != before {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/check"
 	"repro/internal/fault"
 	"repro/internal/noc"
@@ -361,17 +362,22 @@ func TestUseAfterDeliverIsLoud(t *testing.T) {
 	}
 }
 
-// steadyAllocs warms a loaded network up, then counts the allocations of one
-// inject-and-step at the same load. Deliveries happen inside the steps: at
-// steady state one packet completes for every one injected.
-func steadyAllocs(inject func(), step func()) float64 {
-	for cyc := 0; cyc < 600; cyc++ {
-		inject()
-		step()
-	}
-	return testing.AllocsPerRun(200, func() {
-		inject()
-		step()
+// steadyAllocs counts the allocations of one inject-and-step at a loaded
+// network's steady state. Each reading builds a fresh network (fresh returns
+// its inject and step) and warms it up for 600 cycles before counting, so
+// every reading runs the same scenario. Deliveries happen inside the steps:
+// at steady state one packet completes for every one injected.
+func steadyAllocs(fresh func() (inject, step func())) float64 {
+	return alloctest.Allocs(200, func() func() {
+		inject, step := fresh()
+		for cyc := 0; cyc < 600; cyc++ {
+			inject()
+			step()
+		}
+		return func() {
+			inject()
+			step()
+		}
 	})
 }
 
@@ -386,19 +392,26 @@ func TestSteadyStateAllocs(t *testing.T) {
 	count := func(p *noc.Packet, cycle int64) { delivered += int64(p.Length) }
 	for _, length := range []int{1, 9} {
 		forArchsAndShards(t, func(t *testing.T, arch router.Arch, shards int) {
-			net := New(Config{Topo: topo, Arch: arch, Shards: shards})
-			defer net.Close()
-			net.OnDeliver = count
-			rng := sim.NewRNG(uint64(length))
-			inject := func() {
-				for k := 0; k < 2; k++ { // 2 packets/cycle over 16 nodes, 1/9 of it for 9-flit packets
-					src := noc.NodeID(rng.Intn(16))
-					if dst := noc.NodeID(rng.Intn(16)); dst != src && (length == 1 || rng.Intn(9) == 0) {
-						net.Inject(src, dst, length, 0)
-					}
+			var net *Network
+			avg := steadyAllocs(func() (func(), func()) {
+				if net != nil {
+					net.Close()
 				}
-			}
-			if avg := steadyAllocs(inject, net.Step); avg != 0 {
+				n := New(Config{Topo: topo, Arch: arch, Shards: shards})
+				net = n
+				n.OnDeliver = count
+				rng := sim.NewRNG(uint64(length))
+				return func() {
+					for k := 0; k < 2; k++ { // 2 packets/cycle over 16 nodes, 1/9 of it for 9-flit packets
+						src := noc.NodeID(rng.Intn(16))
+						if dst := noc.NodeID(rng.Intn(16)); dst != src && (length == 1 || rng.Intn(9) == 0) {
+							n.Inject(src, dst, length, 0)
+						}
+					}
+				}, n.Step
+			})
+			defer net.Close()
+			if avg != 0 {
 				t.Errorf("%d-flit packets: inject+step allocates %v allocs/op in steady state", length, avg)
 			}
 			if net.Delivered() == 0 || net.Outstanding() > 200 {
@@ -409,29 +422,41 @@ func TestSteadyStateAllocs(t *testing.T) {
 	t.Run("multi", func(t *testing.T) {
 		// Two class networks built from one Config, as an app replay builds them.
 		cfg := Config{Topo: topo, Arch: router.NoX}
-		nets := [2]*Network{New(cfg), New(cfg)}
-		for _, n := range nets {
-			defer n.Close()
-			n.OnDeliver = count
-		}
-		rng := sim.NewRNG(11)
-		var id uint64
-		inject := func() {
-			src := noc.NodeID(rng.Intn(16))
-			if dst := noc.NodeID(rng.Intn(16)); dst != src {
-				id++
-				class := int(id % 2) // requests of 1 flit, replies of 9
-				if _, err := nets[class].InjectAs(id, src, dst, 1+8*class, class); err != nil {
-					t.Fatal(err)
+		var nets [2]*Network
+		defer func() {
+			for _, n := range nets {
+				n.Close()
+			}
+		}()
+		avg := steadyAllocs(func() (func(), func()) {
+			for i := range nets {
+				if nets[i] != nil {
+					nets[i].Close()
+				}
+				nets[i] = New(cfg)
+				nets[i].OnDeliver = count
+			}
+			nets := nets
+			rng := sim.NewRNG(11)
+			var id uint64
+			inject := func() {
+				src := noc.NodeID(rng.Intn(16))
+				if dst := noc.NodeID(rng.Intn(16)); dst != src {
+					id++
+					class := int(id % 2) // requests of 1 flit, replies of 9
+					if _, err := nets[class].InjectAs(id, src, dst, 1+8*class, class); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-		}
-		step := func() {
-			for _, n := range nets {
-				n.Step()
+			step := func() {
+				for _, n := range nets {
+					n.Step()
+				}
 			}
-		}
-		if avg := steadyAllocs(inject, step); avg != 0 {
+			return inject, step
+		})
+		if avg != 0 {
 			t.Errorf("two class networks: inject+step allocates %v allocs/op in steady state", avg)
 		}
 	})
@@ -447,20 +472,27 @@ func TestSteadyStateAllocs(t *testing.T) {
 // 20000 iterations on every architecture when this was written).
 func TestFaultedSteadyStateAllocs(t *testing.T) {
 	forArchsAndShards(t, func(t *testing.T, arch router.Arch, shards int) {
-		net := New(Config{Topo: noc.Topology{Width: 4, Height: 4}, Arch: arch, Shards: shards,
-			Check: check.New(check.All()), Fault: fault.NewInjector(fault.Spec{Seed: 5, DeadLinks: []fault.DeadLink{{A: 5, B: 6}}}),
-			Retransmit: &RetransmitConfig{Timeout: 128, Retries: 4}})
-		defer net.Close()
-		rng := sim.NewRNG(uint64(arch))
-		inject := func() {
-			for k := 0; k < 2; k++ {
-				src := noc.NodeID(rng.Intn(16))
-				if dst := noc.NodeID(rng.Intn(16)); dst != src {
-					net.Inject(src, dst, 1+rng.Intn(2), 0)
-				}
+		var net *Network
+		avg := steadyAllocs(func() (func(), func()) {
+			if net != nil {
+				net.Close()
 			}
-		}
-		if avg := steadyAllocs(inject, net.Step); avg != 0 {
+			n := New(Config{Topo: noc.Topology{Width: 4, Height: 4}, Arch: arch, Shards: shards,
+				Check: check.New(check.All()), Fault: fault.NewInjector(fault.Spec{Seed: 5, DeadLinks: []fault.DeadLink{{A: 5, B: 6}}}),
+				Retransmit: &RetransmitConfig{Timeout: 128, Retries: 4}})
+			net = n
+			rng := sim.NewRNG(uint64(arch))
+			return func() {
+				for k := 0; k < 2; k++ {
+					src := noc.NodeID(rng.Intn(16))
+					if dst := noc.NodeID(rng.Intn(16)); dst != src {
+						n.Inject(src, dst, 1+rng.Intn(2), 0)
+					}
+				}
+			}, n.Step
+		})
+		defer net.Close()
+		if avg != 0 {
 			t.Errorf("inject+step allocates %v allocs/op in steady state", avg)
 		}
 		if net.Delivered() == 0 || net.Outstanding() > 200 {

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/check"
 	"repro/internal/fault"
 	"repro/internal/noc"
@@ -285,7 +286,7 @@ func TestShardedStepAllocs(t *testing.T) {
 			for cyc := 0; cyc < 200; cyc++ {
 				warm()
 			}
-			if avg := testing.AllocsPerRun(100, func() { net.Step() }); avg != 0 {
+			if avg := alloctest.Allocs(100, alloctest.Same(func() { net.Step() })); avg != 0 {
 				t.Errorf("sharded Step allocates %v allocs/op in steady state", avg)
 			}
 		})

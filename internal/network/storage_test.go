@@ -2,10 +2,10 @@ package network
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/check"
 	"repro/internal/fault"
 	"repro/internal/noc"
@@ -30,13 +30,8 @@ func TestRebuildAllocs(t *testing.T) {
 				n.Close()
 			}
 			build()
-			const runs = 50
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			allocs := testing.AllocsPerRun(runs, build)
-			runtime.ReadMemStats(&after)
-			// AllocsPerRun makes one untimed warm-up call.
-			perBuild := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+			allocs := alloctest.Allocs(50, alloctest.Same(build))
+			perBuild := alloctest.Bytes(alloctest.Same(build))
 			t.Logf("%.0f allocations, %d bytes per rebuild", allocs, perBuild)
 			if allocs > 6 || perBuild > 4<<10 {
 				t.Errorf("an 8x8 rebuild allocates %.0f times, %d bytes; want at most 6 and 4 KB", allocs, perBuild)

@@ -3,6 +3,8 @@ package noc
 import (
 	"testing"
 	"unsafe"
+
+	"repro/internal/alloctest"
 )
 
 // TestPacketFootprint pins what a packet costs the allocator. Packets are
@@ -18,10 +20,10 @@ func TestPacketFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(Packet{}); size > 112 {
 		t.Errorf("Packet is %d bytes, want <= 112", size)
 	}
-	if avg := testing.AllocsPerRun(100, func() { NewPacket(1, 0, 1, 1, 0, 0) }); avg != 1 {
+	if avg := alloctest.Allocs(100, alloctest.Same(func() { NewPacket(1, 0, 1, 1, 0, 0) })); avg != 1 {
 		t.Errorf("single-flit NewPacket = %v allocs, want 1", avg)
 	}
-	if avg := testing.AllocsPerRun(100, func() { NewPacket(1, 0, 1, 9, 0, 0) }); avg != 2 {
+	if avg := alloctest.Allocs(100, alloctest.Same(func() { NewPacket(1, 0, 1, 9, 0, 0) })); avg != 2 {
 		t.Errorf("9-flit NewPacket = %v allocs, want 2 (packet + payload words)", avg)
 	}
 }

@@ -3,6 +3,8 @@ package noc
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/alloctest"
 )
 
 // TestSlabGrowsByChunksWithStableAddresses: Get carves slots off chunks of
@@ -28,11 +30,11 @@ func TestSlabGrowsByChunksWithStableAddresses(t *testing.T) {
 	if gap := uintptrOf(live[1]) - uintptrOf(live[0]); gap != sizeofPacket {
 		t.Errorf("neighbouring slots are %d bytes apart, want one Packet (%d): not carved from a chunk", gap, sizeofPacket)
 	}
-	if avg := testing.AllocsPerRun(1, func() {
+	if avg := alloctest.Allocs(1, alloctest.Same(func() {
 		for i := 0; i < slabChunk; i++ {
 			s.Get(1, 0, 1, 1, 0, 0)
 		}
-	}); avg > 1 {
+	})); avg > 1 {
 		t.Errorf("%v allocations for %d single-flit packets, want one chunk", avg, slabChunk)
 	}
 }
@@ -81,10 +83,10 @@ func TestSlabTurnaroundAllocs(t *testing.T) {
 	var s PacketSlab
 	s.Put(s.Get(1, 0, 1, 9, 0, 0))
 	length := 0
-	if avg := testing.AllocsPerRun(100, func() {
+	if avg := alloctest.Allocs(100, alloctest.Same(func() {
 		length = length%9 + 1
 		s.Put(s.Get(2, 0, 1, length, 0, 0))
-	}); avg != 0 {
+	})); avg != 0 {
 		t.Errorf("Get+Put on a warm slot: %v allocs/op, want 0", avg)
 	}
 }
@@ -126,12 +128,12 @@ func TestQuarantineSweep(t *testing.T) {
 	}
 	var s PacketSlab
 	s.Release(s.Get(1, 0, 1, 1, 0, 0), OwnedByNetwork)
-	if avg := testing.AllocsPerRun(100, func() {
+	if avg := alloctest.Allocs(100, alloctest.Same(func() {
 		p := s.Get(2, 0, 1, 1, 0, 0)
 		p.Hold(OwnedByEntry)
 		s.Release(p, OwnedByNetwork)
 		s.Release(p, OwnedByEntry)
-	}); avg != 0 {
+	})); avg != 0 {
 		t.Errorf("hold and release of a warm slot: %v allocs/op, want 0", avg)
 	}
 }

@@ -32,6 +32,7 @@ package probe
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // EventKind enumerates the traced microarchitectural events.
@@ -216,8 +217,8 @@ type Totals struct {
 // Config parameterizes a Probe.
 type Config struct {
 	// RingEvents is the event ring capacity; it is rounded up to a power of
-	// two. The ring keeps the most recent events and counts overwrites.
-	// Default 1 << 18 (262144 events, 8 MB).
+	// two and capped at MaxRingEvents. The ring keeps the most recent events
+	// and counts overwrites. Default 1 << 18 (262144 events, 8 MB).
 	RingEvents int
 	// SampleEvery emits a time-series snapshot every N cycles; 0 disables
 	// the sampler.
@@ -255,6 +256,12 @@ type Probe struct {
 	attached   bool
 }
 
+// MaxRingEvents bounds the event ring a probe may ask for: 2^24 events,
+// 512 MiB of 32-byte events, allocated up front. New caps a larger
+// RingEvents at it; a tool checks its ring flag against it before building
+// anything (noxtrace refuses a larger -ring).
+const MaxRingEvents = 1 << 24
+
 // New builds a probe with the given configuration.
 func New(cfg Config) *Probe {
 	if cfg.RingEvents <= 0 {
@@ -263,11 +270,14 @@ func New(cfg Config) *Probe {
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = math.MaxInt64
 	}
-	size := 1
-	for size < cfg.RingEvents {
-		size <<= 1
-	}
+	size := ringSize(cfg.RingEvents)
 	return &Probe{cfg: cfg, ring: make([]Event, size), mask: uint64(size - 1), lastCycle: -1}
+}
+
+// ringSize is the ring length for a positive RingEvents: the least power of
+// two at or above it, capped at MaxRingEvents.
+func ringSize(events int) int {
+	return 1 << bits.Len(uint(min(events, MaxRingEvents)-1))
 }
 
 // Attach sizes the per-router metrics for a network's geometry. The network

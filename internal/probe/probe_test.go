@@ -3,8 +3,11 @@ package probe
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/alloctest"
 )
 
 // TestRingWrap checks the ring keeps exactly the most recent events in
@@ -42,6 +45,13 @@ func TestRingRoundsUpToPowerOfTwo(t *testing.T) {
 			t.Errorf("RingEvents %d: ring size %d, want %d", tc.ask, len(p.ring), tc.want)
 		}
 	}
+	// Past the cap the size is computed, not allocated: New would allocate
+	// the capped ring, and a rounding loop never ended above 2^62.
+	for _, ask := range []int{MaxRingEvents - 1, MaxRingEvents, MaxRingEvents + 1, 1<<62 + 1, math.MaxInt} {
+		if got := ringSize(ask); got != MaxRingEvents {
+			t.Errorf("RingEvents %d: ring size %d, want the cap %d", ask, got, MaxRingEvents)
+		}
+	}
 }
 
 // TestEmitDoesNotAllocate is the package-local half of the zero-cost
@@ -51,12 +61,12 @@ func TestRingRoundsUpToPowerOfTwo(t *testing.T) {
 func TestEmitDoesNotAllocate(t *testing.T) {
 	p := New(Config{RingEvents: 64})
 	p.Attach(2, 2, 5, 4, 4)
-	if avg := testing.AllocsPerRun(100, func() {
+	if avg := alloctest.Allocs(100, alloctest.Same(func() {
 		p.Traverse(1, 0, 1, 42, 0)
 		p.Collision(1, 0, 1, 2, 0xFF)
 		p.ModeCycle(0, false)
 		p.Occupancy(0, 3)
-	}); avg != 0 {
+	})); avg != 0 {
 		t.Errorf("emit path allocates %.1f allocs per cycle, want 0", avg)
 	}
 }

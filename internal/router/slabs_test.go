@@ -3,6 +3,7 @@ package router
 import (
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/noc"
 	"repro/internal/power"
 	"repro/internal/routing"
@@ -36,7 +37,7 @@ func TestSlabsExact(t *testing.T) {
 					t.Errorf("%s, radix %d, depth %d: %d %s left over", arch, c.ports, c.depth, left, name)
 				}
 			}
-			if a := testing.AllocsPerRun(3, func() { s.Reset(); build() }); a > 1 {
+			if a := alloctest.Allocs(3, alloctest.Same(func() { s.Reset(); build() })); a > 1 {
 				t.Errorf("%s, radix %d, depth %d: rebuilding on reset slabs allocates %.0f times, want only the router slice", arch, c.ports, c.depth, a)
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/alloctest"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -327,12 +329,12 @@ func TestKernelStepAllocs(t *testing.T) {
 		hs[i] = k.Add(qs[i])
 	}
 	next := 0
-	if avg := testing.AllocsPerRun(200, func() {
+	if avg := alloctest.Allocs(200, alloctest.Same(func() {
 		qs[next].pending = 2
 		k.Wake(hs[next])
 		next = (next + 7) % len(qs)
 		k.Step()
-	}); avg != 0 {
+	})); avg != 0 {
 		t.Errorf("Wake+Step allocates %v allocs/op", avg)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/noc"
 )
 
@@ -209,13 +210,13 @@ func TestCollectorRecordAllocs(t *testing.T) {
 	recordAll(c, []int64{999}) // the dense counts now cover [0, 1024)
 	p := pkt(1, 0, 1)
 	var l int64
-	if avg := testing.AllocsPerRun(1000, func() {
+	if avg := alloctest.Allocs(1000, alloctest.Same(func() {
 		l = (l + 37) % 1000
 		p.Measured = false
 		c.OnCreate(p, 0)
 		p.DeliverCycle = l
 		c.OnDeliver(p, l)
-	}); avg != 0 {
+	})); avg != 0 {
 		t.Errorf("OnCreate+OnDeliver allocates %v allocs/op", avg)
 	}
 }

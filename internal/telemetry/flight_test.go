@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/check"
 	"repro/internal/network"
 	"repro/internal/noc"
@@ -371,7 +372,7 @@ func TestRecorderSteadyStateZeroAllocs(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		net.Step()
 	}
-	if avg := testing.AllocsPerRun(200, func() { net.Step() }); avg != 0 {
+	if avg := alloctest.Allocs(200, alloctest.Same(func() { net.Step() })); avg != 0 {
 		t.Errorf("steady-state Step with armed recorder allocates %.2f/op, want 0", avg)
 	}
 	if rec.Triggered() {

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/noc"
 	"repro/internal/sim"
 )
@@ -328,7 +329,7 @@ func TestGenerateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(5, func() { Generate(w, topo, 10_000, 1) })
+	allocs := alloctest.Allocs(5, alloctest.Same(func() { Generate(w, topo, 10_000, 1) }))
 	t.Logf("%.0f allocations per trace", allocs)
 	if allocs > 16 {
 		t.Errorf("Generate(barnes, 10k cycles) makes %.0f allocations, want <= 16", allocs)
