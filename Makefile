@@ -1,8 +1,8 @@
 GO ?= go
 # Extra build flags for the smokes' tool builds: make reach sets COVER to a
 # coverage build and RACE to nothing (under the race detector a coverage
-# build counts atomically, and snapshot-smoke's first sweep alone ran past
-# six minutes).
+# build counts atomically, and one race-built coverage noxsweep -fast sweep
+# alone ran past six minutes).
 COVER ?=
 RACE ?= -race
 
@@ -15,8 +15,7 @@ RACE ?= -race
 ## mandatory), the sharded executor's barrier at three GOMAXPROCS
 ## settings, the tools' bad-input exits, the tracing, fault-injection
 ## (transient and permanent), live telemetry, and warm-image smoke
-## tests (committed snapshot images; the in-memory -warmstart fork across
-## worker and shard counts), a short fuzz pass over
+## tests (committed snapshot images), a short fuzz pass over
 ## the user-facing decoders and the arrival skip-ahead and skip map, all
 ## six committed results files (about a minute), the repo
 ## benchmark's own tests, and one A/A pair through the paired benchmark
@@ -132,7 +131,7 @@ ab-smoke:
 ## values that once panicked (an empty application trace, a negative shard
 ## count, a zero-width mesh, a negative measurement window), hung (a one-node
 ## mesh, which has no destination for uniform traffic), or reported a run the
-## tool never did (an unknown figure, a 0- or negative-flit packet, a negative
+## tool never did (a 0- or negative-flit packet, a negative
 ## rate, an invalid fault-campaign network counted as detected faults, a
 ## campaign or degrade parameter out of range — a run with no cycles, a load
 ## that is no probability or no bursty rate, a one-node mesh, a negative
@@ -141,10 +140,9 @@ ab-smoke:
 ## ablation or §8 rate no run can mean or offer, an unknown ablation study, a
 ## trace run with a negative measurement window, drain limit, ring or
 ## sampling interval, or a ring past probe.MaxRingEvents, which hung at
-## start-up above 2^62 and asked for GBs up front below it; a sweep's warm-up rate given without -warmstart, which was
-## ignored, one no architecture can offer, which printed an empty panel, or
-## one that is no bandwidth, which was blamed on the offered rate; an
-## application trace so short that a workload has no packet, which printed
+## start-up above 2^62 and asked for GBs up front below it; a seed of 0,
+## which the synthetic and §8 runs read as unset and replaced by their
+## default seed; an application trace so short that a workload has no packet, which printed
 ## rows of zeros and a mean over the rest, so long that its picosecond
 ## event times overflow, which ran on past 15 s, or so long that its events
 ## alone would need tens of GB, refused before any is generated; a NaN
@@ -161,7 +159,7 @@ cli-smoke:
 	cd "$$tmp"; \
 	printf '{"seed":11,"drop_rate":0.01,"escalate":{"threshold":3,"window":200}}' > escalate.json; \
 	printf '{"seed":4,"dead_routers":[{"router":0}]}' > dead_routers.json; \
-	for c in "noxapp -cpu-cycles 0" "noxapp -figure 12" "noxsim -flits 0" "noxsim -flits -2" \
+	for c in "noxapp -cpu-cycles 0" "noxsim -flits 0" "noxsim -flits -2" \
 		"noxsim -rate -5" "noxfault -width 0" "noxfault -shards -1" \
 		"noxsweep -shards -1" "noxablate -shards -1" "noxapp -shards -1" "noxfuture -shards -1" \
 		"noxtrace -width 0" "noxtrace -width 1 -height 1" "noxsim -measure -100" "noxtrace -rate -1" \
@@ -172,7 +170,7 @@ cli-smoke:
 		"noxtrace -measure 0" "noxtrace -drain 0" "noxtrace -ring 9223372036854775807" "noxtrace -ring 16777217" \
 		"noxfault -degrade 1 -load 0" "noxfault -degrade 1 -load 1" "noxfault -width 1 -height 1" "noxfault -drain -5" \
 		"noxfault -watchdog -5" "noxfault -warmstart -5" "noxfault -csv x.csv" "noxfault -kill 5" "noxfault -degrade 2 -warmstart 100" \
-		"noxsweep -warmrate 300" "noxsweep -warmstart -warmrate 1e9" "noxsweep -warmstart -warmrate NaN" \
+		"noxsim -seed 0" "noxsweep -seed 0" "noxtrace -seed 0" "noxfuture -seed 0" \
 		"noxapp -cpu-cycles 1" "noxapp -cpu-cycles 100000000000000000 -workload radix" \
 		"noxfault -bitflip NaN" "noxfault -drop NaN" "noxfault -stall NaN" "noxfault -creditloss NaN" \
 		"noxfault -creditdup NaN" "noxapp -cpu-cycles 1000000000" \
@@ -195,8 +193,10 @@ cli-smoke:
 ## prints Figure 12; the sweep walk skips and cancels the cells past each
 ## series' end, so this also guards that walk's byte-identity) — and require
 ## each to match the committed file byte for byte. Then one workload's
-## replay as CSV (noxapp -workload tpcc -csv) must be byte-identical on one
-## worker and on two workers with two shards per network. The tools run in
+## replay as CSV (noxapp -workload tpcc -csv), and one fast sweep panel as
+## CSV (noxsweep -fast -pattern uniform -csv, ~13 s), must each be
+## byte-identical on one worker and on two workers with two shards per
+## network. The tools run in
 ## the temp directory, so a flight dump cannot litter the tree.
 results-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
@@ -214,6 +214,9 @@ results-check:
 	./noxapp -workload tpcc -csv -parallel 1 > tpcc1.csv; \
 	./noxapp -workload tpcc -csv -parallel 2 -shards 2 > tpcc2.csv; \
 	cmp tpcc1.csv tpcc2.csv; \
+	./noxsweep -fast -pattern uniform -csv -parallel 1 > sweep1.csv; \
+	./noxsweep -fast -pattern uniform -csv -parallel 2 -shards 2 > sweep2.csv; \
+	cmp sweep1.csv sweep2.csv; \
 	echo "results-check: OK"
 
 ## trace-smoke: run noxtrace (one probed synthetic cell: the default warm-up,
@@ -240,8 +243,9 @@ trace-smoke:
 ## injection (and everything downstream of it) is deterministic and
 ## shard-invariant. Also fails on any UNDETECTED campaign: an injected
 ## fault must be caught by the invariant layer or masked by the protocol.
-## A second, NoX-only campaign starts from a warm image with retransmission
-## armed and one retry: its drops leave the network idle while timeouts are
+## A second campaign per architecture starts from a warm image with
+## retransmission armed and one retry (the one in-memory fork of a warm
+## image left, so every router's image is saved and restored here): its drops leave the network idle while timeouts are
 ## pending (the drain fast-forwards to them), exhaust retries (packets
 ## retired undeliverable), and its image carries the retransmission state.
 ## Each run and side runs in its own directory with a relative -flight-dir,
@@ -256,7 +260,7 @@ fault-smoke:
 		(cd "$$tmp/shards$$s" && "$$tmp/noxfault" -arch all -width 4 -height 4 -campaigns 2 \
 			-cycles 800 -drain 10000 -watchdog 3000 -seed 0xF001 -shards $$s \
 			-flight-dir flight -out report.txt); \
-		(cd "$$tmp/shards$$s/warm" && "$$tmp/noxfault" -arch nox -width 4 -height 4 -campaigns 1 \
+		(cd "$$tmp/shards$$s/warm" && "$$tmp/noxfault" -arch all -width 4 -height 4 -campaigns 1 \
 			-cycles 600 -warmstart 300 -rtimeout 512 -retries 1 -drop 1e-2 -bitflip 0 -seed 0xF001 -shards $$s \
 			-flight-dir flight -out report.txt); \
 	done; \
@@ -345,31 +349,19 @@ telemetry-smoke:
 	[ $$st -eq 0 ] || { echo "telemetry-smoke: noxsim exited $$st while serving" >&2; cat "$$tmp/stderr.txt" >&2; exit 1; }; \
 	echo "telemetry-smoke: OK"
 
-## snapshot-smoke: warm images end to end under the race detector. First, the
-## format itself: the committed images an earlier commit wrote must restore,
-## re-encode to the same bytes and drain as they did there
-## (TestParentImagesRestore). Then the in-memory fork: a -warmstart sweep
-## whose points resume from each architecture's warm image on one worker
-## must render the same CSV as on two workers with two shards per network,
-## for uniform traffic and for the self-similar sources (whose bursts the
-## fork retargets from the warm-up rate to each point's rate).
-## (The mid-run save/restore seam is pinned by
+## snapshot-smoke: the image format under the race detector: the committed
+## images an earlier commit wrote must restore, re-encode to the same bytes
+## and drain as they did there (TestParentImagesRestore). (The in-memory
+## fork of a warm image is noxfault's, which fault-smoke's warm campaign runs
+## at 1 and 4 shards; the mid-run save/restore seam is pinned by
 ## TestMidRunSaveRestoreEquivalence, which make race runs.)
 snapshot-smoke:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	set -e; \
-	$(GO) test -race -count=1 -run 'TestParentImagesRestore' ./internal/snapshot; \
-	$(GO) build $(RACE) $(COVER) -o "$$tmp/" ./cmd/noxsweep; \
-	for p in uniform selfsimilar; do \
-		"$$tmp/noxsweep" -fast -pattern $$p -csv -warmstart -parallel 1 > "$$tmp/serial.csv"; \
-		"$$tmp/noxsweep" -fast -pattern $$p -csv -warmstart -parallel 2 -shards 2 > "$$tmp/sharded.csv"; \
-		cmp "$$tmp/serial.csv" "$$tmp/sharded.csv"; \
-	done; \
-	echo "snapshot-smoke: OK"
+	$(GO) test -race -count=1 -run 'TestParentImagesRestore' ./internal/snapshot
+	@echo "snapshot-smoke: OK"
 
 ## fuzz-smoke: a short native-fuzz pass over the user-facing decoders
 ## (noxtrace -validate, noxbench's reader of benchmark run output, the binary snapshot image
-## decoder, the latency record's restore, the JSON fault-campaign spec) and
+## decoder, the JSON fault-campaign spec) and
 ## the traffic sources' skip-ahead Next, plain and following a skip map,
 ## against its Tick-loop specification. The committed seed corpora always run under plain
 ## `go test`; this adds a little coverage-guided mutation on top without
@@ -378,7 +370,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateTrace$$' -fuzztime 10s ./cmd/noxtrace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 10s ./cmd/noxbench
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/snapshot
-	$(GO) test -run '^$$' -fuzz '^FuzzCollectorRestore$$' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzNextMatchesTick$$' -fuzztime 10s ./internal/traffic
 	$(GO) test -run '^$$' -fuzz '^FuzzSkipMatchesTick$$' -fuzztime 10s ./internal/traffic

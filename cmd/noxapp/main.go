@@ -5,12 +5,11 @@
 // Usage:
 //
 //	noxapp                       # both figures, all workloads
-//	noxapp -figure 11 -workload tpcc
+//	noxapp -workload tpcc
 //	noxapp -cpu-cycles 20000     # shorter traces
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"unsafe"
@@ -25,16 +24,12 @@ func main() {
 	seed, shards := cli.Seed(1234), cli.Shards(0)
 	cli.Parallel()
 	var (
-		figure    = flag.Int("figure", 0, "figure to regenerate: 10 (latency), 11 (energy-delay^2), 0 = both")
 		workload  = flag.String("workload", "all", "workload name or 'all'")
 		cpuCycles = flag.Int64("cpu-cycles", 40000, "trace length in 3 GHz CPU cycles")
 		csv       = flag.Bool("csv", false, "emit machine-readable CSV instead of tables")
 	)
 	sess, pool, stop := cli.Start()
 	defer stop()
-	if *figure != 0 && *figure != 10 && *figure != 11 {
-		cli.Fail(errors.New("-figure must be 0, 10 or 11"))
-	}
 	if *cpuCycles < 1 {
 		cli.Fail(fmt.Errorf("-cpu-cycles must be >= 1 (got %d)", *cpuCycles))
 	}
@@ -80,11 +75,7 @@ func main() {
 		fmt.Print(harness.AppCSV(results))
 		return
 	}
-	if *figure == 0 || *figure == 10 {
-		fmt.Print(harness.FormatAppLatency(results))
-		fmt.Println()
-	}
-	if *figure == 0 || *figure == 11 {
-		fmt.Print(harness.FormatAppED2(results))
-	}
+	fmt.Print(harness.FormatAppLatency(results))
+	fmt.Println()
+	fmt.Print(harness.FormatAppED2(results))
 }

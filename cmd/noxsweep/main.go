@@ -15,7 +15,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 
@@ -29,20 +28,12 @@ func main() {
 	seed, shards := cli.Seed(0xA11CE), cli.Shards(0)
 	cli.Parallel()
 	var (
-		pattern  = flag.String("pattern", "all", "traffic pattern or 'all'")
-		fast     = flag.Bool("fast", false, "reduced warmup/measurement for a quick look")
-		csv      = flag.Bool("csv", false, "emit machine-readable CSV instead of tables")
-		warm     = flag.Bool("warmstart", false, "warm once per architecture at -warmrate and fork every rate point from the copy (CSV is byte-identical to the cold sweep at the same warm rate)")
-		warmRate = flag.Float64("warmrate", 600, "warm-up injection rate in MB/s/node for -warmstart")
+		pattern = flag.String("pattern", "all", "traffic pattern or 'all'")
+		fast    = flag.Bool("fast", false, "reduced warmup/measurement for a quick look")
+		csv     = flag.Bool("csv", false, "emit machine-readable CSV instead of tables")
 	)
 	sess, pool, stop := cli.Start()
 	defer stop()
-
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "warmrate" && !*warm {
-			cli.Fail(errors.New("-warmrate needs -warmstart"))
-		}
-	})
 
 	patterns := traffic.PatternNames
 	if *pattern != "all" {
@@ -55,18 +46,9 @@ func main() {
 		if *fast {
 			base.WarmupCycles, base.MeasureCycles, base.DrainCycles = 1500, 4000, 15000
 		}
-		if *warm {
-			base.WarmStart = true
-			base.WarmRateMBps = *warmRate
-		}
 		points, err := harness.SweepSynthetic(base, harness.DefaultRates(pat), pool)
 		if err != nil {
 			cli.Fail(err)
-		}
-		// A cold ladder's first rung is always feasible, so only a warm-up
-		// rate no architecture can offer leaves the panel empty.
-		if !anyResult(points) {
-			cli.Fail(fmt.Errorf("%s: no architecture can offer the warm-up rate %g MB/s/node", pat, *warmRate))
 		}
 		if *csv {
 			fmt.Print(harness.SweepCSV(pat, points))
@@ -80,14 +62,4 @@ func main() {
 		}
 		fmt.Println()
 	}
-}
-
-// anyResult reports whether any architecture produced a result at any rate.
-func anyResult(points []harness.SweepPoint) bool {
-	for _, p := range points {
-		if len(p.Results) > 0 {
-			return true
-		}
-	}
-	return false
 }

@@ -38,8 +38,8 @@ func newArrivalMap(base SyntheticConfig, rates []float64) *arrivalMap {
 		for _, arch := range router.Archs {
 			cfg := base
 			cfg.RateMBps, cfg.Arch = mbps, arch
-			if _, pkt, warm, err := cellRates(&cfg); err == nil {
-				top = max(top, pkt, warm)
+			if _, pkt, err := cellRates(&cfg); err == nil {
+				top = max(top, pkt)
 			}
 		}
 	}

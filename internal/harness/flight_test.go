@@ -98,19 +98,6 @@ func TestFlightReplayMatchesFullProbe(t *testing.T) {
 			checkDump(t, dir, rec, fullSynthetic(t, synth()))
 		})
 	}
-	t.Run("synthetic-warmstart", func(t *testing.T) {
-		dir := t.TempDir()
-		var rec *telemetry.Recorder
-		cold := synth()
-		cold.WarmRateMBps = 600
-		warm := cold
-		warm.WarmStart = true
-		warm.NewRecorder = func(string) *telemetry.Recorder { rec = handRecorder(t, dir, trigger); return rec }
-		if _, err := SweepSynthetic(warm, []float64{cold.RateMBps}, nil); err != nil {
-			t.Fatal(err)
-		}
-		checkDump(t, dir, rec, fullSynthetic(t, cold))
-	})
 	w, err := trace.WorkloadByName("tpcc")
 	if err != nil {
 		t.Fatal(err)

@@ -128,29 +128,24 @@ func TestRunSyntheticValidation(t *testing.T) {
 // idle-network configuration — legal.
 func TestRunSyntheticRateValidation(t *testing.T) {
 	cases := []struct {
-		name       string
-		pattern    string
-		rate, warm float64
-		want       error // nil = the run must succeed
+		name    string
+		pattern string
+		rate    float64
+		want    error // nil = the run must succeed
 	}{
-		{"negative", "uniform", -5, 0, ErrRateInvalid},
-		{"NaN", "uniform", math.NaN(), 0, ErrRateInvalid},
-		{"+Inf", "uniform", math.Inf(1), 0, ErrRateInvalid},
-		{"-Inf", "uniform", math.Inf(-1), 0, ErrRateInvalid},
-		{"negative warm-up", "uniform", 500, -1, ErrRateInvalid},
-		{"NaN warm-up", "uniform", 500, math.NaN(), ErrRateInvalid},
-		{"infinite warm-up", "selfsimilar", 500, math.Inf(1), ErrRateInvalid},
-		{"selfsimilar zero", "selfsimilar", 0, 0, ErrRateInvalid},
-		{"selfsimilar zero after warm-up", "selfsimilar", 0, 500, ErrRateInvalid},
-		{"selfsimilar negative", "selfsimilar", -5, 0, ErrRateInvalid},
-		{"too fast stays infeasible", "uniform", 1e9, 0, ErrRateInfeasible},
-		{"bernoulli zero is the idle network", "uniform", 0, 0, nil},
-		{"selfsimilar positive", "selfsimilar", 500, 0, nil},
+		{"negative", "uniform", -5, ErrRateInvalid},
+		{"NaN", "uniform", math.NaN(), ErrRateInvalid},
+		{"+Inf", "uniform", math.Inf(1), ErrRateInvalid},
+		{"-Inf", "uniform", math.Inf(-1), ErrRateInvalid},
+		{"selfsimilar zero", "selfsimilar", 0, ErrRateInvalid},
+		{"selfsimilar negative", "selfsimilar", -5, ErrRateInvalid},
+		{"too fast stays infeasible", "uniform", 1e9, ErrRateInfeasible},
+		{"bernoulli zero is the idle network", "uniform", 0, nil},
+		{"selfsimilar positive", "selfsimilar", 500, nil},
 	}
 	for _, tc := range cases {
 		cfg := fastCfg(tc.pattern, tc.rate)
 		cfg.Arch = router.NoX
-		cfg.WarmRateMBps = tc.warm
 		cfg.WarmupCycles, cfg.MeasureCycles = 200, 600
 		res, err := RunSynthetic(cfg)
 		if !errors.Is(err, tc.want) || (tc.want == nil && err != nil) {

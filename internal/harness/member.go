@@ -19,20 +19,14 @@ import (
 // synthMember is the per-run state of one synthetic-traffic simulation:
 // RunSynthetic drives it through the prepare / attach / injectCycle /
 // enterDrain / needsDrainStep / finalize sequence, stepping the network
-// between calls, and the warm-start path saves and restores it around the
-// warmup boundary.
+// between calls.
 type synthMember struct {
 	cfg         SyntheticConfig // filled
 	periodNs    float64
 	pktRate     float64
-	warmPkt     float64 // warm-up packets/cycle; 0 unless WarmRateMBps is set
 	selfSimilar bool
 	pattern     traffic.Pattern
-	// rec is the run's flight recorder (nil when disarmed); origin is the
-	// image the run was restored from, where a replay starts again (nil for
-	// a run from cycle 0).
-	rec    *telemetry.Recorder
-	origin *warmImage
+	rec         *telemetry.Recorder // the run's flight recorder; nil when disarmed
 
 	net   *network.Network
 	col   *stats.Collector
@@ -48,13 +42,10 @@ type synthMember struct {
 	// Sparse-regime lookahead. When lookahead is armed, each traffic process
 	// is advanced eagerly with one skip-ahead Next call per arrival — its stream is private per-node state, so
 	// consuming future cycles early is stream-exact — and arr[id] holds the
-	// node's next injection cycle (or the current wall when none is known
-	// yet). arrMin caches the minimum, so
-	// injection-free cycles cost one comparison, and the main loop may jump a
-	// fully idle network straight to arrMin. Advancing clamps at the warmup
-	// boundary (Ticks past it must see the retargeted rate) and at total.
-	// Every member runs it unless cfg.Eager is set; a warm image carries the
-	// cache (saveRunState), so a forked point resumes it exactly.
+	// node's next injection cycle (total when it has none left in the
+	// window). arrMin caches the minimum, so injection-free cycles cost one
+	// comparison, and the main loop may jump a fully idle network straight
+	// to arrMin. Every member runs it unless cfg.Eager is set.
 	lookahead bool
 	arr       []int64
 	arrMin    int64
@@ -78,7 +69,7 @@ func prepareSynthetic(cfg SyntheticConfig) (*synthMember, error) {
 		}
 	}
 	var err error
-	if m.periodNs, m.pktRate, m.warmPkt, err = cellRates(&cfg); err != nil {
+	if m.periodNs, m.pktRate, err = cellRates(&cfg); err != nil {
 		return nil, err
 	}
 
@@ -110,34 +101,24 @@ func prepareSynthetic(cfg SyntheticConfig) (*synthMember, error) {
 	return m, nil
 }
 
-// cellRates checks a filled cfg's offered and warm-up rates and returns its
-// clock period and the packets per node-cycle its sources draw at, measured
-// and warm-up (warm is 0 without a warm-up rate). Runs and a sweep's arrival
-// map both take their rates from here. A zero-rate Bernoulli run is the
-// legal idle-network configuration; the Pareto ON/OFF source has no
+// cellRates checks a filled cfg's offered rate and returns its clock period
+// and the packets per node-cycle its sources draw at. Runs and a sweep's
+// arrival map both take their rates from here. A zero-rate Bernoulli run is
+// the legal idle-network configuration; the Pareto ON/OFF source has no
 // zero-rate solution for T_off, so a zero self-similar rate is refused.
-func cellRates(cfg *SyntheticConfig) (periodNs, pkt, warm float64, err error) {
-	if err := checkBandwidth("offered", cfg.RateMBps); err != nil {
-		return 0, 0, 0, err
+func cellRates(cfg *SyntheticConfig) (periodNs, pkt float64, err error) {
+	if mbps := cfg.RateMBps; mbps < 0 || math.IsNaN(mbps) || math.IsInf(mbps, 0) {
+		return 0, 0, fmt.Errorf("harness: offered rate %v MB/s/node is not a finite non-negative bandwidth: %w", mbps, ErrRateInvalid)
 	}
 	if cfg.Pattern == "selfsimilar" && cfg.RateMBps == 0 {
-		return 0, 0, 0, fmt.Errorf("harness: selfsimilar traffic needs an offered rate above zero: %w", ErrRateInvalid)
-	}
-	if err := checkBandwidth("warm-up", cfg.WarmRateMBps); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, fmt.Errorf("harness: selfsimilar traffic needs an offered rate above zero: %w", ErrRateInvalid)
 	}
 	periodNs = datapath(cfg.concentration).ClockPeriodNs(cfg.Arch)
 	pkt = FlitsPerNodeCycle(cfg.RateMBps, periodNs) / float64(cfg.PacketFlits)
 	if pkt >= 1 {
-		return 0, 0, 0, fmt.Errorf("harness: offered rate %.0f MB/s/node exceeds one packet per cycle at %v: %w", cfg.RateMBps, cfg.Arch, ErrRateInfeasible)
+		return 0, 0, fmt.Errorf("harness: offered rate %.0f MB/s/node exceeds one packet per cycle at %v: %w", cfg.RateMBps, cfg.Arch, ErrRateInfeasible)
 	}
-	if cfg.WarmRateMBps > 0 {
-		warm = FlitsPerNodeCycle(cfg.WarmRateMBps, periodNs) / float64(cfg.PacketFlits)
-		if warm >= 1 {
-			return 0, 0, 0, fmt.Errorf("harness: warm-up rate %.0f MB/s/node exceeds one packet per cycle at %v: %w", cfg.WarmRateMBps, cfg.Arch, ErrRateInfeasible)
-		}
-	}
-	return periodNs, pkt, warm, nil
+	return periodNs, pkt, nil
 }
 
 // forkStreams forks every node's arrival and destination generators from
@@ -187,7 +168,7 @@ func (m *synthMember) netConfig() network.Config {
 // the run.
 var replayStarts = func(*telemetry.Recorder) {}
 
-// replay re-runs this member's run from its origin under the flight
+// replay re-runs this member's run from cycle 0 under the flight
 // recorder's replay recorder rr, serially, with a fresh checker and none of
 // the run's side effects: the flight recorder's dump path.
 func (m *synthMember) replay(rr *telemetry.Recorder) {
@@ -196,7 +177,7 @@ func (m *synthMember) replay(rr *telemetry.Recorder) {
 	rc.NewRecorder = func(string) *telemetry.Recorder { return rr }
 	rc.Observe, rc.Progress, rc.cancelled = nil, nil, nil
 	replayStarts(rr)
-	if _, err := runSynthetic(rc, m.origin); err != nil {
+	if _, err := RunSynthetic(rc); err != nil {
 		panic(err)
 	}
 }
@@ -223,15 +204,6 @@ func (m *synthMember) attach(net *network.Network) {
 		}
 	}
 
-	// With a warm-up rate configured, sources start at it and are retargeted
-	// to the measurement rate at the warmup boundary (injectCycle). The RNG
-	// forks depend only on the seed, so the warm phase's streams are
-	// identical across rate points — the property warm-start forking relies
-	// on for byte-identical output.
-	rate := m.pktRate
-	if m.warmPkt > 0 {
-		rate = m.warmPkt
-	}
 	m.lookahead = !cfg.Eager
 	// A sweep's arrival map serves only the look-ahead's Next calls; the
 	// eager path draws one Tick a cycle.
@@ -241,10 +213,10 @@ func (m *synthMember) attach(net *network.Network) {
 	m.dests = dst
 	for i, r := range arr {
 		if m.selfSimilar {
-			m.procs[i] = traffic.NewSelfSimilar(rate, r)
+			m.procs[i] = traffic.NewSelfSimilar(m.pktRate, r)
 			continue
 		}
-		b := &traffic.Bernoulli{P: rate, RNG: r}
+		b := &traffic.Bernoulli{P: m.pktRate, RNG: r}
 		if skips {
 			b.SkipWith(cfg.arrivals.row(i))
 		}
@@ -253,65 +225,41 @@ func (m *synthMember) attach(net *network.Network) {
 
 	if m.lookahead {
 		m.arr = make([]int64, len(arr))
+		m.arrMin = m.total
 		for id := range m.arr {
-			m.advanceArr(id, 0, m.wallAt(0))
+			m.arrMin = min(m.arrMin, m.advanceArr(id, 0))
 		}
-		m.recomputeArrMin()
 	}
 }
 
 // advanceArr consumes node id's arrival stream from cycle `from` until the
-// next injection hit or the wall — one skip-ahead Next call, whatever the
-// gap — recording the result in arr[id] and returning it. arr[id] == wall
-// means the stream is consumed up to the wall with no hit pending; the wall
-// cycle's own Tick has NOT been consumed. The wall is the warmup boundary
-// until the boundary's retarget has run (even for an advance that starts
-// exactly at the boundary — the callers pass wallAt of the *current* cycle,
-// so a hit on the boundary's eve parks at the wall rather than reading
-// pre-retarget Ticks for post-boundary cycles), then end-of-window.
-func (m *synthMember) advanceArr(id int, from, wall int64) int64 {
-	gap, _ := m.procs[id].Next(wall - from)
+// next injection hit or the end of the window — one skip-ahead Next call,
+// whatever the gap — recording the result in arr[id] and returning it.
+// arr[id] == total means the stream has no hit left in the window.
+func (m *synthMember) advanceArr(id int, from int64) int64 {
+	gap, _ := m.procs[id].Next(m.total - from)
 	m.arr[id] = from + gap
 	return m.arr[id]
 }
 
-// wallAt returns the Tick-consumption wall in force at main-loop cycle cyc.
-func (m *synthMember) wallAt(cyc int64) int64 {
-	if cyc < m.cfg.WarmupCycles {
-		return m.cfg.WarmupCycles
-	}
-	return m.total
-}
-
-// recomputeArrMin refreshes the cached earliest pending arrival after a
-// re-prime of the whole cache (attach, warmup boundary, restore); the
-// per-cycle injection pass tracks the minimum itself.
-func (m *synthMember) recomputeArrMin() {
-	m.arrMin = m.total
-	for _, at := range m.arr {
-		if at < m.arrMin {
-			m.arrMin = at
-		}
-	}
-}
-
 // idleSkip returns how many cycles the main loop may jump right now: the
-// distance from the next cycle to the earliest upcoming arrival (or wall)
-// while the network is fully idle, 0 when stepping must continue. The caller
-// performs the jump with FastForwardIdle, which preserves per-cycle probe
-// sampling, so skipped cycles are observationally identical to stepped ones.
+// distance from the next cycle to the earliest upcoming arrival while the
+// network is fully idle, 0 when stepping must continue. The main loop must
+// run the warmup boundary's cycle, where injectCycle opens the measurement
+// window, so a jump from before the boundary stops on it and none starts
+// there. The caller performs the jump with FastForwardIdle, which preserves
+// per-cycle probe sampling, so skipped cycles are observationally identical
+// to stepped ones.
 func (m *synthMember) idleSkip() int64 {
 	if !m.lookahead || !m.net.Idle() {
 		return 0
 	}
 	next := m.net.Cycle()
-	if skip := m.arrMin - next; skip > 0 && next < m.total {
-		if max := m.total - next; skip > max {
-			skip = max
-		}
-		return skip
+	end := m.total
+	if next <= m.cfg.WarmupCycles {
+		end = m.cfg.WarmupCycles
 	}
-	return 0
+	return max(min(m.arrMin, end)-next, 0)
 }
 
 // injectCycle performs the pre-step work of main-loop cycle cyc: the
@@ -320,28 +268,12 @@ func (m *synthMember) idleSkip() int64 {
 func (m *synthMember) injectCycle(cyc int64) {
 	if cyc == m.cfg.WarmupCycles {
 		m.startCounters = *m.net.Counters()
-		if m.warmPkt > 0 && m.warmPkt != m.pktRate {
-			for _, p := range m.procs {
-				if rt, ok := p.(traffic.Retargetable); ok {
-					rt.Retarget(m.pktRate)
-				}
-			}
-		}
-		if m.lookahead {
-			// Every node's stream is parked exactly at the boundary wall;
-			// resume it against the retargeted measurement rate.
-			for id := range m.arr {
-				m.advanceArr(id, cyc, m.total)
-			}
-			m.recomputeArrMin()
-		}
 	}
 	if m.lookahead {
 		if cyc < m.arrMin {
 			return // no arrival this cycle anywhere — the common sparse case
 		}
 		injected := 0
-		wall := m.wallAt(cyc)
 		arrMin := m.total
 		for id, at := range m.arr {
 			if at == cyc {
@@ -352,7 +284,7 @@ func (m *synthMember) injectCycle(cyc int64) {
 					m.col.OnCreate(p, cyc)
 					injected++
 				}
-				at = m.advanceArr(id, cyc+1, wall)
+				at = m.advanceArr(id, cyc+1)
 			}
 			if at < arrMin {
 				arrMin = at
@@ -393,20 +325,12 @@ func (m *synthMember) enterDrain() {
 // needsDrainStep reports whether the drain loop should step the network
 // again. A fully quiescent network with the collector still incomplete is
 // wedged — no evaluation can deliver anything further — so it jumps to the
-// deadline instead of stepping dead cycles and reports done. The exception
-// is quiescence with recovery machinery still scheduled (a mid-run kill or
-// a retransmission timeout): that is a wait, not a wedge, so the drain
-// jumps to the next event boundary and continues if it re-activated the
-// network.
+// deadline instead of stepping dead cycles and reports done.
 func (m *synthMember) needsDrainStep() bool {
 	if m.col.Complete() || m.net.Cycle() >= m.deadline {
 		return false
 	}
 	if m.net.Idle() {
-		if m.net.RecoveryPending() {
-			m.net.FastForwardIdle(m.deadline - m.net.Cycle())
-			return !m.net.Idle() && m.net.Cycle() < m.deadline
-		}
 		if out := m.net.Outstanding(); out > 0 {
 			m.rec.Trigger(m.net.Cycle(),
 				fmt.Sprintf("deadlock: network fully quiescent with %d packets outstanding", out))

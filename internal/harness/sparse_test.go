@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/network"
 	"repro/internal/probe"
 	"repro/internal/router"
 )
@@ -102,6 +103,31 @@ func TestSparseEquivalenceSerialSharded(t *testing.T) {
 					checkSparse(t, cfg)
 				})
 			}
+		}
+	}
+}
+
+// TestIdleSkipLandsOnWarmupBoundary pins the idle jump's one boundary: the
+// main loop must run cycle WarmupCycles, where injectCycle opens the
+// measurement window, so an idle network's jump from before it stops on it,
+// and an idle network standing on it does not jump at all. A jump across it
+// would bill the warm-up's events to the window.
+func TestIdleSkipLandsOnWarmupBoundary(t *testing.T) {
+	m, err := prepareSynthetic(SyntheticConfig{Pattern: "uniform", WarmupCycles: 100, MeasureCycles: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := network.Build(m.netConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	m.attach(net) // at rate 0 no source has an arrival in the window
+	net.Step()    // a fresh network's components park on their first step
+	for _, tc := range []struct{ at, want int64 }{{1, 99}, {60, 40}, {100, 0}, {101, 399}} {
+		net.FastForwardIdle(tc.at - net.Cycle())
+		if got := m.idleSkip(); got != tc.want {
+			t.Errorf("idle at cycle %d: jump %d cycles, want %d", tc.at, got, tc.want)
 		}
 	}
 }

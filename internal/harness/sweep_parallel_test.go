@@ -300,7 +300,7 @@ func TestSweepSkipsPastSeriesEnd(t *testing.T) {
 				}
 			}
 			cfg.cancelled = func() bool { return last >= tc.c }
-			_, err := runSynthetic(cfg, nil)
+			_, err := RunSynthetic(cfg)
 			if !errors.Is(err, errCellCancelled) {
 				t.Fatalf("run cancelled at cycle %d returned %v, want the sentinel", tc.c, err)
 			}
@@ -328,7 +328,7 @@ func TestSweepSkipsPastSeriesEnd(t *testing.T) {
 				return RunResult{Saturated: true}, nil
 			}
 			close(running)
-			_, err := runSynthetic(cfg, nil)
+			_, err := RunSynthetic(cfg)
 			cancelled = errors.Is(err, errCellCancelled)
 			return RunResult{}, err
 		})

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -69,24 +68,21 @@ type SyntheticConfig struct {
 	// network.Config.NewArbiter); nil keeps the default round-robin. Used by
 	// the arbiter ablation.
 	NewArbiter func(int) arbiter.Arbiter
-	// WarmRateMBps, when positive, is the warm-up injection rate: sources
-	// run at it for the warmup window and are retargeted to RateMBps at the
-	// measurement boundary (RNG streams and burst state preserved). This is
-	// what makes the warm phase rate-independent, so warm-start sweeps can
-	// share it; a cold run with the same WarmRateMBps executes identically.
+	// Deprecated: WarmRateMBps is ignored; every run warms up at RateMBps.
+	// It is kept only because the benchmark module (benchmark/rigs.go)
+	// still sets it.
 	WarmRateMBps float64
-	// WarmStart switches SweepSynthetic to warm-start
-	// mode: warm once per architecture at WarmRateMBps (required), then
-	// resume every rate point from a copy of the warm state. Output is
-	// byte-identical to the cold sweep with the same WarmRateMBps.
+	// Deprecated: WarmStart is ignored; every sweep runs each cell from
+	// cycle 0. It is kept only because the benchmark module
+	// (benchmark/rigs.go) still sets it.
 	WarmStart bool
 	// Eager disables the harness's sparse-regime accelerations — the
 	// per-node next-arrival lookahead and the idle fast-forward between
 	// injections — stepping every main-loop cycle the classic way. Output is
 	// byte-identical either way; no tool sets it, so production always runs
-	// the look-ahead. Eager is the reference mode the sparse and warm-start
-	// equivalence suites compare against (and the honest baseline for the
-	// sparse benchmarks).
+	// the look-ahead. Eager is the reference mode the sparse equivalence
+	// suite compares against (and the honest baseline for the sparse
+	// benchmarks).
 	Eager bool
 
 	// arrivals is the arrival skip-map SweepSynthetic shares among its
@@ -141,30 +137,18 @@ var ErrRateInfeasible = errors.New("offered rate exceeds injection capacity")
 // selects the default).
 var ErrCycles = errors.New("negative cycle count")
 
-// ErrRateInvalid marks an offered or warm-up rate no run can mean: negative,
+// ErrRateInvalid marks an offered rate no run can mean: negative,
 // NaN or infinite, or zero for the self-similar source (whose OFF period
 // has no zero-rate solution). Unlike ErrRateInfeasible it is a caller
 // mistake, so sweeps propagate it instead of ending the series quietly.
 var ErrRateInvalid = errors.New("invalid injection rate")
 
-// checkBandwidth rejects a negative, NaN or infinite rate.
-func checkBandwidth(name string, mbps float64) error {
-	if mbps < 0 || math.IsNaN(mbps) || math.IsInf(mbps, 0) {
-		return fmt.Errorf("harness: %s rate %v MB/s/node is not a finite non-negative bandwidth: %w", name, mbps, ErrRateInvalid)
-	}
-	return nil
-}
-
 // RunSynthetic executes one (architecture, pattern, rate) point and
 // returns its latency, throughput, and energy results.
 //
 // The run itself lives in synthMember (member.go): RunSynthetic builds one
-// network and steps it between the member's per-cycle hooks.
-func RunSynthetic(cfg SyntheticConfig) (RunResult, error) { return runSynthetic(cfg, nil) }
-
-// runSynthetic runs cfg from cycle 0, or resumed from origin (a warm-start
-// image, at the warmup boundary) when it is non-nil.
-func runSynthetic(cfg SyntheticConfig, origin *warmImage) (RunResult, error) {
+// network and steps it from cycle 0 between the member's per-cycle hooks.
+func RunSynthetic(cfg SyntheticConfig) (RunResult, error) {
 	m, err := prepareSynthetic(cfg)
 	if err != nil {
 		return RunResult{}, err
@@ -175,16 +159,10 @@ func runSynthetic(cfg SyntheticConfig, origin *warmImage) (RunResult, error) {
 	}
 	defer net.Close()
 	m.attach(net)
-	if origin != nil {
-		if err := m.restoreWarm(origin); err != nil {
-			return RunResult{}, fmt.Errorf("harness: restore warm image: %w", err)
-		}
-		m.origin = origin
-	}
 	m.cfg.Progress.RunStarted()
 
 	// A flight-recorder replay stops once its recorder is Done.
-	for cyc := net.Cycle(); cyc < m.total && !m.rec.Done(cyc) && !m.cancelledAt(cyc); cyc = net.Cycle() {
+	for cyc := int64(0); cyc < m.total && !m.rec.Done(cyc) && !m.cancelledAt(cyc); cyc = net.Cycle() {
 		m.injectCycle(cyc)
 		net.Step()
 		m.cfg.Progress.Tick(cyc)
@@ -242,13 +220,10 @@ type SweepPoint struct {
 // exactly the serial stop-at-saturation walk, and any pool size returns the
 // same points, RunResults and rendered CSV bit for bit.
 //
-// A cold sweep's cells share one arrival map (arrivalMap): each node's
+// A sweep's cells share one arrival map (arrivalMap): each node's
 // arrival stream is scanned once for the blocks that can hold an arrival at
 // the sweep's top rate, and every look-ahead cell jumps the rest.
 func SweepSynthetic(base SyntheticConfig, rates []float64, pool *exp.Pool) ([]SweepPoint, error) {
-	if base.WarmStart {
-		return sweepWarm(base, rates, pool)
-	}
 	base.arrivals = newArrivalMap(base, rates)
 	return sweep(base, rates, pool, coldPoint)
 }
@@ -257,8 +232,8 @@ func SweepSynthetic(base SyntheticConfig, rates []float64, pool *exp.Pool) ([]Sw
 // rate and architecture, ai the architecture's index in router.Archs.
 type pointRunner func(cfg SyntheticConfig, ai int) (RunResult, error)
 
-// coldPoint runs a cold sweep's point from cycle 0.
-func coldPoint(cfg SyntheticConfig, _ int) (RunResult, error) { return runSynthetic(cfg, nil) }
+// coldPoint runs a sweep's point with RunSynthetic.
+func coldPoint(cfg SyntheticConfig, _ int) (RunResult, error) { return RunSynthetic(cfg) }
 
 // errCellCancelled is the outcome of a sweep cell skipped or stopped because
 // it can no longer reach the output; assembleSweep never reads it.

@@ -248,8 +248,8 @@ func TestHardFaultSnapshotRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 				img = e.Bytes()
-				rngAtSplit = sim.NewRNG(0)
-				rngAtSplit.SetState(rng.State())
+				rngAtSplit = new(sim.RNG)
+				*rngAtSplit = *rng
 			}
 			inject(ref, rng)
 			ref.Step()

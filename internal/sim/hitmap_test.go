@@ -19,8 +19,8 @@ func TestSkipMatchesDraws(t *testing.T) {
 		for i := int64(0); i < n; i++ {
 			ref.Uint64()
 		}
-		if got.State() != ref.State() {
-			t.Fatalf("Skip(%d) state %#x, %d draws %#x", n, got.State(), n, ref.State())
+		if got.state != ref.state {
+			t.Fatalf("Skip(%d) state %#x, %d draws %#x", n, got.state, n, ref.state)
 		}
 	}
 }
@@ -48,7 +48,7 @@ func TestHitMapMatchesBlocks(t *testing.T) {
 				state := mix64(seed)
 				src := NewRNG(state)
 				h := src.ScanHits(rate, draws, make([]uint64, HitMapWords(draws)))
-				if src.State() != state {
+				if src.state != state {
 					t.Fatalf("ScanHits moved the generator")
 				}
 				blocks := (draws + HitBlock - 1) / HitBlock

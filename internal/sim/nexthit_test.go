@@ -24,12 +24,12 @@ func refNextHit(r *RNG, p float64, limit int64) (int64, bool) {
 // the state left behind.
 func checkNextHit(t *testing.T, got, ref *RNG, p float64, limit int64) (gap int64, hit bool) {
 	t.Helper()
-	start := got.State()
+	start := got.state
 	gap, hit = got.NextHit(p, limit)
 	wantGap, wantHit := refNextHit(ref, p, limit)
-	if gap != wantGap || hit != wantHit || got.State() != ref.State() {
+	if gap != wantGap || hit != wantHit || got.state != ref.state {
 		t.Fatalf("state %#x p=%v limit=%d: NextHit = (%d, %v) state %#x, Bernoulli loop = (%d, %v) state %#x",
-			start, p, limit, gap, hit, got.State(), wantGap, wantHit, ref.State())
+			start, p, limit, gap, hit, got.state, wantGap, wantHit, ref.state)
 	}
 	return gap, hit
 }

@@ -30,13 +30,6 @@ func (r *RNG) Fork(id uint64) *RNG {
 	return NewRNG(r.Uint64() ^ mix64(id+gamma))
 }
 
-// State returns the generator's internal state word, for checkpointing.
-func (r *RNG) State() uint64 { return r.state }
-
-// SetState overwrites the generator's internal state word, restoring a
-// stream captured with State to the exact same position.
-func (r *RNG) SetState(s uint64) { r.state = s }
-
 // gamma is SplitMix64's Weyl increment: the state is a plain counter stepped
 // by gamma, and every output is the stateless mix64 of that counter.
 const gamma = 0x9e3779b97f4a7c15

@@ -106,9 +106,6 @@ func (e *Encoder) Bool(v bool) {
 	}
 }
 
-// F64 appends an IEEE-754 bit image as a fixed-width varint payload.
-func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
-
 // String appends a length-prefixed string.
 func (e *Encoder) String(s string) {
 	e.Int(len(s))
@@ -334,9 +331,6 @@ func (d *Decoder) Bool() bool {
 	}
 	return b == 1
 }
-
-// F64 reads an IEEE-754 bit image.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // String reads a length-prefixed string.
 func (d *Decoder) String() string {

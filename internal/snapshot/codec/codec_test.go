@@ -19,7 +19,6 @@ type image struct {
 	i []int64
 	n int
 	b [2]bool
-	f []float64
 	s []string
 
 	nilPkt, canon, custom, canonRef *noc.Packet
@@ -56,7 +55,6 @@ func fixture() image {
 		u: []uint64{0, 1, 127, 128, 1 << 63, math.MaxUint64},
 		i: []int64{0, -1, 1, math.MinInt64, math.MaxInt64},
 		n: -7, b: [2]bool{true, false},
-		f: []float64{0, math.Copysign(0, -1), 1.5, math.Inf(-1), math.NaN()},
 		s: []string{"", "noc ✓"},
 
 		canon: canon, custom: custom, canonRef: canon,
@@ -78,9 +76,6 @@ func (m *image) write(e *codec.Encoder) {
 	e.Int(m.n)
 	e.Bool(m.b[0])
 	e.Bool(m.b[1])
-	for _, v := range m.f {
-		e.F64(v)
-	}
 	for _, v := range m.s {
 		e.String(v)
 	}
@@ -99,7 +94,7 @@ func (m *image) write(e *codec.Encoder) {
 // dereferences what it reads, so it runs on any prefix.
 func read(d *codec.Decoder, shape *image) image {
 	m := image{u: make([]uint64, len(shape.u)), i: make([]int64, len(shape.i)),
-		f: make([]float64, len(shape.f)), s: make([]string, len(shape.s))}
+		s: make([]string, len(shape.s))}
 	for k := range m.u {
 		m.u[k] = d.U64()
 	}
@@ -108,9 +103,6 @@ func read(d *codec.Decoder, shape *image) image {
 	}
 	m.n = d.Int()
 	m.b = [2]bool{d.Bool(), d.Bool()}
-	for k := range m.f {
-		m.f[k] = d.F64()
-	}
 	for k := range m.s {
 		m.s[k] = d.String()
 	}
@@ -151,11 +143,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if !slices.Equal(got.u, want.u) || !slices.Equal(got.i, want.i) || got.n != want.n || got.b != want.b || !slices.Equal(got.s, want.s) {
 		t.Errorf("scalars decoded as %v %v %v %v %q", got.u, got.i, got.n, got.b, got.s)
-	}
-	for k := range want.f {
-		if math.Float64bits(got.f[k]) != math.Float64bits(want.f[k]) {
-			t.Errorf("float %d decoded as %v, want %v", k, got.f[k], want.f[k])
-		}
 	}
 	samePacket(t, got.canon, want.canon)
 	samePacket(t, got.custom, want.custom)

@@ -144,8 +144,8 @@ func Decode(data []byte, cfg network.Config) (*network.Network, error) {
 
 // DecodeInto restores a snapshot image into an already constructed network,
 // which must have been built with the image's structural parameters (the
-// header is checked against net.Config()). The harness uses this to restore
-// warm images into networks whose execution-mode wiring it has already
+// header is checked against net.Config()). noxfault uses this to restore
+// its warm image into networks whose execution-mode wiring it has already
 // arranged.
 func DecodeInto(data []byte, net *network.Network) error {
 	d := codec.NewDecoder(data)

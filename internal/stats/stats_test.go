@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -218,5 +219,47 @@ func TestCollectorRecordAllocs(t *testing.T) {
 		c.OnDeliver(p, l)
 	})); avg != 0 {
 		t.Errorf("OnCreate+OnDeliver allocates %v allocs/op", avg)
+	}
+}
+
+// record is c's measurements in one canonical form: the counters and the
+// ascending list of recorded latencies, whatever the histogram's tiers.
+func record(c *Collector) string {
+	lats := slices.Clone(c.overflow)
+	for l, k := range c.counts {
+		for ; k > 0; k-- {
+			lats = append(lats, int64(l))
+		}
+	}
+	slices.Sort(lats)
+	return fmt.Sprint(c.MeasureStart, c.MeasureEnd, c.created, c.delivered, c.latencySum, c.latencyMax,
+		c.windowFlits, c.windowPackets, c.createdFlits, lats)
+}
+
+// TestCollectorMerge: two collectors fed the halves of one packet stream
+// merge into exactly the collector fed all of it — the same record,
+// percentiles included — whichever half is larger, with latencies on both
+// sides of the dense ceiling, and an empty collector merges as a no-op.
+func TestCollectorMerge(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 9))
+	lats := make([]int64, 3000)
+	for i := range lats {
+		lats[i] = r.Int64N(300)
+		if i%97 == 0 {
+			lats[i] = denseCeiling + r.Int64N(1000)
+		}
+	}
+	for _, cut := range []int{0, 10, 2500, len(lats)} {
+		whole, a, b := NewCollector(0, 1<<20), NewCollector(0, 1<<20), NewCollector(0, 1<<20)
+		recordAll(whole, lats)
+		recordAll(a, lats[:cut])
+		recordAll(b, lats[cut:])
+		a.Merge(b)
+		if got, want := record(a), record(whole); got != want {
+			t.Errorf("cut %d: merged record differs from the whole stream's", cut)
+		}
+		if got, want := a.PercentileLatencyCycles(0.99), whole.PercentileLatencyCycles(0.99); got != want {
+			t.Errorf("cut %d: merged P99 %v, want %v", cut, got, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -22,6 +23,7 @@ type CLI struct {
 	ver      *bool
 	tel      *liveFlags
 	prof     *probe.ProfileFlags
+	seed     *uint64
 	shards   *int
 	parallel *int
 }
@@ -49,9 +51,11 @@ func NewCLI(tool string, groups FlagGroup) *CLI {
 	return c
 }
 
-// Seed registers -seed with the tool's default.
+// Seed registers -seed with the tool's default; Start rejects 0, which the
+// run configurations read as unset.
 func (c *CLI) Seed(def uint64) *uint64 {
-	return flag.Uint64("seed", def, "simulation seed (every output is a pure function of it)")
+	c.seed = flag.Uint64("seed", def, "simulation seed, nonzero (every output is a pure function of it)")
+	return c.seed
 }
 
 // Shards registers -shards with the tool's default; Start rejects a negative
@@ -84,6 +88,9 @@ func (c *CLI) Start() (sess *Session, pool *exp.Pool, stop func()) {
 		if stopProf, err = c.prof.Start(); err != nil {
 			c.Fail(err)
 		}
+	}
+	if c.seed != nil && *c.seed == 0 {
+		c.Fail(errors.New("-seed must be nonzero (0 would select the library's default seed)"))
 	}
 	if c.shards != nil && *c.shards < 0 {
 		c.Fail(fmt.Errorf("-shards must be >= 0 (got %d); use 0 for auto, 1 for serial", *c.shards))
