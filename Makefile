@@ -5,6 +5,10 @@ GO ?= go
 # alone ran past six minutes).
 COVER ?=
 RACE ?= -race
+# ON_SIGNAL: the recipes that remove their mktemp directory in an EXIT trap
+# run it after this too. /bin/sh runs no EXIT trap when a signal kills it, so
+# HUP, INT and TERM exit with 128 + the signal number, which runs the trap.
+ON_SIGNAL = trap 'exit 129' HUP && trap 'exit 130' INT && trap 'exit 143' TERM
 
 .PHONY: check build fmt vet lint test test-ids reach alloc-guard race shard-race ab ab-smoke bench-repo-smoke cli-smoke results-check trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke fuzz-smoke
 
@@ -77,7 +81,7 @@ alloc-guard:
 ## longest first, against go test's 600 s per-binary timeout ("cached" when
 ## go test reused an earlier result).
 race:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && $(ON_SIGNAL) && \
 	{ $(GO) test -race $$($(GO) list ./... | grep -v '/internal/harness$$') 2>&1; echo $$? > "$$tmp/st1"; } | tee "$$tmp/out"; \
 	{ $(GO) test -race ./internal/harness 2>&1; echo $$? > "$$tmp/st2"; } | tee -a "$$tmp/out"; \
 	echo "race: wall time per package (go test times out a test binary at 600 s):"; \
@@ -121,7 +125,7 @@ ab:
 ## by their own benchmark/run.sh, the exact-fact guard, the summary), with the
 ## nox-ab/v1 record written to stdout; ~60 s on 2 CPUs with both builds cold.
 ab-smoke:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && $(ON_SIGNAL) && \
 	set -e; \
 	$(GO) run $(COVER) ./cmd/noxbench -base HEAD -head HEAD -workload lowload-uniform -n 1 -out - > "$$tmp/ab.txt"; \
 	grep -q '"schema": "nox-ab/v1"' "$$tmp/ab.txt" || { echo "ab-smoke: no nox-ab/v1 record" >&2; cat "$$tmp/ab.txt" >&2; exit 1; }; \
@@ -153,7 +157,7 @@ ab-smoke:
 ## exit with status 1 and a message within 10 s, never a panic trace.
 ## The tools run in the temp directory, so a regression cannot litter the tree.
 cli-smoke:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && $(ON_SIGNAL) && \
 	set -e; \
 	$(GO) build $(COVER) -o "$$tmp/" ./cmd/...; \
 	cd "$$tmp"; \
@@ -199,7 +203,7 @@ cli-smoke:
 ## network. The tools run in
 ## the temp directory, so a flight dump cannot litter the tree.
 results-check:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && $(ON_SIGNAL) && \
 	set -e; \
 	$(GO) build $(COVER) -o "$$tmp/" ./cmd/noxsim ./cmd/noxphys ./cmd/noxapp ./cmd/noxfuture ./cmd/noxablate ./cmd/noxsweep; \
 	res=$$(pwd)/results; cd "$$tmp"; \
@@ -225,7 +229,7 @@ results-check:
 ## output. (A probed run is serial, so there is no shard count to compare
 ## across.)
 trace-smoke:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && $(ON_SIGNAL) && \
 	set -e; \
 	$(GO) build $(COVER) -o "$$tmp/noxtrace" ./cmd/noxtrace; \
 	"$$tmp/noxtrace" -arch nox -width 4 -height 4 -rate 2200 -measure 300 \
@@ -252,7 +256,7 @@ trace-smoke:
 ## and the flight dumps the sharded runs write (each replays its campaign
 ## serially) must be the serial runs', byte for byte.
 fault-smoke:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && $(ON_SIGNAL) && \
 	set -e; \
 	$(GO) build $(RACE) $(COVER) -o "$$tmp/noxfault" ./cmd/noxfault; \
 	for s in 1 4; do \
@@ -290,7 +294,7 @@ fault-smoke:
 ## directory with a relative -flight-dir: it must write flight dumps, and
 ## the sharded run's must be the serial run's, byte for byte.
 fault-perm-smoke:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && $(ON_SIGNAL) && \
 	set -e; \
 	$(GO) build $(RACE) $(COVER) -o "$$tmp/noxfault" ./cmd/noxfault; \
 	for s in 1 4; do \
@@ -325,7 +329,7 @@ fault-perm-smoke:
 ## 10 s) must then finish with status 0 while serving; it is not killed, so
 ## a -cover build writes its counters.
 telemetry-smoke:
-	@tmp=$$(mktemp -d); pid=""; trap 'kill $$pid 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
+	@tmp=$$(mktemp -d); pid=""; trap 'kill $$pid 2>/dev/null || true; rm -rf "$$tmp"' EXIT; $(ON_SIGNAL); \
 	set -e; \
 	$(GO) build $(COVER) -o "$$tmp/" ./cmd/noxsim ./cmd/noxtrace; \
 	"$$tmp/noxsim" -http 127.0.0.1:0 -progress -measure 1000000 >"$$tmp/stdout.txt" 2>"$$tmp/stderr.txt" & pid=$$!; \
@@ -395,7 +399,7 @@ bench-repo-smoke:
 ## test's timeout.
 REACH_SMOKES = results-check cli-smoke trace-smoke fault-smoke fault-perm-smoke telemetry-smoke snapshot-smoke ab-smoke
 reach:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && $(ON_SIGNAL) && \
 	set -e; cov='-cover -coverpkg=./...'; mkdir "$$tmp/tool" "$$tmp/bench" "$$tmp/test"; \
 	GOCOVERDIR="$$tmp/tool" $(MAKE) --no-print-directory COVER="$$cov" RACE= $(REACH_SMOKES) >"$$tmp/smokes.log" 2>&1 || \
 		{ cat "$$tmp/smokes.log" >&2; exit 1; }; \

@@ -141,6 +141,7 @@ func runDegradeMode(stdout io.Writer, archs []router.Arch, p params, degradeK in
 	if err != nil {
 		return err
 	}
+	logDumps(cells)
 
 	rt := p.retransmit
 	var sb strings.Builder

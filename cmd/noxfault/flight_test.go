@@ -8,8 +8,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/check"
+	"repro/internal/exp"
 	"repro/internal/fault"
 	"repro/internal/network"
 	"repro/internal/noc"
@@ -229,5 +231,43 @@ func TestUndetectedLossTrips(t *testing.T) {
 	}
 	if !bytes.Contains(report, []byte("reason: undetected loss: 1 packets missing\n")) {
 		t.Errorf("dump report:\n%s", report)
+	}
+}
+
+// TestDumpNoticesInCellOrder: the flight-dump notices of a campaign come out
+// in cell order, whichever pool worker finishes first. Two cells trip on a
+// 2-worker pool, and the first is held back until the second has written its
+// dump, so it finishes last.
+func TestDumpNoticesInCellOrder(t *testing.T) {
+	p := params{
+		topo: noc.Topology{Width: 4, Height: 4}, bufferDepth: 4, shards: 1,
+		cycles: 800, load: 0.05, multi: 0.25, drain: 20000, watchdog: 4000,
+		template: fault.Spec{Seed: 0xF001, BitFlip: 0.001, StallCycles: 8},
+	}
+	dir := t.TempDir()
+	var log bytes.Buffer // slog's handler serializes the workers' writes
+	logger := slog.New(slog.NewTextHandler(&log, nil))
+	second := filepath.Join(dir, "flight-fault-NoX-c1.report.txt")
+	p.newRecorder = func(label string) *telemetry.Recorder {
+		if strings.HasSuffix(label, "-c0") {
+			for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				if _, err := os.Stat(second); err == nil {
+					break
+				}
+			}
+		}
+		return telemetry.NewRecorder(telemetry.RecorderConfig{Dir: dir, Label: label, Logger: logger})
+	}
+	if err := runCampaignMode(io.Discard, []router.Arch{router.NoX}, p, 2, 0, exp.NewPool(2), ""); err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	for _, line := range strings.Split(log.String(), "\n") {
+		if strings.Contains(line, "dumped failure window") {
+			order = append(order, line[strings.Index(line, "flight-fault-"):][:len("flight-fault-NoX-c0")])
+		}
+	}
+	if len(order) != 2 || order[0] != "flight-fault-NoX-c0" || order[1] != "flight-fault-NoX-c1" {
+		t.Errorf("dump notices %q, want c0 then c1:\n%s", order, log.String())
 	}
 }

@@ -135,6 +135,11 @@ type cell struct {
 	latSum        int64
 	latN          int64
 	endCycle      int64
+
+	// dumped is the recorder whose flight dump the cell wrote, dumpErr its
+	// flush error: logDumps reports them in cell order.
+	dumped  *telemetry.Recorder
+	dumpErr error
 }
 
 // missing is the number of injected packets neither delivered nor retired
@@ -279,14 +284,26 @@ func run(j job, p params) (c cell) {
 	// must stay byte-identical with recording on or off.
 	if rec.Triggered() {
 		replay := func(rr *telemetry.Recorder) { replayCell(j, p, rr) }
-		if _, err := rec.Flush(replay, func(w io.Writer) {
+		path, err := rec.Flush(replay, func(w io.Writer) {
 			net.WriteDiagnostic(w)
 			ck.WriteReport(w)
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "noxfault:", err)
+		})
+		if c.dumpErr = err; path != "" && err == nil {
+			c.dumped = rec
 		}
 	}
 	return c
+}
+
+// logDumps prints each cell's flight-dump notice or flush error to stderr in
+// cell order, whichever pool worker finished first.
+func logDumps(cells []cell) {
+	for _, c := range cells {
+		if c.dumpErr != nil {
+			fmt.Fprintln(os.Stderr, "noxfault:", c.dumpErr)
+		}
+		c.dumped.LogDump()
+	}
 }
 
 // buildCell builds job j's network, probed by pr (nil for none), with rec's
@@ -442,6 +459,7 @@ func runCampaignMode(stdout io.Writer, archs []router.Arch, p params, campaigns 
 	if err != nil {
 		return err
 	}
+	logDumps(cells)
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "noxfault campaign report\n")

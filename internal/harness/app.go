@@ -167,7 +167,7 @@ func RunApp(cfg AppConfig) AppResult {
 			replayStarts(rr)
 			RunApp(rc)
 		}
-		if _, err := cfg.Recorder.Flush(replay, func(w io.Writer) {
+		if path, err := cfg.Recorder.Flush(replay, func(w io.Writer) {
 			for class, c := range r.streams {
 				fmt.Fprintf(w, "class %d ", class)
 				c.net.WriteDiagnostic(w)
@@ -175,6 +175,8 @@ func RunApp(cfg AppConfig) AppResult {
 			cfg.Check.WriteReport(w)
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "harness:", err)
+		} else if path != "" {
+			cfg.Recorder.LogDump()
 		}
 	}
 	return res

@@ -404,11 +404,13 @@ func (m *synthMember) finalize() RunResult {
 	// violation, drain deadlock) tripped the flight recorder.
 	cfg.Progress.RunDone(cfg.Arch.String(), m.window)
 	if m.rec.Triggered() {
-		if _, err := m.rec.Flush(m.replay, func(w io.Writer) {
+		if path, err := m.rec.Flush(m.replay, func(w io.Writer) {
 			net.WriteDiagnostic(w)
 			cfg.Check.WriteReport(w)
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "harness:", err)
+		} else if path != "" {
+			m.rec.LogDump()
 		}
 	}
 	return res

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/network"
+	"repro/internal/noc"
 	"repro/internal/probe"
 	"repro/internal/router"
 )
@@ -128,6 +129,38 @@ func TestIdleSkipLandsOnWarmupBoundary(t *testing.T) {
 		net.FastForwardIdle(tc.at - net.Cycle())
 		if got := m.idleSkip(); got != tc.want {
 			t.Errorf("idle at cycle %d: jump %d cycles, want %d", tc.at, got, tc.want)
+		}
+	}
+}
+
+// TestSparseEquivalenceIdleWarmup is a long, idle-heavy cell (10 MB/s/node
+// uniform on 4x4, a few dozen packets in the window) whose network goes idle
+// on the step of the last warm-up cycle, so the look-ahead's loop stands idle
+// on cycle WarmupCycles. It must not jump from there: that cycle's
+// injectCycle opens the measurement window. Every architecture's RunResult,
+// window counters included, must match the Eager run's.
+func TestSparseEquivalenceIdleWarmup(t *testing.T) {
+	const warmup = 2118 // an idle onset of this cell on every architecture
+	for _, arch := range router.Archs {
+		run := func(eager bool) (RunResult, []probe.Sample) {
+			cfg := SyntheticConfig{Topo: noc.Topology{Width: 4, Height: 4}, Pattern: "uniform", RateMBps: 10, Arch: arch,
+				WarmupCycles: warmup, MeasureCycles: 4000, DrainCycles: 12000, Eager: eager,
+				Probe: probe.New(probe.Config{SampleEvery: 1, RingEvents: 1 << 10})}
+			res, err := RunSynthetic(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, cfg.Probe.Samples()
+		}
+		want, samples := run(true)
+		// The Eager run samples every cycle: sample c is the active count
+		// after cycle c.
+		if busy, idle := samples[warmup-2], samples[warmup-1]; busy.Cycle != warmup-2 || busy.ActiveComponents == 0 || idle.ActiveComponents != 0 {
+			t.Fatalf("%s: %d active after cycle %d and %d after %d: the network no longer goes idle on the warm-up's last step",
+				arch, busy.ActiveComponents, busy.Cycle, idle.ActiveComponents, idle.Cycle)
+		}
+		if got, _ := run(false); fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+			t.Errorf("%s: results diverged from the Eager harness\ngot:  %+v\nwant: %+v", arch, got, want)
 		}
 	}
 }

@@ -6,21 +6,14 @@ import (
 	"repro/internal/sim"
 )
 
-// niLane is the typed dispatch lane over the network's interfaces, or one
-// shard's (see internal/sim.Lane and internal/router.NewLane for the
+// niLane is the typed dispatch lane over one shard's interfaces (all of a
+// serial network's; see internal/sim.Lane and internal/router.NewLane for the
 // pattern). The NIs must be in kernel registration order — which they are:
 // n.nis is registered element by element.
 type niLane []*NI
 
 // Len returns the number of interfaces the lane covers.
 func (l niLane) Len() int { return len(l) }
-
-// ComputeAll computes every interface (the fully-active serial step).
-func (l niLane) ComputeAll(cycle int64) {
-	for _, ni := range l {
-		ni.Compute(cycle)
-	}
-}
 
 // ComputeActive computes the awake interfaces.
 func (l niLane) ComputeActive(cycle int64, active []uint32) {

@@ -191,16 +191,14 @@ type Network struct {
 	routers  []router.Router
 	nis      []*NI
 	niHandle []sim.Handle
-	counters *power.Counters
 	probe    *probe.Probe
 
-	// Sharded-mode state. shardOfNode maps router nodes to contiguous
-	// spatial shards; routers and NIs belong to their own node's shard, and
-	// a channel is latched by its sink, which keeps every commit-phase write
-	// inside one shard. shardOfNode is nil on the serial path. local holds
-	// what each shard's worker writes while stepping (one entry on the
-	// serial path, where counters points into it); mailHeads is the
-	// epilogue's merge scratch.
+	// Shard state; a serial network is one shard. shardOfNode maps router
+	// nodes to contiguous spatial shards (all 0 on a serial network);
+	// routers and NIs belong to their own node's shard, and a channel is
+	// latched by its sink, which keeps every commit-phase write inside one
+	// shard. local holds what each shard's worker writes while stepping;
+	// mailHeads is the sharded epilogue's merge scratch.
 	shards      int
 	shardOfNode []int32
 	local       []shardLocal
@@ -331,24 +329,20 @@ func New(cfg Config) *Network {
 		n.probe.Attach(cfg.Topo.Width, cfg.Topo.Height, sys.Ports(), cores, cfg.BufferDepth)
 	}
 
-	// countersFor resolves the power counters of a component co-located
-	// with the given router node. Serial: one shared counter block. Sharded:
-	// the node's shard gets its own, so workers never write shared state.
+	// Each shard has its own power counters (folded by Counters), so
+	// workers never write shared state; countersFor resolves those of a
+	// component co-located with the given router node.
 	n.local = carve(&st.local, shards)
-	var countersFor func(node int) *power.Counters
-	if sharded {
-		n.shardOfNode = carve(&st.shardOfNode, routers)
-		for id := range n.shardOfNode {
-			// Contiguous row-major node ranges: spatially coherent tiles with
-			// balanced sizes at any shard count.
-			n.shardOfNode[id] = int32(id * shards / routers)
-		}
-		n.mailHeads = carve(&st.mailHeads, shards)
-		countersFor = func(node int) *power.Counters { return &n.local[n.shardOfNode[node]].counters }
-	} else {
-		n.counters = &n.local[0].counters
-		countersFor = func(int) *power.Counters { return n.counters }
+	n.shardOfNode = carve(&st.shardOfNode, routers)
+	for id := range n.shardOfNode {
+		// Contiguous row-major node ranges: spatially coherent tiles with
+		// balanced sizes at any shard count.
+		n.shardOfNode[id] = int32(id * shards / routers)
 	}
+	if sharded {
+		n.mailHeads = carve(&st.mailHeads, shards)
+	}
+	countersFor := func(node int) *power.Counters { return &n.local[n.shardOfNode[node]].counters }
 
 	n.routers = carve(&st.routers, routers)
 	n.nis = carve(&st.nis, cores)
@@ -394,9 +388,7 @@ func New(cfg Config) *Network {
 			// violation instead of a panic.
 			ni.sink.SetLenient(true)
 		}
-		if sharded {
-			ni.shard = n.shardOfNode[home]
-		}
+		ni.shard = n.shardOfNode[home]
 		n.nis[c] = ni
 	}
 
@@ -489,13 +481,10 @@ func New(cfg Config) *Network {
 	newLink := func(slot int, credits int, sinkH, srcH sim.Handle, sinkNode, probeNode, probePort int) *noc.Link {
 		l := &linkSlab[slot]
 		l.Init(credits)
-		shard, shared := 0, false
-		if sharded {
-			// Routers hold handles [0, routers); an interface's one input
-			// comes from its home router, on its own shard.
-			shard, shared = int(n.shardOfNode[sinkNode]), int(sinkH) < routers && crossFed(sinkNode)
-		}
-		l.Bind(&n.local[shard].links, len(links), int(sinkH), int(srcH), shared)
+		// Routers hold handles [0, routers); an interface's one input comes
+		// from its home router, on its own shard.
+		shared := int(sinkH) < routers && crossFed(sinkNode)
+		l.Bind(&n.local[n.shardOfNode[sinkNode]].links, len(links), int(sinkH), int(srcH), shared)
 		l.SetProbeID(probeNode, probePort)
 		links = append(links, l)
 		return l
@@ -533,13 +522,6 @@ func New(cfg Config) *Network {
 	if len(n.sites) != len(links) {
 		panic(fmt.Sprintf("network: site table built %d sites for %d links", len(n.sites), len(links)))
 	}
-	if !sharded {
-		// Typed dense lanes devirtualize the serial step's dispatch. The two
-		// component classes occupy contiguous handle ranges by construction:
-		// routers at [0, R), interfaces at [R, R+C).
-		n.kernel.BindLane(0, router.NewLane(n.routers))
-		n.kernel.BindLane(sim.Handle(routers), niLane(n.nis))
-	}
 	if cfg.Oracle {
 		n.kernel.SetOracle(func(h sim.Handle) uint64 {
 			// The channels a component owns are a run of the slab: a
@@ -555,9 +537,9 @@ func New(cfg Config) *Network {
 	}
 	if sharded {
 		n.kernel.SetSharding(shards, shardOf)
-		n.bindShardLanes(shardOf)
 		n.kernel.SetEpilogue(n.drainShardMail)
 	}
+	n.bindLanes()
 	// Recovery observers run first: the reconfiguration epoch rebuilds
 	// routes before the probe samples the cycle, and the retransmission
 	// observer after it sees the post-epoch table.
@@ -576,34 +558,23 @@ func New(cfg Config) *Network {
 	return n
 }
 
-// bindShardLanes gives every shard typed lanes over its own components, the
-// sharded counterpart of the two serial lanes above. A shard's routers and
-// interfaces are contiguous handle ranges (shardOfNode is monotone and cores
-// are numbered by home router), so they reuse the serial lane types over a
-// sub-slice.
-func (n *Network) bindShardLanes(shardOf []int) {
-	routers, comps := len(n.routers), len(n.routers)+len(n.nis)
-	// span returns the end of the run of shard s starting at from within
-	// [from, limit) of shardOf.
-	span := func(from, limit, s int) int {
-		for from < limit && shardOf[from] == s {
-			from++
+// bindLanes gives every shard typed lanes over its own components, which
+// devirtualize the step's dispatch: its routers, then its interfaces. Each is
+// a contiguous handle range (routers at [0, R), interfaces at [R, R+C);
+// shardOfNode is monotone and cores are numbered by home router), so a lane
+// is a sub-slice; every shard owns at least one router, since shards <= R.
+func (n *Network) bindLanes() {
+	r, c := 0, 0
+	for s := int32(0); s < int32(n.shards); s++ {
+		r0, c0 := r, c
+		for r < len(n.routers) && n.shardOfNode[r] == s {
+			r++
 		}
-		return from
-	}
-	bind := func(s, start int, lane sim.Lane) {
-		n.kernel.BindShardLane(s, sim.Handle(start), lane)
-	}
-	r, c := 0, routers
-	for s := 0; s < n.shards; s++ {
-		if end := span(r, routers, s); end > r {
-			bind(s, r, router.NewLane(n.routers[r:end]))
-			r = end
+		for c < len(n.nis) && n.nis[c].shard == s {
+			c++
 		}
-		if end := span(c, comps, s); end > c {
-			bind(s, c, niLane(n.nis[c-routers:end-routers]))
-			c = end
-		}
+		n.kernel.BindLane(int(s), sim.Handle(r0), router.NewLane(n.routers[r0:r]))
+		n.kernel.BindLane(int(s), sim.Handle(len(n.routers)+c0), niLane(n.nis[c0:c]))
 	}
 }
 
@@ -692,15 +663,10 @@ func (n *Network) Cores() int { return n.sys.Cores() }
 // Arch returns the router architecture.
 func (n *Network) Arch() router.Arch { return n.cfg.Arch }
 
-// Counters returns the network's event counters. On the serial path this
-// is the live shared block; on the sharded path each call folds the
-// per-shard blocks into a snapshot (callers already dereference
-// immediately to window counters, so both behave identically). Only call
-// between steps.
+// Counters returns the network's event counters: each call folds the
+// per-shard blocks into a snapshot, which the next call overwrites (callers
+// dereference it at once to window counters). Only call between steps.
 func (n *Network) Counters() *power.Counters {
-	if n.counters != nil {
-		return n.counters
-	}
 	n.aggCounters = power.Counters{}
 	for i := range n.local {
 		n.aggCounters.Add(n.local[i].counters)

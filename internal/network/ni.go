@@ -27,10 +27,9 @@ type NI struct {
 	node noc.NodeID
 	net  *Network
 
-	// counters and probe are this interface's instrumentation sinks: the
-	// network-wide blocks on the serial path, the home shard's blocks when
-	// sharded (so workers never write shared state). shard is the home
-	// shard index, 0 when serial.
+	// counters and probe are this interface's instrumentation sinks: its
+	// home shard's counter block (so workers never write shared state) and
+	// the network's probe. shard is the home shard index, 0 when serial.
 	counters *power.Counters
 	probe    *probe.Probe
 	shard    int32
@@ -340,7 +339,7 @@ func (ni *NI) deliver(f *noc.Flit, cycle int64) {
 		if pr := ni.probe; pr != nil {
 			pr.Deliver(cycle, int(ni.node), p.ID, cycle-p.CreateCycle)
 		}
-		if n := ni.net; n.shardOfNode != nil {
+		if n := ni.net; n.shards > 1 {
 			// Sharded: stage the completed packet for the step epilogue,
 			// which replays deliveries in interface order on the stepping
 			// goroutine — the network's delivered count and OnDeliver
@@ -368,7 +367,7 @@ func (ni *NI) assemble(p *noc.Packet) {
 // been the last hold, and then the step epilogue decides (drainShardMail).
 func (ni *NI) letGo(p *noc.Packet, o noc.Owner) {
 	n := ni.net
-	if n.shardOfNode == nil {
+	if n.shards == 1 {
 		n.packets.Release(p, o)
 		return
 	}

@@ -64,10 +64,7 @@ func (n *Network) SaveState(e *codec.Encoder) error {
 // flits for that node's components must be materialized from, so per-shard
 // accounting stays worker-local after restore).
 func (n *Network) arenaOf(node int) *noc.Arena {
-	if n.shardOfNode != nil {
-		return &n.local[n.shardOfNode[node]].arena
-	}
-	return &n.local[0].arena
+	return &n.local[n.shardOfNode[node]].arena
 }
 
 // RestoreState loads state saved by SaveState into this freshly constructed

@@ -306,7 +306,7 @@ func TestCloseContract(t *testing.T) {
 func TestClosedNetworkHoldsNothing(t *testing.T) {
 	n := New(recycleConfig(router.NoX, 2, false))
 	n.Close()
-	if n.store != nil || n.kernel != nil || n.routers != nil || n.nis != nil || n.links != nil || n.local != nil || n.counters != nil {
+	if n.store != nil || n.kernel != nil || n.routers != nil || n.nis != nil || n.links != nil || n.local != nil || n.shardOfNode != nil {
 		t.Error("a closed network still points into its storage")
 	}
 	if n.packets.Free() != 0 || n.aggCounters != (power.Counters{}) {

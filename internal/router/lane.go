@@ -6,8 +6,8 @@ import (
 	"repro/internal/sim"
 )
 
-// NewLane groups routers into a typed dispatch lane for the kernel's serial
-// step (sim.BindLane) or one shard of its sharded step (sim.BindShardLane): a
+// NewLane groups routers into a typed dispatch lane for one shard of the
+// kernel's step (sim.BindLane; a serial kernel is one shard): a
 // concrete-typed slice whose walk loops make direct, devirtualizable calls
 // instead of per-component interface dispatch. The routers must all be one
 // concrete architecture (a network's always are — SpecFast and SpecAccurate
@@ -39,8 +39,7 @@ func typed[T Router](rs []Router) []T {
 
 // The three lanes are hand-written rather than generic on purpose: a
 // generics-based lane dispatches through a dictionary for pointer type
-// parameters and devirtualizes nothing. ComputeAll is ComputeActive with no
-// flags to consult.
+// parameters and devirtualizes nothing.
 
 // noxLane also owns the Compute scratch of its routers (see noxScratch).
 type noxLane struct {
@@ -50,11 +49,9 @@ type noxLane struct {
 
 func (l *noxLane) Len() int { return len(l.rs) }
 
-func (l *noxLane) ComputeAll(cycle int64) { l.ComputeActive(cycle, nil) }
-
 func (l *noxLane) ComputeActive(cycle int64, active []uint32) {
 	for i, r := range l.rs {
-		if active == nil || atomic.LoadUint32(&active[i]) == sim.Awake {
+		if atomic.LoadUint32(&active[i]) == sim.Awake {
 			r.compute(cycle, &l.s)
 		}
 	}
@@ -84,11 +81,9 @@ type specLane []*specRouter
 
 func (l specLane) Len() int { return len(l) }
 
-func (l specLane) ComputeAll(cycle int64) { l.ComputeActive(cycle, nil) }
-
 func (l specLane) ComputeActive(cycle int64, active []uint32) {
 	for i, r := range l {
-		if active == nil || atomic.LoadUint32(&active[i]) == sim.Awake {
+		if atomic.LoadUint32(&active[i]) == sim.Awake {
 			r.Compute(cycle)
 		}
 	}
@@ -118,11 +113,9 @@ type nonspecLane []*nonspecRouter
 
 func (l nonspecLane) Len() int { return len(l) }
 
-func (l nonspecLane) ComputeAll(cycle int64) { l.ComputeActive(cycle, nil) }
-
 func (l nonspecLane) ComputeActive(cycle int64, active []uint32) {
 	for i, r := range l {
-		if active == nil || atomic.LoadUint32(&active[i]) == sim.Awake {
+		if atomic.LoadUint32(&active[i]) == sim.Awake {
 			r.Compute(cycle)
 		}
 	}

@@ -31,11 +31,6 @@ type latcherLane []interface {
 }
 
 func (l latcherLane) Len() int { return len(l) }
-func (l latcherLane) ComputeAll(cycle int64) {
-	for _, c := range l {
-		c.Compute(cycle)
-	}
-}
 func (l latcherLane) ComputeActive(cycle int64, flags []uint32) {
 	for i, c := range l {
 		if atomic.LoadUint32(&flags[i]) == Awake {
@@ -61,6 +56,27 @@ func (l latcherLane) CommitActive(cycle int64, flags []uint32) int {
 		}
 	}
 	return quiets
+}
+
+// awakeLane is a typed lane over components that never park.
+type awakeLane []Clocked
+
+func (l awakeLane) Len() int { return len(l) }
+func (l awakeLane) ComputeActive(cycle int64, flags []uint32) {
+	for i, c := range l {
+		if atomic.LoadUint32(&flags[i]) == Awake {
+			c.Compute(cycle)
+		}
+	}
+}
+func (l awakeLane) CommitActive(cycle int64, flags []uint32) int {
+	for i, c := range l {
+		if flags[i] != Parked {
+			flags[i] = Awake
+			c.Commit(cycle)
+		}
+	}
+	return 0
 }
 
 // wakeRig is one way of stepping the relay ring of buildRelays.
@@ -103,29 +119,26 @@ func (rig wakeRig) build() (*Kernel, [][]uint8) {
 		lane = append(lane, b)
 		shardOf = append(shardOf, max(rig.shards, 1)-1)
 	}
-	pads := 2*n + rig.parkedPads
+	pads, shards := 2*n+rig.parkedPads, max(rig.shards, 1)
+	var awake awakeLane
 	for i := 0; i < rig.awakePads; i++ {
-		k.Add(&hostile{})
-		shardOf = append(shardOf, max(rig.shards, 1)-1)
+		awake = append(awake, &hostile{})
+		k.Add(awake[i])
+		shardOf = append(shardOf, shards-1)
 	}
-	switch {
-	case rig.shards > 0:
+	if rig.shards > 0 {
 		k.SetSharding(rig.shards, shardOf)
-		if rig.lanes {
-			for s, from := 0, 0; s < rig.shards; s++ {
-				to := from
-				for to < pads && shardOf[to] == s {
-					to++
-				}
-				k.BindShardLane(s, Handle(from), lane[from:to])
-				from = to
+	}
+	if rig.lanes {
+		for s, from := 0, 0; s < shards; s++ {
+			to := from
+			for to < pads && shardOf[to] == s {
+				to++
 			}
-			if rig.awakePads != 0 {
-				panic("a lane-bound sharded rig takes no awake pads: hostile is not lane material")
-			}
+			k.BindLane(s, Handle(from), lane[from:to])
+			from = to
 		}
-	case rig.lanes:
-		k.BindLane(0, lane)
+		k.BindLane(shards-1, Handle(pads), awake)
 	}
 	return k, marks
 }

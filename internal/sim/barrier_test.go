@@ -64,8 +64,8 @@ func newBarrierRig(shards int, sharded bool) *barrierRig {
 	if sharded {
 		r.k.SetSharding(shards, shardOf)
 		for s := 0; s < shards; s++ {
-			r.k.BindShardLane(s, Handle(2*s), latcherLane{r.tickers[s]})
-			r.k.BindShardLane(s, r.pulseH[s], quiescerLane{r.pulses[s]})
+			r.k.BindLane(s, Handle(2*s), latcherLane{r.tickers[s]})
+			r.k.BindLane(s, r.pulseH[s], quiescerLane{r.pulses[s]})
 		}
 	}
 	return r
@@ -196,11 +196,6 @@ func TestBarrierNeverSpinsOversubscribed(t *testing.T) {
 type quiescerLane []*quiescer
 
 func (l quiescerLane) Len() int { return len(l) }
-func (l quiescerLane) ComputeAll(cycle int64) {
-	for _, q := range l {
-		q.Compute(cycle)
-	}
-}
 func (l quiescerLane) ComputeActive(cycle int64, flags []uint32) {
 	for i, q := range l {
 		if atomic.LoadUint32(&flags[i]) == Awake {
@@ -246,8 +241,8 @@ func laneRig(sharded, bare bool) (*Kernel, []*quiescer) {
 	k.SetSharding(shards, shardOf)
 	if !bare {
 		for s := 0; s < shards; s++ {
-			k.BindShardLane(s, Handle(s*per), quiescerLane(qs[s*per:s*per+3]))
-			k.BindShardLane(s, Handle(s*per+3), quiescerLane(qs[s*per+3:(s+1)*per]))
+			k.BindLane(s, Handle(s*per), quiescerLane(qs[s*per:s*per+3]))
+			k.BindLane(s, Handle(s*per+3), quiescerLane(qs[s*per+3:(s+1)*per]))
 		}
 	}
 	return k, qs
@@ -292,34 +287,43 @@ func TestShardLaneWalk(t *testing.T) {
 	}
 }
 
-// TestBindShardLaneValidation pins the binding checks: a lane may cover only
-// its own shard's components, in ascending order, and a sharded kernel with a
-// component outside every lane refuses to step.
+// TestBindShardLaneValidation pins BindLane's checks: a lane may cover only
+// its own shard's components, in ascending order, a serial kernel has shard 0
+// only, and a kernel with a component outside every lane, serial or sharded,
+// refuses to step.
 func TestBindShardLaneValidation(t *testing.T) {
 	lane := func(n int) Lane { return make(quiescerLane, n) }
 	k, _ := laneRig(true, true)
 	defer k.Close()
-	mustPanic(t, "foreign component", func() { k.BindShardLane(0, 6, lane(4)) })
-	mustPanic(t, "past the last component", func() { k.BindShardLane(2, 20, lane(5)) })
-	k.BindShardLane(1, 12, lane(2))
-	mustPanic(t, "out of order", func() { k.BindShardLane(1, 10, lane(2)) })
-	mustPanic(t, "overlap", func() { k.BindShardLane(1, 13, lane(2)) })
+	mustPanic(t, "foreign component", func() { k.BindLane(0, 6, lane(4)) })
+	mustPanic(t, "past the last component", func() { k.BindLane(2, 20, lane(5)) })
+	mustPanic(t, "past the last shard", func() { k.BindLane(3, 0, lane(1)) })
+	k.BindLane(1, 12, lane(2))
+	mustPanic(t, "out of order", func() { k.BindLane(1, 10, lane(2)) })
+	mustPanic(t, "overlap", func() { k.BindLane(1, 13, lane(2)) })
 	serial := NewKernel()
 	serial.Add(&quiescer{})
-	mustPanic(t, "serial kernel", func() { serial.BindShardLane(0, 0, lane(1)) })
+	mustPanic(t, "serial kernel, shard 1", func() { serial.BindLane(1, 0, lane(1)) })
+	serial.BindLane(0, 0, lane(1))
+	mustPanic(t, "serial overlap", func() { serial.BindLane(0, 0, lane(1)) })
 
-	// One shard, so no worker outlives the refused step.
-	part := NewKernel()
-	part.Add(&quiescer{})
-	part.Add(&quiescer{})
-	part.SetSharding(1, []int{0, 0})
-	part.BindShardLane(0, 0, lane(1))
-	func() {
-		defer func() {
-			if msg, _ := recover().(string); !strings.Contains(msg, "outside every shard lane") {
-				t.Errorf("Step with an unbound component: panic %q, want the unbound-lane refusal", msg)
-			}
+	// A partial cover, serial and on one shard (so no worker outlives the
+	// refused step).
+	for _, sharded := range []bool{false, true} {
+		part := NewKernel()
+		part.Add(&quiescer{})
+		part.Add(&quiescer{})
+		if sharded {
+			part.SetSharding(1, []int{0, 0})
+		}
+		part.BindLane(0, 0, lane(1))
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "outside every lane") {
+					t.Errorf("sharded=%v: Step with an unbound component: panic %q, want the unbound-lane refusal", sharded, msg)
+				}
+			}()
+			part.Step()
 		}()
-		part.Step()
-	}()
+	}
 }

@@ -142,9 +142,12 @@ type Kernel struct {
 	// sh is the sharded execution state, nil on the serial path.
 	sh *sharding
 
-	// lanes are the typed dense-iteration segments of the serial step,
-	// sorted by start handle (see BindLane). Empty means all-generic walks.
-	lanes []laneSeg
+	// lanes are the typed walk of every shard (one on a serial kernel), each
+	// shard's in ascending handle order; covered counts the components they
+	// cover, which must be all of them by the first Step unless there is no
+	// lane and the kernel is serial (see BindLane).
+	lanes   []laneSeg
+	covered int
 }
 
 // NewKernel returns an empty kernel at cycle 0.
@@ -369,6 +372,9 @@ func (k *Kernel) Step() {
 	if k.stepping {
 		panic("sim: Step called reentrantly (observer/epilogue hooks must not step the kernel)")
 	}
+	if k.covered != len(k.components) && (k.sh != nil || len(k.lanes) != 0) {
+		panic(fmt.Sprintf("sim: Step with %d components outside every lane (bind each with BindLane)", len(k.components)-k.covered))
+	}
 	k.stepping = true
 	if k.sh != nil {
 		k.stepSharded()
@@ -399,28 +405,25 @@ func (k *Kernel) Step() {
 const sparseRatio = 16
 
 // stepSerial is the single-goroutine step: the reference semantics the
-// sharded executor reproduces bit for bit. Each phase walks lane segments
-// and generic ranges interleaved in registration order (see lane.go); with
-// no lanes bound the walks reduce to the plain component loops.
+// sharded executor reproduces bit for bit. The dense walk is shard 0's lanes
+// (see lane.go), or the plain component loops when no lane is bound.
 func (k *Kernel) stepSerial() {
 	if k.oracle != nil {
 		k.stepOracle()
 		return
 	}
 	switch n := len(k.components); {
-	case k.idle == 0:
-		// Everything active: the tight no-flag-check compute loops.
-		k.walkCompute(true)
-		k.walkCommitQuiesce()
 	case k.idle == n:
 		// Fully quiescent network: the cycle is pure clock advance. Wakes
 		// only arrive from outside the step (injection), so nothing can need
 		// evaluation mid-step.
 	case (n-k.idle)*sparseRatio <= n:
 		k.walkSparse()
+	case len(k.lanes) == 0:
+		k.walkClocked()
 	default:
-		k.walkCompute(false)
-		k.walkCommitQuiesce()
+		k.walkLanes(0, phaseCompute)
+		k.idle += k.walkLanes(0, phaseCommit)
 	}
 }
 

@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // Typed dense lanes: devirtualized component iteration for the serial step
 // and, per shard, for the sharded one.
 //
@@ -14,43 +16,40 @@ package sim
 // dictionary and devirtualize nothing.
 //
 // Lanes change iteration mechanics only — never semantics. The kernel keeps
-// ownership of the activity flags and idle accounting, and the serial step
-// interleaves lane segments with generic ranges in registration order, so
-// commit-order guarantees and quiescence behavior are bit-identical to the
-// generic walk and to the oracle's eager one (asserted by the
-// lane-equivalence tests in internal/network).
+// ownership of the activity flags and idle accounting, and every walk visits
+// a shard's lanes in handle order, so commit-order guarantees and quiescence
+// behavior are bit-identical to the generic walk and to the oracle's eager
+// one (asserted by the lane-equivalence tests in internal/network).
 //
-// The sharded executor walks nothing but lanes, bound per shard
-// (BindShardLane, in shard.go). Its barrier is a spin on an atomic word, so
-// dispatch is what is left to save there too, and a shard's components are
-// lane-shaped: its routers and its interfaces are each a contiguous handle
-// range.
+// A serial kernel is shard 0 of the same lane table a sharded one walks per
+// shard: one BindLane serves both, and a kernel with any lane bound walks
+// nothing else, so every component must be covered before the first Step. A
+// serial kernel with no lane walks its components through Clocked. A
+// shard's components are lane-shaped: its routers and its interfaces are
+// each a contiguous handle range.
 
 // Lane is a typed view over the components registered at a contiguous run of
 // kernel handles. Implementations hold the same objects the kernel holds,
 // in registration order, and evaluate them with direct (devirtualized)
 // calls.
 //
-// The active slice passed to the Active variants is the kernel's activity
-// flags for exactly this lane's components (index i flags element i).
-// ComputeActive evaluates elements whose flag is 1 (awake) and no others,
-// loading each flag atomically at visit time: on the sharded path other
-// shards raise parked flags to Arrived while the walk runs, and neither a
-// parked nor an arrived element is computed. CommitActive visits elements
-// with a nonzero flag, with plain loads and stores (in a commit phase only
-// the owner touches its flags): an Arrived element gets Latch and a flag of
-// 1, any other Commit. It then performs the kernel's quiescence bookkeeping
-// inline: an element that now reports quiet has its flag cleared and is
-// counted, and the count of elements put to sleep is returned (the kernel
-// adjusts its idle counter; a same-phase Arrive from a later component then
-// re-raises the flag and the accounting stays balanced). Elements whose
-// concrete type does not implement Quiescable must never be counted quiet.
+// The active slice passed to both methods is the kernel's activity flags for
+// exactly this lane's components (index i flags element i). ComputeActive
+// evaluates elements whose flag is 1 (awake) and no others, loading each
+// flag atomically at visit time: on the sharded path other shards raise
+// parked flags to Arrived while the walk runs, and neither a parked nor an
+// arrived element is computed. CommitActive visits elements with a nonzero
+// flag, with plain loads and stores (in a commit phase only the owner
+// touches its flags): an Arrived element gets Latch and a flag of 1, any
+// other Commit. It then performs the kernel's quiescence bookkeeping inline:
+// an element that now reports quiet has its flag cleared and is counted, and
+// the count of elements put to sleep is returned (the kernel adjusts its
+// idle accounting; a same-phase Arrive from a later component then re-raises
+// the flag and the accounting stays balanced). Elements whose concrete type
+// does not implement Quiescable must never be counted quiet.
 type Lane interface {
 	// Len returns the number of components the lane covers.
 	Len() int
-	// ComputeAll computes every element (the serial step's fully-active
-	// fast path).
-	ComputeAll(cycle int64)
 	// ComputeActive computes the awake elements.
 	ComputeActive(cycle int64, active []uint32)
 	// CommitActive commits awake elements and latches arrived ones, clears
@@ -59,47 +58,54 @@ type Lane interface {
 	CommitActive(cycle int64, active []uint32) int
 }
 
-// laneSeg is one bound lane and the handle range it covers.
+// laneSeg is one bound lane, the handle range [start, end) it covers and the
+// shard that walks it.
 type laneSeg struct {
-	start, end int
-	lane       Lane
+	shard, start, end int
+	lane              Lane
 }
 
 // BindLane installs a typed lane over the components registered at handles
-// [start, start+lane.Len()). The lane must hold those same components in the
-// same order; the kernel cannot verify object identity, so a mismatched
-// binding silently diverges — bind only slices captured at registration
-// time. Lanes may not overlap and must be bound before the first Step. This
-// is the serial binding; a sharded kernel panics here and takes its lanes
-// per shard through BindShardLane.
-func (k *Kernel) BindLane(start Handle, lane Lane) {
+// [start, start+lane.Len()), all of which must belong to the given shard (a
+// serial kernel has shard 0 only; bind a sharded kernel's lanes after
+// SetSharding). The lane must hold those same components in the same order;
+// the kernel cannot verify object identity, so a mismatched binding silently
+// diverges — bind only slices captured at registration time. Bind a shard's
+// lanes in ascending handle order, before the first Step, until every
+// component is covered: a kernel with a lane walks nothing else.
+func (k *Kernel) BindLane(shard int, start Handle, lane Lane) {
 	if k.stepping {
 		panic("sim: BindLane called during Step")
-	}
-	if k.sh != nil {
-		panic("sim: BindLane on a sharded kernel (use BindShardLane)")
 	}
 	n := lane.Len()
 	if n == 0 {
 		return
 	}
-	s, e := int(start), int(start)+n
-	if s < 0 || e > len(k.components) {
-		panic("sim: BindLane range outside registered components")
+	seg := laneSeg{shard: shard, start: int(start), end: int(start) + n, lane: lane}
+	shards := 1
+	if k.sh != nil {
+		shards = k.sh.shards
 	}
-	at := len(k.lanes)
-	for i, seg := range k.lanes {
-		if s < seg.end && seg.start < e {
-			panic("sim: BindLane ranges overlap")
-		}
-		if s < seg.start {
-			at = i
+	if shard < 0 || shard >= shards || seg.start < 0 || seg.end > len(k.components) {
+		panic("sim: BindLane shard or range outside the kernel")
+	}
+	for i := len(k.lanes) - 1; i >= 0; i-- {
+		if g := k.lanes[i]; g.shard == shard {
+			if g.end > seg.start {
+				panic("sim: BindLane ranges overlap or are out of order")
+			}
 			break
 		}
 	}
-	k.lanes = append(k.lanes, laneSeg{})
-	copy(k.lanes[at+1:], k.lanes[at:])
-	k.lanes[at] = laneSeg{start: s, end: e, lane: lane}
+	if k.sh != nil {
+		for h := seg.start; h < seg.end; h++ {
+			if int(k.sh.shardOf[h]) != shard {
+				panic(fmt.Sprintf("sim: BindLane covers component %d of shard %d, not %d", h, k.sh.shardOf[h], shard))
+			}
+		}
+	}
+	k.lanes = append(k.lanes, seg)
+	k.covered += n
 }
 
 // Reserve pre-sizes the registration slices for n additional components, so
@@ -123,54 +129,35 @@ func reserve[T any](s []T, n int) []T {
 	return append(make([]T, 0, n), s...)
 }
 
-// walkCompute runs the compute phase in registration order, interleaving
-// lane segments with generic ranges. all selects the everything-active fast
-// path (no flag checks).
-func (k *Kernel) walkCompute(all bool) {
+// walkLanes runs one phase of shard s's lanes in handle order and returns
+// how many components the commit phase put to sleep (0 for compute).
+func (k *Kernel) walkLanes(s, phase int) int {
 	cycle := k.cycle
-	i := 0
-	for _, seg := range k.lanes {
-		if all {
-			for ; i < seg.start; i++ {
-				k.components[i].Compute(cycle)
-			}
-			seg.lane.ComputeAll(cycle)
+	quiets := 0
+	for _, g := range k.lanes {
+		if g.shard != s {
+			continue
+		}
+		flags := k.active[g.start:g.end]
+		if phase == phaseCompute {
+			g.lane.ComputeActive(cycle, flags)
 		} else {
-			for ; i < seg.start; i++ {
-				if k.active[i] == Awake {
-					k.components[i].Compute(cycle)
-				}
-			}
-			seg.lane.ComputeActive(cycle, k.active[seg.start:seg.end])
-		}
-		i = seg.end
-	}
-	if all {
-		for ; i < len(k.components); i++ {
-			k.components[i].Compute(cycle)
-		}
-	} else {
-		for ; i < len(k.components); i++ {
-			if k.active[i] == Awake {
-				k.components[i].Compute(cycle)
-			}
+			quiets += g.lane.CommitActive(cycle, flags)
 		}
 	}
+	return quiets
 }
 
-// walkCommitQuiesce runs the commit phase with quiescence bookkeeping: quiet
-// components drop out of the active set.
-func (k *Kernel) walkCommitQuiesce() {
+// walkClocked is the dense walk of a serial kernel with no lane: both phases
+// in registration order through the Clocked interface.
+func (k *Kernel) walkClocked() {
 	cycle := k.cycle
-	i := 0
-	for _, seg := range k.lanes {
-		for ; i < seg.start; i++ {
-			k.commitOne(i, cycle)
+	for i, c := range k.components {
+		if k.active[i] == Awake {
+			c.Compute(cycle)
 		}
-		k.idle += seg.lane.CommitActive(cycle, k.active[seg.start:seg.end])
-		i = seg.end
 	}
-	for ; i < len(k.components); i++ {
+	for i := range k.components {
 		k.commitOne(i, cycle)
 	}
 }

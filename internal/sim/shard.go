@@ -60,7 +60,7 @@ import (
 // cycles therefore converge on parking, and a kernel stepped back
 // to back converges on spinning. Nothing here is configurable.
 //
-// A shard walks only its typed lanes (BindShardLane): every component of a
+// A shard walks only its typed lanes (BindLane): every component of a
 // sharded kernel must be covered by one, and Step panics otherwise.
 //
 // Cross-shard effects that are order-sensitive at the simulation surface
@@ -199,12 +199,6 @@ type sharding struct {
 	shards  int
 	shardOf []int32 // component index -> shard
 
-	// lanes[s] is shard s's walk, in ascending handle order (see
-	// BindShardLane); unbound counts the components no lane covers yet,
-	// which must be none by the first Step.
-	lanes   [][]shardSeg
-	unbound int
-
 	// live[s] is shard s's activity summary (see shardLive).
 	live []shardLive
 
@@ -236,7 +230,7 @@ type sharding struct {
 // commit-phase write stays inside one shard.
 //
 // Must be called after all components are registered, and every component
-// must then be covered by a shard lane (BindShardLane) before the first
+// must then be covered by a lane of its shard (BindLane) before the first
 // Step; the kernel rejects further Add calls. Call Close when the simulation
 // is done to release the workers.
 func (k *Kernel) SetSharding(shards int, shardOf []int) {
@@ -250,7 +244,7 @@ func (k *Kernel) SetSharding(shards int, shardOf []int) {
 		panic("sim: SetSharding requires at least one shard")
 	}
 	if len(k.lanes) != 0 {
-		panic("sim: SetSharding on a kernel with bound lanes (bind shard lanes after SetSharding instead)")
+		panic("sim: SetSharding on a kernel with bound lanes (bind them after SetSharding instead)")
 	}
 	if len(shardOf) != len(k.components) {
 		panic(fmt.Sprintf("sim: SetSharding got %d assignments for %d components", len(shardOf), len(k.components)))
@@ -258,8 +252,6 @@ func (k *Kernel) SetSharding(shards int, shardOf []int) {
 	sh := &sharding{
 		shards:  shards,
 		shardOf: make([]int32, len(shardOf)),
-		unbound: len(shardOf),
-		lanes:   make([][]shardSeg, shards),
 		live:    make([]shardLive, shards),
 		gates:   make([]gate, shards),
 		spin:    shards <= runtime.GOMAXPROCS(0),
@@ -299,7 +291,9 @@ func (k *Kernel) shardWorker(s int) {
 		if ph == gateClose {
 			return
 		}
-		k.runShard(s, int(ph)-1)
+		if k.walkLanes(s, int(ph)-1) != 0 {
+			sh.settle(k, s)
+		}
 		if sh.pending.Add(-1) == 0 {
 			sh.done.post(gateDone)
 		}
@@ -336,10 +330,8 @@ func (sh *sharding) anyLive() bool {
 // raiseAll marks every shard that owns components live (every flag was
 // raised).
 func (sh *sharding) raiseAll() {
-	for s := range sh.live {
-		if len(sh.lanes[s]) != 0 {
-			sh.live[s].word.Store(1)
-		}
+	for _, s := range sh.shardOf {
+		sh.live[s].word.Store(1)
 	}
 }
 
@@ -350,7 +342,10 @@ func (sh *sharding) raiseAll() {
 func (sh *sharding) settle(k *Kernel, s int) {
 	live := uint32(0)
 scan:
-	for _, g := range sh.lanes[s] {
+	for _, g := range k.lanes {
+		if g.shard != s {
+			continue
+		}
 		for _, f := range k.active[g.start:g.end] {
 			if f != Parked {
 				live = 1
@@ -385,9 +380,6 @@ func (k *Kernel) stepSharded() {
 	sh := k.sh
 	if sh.closed {
 		panic("sim: Step on a closed kernel")
-	}
-	if sh.unbound != 0 {
-		panic(fmt.Sprintf("sim: sharded Step with %d components outside every shard lane (bind each with BindShardLane)", sh.unbound))
 	}
 	if !sh.anyLive() {
 		// Fully quiescent: pure clock advance, same as the serial path.
@@ -428,72 +420,10 @@ func (sh *sharding) dispatch(k *Kernel, phase int) {
 			}
 		}
 	}
-	k.runShard(inline, phase)
+	if k.walkLanes(inline, phase) != 0 {
+		sh.settle(k, inline)
+	}
 	if n > 0 {
 		sh.done.take(sh.spin)
-	}
-}
-
-// shardSeg is one typed segment of a shard's walk: a lane over components
-// the shard owns, handles [start, end).
-type shardSeg struct {
-	lane       Lane
-	start, end int
-}
-
-// BindShardLane installs a typed lane over the components at handles
-// [start, start+lane.Len()), all of which must belong to the given shard. It
-// is BindLane for the sharded step: the same Lane implementations serve
-// both, because a shard's routers and interfaces are contiguous handle
-// ranges. Bind a shard's lanes in ascending handle order, after SetSharding
-// and before the first Step, until every component is covered: the shards
-// walk nothing else.
-func (k *Kernel) BindShardLane(shard int, start Handle, lane Lane) {
-	sh := k.sh
-	if sh == nil {
-		panic("sim: BindShardLane on a kernel that is not sharded")
-	}
-	if k.stepping {
-		panic("sim: BindShardLane called during Step")
-	}
-	n := lane.Len()
-	if n == 0 {
-		return
-	}
-	seg := shardSeg{lane: lane, start: int(start), end: int(start) + n}
-	if shard < 0 || shard >= sh.shards || seg.start < 0 || seg.end > len(k.components) {
-		panic("sim: BindShardLane shard or range outside the kernel")
-	}
-	list := &sh.lanes[shard]
-	if n := len(*list); n > 0 && (*list)[n-1].end > seg.start {
-		panic("sim: BindShardLane ranges overlap or are out of order")
-	}
-	for h := seg.start; h < seg.end; h++ {
-		if int(sh.shardOf[h]) != shard {
-			panic(fmt.Sprintf("sim: BindShardLane covers component %d of shard %d, not %d", h, sh.shardOf[h], shard))
-		}
-	}
-	*list = append(*list, seg)
-	sh.unbound -= n
-}
-
-// runShard executes one phase of one shard: its lanes in handle order, with
-// the kernel's quiescence bookkeeping done inline by the lanes and folded
-// into the shard's live word once per cycle. Runs on a worker goroutine (or
-// inline on the stepping goroutine for the first working shard).
-func (k *Kernel) runShard(s, phase int) {
-	sh := k.sh
-	cycle := k.cycle
-	quiets := 0
-	for _, g := range sh.lanes[s] {
-		flags := k.active[g.start:g.end]
-		if phase == phaseCompute {
-			g.lane.ComputeActive(cycle, flags)
-		} else {
-			quiets += g.lane.CommitActive(cycle, flags)
-		}
-	}
-	if quiets != 0 {
-		sh.settle(k, s)
 	}
 }

@@ -213,7 +213,7 @@ func buildRelays(n, shards int) (*Kernel, []*relay, []*bell) {
 	if shards > 0 {
 		k.SetSharding(shards, shardOf)
 		for i := range relays {
-			k.BindShardLane(i%shards, Handle(2*i), latcherLane{relays[i], bells[i]})
+			k.BindLane(i%shards, Handle(2*i), latcherLane{relays[i], bells[i]})
 		}
 	}
 	return k, relays, bells
@@ -288,7 +288,7 @@ func TestShardedWakeCrossGoroutine(t *testing.T) {
 	k.SetSharding(4, shardOf)
 	defer k.Close()
 	for i, h := range handles {
-		k.BindShardLane(i%4, h, lanes[i])
+		k.BindLane(i%4, h, lanes[i])
 	}
 	k.Run(3) // everything goes quiet
 	if !k.Idle() {

@@ -189,9 +189,11 @@ func (r *Recorder) Window() (start, end int64) {
 // a Chrome trace of the window plus a diagnostic report (trigger metadata,
 // then whatever diag writes about the original run — typically
 // network.WriteDiagnostic). It runs at most once per recorder and returns
-// the trace path ("" when not triggered). diag may be nil. A replay that
-// panics fails the dump; one that does not trip at the trigger cycle has
-// diverged from the run, which the report says and the error returns.
+// the trace path ("" when not triggered or already flushed). diag may be
+// nil. A replay that panics fails the dump; one that does not trip at the
+// trigger cycle has diverged from the run, which the report says and the
+// error returns. Flush logs nothing: the caller logs a dump's notice
+// (LogDump), in an order of its choosing.
 func (r *Recorder) Flush(replay func(*Recorder), diag func(io.Writer)) (string, error) {
 	if r == nil {
 		return "", nil
@@ -221,7 +223,7 @@ func (r *Recorder) Flush(replay func(*Recorder), diag func(io.Writer)) (string, 
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return "", fmt.Errorf("telemetry: flight dump: %w", err)
 	}
-	stem := filepath.Join(cfg.Dir, "flight-"+sanitizeLabel(cfg.Label))
+	stem := dumpStem(cfg)
 	tracePath := stem + ".trace.json"
 	reportPath := stem + ".report.txt"
 
@@ -263,18 +265,35 @@ func (r *Recorder) Flush(replay func(*Recorder), diag func(io.Writer)) (string, 
 	if diverged != "" {
 		return tracePath, fmt.Errorf("telemetry: flight dump %s: replay diverged: %s, the run at cycle %d", tracePath, diverged, cycle)
 	}
+	return tracePath, nil
+}
+
+// LogDump logs the notice of the dump Flush wrote to the recorder's Logger:
+// its trigger, window and files.
+func (r *Recorder) LogDump() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	cfg, cycle, reason := r.cfg, r.cycle, r.reason
+	r.mu.Unlock()
 	log := cfg.Logger
 	if log == nil {
 		log = slog.Default()
 	}
+	stem := dumpStem(cfg)
 	log.Warn("flight recorder: dumped failure window",
 		"reason", reason,
 		"trigger_cycle", cycle,
-		"window_start", start,
-		"window_end", end,
-		"trace", tracePath,
-		"report", reportPath)
-	return tracePath, nil
+		"window_start", max(cycle-cfg.Window+1, 0),
+		"window_end", cycle,
+		"trace", stem+".trace.json",
+		"report", stem+".report.txt")
+}
+
+// dumpStem is the path of a dump's files less their extensions.
+func dumpStem(cfg RecorderConfig) string {
+	return filepath.Join(cfg.Dir, "flight-"+sanitizeLabel(cfg.Label))
 }
 
 // runReplay runs replay with rr, turning a panic into an error: the
