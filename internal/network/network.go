@@ -329,9 +329,8 @@ func New(cfg Config) *Network {
 		n.probe.Attach(cfg.Topo.Width, cfg.Topo.Height, sys.Ports(), cores, cfg.BufferDepth)
 	}
 
-	// Each shard has its own power counters (folded by Counters), so
-	// workers never write shared state; countersFor resolves those of a
-	// component co-located with the given router node.
+	// Each shard has its own power counters (folded by Counters) and arena,
+	// so workers never write shared state; a component uses its node's.
 	n.local = carve(&st.local, shards)
 	n.shardOfNode = carve(&st.shardOfNode, routers)
 	for id := range n.shardOfNode {
@@ -342,7 +341,6 @@ func New(cfg Config) *Network {
 	if sharded {
 		n.mailHeads = carve(&st.mailHeads, shards)
 	}
-	countersFor := func(node int) *power.Counters { return &n.local[n.shardOfNode[node]].counters }
 
 	n.routers = carve(&st.routers, routers)
 	n.nis = carve(&st.nis, cores)
@@ -358,7 +356,7 @@ func New(cfg Config) *Network {
 			Node:        noc.NodeID(id),
 			Routes:      n.routes,
 			BufferDepth: cfg.BufferDepth,
-			Counters:    countersFor(id),
+			Counters:    &n.local[n.shardOfNode[id]].counters,
 			Ports:       sys.Ports(),
 			NewArbiter:  cfg.NewArbiter,
 			Probe:       n.probe,
@@ -381,7 +379,7 @@ func New(cfg Config) *Network {
 		home := int(sys.RouterOf(noc.NodeID(c)))
 		ni := &niSlab[c]
 		ni.init(noc.NodeID(c), n, cfg.SinkDepth, sinkSlots[c*sinkSl:(c+1)*sinkSl:(c+1)*sinkSl], localRow, n.arenaOf(home))
-		ni.counters = countersFor(home)
+		ni.counters = &n.local[n.shardOfNode[home]].counters
 		ni.probe = n.probe
 		if cfg.Check != nil {
 			// Armed: ejection-side decode corruption becomes a reported
